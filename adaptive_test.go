@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"github.com/exsample/exsample/backend"
+	"github.com/exsample/exsample/cachestore"
+	"github.com/exsample/exsample/internal/cache"
 	"github.com/exsample/exsample/internal/sizer"
 )
 
@@ -209,43 +211,82 @@ func TestAdaptiveRoundsSharded(t *testing.T) {
 	}
 }
 
-// TestAdaptiveObserveSkipsMemoHits: a group resolved from the memo cache
+// TestAdaptiveObserveSkipsMemoHits: a group resolved from a cache — the
+// memo cache or the shared tier, under a distinct-object or a track query —
 // reports near-zero wall latency for frames the backend never served;
 // those observations must be charged to the backend-served (miss) count
 // only — and skipped outright for all-hit groups — or the controller's
-// baseline collapses and genuine backend batches read as queueing.
+// baseline collapses and genuine backend batches read as queueing. Every
+// row drives the one sizedQuery through its real DetectBatch.
 func TestAdaptiveObserveSkipsMemoHits(t *testing.T) {
-	var counters sizer.Counters
-	fleet, err := sizer.NewFleet(sizer.Config{Min: 2, Max: 32}, &counters)
-	if err != nil {
-		t.Fatal(err)
+	ds := smallDataset(t, WithPerfectDetector())
+	caches := map[string]func() cacheConfig{
+		"memo": func() cacheConfig { return cacheConfig{memo: cache.New(1 << 12)} },
+		"tier": func() cacheConfig {
+			l1 := cachestore.WrapCache(cache.New(1 << 12))
+			return cacheConfig{tier: cachestore.NewTiered(l1, cachestore.NewLocal(1<<12))}
+		},
 	}
-	eq := &engineQuery{sizer: fleet}
-	sq := &sizedQuery{engineQuery: eq}
-	// All-hit group: wall latency is irrelevant, no observation reaches
-	// the controller however extreme it looks per frame.
-	eq.scr.note(7, 0)
-	sq.ObserveBatch(7, 8, 5.0)
-	if got := fleet.Quota(); got != 2 {
-		t.Fatalf("all-hit group moved the quota to %d", got)
+	runs := map[string]func(cacheConfig) (engineRun, error){
+		"distinct": func(cc cacheConfig) (engineRun, error) {
+			return newQueryRun(ds, Query{Class: "car", Limit: 10}, Options{Seed: 3}, cc, false)
+		},
+		"track": func(cc cacheConfig) (engineRun, error) {
+			return newTrackRun(ds, trackPred(), TrackOptions{Seed: 3}, cc)
+		},
 	}
-	if counters.Shrinks.Load() != 0 {
-		t.Fatalf("all-hit group counted %d shrinks", counters.Shrinks.Load())
-	}
-	// Backend-served groups (flat latency) grow the quota normally.
-	for i := 0; i < 10; i++ {
-		eq.scr.note(7, fleet.Quota())
-		sq.ObserveBatch(7, fleet.Quota(), 0.001*float64(fleet.Quota()))
-	}
-	if got := fleet.Quota(); got <= 2 {
-		t.Fatalf("backend-served groups never grew the quota: %d", got)
-	}
-	// A group whose ObserveBatch has no recorded backend count (failed
-	// call, stale key) is ignored rather than observed at full size.
-	before := fleet.Quota()
-	sq.ObserveBatch(99, 8, 9.0)
-	if got := fleet.Quota(); got != before {
-		t.Fatalf("unrecorded group moved the quota from %d to %d", before, got)
+	for kind, newRun := range runs {
+		for mode, newCache := range caches {
+			t.Run(kind+"-"+mode, func(t *testing.T) {
+				run, err := newRun(newCache())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var counters sizer.Counters
+				fleet, err := sizer.NewFleet(sizer.Config{Min: 2, Max: 32}, &counters)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sq := newSizedQuery(&engineQuery{run: run, src: ds.querySource(), ctx: context.Background()}, fleet)
+				key := sq.AffinityKey(0)
+				batch := func(base int64) []int64 {
+					return []int64{base, base + 1, base + 2, base + 3}
+				}
+				// Backend-served groups (every frame new, flat latency) grow
+				// the quota normally.
+				for i := int64(0); i < 10; i++ {
+					frames := batch(1000 * i)
+					if _, err := sq.DetectBatch(frames); err != nil {
+						t.Fatal(err)
+					}
+					sq.ObserveBatch(key, len(frames), 0.001*float64(len(frames)))
+				}
+				grown := fleet.Quota()
+				if grown <= 2 {
+					t.Fatalf("backend-served groups never grew the quota: %d", grown)
+				}
+				// All-hit group: wall latency is irrelevant, no observation
+				// reaches the controller however extreme it looks per frame.
+				frames := batch(0)
+				if _, err := sq.DetectBatch(frames); err != nil {
+					t.Fatal(err)
+				}
+				sq.ObserveBatch(key, len(frames), 5.0)
+				if got := fleet.Quota(); got != grown {
+					t.Fatalf("all-hit group moved the quota from %d to %d", grown, got)
+				}
+				if counters.Shrinks.Load() != 0 {
+					t.Fatalf("all-hit group counted %d shrinks", counters.Shrinks.Load())
+				}
+				// A group whose ObserveBatch has no recorded backend count
+				// (failed call, stale key) is ignored rather than observed
+				// at full size.
+				sq.ObserveBatch(key+99, 8, 9.0)
+				if got := fleet.Quota(); got != grown {
+					t.Fatalf("unrecorded group moved the quota from %d to %d", grown, got)
+				}
+			})
+		}
 	}
 }
 

@@ -53,10 +53,22 @@ func TestRouterSpecsValidation(t *testing.T) {
 	}
 }
 
+// wantShares asserts the exact number of batches each replica served.
+func wantShares(t *testing.T, fakes []*fakeBackend, want ...int64) {
+	t.Helper()
+	for i, f := range fakes {
+		if got := f.calls.Load(); got != want[i] {
+			t.Errorf("replica %d served %d batches, want %d", i, got, want[i])
+		}
+	}
+}
+
 // TestPickWeightShares pins the pick shares on 1-fast+3-slow fleets: the
-// fast replica draws ~4x the batches once warmed, the cold-start rotation
-// interleaves by weight, and an open breaker redistributes its share
-// across the surviving siblings evenly.
+// fast replica draws everything past the warm-up once it measures lighter,
+// the cold-start rotation warms every replica, and an open breaker
+// redistributes its share across the surviving siblings evenly. Router and
+// replicas share one fake clock (measured latency is exactly the
+// configured delay, and nothing sleeps), so the shares are exact.
 func TestPickWeightShares(t *testing.T) {
 	t.Run("cold-start-explicit-weights", func(t *testing.T) {
 		// Equal measured latency, explicit 4:1:1:1 weights: the weighted
@@ -69,29 +81,15 @@ func TestPickWeightShares(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		const batches = 40
-		for i := 0; i < batches; i++ {
+		virtualize(r, fakes)
+		for i := 0; i < 40; i++ {
 			if _, err := r.DetectBatch(context.Background(), "car", []int64{int64(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		var total int64
-		for i, f := range fakes {
-			got := f.calls.Load()
-			total += got
-			if got < coldRequests {
-				t.Errorf("replica %d served %d batches, want >= %d", i, got, coldRequests)
-			}
-			if i > 0 && got > 5 {
-				t.Errorf("slow replica %d served %d batches, want <= 5", i, got)
-			}
-		}
-		if total != batches {
-			t.Fatalf("fleet served %d batches, want %d", total, batches)
-		}
-		if fast := fakes[0].calls.Load(); fast < 25 {
-			t.Errorf("fast replica served %d of %d batches, want >= 25", fast, batches)
-		}
+		// coldRequests each, then all 28 remaining batches to the replica
+		// whose load is 4x lighter.
+		wantShares(t, fakes, 31, coldRequests, coldRequests, coldRequests)
 	})
 
 	t.Run("warmed-ewma-derived-weights", func(t *testing.T) {
@@ -105,29 +103,13 @@ func TestPickWeightShares(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		const batches = 30
-		for i := 0; i < batches; i++ {
+		virtualize(r, fakes)
+		for i := 0; i < 30; i++ {
 			if _, err := r.DetectBatch(context.Background(), "car", []int64{int64(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		var total int64
-		for i, f := range fakes {
-			got := f.calls.Load()
-			total += got
-			if got < coldRequests {
-				t.Errorf("replica %d served %d batches, want >= %d", i, got, coldRequests)
-			}
-			if i > 0 && got > 6 {
-				t.Errorf("slow replica %d served %d batches, want <= 6", i, got)
-			}
-		}
-		if total != batches {
-			t.Fatalf("fleet served %d batches, want %d", total, batches)
-		}
-		if fast := fakes[0].calls.Load(); fast < 15 {
-			t.Errorf("fast replica served %d of %d batches, want >= 15", fast, batches)
-		}
+		wantShares(t, fakes, 21, coldRequests, coldRequests, coldRequests)
 	})
 
 	t.Run("fast-breaker-open", func(t *testing.T) {
@@ -141,23 +123,20 @@ func TestPickWeightShares(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		const batches = 30
-		for i := 0; i < batches; i++ {
+		virtualize(r, fakes)
+		for i := 0; i < 30; i++ {
 			if _, err := r.DetectBatch(context.Background(), "car", []int64{int64(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if got := fakes[0].calls.Load(); got > 2 {
-			t.Errorf("dead fast replica called %d times, want <= 2", got)
+		if st := r.Stats()[0]; st.State != Open || st.BreakerOpens != 1 {
+			t.Errorf("fast replica state %v opens %d, want a breaker opened once", st.State, st.BreakerOpens)
 		}
-		if st := r.Stats()[0]; st.State != Open || st.BreakerOpens == 0 {
-			t.Errorf("fast replica state %v opens %d, want open breaker", st.State, st.BreakerOpens)
-		}
-		for i := 1; i < 4; i++ {
-			if got := fakes[i].calls.Load(); got < 6 {
-				t.Errorf("surviving replica %d served %d batches, want >= 6 (even split)", i, got)
-			}
-		}
+		// One call kills the fast replica (the 30 ms of fake time never
+		// reach its cooldown). The survivors rotate evenly; the staggered
+		// warm-up (replica 1 measures first and sits out two tie rounds)
+		// leaves the later replicas one rotation ahead.
+		wantShares(t, fakes, 1, 9, 10, 11)
 	})
 }
 

@@ -219,6 +219,10 @@ type Router struct {
 
 	probeStop chan struct{}
 	probeDone chan struct{}
+
+	// now is the router's one clock — latency EWMAs, breaker cooldowns and
+	// error timestamps all read it. time.Now outside tests.
+	now func() time.Time
 }
 
 // Compile-time interface checks.
@@ -260,7 +264,7 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("router: negative ScatterMinSlice")
 	}
 	cfg = cfg.withDefaults()
-	r := &Router{cfg: cfg}
+	r := &Router{cfg: cfg, now: time.Now}
 	for i, s := range specs {
 		if s.Backend == nil {
 			return nil, fmt.Errorf("router: replica %d is nil", i)
@@ -383,7 +387,7 @@ func capacityWeightLocked(rep *replica) float64 {
 // 4:1:1:1 fleet interleaves picks 4-1-1-1 instead of bursting, and equal
 // weights reproduce plain round-robin.
 func (r *Router) pick(tried map[int]bool) (int, bool) {
-	now := time.Now()
+	now := r.now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	type cand struct {
@@ -496,14 +500,14 @@ func (r *Router) noteFailure(rep *replica, err error) {
 	rep.failures++
 	rep.consecFails++
 	rep.lastErr = err
-	rep.lastErrAt = time.Now()
+	rep.lastErrAt = r.now()
 	if rep.state == HalfOpen || rep.consecFails >= r.cfg.FailureThreshold {
 		if rep.state != Open {
 			r.breakerOpens.Add(1)
 			rep.opens++
 		}
 		rep.state = Open
-		rep.openedAt = time.Now()
+		rep.openedAt = rep.lastErrAt
 		rep.trial = false
 	}
 }
@@ -604,7 +608,7 @@ func (r *Router) call(ctx context.Context, rep *replica, class string, frames []
 	rep.inflight++
 	rep.requests++
 	rep.mu.Unlock()
-	start := time.Now()
+	start := r.now()
 	var (
 		dets  [][]backend.Detection
 		costs []float64
@@ -625,7 +629,7 @@ func (r *Router) call(ctx context.Context, rep *replica, class string, frames []
 	if err == nil && len(dets) != len(frames) {
 		err = fmt.Errorf("router: replica %s returned %d results for a %d-frame batch", rep.name, len(dets), len(frames))
 	}
-	elapsed := time.Since(start)
+	elapsed := r.now().Sub(start)
 	rep.mu.Lock()
 	rep.inflight--
 	rep.mu.Unlock()

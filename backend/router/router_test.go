@@ -20,8 +20,39 @@ type fakeBackend struct {
 	calls   atomic.Int64
 	biggest atomic.Int64 // largest batch seen
 	hints   backend.Hints
-	// delay simulates inference latency.
+	// delay simulates inference latency: a real sleep, or — when clock is
+	// set — an advance of the fake clock the router under test reads.
 	delay time.Duration
+	clock *fakeClock
+}
+
+// fakeClock is a manually advanced clock standing in for a Router's now.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+// virtualize puts the router and its fake replicas on one fake clock, so
+// measured latencies are exactly the configured delays. Call before any
+// traffic.
+func virtualize(r *Router, fakes []*fakeBackend) {
+	clock := &fakeClock{t: time.Unix(0, 0)}
+	r.now = clock.now
+	for _, f := range fakes {
+		f.clock = clock
+	}
 }
 
 // maxSeen returns the largest batch (or slice) the replica served.
@@ -38,7 +69,9 @@ func (f *fakeBackend) DetectBatch(ctx context.Context, class string, frames []in
 	if f.dead.Load() {
 		return nil, fmt.Errorf("%s: connection refused", f.name)
 	}
-	if f.delay > 0 {
+	if f.delay > 0 && f.clock != nil {
+		f.clock.advance(f.delay)
+	} else if f.delay > 0 {
 		select {
 		case <-time.After(f.delay):
 		case <-ctx.Done():

@@ -388,29 +388,7 @@ func (e *Engine) Warm(ctx context.Context, src Source, class string, limit int64
 // must be unset; AutoChunk and the proxy training phase are Search-only
 // features.
 func (e *Engine) Submit(ctx context.Context, src Source, q Query, opts Options) (*QueryHandle, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.BatchSize > 1 || opts.Parallelism > 1 {
-		return nil, fmt.Errorf("exsample: the engine schedules batching itself; set EngineOptions.FramesPerRound instead of BatchSize/Parallelism")
-	}
-	if opts.AutoChunk {
-		return nil, fmt.Errorf("exsample: engine queries do not support AutoChunk")
-	}
-	if opts.ProxyTrainPositives > 0 {
-		return nil, fmt.Errorf("exsample: engine queries do not support the proxy training phase")
-	}
-	run, err := newQueryRun(src, q, opts, e.cacheCfg(), false)
-	if err != nil {
-		return nil, err
-	}
-	return e.submitRun(ctx, src, run, false)
+	return e.submitQuery(ctx, src, q, opts, false)
 }
 
 // SubmitStanding registers a standing query against a live source and
@@ -432,17 +410,14 @@ func (e *Engine) Submit(ctx context.Context, src Source, q Query, opts Options) 
 // history reports byte-identically to an offline Search over the retained
 // segments (see StreamSource).
 func (e *Engine) SubmitStanding(ctx context.Context, src Source, q Query, opts Options) (*QueryHandle, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if q.Class == "" {
-		return nil, fmt.Errorf("exsample: query needs a class")
-	}
-	if q.Limit < 0 {
-		return nil, fmt.Errorf("exsample: negative limit %d", q.Limit)
-	}
-	if q.RecallTarget < 0 || q.RecallTarget > 1 {
-		return nil, fmt.Errorf("exsample: recall target %v outside [0,1]", q.RecallTarget)
+	return e.submitQuery(ctx, src, q, opts, true)
+}
+
+// submitQuery is Submit and SubmitStanding: validate, build the run, hand
+// it to the submit tail.
+func (e *Engine) submitQuery(ctx context.Context, src Source, q Query, opts Options, standing bool) (*QueryHandle, error) {
+	if err := q.validate(!standing); err != nil {
+		return nil, err
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -450,33 +425,40 @@ func (e *Engine) SubmitStanding(ctx context.Context, src Source, q Query, opts O
 	if opts.BatchSize > 1 || opts.Parallelism > 1 {
 		return nil, fmt.Errorf("exsample: the engine schedules batching itself; set EngineOptions.FramesPerRound instead of BatchSize/Parallelism")
 	}
-	if opts.AutoChunk || opts.NumChunks > 0 {
+	if standing && (opts.AutoChunk || opts.NumChunks > 0) {
 		return nil, fmt.Errorf("exsample: standing queries follow the source's live chunk topology; NumChunks/AutoChunk cannot apply")
+	}
+	if opts.AutoChunk {
+		return nil, fmt.Errorf("exsample: engine queries do not support AutoChunk")
 	}
 	if opts.ProxyTrainPositives > 0 {
 		return nil, fmt.Errorf("exsample: engine queries do not support the proxy training phase")
 	}
-	run, err := newQueryRun(src, q, opts, e.cacheCfg(), true)
+	run, err := newQueryRun(src, q, opts, e.cacheCfg(), standing)
 	if err != nil {
 		return nil, err
 	}
-	return e.submitRun(ctx, src, run, true)
+	h := &QueryHandle{rep: run.rep, static: e.opts.FramesPerRound, standing: standing}
+	run.out = &h.handleCore
+	if err := e.submitRun(ctx, src, run, &h.handleCore, standing); err != nil {
+		return nil, err
+	}
+	return h, nil
 }
 
-// submitRun is the shared tail of Submit and SubmitStanding: it builds the
-// handle and scheduler adapter, wraps for adaptive sizing and/or standing
-// semantics, subscribes standing queries to the source's append
-// notifications, and hands the query to the internal scheduler.
-func (e *Engine) submitRun(ctx context.Context, src Source, run *queryRun, standing bool) (*QueryHandle, error) {
-	h := &QueryHandle{
-		run:      run,
-		ctx:      ctx,
-		events:   make(chan QueryEvent, e.opts.EventBuffer),
-		static:   e.opts.FramesPerRound,
-		standing: standing,
+// submitRun is the one submit tail behind Submit, SubmitStanding and
+// SubmitTrack: it fills in the handle core, builds the scheduler adapter
+// (wrapped for adaptive sizing when the engine has it on), subscribes
+// standing queries to the source's append notifications, and hands the
+// query to the internal scheduler.
+func (e *Engine) submitRun(ctx context.Context, src Source, run engineRun, h *handleCore, standing bool) error {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	eq := &engineQuery{run: run, ctx: ctx, handle: h}
-	var iq engine.Query = eq
+	h.ctx, h.run = ctx, run
+	h.events = make(chan QueryEvent, e.opts.EventBuffer)
+	eq := &engineQuery{run: run, src: src.querySource(), ctx: ctx, events: h.events, standing: standing}
+	h.adapter = eq
 	if e.opts.AdaptiveRounds {
 		// One AIMD controller per (query, backend): the fleet keys its
 		// controllers by the scheduler's shard-affinity key, grows from
@@ -484,25 +466,12 @@ func (e *Engine) submitRun(ctx context.Context, src Source, run *queryRun, stand
 		// hint, and the counters aggregate into EngineStats.
 		fleet, err := sizer.NewFleet(sizer.Config{
 			Min: e.opts.FramesPerRound,
-			Max: run.src.backendMaxBatch(),
+			Max: eq.src.backendMaxBatch(),
 		}, &e.quota)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		eq.sizer = fleet
-		h.sizer = fleet
-		sq := &sizedQuery{engineQuery: eq}
-		if run.src.breakerOpens != nil {
-			sq.breakerOpens = run.src.breakerOpens
-			sq.lastOpens = sq.breakerOpens()
-		}
-		sq.scope.seed(run.src, fleet)
-		iq = sq
-		if standing {
-			iq = &sizedStandingQuery{sizedQuery: sq}
-		}
-	} else if standing {
-		iq = &standingQuery{engineQuery: eq}
+		h.adapter = newSizedQuery(eq, fleet)
 	}
 	var wakeTarget atomic.Pointer[engine.Handle]
 	if standing {
@@ -513,23 +482,23 @@ func (e *Engine) submitRun(ctx context.Context, src Source, run *queryRun, stand
 		// that window is harmless, since a query cannot be parked before
 		// its first round and its first round sees all current segments.
 		if n, ok := src.(appendNotifier); ok {
-			h.unsub = n.onAppend(func() {
+			eq.unsub = n.onAppend(func() {
 				if ih := wakeTarget.Load(); ih != nil {
 					ih.Wake()
 				}
 			})
 		}
 	}
-	inner, err := e.inner.Submit(iq)
+	inner, err := e.inner.Submit(h.adapter)
 	if err != nil {
-		if h.unsub != nil {
-			h.unsub()
+		if eq.unsub != nil {
+			eq.unsub()
 		}
-		return nil, err
+		return err
 	}
 	wakeTarget.Store(inner)
 	h.inner = inner
-	return h, nil
+	return nil
 }
 
 // appendNotifier is the structural seam a growing source implements so
@@ -570,21 +539,88 @@ type QueryEvent struct {
 	Seconds float64
 }
 
-// QueryHandle tracks one submitted query.
-type QueryHandle struct {
-	run     *queryRun
-	ctx     context.Context
+// handleCore is the part of a submitted query's handle that does not depend
+// on the query class; QueryHandle and TrackHandle embed it and add their
+// typed report.
+type handleCore struct {
+	ctx context.Context
+	run engineRun
+	// adapter is the query as the scheduler sees it: the engineQuery, or
+	// the sizedQuery around it under AdaptiveRounds.
+	adapter engine.Query
 	inner   *engine.Handle
 	events  chan QueryEvent
 	dropped atomic.Int64
-	sizer   *sizer.Fleet // non-nil when AdaptiveRounds is on
-	static  int          // the engine's FramesPerRound
-	// standing marks a SubmitStanding query; unsub (non-nil only then, and
-	// only for growing sources) cancels the append-wake subscription. It is
-	// written before the scheduler can observe the query and read once by
-	// Finalize on the scheduler goroutine.
+}
+
+// Events streams the query's QueryEvents: one per processed frame for a
+// distinct-object query, one per candidate interval that completed with
+// matching tracks (QueryEvent.Tracks carries them) for a track query. The
+// channel is closed when the query finishes (for any reason); consumers
+// that fall behind the EventBuffer lose intermediate events (see Dropped)
+// but never stall the engine.
+func (h *handleCore) Events() <-chan QueryEvent { return h.events }
+
+// Dropped returns how many events were discarded because the Events
+// consumer fell behind.
+func (h *handleCore) Dropped() int64 { return h.dropped.Load() }
+
+// Cancel stops the query at the next round boundary. Wait returns
+// context.Canceled with the partial report.
+func (h *handleCore) Cancel() { h.inner.Cancel() }
+
+// BudgetCounters reports the query's cumulative global-budget accounting:
+// granted is the number of frames the marginal-value planner actually
+// offered this query across all rounds, requested is what the same rounds
+// would have offered under fair-share (the per-round cap). Both are 0 when
+// the engine runs without a GlobalBudget.
+func (h *handleCore) BudgetCounters() (granted, requested int64) {
+	return h.inner.BudgetCounters()
+}
+
+// wait blocks until the query finishes and maps how it ended to the error
+// Wait reports: nil on success, the context's error for a cancellation, or
+// the pipeline failure — whether the scheduler saw it (a detector batch or
+// an apply failed) or only the run did (a topology sync or sampler rebuild
+// failed between rounds, which the scheduler sees as an empty proposal).
+func (h *handleCore) wait() error {
+	if err := h.inner.Wait(); err != nil {
+		return err
+	}
+	switch h.inner.Reason() {
+	case engine.ReasonCancelled:
+		if err := h.ctx.Err(); err != nil {
+			return err
+		}
+		return context.Canceled
+	case engine.ReasonDone:
+		// Done can mean the budget was reached or the context fired
+		// between rounds; report the latter as a cancellation.
+		if !h.run.done() {
+			if err := h.ctx.Err(); err != nil {
+				return err
+			}
+		}
+	}
+	return h.run.failure()
+}
+
+// emit publishes one event without ever blocking the scheduler.
+func (h *handleCore) emit(ev QueryEvent) {
+	select {
+	case h.events <- ev:
+	default:
+		h.dropped.Add(1)
+	}
+}
+
+// QueryHandle tracks one submitted query.
+type QueryHandle struct {
+	handleCore
+	rep    *Report
+	static int // the engine's FramesPerRound
+	// standing marks a SubmitStanding query.
 	standing bool
-	unsub    func()
 }
 
 // Standing reports whether this handle belongs to a standing
@@ -601,98 +637,70 @@ func (h *QueryHandle) Parked() bool { return h.inner.Parked() }
 // static FramesPerRound otherwise. It is safe to call while the query
 // runs.
 func (h *QueryHandle) RoundQuota() int {
-	if h.sizer != nil {
-		return h.sizer.Quota()
+	if sq, ok := h.adapter.(*sizedQuery); ok {
+		return sq.fleet.Quota()
 	}
 	return h.static
 }
-
-// BudgetCounters reports the query's cumulative global-budget accounting:
-// granted is the number of frames the marginal-value planner actually
-// offered this query across all rounds, requested is what the same rounds
-// would have offered under fair-share (the per-round cap). Both are 0 when
-// the engine runs without a GlobalBudget.
-func (h *QueryHandle) BudgetCounters() (granted, requested int64) {
-	return h.inner.BudgetCounters()
-}
-
-// Events streams one QueryEvent per processed frame. The channel is closed
-// when the query finishes (for any reason); consumers that fall behind the
-// EventBuffer lose intermediate events (see Dropped) but never stall the
-// engine.
-func (h *QueryHandle) Events() <-chan QueryEvent { return h.events }
-
-// Dropped returns how many events were discarded because the Events
-// consumer fell behind.
-func (h *QueryHandle) Dropped() int64 { return h.dropped.Load() }
-
-// Cancel stops the query at the next round boundary. Wait returns
-// context.Canceled with the partial report.
-func (h *QueryHandle) Cancel() { h.inner.Cancel() }
 
 // Wait blocks until the query finishes and returns its report. The report
 // is complete on success and partial (but internally consistent) when the
 // query was cancelled or failed; err is nil on success, the context's error
 // for a cancellation, or the underlying pipeline error.
-func (h *QueryHandle) Wait() (*Report, error) {
-	if err := h.inner.Wait(); err != nil {
-		return h.run.rep, err
-	}
-	switch h.inner.Reason() {
-	case engine.ReasonCancelled:
-		if err := h.ctx.Err(); err != nil {
-			return h.run.rep, err
-		}
-		return h.run.rep, context.Canceled
-	case engine.ReasonDone:
-		// Done can mean the budget was reached or the context fired
-		// between rounds; report the latter as a cancellation.
-		if !h.run.done() {
-			if err := h.ctx.Err(); err != nil {
-				return h.run.rep, err
-			}
-		}
-	}
-	return h.run.rep, nil
+func (h *QueryHandle) Wait() (*Report, error) { return h.rep, h.wait() }
+
+// engineRun is what the scheduler adapter needs from a run; *queryRun and
+// *trackRun both satisfy it. next, step, done, failure and marginalValue
+// run on the scheduler goroutine; detectBatchInto runs on pool workers.
+type engineRun interface {
+	// next draws the next pick; false means nothing to issue right now.
+	next() (core.Pick, bool)
+	detectBatchInto(ctx context.Context, frames []int64, scr *detectScratch) ([]frameResult, error)
+	// step applies one detected frame in pick order and publishes the
+	// events it produced to the run's bound handle.
+	step(p core.Pick, fr frameResult) error
+	// done is the run's own stopping condition.
+	done() bool
+	// failure is the pipeline failure the run has latched, if any: once
+	// non-nil, next yields nothing.
+	failure() error
+	marginalValue() float64
+	// cached reports whether detectBatchInto consults a cache, i.e. whether
+	// the scratch's miss list is the backend-served subset.
+	cached() bool
 }
 
-// emit publishes one event without ever blocking the scheduler.
-func (h *QueryHandle) emit(info StepInfo) {
-	ev := QueryEvent{
-		Frame:           info.Frame,
-		Chunk:           info.Chunk,
-		New:             info.New,
-		SecondSightings: info.SecondSightings,
-		FramesProcessed: h.run.rep.FramesProcessed,
-		Found:           len(h.run.rep.Results),
-		Seconds:         h.run.rep.TotalSeconds(),
-	}
-	select {
-	case h.events <- ev:
-	default:
-		h.dropped.Add(1)
-	}
-}
-
-// engineQuery adapts a queryRun to the internal scheduler's Query
-// interface. Propose/Apply/Done/Finalize run on the scheduler goroutine;
-// DetectBatch runs on pool workers — several at once when the round spans
-// multiple affinity groups, which is why the detect scratches cycle
-// through a mutex-guarded free list instead of living on the run.
+// engineQuery adapts a run — distinct-object or track — to the internal
+// scheduler's Query interface. Propose/Apply/Done/Finalize run on the
+// scheduler goroutine; DetectBatch runs on pool workers — several at once
+// when the round spans multiple affinity groups, which is why the detect
+// scratches cycle through a mutex-guarded free list instead of living on
+// the run.
+//
+// It is the only engine.Query in this package, plus sizedQuery which embeds
+// it. The split has one reason: a query the scheduler's Sized probe fails
+// for gets no clock reads, so with AdaptiveRounds off the static path stays
+// clock-free and byte-identical to Search.
 type engineQuery struct {
-	run     *queryRun
-	ctx     context.Context
-	handle  *QueryHandle
-	pending []core.Pick // picks proposed this round, consumed by Apply in order
-	frames  []int64     // reused Propose buffer (engine reads it only until the next Propose)
+	run    engineRun
+	src    *querySource // the run's source
+	ctx    context.Context
+	events chan QueryEvent // closed by Finalize
+	// standing marks a SubmitStanding query; unsub (non-nil only then, and
+	// only for growing sources) cancels the append-wake subscription. It is
+	// written before the scheduler can observe the query and read once by
+	// Finalize on the scheduler goroutine.
+	standing bool
+	unsub    func()
+	pending  []core.Pick // picks proposed this round, consumed by Apply in order
+	frames   []int64     // reused Propose buffer (engine reads it only until the next Propose)
 
-	// sizer, when non-nil, is the AdaptiveRounds feedback controller; the
-	// sizedQuery wrapper exposes it to the scheduler, so the static path
-	// never even type-asserts positive.
-	sizer *sizer.Fleet
+	// observed makes DetectBatch record each group's backend-served frame
+	// count for sizedQuery.ObserveBatch; false on the static path.
+	observed bool
 
 	// scr recycles detect scratches and group observations across rounds;
-	// see scratchPool. Shared shape with trackEngineQuery.
+	// see scratchPool.
 	scr scratchPool
 }
 
@@ -702,19 +710,18 @@ type groupObs struct {
 	misses int
 }
 
-// scratchPool is the per-query detect-scratch recycler every engine
-// adapter (distinct-object engineQuery, track-query trackEngineQuery)
-// embeds: DetectBatch pops a scratch (one per in-flight affinity group),
-// results stay referenced until the round's applies finish, and the next
-// Propose — which by the scheduling contract happens strictly after those
-// applies — returns every used scratch to the free list.
+// scratchPool is the per-query detect-scratch recycler: DetectBatch pops a
+// scratch (one per in-flight affinity group), results stay referenced until
+// the round's applies finish, and the next Propose — which by the
+// scheduling contract happens strictly after those applies — returns every
+// used scratch to the free list.
 //
 // It also records, per affinity key, how many of the current round's group
-// frames actually reached the backend (memo-cache hits resolve locally in
+// frames actually reached the backend (cache hits resolve locally in
 // microseconds and carry no backend-latency signal). Written by
-// DetectBatch under mu, consumed by the Sized wrappers' ObserveBatch on
-// the scheduler goroutine, cleared at the next Propose. Only populated
-// when the query is adaptive.
+// DetectBatch under mu, consumed by sizedQuery.ObserveBatch on the
+// scheduler goroutine, cleared at the next Propose. Only populated when
+// the query is adaptive.
 type scratchPool struct {
 	mu   sync.Mutex
 	free []*detectScratch
@@ -773,19 +780,28 @@ func (p *scratchPool) take(key uint64) int {
 	return -1
 }
 
+// Done also reports true for a failed run, so the scheduler finalizes it
+// at the next round boundary and Wait can surface the failure.
 func (q *engineQuery) Done() bool {
-	return q.ctx.Err() != nil || q.run.done()
+	return q.ctx.Err() != nil || q.run.failure() != nil || q.run.done()
 }
 
 // MarginalValue implements the scheduler's Valued contract: the query's
-// expected new results per frame under its current Thompson beliefs (the
-// best enabled arm's prior-smoothed point estimate). Called once per round
-// on the scheduler goroutine, before Propose, only when the engine runs a
-// GlobalBudget. Pointer embedding promotes it through every wrapper
-// (sizedQuery, standingQuery, sizedStandingQuery), so woken standing
-// queries re-enter the plan at their refreshed belief automatically.
+// expected new results per frame under its current beliefs — the best
+// enabled arm's prior-smoothed Thompson point estimate for a distinct-object
+// query (and a track query's coarse phase), the remaining hit density during
+// a track query's refine phase — so both query classes are directly
+// comparable under one GlobalBudget. Called once per round on the scheduler
+// goroutine, before Propose, only when the engine runs a GlobalBudget.
 func (q *engineQuery) MarginalValue() float64 {
 	return q.run.marginalValue()
+}
+
+// StandingQuery implements engine.Standing: an empty proposal parks a
+// standing query, unless its run has failed — then it must be finalized,
+// not left dormant with an error nobody will see.
+func (q *engineQuery) StandingQuery() bool {
+	return q.standing && q.run.failure() == nil
 }
 
 func (q *engineQuery) Propose(max int) []int64 {
@@ -803,26 +819,26 @@ func (q *engineQuery) Propose(max int) []int64 {
 	return q.frames
 }
 
-// DetectBatch runs one affinity group's frames through the query's batched
-// detector — memo cache consulted first, the misses issued as a single
-// backend call — under the query's own context, so a cancellation mid-batch
-// aborts the call and surfaces through QueryHandle.Wait. Results are
-// returned as pointers into a recycled scratch buffer (boxing a pointer
-// into an interface allocates nothing); the scheduler copies the interface
-// values out before the applies, and the scratch stays untouched until the
-// next Propose reclaims it.
+// DetectBatch runs one affinity group's frames through the run's batched
+// detector — cache consulted first, the misses issued as a single backend
+// call — under the query's own context, so a cancellation mid-batch aborts
+// the call and surfaces through the handle's Wait. Results are returned as
+// pointers into a recycled scratch buffer (boxing a pointer into an
+// interface allocates nothing); the scheduler copies the interface values
+// out before the applies, and the scratch stays untouched until the next
+// Propose reclaims it.
 func (q *engineQuery) DetectBatch(frames []int64) ([]any, error) {
 	s := q.scr.get()
 	results, err := q.run.detectBatchInto(q.ctx, frames, s)
 	if err != nil {
 		return nil, err
 	}
-	if q.sizer != nil {
-		// Record how many frames the backend actually served: memo-cache
-		// hits resolve locally and must not feed their near-zero latency
-		// into the AIMD controller as if the backend produced it.
+	if q.observed {
+		// Record how many frames the backend actually served: cache hits
+		// (memo or tier) resolve locally and must not feed their near-zero
+		// latency into the AIMD controller as if the backend produced it.
 		misses := len(frames)
-		if q.run.memo != nil || q.run.tier != nil {
+		if q.run.cached() {
 			misses = len(s.missIdx)
 		}
 		q.scr.note(q.AffinityKey(frames[0]), misses)
@@ -838,22 +854,21 @@ func (q *engineQuery) DetectBatch(frames []int64) ([]any, error) {
 }
 
 // AffinityKey implements engine.Affine: frames of the same (source, shard)
-// share a key, so the scheduler can group a round's detect batch by shard.
+// share a key, so the scheduler can group a round's detect batch by shard
+// (a track query's refine interval spanning a shard boundary splits into
+// one inference batch per shard).
 func (q *engineQuery) AffinityKey(frame int64) uint64 {
-	src := q.run.src
-	if src.shardOf == nil {
-		return src.id << 16
+	shard := 0
+	if q.src.shardOf != nil {
+		shard = q.src.shardOf(frame)
 	}
-	return src.id<<16 | uint64(src.shardOf(frame))&0xffff
+	return shardAffinityKey(q.src, shard)
 }
 
 // shardAffinityKey maps a shard index to the affinity key AffinityKey
 // would produce for that shard's frames — the key the sizer fleet files
-// the shard's quota controllers under.
+// the shard's quota controllers under. An unsharded source is shard 0.
 func shardAffinityKey(src *querySource, shard int) uint64 {
-	if src.shardOf == nil {
-		return src.id << 16
-	}
 	return src.id<<16 | uint64(shard)&0xffff
 }
 
@@ -863,50 +878,43 @@ func (q *engineQuery) Apply(frame int64, dets any) (bool, error) {
 	if p.Frame != frame {
 		return false, fmt.Errorf("exsample: engine applied frame %d out of order (expected %d)", frame, p.Frame)
 	}
-	info, err := q.run.apply(p, *dets.(*frameResult))
-	if err != nil {
+	if err := q.run.step(p, *dets.(*frameResult)); err != nil {
 		return false, err
 	}
-	q.handle.emit(info)
 	return q.run.done(), nil
 }
 
 func (q *engineQuery) Finalize() {
-	if q.handle.unsub != nil {
-		q.handle.unsub()
+	if q.unsub != nil {
+		q.unsub()
 	}
-	close(q.handle.events)
+	close(q.events)
 }
 
-// standingQuery opts an engineQuery into the scheduler's park/wake
-// lifecycle (engine.Standing). Like sizedQuery, it is a separate wrapper
-// type so a bounded query never implements the optional interface: the
-// scheduler's type assertion fails and exhaustion stays terminal.
-type standingQuery struct{ *engineQuery }
-
-// StandingQuery implements engine.Standing.
-func (q *standingQuery) StandingQuery() bool { return true }
-
-// sizedStandingQuery combines adaptive round sizing with the standing
-// lifecycle for SubmitStanding under EngineOptions.AdaptiveRounds.
-type sizedStandingQuery struct{ *sizedQuery }
-
-// StandingQuery implements engine.Standing.
-func (q *sizedStandingQuery) StandingQuery() bool { return true }
-
 // sizedQuery opts an engineQuery into the scheduler's adaptive round
-// sizing (engine.Sized). It is a separate wrapper type so the default
-// engine never implements Sized: with AdaptiveRounds off the scheduler's
-// type assertion fails and the static path runs clock-free and
-// byte-identical to before.
+// sizing (engine.Sized) for either query class.
 type sizedQuery struct {
 	*engineQuery
+	fleet *sizer.Fleet
 	// breakerOpens polls the source's cumulative breaker-open count (nil
 	// when no backend reports capacity); lastOpens is the edge detector.
 	breakerOpens func() int64
 	lastOpens    int64
 	// scope attributes capacity-loss edges to (shard, replica).
 	scope capacityScope
+}
+
+// newSizedQuery wires an adapter to its quota fleet: DetectBatch starts
+// recording backend-served counts, the breaker edge detector is baselined
+// and the per-replica controllers are seeded, all before the first round.
+func newSizedQuery(eq *engineQuery, fleet *sizer.Fleet) *sizedQuery {
+	eq.observed = true
+	sq := &sizedQuery{engineQuery: eq, fleet: fleet, breakerOpens: eq.src.breakerOpens}
+	if sq.breakerOpens != nil {
+		sq.lastOpens = sq.breakerOpens()
+	}
+	sq.scope.seed(eq.src, fleet)
+	return sq
 }
 
 // RoundQuota implements engine.Sized: it folds any breaker-open events
@@ -918,10 +926,10 @@ func (q *sizedQuery) RoundQuota(base int) int {
 	if q.breakerOpens != nil {
 		if n := q.breakerOpens(); n > q.lastOpens {
 			q.lastOpens = n
-			q.scope.loss(q.run.src, q.sizer)
+			q.scope.loss(q.src, q.fleet)
 		}
 	}
-	return q.sizer.Quota()
+	return q.fleet.Quota()
 }
 
 // capacityScope attributes a query's breaker-open edges to the specific
@@ -993,12 +1001,12 @@ func (cs *capacityScope) loss(src *querySource, fleet *sizer.Fleet) {
 // ObserveBatch implements engine.Sized: one successfully dispatched
 // group's wall latency feeds the (query, backend-key) controller — but
 // charged against the frames the backend actually served, not the group
-// size. A group resolved partly (or wholly) from the memo cache would
+// size. A group resolved partly (or wholly) from a cache would
 // otherwise report near-zero per-frame latency, collapse the controller's
 // baseline, and make the next genuine backend batch look like queueing.
 // All-hit groups carry no backend signal and are skipped outright.
 func (q *sizedQuery) ObserveBatch(key uint64, frames int, seconds float64) {
 	if misses := q.scr.take(key); misses > 0 {
-		q.sizer.Observe(key, misses, seconds)
+		q.fleet.Observe(key, misses, seconds)
 	}
 }

@@ -209,7 +209,11 @@ type Query struct {
 }
 
 // Validate reports an error for a malformed query.
-func (q Query) Validate() error {
+func (q Query) Validate() error { return q.validate(true) }
+
+// validate is Validate with the stopping-condition requirement optional:
+// a standing query may run open-ended.
+func (q Query) validate(needStop bool) error {
 	if q.Class == "" {
 		return fmt.Errorf("exsample: query needs a class")
 	}
@@ -219,7 +223,7 @@ func (q Query) Validate() error {
 	if q.RecallTarget < 0 || q.RecallTarget > 1 {
 		return fmt.Errorf("exsample: recall target %v outside [0,1]", q.RecallTarget)
 	}
-	if q.Limit == 0 && q.RecallTarget == 0 {
+	if needStop && q.Limit == 0 && q.RecallTarget == 0 {
 		return fmt.Errorf("exsample: query needs a limit or a recall target")
 	}
 	return nil

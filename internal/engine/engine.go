@@ -53,14 +53,19 @@ type Query interface {
 	Finalize()
 }
 
-// Affine is an optional Query refinement for sharded sources: frames that
-// live on the same shard report the same affinity key, and the scheduler
-// dispatches each round's frames as one DetectBatch call per (query, key)
-// group, with same-key groups adjacent on the pool — the access pattern a
-// real per-shard batch endpoint wants. Grouping only reorders work
-// *within* a round (every proposed frame still runs that round, and
-// results are still applied in propose order), so it cannot starve a shard
-// or a query, and it never affects query results.
+// Affine, Sized, Valued and Standing are optional Query refinements. Submit
+// probes for each exactly once and records the answers on the Handle; the
+// round loop reads those fields and never type-asserts, so a query's
+// capability set is fixed by its dynamic type at Submit.
+//
+// Affine is the refinement for sharded sources: frames that live on the
+// same shard report the same affinity key, and the scheduler dispatches
+// each round's frames as one DetectBatch call per (query, key) group, with
+// same-key groups adjacent on the pool — the access pattern a real
+// per-shard batch endpoint wants. Grouping only reorders work *within* a
+// round (every proposed frame still runs that round, and results are still
+// applied in propose order), so it cannot starve a shard or a query, and it
+// never affects query results.
 type Affine interface {
 	// AffinityKey returns the grouping key for a frame. Keys are opaque;
 	// only equality matters, but implementations should make keys unique
@@ -68,13 +73,13 @@ type Affine interface {
 	AffinityKey(frame int64) uint64
 }
 
-// Sized is an optional Query refinement for adaptive round sizing: the
-// query supplies its own per-round detector quota in place of the engine's
-// static FramesPerRound, and the scheduler feeds back the wall latency of
-// every dispatched DetectBatch group so a feedback controller (see
-// internal/sizer) can close the loop. Queries that do not implement Sized
-// cost the scheduler nothing — no clocks are read on their behalf, which
-// is what keeps the default path byte-identical to the static engine.
+// Sized is the refinement for adaptive round sizing: the query supplies its
+// own per-round detector quota in place of the engine's static
+// FramesPerRound, and the scheduler feeds back the wall latency of every
+// dispatched DetectBatch group so a feedback controller (see
+// internal/sizer) can close the loop. A query whose Submit probe for Sized
+// fails costs the scheduler nothing — no clocks are read on its behalf,
+// which is what keeps the default path byte-identical to the static engine.
 type Sized interface {
 	// RoundQuota returns the query's frame quota for the next round; base
 	// is the engine's static FramesPerRound. Called once per round on the
@@ -87,15 +92,15 @@ type Sized interface {
 	ObserveBatch(key uint64, frames int, seconds float64)
 }
 
-// Valued is an optional Query refinement for global budget scheduling: the
-// query exposes its current marginal value — the expected number of *new*
+// Valued is the refinement for global budget scheduling: the query exposes
+// its current marginal value — the expected number of *new*
 // results the next detector frame will produce, which ExSample's Thompson
 // beliefs already estimate per chunk (Eq. III.1; the scheduler wants the
 // arg-max arm's point estimate). The allocator divides the engine's
 // GlobalBudget across queries proportionally to these values, so a nearly
 // exhausted query naturally decays toward the floor quota while a fresh or
-// just-woken standing query re-enters at its prior belief. Queries that do
-// not implement Valued weigh in at a neutral constant value of 1.
+// just-woken standing query re-enters at its prior belief. A query whose
+// Submit probe for Valued fails weighs in at a neutral constant value of 1.
 type Valued interface {
 	// MarginalValue returns the query's expected new results per frame.
 	// Called once per round on the scheduler goroutine, before Propose;
@@ -104,9 +109,9 @@ type Valued interface {
 	MarginalValue() float64
 }
 
-// Standing is an optional Query refinement for queries over live sources:
-// an exhausted repository is a pause, not an ending. When a standing
-// query's Propose returns no frames, the scheduler parks the handle —
+// Standing is the refinement for queries over live sources: an exhausted
+// repository is a pause, not an ending. When a standing query's Propose
+// returns no frames, the scheduler parks the handle —
 // removes it from the round schedule with no terminal Reason and its full
 // pipeline state intact — instead of finalizing it with ReasonExhausted.
 // Handle.Wake re-admits it, typically from a source's append notification;
@@ -116,8 +121,10 @@ type Valued interface {
 // they did not exist.
 type Standing interface {
 	// StandingQuery reports whether the query wants park-on-exhaustion
-	// semantics. Implementations return a constant; the scheduler checks it
-	// only when a Propose comes back empty.
+	// semantics right now. The method is probed for once at Submit but
+	// called every time a Propose comes back empty, so one query type can
+	// serve bounded and standing queries alike — and a standing query that
+	// has failed can answer false to be finalized instead of parked.
 	StandingQuery() bool
 }
 
@@ -211,7 +218,6 @@ var ErrClosed = errors.New("engine: closed")
 // round scratch and reused across rounds.
 type job struct {
 	h      *Handle
-	sized  Sized // non-nil when the query adapts its own quota
 	frames []int64
 	dets   []any
 	err    error // first detect-group error, in group order
@@ -339,7 +345,8 @@ func (e *Engine) BudgetCounters() (granted, requested int64) {
 }
 
 // Submit registers a query and returns its handle. The query starts
-// participating in the next scheduling round.
+// participating in the next scheduling round. This is the one place the
+// optional refinements are probed for.
 func (e *Engine) Submit(q Query) (*Handle, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -347,6 +354,10 @@ func (e *Engine) Submit(q Query) (*Handle, error) {
 		return nil, ErrClosed
 	}
 	h := &Handle{e: e, q: q, done: make(chan struct{})}
+	h.sized, _ = q.(Sized)
+	h.valued, _ = q.(Valued)
+	h.affine, _ = q.(Affine)
+	h.standing, _ = q.(Standing)
 	e.active = append(e.active, h)
 	e.cond.Signal()
 	return h, nil
@@ -438,12 +449,13 @@ func (e *Engine) group(j *job, key uint64) *group {
 // the results into the job's per-frame slots. Wall latency is measured
 // only for Sized queries, so the static path never reads a clock.
 func (e *Engine) runGroup(g *group) {
+	h := g.j.h
 	var start time.Time
-	if g.j.sized != nil {
+	if h.sized != nil {
 		start = time.Now()
 	}
-	dets, err := g.j.h.q.DetectBatch(g.frames)
-	if g.j.sized != nil {
+	dets, err := h.q.DetectBatch(g.frames)
+	if h.sized != nil {
 		g.seconds = time.Since(start).Seconds()
 	}
 	if err == nil && len(dets) != len(g.frames) {
@@ -482,16 +494,11 @@ func (e *Engine) runRound(round []*Handle) {
 			e.finalize(h, ReasonDone, nil)
 			continue
 		}
-		sized, _ := h.q.(Sized)
 		var quota int
 		if budgeted {
 			quota = s.grants[i]
-		} else if sized != nil {
-			if quota = sized.RoundQuota(base); quota < 1 {
-				quota = 1
-			}
 		} else {
-			quota = base
+			quota = h.roundQuota(base)
 		}
 		frames := h.q.Propose(quota)
 		if len(frames) == 0 {
@@ -500,7 +507,7 @@ func (e *Engine) runRound(round []*Handle) {
 			// is already there), the handle was cancelled, or the engine is
 			// closing — and then the handle simply stays on the schedule:
 			// the next round re-proposes or settles it.
-			if st, ok := h.q.(Standing); ok && st.StandingQuery() {
+			if h.standing != nil && h.standing.StandingQuery() {
 				e.park(h)
 				continue
 			}
@@ -508,7 +515,7 @@ func (e *Engine) runRound(round []*Handle) {
 			continue
 		}
 		j := s.job()
-		j.h, j.sized, j.frames = h, sized, frames
+		j.h, j.frames = h, frames
 		if cap(j.dets) < len(frames) {
 			j.dets = make([]any, len(frames))
 		} else {
@@ -527,11 +534,11 @@ func (e *Engine) runRound(round []*Handle) {
 	var frameCount int64
 	grouped := false
 	for _, j := range jobs {
-		aff, ok := j.h.q.(Affine)
+		aff := j.h.affine
 		first := s.ngroups // this job's groups start here
 		for i, frame := range j.frames {
 			var key uint64
-			if ok {
+			if aff != nil {
 				key = aff.AffinityKey(frame)
 			}
 			var g *group
@@ -592,8 +599,8 @@ func (e *Engine) runRound(round []*Handle) {
 			}
 			continue
 		}
-		if g.j.sized != nil {
-			g.j.sized.ObserveBatch(g.key, len(g.frames), g.seconds)
+		if sized := g.j.h.sized; sized != nil {
+			sized.ObserveBatch(g.key, len(g.frames), g.seconds)
 		}
 	}
 
@@ -623,7 +630,7 @@ func (e *Engine) runRound(round []*Handle) {
 		for i := range j.dets {
 			j.dets[i] = nil
 		}
-		j.h, j.sized, j.frames = nil, nil, nil
+		j.h, j.frames = nil, nil
 	}
 	for _, g := range created {
 		g.j = nil
@@ -658,15 +665,10 @@ func (e *Engine) planBudget(round []*Handle) {
 			s.grants[i], s.caps[i], s.vals[i] = 0, 0, 0
 			continue
 		}
-		qcap := base
-		if sized, ok := h.q.(Sized); ok {
-			if qcap = sized.RoundQuota(base); qcap < 1 {
-				qcap = 1
-			}
-		}
+		qcap := h.roundQuota(base)
 		v := 1.0
-		if val, ok := h.q.(Valued); ok {
-			v = val.MarginalValue()
+		if h.valued != nil {
+			v = h.valued.MarginalValue()
 			if v != v || v < 0 { // NaN or negative: no signal
 				v = 0
 			}
@@ -819,8 +821,14 @@ func (e *Engine) finalize(h *Handle, reason Reason, err error) {
 
 // Handle tracks one submitted query.
 type Handle struct {
-	e         *Engine
-	q         Query
+	e *Engine
+	q Query
+	// The query's optional refinements, each nil when the probe in Submit
+	// failed. Written once there, read only by the scheduler.
+	sized     Sized
+	valued    Valued
+	affine    Affine
+	standing  Standing
 	cancelled atomic.Bool
 	// parked and wakePending are guarded by e.mu: parked marks a standing
 	// query waiting off-schedule for new data; wakePending remembers a wake
@@ -836,6 +844,16 @@ type Handle struct {
 	// frames its caps requested. Zero under fair-share scheduling.
 	granted   atomic.Int64
 	requested atomic.Int64
+}
+
+// roundQuota is the query's own frame quota for the next round — a Sized
+// query's RoundQuota clamped to at least 1, the engine's static base
+// otherwise — and its per-round cap under the global budget.
+func (h *Handle) roundQuota(base int) int {
+	if h.sized == nil {
+		return base
+	}
+	return max(h.sized.RoundQuota(base), 1)
 }
 
 // BudgetCounters returns the cumulative frames the global allocator has

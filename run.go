@@ -37,20 +37,11 @@ import (
 // batch of next calls and their applies, exactly like batched Search
 // (§III-F).
 type queryRun struct {
-	src      *querySource
-	query    Query
-	opts     Options
-	detector detect.BatchDetector
-	dis      *discrim.Discriminator
-	curve    *metrics.RecallCurve
-	// memo, when non-nil, memoizes detector output across queries; hits
-	// are charged decode-only cost. Exactly one of memo and tier is
-	// non-nil for a cached run: memo is the classic in-process path (keyed
-	// by the per-process source id, byte-for-byte the pre-tier pipeline),
-	// tier the shared result tier (keyed by the source's content address,
-	// resolving through L1 → remote L2 → singleflighted detector fill).
-	memo *cache.Cache
-	tier *cachestore.Tiered
+	detectStage
+	query Query
+	opts  Options
+	dis   *discrim.Discriminator
+	curve *metrics.RecallCurve
 	// aware enables the cache-aware sampler tie-break: when Thompson
 	// beliefs tie within epsilon, prefer the chunk with the higher cached
 	// fraction (see core.Config.CachedFrac).
@@ -98,12 +89,9 @@ type queryRun struct {
 	trainSpent  int64
 	trainOrder  *video.UniformOrder
 
-	// seq is the scratch behind detectOne — the sequential Search loop and
-	// Session.Step run one batch at a time on one goroutine, so a single
-	// per-run scratch makes the whole step loop allocation-free between
-	// detector calls. The engine's concurrent groups never use it.
-	seq detectScratch
-	one [1]int64
+	// out, when non-nil, is the engine handle step publishes each applied
+	// frame's event to. Bound once at submit; nil under Search and Session.
+	out *handleCore
 
 	rep       *Report
 	maxFrames int64
@@ -114,9 +102,70 @@ type queryRun struct {
 	// running dry is not a stopping condition. Standing runs always ride
 	// the elastic sampler path.
 	standing bool
-	// err records a mid-run pipeline rebuild failure (re-chunk, scorer);
-	// surfaced by the next apply and by Search's driver.
+	// err records a mid-run pipeline rebuild failure (re-chunk, scorer,
+	// topology sync); once set, next yields nothing, and apply, Search's
+	// driver and the engine handle's Wait all surface it.
 	err error
+}
+
+// detectStage is the cache-aware batched detect path every run type embeds
+// (distinct-object queryRun, track-query trackRun): the per-class detector,
+// the caching mode and the identities cache keys are built from.
+type detectStage struct {
+	src      *querySource
+	class    string
+	detector detect.BatchDetector
+	// memo, when non-nil, memoizes detector output across queries; hits
+	// are charged decode-only cost. Exactly one of memo and tier is
+	// non-nil for a cached run: memo is the classic in-process path (keyed
+	// by the per-process source id, byte-for-byte the pre-tier pipeline),
+	// tier the shared result tier (keyed by the source's content address,
+	// resolving through L1 → remote L2 → singleflighted detector fill).
+	memo *cache.Cache
+	tier *cachestore.Tiered
+	// seq is the scratch behind detectOne — the sequential drivers (Search,
+	// Session.Step, TrackSearch) run one batch at a time on one goroutine,
+	// so a single per-run scratch makes the whole step loop allocation-free
+	// between detector calls. The engine's concurrent groups never use it.
+	seq detectScratch
+	one [1]int64
+}
+
+// newDetectStage builds a run's detect stage for one class. Both cache
+// modes are dropped for sources whose detector output is not a pure
+// function of the frame (e.g. under failure injection).
+func newDetectStage(src *querySource, class string, cc cacheConfig) (detectStage, error) {
+	if cc.memo != nil && cc.tier != nil {
+		return detectStage{}, fmt.Errorf("exsample: a run caches through a memo cache or a shared tier, not both")
+	}
+	if !src.cacheable {
+		cc = cacheConfig{}
+	}
+	detector, err := src.newDetector(class)
+	if err != nil {
+		return detectStage{}, err
+	}
+	return detectStage{src: src, class: class, detector: detector, memo: cc.memo, tier: cc.tier}, nil
+}
+
+// cached reports whether the run resolves frames through a cache (memo or
+// tier) before the backend.
+func (d *detectStage) cached() bool { return d.memo != nil || d.tier != nil }
+
+// tally classifies one applied frame against the run's cache mode into its
+// report's counters: a miss, a hit, or a hit the remote tier served. An
+// uncached run counts nothing.
+func (d *detectStage) tally(fr frameResult, hits, remote, misses *int64) {
+	switch {
+	case !d.cached():
+	case !fr.cached:
+		*misses++
+	default:
+		*hits++
+		if fr.remote {
+			*remote++
+		}
+	}
 }
 
 // frameResult carries one frame's detector output plus the inference cost
@@ -132,7 +181,7 @@ type frameResult struct {
 
 // cacheConfig bundles the caching mode a run operates under — the engine's
 // one decision point. The zero value is an uncached run; memo and tier are
-// mutually exclusive (newQueryRun rejects both set).
+// mutually exclusive (newDetectStage rejects both set).
 type cacheConfig struct {
 	memo *cache.Cache
 	tier *cachestore.Tiered
@@ -177,9 +226,8 @@ func (s *detectScratch) results(n int) []frameResult {
 // newQueryRun builds the full per-query pipeline over a Source: detector,
 // SORT-style discriminator, recall curve, report, and the strategy's
 // sampling state. cc selects the caching mode: a memo cache or a shared
-// result tier, either memoizing detector output across queries (both are
-// ignored for sources whose detector output is not a pure function of the
-// frame, e.g. under failure injection). Callers are responsible for
+// result tier, either memoizing detector output across queries (see
+// newDetectStage). Callers are responsible for
 // validating q and opts first (Session deliberately accepts queries
 // without a stopping condition).
 //
@@ -228,7 +276,7 @@ func newQueryRun(s Source, q Query, opts Options, cc cacheConfig, standing bool)
 			return nil, fmt.Errorf("exsample: class %q has no instances on any active shard of %q", q.Class, src.name)
 		}
 	}
-	detector, err := src.newDetector(q.Class)
+	stage, err := newDetectStage(src, q.Class, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -256,31 +304,19 @@ func newQueryRun(s Source, q Query, opts Options, cc cacheConfig, standing bool)
 	if maxFrames == 0 || maxFrames > numFrames {
 		maxFrames = numFrames
 	}
-	if cc.memo != nil && cc.tier != nil {
-		return nil, fmt.Errorf("exsample: a run caches through a memo cache or a shared tier, not both")
-	}
-	if !src.cacheable {
-		cc = cacheConfig{}
-	}
-	if cc.memo == nil && cc.tier == nil {
-		cc.aware = false
-	}
 	r := &queryRun{
-		src:        src,
-		query:      q,
-		opts:       opts,
-		detector:   detector,
-		dis:        dis,
-		curve:      curve,
-		memo:       cc.memo,
-		tier:       cc.tier,
-		aware:      cc.aware,
-		snap:       snap,
-		truthSeen:  truthSeen,
-		truthTotal: total,
-		rep:        &Report{Strategy: opts.Strategy},
-		maxFrames:  maxFrames,
-		standing:   standing,
+		detectStage: stage,
+		query:       q,
+		opts:        opts,
+		dis:         dis,
+		curve:       curve,
+		aware:       cc.aware && stage.cached(),
+		snap:        snap,
+		truthSeen:   truthSeen,
+		truthTotal:  total,
+		rep:         &Report{Strategy: opts.Strategy},
+		maxFrames:   maxFrames,
+		standing:    standing,
 	}
 	if err := r.initStrategy(); err != nil {
 		return nil, err
@@ -748,24 +784,24 @@ func (r *queryRun) marginalValue() float64 {
 // concurrency safety; the cache is lock-striped). ctx cancels the
 // underlying detector call; the error surfaces to the caller with no
 // results applied.
-func (r *queryRun) detectBatch(ctx context.Context, frames []int64) ([]frameResult, error) {
-	return r.detectBatchInto(ctx, frames, nil)
+func (d *detectStage) detectBatch(ctx context.Context, frames []int64) ([]frameResult, error) {
+	return d.detectBatchInto(ctx, frames, nil)
 }
 
 // detectBatchInto is detectBatch writing through the caller's reusable
 // scratch (nil allocates fresh buffers). The returned slice aliases the
 // scratch and is valid until the scratch's next use.
-func (r *queryRun) detectBatchInto(ctx context.Context, frames []int64, scr *detectScratch) ([]frameResult, error) {
-	if r.tier != nil {
-		return detectFramesTiered(ctx, r.detector, r.tier, r.src.contentID, r.query.Class, frames, scr)
+func (d *detectStage) detectBatchInto(ctx context.Context, frames []int64, scr *detectScratch) ([]frameResult, error) {
+	if d.tier != nil {
+		return detectFramesTiered(ctx, d.detector, d.tier, d.src.contentID, d.class, frames, scr)
 	}
-	return detectFrames(ctx, r.detector, r.memo, r.src.id, r.query.Class, frames, scr)
+	return detectFrames(ctx, d.detector, d.memo, d.src.id, d.class, frames, scr)
 }
 
-// detectFrames is the memo-aware batched detect shared by every run type
-// (distinct-object queryRun and trackRun): cache hits resolve locally and
-// only the misses — as one subsequence, in order — reach the backend in a
-// single DetectBatch call. Safe for concurrent calls with disjoint scratches.
+// detectFrames is the memo-aware batched detect: cache hits resolve locally
+// and only the misses — as one subsequence, in order — reach the backend in
+// a single DetectBatch call. Safe for concurrent calls with disjoint
+// scratches.
 func detectFrames(ctx context.Context, detector detect.BatchDetector, memo *cache.Cache, srcID uint64, class string, frames []int64, scr *detectScratch) ([]frameResult, error) {
 	out := scr.results(len(frames))
 	if memo == nil {
@@ -899,12 +935,12 @@ func detectFramesTiered(ctx context.Context, detector detect.BatchDetector, tier
 }
 
 // detectOne is detectBatch for a single frame — the shape the sequential
-// Search loop and Session's Step use. It runs through the per-run
-// sequential scratch, so the steady-state step loop allocates nothing
-// between detector calls.
-func (r *queryRun) detectOne(ctx context.Context, frame int64) (frameResult, error) {
-	r.one[0] = frame
-	res, err := r.detectBatchInto(ctx, r.one[:], &r.seq)
+// Search and TrackSearch loops and Session's Step use. It runs through the
+// per-run sequential scratch, so the steady-state step loop allocates
+// nothing between detector calls.
+func (d *detectStage) detectOne(ctx context.Context, frame int64) (frameResult, error) {
+	d.one[0] = frame
+	res, err := d.detectBatchInto(ctx, d.one[:], &d.seq)
 	if err != nil {
 		return frameResult{}, err
 	}
@@ -922,16 +958,7 @@ func (r *queryRun) apply(p core.Pick, fr frameResult) (StepInfo, error) {
 	rep := r.rep
 	rep.DecodeSeconds += r.src.decodeCost(p.Frame)
 	rep.DetectSeconds += fr.cost
-	if r.memo != nil || r.tier != nil {
-		if fr.cached {
-			rep.CacheHits++
-			if fr.remote {
-				rep.RemoteCacheHits++
-			}
-		} else {
-			rep.CacheMisses++
-		}
-	}
+	r.tally(fr, &rep.CacheHits, &rep.RemoteCacheHits, &rep.CacheMisses)
 	rep.FramesProcessed++
 	newObjs, secondObjs := r.dis.ObserveObjects(p.Frame, fr.dets)
 
@@ -978,6 +1005,28 @@ func (r *queryRun) apply(p core.Pick, fr frameResult) (StepInfo, error) {
 	}
 	return info, nil
 }
+
+// step is apply as the engine drives it: the applied frame's event goes to
+// the bound handle, stamped with the running totals after the frame.
+func (r *queryRun) step(p core.Pick, fr frameResult) error {
+	info, err := r.apply(p, fr)
+	if err != nil {
+		return err
+	}
+	r.out.emit(QueryEvent{
+		Frame:           info.Frame,
+		Chunk:           info.Chunk,
+		New:             info.New,
+		SecondSightings: info.SecondSightings,
+		FramesProcessed: r.rep.FramesProcessed,
+		Found:           len(r.rep.Results),
+		Seconds:         r.rep.TotalSeconds(),
+	})
+	return nil
+}
+
+// failure is the pipeline failure the run has latched, if any (see err).
+func (r *queryRun) failure() error { return r.err }
 
 // feedback applies the (d0, d1) split to the sampler, using the technical
 // report's cross-chunk accounting when enabled: the -1 of a second sighting

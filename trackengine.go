@@ -1,21 +1,13 @@
 package exsample
 
-import (
-	"context"
-	"fmt"
-	"sync/atomic"
-
-	"github.com/exsample/exsample/internal/core"
-	"github.com/exsample/exsample/internal/engine"
-	"github.com/exsample/exsample/internal/sizer"
-)
+import "context"
 
 // SubmitTrack registers a track-predicate query against a source and
 // returns its handle; the query starts immediately and is scheduled
 // against every other in-flight query — distinct-object and track alike —
 // through the same rounds, worker pool, affinity grouping, memo cache and
-// (when enabled) global marginal-value budget. The context cancels the
-// query, not the engine.
+// (when enabled) global marginal-value budget and adaptive round sizing.
+// The context cancels the query, not the engine.
 //
 // The query runs the accelerate/refine loop documented on TrackSearch, and
 // for the same predicate and options produces the same Results. Events
@@ -28,251 +20,25 @@ import (
 // attached later are not folded into a running track query (submit another
 // one), and intervals never cross into shards that were draining.
 func (e *Engine) SubmitTrack(ctx context.Context, src Source, p TrackPredicate, opts TrackOptions) (*TrackHandle, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	run, err := newTrackRun(src, p, opts, e.cacheCfg())
 	if err != nil {
 		return nil, err
 	}
-	h := &TrackHandle{
-		run:    run,
-		ctx:    ctx,
-		events: make(chan QueryEvent, e.opts.EventBuffer),
-	}
-	tq := &trackEngineQuery{run: run, ctx: ctx, handle: h}
-	var iq engine.Query = tq
-	if e.opts.AdaptiveRounds {
-		fleet, err := sizer.NewFleet(sizer.Config{
-			Min: e.opts.FramesPerRound,
-			Max: run.src.backendMaxBatch(),
-		}, &e.quota)
-		if err != nil {
-			return nil, err
-		}
-		tq.sizer = fleet
-		sq := &trackSizedQuery{trackEngineQuery: tq}
-		if run.src.breakerOpens != nil {
-			sq.breakerOpens = run.src.breakerOpens
-			sq.lastOpens = sq.breakerOpens()
-		}
-		sq.scope.seed(run.src, fleet)
-		iq = sq
-	}
-	inner, err := e.inner.Submit(iq)
-	if err != nil {
+	h := &TrackHandle{rep: run.rep}
+	run.out = &h.handleCore
+	if err := e.submitRun(ctx, src, run, &h.handleCore, false); err != nil {
 		return nil, err
 	}
-	h.inner = inner
 	return h, nil
 }
 
 // TrackHandle tracks one submitted track query.
 type TrackHandle struct {
-	run     *trackRun
-	ctx     context.Context
-	inner   *engine.Handle
-	events  chan QueryEvent
-	dropped atomic.Int64
-}
-
-// Events streams one QueryEvent per candidate interval that completed with
-// matching tracks (QueryEvent.Tracks carries them). The channel closes
-// when the query finishes; consumers that fall behind the EventBuffer lose
-// intermediate events (see Dropped) but never stall the engine.
-func (h *TrackHandle) Events() <-chan QueryEvent { return h.events }
-
-// Dropped returns how many events were discarded because the Events
-// consumer fell behind.
-func (h *TrackHandle) Dropped() int64 { return h.dropped.Load() }
-
-// Cancel stops the query at the next round boundary. Wait returns
-// context.Canceled with the partial report.
-func (h *TrackHandle) Cancel() { h.inner.Cancel() }
-
-// BudgetCounters reports the query's cumulative global-budget accounting;
-// both are 0 when the engine runs without a GlobalBudget.
-func (h *TrackHandle) BudgetCounters() (granted, requested int64) {
-	return h.inner.BudgetCounters()
+	handleCore
+	rep *TrackReport
 }
 
 // Wait blocks until the query finishes and returns its report — complete
 // on success, partial (but internally consistent) on cancellation or
 // failure.
-func (h *TrackHandle) Wait() (*TrackReport, error) {
-	if err := h.inner.Wait(); err != nil {
-		return h.run.rep, err
-	}
-	switch h.inner.Reason() {
-	case engine.ReasonCancelled:
-		if err := h.ctx.Err(); err != nil {
-			return h.run.rep, err
-		}
-		return h.run.rep, context.Canceled
-	case engine.ReasonDone:
-		if !h.run.done() {
-			if err := h.ctx.Err(); err != nil {
-				return h.run.rep, err
-			}
-		}
-	}
-	return h.run.rep, h.run.err
-}
-
-// emit publishes one interval-completion event without ever blocking the
-// scheduler.
-func (h *TrackHandle) emit(frame int64, chunk int, tracks []TrackResult) {
-	ev := QueryEvent{
-		Frame:           frame,
-		Chunk:           chunk,
-		Tracks:          tracks,
-		FramesProcessed: h.run.rep.FramesProcessed,
-		Found:           len(h.run.rep.Results),
-		Seconds:         h.run.rep.TotalSeconds(),
-	}
-	select {
-	case h.events <- ev:
-	default:
-		h.dropped.Add(1)
-	}
-}
-
-// trackEngineQuery adapts a trackRun to the internal scheduler — the exact
-// shape of engineQuery with the plan in place of the sampler. Propose,
-// Apply, Done and Finalize run on the scheduler goroutine; DetectBatch
-// runs on pool workers, several at once when a round spans multiple
-// affinity groups, hence the shared scratchPool.
-type trackEngineQuery struct {
-	run     *trackRun
-	ctx     context.Context
-	handle  *TrackHandle
-	pending []core.Pick
-	frames  []int64
-	scr     scratchPool
-	sizer   *sizer.Fleet
-}
-
-func (q *trackEngineQuery) Done() bool {
-	return q.ctx.Err() != nil || q.run.err != nil || q.run.done()
-}
-
-// MarginalValue implements the scheduler's Valued contract on the same
-// expected-new-results-per-frame scale as distinct-object queries: the
-// coarse sampler's best arm during phase 1, the remaining hit density
-// during refine. Track and distinct queries are therefore directly
-// comparable under one GlobalBudget.
-func (q *trackEngineQuery) MarginalValue() float64 {
-	return q.run.marginalValue()
-}
-
-func (q *trackEngineQuery) Propose(max int) []int64 {
-	q.scr.reclaim()
-	q.pending = q.pending[:0]
-	q.frames = q.frames[:0]
-	for len(q.frames) < max {
-		p, ok := q.run.next()
-		if !ok {
-			break
-		}
-		q.pending = append(q.pending, p)
-		q.frames = append(q.frames, p.Frame)
-	}
-	// next may have assembled intervals at the coarse→refine transition
-	// (dense and CoarseOnly plans finish entirely there); publish them
-	// before the engine can observe an empty proposal and finalize.
-	q.flushEmits()
-	return q.frames
-}
-
-// flushEmits publishes queued interval completions to the event stream.
-func (q *trackEngineQuery) flushEmits() {
-	for _, em := range q.run.takeEmits() {
-		q.handle.emit(em.frame, em.chunk, em.tracks)
-	}
-}
-
-// DetectBatch runs one affinity group's frames through the run's batched
-// detector (memo cache first, misses as one backend call) under the
-// query's context. Results are pointers into a recycled scratch, exactly
-// like the distinct-object path.
-func (q *trackEngineQuery) DetectBatch(frames []int64) ([]any, error) {
-	s := q.scr.get()
-	results, err := q.run.detectBatchInto(q.ctx, frames, s)
-	if err != nil {
-		return nil, err
-	}
-	if q.sizer != nil {
-		misses := len(frames)
-		if q.run.memo != nil {
-			misses = len(s.missIdx)
-		}
-		q.scr.note(q.AffinityKey(frames[0]), misses)
-	}
-	if cap(s.out) < len(results) {
-		s.out = make([]any, 0, cap(results))
-	}
-	s.out = s.out[:0]
-	for i := range results {
-		s.out = append(s.out, &results[i])
-	}
-	return s.out, nil
-}
-
-// AffinityKey implements engine.Affine with the same (source, shard) key
-// distinct-object queries use, so a refine interval spanning a shard
-// boundary splits into one inference batch per shard.
-func (q *trackEngineQuery) AffinityKey(frame int64) uint64 {
-	src := q.run.src
-	if src.shardOf == nil {
-		return src.id << 16
-	}
-	return src.id<<16 | uint64(src.shardOf(frame))&0xffff
-}
-
-func (q *trackEngineQuery) Apply(frame int64, dets any) (bool, error) {
-	p := q.pending[0]
-	q.pending = q.pending[1:]
-	if p.Frame != frame {
-		return false, fmt.Errorf("exsample: engine applied frame %d out of order (expected %d)", frame, p.Frame)
-	}
-	if err := q.run.apply(p, *dets.(*frameResult)); err != nil {
-		return false, err
-	}
-	q.flushEmits()
-	return q.run.done(), nil
-}
-
-func (q *trackEngineQuery) Finalize() {
-	close(q.handle.events)
-}
-
-// trackSizedQuery opts a trackEngineQuery into adaptive round sizing
-// (engine.Sized), mirroring sizedQuery: breaker-open events shrink the
-// controller before the next propose, and observed batch latency is
-// charged against the frames the backend actually served.
-type trackSizedQuery struct {
-	*trackEngineQuery
-	breakerOpens func() int64
-	lastOpens    int64
-	// scope attributes capacity-loss edges to (shard, replica), exactly
-	// as sizedQuery does.
-	scope capacityScope
-}
-
-// RoundQuota implements engine.Sized.
-func (q *trackSizedQuery) RoundQuota(base int) int {
-	if q.breakerOpens != nil {
-		if n := q.breakerOpens(); n > q.lastOpens {
-			q.lastOpens = n
-			q.scope.loss(q.run.src, q.sizer)
-		}
-	}
-	return q.sizer.Quota()
-}
-
-// ObserveBatch implements engine.Sized.
-func (q *trackSizedQuery) ObserveBatch(key uint64, frames int, seconds float64) {
-	if misses := q.scr.take(key); misses > 0 {
-		q.sizer.Observe(key, misses, seconds)
-	}
-}
+func (h *TrackHandle) Wait() (*TrackReport, error) { return h.rep, h.wait() }

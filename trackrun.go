@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/exsample/exsample/cachestore"
-	"github.com/exsample/exsample/internal/cache"
 	"github.com/exsample/exsample/internal/core"
-	"github.com/exsample/exsample/internal/detect"
 	"github.com/exsample/exsample/internal/geom"
 	"github.com/exsample/exsample/internal/kalman"
 	"github.com/exsample/exsample/internal/sorttrack"
@@ -31,14 +28,10 @@ import (
 // shard layout (a ShardedSource presents the same global frame space as
 // the equivalent Dataset).
 type trackRun struct {
-	src      *querySource
-	pred     TrackPredicate
-	eval     *trackquery.Evaluator
-	opts     TrackOptions
-	detector detect.BatchDetector
-	// memo/tier mirror queryRun: at most one is non-nil (see cacheConfig).
-	memo   *cache.Cache
-	tier   *cachestore.Tiered
+	detectStage
+	pred   TrackPredicate
+	eval   *trackquery.Evaluator
+	opts   TrackOptions
 	plan   *trackquery.Plan
 	stride int64
 	trkCfg sorttrack.Config
@@ -52,16 +45,13 @@ type trackRun struct {
 	intervalsNoted bool
 	err            error
 
-	// emits queues per-interval result batches for the event stream.
-	// Intervals can complete both from apply (a refine observation) and
-	// from next (the coarse→refine transition readies intervals the
-	// coarse grid already covered — all of them in dense or CoarseOnly
-	// mode), so emission is buffered here and drained by the driver.
-	emits []trackEmit
-
-	// seq is the scratch behind detectOne for the sequential driver.
-	seq detectScratch
-	one [1]int64
+	// out, when non-nil, is the engine handle drain publishes one event per
+	// matching interval to. Intervals complete both from step (a refine
+	// observation) and from next (the coarse→refine transition readies
+	// intervals the coarse grid already covered — all of them in dense or
+	// CoarseOnly mode), which is why the run publishes rather than its
+	// driver. Bound once at submit; nil under TrackSearch.
+	out *handleCore
 }
 
 // newTrackRun validates the predicate and options and builds the full
@@ -107,15 +97,9 @@ func newTrackRun(s Source, p TrackPredicate, o TrackOptions, cc cacheConfig) (*t
 			}
 		}
 	}
-	detector, err := src.newDetector(p.Class)
+	stage, err := newDetectStage(src, p.Class, cc)
 	if err != nil {
 		return nil, err
-	}
-	if cc.memo != nil && cc.tier != nil {
-		return nil, fmt.Errorf("exsample: a run caches through a memo cache or a shared tier, not both")
-	}
-	if !src.cacheable {
-		cc = cacheConfig{}
 	}
 	stride := o.strideFor(p)
 	pad := o.Pad
@@ -153,34 +137,23 @@ func newTrackRun(s Source, p TrackPredicate, o TrackOptions, cc cacheConfig) (*t
 		dense += c.Len()
 	}
 	return &trackRun{
-		src:      src,
-		pred:     p,
-		eval:     eval,
-		opts:     o,
-		detector: detector,
-		memo:     cc.memo,
-		tier:     cc.tier,
-		plan:     plan,
-		stride:   stride,
-		trkCfg:   trkCfg,
-		store:    make(map[int64][]track.Detection),
-		rep:      &TrackReport{Predicate: p, DenseFrames: dense},
+		detectStage: stage,
+		pred:        p,
+		eval:        eval,
+		opts:        o,
+		plan:        plan,
+		stride:      stride,
+		trkCfg:      trkCfg,
+		store:       make(map[int64][]track.Detection),
+		rep:         &TrackReport{Predicate: p, DenseFrames: dense},
 	}, nil
-}
-
-// trackEmit is one queued interval-completion event: the tracks an
-// interval matched, stamped with its last frame.
-type trackEmit struct {
-	frame  int64
-	chunk  int
-	tracks []TrackResult
 }
 
 // next draws the next frame from the plan. Chunk is the coarse sampler arm
 // during phase 1 and -1 during refine. ok is false when the plan has
 // nothing to issue — terminal once done() holds, transient while a round's
 // coarse observes are outstanding. next runs on the same goroutine as
-// apply (the scheduler's, or the sequential driver's), so it may drain
+// step (the scheduler's, or the sequential driver's), so it may drain
 // intervals the plan transition just readied.
 func (r *trackRun) next() (core.Pick, bool) {
 	if r.err != nil || r.done() {
@@ -200,13 +173,8 @@ func (r *trackRun) next() (core.Pick, bool) {
 	return core.Pick{Frame: f, Chunk: c}, true
 }
 
-// takeEmits hands the queued interval-completion batches to the driver
-// and resets the queue.
-func (r *trackRun) takeEmits() []trackEmit {
-	out := r.emits
-	r.emits = nil
-	return out
-}
+// failure is the pipeline failure the run has latched, if any.
+func (r *trackRun) failure() error { return r.err }
 
 // marginalValue exposes the plan's expected-value estimate to the engine's
 // global budget planner, on the same scale distinct-object queries use.
@@ -217,47 +185,17 @@ func (r *trackRun) marginalValue() float64 {
 	return r.plan.MarginalValue()
 }
 
-// detectBatchInto runs the cache-aware batched detector; see detectFrames
-// and detectFramesTiered.
-func (r *trackRun) detectBatchInto(ctx context.Context, frames []int64, scr *detectScratch) ([]frameResult, error) {
-	if r.tier != nil {
-		return detectFramesTiered(ctx, r.detector, r.tier, r.src.contentID, r.pred.Class, frames, scr)
-	}
-	return detectFrames(ctx, r.detector, r.memo, r.src.id, r.pred.Class, frames, scr)
-}
-
-// detectOne is detectBatchInto for a single frame through the sequential
-// scratch.
-func (r *trackRun) detectOne(ctx context.Context, frame int64) (frameResult, error) {
-	r.one[0] = frame
-	res, err := r.detectBatchInto(ctx, r.one[:], &r.seq)
-	if err != nil {
-		return frameResult{}, err
-	}
-	return res[0], nil
-}
-
-// apply charges the frame's costs, records its detections, feeds the plan,
-// and assembles any interval the observation completed (matching tracks
-// land on the emit queue). Must be called in pick order from one
-// goroutine.
-func (r *trackRun) apply(p core.Pick, fr frameResult) error {
+// step charges the frame's costs, records its detections, feeds the plan,
+// and assembles any interval the observation completed (see drain). Must be
+// called in pick order from one goroutine.
+func (r *trackRun) step(p core.Pick, fr frameResult) error {
 	if r.err != nil {
 		return r.err
 	}
 	rep := r.rep
 	rep.DecodeSeconds += r.src.decodeCost(p.Frame)
 	rep.DetectSeconds += fr.cost
-	if r.memo != nil || r.tier != nil {
-		if fr.cached {
-			rep.CacheHits++
-			if fr.remote {
-				rep.RemoteCacheHits++
-			}
-		} else {
-			rep.CacheMisses++
-		}
-	}
+	r.tally(fr, &rep.CacheHits, &rep.RemoteCacheHits, &rep.CacheMisses)
 	rep.FramesProcessed++
 	if p.Chunk >= 0 {
 		rep.CoarseFrames++
@@ -273,9 +211,10 @@ func (r *trackRun) apply(p core.Pick, fr frameResult) error {
 }
 
 // drain records the interval set once the plan leaves the coarse phase and
-// assembles every interval that became ready, queueing matched tracks for
-// emission. Runs from apply and from next — both on the driver's apply
-// goroutine.
+// assembles every interval that became ready; under the engine each
+// matching interval then becomes one event, stamped with its last frame and
+// the running totals after the whole drain. Runs from step and from next —
+// both on the driver's apply goroutine.
 func (r *trackRun) drain() error {
 	if r.err != nil {
 		return r.err
@@ -288,15 +227,22 @@ func (r *trackRun) drain() error {
 			r.rep.IntervalFrames += iv.Len()
 		}
 	}
+	var matched []QueryEvent
 	for _, iv := range r.plan.TakeReady() {
 		res, err := r.assemble(iv)
 		if err != nil {
 			r.err = err
 			return err
 		}
-		if len(res) > 0 {
-			r.emits = append(r.emits, trackEmit{frame: iv.End, chunk: -1, tracks: res})
+		if len(res) > 0 && r.out != nil {
+			matched = append(matched, QueryEvent{Frame: iv.End, Chunk: -1, Tracks: res})
 		}
+	}
+	for _, ev := range matched {
+		ev.FramesProcessed = r.rep.FramesProcessed
+		ev.Found = len(r.rep.Results)
+		ev.Seconds = r.rep.TotalSeconds()
+		r.out.emit(ev)
 	}
 	return nil
 }
@@ -414,12 +360,10 @@ func TrackSearch(src Source, p TrackPredicate, o TrackOptions) (*TrackReport, er
 		if err != nil {
 			return run.rep, err
 		}
-		if err := run.apply(pick, fr); err != nil {
+		if err := run.step(pick, fr); err != nil {
 			return run.rep, err
 		}
-		run.emits = nil // no event stream to feed
 	}
-	run.emits = nil
 	return run.rep, run.err
 }
 
