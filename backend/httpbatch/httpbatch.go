@@ -38,25 +38,29 @@
 // truth_id is -1 when the server does not know ground-truth identity —
 // the value real detectors report.
 //
-// Errors: a non-200 status fails the batch. 5xx responses and transport
-// errors are retried up to Config.Retries times with a short backoff; 4xx
-// responses are not (the request itself is malformed — retrying cannot
-// help). Every attempt carries Config.Timeout and honors the caller's
-// context, so a query cancellation aborts an in-flight batch immediately.
+// Errors: a non-200 status fails the batch. Timeouts, bounded retries (5xx
+// and transport errors only — a 4xx means the request itself is malformed),
+// the doomed-deadline rule, per-endpoint admission and the size bounds on
+// both sides are the discipline of internal/batchwire, the transport this
+// protocol shares with cachestore/httpcache; its package doc states them
+// once. A query cancellation aborts an in-flight batch immediately.
 package httpbatch
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
 
 	"github.com/exsample/exsample/backend"
+	"github.com/exsample/exsample/internal/batchwire"
 )
+
+// proto prefixes every error and rejection of this protocol, including the
+// ones the shared transport produces.
+const proto = batchwire.Proto("httpbatch")
 
 // request is the wire form of one batch request.
 type request struct {
@@ -64,18 +68,9 @@ type request struct {
 	Frames []int64 `json:"frames"`
 }
 
-// wireDetection is the wire form of one detection.
-type wireDetection struct {
-	Frame   int64      `json:"frame"`
-	Class   string     `json:"class"`
-	Box     [4]float64 `json:"box"`
-	Score   float64    `json:"score"`
-	TruthID int        `json:"truth_id"`
-}
-
 // response is the wire form of one batch response.
 type response struct {
-	Results [][]wireDetection `json:"results"`
+	Results [][]batchwire.Detection `json:"results"`
 	// FrameCosts, when present, is the exact charged seconds per frame.
 	FrameCosts []float64 `json:"frame_costs,omitempty"`
 	// CostSeconds is the batch-level inference latency, used (spread
@@ -115,34 +110,6 @@ type Config struct {
 	CostSeconds float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 30 * time.Second
-	}
-	switch {
-	case c.Retries == 0:
-		c.Retries = 2
-	case c.Retries < 0:
-		c.Retries = 0
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 100 * time.Millisecond
-	}
-	if c.MaxConcurrent == 0 {
-		c.MaxConcurrent = 4
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 32
-	}
-	if c.CostSeconds == 0 {
-		c.CostSeconds = 1.0 / 20.0
-	}
-	return c
-}
-
 // Stats is a snapshot of a client's traffic counters.
 type Stats struct {
 	// Batches counts successful DetectBatch calls; Frames the frames they
@@ -156,14 +123,6 @@ type Stats struct {
 	ServerSeconds float64
 }
 
-// bufPool recycles the JSON buffers whose lifetimes are provably
-// synchronous: the client's response reads and the handler's response
-// encodes. (Client request bodies are NOT pooled — see DetectBatchCost.)
-// Shared across clients and handlers: the buffers are opaque scratch, and
-// a process typically runs many endpoint clients (one per shard replica)
-// with identical traffic shapes.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // reqPool recycles the Handler's decoded request structs; encoding/json
 // reuses the Frames slice capacity when decoding into a non-nil slice, so
 // a warm handler stops allocating a frames array per request.
@@ -174,11 +133,11 @@ var reqPool = sync.Pool{New: func() any { return new(request) }}
 // server-reported latency of every batch. Client is safe for concurrent
 // use by any number of queries.
 type Client struct {
-	cfg Config
-	sem chan struct{}
+	cfg  Config
+	wire *batchwire.Client
 
 	mu    sync.Mutex
-	stats Stats
+	stats Stats // Requests and Retries live in wire
 }
 
 // Compile-time interface checks.
@@ -192,14 +151,26 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Endpoint == "" {
 		return nil, fmt.Errorf("httpbatch: Config.Endpoint is required")
 	}
-	if cfg.Retries < -1 || cfg.MaxConcurrent < 0 || cfg.MaxBatch < 0 {
-		return nil, fmt.Errorf("httpbatch: negative MaxConcurrent or MaxBatch, or Retries below -1")
+	if cfg.MaxBatch < 0 || cfg.CostSeconds < 0 {
+		return nil, fmt.Errorf("httpbatch: negative MaxBatch or CostSeconds")
 	}
-	if cfg.CostSeconds < 0 || cfg.Timeout < 0 || cfg.RetryBackoff < 0 {
-		return nil, fmt.Errorf("httpbatch: negative CostSeconds, Timeout or RetryBackoff")
+	wire, err := proto.NewClient(batchwire.Config{
+		HTTPClient:    cfg.HTTPClient,
+		Timeout:       cfg.Timeout,
+		Retries:       cfg.Retries,
+		RetryBackoff:  cfg.RetryBackoff,
+		MaxConcurrent: cfg.MaxConcurrent,
+	})
+	if err != nil {
+		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	return &Client{cfg: cfg, sem: make(chan struct{}, cfg.MaxConcurrent)}, nil
+	if cfg.MaxBatch == 0 {
+		cfg.MaxBatch = 32
+	}
+	if cfg.CostSeconds == 0 {
+		cfg.CostSeconds = 1.0 / 20.0
+	}
+	return &Client{cfg: cfg, wire: wire}, nil
 }
 
 // Hints implements backend.Backend.
@@ -210,8 +181,10 @@ func (c *Client) Hints() backend.Hints {
 // Stats returns a snapshot of the client's traffic counters.
 func (c *Client) Stats() Stats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	st := c.stats
+	c.mu.Unlock()
+	st.Requests, st.Retries = c.wire.Counters()
+	return st
 }
 
 // DetectBatch implements backend.Backend.
@@ -227,79 +200,14 @@ func (c *Client) DetectBatchCost(ctx context.Context, class string, frames []int
 	if len(frames) == 0 {
 		return nil, nil, nil
 	}
-	// Per-endpoint admission control: block until a slot frees up, but
-	// never past a cancellation.
-	select {
-	case c.sem <- struct{}{}:
-		defer func() { <-c.sem }()
-	case <-ctx.Done():
-		return nil, nil, ctx.Err()
-	}
-
-	// The request body is deliberately NOT pooled: net/http's transport
-	// may keep reading (or closing) the body reader from its own goroutine
-	// after Do returns — on failed attempts, and in edge cases (early
-	// server response) even on successful ones — so no point in this
-	// function can prove the backing array is free for reuse. Request
-	// bodies are tiny (~20 bytes/frame); the recycled buffers are the
-	// response reads below and the handler's decode/encode, whose
-	// lifetimes are synchronous.
 	body, err := json.Marshal(request{Class: class, Frames: frames})
 	if err != nil {
 		return nil, nil, fmt.Errorf("httpbatch: encode request: %w", err)
 	}
-
 	var resp response
-	var retries int64
-	for attempt := 0; ; attempt++ {
-		var retryable bool
-		resp, retryable, err = c.attempt(ctx, body)
-		if err == nil {
-			break
-		}
-		if !retryable || attempt >= c.cfg.Retries || ctx.Err() != nil {
-			c.mu.Lock()
-			c.stats.Requests += int64(attempt) + 1
-			c.stats.Retries += retries
-			c.mu.Unlock()
-			return nil, nil, err
-		}
-		// A deadline that cannot outlive the backoff makes the retry a
-		// guaranteed deadline failure: treat it as terminal now instead of
-		// sleeping toward a doomed final attempt.
-		if deadline, ok := ctx.Deadline(); ok && time.Until(deadline) <= c.cfg.RetryBackoff {
-			c.mu.Lock()
-			c.stats.Requests += int64(attempt) + 1
-			c.stats.Retries += retries
-			c.mu.Unlock()
-			// Keep the real failure visible: errors.Is still matches
-			// context.DeadlineExceeded, but the log shows what the
-			// endpoint actually returned.
-			return nil, nil, fmt.Errorf("%w before the retry backoff (last attempt: %v)", context.DeadlineExceeded, err)
-		}
-		select {
-		case <-time.After(c.cfg.RetryBackoff):
-			// Only now is a retry actually issued; counting it earlier
-			// would record a phantom retry on cancellation mid-backoff.
-			retries++
-		case <-ctx.Done():
-			// Cancelled (or deadline-expired) mid-backoff: terminal
-			// immediately, no final attempt.
-			c.mu.Lock()
-			c.stats.Requests += int64(attempt) + 1
-			c.stats.Retries += retries
-			c.mu.Unlock()
-			return nil, nil, ctx.Err()
-		}
+	if err := c.wire.Post(ctx, c.cfg.Endpoint, body, &resp); err != nil {
+		return nil, nil, err
 	}
-
-	// The HTTP traffic happened whether or not the payload validates, so
-	// record it before checking the response shape.
-	c.mu.Lock()
-	c.stats.Requests += retries + 1
-	c.stats.Retries += retries
-	c.mu.Unlock()
-
 	if len(resp.Results) != len(frames) {
 		return nil, nil, fmt.Errorf("httpbatch: server returned %d results for a %d-frame batch", len(resp.Results), len(frames))
 	}
@@ -308,20 +216,7 @@ func (c *Client) DetectBatchCost(ctx context.Context, class string, frames []int
 	}
 	out := make([][]backend.Detection, len(frames))
 	for i, wire := range resp.Results {
-		if len(wire) == 0 {
-			continue
-		}
-		dets := make([]backend.Detection, len(wire))
-		for k, w := range wire {
-			dets[k] = backend.Detection{
-				Frame:   w.Frame,
-				Class:   w.Class,
-				Box:     backend.Box{X1: w.Box[0], Y1: w.Box[1], X2: w.Box[2], Y2: w.Box[3]},
-				Score:   w.Score,
-				TruthID: w.TruthID,
-			}
-		}
-		out[i] = dets
+		out[i] = batchwire.FromWire(wire)
 	}
 	costs := resp.FrameCosts
 	if costs == nil {
@@ -348,58 +243,6 @@ func (c *Client) DetectBatchCost(ctx context.Context, class string, frames []int
 	return out, costs, nil
 }
 
-// attempt issues one HTTP request. retryable reports whether a failure is
-// worth retrying (transport errors and 5xx); ctx and the per-attempt
-// timeout both bound the call.
-func (c *Client) attempt(ctx context.Context, body []byte) (resp response, retryable bool, err error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, c.cfg.Endpoint, bytes.NewReader(body))
-	if err != nil {
-		return response{}, false, fmt.Errorf("httpbatch: build request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	httpResp, err := c.cfg.HTTPClient.Do(req)
-	if err != nil {
-		// Attribute the failure to the caller's cancellation when that is
-		// what aborted the attempt — the engine surfaces this through
-		// QueryHandle.Wait as a context error.
-		if ctx.Err() != nil {
-			return response{}, false, ctx.Err()
-		}
-		return response{}, true, fmt.Errorf("httpbatch: %w", err)
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 512))
-		err := fmt.Errorf("httpbatch: endpoint returned %s: %s", httpResp.Status, bytes.TrimSpace(msg))
-		return response{}, httpResp.StatusCode >= 500, err
-	}
-	// Read the body before decoding so a connection reset mid-body (after
-	// a 200 status) stays a retryable transport failure; only a body that
-	// arrived whole but does not parse is a terminal protocol error. The
-	// read buffer is pooled — json.Unmarshal copies what the response
-	// keeps, so the raw payload can be recycled immediately.
-	respBuf := bufPool.Get().(*bytes.Buffer)
-	respBuf.Reset()
-	defer bufPool.Put(respBuf)
-	if _, err := respBuf.ReadFrom(httpResp.Body); err != nil {
-		if ctx.Err() != nil {
-			return response{}, false, ctx.Err()
-		}
-		return response{}, true, fmt.Errorf("httpbatch: read response: %w", err)
-	}
-	if err := json.Unmarshal(respBuf.Bytes(), &resp); err != nil {
-		return response{}, false, fmt.Errorf("httpbatch: decode response: %w", err)
-	}
-	return resp, false, nil
-}
-
-// maxRequestBytes bounds a request body the Handler is willing to decode:
-// far above any sane batch (a frame is ~20 bytes on the wire), far below
-// anything that could pressure server memory.
-const maxRequestBytes = 8 << 20
-
 // Handler serves a backend.Backend over the httpbatch wire protocol — the
 // server half of the pairing. Detection cost in the response comes from the
 // backend's own accounting, reported per frame in frame_costs (so clients
@@ -412,15 +255,13 @@ const maxRequestBytes = 8 << 20
 func Handler(b backend.Backend) http.Handler {
 	coster, _ := b.(backend.BatchCoster)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "httpbatch: POST only", http.StatusMethodNotAllowed)
+		if !proto.PostOnly(w, r) {
 			return
 		}
 		req := reqPool.Get().(*request)
 		defer reqPool.Put(req)
 		req.Class, req.Frames = "", req.Frames[:0]
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(req); err != nil {
-			http.Error(w, fmt.Sprintf("httpbatch: bad request: %v", err), http.StatusBadRequest)
+		if !proto.Decode(w, r, req) {
 			return
 		}
 		if req.Class == "" || len(req.Frames) == 0 {
@@ -454,31 +295,10 @@ func Handler(b backend.Backend) http.Handler {
 		for _, cost := range costs {
 			total += cost
 		}
-		resp := response{Results: make([][]wireDetection, len(dets)), FrameCosts: costs, CostSeconds: total}
+		resp := response{Results: make([][]batchwire.Detection, len(dets)), FrameCosts: costs, CostSeconds: total}
 		for i, frameDets := range dets {
-			wire := make([]wireDetection, len(frameDets))
-			for k, d := range frameDets {
-				wire[k] = wireDetection{
-					Frame:   d.Frame,
-					Class:   d.Class,
-					Box:     [4]float64{d.Box.X1, d.Box.Y1, d.Box.X2, d.Box.Y2},
-					Score:   d.Score,
-					TruthID: d.TruthID,
-				}
-			}
-			resp.Results[i] = wire
+			resp.Results[i] = batchwire.ToWire(frameDets)
 		}
-		// Encode into a pooled buffer first: the response hits the wire in
-		// one write, and an encode failure can still surface as a 500
-		// instead of a half-written body.
-		out := bufPool.Get().(*bytes.Buffer)
-		out.Reset()
-		defer bufPool.Put(out)
-		if err := json.NewEncoder(out).Encode(resp); err != nil {
-			http.Error(w, fmt.Sprintf("httpbatch: encode response: %v", err), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(out.Bytes())
+		proto.Respond(w, resp)
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,7 +14,13 @@ import (
 	"time"
 
 	"github.com/exsample/exsample/backend"
+	"github.com/exsample/exsample/internal/batchwire"
 )
+
+// The timeout/retry/admission discipline itself is tested once, on a fake
+// clock, in internal/batchwire. The tests here that mention retries prove
+// this package inherits it: Config reaches the shared client, its counters
+// surface in Stats, and its errors carry this protocol's prefix.
 
 // fakeBackend is a deterministic in-memory backend: frame f has one
 // detection when f is even, none otherwise.
@@ -149,29 +156,6 @@ func TestRetriesOn5xxThenSucceeds(t *testing.T) {
 	}
 }
 
-func TestRetriesAreBounded(t *testing.T) {
-	var attempts atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		attempts.Add(1)
-		http.Error(w, "down", http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-	c, err := New(Config{Endpoint: srv.URL, Retries: 2, RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.DetectBatch(context.Background(), "car", []int64{1}); err == nil {
-		t.Fatal("persistent 5xx did not fail the batch")
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Fatalf("made %d attempts, want 3 (1 + 2 retries)", got)
-	}
-	st := c.Stats()
-	if st.Requests != 3 || st.Retries != 2 || st.Batches != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestClientErrorsAreNotRetried(t *testing.T) {
 	var attempts atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -189,6 +173,9 @@ func TestClientErrorsAreNotRetried(t *testing.T) {
 	}
 	if got := attempts.Load(); got != 1 {
 		t.Fatalf("made %d attempts, want 1 (4xx never retries)", got)
+	}
+	if st := c.Stats(); st.Requests != 1 || st.Retries != 0 || st.Batches != 0 {
+		t.Fatalf("stats = %+v, want 1 request, 0 retries, 0 batches", st)
 	}
 }
 
@@ -226,27 +213,31 @@ func TestContextCancellationAbortsInFlightBatch(t *testing.T) {
 	}
 }
 
+// TestPerEndpointConcurrencyCap: Config.MaxConcurrent reaches the shared
+// client. The handler holds every request until the test has seen the cap's
+// worth of them arrive, so the peak is exact, not a matter of timing.
 func TestPerEndpointConcurrencyCap(t *testing.T) {
+	const calls, limit = 8, 2
 	var running, peak atomic.Int64
+	entered := make(chan struct{}, calls)
+	release := make(chan struct{})
+	inner := Handler(&fakeBackend{cost: 0.01})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		cur := running.Add(1)
-		for {
-			p := peak.Load()
-			if cur <= p || peak.CompareAndSwap(p, cur) {
-				break
-			}
+		for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
 		}
-		time.Sleep(10 * time.Millisecond)
+		entered <- struct{}{}
+		<-release
 		running.Add(-1)
-		Handler(&fakeBackend{cost: 0.01}).ServeHTTP(w, r)
+		inner.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
-	c, err := New(Config{Endpoint: srv.URL, MaxConcurrent: 2})
+	c, err := New(Config{Endpoint: srv.URL, MaxConcurrent: limit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for i := 0; i < calls; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -255,9 +246,13 @@ func TestPerEndpointConcurrencyCap(t *testing.T) {
 			}
 		}(i)
 	}
+	for i := 0; i < limit; i++ {
+		<-entered
+	}
+	close(release)
 	wg.Wait()
-	if got := peak.Load(); got > 2 {
-		t.Fatalf("observed %d concurrent requests with MaxConcurrent=2", got)
+	if got := peak.Load(); got != limit {
+		t.Fatalf("observed %d concurrent requests, want exactly MaxConcurrent=%d", got, limit)
 	}
 }
 
@@ -290,25 +285,6 @@ func TestHandlerRejectsMalformedRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty request = %d, want 400", resp.StatusCode)
-	}
-}
-
-func TestRetriesMinusOneDisablesRetries(t *testing.T) {
-	var attempts atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		attempts.Add(1)
-		http.Error(w, "down", http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-	c, err := New(Config{Endpoint: srv.URL, Retries: -1, RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.DetectBatch(context.Background(), "car", []int64{1}); err == nil {
-		t.Fatal("5xx did not fail the batch")
-	}
-	if got := attempts.Load(); got != 1 {
-		t.Fatalf("made %d attempts with Retries: -1, want exactly 1", got)
 	}
 }
 
@@ -352,10 +328,11 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestDeadlineDuringBackoffIsTerminal pins the no-wasted-final-attempt
-// rule: when the caller's deadline cannot outlive the retry backoff, the
-// client returns context.DeadlineExceeded immediately instead of sleeping
-// into a doomed attempt — the failing endpoint sees no further requests.
+// TestDeadlineDuringBackoffIsTerminal pins what a caller sees on the
+// doomed-deadline path (the rule itself is tested on a fake clock in
+// internal/batchwire): context.DeadlineExceeded, with the endpoint's last
+// answer under this protocol's prefix, after exactly one request. The
+// deadline is far off and the backoff farther, so the test never waits.
 func TestDeadlineDuringBackoffIsTerminal(t *testing.T) {
 	var hits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -363,23 +340,21 @@ func TestDeadlineDuringBackoffIsTerminal(t *testing.T) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	}))
 	defer srv.Close()
-	c, err := New(Config{Endpoint: srv.URL, Retries: 3, RetryBackoff: 200 * time.Millisecond})
+	c, err := New(Config{Endpoint: srv.URL, Retries: 3, RetryBackoff: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	start := time.Now()
 	_, err = c.DetectBatch(ctx, "car", []int64{1})
-	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
+	if !strings.Contains(err.Error(), "last attempt: httpbatch: endpoint returned 500 Internal Server Error: boom") {
+		t.Fatalf("err = %v, want the endpoint's last answer in the message", err)
+	}
 	if got := hits.Load(); got != 1 {
 		t.Fatalf("endpoint saw %d requests, want 1 (no attempt after a doomed backoff)", got)
-	}
-	if elapsed >= 150*time.Millisecond {
-		t.Fatalf("client slept %v toward the backoff despite the shorter deadline", elapsed)
 	}
 	st := c.Stats()
 	if st.Requests != 1 || st.Retries != 0 {
@@ -387,35 +362,41 @@ func TestDeadlineDuringBackoffIsTerminal(t *testing.T) {
 	}
 }
 
-// TestCancelDuringBackoffIsTerminal verifies a cancellation that fires
-// mid-backoff returns promptly with the context error and issues no
-// further attempts.
-func TestCancelDuringBackoffIsTerminal(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		http.Error(w, "boom", http.StatusInternalServerError)
-	}))
-	defer srv.Close()
-	c, err := New(Config{Endpoint: srv.URL, Retries: 3, RetryBackoff: time.Second})
+// TestOversizedResponseIsTerminal: a 200 whose body is larger than any
+// conforming server produces is refused, not buffered — one request, no
+// retry, a protocol error under this package's prefix.
+func TestOversizedResponseIsTerminal(t *testing.T) {
+	huge, hits := canned([]byte(`{"results":[[]]}`), batchwire.MaxResponseBytes+1)
+	c, err := New(Config{Endpoint: "http://gpu/detect", HTTPClient: huge, RetryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err = c.DetectBatch(ctx, "car", []int64{1})
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	_, err = c.DetectBatch(context.Background(), "car", []int64{1})
+	if err == nil || !strings.Contains(err.Error(), "httpbatch: response exceeds") {
+		t.Fatalf("err = %v, want an httpbatch response-size error", err)
 	}
-	if got := hits.Load(); got != 1 {
-		t.Fatalf("endpoint saw %d requests, want 1", got)
-	}
-	if elapsed >= 500*time.Millisecond {
-		t.Fatalf("cancellation took %v to take effect mid-backoff", elapsed)
+	if st := c.Stats(); hits.Load() != 1 || st.Requests != 1 || st.Retries != 0 || st.Batches != 0 {
+		t.Fatalf("endpoint saw %d requests, stats = %+v; an oversized answer must be terminal", hits.Load(), st)
 	}
 }
+
+// canned is an endpoint without a socket: an http.Client whose every request
+// is answered 200 with body, declaring length bytes (-1: undeclared), and a
+// count of the requests it saw.
+func canned(body []byte, length int64) (*http.Client, *atomic.Int64) {
+	hits := new(atomic.Int64)
+	return &http.Client{Transport: roundTripper(func(*http.Request) (*http.Response, error) {
+		hits.Add(1)
+		return &http.Response{
+			StatusCode:    http.StatusOK,
+			Status:        "200 OK",
+			Header:        http.Header{},
+			Body:          io.NopCloser(bytes.NewReader(body)),
+			ContentLength: length,
+		}, nil
+	})}, hits
+}
+
+type roundTripper func(*http.Request) (*http.Response, error)
+
+func (f roundTripper) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }

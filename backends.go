@@ -6,58 +6,15 @@ import (
 	"sync"
 
 	"github.com/exsample/exsample/backend"
+	"github.com/exsample/exsample/internal/batchwire"
 	"github.com/exsample/exsample/internal/detect"
-	"github.com/exsample/exsample/internal/geom"
-	"github.com/exsample/exsample/internal/track"
 )
-
-// geomBox converts a public box to the internal geometry type.
-func geomBox(b backend.Box) geom.Box { return geom.Box{X1: b.X1, Y1: b.Y1, X2: b.X2, Y2: b.Y2} }
 
 // This file is the bridge between the public backend API and the internal
 // query pipeline: backendDetector drives a backend.Backend through the
 // internal detect.BatchDetector contract, and simBackend exposes a
 // Dataset's simulated detector as a backend.Backend — making the simulated
 // detector just the default Backend behind an adapter.
-
-// trackToBackend converts internal detections to the public wire type.
-func trackToBackend(dets []track.Detection) []backend.Detection {
-	if len(dets) == 0 {
-		return nil
-	}
-	out := make([]backend.Detection, len(dets))
-	for i, d := range dets {
-		out[i] = backend.Detection{
-			Frame:   d.Frame,
-			Class:   d.Class,
-			Box:     backend.Box{X1: d.Box.X1, Y1: d.Box.Y1, X2: d.Box.X2, Y2: d.Box.Y2},
-			Score:   d.Score,
-			TruthID: d.TruthID,
-		}
-	}
-	return out
-}
-
-// backendToTrack converts public detections back to the internal type. The
-// frame is forced to the requested frame index: per the Backend contract,
-// results[i] holds frame frames[i]'s detections, so the echoed Frame field
-// is advisory and a confused backend cannot corrupt frame routing.
-func backendToTrack(frame int64, dets []backend.Detection) []track.Detection {
-	if len(dets) == 0 {
-		return nil
-	}
-	out := make([]track.Detection, len(dets))
-	for i, d := range dets {
-		out[i] = track.Detection{
-			Frame:   frame,
-			Class:   d.Class,
-			Box:     geomBox(d.Box),
-			Score:   d.Score,
-			TruthID: d.TruthID,
-		}
-	}
-	return out
-}
 
 // backendDetector adapts a public backend.Backend to the internal batched
 // detector contract for one query's class. It honors the backend's MaxBatch
@@ -113,7 +70,7 @@ func (bd *backendDetector) DetectBatch(ctx context.Context, frames []int64) ([]d
 			if costs != nil {
 				cost = costs[i]
 			}
-			out = append(out, detect.FrameOutput{Dets: backendToTrack(frame, dets[i]), Cost: cost})
+			out = append(out, detect.FrameOutput{Dets: batchwire.ToTrack(frame, dets[i]), Cost: cost})
 		}
 		start = end
 	}
@@ -163,7 +120,7 @@ func (b *simBackend) DetectBatch(ctx context.Context, class string, frames []int
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out[i] = trackToBackend(det.Detect(frame))
+		out[i] = batchwire.ToBackend(det.Detect(frame))
 	}
 	return out, nil
 }

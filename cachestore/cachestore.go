@@ -119,11 +119,24 @@ type Entry struct {
 //
 // GetBatch returns one Entry per key, aligned with keys. PutBatch stores
 // vals[i] under keys[i]; storing nil is valid (a memoized "no detections").
+// len(vals) must equal len(keys): a mismatch is a caller bug that would
+// otherwise memoize "seen, nothing found" for the unpaired keys — permanent
+// false negatives for everyone sharing the tier — so PutBatch returns an
+// error and writes nothing.
+//
 // Implementations must be safe for concurrent use; detector output is
 // deterministic per key, so concurrent puts of the same key are benign.
 type Store interface {
 	GetBatch(ctx context.Context, keys []Key) ([]Entry, error)
 	PutBatch(ctx context.Context, keys []Key, vals [][]backend.Detection) error
+}
+
+// checkPut enforces PutBatch's length contract for this package's stores.
+func checkPut(keys []Key, vals [][]backend.Detection) error {
+	if len(vals) != len(keys) {
+		return fmt.Errorf("cachestore: PutBatch got %d values for %d keys", len(vals), len(keys))
+	}
+	return nil
 }
 
 // rangeCounter is implemented by stores that can cheaply report how many

@@ -1,9 +1,7 @@
 // Package httpcache is the remote half of the shared result tier: a Client
 // that speaks a small JSON batch protocol to a cache server, and a Handler
 // that serves any cachestore.Store over the same protocol (the loopback
-// pairing used by tests, examples and exserve's -cache-remote mode). It
-// mirrors backend/httpbatch: timeouts, bounded retries with backoff, and a
-// per-endpoint concurrency cap.
+// pairing used by tests, examples and exserve's -cache-remote mode).
 //
 // # Wire protocol
 //
@@ -28,18 +26,17 @@
 //	{"stored": 1}
 //
 // found:true with no dets is a valid memoized "nothing in this frame".
-// Errors follow httpbatch exactly: a non-200 status fails the batch, 5xx and
-// transport errors retry up to Config.Retries with a short backoff, 4xx is
-// terminal (the request itself is malformed). Every attempt carries
-// Config.Timeout and honors the caller's context.
+// Errors: a non-200 status fails the batch. Timeouts, bounded retries (5xx
+// and transport errors only — a 4xx means the request itself is malformed),
+// the doomed-deadline rule, per-endpoint admission and the size bounds on
+// both sides are the discipline of internal/batchwire, the transport this
+// protocol shares with backend/httpbatch; its package doc states them once.
 package httpcache
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -47,18 +44,12 @@ import (
 
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/cachestore"
+	"github.com/exsample/exsample/internal/batchwire"
 )
 
-// wireDetection is the wire form of one detection — the same shape
-// backend/httpbatch puts on the wire, so a cache entry round-trips exactly
-// what a remote detector would have produced.
-type wireDetection struct {
-	Frame   int64      `json:"frame"`
-	Class   string     `json:"class"`
-	Box     [4]float64 `json:"box"`
-	Score   float64    `json:"score"`
-	TruthID int        `json:"truth_id"`
-}
+// proto prefixes every error and rejection of this protocol, including the
+// ones the shared transport produces.
+const proto = batchwire.Proto("httpcache")
 
 // getRequest / getResponse are the wire forms of a batched lookup.
 type getRequest struct {
@@ -66,8 +57,8 @@ type getRequest struct {
 }
 
 type getEntry struct {
-	Found bool            `json:"found"`
-	Dets  []wireDetection `json:"dets,omitempty"`
+	Found bool                  `json:"found"`
+	Dets  []batchwire.Detection `json:"dets,omitempty"`
 }
 
 type getResponse struct {
@@ -80,8 +71,8 @@ type putRequest struct {
 }
 
 type putEntry struct {
-	Key  string          `json:"key"`
-	Dets []wireDetection `json:"dets,omitempty"`
+	Key  string                `json:"key"`
+	Dets []batchwire.Detection `json:"dets,omitempty"`
 }
 
 type putResponse struct {
@@ -89,7 +80,8 @@ type putResponse struct {
 }
 
 // Config parameterizes a Client. Endpoint is required; everything else has
-// a production-shaped default matching backend/httpbatch.
+// a production-shaped default, the transport fields the same ones as
+// backend/httpbatch's.
 type Config struct {
 	// Endpoint is the cache server's base URL (e.g. http://cache-1:9090);
 	// the client POSTs to {Endpoint}/get and {Endpoint}/put.
@@ -114,31 +106,6 @@ type Config struct {
 	MaxBatch int
 }
 
-func (c Config) withDefaults() Config {
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 30 * time.Second
-	}
-	switch {
-	case c.Retries == 0:
-		c.Retries = 2
-	case c.Retries < 0:
-		c.Retries = 0
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 100 * time.Millisecond
-	}
-	if c.MaxConcurrent == 0 {
-		c.MaxConcurrent = 4
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 256
-	}
-	return c
-}
-
 // Stats is a snapshot of a client's traffic counters.
 type Stats struct {
 	// Gets/Puts count successful batched calls; Keys the keys they
@@ -149,25 +116,18 @@ type Stats struct {
 	Requests, Retries int64
 }
 
-// bufPool recycles response-read and handler-encode buffers, whose
-// lifetimes are provably synchronous (request bodies are not pooled — same
-// reasoning as httpbatch: the transport may touch the body reader after Do
-// returns).
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // Client is a remote cache store: it implements cachestore.Store over the
 // httpcache wire protocol and is safe for concurrent use by any number of
 // queries. A failing remote never fails a query — the Tiered store above
 // degrades its errors to misses — but the Client itself reports them
 // honestly.
 type Client struct {
-	cfg    Config
-	getURL string
-	putURL string
-	sem    chan struct{}
+	getURL, putURL string
+	maxBatch       int
+	wire           *batchwire.Client
 
 	mu    sync.Mutex
-	stats Stats
+	stats Stats // Requests and Retries live in wire
 }
 
 // Compile-time interface check.
@@ -178,38 +138,41 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Endpoint == "" {
 		return nil, fmt.Errorf("httpcache: Config.Endpoint is required")
 	}
-	if cfg.Retries < -1 || cfg.MaxConcurrent < 0 || cfg.MaxBatch < 0 {
-		return nil, fmt.Errorf("httpcache: negative MaxConcurrent or MaxBatch, or Retries below -1")
+	if cfg.MaxBatch < 0 {
+		return nil, fmt.Errorf("httpcache: negative MaxBatch")
 	}
-	if cfg.Timeout < 0 || cfg.RetryBackoff < 0 {
-		return nil, fmt.Errorf("httpcache: negative Timeout or RetryBackoff")
+	wire, err := proto.NewClient(batchwire.Config{
+		HTTPClient:    cfg.HTTPClient,
+		Timeout:       cfg.Timeout,
+		Retries:       cfg.Retries,
+		RetryBackoff:  cfg.RetryBackoff,
+		MaxConcurrent: cfg.MaxConcurrent,
+	})
+	if err != nil {
+		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	if cfg.MaxBatch == 0 {
+		cfg.MaxBatch = 256
+	}
 	base := strings.TrimSuffix(cfg.Endpoint, "/")
-	return &Client{
-		cfg:    cfg,
-		getURL: base + "/get",
-		putURL: base + "/put",
-		sem:    make(chan struct{}, cfg.MaxConcurrent),
-	}, nil
+	return &Client{getURL: base + "/get", putURL: base + "/put", maxBatch: cfg.MaxBatch, wire: wire}, nil
 }
 
 // Stats returns a snapshot of the client's traffic counters.
 func (c *Client) Stats() Stats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	st := c.stats
+	c.mu.Unlock()
+	st.Requests, st.Retries = c.wire.Counters()
+	return st
 }
 
 // GetBatch implements cachestore.Store. Batches beyond MaxBatch are split
 // into sequential wire requests; the returned entries are aligned with keys.
 func (c *Client) GetBatch(ctx context.Context, keys []cachestore.Key) ([]cachestore.Entry, error) {
 	out := make([]cachestore.Entry, len(keys))
-	for lo := 0; lo < len(keys); lo += c.cfg.MaxBatch {
-		hi := lo + c.cfg.MaxBatch
-		if hi > len(keys) {
-			hi = len(keys)
-		}
+	for lo := 0; lo < len(keys); lo += c.maxBatch {
+		hi := min(lo+c.maxBatch, len(keys))
 		if err := c.getChunk(ctx, keys[lo:hi], out[lo:hi]); err != nil {
 			return nil, err
 		}
@@ -218,9 +181,6 @@ func (c *Client) GetBatch(ctx context.Context, keys []cachestore.Key) ([]cachest
 }
 
 func (c *Client) getChunk(ctx context.Context, keys []cachestore.Key, out []cachestore.Entry) error {
-	if len(keys) == 0 {
-		return nil
-	}
 	req := getRequest{Keys: make([]string, len(keys))}
 	for i, k := range keys {
 		req.Keys[i] = k.Encode()
@@ -230,18 +190,16 @@ func (c *Client) getChunk(ctx context.Context, keys []cachestore.Key, out []cach
 		return fmt.Errorf("httpcache: encode get request: %w", err)
 	}
 	var resp getResponse
-	if err := c.roundTrip(ctx, c.getURL, body, &resp); err != nil {
+	if err := c.wire.Post(ctx, c.getURL, body, &resp); err != nil {
 		return err
 	}
 	if len(resp.Entries) != len(keys) {
 		return fmt.Errorf("httpcache: server returned %d entries for a %d-key get", len(resp.Entries), len(keys))
 	}
 	for i, e := range resp.Entries {
-		if !e.Found {
-			out[i] = cachestore.Entry{}
-			continue
+		if e.Found {
+			out[i] = cachestore.Entry{Found: true, Dets: batchwire.FromWire(e.Dets)}
 		}
-		out[i] = cachestore.Entry{Found: true, Dets: fromWire(e.Dets)}
 	}
 	c.mu.Lock()
 	c.stats.Gets++
@@ -251,21 +209,14 @@ func (c *Client) getChunk(ctx context.Context, keys []cachestore.Key, out []cach
 }
 
 // PutBatch implements cachestore.Store, splitting by MaxBatch like GetBatch.
+// A length mismatch is refused before anything reaches the wire.
 func (c *Client) PutBatch(ctx context.Context, keys []cachestore.Key, vals [][]backend.Detection) error {
-	for lo := 0; lo < len(keys); lo += c.cfg.MaxBatch {
-		hi := lo + c.cfg.MaxBatch
-		if hi > len(keys) {
-			hi = len(keys)
-		}
-		var chunk [][]backend.Detection
-		if lo < len(vals) {
-			vhi := hi
-			if vhi > len(vals) {
-				vhi = len(vals)
-			}
-			chunk = vals[lo:vhi]
-		}
-		if err := c.putChunk(ctx, keys[lo:hi], chunk); err != nil {
+	if len(vals) != len(keys) {
+		return fmt.Errorf("httpcache: PutBatch got %d values for %d keys", len(vals), len(keys))
+	}
+	for lo := 0; lo < len(keys); lo += c.maxBatch {
+		hi := min(lo+c.maxBatch, len(keys))
+		if err := c.putChunk(ctx, keys[lo:hi], vals[lo:hi]); err != nil {
 			return err
 		}
 	}
@@ -273,23 +224,16 @@ func (c *Client) PutBatch(ctx context.Context, keys []cachestore.Key, vals [][]b
 }
 
 func (c *Client) putChunk(ctx context.Context, keys []cachestore.Key, vals [][]backend.Detection) error {
-	if len(keys) == 0 {
-		return nil
-	}
 	req := putRequest{Entries: make([]putEntry, len(keys))}
 	for i, k := range keys {
-		var v []backend.Detection
-		if i < len(vals) {
-			v = vals[i]
-		}
-		req.Entries[i] = putEntry{Key: k.Encode(), Dets: toWire(v)}
+		req.Entries[i] = putEntry{Key: k.Encode(), Dets: batchwire.ToWire(vals[i])}
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		return fmt.Errorf("httpcache: encode put request: %w", err)
 	}
 	var resp putResponse
-	if err := c.roundTrip(ctx, c.putURL, body, &resp); err != nil {
+	if err := c.wire.Post(ctx, c.putURL, body, &resp); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -299,136 +243,8 @@ func (c *Client) putChunk(ctx context.Context, keys []cachestore.Key, vals [][]b
 	return nil
 }
 
-// roundTrip runs one request through admission control and the retry loop —
-// the httpbatch retry discipline verbatim: doomed deadlines terminate
-// early, cancellation mid-backoff is terminal, and only attempts actually
-// issued count as retries.
-func (c *Client) roundTrip(ctx context.Context, url string, body []byte, into any) error {
-	select {
-	case c.sem <- struct{}{}:
-		defer func() { <-c.sem }()
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	var retries int64
-	var err error
-	for attempt := 0; ; attempt++ {
-		var retryable bool
-		retryable, err = c.attempt(ctx, url, body, into)
-		if err == nil {
-			break
-		}
-		if !retryable || attempt >= c.cfg.Retries || ctx.Err() != nil {
-			c.mu.Lock()
-			c.stats.Requests += int64(attempt) + 1
-			c.stats.Retries += retries
-			c.mu.Unlock()
-			return err
-		}
-		if deadline, ok := ctx.Deadline(); ok && time.Until(deadline) <= c.cfg.RetryBackoff {
-			c.mu.Lock()
-			c.stats.Requests += int64(attempt) + 1
-			c.stats.Retries += retries
-			c.mu.Unlock()
-			return fmt.Errorf("%w before the retry backoff (last attempt: %v)", context.DeadlineExceeded, err)
-		}
-		select {
-		case <-time.After(c.cfg.RetryBackoff):
-			retries++
-		case <-ctx.Done():
-			c.mu.Lock()
-			c.stats.Requests += int64(attempt) + 1
-			c.stats.Retries += retries
-			c.mu.Unlock()
-			return ctx.Err()
-		}
-	}
-	c.mu.Lock()
-	c.stats.Requests += retries + 1
-	c.stats.Retries += retries
-	c.mu.Unlock()
-	return nil
-}
-
-// attempt issues one HTTP request, decoding the 200 body into into.
-// retryable reports whether a failure is worth retrying (transport errors
-// and 5xx).
-func (c *Client) attempt(ctx context.Context, url string, body []byte, into any) (retryable bool, err error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return false, fmt.Errorf("httpcache: build request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	httpResp, err := c.cfg.HTTPClient.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return false, ctx.Err()
-		}
-		return true, fmt.Errorf("httpcache: %w", err)
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 512))
-		err := fmt.Errorf("httpcache: endpoint returned %s: %s", httpResp.Status, bytes.TrimSpace(msg))
-		return httpResp.StatusCode >= 500, err
-	}
-	// Read whole, then decode: a reset mid-body stays retryable, a complete
-	// body that does not parse is a terminal protocol error.
-	respBuf := bufPool.Get().(*bytes.Buffer)
-	respBuf.Reset()
-	defer bufPool.Put(respBuf)
-	if _, err := respBuf.ReadFrom(httpResp.Body); err != nil {
-		if ctx.Err() != nil {
-			return false, ctx.Err()
-		}
-		return true, fmt.Errorf("httpcache: read response: %w", err)
-	}
-	if err := json.Unmarshal(respBuf.Bytes(), into); err != nil {
-		return false, fmt.Errorf("httpcache: decode response: %w", err)
-	}
-	return false, nil
-}
-
-func toWire(dets []backend.Detection) []wireDetection {
-	if len(dets) == 0 {
-		return nil
-	}
-	out := make([]wireDetection, len(dets))
-	for i, d := range dets {
-		out[i] = wireDetection{
-			Frame:   d.Frame,
-			Class:   d.Class,
-			Box:     [4]float64{d.Box.X1, d.Box.Y1, d.Box.X2, d.Box.Y2},
-			Score:   d.Score,
-			TruthID: d.TruthID,
-		}
-	}
-	return out
-}
-
-func fromWire(dets []wireDetection) []backend.Detection {
-	if len(dets) == 0 {
-		return nil
-	}
-	out := make([]backend.Detection, len(dets))
-	for i, w := range dets {
-		out[i] = backend.Detection{
-			Frame:   w.Frame,
-			Class:   w.Class,
-			Box:     backend.Box{X1: w.Box[0], Y1: w.Box[1], X2: w.Box[2], Y2: w.Box[3]},
-			Score:   w.Score,
-			TruthID: w.TruthID,
-		}
-	}
-	return out
-}
-
-// Server-side bounds, mirroring httpbatch's maxRequestBytes discipline.
+// Server-side bounds on top of batchwire.MaxRequestBytes.
 const (
-	// maxRequestBytes bounds a request body the Handler will decode.
-	maxRequestBytes = 8 << 20
 	// maxKeysPerRequest bounds keys (or entries) per request — far above
 	// any batch a well-behaved client sends (MaxBatch defaults to 256).
 	maxKeysPerRequest = 4096
@@ -447,8 +263,8 @@ const (
 // any mux: http.Handle("/cache/", httpcache.Handler(store)).
 func Handler(store cachestore.Store) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "httpcache: POST only", http.StatusMethodNotAllowed)
+		// The method check comes first: a GET to an unknown path is a 405.
+		if !proto.PostOnly(w, r) {
 			return
 		}
 		switch {
@@ -464,8 +280,7 @@ func Handler(store cachestore.Store) http.Handler {
 
 func handleGet(store cachestore.Store, w http.ResponseWriter, r *http.Request) {
 	var req getRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("httpcache: bad request: %v", err), http.StatusBadRequest)
+	if !proto.Decode(w, r, &req) {
 		return
 	}
 	if len(req.Keys) == 0 {
@@ -496,15 +311,14 @@ func handleGet(store cachestore.Store, w http.ResponseWriter, r *http.Request) {
 	}
 	resp := getResponse{Entries: make([]getEntry, len(entries))}
 	for i, e := range entries {
-		resp.Entries[i] = getEntry{Found: e.Found, Dets: toWire(e.Dets)}
+		resp.Entries[i] = getEntry{Found: e.Found, Dets: batchwire.ToWire(e.Dets)}
 	}
-	writeJSON(w, resp)
+	proto.Respond(w, resp)
 }
 
 func handlePut(store cachestore.Store, w http.ResponseWriter, r *http.Request) {
 	var req putRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("httpcache: bad request: %v", err), http.StatusBadRequest)
+	if !proto.Decode(w, r, &req) {
 		return
 	}
 	if len(req.Entries) == 0 {
@@ -528,25 +342,11 @@ func handlePut(store cachestore.Store, w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		keys[i] = k
-		vals[i] = fromWire(e.Dets)
+		vals[i] = batchwire.FromWire(e.Dets)
 	}
 	if err := store.PutBatch(r.Context(), keys, vals); err != nil {
 		http.Error(w, fmt.Sprintf("httpcache: store: %v", err), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, putResponse{Stored: len(keys)})
-}
-
-// writeJSON encodes into a pooled buffer first, so the response hits the
-// wire in one write and an encode failure can still surface as a 500.
-func writeJSON(w http.ResponseWriter, v any) {
-	out := bufPool.Get().(*bytes.Buffer)
-	out.Reset()
-	defer bufPool.Put(out)
-	if err := json.NewEncoder(out).Encode(v); err != nil {
-		http.Error(w, fmt.Sprintf("httpcache: encode response: %v", err), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(out.Bytes())
+	proto.Respond(w, putResponse{Stored: len(keys)})
 }

@@ -1,9 +1,11 @@
 package httpcache
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,7 +15,14 @@ import (
 
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/cachestore"
+	"github.com/exsample/exsample/internal/batchwire"
 )
+
+// The timeout/retry/admission discipline itself is tested once, on a fake
+// clock, in internal/batchwire. TestRetryOn5xx, Test4xxTerminal and
+// TestOversizedResponseIsTerminal prove this package inherits it: Config
+// reaches the shared client, its counters surface in Stats, and its errors
+// carry this protocol's prefix.
 
 func loopback(t *testing.T) (*Client, *cachestore.Local, *httptest.Server) {
 	t.Helper()
@@ -180,6 +189,9 @@ func Test4xxTerminal(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("4xx retried (%d attempts), must be terminal", calls.Load())
 	}
+	if st := c.Stats(); st.Requests != 1 || st.Retries != 0 || st.Gets != 0 {
+		t.Fatalf("stats = %+v, want 1 request, 0 retries, 0 gets", st)
+	}
 }
 
 // TestEntryCountMismatch: a server answering with the wrong entry count is
@@ -199,24 +211,88 @@ func TestEntryCountMismatch(t *testing.T) {
 	}
 }
 
-// TestCorruptResponseTerminal: a complete-but-unparseable body is a
-// terminal protocol error, not retried.
-func TestCorruptResponseTerminal(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		fmt.Fprint(w, `{"entries": not json`)
-	}))
-	defer srv.Close()
-	c, err := New(Config{Endpoint: srv.URL, RetryBackoff: time.Millisecond})
+// TestOversizedResponseIsTerminal: a 200 whose body is larger than any
+// conforming server produces is refused, not buffered — one request, no
+// retry, a protocol error under this package's prefix.
+func TestOversizedResponseIsTerminal(t *testing.T) {
+	huge, hits := canned([]byte(`{"entries":[{"found":false}],"stored":1}`), batchwire.MaxResponseBytes+1)
+	c, err := New(Config{Endpoint: "http://cache", HTTPClient: huge, RetryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.GetBatch(context.Background(), []cachestore.Key{{Frame: 0}}); err == nil {
-		t.Fatal("corrupt response accepted")
+	ctx := context.Background()
+	keys := []cachestore.Key{{Content: 1, Class: "car", Frame: 0}}
+	if _, err := c.GetBatch(ctx, keys); err == nil || !strings.Contains(err.Error(), "httpcache: response exceeds") {
+		t.Fatalf("GetBatch err = %v, want an httpcache response-size error", err)
 	}
-	if calls.Load() != 1 {
-		t.Fatalf("corrupt body retried (%d attempts), must be terminal", calls.Load())
+	if err := c.PutBatch(ctx, keys, [][]backend.Detection{nil}); err == nil || !strings.Contains(err.Error(), "httpcache: response exceeds") {
+		t.Fatalf("PutBatch err = %v, want an httpcache response-size error", err)
+	}
+	if st := c.Stats(); hits.Load() != 2 || st.Requests != 2 || st.Retries != 0 || st.Gets != 0 || st.Puts != 0 {
+		t.Fatalf("endpoint saw %d requests, stats = %+v; an oversized answer must be terminal", hits.Load(), st)
+	}
+}
+
+// canned is an endpoint without a socket: an http.Client whose every request
+// is answered 200 with body, declaring length bytes (-1: undeclared), and a
+// count of the requests it saw.
+func canned(body []byte, length int64) (*http.Client, *atomic.Int64) {
+	hits := new(atomic.Int64)
+	return &http.Client{Transport: roundTripper(func(*http.Request) (*http.Response, error) {
+		hits.Add(1)
+		return &http.Response{
+			StatusCode:    http.StatusOK,
+			Status:        "200 OK",
+			Header:        http.Header{},
+			Body:          io.NopCloser(bytes.NewReader(body)),
+			ContentLength: length,
+		}, nil
+	})}, hits
+}
+
+type roundTripper func(*http.Request) (*http.Response, error)
+
+func (f roundTripper) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestPutBatchLengthMismatch: every Store refuses a PutBatch whose values do
+// not pair up with its keys, before writing anything — storing "seen, no
+// detections" for the unpaired keys would poison a shared tier with
+// permanent false negatives. A nil value for a key stays valid.
+func TestPutBatchLengthMismatch(t *testing.T) {
+	remote, _, _ := loopback(t)
+	stores := []struct {
+		name  string
+		store cachestore.Store
+	}{
+		{"Local", cachestore.NewLocal(64)},
+		{"Tiered", cachestore.NewTiered(cachestore.NewLocal(64), cachestore.NewLocal(64))},
+		{"httpcache.Client", remote},
+	}
+	ctx := context.Background()
+	keys := []cachestore.Key{{Content: 3, Class: "car", Frame: 0}, {Content: 3, Class: "car", Frame: 1}}
+	for _, s := range stores {
+		for _, vals := range [][][]backend.Detection{nil, {dets(0)}, {dets(0), nil, nil}} {
+			if err := s.store.PutBatch(ctx, keys, vals); err == nil {
+				t.Errorf("%s: PutBatch accepted %d values for %d keys", s.name, len(vals), len(keys))
+			}
+		}
+		got, err := s.store.GetBatch(ctx, keys)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if got[0].Found || got[1].Found {
+			t.Errorf("%s: a refused PutBatch wrote entries: %+v", s.name, got)
+		}
+		if err := s.store.PutBatch(ctx, keys, [][]backend.Detection{dets(0), nil}); err != nil {
+			t.Fatalf("%s: matched PutBatch with a nil value: %v", s.name, err)
+		}
+		got, err = s.store.GetBatch(ctx, keys)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if !got[0].Found || len(got[0].Dets) != 1 || !got[1].Found || got[1].Dets != nil {
+			t.Errorf("%s: entries = %+v, want one detection and a memoized empty", s.name, got)
+		}
 	}
 }
 
@@ -243,7 +319,7 @@ func TestHandlerRejects(t *testing.T) {
 	}
 	manyJSON, _ := json.Marshal(map[string]any{"keys": manyKeys})
 
-	bigDets := make([]wireDetection, 2000)
+	bigDets := make([]batchwire.Detection, 2000)
 	bigEntry, _ := json.Marshal(map[string]any{"entries": []any{map[string]any{"key": goodKey, "dets": bigDets}}})
 
 	cases := []struct {
@@ -278,8 +354,8 @@ func TestHandlerRejects(t *testing.T) {
 		t.Errorf("GET /get: status %d, want 405", resp.StatusCode)
 	}
 
-	// An oversized body (beyond maxRequestBytes) is rejected, not decoded.
-	huge := `{"keys": ["` + strings.Repeat("x", maxRequestBytes) + `"]}`
+	// An oversized body (beyond MaxRequestBytes) is rejected, not decoded.
+	huge := `{"keys": ["` + strings.Repeat("x", batchwire.MaxRequestBytes) + `"]}`
 	resp2 := postJSON(t, srv.URL+"/get", huge)
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized body: status %d, want 400", resp2.StatusCode)

@@ -4,9 +4,8 @@ import (
 	"context"
 
 	"github.com/exsample/exsample/backend"
+	"github.com/exsample/exsample/internal/batchwire"
 	"github.com/exsample/exsample/internal/cache"
-	"github.com/exsample/exsample/internal/geom"
-	"github.com/exsample/exsample/internal/track"
 )
 
 // Local is the in-process tier: a Store over the bounded sharded LRU that
@@ -44,20 +43,20 @@ func (l *Local) GetBatch(_ context.Context, keys []Key) ([]Entry, error) {
 	out := make([]Entry, len(keys))
 	for i, k := range keys {
 		if dets, ok := l.c.Get(cacheKey(k)); ok {
-			out[i] = Entry{Found: true, Dets: toBackend(dets)}
+			out[i] = Entry{Found: true, Dets: batchwire.ToBackend(dets)}
 		}
 	}
 	return out, nil
 }
 
-// PutBatch implements Store.
+// PutBatch implements Store. Each entry is stored under its key's frame
+// whatever Frame its detections echo (see batchwire.ToTrack).
 func (l *Local) PutBatch(_ context.Context, keys []Key, vals [][]backend.Detection) error {
+	if err := checkPut(keys, vals); err != nil {
+		return err
+	}
 	for i, k := range keys {
-		var v []backend.Detection
-		if i < len(vals) {
-			v = vals[i]
-		}
-		l.c.Put(cacheKey(k), toTrack(k.Frame, v))
+		l.c.Put(cacheKey(k), batchwire.ToTrack(k.Frame, vals[i]))
 	}
 	return nil
 }
@@ -90,43 +89,4 @@ func (l *Local) Stats() Stats {
 // memo cache.
 func cacheKey(k Key) cache.Key {
 	return cache.Key{Source: k.Content, Class: k.Class, Frame: k.Frame}
-}
-
-// toBackend converts internal detections to the public wire type.
-func toBackend(dets []track.Detection) []backend.Detection {
-	if len(dets) == 0 {
-		return nil
-	}
-	out := make([]backend.Detection, len(dets))
-	for i, d := range dets {
-		out[i] = backend.Detection{
-			Frame:   d.Frame,
-			Class:   d.Class,
-			Box:     backend.Box{X1: d.Box.X1, Y1: d.Box.Y1, X2: d.Box.X2, Y2: d.Box.Y2},
-			Score:   d.Score,
-			TruthID: d.TruthID,
-		}
-	}
-	return out
-}
-
-// toTrack converts wire detections to the internal type, forcing the frame
-// index: per the Store contract an entry holds its key's frame, so an
-// echoed Frame field from a confused (or corrupted) remote store cannot
-// misroute detections.
-func toTrack(frame int64, dets []backend.Detection) []track.Detection {
-	if len(dets) == 0 {
-		return nil
-	}
-	out := make([]track.Detection, len(dets))
-	for i, d := range dets {
-		out[i] = track.Detection{
-			Frame:   frame,
-			Class:   d.Class,
-			Box:     geom.Box{X1: d.Box.X1, Y1: d.Box.Y1, X2: d.Box.X2, Y2: d.Box.Y2},
-			Score:   d.Score,
-			TruthID: d.TruthID,
-		}
-	}
-	return out
 }

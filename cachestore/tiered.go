@@ -495,6 +495,9 @@ func (t *Tiered) GetBatch(ctx context.Context, keys []Key) ([]Entry, error) {
 // PutBatch implements Store: write-through to both tiers. An L2 write
 // failure is dropped and counted, matching the lookup path's degradation.
 func (t *Tiered) PutBatch(ctx context.Context, keys []Key, vals [][]backend.Detection) error {
+	if err := checkPut(keys, vals); err != nil {
+		return err
+	}
 	if err := t.l1.PutBatch(ctx, keys, vals); err != nil {
 		return err
 	}

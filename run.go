@@ -7,6 +7,7 @@ import (
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/cachestore"
 	"github.com/exsample/exsample/internal/baseline"
+	"github.com/exsample/exsample/internal/batchwire"
 	"github.com/exsample/exsample/internal/cache"
 	"github.com/exsample/exsample/internal/core"
 	"github.com/exsample/exsample/internal/detect"
@@ -903,7 +904,7 @@ func detectFramesTiered(ctx context.Context, detector detect.BatchDetector, tier
 		dets := make([][]backend.Detection, len(miss))
 		costs := make([]float64, len(miss))
 		for k, fo := range fouts {
-			dets[k] = trackToBackend(fo.Dets)
+			dets[k] = batchwire.ToBackend(fo.Dets)
 			costs[k] = fo.Cost
 		}
 		return dets, costs, nil
@@ -917,7 +918,7 @@ func detectFramesTiered(ctx context.Context, detector detect.BatchDetector, tier
 		missIdx = scr.missIdx[:0]
 	}
 	for i, o := range res {
-		dets := backendToTrack(frames[i], o.Dets)
+		dets := batchwire.ToTrack(frames[i], o.Dets)
 		switch o.Where {
 		case cachestore.TierDetector:
 			out[i] = frameResult{dets: dets, cost: o.Cost}
