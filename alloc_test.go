@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/internal/cache"
 )
 
@@ -65,5 +66,42 @@ func TestDetectOneScratchReuse(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("memo-hit detectOne allocates %.2f objects/call, want 0", allocs)
+	}
+}
+
+// stubBackend answers every frame with the same preallocated slices and
+// allocates nothing itself.
+type stubBackend struct{ out [][]backend.Detection }
+
+func (b *stubBackend) DetectBatch(_ context.Context, _ string, frames []int64) ([][]backend.Detection, error) {
+	return b.out[:len(frames)], nil
+}
+
+func (b *stubBackend) Hints() backend.Hints { return backend.Hints{CostSeconds: 0.01} }
+
+// TestBackendAdapterAllocsIndependentOfDetections: the backend adapter hands
+// a conforming backend's detection slices to the pipeline as they are, so a
+// batch costs the same allocations whether its frames carry no detections or
+// eight each.
+func TestBackendAdapterAllocsIndependentOfDetections(t *testing.T) {
+	frames := []int64{10, 20, 30, 40}
+	empty := &stubBackend{out: make([][]backend.Detection, len(frames))}
+	full := &stubBackend{out: make([][]backend.Detection, len(frames))}
+	for i, f := range frames {
+		for k := 0; k < 8; k++ {
+			full.out[i] = append(full.out[i], backend.Detection{Frame: f, Class: "car", Score: 0.5, TruthID: k})
+		}
+	}
+	ctx := context.Background()
+	measure := func(b backend.Backend) float64 {
+		bd := newBackendDetector(b, "car")
+		return testing.AllocsPerRun(200, func() {
+			if _, err := bd.DetectBatch(ctx, frames); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if e, f := measure(empty), measure(full); e != f {
+		t.Fatalf("adapter allocates %.2f objects/batch with no detections, %.2f with 8 per frame", e, f)
 	}
 }

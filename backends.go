@@ -70,7 +70,7 @@ func (bd *backendDetector) DetectBatch(ctx context.Context, frames []int64) ([]d
 			if costs != nil {
 				cost = costs[i]
 			}
-			out = append(out, detect.FrameOutput{Dets: batchwire.ToTrack(frame, dets[i]), Cost: cost})
+			out = append(out, detect.FrameOutput{Dets: batchwire.PinFrame(frame, dets[i]), Cost: cost})
 		}
 		start = end
 	}
@@ -120,7 +120,7 @@ func (b *simBackend) DetectBatch(ctx context.Context, class string, frames []int
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out[i] = batchwire.ToBackend(det.Detect(frame))
+		out[i] = det.Detect(frame)
 	}
 	return out, nil
 }

@@ -15,7 +15,10 @@
 // Values are []backend.Detection — the public wire type — so a remote store
 // round-trips exactly what a remote detector would have produced, and a
 // query served from the tier reports byte-identical results to one that
-// paid for the inference.
+// paid for the inference. The in-process tiers hold and return those slices
+// as they are, shared between every query and singleflight waiter that
+// resolves the key: a stored or returned detection slice is read-only for
+// both sides after the call.
 package cachestore
 
 import (
@@ -123,6 +126,9 @@ type Entry struct {
 // otherwise memoize "seen, nothing found" for the unpaired keys — permanent
 // false negatives for everyone sharing the tier — so PutBatch returns an
 // error and writes nothing.
+//
+// Detection slices are shared, not copied: after the call, neither side may
+// modify a slice passed to PutBatch or returned (in an Entry) by GetBatch.
 //
 // Implementations must be safe for concurrent use; detector output is
 // deterministic per key, so concurrent puts of the same key are benign.

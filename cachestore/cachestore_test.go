@@ -125,6 +125,34 @@ func TestLocalForcesKeyFrame(t *testing.T) {
 	}
 }
 
+// TestLocalGetBatchAllHitsAllocs: a Local lookup shares the cached slices
+// with the caller, so an all-hit batch allocates its []Entry and nothing
+// per detection.
+func TestLocalGetBatchAllHitsAllocs(t *testing.T) {
+	l := NewLocal(1024)
+	ctx := context.Background()
+	keys := make([]Key, 16)
+	vals := make([][]backend.Detection, len(keys))
+	for i := range keys {
+		keys[i] = Key{Content: 7, Class: "car", Frame: int64(i)}
+		for k := 0; k < 8; k++ {
+			vals[i] = append(vals[i], det(int64(i), 0.5))
+		}
+	}
+	if err := l.PutBatch(ctx, keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		got, err := l.GetBatch(ctx, keys)
+		if err != nil || !got[len(got)-1].Found {
+			t.Fatalf("GetBatch = %+v, %v; want all hits", got, err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("all-hit GetBatch allocates %.2f objects/batch, want 1 (its []Entry)", allocs)
+	}
+}
+
 // fillFromMap is a test fill that serves from a fixed map and counts calls
 // per key.
 type fillCounter struct {

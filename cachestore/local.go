@@ -37,26 +37,26 @@ func WrapCache(c *cache.Cache) *Local {
 	return &Local{c: c}
 }
 
-// GetBatch implements Store. The returned detections are converted copies
-// of the cached values, so callers may retain them freely.
+// GetBatch implements Store. The returned detections are the cached slices
+// themselves, shared with every other reader: do not modify them.
 func (l *Local) GetBatch(_ context.Context, keys []Key) ([]Entry, error) {
 	out := make([]Entry, len(keys))
 	for i, k := range keys {
 		if dets, ok := l.c.Get(cacheKey(k)); ok {
-			out[i] = Entry{Found: true, Dets: batchwire.ToBackend(dets)}
+			out[i] = Entry{Found: true, Dets: dets}
 		}
 	}
 	return out, nil
 }
 
 // PutBatch implements Store. Each entry is stored under its key's frame
-// whatever Frame its detections echo (see batchwire.ToTrack).
+// whatever Frame its detections echo (see batchwire.PinFrame).
 func (l *Local) PutBatch(_ context.Context, keys []Key, vals [][]backend.Detection) error {
 	if err := checkPut(keys, vals); err != nil {
 		return err
 	}
 	for i, k := range keys {
-		l.c.Put(cacheKey(k), batchwire.ToTrack(k.Frame, vals[i]))
+		l.c.Put(cacheKey(k), batchwire.PinFrame(k.Frame, vals[i]))
 	}
 	return nil
 }

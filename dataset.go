@@ -8,7 +8,6 @@ import (
 
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/internal/baseline"
-	"github.com/exsample/exsample/internal/batchwire"
 	"github.com/exsample/exsample/internal/costmodel"
 	"github.com/exsample/exsample/internal/datasets"
 	"github.com/exsample/exsample/internal/detect"
@@ -459,7 +458,7 @@ func (a *frameDetectorAdapter) Detect(frame int64) []Detection {
 	if err != nil || len(outs) != 1 {
 		return nil
 	}
-	return batchwire.ToBackend(outs[0].Dets)
+	return outs[0].Dets
 }
 
 // CostSeconds implements Detector.

@@ -40,9 +40,10 @@
 //
 // # Detections
 //
-// Detection is the one wire form of a detection, and the converters in
-// detection.go are the only code that maps between it, the public
-// backend.Detection and the pipeline's track.Detection.
+// Detection is the one wire form of a detection; ToWire and FromWire are the
+// only code that maps between it and backend.Detection, the one in-memory
+// form, and PinFrame is the one place a result's Frame is forced to the
+// frame it was requested or stored for.
 package batchwire
 
 import (

@@ -1,10 +1,6 @@
 package batchwire
 
-import (
-	"github.com/exsample/exsample/backend"
-	"github.com/exsample/exsample/internal/geom"
-	"github.com/exsample/exsample/internal/track"
-)
+import "github.com/exsample/exsample/backend"
 
 // Detection is the wire form of one detection, the same in both protocols:
 // a cache entry round-trips exactly what a remote detector would have
@@ -55,43 +51,25 @@ func FromWire(dets []Detection) []backend.Detection {
 	return out
 }
 
-// ToBackend converts the pipeline's detections to the public type.
-func ToBackend(dets []track.Detection) []backend.Detection {
+// PinFrame returns dets with every Frame equal to frame, the frame they
+// were requested (or stored) for. Both contracts fix that frame by position
+// — Backend results[i] holds frames[i]'s detections, a Store entry holds its
+// key's frame — so the echoed Frame field is advisory, and a confused
+// backend or a corrupted remote store cannot misroute detections.
+// Conforming input is returned as is and never written; a mismatch is
+// corrected on a copy. Nothing found is nil.
+func PinFrame(frame int64, dets []backend.Detection) []backend.Detection {
 	if len(dets) == 0 {
 		return nil
 	}
-	out := make([]backend.Detection, len(dets))
-	for i, d := range dets {
-		out[i] = backend.Detection{
-			Frame:   d.Frame,
-			Class:   d.Class,
-			Box:     backend.Box{X1: d.Box.X1, Y1: d.Box.Y1, X2: d.Box.X2, Y2: d.Box.Y2},
-			Score:   d.Score,
-			TruthID: d.TruthID,
+	for i := range dets {
+		if dets[i].Frame != frame {
+			out := append([]backend.Detection(nil), dets...)
+			for j := range out {
+				out[j].Frame = frame
+			}
+			return out
 		}
 	}
-	return out
-}
-
-// ToTrack converts public detections to the pipeline's type, forcing Frame
-// to the frame they were requested (or stored) for. Both contracts fix that
-// frame by position — Backend results[i] holds frames[i]'s detections, a
-// Store entry holds its key's frame — so the echoed Frame field is advisory,
-// and a confused backend or a corrupted remote store cannot misroute
-// detections.
-func ToTrack(frame int64, dets []backend.Detection) []track.Detection {
-	if len(dets) == 0 {
-		return nil
-	}
-	out := make([]track.Detection, len(dets))
-	for i, d := range dets {
-		out[i] = track.Detection{
-			Frame:   frame,
-			Class:   d.Class,
-			Box:     geom.Box{X1: d.Box.X1, Y1: d.Box.Y1, X2: d.Box.X2, Y2: d.Box.Y2},
-			Score:   d.Score,
-			TruthID: d.TruthID,
-		}
-	}
-	return out
+	return dets
 }

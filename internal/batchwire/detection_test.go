@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"github.com/exsample/exsample/backend"
-	"github.com/exsample/exsample/internal/geom"
-	"github.com/exsample/exsample/internal/track"
 )
 
 // TestWireBytes pins the wire form of a detection, and the one difference
@@ -43,22 +41,30 @@ func TestWireBytes(t *testing.T) {
 	}
 }
 
-// TestTrackConversions: ToBackend copies every field; ToTrack copies every
-// field but Frame, which it forces to the frame the caller asked about.
-func TestTrackConversions(t *testing.T) {
-	in := []track.Detection{{Frame: 17, Class: "car", Box: geom.Box{X1: 1, Y1: 2, X2: 3, Y2: 4}, Score: 0.5, TruthID: -1}}
-	pub := ToBackend(in)
-	want := []backend.Detection{{Frame: 17, Class: "car", Box: backend.Box{X1: 1, Y1: 2, X2: 3, Y2: 4}, Score: 0.5, TruthID: -1}}
-	if !reflect.DeepEqual(pub, want) {
-		t.Fatalf("ToBackend = %+v, want %+v", pub, want)
+// TestPinFrame: conforming input comes back as the identical slice, a wrong
+// echoed Frame is corrected on a copy with the input left intact, and
+// nothing found is nil.
+func TestPinFrame(t *testing.T) {
+	in := []backend.Detection{
+		{Frame: 17, Class: "car", Box: backend.Box{X1: 1, Y1: 2, X2: 3, Y2: 4}, Score: 0.5, TruthID: -1},
+		{Frame: 17, Class: "car", Box: backend.Box{X1: 5, Y1: 6, X2: 7, Y2: 8}, Score: 0.25, TruthID: 3},
 	}
-	if back := ToTrack(17, pub); !reflect.DeepEqual(back, in) {
-		t.Fatalf("ToTrack(17, ToBackend(x)) = %+v, want %+v", back, in)
+	if got := PinFrame(17, in); len(got) != len(in) || &got[0] != &in[0] {
+		t.Fatalf("PinFrame(17, conforming) = %+v, want the input slice itself", got)
 	}
-	if moved := ToTrack(99, pub); moved[0].Frame != 99 {
-		t.Fatalf("ToTrack(99, …) kept the echoed frame %d", moved[0].Frame)
+	for _, wrong := range []int{0, 1} {
+		echoed := append([]backend.Detection(nil), in...)
+		echoed[wrong].Frame = 99
+		snap := append([]backend.Detection(nil), echoed...)
+		got := PinFrame(17, echoed)
+		if !reflect.DeepEqual(got, in) {
+			t.Errorf("PinFrame(17, wrong echo at %d) = %+v, want %+v", wrong, got, in)
+		}
+		if !reflect.DeepEqual(echoed, snap) {
+			t.Errorf("PinFrame wrote through its input: %+v, was %+v", echoed, snap)
+		}
 	}
-	if ToBackend(nil) != nil || ToTrack(0, nil) != nil {
-		t.Error("conversions of nothing found must be nil")
+	if PinFrame(0, nil) != nil || PinFrame(0, []backend.Detection{}) != nil {
+		t.Error("PinFrame of nothing found must be nil")
 	}
 }

@@ -381,7 +381,7 @@ func (e *Engine) Close() {
 			h.parked = false
 			e.active = append(e.active, h)
 		}
-		e.parked = e.parked[:0]
+		e.parked = nil
 		e.cond.Signal()
 	}
 	e.mu.Unlock()
@@ -768,12 +768,7 @@ func (e *Engine) park(h *Handle) bool {
 		h.wakePending = false
 		return false
 	}
-	for i, a := range e.active {
-		if a == h {
-			e.active = append(e.active[:i], e.active[i+1:]...)
-			break
-		}
-	}
+	e.active = removeHandle(e.active, h)
 	h.parked = true
 	e.parked = append(e.parked, h)
 	e.parks.Add(1)
@@ -793,26 +788,31 @@ func (e *Engine) wake(h *Handle) {
 	}
 	h.parked = false
 	h.wakePending = false
-	for i, a := range e.parked {
-		if a == h {
-			e.parked = append(e.parked[:i], e.parked[i+1:]...)
-			break
-		}
-	}
+	e.parked = removeHandle(e.parked, h)
 	e.active = append(e.active, h)
 	e.wakes.Add(1)
 	e.cond.Signal()
 }
 
+// removeHandle splices h out of s and clears the vacated tail slot, so the
+// backing array does not keep a removed handle — and through it the query's
+// whole pipeline — reachable while the engine idles.
+func removeHandle(s []*Handle, h *Handle) []*Handle {
+	for i, a := range s {
+		if a == h {
+			last := len(s) - 1
+			copy(s[i:], s[i+1:])
+			s[last] = nil
+			return s[:last]
+		}
+	}
+	return s
+}
+
 // finalize removes a handle from the schedule and publishes its outcome.
 func (e *Engine) finalize(h *Handle, reason Reason, err error) {
 	e.mu.Lock()
-	for i, a := range e.active {
-		if a == h {
-			e.active = append(e.active[:i], e.active[i+1:]...)
-			break
-		}
-	}
+	e.active = removeHandle(e.active, h)
 	e.mu.Unlock()
 	h.reason, h.err = reason, err
 	h.q.Finalize()

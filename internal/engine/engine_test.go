@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -359,4 +360,36 @@ func TestEngineManyQueriesAllComplete(t *testing.T) {
 			t.Fatalf("query %d applied %d, want %d", i, queries[i].applied, 10+i)
 		}
 	}
+}
+
+// TestEngineReleasesFinalizedQuery: once a query is finalized and its handle
+// dropped, nothing in an open, idle engine keeps the Query value reachable —
+// the schedule's backing arrays included.
+func TestEngineReleasesFinalizedQuery(t *testing.T) {
+	e := New(Config{Workers: 2, FramesPerRound: 3})
+	defer e.Close()
+
+	collected := make(chan struct{})
+	func() {
+		q := &fakeQuery{total: 10}
+		runtime.SetFinalizer(q, func(*fakeQuery) { close(collected) })
+		h, err := e.Submit(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	// The scheduler may still be unwinding the final round when Wait
+	// returns, and a finalizer runs one cycle after the object dies.
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("finalized query still reachable from the idle engine")
 }

@@ -3,67 +3,15 @@
 // intersection-over-union, interpolation, and jitter.
 package geom
 
-import "math"
+import "github.com/exsample/exsample/backend"
 
-// Box is an axis-aligned bounding box in pixel coordinates. X1,Y1 is the
-// top-left corner and X2,Y2 the bottom-right; a valid box has X1 <= X2 and
-// Y1 <= Y2.
-type Box struct {
-	X1, Y1, X2, Y2 float64
-}
+// Box is the public backend.Box: the simulated detector, the discriminator
+// and the Backend API share one box type, whose methods live with it.
+type Box = backend.Box
 
 // Rect constructs a box from a corner plus width and height.
 func Rect(x, y, w, h float64) Box {
 	return Box{X1: x, Y1: y, X2: x + w, Y2: y + h}
-}
-
-// Valid reports whether the box is well-formed (non-negative extent and no
-// NaN coordinates).
-func (b Box) Valid() bool {
-	if math.IsNaN(b.X1) || math.IsNaN(b.Y1) || math.IsNaN(b.X2) || math.IsNaN(b.Y2) {
-		return false
-	}
-	return b.X1 <= b.X2 && b.Y1 <= b.Y2
-}
-
-// Width returns the horizontal extent of the box.
-func (b Box) Width() float64 { return b.X2 - b.X1 }
-
-// Height returns the vertical extent of the box.
-func (b Box) Height() float64 { return b.Y2 - b.Y1 }
-
-// Area returns the area of the box; it is zero for degenerate boxes.
-func (b Box) Area() float64 {
-	if !b.Valid() {
-		return 0
-	}
-	return b.Width() * b.Height()
-}
-
-// Center returns the box's center point.
-func (b Box) Center() (x, y float64) {
-	return (b.X1 + b.X2) / 2, (b.Y1 + b.Y2) / 2
-}
-
-// Intersect returns the intersection of two boxes. If the boxes do not
-// overlap the result has zero area (and may be invalid).
-func (b Box) Intersect(o Box) Box {
-	return Box{
-		X1: math.Max(b.X1, o.X1),
-		Y1: math.Max(b.Y1, o.Y1),
-		X2: math.Min(b.X2, o.X2),
-		Y2: math.Min(b.Y2, o.Y2),
-	}
-}
-
-// Union returns the smallest box containing both boxes.
-func (b Box) Union(o Box) Box {
-	return Box{
-		X1: math.Min(b.X1, o.X1),
-		Y1: math.Min(b.Y1, o.Y1),
-		X2: math.Max(b.X2, o.X2),
-		Y2: math.Max(b.Y2, o.Y2),
-	}
 }
 
 // IoU returns the intersection-over-union of two boxes, in [0, 1]. Two
@@ -94,28 +42,4 @@ func Lerp(a, b Box, t float64) Box {
 		X2: a.X2 + (b.X2-a.X2)*t,
 		Y2: a.Y2 + (b.Y2-a.Y2)*t,
 	}
-}
-
-// Translate returns the box shifted by (dx, dy).
-func (b Box) Translate(dx, dy float64) Box {
-	return Box{X1: b.X1 + dx, Y1: b.Y1 + dy, X2: b.X2 + dx, Y2: b.Y2 + dy}
-}
-
-// Scale returns the box scaled about its center by factor s (> 0).
-func (b Box) Scale(s float64) Box {
-	cx, cy := b.Center()
-	hw := b.Width() / 2 * s
-	hh := b.Height() / 2 * s
-	return Box{X1: cx - hw, Y1: cy - hh, X2: cx + hw, Y2: cy + hh}
-}
-
-// Clip returns the box clipped to the frame [0,w]x[0,h].
-func (b Box) Clip(w, h float64) Box {
-	c := Box{
-		X1: math.Max(0, math.Min(b.X1, w)),
-		Y1: math.Max(0, math.Min(b.Y1, h)),
-		X2: math.Max(0, math.Min(b.X2, w)),
-		Y2: math.Max(0, math.Min(b.Y2, h)),
-	}
-	return c
 }

@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-func box(vals ...float64) Box { return Box{vals[0], vals[1], vals[2], vals[3]} }
+func box(vals ...float64) Box { return Box{X1: vals[0], Y1: vals[1], X2: vals[2], Y2: vals[3]} }
 
 func TestRect(t *testing.T) {
 	b := Rect(10, 20, 30, 40)
@@ -28,7 +28,7 @@ func TestAreaAndValidity(t *testing.T) {
 	if a := box(2, 0, 0, 3).Area(); a != 0 {
 		t.Errorf("invalid box area = %v", a)
 	}
-	if (Box{math.NaN(), 0, 1, 1}).Valid() {
+	if (Box{X1: math.NaN(), Y1: 0, X2: 1, Y2: 1}).Valid() {
 		t.Error("NaN box reported valid")
 	}
 }
@@ -74,7 +74,7 @@ func genBox(v [4]float64) Box {
 	}
 	x1, y1 := norm(v[0]), norm(v[1])
 	w, h := norm(v[2])+0.001, norm(v[3])+0.001
-	return Box{x1, y1, x1 + w, y1 + h}
+	return Box{X1: x1, Y1: y1, X2: x1 + w, Y2: y1 + h}
 }
 
 func TestIoUProperties(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/internal/geom"
 )
 
@@ -192,16 +193,9 @@ func SortByStart(instances []Instance) {
 	})
 }
 
-// Detection is a single detector output: a box with a class label and a
-// confidence score, tied to the frame it was computed on.
-type Detection struct {
-	Frame int64
-	Class string
-	Box   geom.Box
-	Score float64
-	// TruthID is the ground-truth instance the detection came from, or -1
-	// for a false positive. It is used only by the evaluation to compute
-	// recall — the sampler and the discriminator never read it, mirroring
-	// the paper's setting where instance identity is unknown at query time.
-	TruthID int
-}
+// Detection is the public backend.Detection: the pipeline, the caches and
+// the Backend API share one detection type, so results cross them without
+// conversion. TruthID is read only by the evaluation, to compute recall —
+// the sampler and the discriminator never read it, mirroring the paper's
+// setting where instance identity is unknown at query time.
+type Detection = backend.Detection

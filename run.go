@@ -904,7 +904,7 @@ func detectFramesTiered(ctx context.Context, detector detect.BatchDetector, tier
 		dets := make([][]backend.Detection, len(miss))
 		costs := make([]float64, len(miss))
 		for k, fo := range fouts {
-			dets[k] = batchwire.ToBackend(fo.Dets)
+			dets[k] = fo.Dets
 			costs[k] = fo.Cost
 		}
 		return dets, costs, nil
@@ -918,7 +918,7 @@ func detectFramesTiered(ctx context.Context, detector detect.BatchDetector, tier
 		missIdx = scr.missIdx[:0]
 	}
 	for i, o := range res {
-		dets := batchwire.ToTrack(frames[i], o.Dets)
+		dets := batchwire.PinFrame(frames[i], o.Dets)
 		switch o.Where {
 		case cachestore.TierDetector:
 			out[i] = frameResult{dets: dets, cost: o.Cost}
@@ -971,7 +971,7 @@ func (r *queryRun) apply(p core.Pick, fr frameResult) (StepInfo, error) {
 			ObjectID: len(rep.Results),
 			Frame:    det.Frame,
 			Class:    det.Class,
-			Box:      Box{X1: det.Box.X1, Y1: det.Box.Y1, X2: det.Box.X2, Y2: det.Box.Y2},
+			Box:      det.Box,
 			Score:    det.Score,
 		}
 		rep.Results = append(rep.Results, res)
