@@ -221,7 +221,9 @@ func TestAdaptiveRoundsSharded(t *testing.T) {
 func TestAdaptiveObserveSkipsMemoHits(t *testing.T) {
 	ds := smallDataset(t, WithPerfectDetector())
 	caches := map[string]func() cacheConfig{
-		"memo": func() cacheConfig { return cacheConfig{memo: cache.New(1 << 12)} },
+		"memo": func() cacheConfig {
+			return cacheConfig{tier: cachestore.NewTiered(cachestore.WrapCache(cache.New(1<<12)), nil)}
+		},
 		"tier": func() cacheConfig {
 			l1 := cachestore.WrapCache(cache.New(1 << 12))
 			return cacheConfig{tier: cachestore.NewTiered(l1, cachestore.NewLocal(1<<12))}

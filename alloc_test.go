@@ -5,17 +5,19 @@ import (
 	"testing"
 
 	"github.com/exsample/exsample/backend"
+	"github.com/exsample/exsample/cachestore"
 	"github.com/exsample/exsample/internal/cache"
 )
 
 // TestDetectBatchMemoHitAllocFree: once every frame of a batch is resident
-// in the cross-query memo cache, detectBatchInto through a warm scratch
-// resolves the whole batch locally without a single allocation — the
-// steady state of overlapping engine queries sharing a cache.
+// in the cross-query memo cache (the L1 of the run's tier), detectBatchInto
+// through a warm scratch resolves the whole batch locally — the tier's
+// FetchBatch included — without a single allocation: the steady state of
+// overlapping engine queries sharing a cache.
 func TestDetectBatchMemoHitAllocFree(t *testing.T) {
 	ds := smallDataset(t, WithPerfectDetector())
 	memo := cache.New(1 << 12)
-	run, err := newQueryRun(ds, Query{Class: "car", Limit: 10}, Options{Seed: 3}, cacheConfig{memo: memo}, false)
+	run, err := newQueryRun(ds, Query{Class: "car", Limit: 10}, Options{Seed: 3}, cacheConfig{tier: cachestore.NewTiered(cachestore.WrapCache(memo), nil)}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func TestDetectBatchMemoHitAllocFree(t *testing.T) {
 func TestDetectOneScratchReuse(t *testing.T) {
 	ds := smallDataset(t, WithPerfectDetector())
 	memo := cache.New(1 << 12)
-	run, err := newQueryRun(ds, Query{Class: "car", Limit: 10}, Options{Seed: 3}, cacheConfig{memo: memo}, false)
+	run, err := newQueryRun(ds, Query{Class: "car", Limit: 10}, Options{Seed: 3}, cacheConfig{tier: cachestore.NewTiered(cachestore.WrapCache(memo), nil)}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

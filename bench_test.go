@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure in the paper's evaluation.
 // Each benchmark runs the corresponding experiment harness at a reduced but
-// shape-preserving scale (see DESIGN.md and EXPERIMENTS.md); run with
+// shape-preserving scale; run with
 //
 //	go test -bench=. -benchmem
 //
@@ -174,9 +174,8 @@ func BenchmarkFig6(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation runs the design-choice ablations DESIGN.md calls out:
-// Thompson vs Bayes-UCB vs greedy, random+ vs uniform within chunks, and
-// prior strength.
+// BenchmarkAblation runs the design-choice ablations: Thompson vs Bayes-UCB
+// vs greedy, random+ vs uniform within chunks, and prior strength.
 func BenchmarkAblation(b *testing.B) {
 	cfg := bench.DefaultAblation()
 	cfg.NumInstances = 500

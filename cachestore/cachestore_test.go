@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -150,6 +151,33 @@ func TestLocalGetBatchAllHitsAllocs(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Fatalf("all-hit GetBatch allocates %.2f objects/batch, want 1 (its []Entry)", allocs)
+	}
+}
+
+// TestFetchBatchL1HitsAllocFree: an all-L1-hit FetchBatch over a Local L1
+// with a reused outcome buffer allocates nothing — the per-call index
+// buffers come from the tier's scratch pool and the Local lookup shares the
+// cached slices.
+func TestFetchBatchL1HitsAllocFree(t *testing.T) {
+	tiered := NewTiered(NewLocal(1024), nil)
+	ctx := context.Background()
+	keys := make([]Key, 32)
+	for i := range keys {
+		keys[i] = Key{Content: 8, Class: "car", Frame: int64(i)}
+	}
+	var fc fillCounter
+	fill := fc.fill(keys)
+	out, err := tiered.FetchBatch(ctx, keys, nil, fill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if out, err = tiered.FetchBatch(ctx, keys, out, fill); err != nil || out[0].Where != TierL1 {
+			t.Fatalf("FetchBatch = %+v, %v; want all L1 hits", out[0], err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("all-L1-hit FetchBatch allocates %.2f objects/batch, want 0", allocs)
 	}
 }
 
@@ -357,10 +385,15 @@ func TestSingleflightExactlyOnce(t *testing.T) {
 	for i := range keys {
 		keys[i] = Key{Content: 21, Class: "car", Frame: int64(i)}
 	}
+	const callers = 8
 	var fills atomic.Int64
-	gate := make(chan struct{})
 	slowFill := func(_ context.Context, miss []int) ([][]backend.Detection, []float64, error) {
-		<-gate // hold every leader until all goroutines have fetched
+		// Hold the leader until every caller has missed L1 on every key:
+		// nothing is resident before this fill returns, so from here on the
+		// others can only find the leader's flight, not a finished L1 entry.
+		for tiered.Stats().L1Misses < callers*int64(len(keys)) {
+			runtime.Gosched()
+		}
 		fills.Add(int64(len(miss)))
 		dets := make([][]backend.Detection, len(miss))
 		costs := make([]float64, len(miss))
@@ -369,22 +402,16 @@ func TestSingleflightExactlyOnce(t *testing.T) {
 		}
 		return dets, costs, nil
 	}
-	const callers = 8
 	var wg sync.WaitGroup
-	var started sync.WaitGroup
 	outcomes := make([][]Outcome, callers)
 	errs := make([]error, callers)
 	for c := 0; c < callers; c++ {
 		wg.Add(1)
-		started.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			started.Done()
 			outcomes[c], errs[c] = tiered.FetchBatch(context.Background(), keys, nil, slowFill)
 		}(c)
 	}
-	started.Wait()
-	close(gate)
 	wg.Wait()
 	for c := 0; c < callers; c++ {
 		if errs[c] != nil {

@@ -42,12 +42,16 @@ func WrapCache(c *cache.Cache) *Local {
 func (l *Local) GetBatch(_ context.Context, keys []Key) ([]Entry, error) {
 	out := make([]Entry, len(keys))
 	for i, k := range keys {
-		if dets, ok := l.c.Get(cacheKey(k)); ok {
+		if dets, ok := l.lookup(k); ok {
 			out[i] = Entry{Found: true, Dets: dets}
 		}
 	}
 	return out, nil
 }
+
+// lookup is the allocation-free single-key read behind GetBatch and a
+// Tiered's L1 pass.
+func (l *Local) lookup(k Key) ([]backend.Detection, bool) { return l.c.Get(cacheKey(k)) }
 
 // PutBatch implements Store. Each entry is stored under its key's frame
 // whatever Frame its detections echo (see batchwire.PinFrame).

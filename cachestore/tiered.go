@@ -36,17 +36,42 @@ type Outcome struct {
 // FillFunc resolves the keys FetchBatch could not serve from any tier: miss
 // holds indexes into the FetchBatch keys slice, and the returned detections
 // and per-key costs must align with miss. It is the seam where the real
-// detector call goes.
+// detector call goes. FetchBatch reads the two returned slices (not the
+// detections inside them, which it shares) only until the fill is called
+// again or FetchBatch returns, so a fill may hand back reused buffers.
 type FillFunc func(ctx context.Context, miss []int) ([][]backend.Detection, []float64, error)
 
-// flight is one in-progress fill for a single key. Waiters block on done;
-// err non-nil means the leader failed (possibly cancelled) and waiters must
-// resolve the key themselves.
+// flight is one leader's in-progress fill for the keys it registered.
+// Waiters find their key's position through the inflight map and block on
+// done; err non-nil means the leader failed (possibly cancelled) and waiters
+// must resolve the key themselves.
 type flight struct {
 	done chan struct{}
-	dets []backend.Detection
-	cost float64
+	dets [][]backend.Detection // by position among the leader's keys
 	err  error
+}
+
+// flightRef locates one key's result inside a leader's flight.
+type flightRef struct {
+	f   *flight
+	pos int
+}
+
+// fetchScratch is one FetchBatch or GetBatch call's reusable index and key
+// buffers, recycled through Tiered's free list so a call allocates nothing
+// of its own in steady state.
+type fetchScratch struct {
+	all, miss, lead, still, retry []int
+	waits                         []waiter
+	keys                          []Key
+	vals                          [][]backend.Detection
+	outs                          []Outcome // GetBatch's outcome buffer
+}
+
+// waiter is one key this caller resolves from another caller's flight.
+type waiter struct {
+	i int
+	flightRef
 }
 
 // Tiered composes a fast local store (L1) with a shared remote store (L2):
@@ -65,11 +90,14 @@ type flight struct {
 // so stores nest: a Tiered can serve as another process's L2 behind an
 // httpcache.Handler.
 type Tiered struct {
-	l1 Store
-	l2 Store // nil disables the remote tier (L1-only, still singleflighted)
+	l1    Store
+	local *Local // l1 when it is a *Local: the allocation-free lookup path
+	l2    Store  // nil disables the remote tier (L1-only, still singleflighted)
 
+	// mu guards inflight and free, the idle call scratches.
 	mu       sync.Mutex
-	inflight map[Key]*flight
+	inflight map[Key]flightRef
+	free     []*fetchScratch
 
 	l1Hits, l1Misses       atomic.Int64
 	l2Hits, l2Misses       atomic.Int64
@@ -89,7 +117,32 @@ func NewTiered(l1, l2 Store) *Tiered {
 	if l1 == nil {
 		panic("cachestore: NewTiered requires an L1 store")
 	}
-	return &Tiered{l1: l1, l2: l2, inflight: make(map[Key]*flight)}
+	t := &Tiered{l1: l1, l2: l2, inflight: make(map[Key]flightRef)}
+	t.local, _ = l1.(*Local)
+	return t
+}
+
+// getScratch takes an idle call scratch (or a new one); putScratch returns
+// it, dropping the detection references it held.
+func (t *Tiered) getScratch() *fetchScratch {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := len(t.free)
+	if n == 0 {
+		return new(fetchScratch)
+	}
+	s := t.free[n-1]
+	t.free = t.free[:n-1]
+	return s
+}
+
+func (t *Tiered) putScratch(s *fetchScratch) {
+	clear(s.vals[:cap(s.vals)])
+	clear(s.waits[:cap(s.waits)])
+	clear(s.outs[:cap(s.outs)])
+	t.mu.Lock()
+	t.free = append(t.free, s)
+	t.mu.Unlock()
 }
 
 // TierStats is a snapshot of a tiered store's counters.
@@ -165,227 +218,226 @@ func (t *Tiered) FetchBatch(ctx context.Context, keys []Key, out []Outcome, fill
 	if fill == nil {
 		return nil, fmt.Errorf("cachestore: FetchBatch requires a fill function")
 	}
-	if cap(out) < len(keys) {
-		out = make([]Outcome, len(keys))
-	}
-	out = out[:len(keys)]
-	for i := range out {
-		out[i] = Outcome{}
-	}
+	out = resetOutcomes(out, len(keys))
 	if len(keys) == 0 {
 		return out, nil
 	}
-
-	// L1.
-	miss := make([]int, 0, len(keys))
-	if entries, err := t.l1.GetBatch(ctx, keys); err == nil && len(entries) == len(keys) {
-		for i, e := range entries {
-			if e.Found {
-				out[i] = Outcome{Dets: e.Dets, Where: TierL1}
-				t.l1Hits.Add(1)
-			} else {
-				t.l1Misses.Add(1)
-				miss = append(miss, i)
-			}
-		}
-	} else {
-		// A failing L1 degrades to all-miss; the fill (and L2) still serve.
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		t.l1Misses.Add(int64(len(keys)))
-		for i := range keys {
-			miss = append(miss, i)
-		}
+	s := t.getScratch()
+	defer t.putScratch(s)
+	if err := t.lookup(ctx, keys, out, s); err != nil {
+		return nil, err
 	}
-
-	// L2: one shared round trip for every L1 miss.
-	if len(miss) > 0 && t.l2 != nil {
-		miss = t.lookupL2(ctx, keys, out, miss)
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-	}
-	if len(miss) == 0 {
+	if len(s.miss) == 0 {
 		return out, nil
 	}
-	if err := t.resolveMisses(ctx, keys, out, miss, fill); err != nil {
+	if err := t.resolveMisses(ctx, keys, out, fill, s); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// lookupL2 issues the remote lookup for the given misses, writes hits
-// through to L1, and returns the indexes still unresolved. A remote error
-// leaves every index a miss (counted, never fatal).
-func (t *Tiered) lookupL2(ctx context.Context, keys []Key, out []Outcome, miss []int) []int {
-	k2 := make([]Key, len(miss))
-	for j, i := range miss {
-		k2[j] = keys[i]
+// resetOutcomes returns buf resized to n zeroed outcomes, reallocating only
+// when its capacity is short.
+func resetOutcomes(buf []Outcome, n int) []Outcome {
+	if cap(buf) < n {
+		return make([]Outcome, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// lookup is the cache half of FetchBatch and GetBatch: L1 for every key,
+// then one L2 round trip for the L1 misses. Hits land in out; s.miss comes
+// back holding the indexes no tier held. The error is the context's, when
+// it ends the lookup.
+func (t *Tiered) lookup(ctx context.Context, keys []Key, out []Outcome, s *fetchScratch) error {
+	s.all = s.all[:0]
+	for i := range keys {
+		s.all = append(s.all, i)
+	}
+	var err error
+	s.miss, err = t.lookupL1(ctx, keys, s.all, out, s.miss[:0], s)
+	if err != nil {
+		return err
+	}
+	t.l1Hits.Add(int64(len(keys) - len(s.miss)))
+	t.l1Misses.Add(int64(len(s.miss)))
+	if len(s.miss) > 0 && t.l2 != nil {
+		t.lookupL2(ctx, keys, out, s)
+		return ctx.Err()
+	}
+	return nil
+}
+
+// lookupL1 reads keys[i] for every i in idxs from L1, writes the hits into
+// out and returns the missed indexes appended to miss. A failing L1
+// degrades to all-miss — the fill (and L2) still serve — unless the
+// context has ended, which is returned.
+func (t *Tiered) lookupL1(ctx context.Context, keys []Key, idxs []int, out []Outcome, miss []int, s *fetchScratch) ([]int, error) {
+	if t.local != nil {
+		for _, i := range idxs {
+			if dets, ok := t.local.lookup(keys[i]); ok {
+				out[i] = Outcome{Dets: dets, Where: TierL1}
+			} else {
+				miss = append(miss, i)
+			}
+		}
+		return miss, nil
+	}
+	s.keys = s.keys[:0]
+	for _, i := range idxs {
+		s.keys = append(s.keys, keys[i])
+	}
+	entries, err := t.l1.GetBatch(ctx, s.keys)
+	if err != nil || len(entries) != len(idxs) {
+		return append(miss, idxs...), ctx.Err()
+	}
+	for j, i := range idxs {
+		if entries[j].Found {
+			out[i] = Outcome{Dets: entries[j].Dets, Where: TierL1}
+		} else {
+			miss = append(miss, i)
+		}
+	}
+	return miss, nil
+}
+
+// lookupL2 issues the remote lookup for s.miss, writes hits into out and
+// through to L1, and leaves s.miss holding the indexes still unresolved. A
+// remote error leaves every index a miss (counted, never fatal).
+func (t *Tiered) lookupL2(ctx context.Context, keys []Key, out []Outcome, s *fetchScratch) {
+	s.keys = s.keys[:0]
+	for _, i := range s.miss {
+		s.keys = append(s.keys, keys[i])
 	}
 	start := time.Now()
-	entries, err := t.l2.GetBatch(ctx, k2)
+	entries, err := t.l2.GetBatch(ctx, s.keys)
 	t.l2Trips.Add(1)
 	t.observeRTT(time.Since(start))
-	if err != nil || len(entries) != len(miss) {
+	if err != nil || len(entries) != len(s.miss) {
 		t.l2Errors.Add(1)
-		return miss
+		return
 	}
-	rem := miss[:0]
-	var wbKeys []Key
-	var wbVals [][]backend.Detection
-	for j, i := range miss {
+	rem := s.miss[:0]
+	s.keys, s.vals = s.keys[:0], s.vals[:0]
+	for j, i := range s.miss {
 		if entries[j].Found {
 			out[i] = Outcome{Dets: entries[j].Dets, Where: TierL2}
-			t.l2Hits.Add(1)
-			wbKeys = append(wbKeys, keys[i])
-			wbVals = append(wbVals, entries[j].Dets)
+			s.keys = append(s.keys, keys[i])
+			s.vals = append(s.vals, entries[j].Dets)
 		} else {
-			t.l2Misses.Add(1)
 			rem = append(rem, i)
 		}
 	}
-	if len(wbKeys) > 0 {
+	s.miss = rem
+	t.l2Hits.Add(int64(len(s.keys)))
+	t.l2Misses.Add(int64(len(rem)))
+	if len(s.keys) > 0 {
 		// Write-through: the next local lookup for these keys is an L1 hit.
-		_ = t.l1.PutBatch(ctx, wbKeys, wbVals)
+		_ = t.l1.PutBatch(ctx, s.keys, s.vals)
 	}
-	return rem
 }
 
-// resolveMisses runs the singleflight protocol over the unresolved keys:
-// register as leader where no fill is in flight, wait (and merge) where one
-// is. A leader that fails — including one cancelled mid-fill — completes
-// its flights with the error, and its waiters re-resolve those keys with
-// their own fill and their own context, so a dying caller can neither wedge
-// nor poison the others.
-func (t *Tiered) resolveMisses(ctx context.Context, keys []Key, out []Outcome, miss []int, fill FillFunc) error {
-	var lead, waitIdx []int
-	var waits []*flight
+// resolveMisses runs the singleflight protocol over s.miss: register as
+// leader (one flight for every key this caller leads) where no fill is in
+// flight, wait (and merge) where one is. A leader that fails — including
+// one cancelled mid-fill — completes its flight with the error, and its
+// waiters re-resolve those keys with their own fill and their own context,
+// so a dying caller can neither wedge nor poison the others.
+func (t *Tiered) resolveMisses(ctx context.Context, keys []Key, out []Outcome, fill FillFunc, s *fetchScratch) error {
+	s.lead, s.waits = s.lead[:0], s.waits[:0]
+	var f *flight
 	t.mu.Lock()
-	for _, i := range miss {
-		if f, ok := t.inflight[keys[i]]; ok {
-			waitIdx = append(waitIdx, i)
-			waits = append(waits, f)
-		} else {
-			f := &flight{done: make(chan struct{})}
-			t.inflight[keys[i]] = f
-			lead = append(lead, i)
+	for _, i := range s.miss {
+		if ref, ok := t.inflight[keys[i]]; ok {
+			s.waits = append(s.waits, waiter{i: i, flightRef: ref})
+			continue
 		}
+		if f == nil {
+			f = &flight{done: make(chan struct{})}
+		}
+		t.inflight[keys[i]] = flightRef{f: f, pos: len(s.lead)}
+		s.lead = append(s.lead, i)
 	}
 	t.mu.Unlock()
 
 	var leadErr error
-	if len(lead) > 0 {
-		leadErr = t.leadFill(ctx, keys, out, lead, fill)
+	if f != nil {
+		leadErr = t.leadFill(ctx, keys, out, f, fill, s)
 	}
 	// Collect merged results even when our own fill failed — the flights we
 	// wait on belong to other callers and may well succeed.
-	var retry []int
-	for k, f := range waits {
-		i := waitIdx[k]
+	s.retry = s.retry[:0]
+	for _, w := range s.waits {
 		select {
-		case <-f.done:
+		case <-w.f.done:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		if f.err != nil {
-			retry = append(retry, i)
+		if w.f.err != nil {
+			s.retry = append(s.retry, w.i)
 		} else {
-			out[i] = Outcome{Dets: f.dets, Where: TierMerged}
-			t.merges.Add(1)
+			out[w.i] = Outcome{Dets: w.f.dets[w.pos], Where: TierMerged}
 		}
 	}
+	t.merges.Add(int64(len(s.waits) - len(s.retry)))
 	if leadErr != nil {
 		return leadErr
 	}
-	if len(retry) > 0 {
+	if len(s.retry) > 0 {
 		// The leaders we waited on failed; fill directly, without
 		// re-registering — one retry bounds the protocol (no wait chains),
 		// and any error now is our own fill's error.
-		return t.directFill(ctx, keys, out, retry, fill)
+		if err := t.runFill(ctx, keys, out, s.retry, fill, s); err != nil {
+			return err
+		}
+		t.putL2(ctx, keys, out, s.retry, s)
 	}
 	return nil
 }
 
-// leadFill runs the fill for the keys this caller leads, double-checking L1
-// first: a previous leader may have filled (and deregistered) between our
-// L1 miss and our registration, and re-detecting would break the
-// exactly-once guarantee the singleflight tests pin. Flights complete —
-// value or error — before the slow L2 write-through, so waiters never
-// stall behind a remote put they do not need.
-func (t *Tiered) leadFill(ctx context.Context, keys []Key, out []Outcome, lead []int, fill FillFunc) error {
-	// Double-check L1 under our leadership.
-	kk := make([]Key, len(lead))
-	for k, i := range lead {
-		kk[k] = keys[i]
+// leadFill runs the fill for the keys this caller leads (s.lead),
+// double-checking L1 first: a previous leader may have filled (and
+// deregistered) between our L1 miss and our registration, and re-detecting
+// would break the exactly-once guarantee the singleflight tests pin. A key
+// the double-check finds counts as the L1 hit it turned out to be. The
+// flight completes — value or error — before the slow L2 write-through, so
+// waiters never stall behind a remote put they do not need.
+func (t *Tiered) leadFill(ctx context.Context, keys []Key, out []Outcome, f *flight, fill FillFunc, s *fetchScratch) error {
+	s.still, _ = t.lookupL1(ctx, keys, s.lead, out, s.still[:0], s)
+	if hits := int64(len(s.lead) - len(s.still)); hits > 0 {
+		t.l1Hits.Add(hits)
+		t.l1Misses.Add(-hits)
 	}
-	still := lead[:0]
-	if entries, err := t.l1.GetBatch(ctx, kk); err == nil && len(entries) == len(lead) {
-		for k, i := range lead {
-			if entries[k].Found {
-				out[i] = Outcome{Dets: entries[k].Dets, Where: TierL1}
-				t.l1Hits.Add(1)
-				t.completeFlight(keys[i], entries[k].Dets, 0, nil)
-			} else {
-				still = append(still, i)
-			}
-		}
-	} else {
-		still = lead
+	var err error
+	if len(s.still) > 0 {
+		err = t.runFill(ctx, keys, out, s.still, fill, s)
 	}
-	if len(still) == 0 {
-		return nil
+	f.dets = make([][]backend.Detection, len(s.lead))
+	for k, i := range s.lead {
+		f.dets[k] = out[i].Dets
 	}
-
-	dets, costs, err := fill(ctx, still)
-	if err == nil && (len(dets) != len(still) || len(costs) != len(still)) {
-		err = fmt.Errorf("cachestore: fill returned %d detections and %d costs for %d keys", len(dets), len(costs), len(still))
+	f.err = err
+	t.mu.Lock()
+	for _, i := range s.lead {
+		delete(t.inflight, keys[i])
 	}
+	t.mu.Unlock()
+	close(f.done)
 	if err != nil {
-		for _, i := range still {
-			t.completeFlight(keys[i], nil, 0, err)
-		}
 		return err
 	}
-	fk := make([]Key, len(still))
-	for k, i := range still {
-		fk[k] = keys[i]
-	}
-	// L1 write-through happens before the flights complete: a caller that
-	// registers as leader after our deregistration is guaranteed to find
-	// the value locally (the exactly-once invariant, modulo eviction).
-	_ = t.l1.PutBatch(ctx, fk, dets)
-	for k, i := range still {
-		t.completeFlight(keys[i], dets[k], costs[k], nil)
-		out[i] = Outcome{Dets: dets[k], Cost: costs[k], Where: TierDetector}
-	}
-	t.fills.Add(int64(len(still)))
-	if t.l2 != nil {
-		if perr := t.l2.PutBatch(ctx, fk, dets); perr != nil {
-			t.l2PutErrors.Add(1)
-		}
-	}
+	t.putL2(ctx, keys, out, s.still, s)
 	return nil
 }
 
-// completeFlight publishes one led key's result (or error) and deregisters
-// it.
-func (t *Tiered) completeFlight(key Key, dets []backend.Detection, cost float64, err error) {
-	t.mu.Lock()
-	f := t.inflight[key]
-	delete(t.inflight, key)
-	t.mu.Unlock()
-	if f == nil {
-		return
-	}
-	f.dets, f.cost, f.err = dets, cost, err
-	close(f.done)
-}
-
-// directFill serves keys whose leaders failed: a plain fill with this
-// caller's context, written through both tiers, with no singleflight
-// registration (bounded retries beat wait chains).
-func (t *Tiered) directFill(ctx context.Context, keys []Key, out []Outcome, idxs []int, fill FillFunc) error {
+// runFill calls the fill function for keys[i], i in idxs, writes its outcomes
+// into out and through to L1. The L1 write happens before the caller's
+// flight completes: a caller that registers as leader after our
+// deregistration is guaranteed to find the value locally (the exactly-once
+// invariant, modulo eviction).
+func (t *Tiered) runFill(ctx context.Context, keys []Key, out []Outcome, idxs []int, fill FillFunc, s *fetchScratch) error {
 	dets, costs, err := fill(ctx, idxs)
 	if err == nil && (len(dets) != len(idxs) || len(costs) != len(idxs)) {
 		err = fmt.Errorf("cachestore: fill returned %d detections and %d costs for %d keys", len(dets), len(costs), len(idxs))
@@ -393,21 +445,30 @@ func (t *Tiered) directFill(ctx context.Context, keys []Key, out []Outcome, idxs
 	if err != nil {
 		return err
 	}
-	fk := make([]Key, len(idxs))
+	s.keys = s.keys[:0]
 	for k, i := range idxs {
-		fk[k] = keys[i]
-	}
-	_ = t.l1.PutBatch(ctx, fk, dets)
-	for k, i := range idxs {
+		s.keys = append(s.keys, keys[i])
 		out[i] = Outcome{Dets: dets[k], Cost: costs[k], Where: TierDetector}
 	}
+	_ = t.l1.PutBatch(ctx, s.keys, dets)
 	t.fills.Add(int64(len(idxs)))
-	if t.l2 != nil {
-		if perr := t.l2.PutBatch(ctx, fk, dets); perr != nil {
-			t.l2PutErrors.Add(1)
-		}
-	}
 	return nil
+}
+
+// putL2 writes filled keys through to the remote tier so the whole fleet
+// inherits them; a failure is dropped and counted.
+func (t *Tiered) putL2(ctx context.Context, keys []Key, out []Outcome, idxs []int, s *fetchScratch) {
+	if t.l2 == nil || len(idxs) == 0 {
+		return
+	}
+	s.keys, s.vals = s.keys[:0], s.vals[:0]
+	for _, i := range idxs {
+		s.keys = append(s.keys, keys[i])
+		s.vals = append(s.vals, out[i].Dets)
+	}
+	if err := t.l2.PutBatch(ctx, s.keys, s.vals); err != nil {
+		t.l2PutErrors.Add(1)
+	}
 }
 
 // Warm copies L2 entries for the given keys into L1 without touching the
@@ -454,39 +515,16 @@ func (t *Tiered) Warm(ctx context.Context, keys []Key) (int, error) {
 // GetBatch implements Store: L1 → L2 with write-through, no fill. Misses
 // come back Found false.
 func (t *Tiered) GetBatch(ctx context.Context, keys []Key) ([]Entry, error) {
-	out := make([]Entry, len(keys))
-	miss := make([]int, 0, len(keys))
-	if entries, err := t.l1.GetBatch(ctx, keys); err == nil && len(entries) == len(keys) {
-		for i, e := range entries {
-			if e.Found {
-				out[i] = e
-				t.l1Hits.Add(1)
-			} else {
-				t.l1Misses.Add(1)
-				miss = append(miss, i)
-			}
-		}
-	} else {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		t.l1Misses.Add(int64(len(keys)))
-		for i := range keys {
-			miss = append(miss, i)
-		}
+	s := t.getScratch()
+	defer t.putScratch(s)
+	s.outs = resetOutcomes(s.outs, len(keys))
+	if err := t.lookup(ctx, keys, s.outs, s); err != nil {
+		return nil, err
 	}
-	if len(miss) > 0 && t.l2 != nil {
-		outcomes := make([]Outcome, len(keys))
-		for _, i := range t.lookupL2(ctx, keys, outcomes, miss) {
-			_ = i // unresolved stay Found false
-		}
-		for _, i := range miss {
-			if outcomes[i].Where == TierL2 {
-				out[i] = Entry{Found: true, Dets: outcomes[i].Dets}
-			}
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
+	out := make([]Entry, len(keys))
+	for i, o := range s.outs {
+		if o.Where != TierDetector { // TierDetector: no tier held it
+			out[i] = Entry{Found: true, Dets: o.Dets}
 		}
 	}
 	return out, nil

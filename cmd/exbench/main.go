@@ -1,6 +1,6 @@
 // Command exbench regenerates the paper's tables and figures from the
 // synthetic reproduction. Each experiment prints the same rows/series the
-// paper reports; see EXPERIMENTS.md for the paper-vs-measured comparison.
+// paper reports.
 //
 // Usage:
 //

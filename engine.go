@@ -44,10 +44,13 @@ type EngineOptions struct {
 	// CacheEntries, when positive, enables a bounded cross-query memo
 	// cache of roughly this many detector outputs keyed by (source,
 	// class, frame). Overlapping queries stop paying for duplicate
-	// inference: a hit is charged decode-only cost. Results stay
-	// byte-identical to an uncached run for the same seed — only charged
-	// costs change (and, for MaxSeconds-budgeted queries, how many frames
-	// the budget buys). Sources under failure injection bypass the cache.
+	// inference: a hit is charged decode-only cost, and concurrent misses
+	// on the same frame are singleflighted — one query pays for the
+	// detector call, the others merge its result at zero cost. Results
+	// stay byte-identical to an uncached run for the same seed — only
+	// charged costs change (and, for MaxSeconds-budgeted queries, how many
+	// frames the budget buys). Sources under failure injection bypass the
+	// cache.
 	CacheEntries int
 	// AdaptiveRounds opts every query into feedback-controlled round
 	// sizing: an AIMD controller per (query, backend) grows the per-round
@@ -67,17 +70,18 @@ type EngineOptions struct {
 	AdaptiveRounds bool
 	// RemoteCache, when non-nil, composes the memo cache with a shared
 	// remote result tier (normally an httpcache.Client pointed at a fleet
-	// cache server): lookups go local-first, remote hits write through
-	// locally, detector fills write through remotely, and concurrent
-	// identical misses are singleflighted to one detector call. Cache keys
-	// switch from the per-process source id to the source's content
-	// address, so entries survive restarts and are shared across every
-	// process that opened the same data — the second user of a popular
-	// video queries it at interactive speed. CacheEntries sizes the local
-	// L1 (defaulting to 65536 entries when left zero with a remote tier
-	// configured). Results for a fixed seed stay byte-identical to an
-	// uncached run; only charged costs change. A failing remote degrades
-	// to misses (see cachestore.TierStats) and never fails a query.
+	// cache server) as its L2: lookups go local-first, remote hits write
+	// through locally, detector fills write through remotely, and
+	// concurrent identical misses stay singleflighted to one detector
+	// call. Cache keys switch from the per-process source id to the
+	// source's content address, so entries survive restarts and are
+	// shared across every process that opened the same data — the second
+	// user of a popular video queries it at interactive speed.
+	// CacheEntries sizes the local L1 (defaulting to 65536 entries when
+	// left zero with a remote tier configured). Results for a fixed seed
+	// stay byte-identical to an uncached run; only charged costs change.
+	// A failing remote degrades to misses (see cachestore.TierStats) and
+	// never fails a query.
 	RemoteCache cachestore.Store
 	// CacheAware opts every query's sampler into cache-aware
 	// tie-breaking: when Thompson beliefs tie within epsilon, prefer the
@@ -167,9 +171,9 @@ type Engine struct {
 	opts  EngineOptions
 	inner *engine.Engine
 	memo  *cache.Cache
-	// tier is the shared result tier (non-nil only with RemoteCache set):
-	// the memo cache doubles as its L1 via cachestore.WrapCache, so
-	// CacheStats and the cache-aware presence index keep working.
+	// tier is the one cached detect path (non-nil whenever memo is): the
+	// memo cache is its L1 via cachestore.WrapCache, and RemoteCache, when
+	// set, its L2.
 	tier *cachestore.Tiered
 	// quota aggregates adaptive round-sizing adjustments across every
 	// AdaptiveRounds query (all zeros when the option is off).
@@ -193,24 +197,16 @@ func NewEngine(opts EngineOptions) (*Engine, error) {
 		}),
 	}
 	if opts.CacheEntries > 0 {
+		// withDefaults guarantees the memo cache exists under a RemoteCache.
 		e.memo = cache.New(opts.CacheEntries)
-	}
-	if opts.RemoteCache != nil {
-		// The memo cache becomes the tier's L1 (withDefaults guarantees it
-		// exists), so CacheStats and the presence index see tier traffic too.
 		e.tier = cachestore.NewTiered(cachestore.WrapCache(e.memo), opts.RemoteCache)
 	}
 	return e, nil
 }
 
-// cacheCfg is the cache wiring handed to every run this engine creates:
-// the shared tier when a remote cache is configured, the plain memo cache
-// otherwise, plus the cache-aware sampling flag.
+// cacheCfg is the cache wiring handed to every run this engine creates.
 func (e *Engine) cacheCfg() cacheConfig {
-	if e.tier != nil {
-		return cacheConfig{tier: e.tier, aware: e.opts.CacheAware}
-	}
-	return cacheConfig{memo: e.memo, aware: e.opts.CacheAware}
+	return cacheConfig{tier: e.tier, shared: e.opts.RemoteCache != nil, aware: e.opts.CacheAware}
 }
 
 // Workers returns the engine's detector concurrency bound.
@@ -236,13 +232,17 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// CacheStats snapshots the engine's shared detector memo cache.
+// CacheStats snapshots the engine's shared detector memo cache. Every
+// frame a cached query looks up counts once: a hit when the memo cache
+// held it, a miss otherwise.
 func (e *Engine) CacheStats() CacheStats {
 	if e.memo == nil {
 		return CacheStats{}
 	}
-	st := e.memo.Stats()
-	return CacheStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions, Entries: st.Entries}
+	// The tier's L1 counters, not the memo's own: a fill leader re-reads
+	// the memo cache before detecting, which would count its misses twice.
+	ts, st := e.tier.Stats(), e.memo.Stats()
+	return CacheStats{Hits: ts.L1Hits, Misses: ts.L1Misses, Evictions: st.Evictions, Entries: st.Entries}
 }
 
 // EngineStats reports aggregate scheduler counters.
@@ -298,10 +298,7 @@ func (e *Engine) Stats() EngineStats {
 	rounds, detects, batches := e.inner.Counters()
 	parks, wakes := e.inner.ParkCounters()
 	granted, requested := e.inner.BudgetCounters()
-	var ts cachestore.TierStats
-	if e.tier != nil {
-		ts = e.tier.Stats()
-	}
+	ts := e.TierStats()
 	return EngineStats{
 		Rounds:           rounds,
 		DetectCalls:      detects,
@@ -328,7 +325,7 @@ func (e *Engine) Stats() EngineStats {
 // merges, degradations. The zero value is returned when the engine runs
 // without a RemoteCache.
 func (e *Engine) TierStats() cachestore.TierStats {
-	if e.tier == nil {
+	if e.opts.RemoteCache == nil {
 		return cachestore.TierStats{}
 	}
 	return e.tier.Stats()
@@ -343,7 +340,7 @@ func (e *Engine) TierStats() cachestore.TierStats {
 // independent of any running query — it issues only remote lookups, never
 // detector calls.
 func (e *Engine) Warm(ctx context.Context, src Source, class string, limit int64) (int, error) {
-	if e.tier == nil {
+	if e.opts.RemoteCache == nil {
 		return 0, fmt.Errorf("exsample: Warm needs EngineOptions.RemoteCache")
 	}
 	if ctx == nil {
@@ -665,9 +662,6 @@ type engineRun interface {
 	// non-nil, next yields nothing.
 	failure() error
 	marginalValue() float64
-	// cached reports whether detectBatchInto consults a cache, i.e. whether
-	// the scratch's miss list is the backend-served subset.
-	cached() bool
 }
 
 // engineQuery adapts a run — distinct-object or track — to the internal
@@ -835,13 +829,9 @@ func (q *engineQuery) DetectBatch(frames []int64) ([]any, error) {
 	}
 	if q.observed {
 		// Record how many frames the backend actually served: cache hits
-		// (memo or tier) resolve locally and must not feed their near-zero
-		// latency into the AIMD controller as if the backend produced it.
-		misses := len(frames)
-		if q.run.cached() {
-			misses = len(s.missIdx)
-		}
-		q.scr.note(q.AffinityKey(frames[0]), misses)
+		// resolve locally and must not feed their near-zero latency into
+		// the AIMD controller as if the backend produced it.
+		q.scr.note(q.AffinityKey(frames[0]), s.misses)
 	}
 	if cap(s.out) < len(results) {
 		s.out = make([]any, 0, cap(results))

@@ -10,9 +10,9 @@ import (
 	"github.com/exsample/exsample/internal/synth"
 )
 
-// AblationConfig parameterizes the design-choice ablations DESIGN.md calls
-// out: decision policy (Thompson vs Bayes-UCB vs greedy), within-chunk order
-// (random+ vs uniform), and prior strength (α0). Each variant runs the same
+// AblationConfig parameterizes the design-choice ablations: decision policy
+// (Thompson vs Bayes-UCB vs greedy), within-chunk order (random+ vs
+// uniform), and prior strength (α0). Each variant runs the same
 // skewed workload; the metric is median samples to reach a target count.
 type AblationConfig struct {
 	NumInstances int

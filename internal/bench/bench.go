@@ -3,7 +3,7 @@
 // paper reports. Runners accept a Scale knob so the full experiments (hours
 // at paper size) can be exercised end-to-end in seconds during tests and
 // benchmarks; shapes — who wins, rough factors, crossovers — are preserved
-// at reduced scale, and EXPERIMENTS.md records both.
+// at reduced scale.
 package bench
 
 import (

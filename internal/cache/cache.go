@@ -14,7 +14,6 @@
 package cache
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
@@ -61,16 +60,24 @@ type presenceKey struct {
 	class  string
 }
 
+// lruShard keeps its entries in a slab of slots doubly linked by int32
+// indexes (head = most recently used) and indexed by idx. The slab grows on
+// demand up to cap and nothing ever frees a slot without refilling it — an
+// evicting insert reuses the victim's slot in place — so no free list is
+// needed, and Put allocates nothing in steady state: insert, refresh and
+// evicting insert all work in place.
 type lruShard struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recently used
-	idx map[Key]*list.Element
+	mu         sync.Mutex
+	cap        int
+	slots      []slot
+	idx        map[Key]int32
+	head, tail int32 // -1 when empty
 }
 
-type entry struct {
-	key  Key
-	dets []track.Detection
+type slot struct {
+	key        Key
+	dets       []track.Detection
+	prev, next int32
 }
 
 // New creates a cache bounding the total entry count to roughly capacity
@@ -82,9 +89,7 @@ func New(capacity int) *Cache {
 	per := (capacity + numShards - 1) / numShards
 	c := &Cache{}
 	for i := range c.shards {
-		c.shards[i].cap = per
-		c.shards[i].ll = list.New()
-		c.shards[i].idx = make(map[Key]*list.Element)
+		c.shards[i] = lruShard{cap: per, idx: make(map[Key]int32), head: -1, tail: -1}
 	}
 	return c
 }
@@ -99,16 +104,51 @@ func (c *Cache) shard(k Key) *lruShard {
 	return &c.shards[h%numShards]
 }
 
+// unlink detaches slot i from the recency list.
+func (s *lruShard) unlink(i int32) {
+	sl := &s.slots[i]
+	if sl.prev >= 0 {
+		s.slots[sl.prev].next = sl.next
+	} else {
+		s.head = sl.next
+	}
+	if sl.next >= 0 {
+		s.slots[sl.next].prev = sl.prev
+	} else {
+		s.tail = sl.prev
+	}
+}
+
+// pushFront links slot i in as the most recently used.
+func (s *lruShard) pushFront(i int32) {
+	sl := &s.slots[i]
+	sl.prev, sl.next = -1, s.head
+	if s.head >= 0 {
+		s.slots[s.head].prev = i
+	} else {
+		s.tail = i
+	}
+	s.head = i
+}
+
+// moveToFront makes slot i the most recently used.
+func (s *lruShard) moveToFront(i int32) {
+	if i != s.head {
+		s.unlink(i)
+		s.pushFront(i)
+	}
+}
+
 // Get returns the memoized detections for a key. The returned slice is
 // shared — callers must not mutate it. A nil slice with ok true is a valid
 // memoized "no detections" result.
 func (c *Cache) Get(k Key) (dets []track.Detection, ok bool) {
 	s := c.shard(k)
 	s.mu.Lock()
-	el, ok := s.idx[k]
+	i, ok := s.idx[k]
 	if ok {
-		s.ll.MoveToFront(el)
-		dets = el.Value.(*entry).dets
+		s.moveToFront(i)
+		dets = s.slots[i].dets
 	}
 	s.mu.Unlock()
 	if ok {
@@ -126,24 +166,29 @@ func (c *Cache) Get(k Key) (dets []track.Detection, ok bool) {
 func (c *Cache) Put(k Key, dets []track.Detection) {
 	s := c.shard(k)
 	s.mu.Lock()
-	if el, ok := s.idx[k]; ok {
-		s.ll.MoveToFront(el)
-		el.Value.(*entry).dets = dets
+	if i, ok := s.idx[k]; ok {
+		s.moveToFront(i)
+		s.slots[i].dets = dets
 		s.mu.Unlock()
 		return
 	}
 	evicted := false
 	var evictedKey Key
-	if s.ll.Len() >= s.cap {
-		back := s.ll.Back()
-		if back != nil {
-			evictedKey = back.Value.(*entry).key
-			delete(s.idx, evictedKey)
-			s.ll.Remove(back)
-			evicted = true
-		}
+	var i int32
+	if len(s.slots) < s.cap {
+		s.slots = append(s.slots, slot{})
+		i = int32(len(s.slots) - 1)
+	} else {
+		// Full: the least recently used slot takes the new entry in place.
+		i = s.tail
+		evictedKey = s.slots[i].key
+		delete(s.idx, evictedKey)
+		s.unlink(i)
+		evicted = true
 	}
-	s.idx[k] = s.ll.PushFront(&entry{key: k, dets: dets})
+	s.slots[i].key, s.slots[i].dets = k, dets
+	s.pushFront(i)
+	s.idx[k] = i
 	s.mu.Unlock()
 	if evicted {
 		c.evictions.Add(1)

@@ -117,3 +117,30 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		t.Fatalf("hit rate %v out of range", st.HitRate())
 	}
 }
+
+// TestPutAllocFree: once a shard's slab has grown to capacity, refreshing a
+// resident key and inserting a new key that evicts the least recently used
+// one both work in place — Put allocates nothing in steady state.
+func TestPutAllocFree(t *testing.T) {
+	c := New(numShards * 64)
+	dets := det(0, 0.5)
+	const warm = 4096
+	for f := int64(0); f < warm; f++ {
+		c.Put(Key{Source: 1, Class: "car", Frame: f}, dets)
+	}
+	hot := Key{Source: 1, Class: "car", Frame: warm - 1}
+	if refresh := testing.AllocsPerRun(500, func() { c.Put(hot, dets) }); refresh != 0 {
+		t.Fatalf("refreshing Put allocates %.2f objects, want 0", refresh)
+	}
+	next := int64(warm)
+	evict := testing.AllocsPerRun(500, func() {
+		c.Put(Key{Source: 1, Class: "car", Frame: next}, dets)
+		next++
+	})
+	if evict != 0 {
+		t.Fatalf("evicting Put allocates %.2f objects, want 0", evict)
+	}
+	if st := c.Stats(); st.Entries > numShards*64 || st.Evictions == 0 {
+		t.Fatalf("stats = %+v, want a full cache that evicted", st)
+	}
+}

@@ -44,7 +44,9 @@ func TestRoundGroupsDetectBatchByAffinityKey(t *testing.T) {
 	// key sequence is exactly the scheduler's grouping. With two affine
 	// queries proposing 8 frames each, every round's 16 tasks must be
 	// sorted by key (queries interleave shards; grouping un-interleaves).
-	e := New(Config{Workers: 1, FramesPerRound: 8})
+	// Both are submitted before the scheduler starts, so every round until
+	// they exhaust carries both.
+	e := newEngine(Config{Workers: 1, FramesPerRound: 8})
 	defer e.Close()
 
 	rec := &detectRecorder{}
@@ -58,6 +60,7 @@ func TestRoundGroupsDetectBatchByAffinityKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	go e.loop()
 	if err := h1.Wait(); err != nil {
 		t.Fatal(err)
 	}

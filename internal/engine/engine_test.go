@@ -74,7 +74,12 @@ func TestPoolRunsAllTasksWithinBound(t *testing.T) {
 	pool := NewPool(workers)
 	defer pool.Close()
 
+	// Every task holds its worker until the workers-th task is running at
+	// once, so the pool must reach its bound (or the test hangs) and the
+	// peak is exact.
 	var running, peak, ran atomic.Int64
+	full := make(chan struct{})
+	var fullOnce sync.Once
 	tasks := make([]func(), 64)
 	for i := range tasks {
 		tasks[i] = func() {
@@ -85,7 +90,10 @@ func TestPoolRunsAllTasksWithinBound(t *testing.T) {
 					break
 				}
 			}
-			time.Sleep(time.Millisecond)
+			if cur == workers {
+				fullOnce.Do(func() { close(full) })
+			}
+			<-full
 			running.Add(-1)
 			ran.Add(1)
 		}
@@ -94,11 +102,8 @@ func TestPoolRunsAllTasksWithinBound(t *testing.T) {
 	if ran.Load() != 64 {
 		t.Fatalf("ran %d of 64 tasks", ran.Load())
 	}
-	if peak.Load() > workers {
+	if peak.Load() != workers {
 		t.Fatalf("observed %d concurrent tasks with %d workers", peak.Load(), workers)
-	}
-	if peak.Load() < 2 {
-		t.Fatalf("observed no concurrency (peak %d)", peak.Load())
 	}
 }
 
@@ -198,14 +203,17 @@ func TestEngineFairShareAcrossQueries(t *testing.T) {
 }
 
 func TestEngineCancellation(t *testing.T) {
-	block := make(chan struct{})
+	reached, block := make(chan struct{}), make(chan struct{})
 	e := New(Config{Workers: 1, FramesPerRound: 1})
 	defer e.Close()
 
 	q := &fakeQuery{total: 1 << 40}
 	q.detect = func(frame int64) any {
 		if frame == 5 {
-			<-block // hold round 6 open so Cancel lands mid-flight
+			// One frame per round: frames 0–4 are applied by now. Hold
+			// round 6 open so Cancel lands mid-flight.
+			close(reached)
+			<-block
 		}
 		return frame * 2
 	}
@@ -213,15 +221,7 @@ func TestEngineCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		q.mu.Lock()
-		n := len(q.applyOrder)
-		q.mu.Unlock()
-		if n >= 5 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-reached
 	h.Cancel()
 	close(block)
 	if err := h.Wait(); err != nil {
@@ -324,11 +324,18 @@ func TestEngineSubmitAfterClose(t *testing.T) {
 func TestEngineCloseCancelsActive(t *testing.T) {
 	e := New(Config{Workers: 1, FramesPerRound: 1})
 	q := &fakeQuery{total: 1 << 40}
+	ran := make(chan struct{})
+	q.detect = func(frame int64) any {
+		if frame == 3 {
+			close(ran) // a few rounds have run
+		}
+		return frame * 2
+	}
 	h, err := e.Submit(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond) // let a few rounds run
+	<-ran
 	e.Close()
 	if err := h.Wait(); err != nil {
 		t.Fatal(err)

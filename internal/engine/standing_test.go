@@ -3,7 +3,6 @@ package engine
 import (
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // standingFake is a Standing query fed frames from outside: Propose drains
@@ -51,30 +50,23 @@ func (s *standingFake) Apply(frame int64, dets any) (bool, error) {
 
 func (s *standingFake) Finalize() { s.finalized.Add(1) }
 
-// waitFor polls until cond holds or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestStandingQueryParksAndWakes: a standing query over a drained
 // repository parks with no terminal reason, resumes when woken with new
-// frames, parks again when dry, and finalizes only on Cancel.
+// frames, parks again when dry, and finalizes only on Cancel. Rounds are
+// driven directly until the cancel, so every park is observed exactly when
+// it happens; the scheduler goroutine then finalizes the cancelled query.
 func TestStandingQueryParksAndWakes(t *testing.T) {
-	e := New(Config{Workers: 2, FramesPerRound: 4})
+	e := newEngine(Config{Workers: 2, FramesPerRound: 4})
 	defer e.Close()
 	q := &standingFake{standing: true, buf: make([]int64, 0, 8), dets: make([]any, 0, 8)}
 	h, err := e.Submit(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "initial park", h.Parked)
+	e.runOneRound()
+	if !h.Parked() {
+		t.Fatal("drained standing query did not park")
+	}
 	if q.finalized.Load() != 0 {
 		t.Fatal("standing query finalized on park")
 	}
@@ -83,15 +75,22 @@ func TestStandingQueryParksAndWakes(t *testing.T) {
 	// parks again.
 	q.pending.Add(3)
 	h.Wake()
-	waitFor(t, "3 applies", func() bool { return q.applied.Load() == 3 })
-	waitFor(t, "re-park", h.Parked)
+	e.runOneRound()
+	if q.applied.Load() != 3 {
+		t.Fatalf("applied %d frames, want 3", q.applied.Load())
+	}
+	e.runOneRound()
+	if !h.Parked() {
+		t.Fatal("standing query did not re-park once dry")
+	}
 
-	if parks, wakes := e.ParkCounters(); parks < 2 || wakes < 1 {
-		t.Fatalf("ParkCounters = (%d, %d), want at least (2, 1)", parks, wakes)
+	if parks, wakes := e.ParkCounters(); parks != 2 || wakes != 1 {
+		t.Fatalf("ParkCounters = (%d, %d), want (2, 1)", parks, wakes)
 	}
 
 	// Cancel wakes the parked handle so it finalizes promptly.
 	h.Cancel()
+	go e.loop()
 	if err := h.Wait(); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
@@ -159,13 +158,17 @@ func TestWakeDuringRoundIsNotLost(t *testing.T) {
 // TestCloseFinalizesParked: Close must not strand parked handles — they
 // re-enter the schedule cancelled and Wait returns.
 func TestCloseFinalizesParked(t *testing.T) {
-	e := New(Config{Workers: 1, FramesPerRound: 1})
+	e := newEngine(Config{Workers: 1, FramesPerRound: 1})
 	q := &standingFake{standing: true, buf: make([]int64, 0, 2), dets: make([]any, 0, 2)}
 	h, err := e.Submit(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "park", h.Parked)
+	e.runOneRound()
+	if !h.Parked() {
+		t.Fatal("drained standing query did not park")
+	}
+	go e.loop() // idles: nothing is active until Close re-admits the parked query
 	e.Close()
 	if err := h.Wait(); err != nil {
 		t.Fatal(err)

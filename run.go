@@ -8,7 +8,6 @@ import (
 	"github.com/exsample/exsample/cachestore"
 	"github.com/exsample/exsample/internal/baseline"
 	"github.com/exsample/exsample/internal/batchwire"
-	"github.com/exsample/exsample/internal/cache"
 	"github.com/exsample/exsample/internal/core"
 	"github.com/exsample/exsample/internal/detect"
 	"github.com/exsample/exsample/internal/discrim"
@@ -111,19 +110,17 @@ type queryRun struct {
 
 // detectStage is the cache-aware batched detect path every run type embeds
 // (distinct-object queryRun, track-query trackRun): the per-class detector,
-// the caching mode and the identities cache keys are built from.
+// the cache tier and the identity cache keys are built from.
 type detectStage struct {
 	src      *querySource
 	class    string
 	detector detect.BatchDetector
-	// memo, when non-nil, memoizes detector output across queries; hits
-	// are charged decode-only cost. Exactly one of memo and tier is
-	// non-nil for a cached run: memo is the classic in-process path (keyed
-	// by the per-process source id, byte-for-byte the pre-tier pipeline),
-	// tier the shared result tier (keyed by the source's content address,
-	// resolving through L1 → remote L2 → singleflighted detector fill).
-	memo *cache.Cache
-	tier *cachestore.Tiered
+	// tier, when non-nil, memoizes detector output across queries: frames
+	// resolve through L1 → remote L2 (when configured) → singleflighted
+	// detector fill, and hits are charged decode-only cost. content is the
+	// Key.Content of the run's cache keys (see cacheConfig).
+	tier    *cachestore.Tiered
+	content uint64
 	// seq is the scratch behind detectOne — the sequential drivers (Search,
 	// Session.Step, TrackSearch) run one batch at a time on one goroutine,
 	// so a single per-run scratch makes the whole step loop allocation-free
@@ -132,13 +129,10 @@ type detectStage struct {
 	one [1]int64
 }
 
-// newDetectStage builds a run's detect stage for one class. Both cache
-// modes are dropped for sources whose detector output is not a pure
-// function of the frame (e.g. under failure injection).
+// newDetectStage builds a run's detect stage for one class. The cache is
+// dropped for sources whose detector output is not a pure function of the
+// frame (e.g. under failure injection).
 func newDetectStage(src *querySource, class string, cc cacheConfig) (detectStage, error) {
-	if cc.memo != nil && cc.tier != nil {
-		return detectStage{}, fmt.Errorf("exsample: a run caches through a memo cache or a shared tier, not both")
-	}
 	if !src.cacheable {
 		cc = cacheConfig{}
 	}
@@ -146,19 +140,18 @@ func newDetectStage(src *querySource, class string, cc cacheConfig) (detectStage
 	if err != nil {
 		return detectStage{}, err
 	}
-	return detectStage{src: src, class: class, detector: detector, memo: cc.memo, tier: cc.tier}, nil
+	d := detectStage{src: src, class: class, detector: detector, tier: cc.tier, content: src.id}
+	if cc.shared {
+		d.content = src.contentID
+	}
+	return d, nil
 }
 
-// cached reports whether the run resolves frames through a cache (memo or
-// tier) before the backend.
-func (d *detectStage) cached() bool { return d.memo != nil || d.tier != nil }
-
-// tally classifies one applied frame against the run's cache mode into its
-// report's counters: a miss, a hit, or a hit the remote tier served. An
-// uncached run counts nothing.
+// tally classifies one applied frame into its report's counters: a miss, a
+// hit, or a hit the remote tier served. An uncached run counts nothing.
 func (d *detectStage) tally(fr frameResult, hits, remote, misses *int64) {
 	switch {
-	case !d.cached():
+	case d.tier == nil:
 	case !fr.cached:
 		*misses++
 	default:
@@ -170,9 +163,8 @@ func (d *detectStage) tally(fr frameResult, hits, remote, misses *int64) {
 }
 
 // frameResult carries one frame's detector output plus the inference cost
-// actually incurred — zero on a cache hit (memo or tier), where the query
-// pays decode-only cost. remote marks a hit served by the remote L2 rather
-// than locally.
+// actually incurred — zero on a cache hit, where the query pays decode-only
+// cost. remote marks a hit served by the remote L2 rather than locally.
 type frameResult struct {
 	dets   []track.Detection
 	cost   float64
@@ -180,32 +172,42 @@ type frameResult struct {
 	remote bool
 }
 
-// cacheConfig bundles the caching mode a run operates under — the engine's
-// one decision point. The zero value is an uncached run; memo and tier are
-// mutually exclusive (newDetectStage rejects both set).
+// cacheConfig is the cache wiring a run operates under — the engine's one
+// decision point. The zero value is an uncached run.
 type cacheConfig struct {
-	memo *cache.Cache
 	tier *cachestore.Tiered
-	// aware opts the sampler into cache-aware tie-breaking; it requires
-	// memo or tier.
+	// shared marks a tier with a remote L2: keys carry the source's content
+	// address, stable across processes. An L1-only tier keys by the
+	// per-process source id instead, because the content address does not
+	// fold a WithBackend backend and two such datasets of one spec must not
+	// share entries.
+	shared bool
+	// aware opts the sampler into cache-aware tie-breaking; it requires a
+	// tier.
 	aware bool
 }
 
 // detectScratch is a reusable buffer set for one in-flight detectBatch
-// call: the per-frame results and the memo-cache miss bookkeeping. One
-// scratch serves one call at a time; concurrent batches (the engine runs a
-// query's affinity groups in parallel) each need their own, which the
-// engine recycles through a per-query free list. A nil scratch falls back
-// to fresh allocations — the shape one-shot callers keep.
+// call: the per-frame results, the tier's key and outcome buffers, and the
+// fill function bound once to the scratch. One scratch serves one call at a
+// time; concurrent batches (the engine runs a query's affinity groups in
+// parallel) each need their own, which the engine recycles through a
+// per-query free list.
 type detectScratch struct {
-	res     []frameResult
-	out     []any // engine-side boxed view; unused by run.go itself
-	missIdx []int
-	miss    []int64
-	// keys and tierOuts are the shared-tier path's reusable buffers (key
-	// batch and per-frame outcomes); untouched by the memo path.
+	res []frameResult
+	out []any // engine-side boxed view; unused by run.go itself
+	// misses is how many of the last call's frames the backend served.
+	misses   int
 	keys     []cachestore.Key
 	tierOuts []cachestore.Outcome
+	// fillFn is fill bound once; detector and frames are the current call's,
+	// read by fill; fillFrames, fillDets and fillCosts are its buffers.
+	fillFn     cachestore.FillFunc
+	detector   detect.BatchDetector
+	frames     []int64
+	fillFrames []int64
+	fillDets   [][]backend.Detection
+	fillCosts  []float64
 }
 
 // results returns the scratch's result buffer resized to n, growing only
@@ -224,11 +226,34 @@ func (s *detectScratch) results(n int) []frameResult {
 	return s.res
 }
 
+// fill is the tier's FillFunc for the scratch's current call: the frames no
+// tier held go to the backend as one DetectBatch, and the results come back
+// in the scratch's reused buffers (the tier reads them only until it
+// returns).
+func (s *detectScratch) fill(ctx context.Context, miss []int) ([][]backend.Detection, []float64, error) {
+	s.fillFrames = s.fillFrames[:0]
+	for _, i := range miss {
+		s.fillFrames = append(s.fillFrames, s.frames[i])
+	}
+	outs, err := s.detector.DetectBatch(ctx, s.fillFrames)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(outs) != len(miss) {
+		return nil, nil, fmt.Errorf("exsample: detector returned %d results for a %d-frame batch", len(outs), len(miss))
+	}
+	s.fillDets, s.fillCosts = s.fillDets[:0], s.fillCosts[:0]
+	for _, fo := range outs {
+		s.fillDets = append(s.fillDets, fo.Dets)
+		s.fillCosts = append(s.fillCosts, fo.Cost)
+	}
+	return s.fillDets, s.fillCosts, nil
+}
+
 // newQueryRun builds the full per-query pipeline over a Source: detector,
 // SORT-style discriminator, recall curve, report, and the strategy's
-// sampling state. cc selects the caching mode: a memo cache or a shared
-// result tier, either memoizing detector output across queries (see
-// newDetectStage). Callers are responsible for
+// sampling state. cc selects the cache tier memoizing detector output
+// across queries, if any (see newDetectStage). Callers are responsible for
 // validating q and opts first (Session deliberately accepts queries
 // without a stopping condition).
 //
@@ -311,7 +336,7 @@ func newQueryRun(s Source, q Query, opts Options, cc cacheConfig, standing bool)
 		opts:        opts,
 		dis:         dis,
 		curve:       curve,
-		aware:       cc.aware && stage.cached(),
+		aware:       cc.aware && stage.tier != nil,
 		snap:        snap,
 		truthSeen:   truthSeen,
 		truthTotal:  total,
@@ -341,29 +366,16 @@ func (r *queryRun) newSampler(chunks []video.Chunk, seed uint64) (*core.Sampler,
 	}
 	if r.aware {
 		// Cache-aware tie-breaking: the per-chunk cached fraction comes
-		// from the tier's (or memo cache's) presence index — an O(chunk
-		// frames / bucket width) read consulted only when Thompson draws
-		// actually tie, so the signal is effectively free.
-		count := func(start, end int64) int { return 0 }
-		switch {
-		case r.tier != nil:
-			content := r.src.contentID
-			count = func(start, end int64) int {
-				return r.tier.CountRange(content, r.query.Class, start, end)
-			}
-		case r.memo != nil:
-			id := r.src.id
-			count = func(start, end int64) int {
-				return r.memo.CountRange(id, r.query.Class, start, end)
-			}
-		}
+		// from the tier L1's presence index — an O(chunk frames / bucket
+		// width) read consulted only when Thompson draws actually tie, so
+		// the signal is effectively free.
 		cfg.CachedFrac = func(j int) float64 {
 			c := chunks[j]
 			n := c.Len()
 			if n <= 0 {
 				return 0
 			}
-			frac := float64(count(c.Start, c.End)) / float64(n)
+			frac := float64(r.tier.CountRange(r.content, r.query.Class, c.Start, c.End)) / float64(n)
 			if frac > 1 {
 				frac = 1 // presence buckets are coarse; clamp the estimate
 			}
@@ -604,7 +616,7 @@ func (r *queryRun) enterProxyScan() error {
 // moved, the sampler (native-chunk runs only) gains fresh prior arms for
 // chunks that appeared and fences arms whose shard is draining; every
 // other piece of query state — per-chunk statistics, discriminator,
-// report, memo-cache keys — is untouched, because the global address
+// report, cache keys — is untouched, because the global address
 // space is append-only. Unbounded runs also widen their frame budget so
 // an attached shard's frames stay reachable.
 func (r *queryRun) syncTopology() {
@@ -778,37 +790,28 @@ func (r *queryRun) marginalValue() float64 {
 }
 
 // detectBatch runs the detector on a batch of frames, consulting the
-// cross-query memo cache first when enabled: cache hits are resolved
-// locally and only the misses — as one subsequence, in order — reach the
-// backend in a single DetectBatch call. It is safe to call concurrently
-// for disjoint batches of the same run (the detector contract requires
-// concurrency safety; the cache is lock-striped). ctx cancels the
-// underlying detector call; the error surfaces to the caller with no
-// results applied.
+// cross-query cache tier first when enabled: hits are resolved locally (or
+// by one remote round trip) and only the frames no tier held — as one
+// subsequence, in order — reach the backend in a single DetectBatch call,
+// singleflighted against concurrent queries missing the same frames. It is
+// safe to call concurrently for disjoint batches of the same run (the
+// detector contract requires concurrency safety; the tier is lock-striped).
+// ctx cancels the underlying detector call; the error surfaces to the
+// caller with no results applied.
 func (d *detectStage) detectBatch(ctx context.Context, frames []int64) ([]frameResult, error) {
 	return d.detectBatchInto(ctx, frames, nil)
 }
 
 // detectBatchInto is detectBatch writing through the caller's reusable
 // scratch (nil allocates fresh buffers). The returned slice aliases the
-// scratch and is valid until the scratch's next use.
+// scratch and is valid until the scratch's next use; scr.misses comes back
+// holding how many frames the backend served, the sizer's miss accounting.
 func (d *detectStage) detectBatchInto(ctx context.Context, frames []int64, scr *detectScratch) ([]frameResult, error) {
-	if d.tier != nil {
-		return detectFramesTiered(ctx, d.detector, d.tier, d.src.contentID, d.class, frames, scr)
-	}
-	return detectFrames(ctx, d.detector, d.memo, d.src.id, d.class, frames, scr)
-}
-
-// detectFrames is the memo-aware batched detect: cache hits resolve locally
-// and only the misses — as one subsequence, in order — reach the backend in
-// a single DetectBatch call. Safe for concurrent calls with disjoint
-// scratches.
-func detectFrames(ctx context.Context, detector detect.BatchDetector, memo *cache.Cache, srcID uint64, class string, frames []int64, scr *detectScratch) ([]frameResult, error) {
 	out := scr.results(len(frames))
-	if memo == nil {
-		// Fast path for uncached runs: the whole batch is one detector
-		// call, no index indirection.
-		outs, err := detector.DetectBatch(ctx, frames)
+	if d.tier == nil {
+		// Uncached runs: the whole batch is one detector call, no index
+		// indirection.
+		outs, err := d.detector.DetectBatch(ctx, frames)
 		if err != nil {
 			return nil, err
 		}
@@ -818,119 +821,39 @@ func detectFrames(ctx context.Context, detector detect.BatchDetector, memo *cach
 		for i, fo := range outs {
 			out[i] = frameResult{dets: fo.Dets, cost: fo.Cost}
 		}
-		return out, nil
-	}
-	missIdx := []int(nil)
-	if scr != nil {
-		missIdx = scr.missIdx[:0]
-	}
-	for i, frame := range frames {
-		key := cache.Key{Source: srcID, Class: class, Frame: frame}
-		if dets, ok := memo.Get(key); ok {
-			out[i] = frameResult{dets: dets, cached: true}
-		} else {
-			missIdx = append(missIdx, i)
+		if scr != nil {
+			scr.misses = len(frames)
 		}
-	}
-	if scr != nil {
-		scr.missIdx = missIdx
-	}
-	if len(missIdx) == 0 {
 		return out, nil
 	}
-	miss := []int64(nil)
-	if scr != nil {
-		miss = scr.miss[:0]
-	} else {
-		miss = make([]int64, 0, len(missIdx))
+	if scr == nil {
+		scr = &detectScratch{res: out}
 	}
-	for _, i := range missIdx {
-		miss = append(miss, frames[i])
+	if scr.fillFn == nil {
+		scr.fillFn = scr.fill
 	}
-	if scr != nil {
-		scr.miss = miss
+	scr.keys = scr.keys[:0]
+	for _, f := range frames {
+		scr.keys = append(scr.keys, cachestore.Key{Content: d.content, Class: d.class, Frame: f})
 	}
-	outs, err := detector.DetectBatch(ctx, miss)
+	scr.detector, scr.frames = d.detector, frames
+	res, err := d.tier.FetchBatch(ctx, scr.keys, scr.tierOuts, scr.fillFn)
+	scr.detector, scr.frames = nil, nil
 	if err != nil {
 		return nil, err
 	}
-	if len(outs) != len(miss) {
-		return nil, fmt.Errorf("exsample: detector returned %d results for a %d-frame batch", len(outs), len(miss))
-	}
-	for k, i := range missIdx {
-		out[i] = frameResult{dets: outs[k].Dets, cost: outs[k].Cost}
-		memo.Put(cache.Key{Source: srcID, Class: class, Frame: frames[i]}, outs[k].Dets)
-	}
-	return out, nil
-}
-
-// detectFramesTiered is the shared-tier counterpart of detectFrames: the
-// batch resolves through the tiered store (L1 → remote L2 → singleflighted
-// fill), and only the frames no tier held — the TierDetector outcomes —
-// reach the backend, through the tier's fill seam so concurrent identical
-// misses across queries collapse to one detector call. scr.missIdx comes
-// back holding exactly those detector-charged positions, preserving the
-// sizer's miss accounting. Safe for concurrent calls with disjoint
-// scratches.
-func detectFramesTiered(ctx context.Context, detector detect.BatchDetector, tier *cachestore.Tiered, content uint64, class string, frames []int64, scr *detectScratch) ([]frameResult, error) {
-	out := scr.results(len(frames))
-	var keys []cachestore.Key
-	var outs []cachestore.Outcome
-	if scr != nil {
-		if cap(scr.keys) < len(frames) {
-			scr.keys = make([]cachestore.Key, len(frames))
-		}
-		scr.keys = scr.keys[:len(frames)]
-		keys = scr.keys
-		outs = scr.tierOuts
-	} else {
-		keys = make([]cachestore.Key, len(frames))
-	}
-	for i, f := range frames {
-		keys[i] = cachestore.Key{Content: content, Class: class, Frame: f}
-	}
-	res, err := tier.FetchBatch(ctx, keys, outs, func(fctx context.Context, miss []int) ([][]backend.Detection, []float64, error) {
-		mf := make([]int64, len(miss))
-		for k, i := range miss {
-			mf[k] = frames[i]
-		}
-		fouts, ferr := detector.DetectBatch(fctx, mf)
-		if ferr != nil {
-			return nil, nil, ferr
-		}
-		if len(fouts) != len(mf) {
-			return nil, nil, fmt.Errorf("exsample: detector returned %d results for a %d-frame batch", len(fouts), len(mf))
-		}
-		dets := make([][]backend.Detection, len(miss))
-		costs := make([]float64, len(miss))
-		for k, fo := range fouts {
-			dets[k] = fo.Dets
-			costs[k] = fo.Cost
-		}
-		return dets, costs, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	missIdx := []int(nil)
-	if scr != nil {
-		scr.tierOuts = res
-		missIdx = scr.missIdx[:0]
-	}
+	scr.tierOuts = res
+	scr.misses = 0
 	for i, o := range res {
-		dets := batchwire.PinFrame(frames[i], o.Dets)
-		switch o.Where {
-		case cachestore.TierDetector:
-			out[i] = frameResult{dets: dets, cost: o.Cost}
-			missIdx = append(missIdx, i)
-		case cachestore.TierL2:
-			out[i] = frameResult{dets: dets, cached: true, remote: true}
-		default: // TierL1, TierMerged: locally resolved, zero inference cost
-			out[i] = frameResult{dets: dets, cached: true}
+		out[i] = frameResult{
+			dets:   batchwire.PinFrame(frames[i], o.Dets),
+			cost:   o.Cost, // 0 for every cached tier
+			cached: o.Where != cachestore.TierDetector,
+			remote: o.Where == cachestore.TierL2,
 		}
-	}
-	if scr != nil {
-		scr.missIdx = missIdx
+		if !out[i].cached {
+			scr.misses++
+		}
 	}
 	return out, nil
 }

@@ -4,9 +4,12 @@ import (
 	"context"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/cachestore"
 	"github.com/exsample/exsample/cachestore/httpcache"
 )
@@ -220,62 +223,114 @@ func TestContentIDStableAcrossReopens(t *testing.T) {
 	}
 }
 
-func TestEngineSingleflightSharedFrames(t *testing.T) {
-	// Two identical concurrent queries on a cold shared tier must cost
-	// exactly one detector call per distinct frame: whichever query reaches
-	// a frame second either merges into the first's in-flight fill
-	// (singleflight) or hits the L1 write-through — never the backend.
-	shards := shardDatasets(t, 2, 20_000, WithPerfectDetector())
-	ss, err := NewShardedSource("fleet", shards...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, _ := loopbackCache(t)
-	e := newTestEngine(t, EngineOptions{Workers: 4, RemoteCache: remote})
-	q := Query{Class: "car", Limit: 20}
-	opts := Options{Seed: 5}
+// heldBackend serves from inner, counting frames, and runs hold inside its
+// first call only.
+type heldBackend struct {
+	inner         backend.Backend
+	hold          func(calls *atomic.Int64)
+	calls, frames atomic.Int64
+}
 
-	var handles [2]*QueryHandle
-	for i := range handles {
-		h, err := e.Submit(context.Background(), ss, q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles[i] = h
+func (b *heldBackend) DetectBatch(ctx context.Context, class string, frames []int64) ([][]backend.Detection, error) {
+	if b.calls.Add(1) == 1 {
+		b.hold(&b.calls)
 	}
-	var wg sync.WaitGroup
-	for _, h := range handles {
-		wg.Add(1)
-		go func(h *QueryHandle) {
-			defer wg.Done()
-			for range h.Events() {
+	b.frames.Add(int64(len(frames)))
+	return b.inner.DetectBatch(ctx, class, frames)
+}
+
+func (b *heldBackend) Hints() backend.Hints { return b.inner.Hints() }
+
+func TestEngineSingleflightSharedFrames(t *testing.T) {
+	// Two identical concurrent queries on a cold cache must cost exactly
+	// one detector call per distinct frame, whether the cache is the memo
+	// cache alone or fronts a shared remote tier: whichever query reaches a
+	// frame second either merges into the first's in-flight fill
+	// (singleflight) or hits the L1 write-through — never the backend.
+	for _, tc := range []struct {
+		name   string
+		remote bool
+	}{{"memo", false}, {"remote", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			eo := EngineOptions{Workers: 4, CacheEntries: 1 << 16}
+			if tc.remote {
+				eo.RemoteCache, _ = loopbackCache(t)
 			}
-		}(h)
-	}
-	reps := make([]*Report, len(handles))
-	for i, h := range handles {
-		rep, err := h.Wait()
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-		reps[i] = rep
-	}
-	wg.Wait()
-	if !reflect.DeepEqual(reps[0].Results, reps[1].Results) {
-		t.Fatal("identical concurrent queries diverged")
-	}
-	// Same seed → same distinct frame set; the backends must have served it
-	// exactly once.
-	var detects int64
-	for _, st := range ss.ShardStats() {
-		detects += st.DetectCalls
-	}
-	if detects != reps[0].FramesProcessed {
-		t.Fatalf("backends served %d frames for %d distinct sampled frames (duplicate inference under concurrency)",
-			detects, reps[0].FramesProcessed)
-	}
-	if st := e.TierStats(); st.Fills != reps[0].FramesProcessed {
-		t.Fatalf("tier filled %d frames, want %d", st.Fills, reps[0].FramesProcessed)
+			e := newTestEngine(t, eo)
+			inner := smallDataset(t, WithPerfectDetector()).Backend()
+
+			// An uncached blocker holds the scheduler's first round until both
+			// queries are registered, so from the second round on they pick
+			// the same frame in the same round.
+			blocking, release := make(chan struct{}), make(chan struct{})
+			blocker := smallDataset(t, WithDetectorFailureAfter(1<<40), WithBackend(&heldBackend{
+				inner: inner,
+				hold:  func(*atomic.Int64) { close(blocking); <-release },
+			}))
+			// The first cached detector call is then held until the other
+			// query has missed the same frame in the memo cache (a leader's
+			// own lookups count two misses) or called the backend itself.
+			held := &heldBackend{inner: inner, hold: func(calls *atomic.Int64) {
+				for e.memo.Stats().Misses < 3 && calls.Load() < 2 {
+					runtime.Gosched()
+				}
+			}}
+			ds := smallDataset(t, WithBackend(held))
+
+			q := Query{Class: "car", Limit: 20}
+			opts := Options{Seed: 5}
+			hb, err := e.Submit(context.Background(), blocker, Query{Class: "car", Limit: 1}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-blocking
+			var handles [2]*QueryHandle
+			for i := range handles {
+				h, err := e.Submit(context.Background(), ds, q, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				handles[i] = h
+			}
+			close(release)
+			if _, err := hb.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for _, h := range handles {
+				wg.Add(1)
+				go func(h *QueryHandle) {
+					defer wg.Done()
+					for range h.Events() {
+					}
+				}(h)
+			}
+			reps := make([]*Report, len(handles))
+			for i, h := range handles {
+				rep, err := h.Wait()
+				if err != nil {
+					t.Fatalf("query %d: %v", i, err)
+				}
+				if rep.CacheHits+rep.CacheMisses != rep.FramesProcessed {
+					t.Fatalf("query %d: %d hits + %d misses over %d frames",
+						i, rep.CacheHits, rep.CacheMisses, rep.FramesProcessed)
+				}
+				reps[i] = rep
+			}
+			wg.Wait()
+			if !reflect.DeepEqual(reps[0].Results, reps[1].Results) {
+				t.Fatal("identical concurrent queries diverged")
+			}
+			// Same seed → same distinct frame set; the backend must have
+			// served it exactly once.
+			if n := held.frames.Load(); n != reps[0].FramesProcessed {
+				t.Fatalf("backend served %d frames for %d distinct sampled frames (duplicate inference under concurrency)",
+					n, reps[0].FramesProcessed)
+			}
+			if st := e.TierStats(); tc.remote && st.Fills != reps[0].FramesProcessed {
+				t.Fatalf("tier filled %d frames, want %d", st.Fills, reps[0].FramesProcessed)
+			}
+		})
 	}
 }
 
