@@ -156,7 +156,7 @@ func TestLocalGetBatchAllHitsAllocs(t *testing.T) {
 
 // TestFetchBatchL1HitsAllocFree: an all-L1-hit FetchBatch over a Local L1
 // with a reused outcome buffer allocates nothing — the per-call index
-// buffers come from the tier's scratch pool and the Local lookup shares the
+// buffers come from the tier's free list and the Local lookup shares the
 // cached slices.
 func TestFetchBatchL1HitsAllocFree(t *testing.T) {
 	tiered := NewTiered(NewLocal(1024), nil)
@@ -179,6 +179,33 @@ func TestFetchBatchL1HitsAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("all-L1-hit FetchBatch allocates %.2f objects/batch, want 0", allocs)
 	}
+}
+
+// BenchmarkFetchBatchL1HitsParallel: all-L1-hit batches from concurrent
+// callers, the shape of many queries or parallel affinity groups reading a
+// warm tier. Run with -cpu above the core count to load the scratch lock.
+func BenchmarkFetchBatchL1HitsParallel(b *testing.B) {
+	tiered := NewTiered(NewLocal(1024), nil)
+	ctx := context.Background()
+	keys := make([]Key, 32)
+	for i := range keys {
+		keys[i] = Key{Content: 8, Class: "car", Frame: int64(i)}
+	}
+	var fc fillCounter
+	fill := fc.fill(keys)
+	if _, err := tiered.FetchBatch(ctx, keys, nil, fill); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		var out []Outcome
+		for pb.Next() {
+			var err error
+			if out, err = tiered.FetchBatch(ctx, keys, out, fill); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // fillFromMap is a test fill that serves from a fixed map and counts calls
@@ -307,6 +334,92 @@ func TestTieredL2Degrades(t *testing.T) {
 	}
 	if _, err := tiered.Warm(ctx, keys); err == nil {
 		t.Fatal("Warm against a down remote succeeded, want error")
+	}
+}
+
+// countingStore wraps a Store behind a type that is not *Local, counting
+// its GetBatch calls.
+type countingStore struct {
+	Store
+	gets atomic.Int64
+}
+
+func (c *countingStore) GetBatch(ctx context.Context, keys []Key) ([]Entry, error) {
+	c.gets.Add(1)
+	return c.Store.GetBatch(ctx, keys)
+}
+
+// TestTieredGenericL1: an L1 that is not a *Local is read through its
+// GetBatch — hits, misses and write-through behave as over a Local — and a
+// failing L1 degrades every lookup to a miss, so FetchBatch still serves
+// through the fill and GetBatch reports not-found rather than an error.
+func TestTieredGenericL1(t *testing.T) {
+	ctx := context.Background()
+	keys := []Key{{Content: 12, Class: "car", Frame: 1}, {Content: 12, Class: "car", Frame: 2}}
+
+	l1 := &countingStore{Store: NewLocal(64)}
+	tiered := NewTiered(l1, nil)
+	var fc fillCounter
+	out, err := tiered.FetchBatch(ctx, keys, nil, fc.fill(keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range out {
+		if o.Where != TierDetector {
+			t.Fatalf("cold outcome %d = %+v, want detector fill", i, o)
+		}
+	}
+	if out, err = tiered.FetchBatch(ctx, keys, out, fc.fill(keys)); err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range out {
+		if o.Where != TierL1 || len(o.Dets) != 1 {
+			t.Fatalf("warm outcome %d = %+v, want L1 hit", i, o)
+		}
+	}
+	for k, n := range fc.calls {
+		if n != 1 {
+			t.Fatalf("key %v filled %d times, want 1", k, n)
+		}
+	}
+	got, err := tiered.GetBatch(ctx, []Key{keys[0], {Content: 12, Class: "car", Frame: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got[0].Found || got[1].Found {
+		t.Fatalf("GetBatch = %+v, want hit then miss", got)
+	}
+	if st := tiered.Stats(); st.L1Hits != 3 || st.L1Misses != 3 || st.Fills != 2 {
+		t.Fatalf("stats = %+v, want 3 L1 hits, 3 L1 misses, 2 fills", st)
+	}
+	if l1.gets.Load() == 0 {
+		t.Fatal("lookups bypassed the L1's GetBatch")
+	}
+
+	down := NewTiered(errStore{}, nil)
+	var fc2 fillCounter
+	for pass := 0; pass < 2; pass++ {
+		out, err := down.FetchBatch(ctx, keys, nil, fc2.fill(keys))
+		if err != nil {
+			t.Fatalf("pass %d: FetchBatch over a failing L1: %v", pass, err)
+		}
+		for i, o := range out {
+			if o.Where != TierDetector || len(o.Dets) != 1 {
+				t.Fatalf("pass %d outcome %d = %+v, want detector fill", pass, i, o)
+			}
+		}
+	}
+	got, err = down.GetBatch(ctx, keys)
+	if err != nil {
+		t.Fatalf("GetBatch over a failing L1: %v", err)
+	}
+	for i, e := range got {
+		if e.Found {
+			t.Fatalf("entry %d found in a failing L1", i)
+		}
+	}
+	if st := down.Stats(); st.L1Hits != 0 || st.L1Misses != 6 || st.Fills != 4 {
+		t.Fatalf("failing-L1 stats = %+v, want 0 hits, 6 misses, 4 fills", st)
 	}
 }
 

@@ -94,9 +94,9 @@ type Tiered struct {
 	local *Local // l1 when it is a *Local: the allocation-free lookup path
 	l2    Store  // nil disables the remote tier (L1-only, still singleflighted)
 
-	// mu guards inflight and free, the idle call scratches.
-	mu       sync.Mutex
+	mu       sync.Mutex // guards inflight
 	inflight map[Key]flightRef
+	freeMu   sync.Mutex // guards free, the idle call scratches
 	free     []*fetchScratch
 
 	l1Hits, l1Misses       atomic.Int64
@@ -123,10 +123,14 @@ func NewTiered(l1, l2 Store) *Tiered {
 }
 
 // getScratch takes an idle call scratch (or a new one); putScratch returns
-// it, dropping the detection references it held.
+// it, dropping the detection references it held. The free list has its own
+// mutex, held for a pop or a push only, so concurrent batches never queue
+// behind singleflight registration for their scratch. It is not a
+// sync.Pool: the race detector makes a pool drop Puts at random, which
+// would break the zero-allocation guards under -race.
 func (t *Tiered) getScratch() *fetchScratch {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.freeMu.Lock()
+	defer t.freeMu.Unlock()
 	n := len(t.free)
 	if n == 0 {
 		return new(fetchScratch)
@@ -140,9 +144,9 @@ func (t *Tiered) putScratch(s *fetchScratch) {
 	clear(s.vals[:cap(s.vals)])
 	clear(s.waits[:cap(s.waits)])
 	clear(s.outs[:cap(s.outs)])
-	t.mu.Lock()
+	t.freeMu.Lock()
 	t.free = append(t.free, s)
-	t.mu.Unlock()
+	t.freeMu.Unlock()
 }
 
 // TierStats is a snapshot of a tiered store's counters.
@@ -404,6 +408,13 @@ func (t *Tiered) resolveMisses(ctx context.Context, keys []Key, out []Outcome, f
 // the double-check finds counts as the L1 hit it turned out to be. The
 // flight completes — value or error — before the slow L2 write-through, so
 // waiters never stall behind a remote put they do not need.
+//
+// One flight covers the whole batch, so a waiter on a key the double-check
+// found still blocks until the fill for the rest of the batch returns. That
+// needs another leader to fill the key between our first L1 pass and our
+// registration — rare, and it costs the waiter latency, never a duplicate
+// detector call; per-key flights would cost an allocation per missed key
+// on every fill instead.
 func (t *Tiered) leadFill(ctx context.Context, keys []Key, out []Outcome, f *flight, fill FillFunc, s *fetchScratch) error {
 	s.still, _ = t.lookupL1(ctx, keys, s.lead, out, s.still[:0], s)
 	if hits := int64(len(s.lead) - len(s.still)); hits > 0 {

@@ -16,6 +16,9 @@ type standingFake struct {
 	applied   atomic.Int64
 	finalized atomic.Int32
 	standing  bool
+	// applyN, when non-nil, is closed by the applyAt-th Apply.
+	applyN  chan struct{}
+	applyAt int64
 }
 
 func (s *standingFake) StandingQuery() bool { return s.standing }
@@ -44,26 +47,46 @@ func (s *standingFake) DetectBatch(frames []int64) ([]any, error) {
 }
 
 func (s *standingFake) Apply(frame int64, dets any) (bool, error) {
-	s.applied.Add(1)
+	if s.applied.Add(1) == s.applyAt && s.applyN != nil {
+		close(s.applyN)
+	}
 	return false, nil
+}
+
+// afterPark returns once the scheduler has run every query already on the
+// schedule through one more Propose, so a drained standing query has
+// parked. It submits a bounded query with nothing to propose and waits for
+// its exhaustion: that query sits behind the others on the schedule (or
+// runs in a later round), so it is finalized only after their Proposes and
+// the parks that follow them.
+func afterPark(t *testing.T, e *Engine) {
+	t.Helper()
+	obs, err := e.Submit(&standingFake{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.Wait(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func (s *standingFake) Finalize() { s.finalized.Add(1) }
 
 // TestStandingQueryParksAndWakes: a standing query over a drained
 // repository parks with no terminal reason, resumes when woken with new
-// frames, parks again when dry, and finalizes only on Cancel. Rounds are
-// driven directly until the cancel, so every park is observed exactly when
-// it happens; the scheduler goroutine then finalizes the cancelled query.
+// frames, parks again when dry, and finalizes only on Cancel. The scheduler
+// loop runs throughout, so each Wake lands on an idle loop blocked waiting
+// for work.
 func TestStandingQueryParksAndWakes(t *testing.T) {
-	e := newEngine(Config{Workers: 2, FramesPerRound: 4})
+	e := New(Config{Workers: 2, FramesPerRound: 4})
 	defer e.Close()
-	q := &standingFake{standing: true, buf: make([]int64, 0, 8), dets: make([]any, 0, 8)}
+	applied := make(chan struct{})
+	q := &standingFake{standing: true, buf: make([]int64, 0, 8), dets: make([]any, 0, 8), applyN: applied, applyAt: 3}
 	h, err := e.Submit(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.runOneRound()
+	afterPark(t, e)
 	if !h.Parked() {
 		t.Fatal("drained standing query did not park")
 	}
@@ -75,11 +98,8 @@ func TestStandingQueryParksAndWakes(t *testing.T) {
 	// parks again.
 	q.pending.Add(3)
 	h.Wake()
-	e.runOneRound()
-	if q.applied.Load() != 3 {
-		t.Fatalf("applied %d frames, want 3", q.applied.Load())
-	}
-	e.runOneRound()
+	<-applied
+	afterPark(t, e)
 	if !h.Parked() {
 		t.Fatal("standing query did not re-park once dry")
 	}
@@ -90,7 +110,6 @@ func TestStandingQueryParksAndWakes(t *testing.T) {
 
 	// Cancel wakes the parked handle so it finalizes promptly.
 	h.Cancel()
-	go e.loop()
 	if err := h.Wait(); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
@@ -158,17 +177,16 @@ func TestWakeDuringRoundIsNotLost(t *testing.T) {
 // TestCloseFinalizesParked: Close must not strand parked handles — they
 // re-enter the schedule cancelled and Wait returns.
 func TestCloseFinalizesParked(t *testing.T) {
-	e := newEngine(Config{Workers: 1, FramesPerRound: 1})
+	e := New(Config{Workers: 1, FramesPerRound: 1})
 	q := &standingFake{standing: true, buf: make([]int64, 0, 2), dets: make([]any, 0, 2)}
 	h, err := e.Submit(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.runOneRound()
+	afterPark(t, e)
 	if !h.Parked() {
 		t.Fatal("drained standing query did not park")
 	}
-	go e.loop() // idles: nothing is active until Close re-admits the parked query
 	e.Close()
 	if err := h.Wait(); err != nil {
 		t.Fatal(err)

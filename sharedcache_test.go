@@ -244,13 +244,14 @@ func (b *heldBackend) Hints() backend.Hints { return b.inner.Hints() }
 func TestEngineSingleflightSharedFrames(t *testing.T) {
 	// Two identical concurrent queries on a cold cache must cost exactly
 	// one detector call per distinct frame, whether the cache is the memo
-	// cache alone or fronts a shared remote tier: whichever query reaches a
-	// frame second either merges into the first's in-flight fill
-	// (singleflight) or hits the L1 write-through — never the backend.
+	// cache alone or fronts a shared remote tier, and whether the source is
+	// one dataset or a sharded fleet: whichever query reaches a frame second
+	// either merges into the first's in-flight fill (singleflight) or hits
+	// the L1 write-through — never the backend.
 	for _, tc := range []struct {
-		name   string
-		remote bool
-	}{{"memo", false}, {"remote", true}} {
+		name            string
+		remote, sharded bool
+	}{{"memo", false, false}, {"remote", true, false}, {"remote_sharded", true, true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			eo := EngineOptions{Workers: 4, CacheEntries: 1 << 16}
 			if tc.remote {
@@ -267,15 +268,34 @@ func TestEngineSingleflightSharedFrames(t *testing.T) {
 				inner: inner,
 				hold:  func(*atomic.Int64) { close(blocking); <-release },
 			}))
-			// The first cached detector call is then held until the other
-			// query has missed the same frame in the memo cache (a leader's
-			// own lookups count two misses) or called the backend itself.
-			held := &heldBackend{inner: inner, hold: func(calls *atomic.Int64) {
-				for e.memo.Stats().Misses < 3 && calls.Load() < 2 {
-					runtime.Gosched()
+			// On one dataset the first cached detector call is then held
+			// until the other query has missed the same frame in the memo
+			// cache (a leader's own lookups count two misses) or called the
+			// backend itself. A sharded fleet counts what its shards served.
+			var src Source
+			var served func() int64
+			var ss *ShardedSource
+			if tc.sharded {
+				var err error
+				ss, err = NewShardedSource("fleet", shardDatasets(t, 2, 20_000, WithPerfectDetector())...)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}}
-			ds := smallDataset(t, WithBackend(held))
+				src, served = ss, func() int64 {
+					var n int64
+					for _, st := range ss.ShardStats() {
+						n += st.DetectCalls
+					}
+					return n
+				}
+			} else {
+				held := &heldBackend{inner: inner, hold: func(calls *atomic.Int64) {
+					for e.memo.Stats().Misses < 3 && calls.Load() < 2 {
+						runtime.Gosched()
+					}
+				}}
+				src, served = smallDataset(t, WithBackend(held)), held.frames.Load
+			}
 
 			q := Query{Class: "car", Limit: 20}
 			opts := Options{Seed: 5}
@@ -286,7 +306,7 @@ func TestEngineSingleflightSharedFrames(t *testing.T) {
 			<-blocking
 			var handles [2]*QueryHandle
 			for i := range handles {
-				h, err := e.Submit(context.Background(), ds, q, opts)
+				h, err := e.Submit(context.Background(), src, q, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -321,11 +341,18 @@ func TestEngineSingleflightSharedFrames(t *testing.T) {
 			if !reflect.DeepEqual(reps[0].Results, reps[1].Results) {
 				t.Fatal("identical concurrent queries diverged")
 			}
-			// Same seed → same distinct frame set; the backend must have
+			// Same seed → same distinct frame set; the backends must have
 			// served it exactly once.
-			if n := held.frames.Load(); n != reps[0].FramesProcessed {
-				t.Fatalf("backend served %d frames for %d distinct sampled frames (duplicate inference under concurrency)",
+			if n := served(); n != reps[0].FramesProcessed {
+				t.Fatalf("backends served %d frames for %d distinct sampled frames (duplicate inference under concurrency)",
 					n, reps[0].FramesProcessed)
+			}
+			if ss != nil {
+				for _, st := range ss.ShardStats() {
+					if st.DetectCalls == 0 {
+						t.Fatalf("shard %d served no frames; the query did not fan out", st.Shard)
+					}
+				}
 			}
 			if st := e.TierStats(); tc.remote && st.Fills != reps[0].FramesProcessed {
 				t.Fatalf("tier filled %d frames, want %d", st.Fills, reps[0].FramesProcessed)
