@@ -7,13 +7,15 @@ import (
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/cachestore"
 	"github.com/exsample/exsample/internal/cache"
+	"github.com/exsample/exsample/internal/core"
 )
 
 // TestDetectBatchMemoHitAllocFree: once every frame of a batch is resident
 // in the cross-query memo cache (the L1 of the run's tier), detectBatchInto
 // through a warm scratch resolves the whole batch locally — the tier's
 // FetchBatch included — without a single allocation: the steady state of
-// overlapping engine queries sharing a cache.
+// overlapping engine queries sharing a cache, and of Session.Step's
+// one-frame batches.
 func TestDetectBatchMemoHitAllocFree(t *testing.T) {
 	ds := smallDataset(t, WithPerfectDetector())
 	memo := cache.New(1 << 12)
@@ -21,53 +23,74 @@ func TestDetectBatchMemoHitAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := []int64{10, 2000, 40_000, 90_000, 150_000, 199_999}
-	var scr detectScratch
 	ctx := context.Background()
-	// First pass misses and fills the cache (and sizes the scratch).
-	if _, err := run.detectBatchInto(ctx, frames, &scr); err != nil {
-		t.Fatal(err)
-	}
-	res, err := run.detectBatchInto(ctx, frames, &scr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, fr := range res {
-		if !fr.cached {
-			t.Fatalf("frame %d not cached on the second pass", frames[i])
-		}
-	}
-	allocs := testing.AllocsPerRun(200, func() {
+	for _, frames := range [][]int64{{10, 2000, 40_000, 90_000, 150_000, 199_999}, {12345}} {
+		var scr detectScratch
+		// First pass misses and fills the cache (and sizes the scratch).
 		if _, err := run.detectBatchInto(ctx, frames, &scr); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("all-hit detectBatch allocates %.2f objects/batch, want 0", allocs)
+		res, err := run.detectBatchInto(ctx, frames, &scr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, fr := range res {
+			if !fr.cached {
+				t.Fatalf("frame %d not cached on the second pass", frames[i])
+			}
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := run.detectBatchInto(ctx, frames, &scr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("all-hit %d-frame detectBatch allocates %.2f objects/batch, want 0", len(frames), allocs)
+		}
 	}
 }
 
-// TestDetectOneScratchReuse: the sequential step loop's detectOne path
-// reuses the per-run scratch, so repeated single-frame batches on the
-// memo-hit path are allocation-free too.
-func TestDetectOneScratchReuse(t *testing.T) {
-	ds := smallDataset(t, WithPerfectDetector())
-	memo := cache.New(1 << 12)
-	run, err := newQueryRun(ds, Query{Class: "car", Limit: 10}, Options{Seed: 3}, cacheConfig{tier: cachestore.NewTiered(cachestore.WrapCache(memo), nil)}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := run.detectOne(ctx, 12345); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := run.detectOne(ctx, 12345); err != nil {
+// stubRun is an engineRun that draws frames forever and detects and applies
+// nothing, without allocating, so the allocations measured around a round
+// are the adapter's own.
+type stubRun struct{ frame int64 }
+
+func (r *stubRun) next() (core.Pick, bool) {
+	r.frame++
+	return core.Pick{Frame: r.frame, Chunk: -1}, true
+}
+
+func (r *stubRun) detectBatchInto(_ context.Context, frames []int64, scr *detectScratch) ([]frameResult, error) {
+	return scr.results(len(frames)), nil
+}
+
+func (r *stubRun) step(core.Pick, frameResult) error { return nil }
+func (r *stubRun) done() bool                        { return false }
+func (r *stubRun) failure() error                    { return nil }
+func (r *stubRun) marginalValue() float64            { return 0 }
+
+// TestEngineQueryRoundAllocFree: the query adapter's side of a steady-state
+// round — Propose, one DetectBatch, an Apply per proposed frame — allocates
+// nothing once its buffers are warm. Apply consumes the proposed picks by
+// index, so their buffer keeps its capacity from round to round; the
+// scheduler's own guards run stub queries and cannot see this.
+func TestEngineQueryRoundAllocFree(t *testing.T) {
+	eq := &engineQuery{run: &stubRun{}, ctx: context.Background()}
+	round := func() {
+		frames := eq.Propose(8)
+		dets, err := eq.DetectBatch(frames)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("memo-hit detectOne allocates %.2f objects/call, want 0", allocs)
+		for i, f := range frames {
+			if _, err := eq.Apply(f, dets[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round() // size every buffer
+	if allocs := testing.AllocsPerRun(100, round); allocs > 0 {
+		t.Fatalf("engineQuery round allocates %.2f objects, want 0", allocs)
 	}
 }
 

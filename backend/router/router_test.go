@@ -46,13 +46,14 @@ func (c *fakeClock) advance(d time.Duration) {
 
 // virtualize puts the router and its fake replicas on one fake clock, so
 // measured latencies are exactly the configured delays. Call before any
-// traffic.
-func virtualize(r *Router, fakes []*fakeBackend) {
+// traffic. Tests advance the returned clock past breaker cooldowns.
+func virtualize(r *Router, fakes []*fakeBackend) *fakeClock {
 	clock := &fakeClock{t: time.Unix(0, 0)}
 	r.now = clock.now
 	for _, f := range fakes {
 		f.clock = clock
 	}
+	return clock
 }
 
 // maxSeen returns the largest batch (or slice) the replica served.
@@ -217,6 +218,7 @@ func TestRouterCircuitReadmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	clock := virtualize(r, fakes)
 	fakes[0].dead.Store(true)
 	// Trip replica 0's breaker.
 	for i := 0; i < 4; i++ {
@@ -227,9 +229,9 @@ func TestRouterCircuitReadmission(t *testing.T) {
 	if st := r.Stats(); st[0].State != Open {
 		t.Fatalf("replica 0 state = %v, want open", st[0].State)
 	}
-	// Heal it and wait out the cooldown: a half-open trial call readmits.
+	// Heal it and step past the cooldown: a half-open trial call readmits.
 	fakes[0].dead.Store(false)
-	time.Sleep(30 * time.Millisecond)
+	clock.advance(30 * time.Millisecond)
 	healed := false
 	for i := 0; i < 10; i++ {
 		if _, err := r.DetectBatch(context.Background(), "car", []int64{1}); err != nil {
@@ -252,13 +254,14 @@ func TestRouterFailedTrialReopens(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	clock := virtualize(r, fakes)
 	fakes[0].dead.Store(true)
 	for i := 0; i < 3; i++ {
 		if _, err := r.DetectBatch(context.Background(), "car", []int64{1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(15 * time.Millisecond)
+	clock.advance(15 * time.Millisecond)
 	// Still dead: the half-open trial fails and the breaker re-opens
 	// immediately (one strike, no threshold credit).
 	for i := 0; i < 4; i++ {

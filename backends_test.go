@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -362,3 +363,90 @@ func (failingBackend) DetectBatch(ctx context.Context, class string, frames []in
 }
 
 func (failingBackend) Hints() backend.Hints { return backend.Hints{CostSeconds: 0.01} }
+
+// flakyBackend answers through inner until its k-th DetectBatch call, then
+// fails every call with errBackendDown until healed.
+type flakyBackend struct {
+	inner  backend.Backend
+	k      int64
+	calls  atomic.Int64
+	served atomic.Int64 // frames answered
+	healed atomic.Bool
+}
+
+func (b *flakyBackend) DetectBatch(ctx context.Context, class string, frames []int64) ([][]backend.Detection, error) {
+	if b.calls.Add(1) >= b.k && !b.healed.Load() {
+		return nil, errBackendDown
+	}
+	dets, err := b.inner.DetectBatch(ctx, class, frames)
+	if err == nil {
+		b.served.Add(int64(len(frames)))
+	}
+	return dets, err
+}
+
+func (b *flakyBackend) Hints() backend.Hints { return b.inner.Hints() }
+
+// TestDriversOnBackendFailure: a backend failing from its fifth call ends
+// each synchronous driver the way its contract says. Search returns the
+// error and no report, batched or not. TrackSearch returns the error with a
+// partial report holding exactly the frames served before the failure — no
+// partial round applied. Session.Step returns the error with nothing
+// charged or applied, and steps on once the backend recovers.
+func TestDriversOnBackendFailure(t *testing.T) {
+	const k = 5
+	searchFails := func(opts Options) func(*testing.T, *Dataset, *flakyBackend) {
+		return func(t *testing.T, ds *Dataset, _ *flakyBackend) {
+			rep, err := ds.Search(Query{Class: "car", Limit: 1000}, opts)
+			if rep != nil || !errors.Is(err, errBackendDown) {
+				t.Fatalf("Search = (%v, %v), want (<nil>, %v)", rep, err, errBackendDown)
+			}
+		}
+	}
+	cases := []struct {
+		name  string
+		scene func(*testing.T, ...DatasetOption) *Dataset
+		check func(*testing.T, *Dataset, *flakyBackend)
+	}{
+		{"search", smallDataset, searchFails(Options{Seed: 1})},
+		{"search batched", smallDataset, searchFails(Options{Seed: 1, BatchSize: 8})},
+		{"track search", trackScene, func(t *testing.T, ds *Dataset, b *flakyBackend) {
+			rep, err := ds.TrackSearch(trackPred(), TrackOptions{Seed: 3})
+			if rep == nil || !errors.Is(err, errBackendDown) {
+				t.Fatalf("TrackSearch = (%v, %v), want a partial report and %v", rep, err, errBackendDown)
+			}
+			if rep.FramesProcessed != b.served.Load() {
+				t.Fatalf("report holds %d frames, the backend served %d", rep.FramesProcessed, b.served.Load())
+			}
+		}},
+		{"session step", smallDataset, func(t *testing.T, ds *Dataset, b *flakyBackend) {
+			s, err := ds.NewSession(Query{Class: "car"}, Options{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < k; i++ {
+				if _, ok, err := s.Step(); !ok || err != nil {
+					t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
+				}
+			}
+			frames, seconds, found := s.Frames(), s.Seconds(), len(s.Results())
+			if _, ok, err := s.Step(); ok || !errors.Is(err, errBackendDown) {
+				t.Fatalf("failing step: ok=%v err=%v, want %v", ok, err, errBackendDown)
+			}
+			if s.Frames() != frames || s.Seconds() != seconds || len(s.Results()) != found {
+				t.Fatalf("failed step changed the session: frames %d -> %d, seconds %v -> %v, results %d -> %d",
+					frames, s.Frames(), seconds, s.Seconds(), found, len(s.Results()))
+			}
+			b.healed.Store(true)
+			if _, ok, err := s.Step(); !ok || err != nil || s.Frames() != frames+1 {
+				t.Fatalf("step after recovery: ok=%v err=%v frames=%d, want %d", ok, err, s.Frames(), frames+1)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := &flakyBackend{inner: tc.scene(t).Backend(), k: k}
+			tc.check(t, tc.scene(t, WithBackend(b)), b)
+		})
+	}
+}

@@ -499,18 +499,21 @@ func TestElasticEngineSurvivesReplicaDeath(t *testing.T) {
 		var killFns []func()
 		shards := make([]*Dataset, 3)
 		for i := range shards {
-			replicas := make([]backend.Backend, 3)
+			// The doomed replica 0 outweighs its twins 100:1, so the router
+			// keeps picking it until the kill trips its breaker, whatever
+			// wall-clock latencies it measured on the way.
+			specs := make([]router.ReplicaSpec, 3)
 			var killReplica func()
-			for rIdx := range replicas {
+			for rIdx := range specs {
 				twin := elasticShard(t, framesEach, uint64(500+i))
 				dead := &atomic.Bool{}
-				inner := twin.Backend()
-				replicas[rIdx] = &mortalBackend{inner: inner, dead: dead}
+				specs[rIdx] = router.ReplicaSpec{Backend: &mortalBackend{inner: twin.Backend(), dead: dead}, Weight: 1}
 				if rIdx == 0 {
+					specs[rIdx].Weight = 100
 					killReplica = func() { dead.Store(true) }
 				}
 			}
-			r, err := router.New(router.Config{Replicas: replicas, FailureThreshold: 1})
+			r, err := router.New(router.Config{Specs: specs, FailureThreshold: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

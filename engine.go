@@ -381,9 +381,8 @@ func (e *Engine) Warm(ctx context.Context, src Source, class string, limit int64
 // (not the engine): when ctx is done the query is finalized at the next
 // round boundary and Wait returns ctx's error alongside the partial report.
 //
-// Batching belongs to the engine, so opts.BatchSize and opts.Parallelism
-// must be unset; AutoChunk and the proxy training phase are Search-only
-// features.
+// Batching belongs to the engine, so opts.BatchSize must be unset;
+// AutoChunk and the proxy training phase are Search-only features.
 func (e *Engine) Submit(ctx context.Context, src Source, q Query, opts Options) (*QueryHandle, error) {
 	return e.submitQuery(ctx, src, q, opts, false)
 }
@@ -419,8 +418,8 @@ func (e *Engine) submitQuery(ctx context.Context, src Source, q Query, opts Opti
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.BatchSize > 1 || opts.Parallelism > 1 {
-		return nil, fmt.Errorf("exsample: the engine schedules batching itself; set EngineOptions.FramesPerRound instead of BatchSize/Parallelism")
+	if opts.BatchSize > 1 {
+		return nil, fmt.Errorf("exsample: the engine schedules batching itself; set EngineOptions.FramesPerRound instead of BatchSize")
 	}
 	if standing && (opts.AutoChunk || opts.NumChunks > 0) {
 		return nil, fmt.Errorf("exsample: standing queries follow the source's live chunk topology; NumChunks/AutoChunk cannot apply")
@@ -665,8 +664,10 @@ type engineRun interface {
 }
 
 // engineQuery adapts a run — distinct-object or track — to the internal
-// scheduler's Query interface. Propose/Apply/Done/Finalize run on the
-// scheduler goroutine; DetectBatch runs on pool workers — several at once
+// scheduler's Query interface, for the Engine and for the rounds Search and
+// TrackSearch run inline (see runInline; no events channel then).
+// Propose/Apply/Done/Finalize run on the scheduler goroutine; DetectBatch
+// runs on pool workers — several at once
 // when the round spans multiple affinity groups, which is why the detect
 // scratches cycle through a mutex-guarded free list instead of living on
 // the run.
@@ -679,7 +680,7 @@ type engineQuery struct {
 	run    engineRun
 	src    *querySource // the run's source
 	ctx    context.Context
-	events chan QueryEvent // closed by Finalize
+	events chan QueryEvent // closed by Finalize; nil when run inline
 	// standing marks a SubmitStanding query; unsub (non-nil only then, and
 	// only for growing sources) cancels the append-wake subscription. It is
 	// written before the scheduler can observe the query and read once by
@@ -687,6 +688,7 @@ type engineQuery struct {
 	standing bool
 	unsub    func()
 	pending  []core.Pick // picks proposed this round, consumed by Apply in order
+	applied  int         // how many of pending Apply has consumed
 	frames   []int64     // reused Propose buffer (engine reads it only until the next Propose)
 
 	// observed makes DetectBatch record each group's backend-served frame
@@ -800,7 +802,7 @@ func (q *engineQuery) StandingQuery() bool {
 
 func (q *engineQuery) Propose(max int) []int64 {
 	q.scr.reclaim()
-	q.pending = q.pending[:0]
+	q.pending, q.applied = q.pending[:0], 0
 	q.frames = q.frames[:0]
 	for len(q.frames) < max {
 		p, ok := q.run.next()
@@ -863,8 +865,8 @@ func shardAffinityKey(src *querySource, shard int) uint64 {
 }
 
 func (q *engineQuery) Apply(frame int64, dets any) (bool, error) {
-	p := q.pending[0]
-	q.pending = q.pending[1:]
+	p := q.pending[q.applied]
+	q.applied++
 	if p.Frame != frame {
 		return false, fmt.Errorf("exsample: engine applied frame %d out of order (expected %d)", frame, p.Frame)
 	}
@@ -878,7 +880,9 @@ func (q *engineQuery) Finalize() {
 	if q.unsub != nil {
 		q.unsub()
 	}
-	close(q.events)
+	if q.events != nil {
+		close(q.events)
+	}
 }
 
 // sizedQuery opts an engineQuery into the scheduler's adaptive round

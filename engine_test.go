@@ -320,7 +320,6 @@ func TestEngineSubmitValidation(t *testing.T) {
 		{"no stop condition", Query{Class: "car"}, Options{}},
 		{"unknown class", Query{Class: "dragon", Limit: 1}, Options{}},
 		{"batch size", Query{Class: "car", Limit: 1}, Options{BatchSize: 8}},
-		{"parallelism", Query{Class: "car", Limit: 1}, Options{BatchSize: 8, Parallelism: 2}},
 		{"autochunk", Query{Class: "car", Limit: 1}, Options{AutoChunk: true}},
 		{"proxy training", Query{Class: "car", Limit: 1}, Options{Strategy: StrategyProxy, ProxyTrainPositives: 3}},
 	}

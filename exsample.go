@@ -251,16 +251,13 @@ type Options struct {
 	// UniformWithinChunk replaces the default random+ within-chunk order
 	// with plain uniform sampling (ablation knob).
 	UniformWithinChunk bool
-	// BatchSize processes frames in batches of this size with deferred
-	// state updates, emulating GPU batch inference (§III-F); 0 or 1 is
-	// unbatched.
+	// BatchSize processes frames in rounds of this size with deferred
+	// state updates, emulating GPU batch inference (§III-F): a round's
+	// picks are all drawn before any of its updates apply, and its frames
+	// reach the detector as one batch per shard. 0 or 1 is unbatched, and
+	// only StrategyExSample batches; other strategies step one frame at a
+	// time.
 	BatchSize int
-	// Parallelism fans detector calls within a batch out over this many
-	// goroutines (the detector is stateless and safe for concurrent use);
-	// 0 or 1 keeps inference sequential. Charged cost is unchanged — this
-	// models batch-parallel GPU inference, not extra hardware. Requires
-	// BatchSize > 1.
-	Parallelism int
 	// Seed drives all randomness in the search.
 	Seed uint64
 	// MaxFrames caps the number of frames processed (0 = repository size).
@@ -324,12 +321,6 @@ func (o Options) Validate() error {
 	}
 	if o.BatchSize < 0 {
 		return fmt.Errorf("exsample: negative BatchSize %d", o.BatchSize)
-	}
-	if o.Parallelism < 0 {
-		return fmt.Errorf("exsample: negative Parallelism %d", o.Parallelism)
-	}
-	if o.Parallelism > 1 && o.BatchSize <= 1 {
-		return fmt.Errorf("exsample: Parallelism %d requires BatchSize > 1", o.Parallelism)
 	}
 	if o.MaxFrames < 0 {
 		return fmt.Errorf("exsample: negative MaxFrames %d", o.MaxFrames)

@@ -321,6 +321,23 @@ func newEngine(cfg Config) *Engine {
 	return e
 }
 
+// Run runs one query to completion on the calling goroutine: the rounds an
+// Engine schedules — propose, one DetectBatch per affinity group, applies
+// in propose order — with no scheduler goroutine, and with no pool
+// goroutine either at the default one worker. Exhaustion always finalizes
+// the query, even a Standing one: nothing could wake it. Run returns why
+// the query left and the DetectBatch or Apply error that ended it, if any.
+func Run(q Query, cfg Config) (Reason, error) {
+	e := newEngine(cfg)
+	defer e.pool.Close()
+	h, _ := e.Submit(q) // a fresh engine is never closed
+	h.standing = nil
+	for h.reason == ReasonNone {
+		e.runOneRound()
+	}
+	return h.reason, h.err
+}
+
 // Workers returns the detector concurrency bound.
 func (e *Engine) Workers() int { return e.cfg.Workers }
 

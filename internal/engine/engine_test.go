@@ -98,7 +98,8 @@ func TestPoolRunsAllTasksWithinBound(t *testing.T) {
 			ran.Add(1)
 		}
 	}
-	pool.Do(tasks)
+	var wg sync.WaitGroup
+	pool.DoWith(&wg, tasks)
 	if ran.Load() != 64 {
 		t.Fatalf("ran %d of 64 tasks", ran.Load())
 	}
@@ -112,7 +113,7 @@ func TestPoolEmptyAndClose(t *testing.T) {
 	if pool.Workers() != 1 {
 		t.Fatalf("Workers() = %d", pool.Workers())
 	}
-	pool.Do(nil)
+	pool.DoWith(&sync.WaitGroup{}, nil)
 	pool.Close()
 	pool.Close() // idempotent
 }

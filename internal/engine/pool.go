@@ -1,7 +1,8 @@
 // Package engine provides the concurrency machinery behind the public
 // exsample.Engine: a bounded worker pool for black-box detector invocations
 // and a fair-share round scheduler that multiplexes many simultaneous
-// distinct-object queries onto that pool.
+// distinct-object queries onto that pool. Run drives the same round for one
+// query on the caller's goroutine.
 //
 // The package is deliberately ignorant of datasets, samplers and reports —
 // queries are an interface, detector outputs are opaque. The scheduling
@@ -15,13 +16,12 @@ package engine
 
 import "sync"
 
-// Pool is a bounded pool of persistent workers executing opaque tasks. It
-// generalizes the per-batch semaphore that parallel batched Search used: one
-// pool is shared by every query of an Engine (or by every batch of a single
-// Search), bounding total detector concurrency no matter how many queries
-// are in flight.
+// Pool is a bounded pool of persistent workers executing opaque tasks. One
+// pool is shared by every query of an Engine, bounding total detector
+// concurrency no matter how many queries are in flight. A one-worker pool
+// starts no goroutine: it runs its tasks in order on the calling goroutine.
 type Pool struct {
-	tasks   chan task
+	tasks   chan task // nil for a one-worker pool
 	workers int
 	wg      sync.WaitGroup
 	once    sync.Once
@@ -40,10 +40,11 @@ func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{
-		tasks:   make(chan task),
-		workers: workers,
+	p := &Pool{workers: workers}
+	if workers == 1 {
+		return p
 	}
+	p.tasks = make(chan task)
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
@@ -60,20 +61,19 @@ func NewPool(workers int) *Pool {
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
 
-// Do runs every task on the pool and returns when all have completed. At
-// most Workers tasks run at any moment; excess tasks queue. Do may be called
-// from multiple goroutines, but the usual caller is a single scheduler loop
-// issuing one batch per scheduling round.
-func (p *Pool) Do(tasks []func()) {
-	var wg sync.WaitGroup
-	p.DoWith(&wg, tasks)
-}
-
-// DoWith is Do with a caller-supplied wait group, letting a steady-state
-// caller (the engine's round scheduler) reuse one group across batches
-// instead of heap-allocating a fresh one per round. The group must be
-// otherwise unused; DoWith adds, dispatches and waits.
+// DoWith runs every task on the pool and returns when all have completed.
+// At most Workers tasks run at any moment; excess tasks queue. The caller
+// supplies the wait group, so a steady-state caller (the engine's round
+// scheduler) reuses one across rounds instead of heap-allocating one per
+// round; the group must be otherwise unused. DoWith adds, dispatches and
+// waits.
 func (p *Pool) DoWith(wg *sync.WaitGroup, tasks []func()) {
+	if p.tasks == nil {
+		for _, fn := range tasks {
+			fn()
+		}
+		return
+	}
 	if len(tasks) == 0 {
 		return
 	}
@@ -84,9 +84,12 @@ func (p *Pool) DoWith(wg *sync.WaitGroup, tasks []func()) {
 	wg.Wait()
 }
 
-// Close shuts the workers down. It must not be called concurrently with Do;
-// it is idempotent.
+// Close shuts the workers down. It must not be called concurrently with
+// DoWith; it is idempotent.
 func (p *Pool) Close() {
+	if p.tasks == nil {
+		return
+	}
 	p.once.Do(func() { close(p.tasks) })
 	p.wg.Wait()
 }

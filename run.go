@@ -19,7 +19,7 @@ import (
 )
 
 // queryRun is the incremental step state machine behind Search, Session and
-// Engine: pick a frame (next), run the detector (detectBatch — the only
+// Engine: pick a frame (next), run the detector (detectBatchInto — the only
 // concurrency-safe method), and feed the detections through the
 // discriminator, cost accounting and sampler bookkeeping (apply). Driving
 // next/detect/apply in a loop IS Algorithm 1 — there is exactly one
@@ -33,9 +33,10 @@ import (
 // cases.
 //
 // Only apply mutates state, and callers must invoke it in pick order from a
-// single goroutine; detectBatch may be fanned out across workers between a
-// batch of next calls and their applies, exactly like batched Search
-// (§III-F).
+// single goroutine; detectBatchInto may be fanned out across workers
+// between a round of next calls and their applies. Search and Engine both
+// drive the run through the engine's round (§III-F); Session steps it one
+// frame at a time.
 type queryRun struct {
 	detectStage
 	query Query
@@ -121,12 +122,6 @@ type detectStage struct {
 	// Key.Content of the run's cache keys (see cacheConfig).
 	tier    *cachestore.Tiered
 	content uint64
-	// seq is the scratch behind detectOne — the sequential drivers (Search,
-	// Session.Step, TrackSearch) run one batch at a time on one goroutine,
-	// so a single per-run scratch makes the whole step loop allocation-free
-	// between detector calls. The engine's concurrent groups never use it.
-	seq detectScratch
-	one [1]int64
 }
 
 // newDetectStage builds a run's detect stage for one class. The cache is
@@ -213,9 +208,6 @@ type detectScratch struct {
 // results returns the scratch's result buffer resized to n, growing only
 // when capacity is short.
 func (s *detectScratch) results(n int) []frameResult {
-	if s == nil {
-		return make([]frameResult, n)
-	}
 	if cap(s.res) < n {
 		s.res = make([]frameResult, n)
 	}
@@ -789,23 +781,18 @@ func (r *queryRun) marginalValue() float64 {
 		(float64(r.rep.FramesProcessed) + core.DefaultBeta0)
 }
 
-// detectBatch runs the detector on a batch of frames, consulting the
-// cross-query cache tier first when enabled: hits are resolved locally (or
-// by one remote round trip) and only the frames no tier held — as one
-// subsequence, in order — reach the backend in a single DetectBatch call,
-// singleflighted against concurrent queries missing the same frames. It is
-// safe to call concurrently for disjoint batches of the same run (the
-// detector contract requires concurrency safety; the tier is lock-striped).
-// ctx cancels the underlying detector call; the error surfaces to the
-// caller with no results applied.
-func (d *detectStage) detectBatch(ctx context.Context, frames []int64) ([]frameResult, error) {
-	return d.detectBatchInto(ctx, frames, nil)
-}
-
-// detectBatchInto is detectBatch writing through the caller's reusable
-// scratch (nil allocates fresh buffers). The returned slice aliases the
-// scratch and is valid until the scratch's next use; scr.misses comes back
-// holding how many frames the backend served, the sizer's miss accounting.
+// detectBatchInto runs the detector on a batch of frames through the
+// caller's reusable scratch, consulting the cross-query cache tier first
+// when enabled: hits are resolved locally (or by one remote round trip) and
+// only the frames no tier held — as one subsequence, in order — reach the
+// backend in a single DetectBatch call, singleflighted against concurrent
+// queries missing the same frames. It is safe to call concurrently for
+// disjoint batches of the same run, each with its own scratch (the detector
+// contract requires concurrency safety; the tier is lock-striped). ctx
+// cancels the underlying detector call; the error surfaces to the caller
+// with no results applied. The returned slice aliases the scratch and is
+// valid until the scratch's next use; scr.misses comes back holding how
+// many frames the backend served, the sizer's miss accounting.
 func (d *detectStage) detectBatchInto(ctx context.Context, frames []int64, scr *detectScratch) ([]frameResult, error) {
 	out := scr.results(len(frames))
 	if d.tier == nil {
@@ -821,13 +808,8 @@ func (d *detectStage) detectBatchInto(ctx context.Context, frames []int64, scr *
 		for i, fo := range outs {
 			out[i] = frameResult{dets: fo.Dets, cost: fo.Cost}
 		}
-		if scr != nil {
-			scr.misses = len(frames)
-		}
+		scr.misses = len(frames)
 		return out, nil
-	}
-	if scr == nil {
-		scr = &detectScratch{res: out}
 	}
 	if scr.fillFn == nil {
 		scr.fillFn = scr.fill
@@ -856,19 +838,6 @@ func (d *detectStage) detectBatchInto(ctx context.Context, frames []int64, scr *
 		}
 	}
 	return out, nil
-}
-
-// detectOne is detectBatch for a single frame — the shape the sequential
-// Search and TrackSearch loops and Session's Step use. It runs through the
-// per-run sequential scratch, so the steady-state step loop allocates
-// nothing between detector calls.
-func (d *detectStage) detectOne(ctx context.Context, frame int64) (frameResult, error) {
-	d.one[0] = frame
-	res, err := d.detectBatchInto(ctx, d.one[:], &d.seq)
-	if err != nil {
-		return frameResult{}, err
-	}
-	return res[0], nil
 }
 
 // apply charges the frame's decode and inference cost, feeds the detections
@@ -930,11 +899,12 @@ func (r *queryRun) apply(p core.Pick, fr frameResult) (StepInfo, error) {
 	return info, nil
 }
 
-// step is apply as the engine drives it: the applied frame's event goes to
-// the bound handle, stamped with the running totals after the frame.
+// step is apply as the engine's round drives it: the applied frame's event
+// goes to the bound handle, if any, stamped with the running totals after
+// the frame.
 func (r *queryRun) step(p core.Pick, fr frameResult) error {
 	info, err := r.apply(p, fr)
-	if err != nil {
+	if err != nil || r.out == nil {
 		return err
 	}
 	r.out.emit(QueryEvent{

@@ -2,9 +2,7 @@ package exsample
 
 import (
 	"context"
-	"sync"
 
-	"github.com/exsample/exsample/internal/core"
 	"github.com/exsample/exsample/internal/engine"
 )
 
@@ -15,8 +13,9 @@ import (
 // SORT-style discriminator, and — for ExSample — feed the (d0, d1) split
 // back into the per-chunk statistics.
 //
-// Search delegates to the same queryRun step loop that drives Session and
-// Engine, so all three produce byte-identical reports for the same seed.
+// Search runs the Engine's own scheduling round on the calling goroutine,
+// over the same queryRun step machine Session and Engine drive, so all
+// three produce byte-identical reports for the same seed.
 func (d *Dataset) Search(q Query, opts Options) (*Report, error) {
 	return SearchSource(d, q, opts)
 }
@@ -34,121 +33,30 @@ func SearchSource(src Source, q Query, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Only the batched ExSample loop (§III-F) defers updates and fans
-	// inference out; every other strategy steps one frame at a time.
+	// Only the batched ExSample loop (§III-F) defers updates across a round;
+	// every other strategy steps one frame at a time.
+	round := 1
 	if opts.Strategy == StrategyExSample && !opts.AutoChunk && opts.BatchSize > 1 {
-		err = runBatched(run, opts.BatchSize, opts.Parallelism)
-	} else {
-		err = runSequential(run)
+		round = opts.BatchSize
 	}
-	if err != nil {
+	if err := runInline(run, run.src, round); err != nil {
 		return nil, err
-	}
-	if run.err != nil {
-		return nil, run.err
 	}
 	run.rep.Recall = run.curve.Recall()
 	return run.rep, nil
 }
 
-// runSequential drives the step loop one frame at a time until the query's
-// stopping condition fires or the repository is exhausted.
-func runSequential(run *queryRun) error {
-	ctx := context.Background()
-	for !run.done() {
-		p, ok := run.next()
-		if !ok {
-			break
-		}
-		fr, err := run.detectOne(ctx, p.Frame)
-		if err != nil {
-			return err
-		}
-		if _, err := run.apply(p, fr); err != nil {
-			return err
-		}
+// runInline runs a bounded run to completion through the engine's round
+// (engine.Run) on the calling goroutine, round frames per round: a round's
+// picks are all drawn before any of its updates apply, its frames reach
+// the detector as one batch per shard, and the tail of the round after the
+// stopping condition fires is discarded uncharged. No goroutine is started
+// and no event is published. It returns the error that ended the run: the
+// detector's, an apply's, or a pipeline failure the run latched.
+func runInline(run engineRun, src *querySource, round int) error {
+	eq := &engineQuery{run: run, src: src, ctx: context.Background()}
+	if _, err := engine.Run(eq, engine.Config{FramesPerRound: round}); err != nil {
+		return err
 	}
-	return nil
-}
-
-// runBatched is the §III-F batched loop: draw a whole batch of picks before
-// any of their updates apply, run inference as batched detector calls
-// (optionally split across a bounded worker pool — the same pool type that
-// backs the Engine's cross-query batching), then feed the discriminator in
-// pick order.
-func runBatched(run *queryRun, batch, parallelism int) error {
-	ctx := context.Background()
-	var pool *engine.Pool
-	if parallelism > 1 {
-		pool = engine.NewPool(parallelism)
-		defer pool.Close()
-	}
-	for !run.done() {
-		picks := make([]core.Pick, 0, batch)
-		for len(picks) < batch {
-			p, ok := run.next()
-			if !ok {
-				break
-			}
-			picks = append(picks, p)
-		}
-		if len(picks) == 0 {
-			break
-		}
-		frames := make([]int64, len(picks))
-		for i, p := range picks {
-			frames[i] = p.Frame
-		}
-		results := make([]frameResult, len(picks))
-		if pool != nil {
-			// Split the batch into parallelism contiguous sub-batches, one
-			// batched detector call each — same frames, same per-frame
-			// outputs and costs, so results are byte-identical to a single
-			// call.
-			per := (len(picks) + parallelism - 1) / parallelism
-			var tasks []func()
-			var errMu sync.Mutex
-			var firstErr error
-			for start := 0; start < len(picks); start += per {
-				start := start
-				end := start + per
-				if end > len(picks) {
-					end = len(picks)
-				}
-				tasks = append(tasks, func() {
-					sub, err := run.detectBatch(ctx, frames[start:end])
-					if err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-						return
-					}
-					copy(results[start:end], sub)
-				})
-			}
-			pool.Do(tasks)
-			if firstErr != nil {
-				return firstErr
-			}
-		} else {
-			sub, err := run.detectBatch(ctx, frames)
-			if err != nil {
-				return err
-			}
-			copy(results, sub)
-		}
-		for i, p := range picks {
-			if _, err := run.apply(p, results[i]); err != nil {
-				return err
-			}
-			if run.done() {
-				// Remaining picks of the round are discarded unapplied;
-				// their cost is never charged.
-				break
-			}
-		}
-	}
-	return nil
+	return run.failure()
 }

@@ -18,6 +18,11 @@ import (
 // step loop, so both reproduce Search exactly for the same seed.
 type Session struct {
 	run *queryRun
+	// scr and one are Step's detect buffers: each Step is a one-frame batch
+	// through the same scratch, so the steady-state step loop allocates
+	// nothing between detector calls.
+	scr detectScratch
+	one [1]int64
 	// alloc is the reused per-poll buffer behind ChunkStats' Allocation
 	// column — stats polling every step must not allocate per call.
 	alloc []float64
@@ -41,13 +46,13 @@ type StepInfo struct {
 // for Session (exposed via Done) — Step keeps working as long as frames
 // remain.
 func NewSession(src Source, q Query, opts Options) (*Session, error) {
-	if q.Class == "" {
-		return nil, fmt.Errorf("exsample: session needs a class")
+	if err := q.validate(false); err != nil {
+		return nil, err
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.BatchSize > 1 || opts.Parallelism > 1 {
+	if opts.BatchSize > 1 {
 		return nil, fmt.Errorf("exsample: sessions are single-frame; use Search for batching")
 	}
 	run, err := newQueryRun(src, q, opts, cacheConfig{}, false)
@@ -64,17 +69,20 @@ func (d *Dataset) NewSession(q Query, opts Options) (*Session, error) {
 
 // Step processes one frame. ok is false when the repository is exhausted.
 // A detector backend error (network failure, cancelled endpoint) surfaces
-// as err with the session state unchanged.
+// as err: the drawn frame is neither charged nor applied, so Frames,
+// Seconds and Results are unchanged, but the pick is spent — the next Step
+// draws a new one.
 func (s *Session) Step() (info StepInfo, ok bool, err error) {
 	p, ok := s.run.next()
 	if !ok {
 		return StepInfo{}, false, nil
 	}
-	fr, err := s.run.detectOne(context.Background(), p.Frame)
+	s.one[0] = p.Frame
+	res, err := s.run.detectBatchInto(context.Background(), s.one[:], &s.scr)
 	if err != nil {
 		return StepInfo{}, false, err
 	}
-	info, err = s.run.apply(p, fr)
+	info, err = s.run.apply(p, res[0])
 	if err != nil {
 		return StepInfo{}, false, err
 	}

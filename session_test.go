@@ -183,8 +183,11 @@ func TestSessionValidation(t *testing.T) {
 	if _, err := ds.NewSession(Query{Class: "car", Limit: 1}, Options{BatchSize: 8}); err == nil {
 		t.Error("batched session accepted")
 	}
-	if _, err := ds.NewSession(Query{Class: "car", Limit: 1}, Options{BatchSize: 8, Parallelism: 2}); err == nil {
-		t.Error("parallel session accepted")
+	if _, err := ds.NewSession(Query{Class: "car", Limit: -5}, Options{}); err == nil {
+		t.Error("negative limit accepted")
+	}
+	if _, err := ds.NewSession(Query{Class: "car", RecallTarget: 1.5}, Options{}); err == nil {
+		t.Error("recall target above 1 accepted")
 	}
 }
 

@@ -570,7 +570,6 @@ func TestStreamConstructionAndValidation(t *testing.T) {
 		{Query{Class: "car", Limit: -1}, Options{}},
 		{Query{Class: "car", RecallTarget: 1.5}, Options{}},
 		{Query{Class: "car"}, Options{BatchSize: 4}},
-		{Query{Class: "car"}, Options{Parallelism: 2}},
 		{Query{Class: "car"}, Options{NumChunks: 8}},
 		{Query{Class: "car"}, Options{AutoChunk: true}},
 		{Query{Class: "car"}, Options{ProxyTrainPositives: 5}},

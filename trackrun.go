@@ -1,7 +1,6 @@
 package exsample
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/exsample/exsample/internal/core"
@@ -153,8 +152,8 @@ func newTrackRun(s Source, p TrackPredicate, o TrackOptions, cc cacheConfig) (*t
 // during phase 1 and -1 during refine. ok is false when the plan has
 // nothing to issue — terminal once done() holds, transient while a round's
 // coarse observes are outstanding. next runs on the same goroutine as
-// step (the scheduler's, or the sequential driver's), so it may drain
-// intervals the plan transition just readied.
+// step (the one applying the engine's round), so it may drain intervals
+// the plan transition just readied.
 func (r *trackRun) next() (core.Pick, bool) {
 	if r.err != nil || r.done() {
 		return core.Pick{}, false
@@ -333,10 +332,11 @@ func (r *trackRun) done() bool {
 }
 
 // TrackSearch runs a track-predicate query against a source — a local
-// Dataset or a ShardedSource — and returns its report. It is the
-// sequential driver over the same trackRun step machine Engine.SubmitTrack
-// schedules concurrently, so both produce identical Results for the same
-// predicate and options.
+// Dataset or a ShardedSource — and returns its report. It runs the
+// engine's round, one frame per round, on the calling goroutine over the
+// same trackRun step machine Engine.SubmitTrack schedules concurrently, so
+// both produce identical Results for the same predicate and options. A
+// detector error returns with the report as of the last applied frame.
 //
 // The query runs the MIRIS-style accelerate/refine loop: phase 1 samples
 // the repository at a coarse stride (ordered by the adaptive chunk sampler,
@@ -350,21 +350,8 @@ func TrackSearch(src Source, p TrackPredicate, o TrackOptions) (*TrackReport, er
 	if err != nil {
 		return nil, err
 	}
-	ctx := context.Background()
-	for !run.done() {
-		pick, ok := run.next()
-		if !ok {
-			break
-		}
-		fr, err := run.detectOne(ctx, pick.Frame)
-		if err != nil {
-			return run.rep, err
-		}
-		if err := run.step(pick, fr); err != nil {
-			return run.rep, err
-		}
-	}
-	return run.rep, run.err
+	err = runInline(run, run.src, 1)
+	return run.rep, err
 }
 
 // TrackSearch runs a track-predicate query against this dataset; see the
