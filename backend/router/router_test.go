@@ -24,6 +24,8 @@ type fakeBackend struct {
 	// set — an advance of the fake clock the router under test reads.
 	delay time.Duration
 	clock *fakeClock
+	// entered, when non-nil, receives a value as each call starts.
+	entered chan struct{}
 }
 
 // fakeClock is a manually advanced clock standing in for a Router's now.
@@ -69,6 +71,9 @@ func (f *fakeBackend) DetectBatch(ctx context.Context, class string, frames []in
 	}
 	if f.dead.Load() {
 		return nil, fmt.Errorf("%s: connection refused", f.name)
+	}
+	if f.entered != nil {
+		f.entered <- struct{}{}
 	}
 	if f.delay > 0 && f.clock != nil {
 		f.clock.advance(f.delay)
@@ -325,12 +330,16 @@ func TestRouterCancellationIsTerminal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	// Every replica blocks until the context is cancelled, and the cancel
+	// fires once a replica has the call in hand.
+	entered := make(chan struct{}, len(fakes))
 	for _, f := range fakes {
-		f.delay = 50 * time.Millisecond
+		f.delay = time.Hour
+		f.entered = entered
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		time.Sleep(10 * time.Millisecond)
+		<-entered
 		cancel()
 	}()
 	_, err = r.DetectBatch(ctx, "car", []int64{1})

@@ -595,3 +595,95 @@ func (m *mortalBackend) DetectBatch(ctx context.Context, class string, frames []
 var errReplicaDown = errors.New("replica down: connection refused")
 
 func (m *mortalBackend) Hints() backend.Hints { return m.inner.Hints() }
+
+func TestFrozenLayoutsHonorDrainAndGate(t *testing.T) {
+	// Custom arm layouts (NumChunks, AutoChunk) cannot map a shard onto
+	// their arms one to one, yet they must keep DrainShard's and the
+	// motion gate's promise: no pick routes to a draining or gated shard.
+	// Arms wholly inside such a shard are fenced; a frame drawn from an
+	// arm straddling the boundary is discarded uncharged. NumChunks 7
+	// straddles the 2-shard boundary; 8 aligns with it.
+	layouts := []struct {
+		name string
+		opts Options
+	}{
+		{"numchunks8", Options{Seed: 31, NumChunks: 8}},
+		{"numchunks7", Options{Seed: 32, NumChunks: 7}},
+		{"autochunk", Options{Seed: 33, AutoChunk: true}},
+	}
+	step := func(t *testing.T, sess *Session) StepInfo {
+		t.Helper()
+		info, ok, err := sess.Step()
+		if err != nil || !ok {
+			t.Fatalf("step %d: ok=%v err=%v", sess.Frames(), ok, err)
+		}
+		return info
+	}
+	for _, l := range layouts {
+		t.Run("drain/"+l.name, func(t *testing.T) {
+			const framesEach = 20_000
+			ss, err := NewShardedSource("fleet", elasticShard(t, framesEach, 341), elasticShard(t, framesEach, 342))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := ss.NewSession(Query{Class: "car", Limit: 1 << 30}, l.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for sess.Frames() < 200 {
+				step(t, sess)
+			}
+			if err := ss.DrainShard(1); err != nil {
+				t.Fatal(err)
+			}
+			drained := 0
+			for sess.Frames() < 2000 {
+				if frameShard(step(t, sess).Frame, framesEach) == 1 {
+					drained++
+				}
+			}
+			if drained != 0 {
+				t.Fatalf("%d of 1800 post-drain picks landed on the drained shard", drained)
+			}
+		})
+		t.Run("gate/"+l.name, func(t *testing.T) {
+			const framesEach = 2000
+			live0, live2 := liveSegment(t, framesEach, 351), liveSegment(t, framesEach, 353)
+			s, err := NewStreamSource(StreamConfig{MotionThreshold: gateThreshold}, live0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range []*Dataset{deadSegment(t, framesEach, 352), live2} {
+				if _, err := s.Append(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if segs := s.Segments(); !segs[1].Gated {
+				t.Fatal("dead segment was not gated")
+			}
+			sess, err := s.NewSession(Query{Class: "car", Limit: 1 << 30}, l.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gated := 0
+			for sess.Frames() < 3000 {
+				if frameShard(step(t, sess).Frame, framesEach) == 1 {
+					gated++
+				}
+			}
+			if gated != 0 {
+				t.Fatalf("%d of 3000 picks landed in the gated segment", gated)
+			}
+			if calls := s.ShardStats()[1].DetectCalls; calls != 0 {
+				t.Fatalf("gated segment took %d detector calls", calls)
+			}
+			// Recall is measured against the population active at submit,
+			// as for every run that cannot follow the topology.
+			n0, _ := live0.GroundTruthCount("car")
+			n2, _ := live2.GroundTruthCount("car")
+			if sess.run.truthTotal != n0+n2 {
+				t.Fatalf("recall denominator = %d, want the live segments' %d", sess.run.truthTotal, n0+n2)
+			}
+		})
+	}
+}

@@ -382,7 +382,7 @@ func (e *Engine) Warm(ctx context.Context, src Source, class string, limit int64
 // round boundary and Wait returns ctx's error alongside the partial report.
 //
 // Batching belongs to the engine, so opts.BatchSize must be unset;
-// AutoChunk and the proxy training phase are Search-only features.
+// AutoChunk and the proxy training phase are Search and Session only.
 func (e *Engine) Submit(ctx context.Context, src Source, q Query, opts Options) (*QueryHandle, error) {
 	return e.submitQuery(ctx, src, q, opts, false)
 }

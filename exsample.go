@@ -272,11 +272,13 @@ type Options struct {
 	// deferred (0 = off).
 	ProxyDupRadius int64
 	// ProxyTrainPositives models BlazeIt's training requirement (§II-B):
-	// before scoring, the proxy must collect this many frames containing
-	// the target class by random sampling with the full detector. If the
-	// positives are not found within ProxyTrainBudget frames, the proxy
-	// falls back to plain random sampling, as BlazeIt does. 0 skips the
-	// training phase (an idealized pre-trained proxy).
+	// before scoring, the proxy must collect this many labels by random
+	// sampling with the full detector, where a label is a frame that
+	// discovers at least one new distinct object of the target class (a
+	// frame that only re-sights already-found objects collects nothing).
+	// If the labels are not found within ProxyTrainBudget frames, the
+	// proxy falls back to plain random sampling, as BlazeIt does. 0 skips
+	// the training phase (an idealized pre-trained proxy).
 	ProxyTrainPositives int
 	// ProxyTrainBudget caps the training phase's detector frames
 	// (0 = 2% of the repository).

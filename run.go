@@ -6,7 +6,6 @@ import (
 
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/cachestore"
-	"github.com/exsample/exsample/internal/baseline"
 	"github.com/exsample/exsample/internal/batchwire"
 	"github.com/exsample/exsample/internal/core"
 	"github.com/exsample/exsample/internal/detect"
@@ -14,23 +13,21 @@ import (
 	"github.com/exsample/exsample/internal/metrics"
 	"github.com/exsample/exsample/internal/shard"
 	"github.com/exsample/exsample/internal/track"
-	"github.com/exsample/exsample/internal/video"
-	"github.com/exsample/exsample/internal/xrand"
 )
 
 // queryRun is the incremental step state machine behind Search, Session and
 // Engine: pick a frame (next), run the detector (detectBatchInto — the only
 // concurrency-safe method), and feed the detections through the
-// discriminator, cost accounting and sampler bookkeeping (apply). Driving
+// discriminator, cost accounting and the picker's feedback (apply). Driving
 // next/detect/apply in a loop IS Algorithm 1 — there is exactly one
 // implementation of the pipeline, and every entry point delegates to it,
 // which is what keeps Search ≡ Session ≡ Engine for the same seed.
 //
 // queryRun works over any Source (a local Dataset or a ShardedSource); the
 // step machine never learns whether its frames live on one shard or many.
-// It also carries the §VII auto-chunking pilot and the BlazeIt-style proxy
-// training phase as explicit states, so batching drivers need no special
-// cases.
+// Its strategy — ExSample, a baseline, the §VII auto-chunking pilot or the
+// BlazeIt-style proxy training phase — is one picker chosen at
+// construction, so drivers need no special cases.
 //
 // Only apply mutates state, and callers must invoke it in pick order from a
 // single goroutine; detectBatchInto may be fanned out across workers
@@ -48,47 +45,32 @@ type queryRun struct {
 	// fraction (see core.Config.CachedFrac).
 	aware bool
 
-	sampler *core.Sampler    // StrategyExSample
-	order   video.FrameOrder // other strategies
-	home    map[int]int      // HomeChunkAccounting: object id -> discovering chunk
+	// pick is the strategy: the one place the paper's method, its
+	// baselines and the §VII extensions differ (see picker).
+	pick picker
 
 	// snap is the elastic-topology snapshot the run last synced to (nil
 	// for sources with a fixed topology). next compares its generation
 	// against the source's current snapshot on every pick — one atomic
-	// load when nothing changed — and re-fences the sampler when the
+	// load when nothing changed — and re-syncs the picker when the
 	// topology moved, so belief state carries across shard churn instead
 	// of restarting. elastic is true only when the sampler's arms are the
-	// source's native global chunks (custom layouts — NumChunks, AutoChunk
-	// — cannot map a shard drain onto their arms and freeze the topology
-	// they started with).
+	// source's native global chunks, the one layout that can reach an
+	// attached shard (custom layouts — NumChunks, AutoChunk — are frozen
+	// at submission and only fence).
 	snap    *shard.Snapshot
 	elastic bool
 	// truthSeen and truthTotal implement reachable-population recall for
 	// elastic sources: truthSeen[i] is set once shard i has been observed
 	// active by this query, and truthTotal sums those shards' class
 	// populations — the recall denominator. An attached shard grows the
-	// denominator at the sync that makes it samplable; a shard attached
-	// and drained without ever being seen active contributes nothing, and
-	// a drain never shrinks it (recall stays monotonic). nil/0 for fixed
-	// topologies, which use the source-wide population.
+	// denominator at the sync that makes it samplable (elastic runs only);
+	// a shard attached and drained without ever being seen active
+	// contributes nothing, and a drain never shrinks it (recall stays
+	// monotonic). nil/0 for fixed topologies, which use the source-wide
+	// population.
 	truthSeen  []bool
 	truthTotal int
-
-	// AutoChunk (§VII) pilot state: coarse is non-nil while the pilot
-	// phase is sampling the coarse layout; once pilotBudget frames have
-	// been processed the sampler is rebuilt on the adaptive layout.
-	coarse      []video.Chunk
-	pilotBudget int64
-
-	// Proxy training (§II-B) state: while training is true, frames come
-	// from trainOrder and every frame discovering a new object counts as
-	// a collected label. The phase resolves into the scored scan order
-	// (enough labels) or the random fallback (budget exhausted).
-	training    bool
-	trainNeed   int
-	trainBudget int64
-	trainSpent  int64
-	trainOrder  *video.UniformOrder
 
 	// out, when non-nil, is the engine handle step publishes each applied
 	// frame's event to. Bound once at submit; nil under Search and Session.
@@ -276,12 +258,9 @@ func newQueryRun(s Source, q Query, opts Options, cc cacheConfig, standing bool)
 	}
 	// Elastic sources measure recall against the population the query can
 	// actually reach: the shards active right now (later syncs add shards
-	// that become active while the query runs). Frozen-layout sampler runs
-	// (NumChunks, AutoChunk) keep the classic source-wide denominator —
-	// they never fence draining shards, so every shard stays reachable.
+	// that become active while an elastic run samples).
 	var truthSeen []bool
-	frozen := opts.Strategy == StrategyExSample && (opts.NumChunks > 0 || opts.AutoChunk)
-	if snap != nil && src.shardTruth != nil && !frozen {
+	if snap != nil && src.shardTruth != nil {
 		truthSeen = make([]bool, snap.Map.NumShards())
 		total = 0
 		for i := range truthSeen {
@@ -330,68 +309,17 @@ func newQueryRun(s Source, q Query, opts Options, cc cacheConfig, standing bool)
 		curve:       curve,
 		aware:       cc.aware && stage.tier != nil,
 		snap:        snap,
+		elastic:     snap != nil && opts.Strategy == StrategyExSample && opts.NumChunks == 0 && !opts.AutoChunk,
 		truthSeen:   truthSeen,
 		truthTotal:  total,
 		rep:         &Report{Strategy: opts.Strategy},
 		maxFrames:   maxFrames,
 		standing:    standing,
 	}
-	if err := r.initStrategy(); err != nil {
+	if r.pick, err = r.newPicker(); err != nil {
 		return nil, err
 	}
 	return r, nil
-}
-
-// newSampler builds a core sampler over the given chunks with the
-// configured policy, within-chunk order and optional §VII fusion (scoring
-// charged per chunk on first visit into rep.ScanSeconds).
-func (r *queryRun) newSampler(chunks []video.Chunk, seed uint64) (*core.Sampler, error) {
-	cfg := core.Config{
-		Alpha0: r.opts.Alpha0,
-		Beta0:  r.opts.Beta0,
-		Policy: r.opts.Policy.toCore(),
-		Within: core.WithinRandomPlus,
-		Seed:   seed,
-	}
-	if r.opts.UniformWithinChunk {
-		cfg.Within = core.WithinUniform
-	}
-	if r.aware {
-		// Cache-aware tie-breaking: the per-chunk cached fraction comes
-		// from the tier L1's presence index — an O(chunk frames / bucket
-		// width) read consulted only when Thompson draws actually tie, so
-		// the signal is effectively free.
-		cfg.CachedFrac = func(j int) float64 {
-			c := chunks[j]
-			n := c.Len()
-			if n <= 0 {
-				return 0
-			}
-			frac := float64(r.tier.CountRange(r.content, r.query.Class, c.Start, c.End)) / float64(n)
-			if frac > 1 {
-				frac = 1 // presence buckets are coarse; clamp the estimate
-			}
-			return frac
-		}
-	}
-	if r.opts.FuseProxyWithinChunk {
-		quality := r.opts.ProxyQuality
-		if quality == 0 {
-			quality = 1
-		}
-		score, err := r.src.newScorer(r.query.Class, quality, r.opts.Seed^0xbead)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Within = core.WithinScored
-		cfg.Scorer = score
-		// Per-chunk scoring is charged on first visit — the fusion's whole
-		// point is avoiding the full-dataset scan.
-		cfg.OnChunkOpen = func(j int) {
-			r.rep.ScanSeconds += r.src.scanSeconds(chunks[j].Start, chunks[j].End)
-		}
-	}
-	return core.New(chunks, cfg)
 }
 
 // numFramesNow returns the repository size under the synced topology
@@ -403,214 +331,12 @@ func (r *queryRun) numFramesNow() int64 {
 	return r.src.numFrames
 }
 
-// initStrategy builds the frame-picking state for the configured strategy.
-func (r *queryRun) initStrategy() error {
-	src := r.src
-	opts := r.opts
-	switch opts.Strategy {
-	case StrategyExSample:
-		if opts.AutoChunk {
-			return r.initAutoChunk()
-		}
-		chunks := src.chunks
-		if r.snap != nil {
-			chunks = r.snap.Map.Chunks()
-		}
-		if opts.NumChunks > 0 {
-			var err error
-			chunks, err = video.SplitRange(0, r.numFramesNow(), opts.NumChunks)
-			if err != nil {
-				return err
-			}
-		} else if r.snap != nil {
-			// Native global chunks: arm j IS global chunk j, so topology
-			// changes map directly onto sampler arms and the run follows
-			// shard churn live.
-			r.elastic = true
-		}
-		sampler, err := r.newSampler(chunks, opts.Seed)
-		if err != nil {
-			return err
-		}
-		if r.elastic {
-			// A shard already draining when the query starts is fenced
-			// from the first pick.
-			for j := range chunks {
-				if !r.snap.ChunkActive(j) {
-					if err := sampler.SetEnabled(j, false); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		r.sampler = sampler
-		if opts.HomeChunkAccounting {
-			r.home = make(map[int]int)
-		}
-	case StrategyRandom:
-		order, err := video.NewUniformOrder(0, r.numFramesNow(), xrand.New(opts.Seed))
-		if err != nil {
-			return err
-		}
-		r.order = order
-	case StrategyRandomPlus:
-		hour := int64(src.fps * 3600)
-		order, err := video.NewRandomPlusOrder(0, r.numFramesNow(), hour, xrand.New(opts.Seed))
-		if err != nil {
-			return err
-		}
-		r.order = order
-	case StrategySequential:
-		order, err := video.NewSequentialOrder(0, r.numFramesNow(), 1)
-		if err != nil {
-			return err
-		}
-		r.order = order
-	case StrategyProxy:
-		if opts.ProxyTrainPositives > 0 {
-			return r.initProxyTraining()
-		}
-		return r.enterProxyScan()
-	default:
-		return fmt.Errorf("exsample: step loop does not support strategy %v", opts.Strategy)
-	}
-	return nil
-}
-
-// initAutoChunk starts the §VII "automating chunking" pilot: a coarse
-// layout whose statistics decide the adaptive re-chunking.
-func (r *queryRun) initAutoChunk() error {
-	numFrames := r.numFramesNow()
-	coarseM := 16
-	if numFrames < int64(coarseM)*4 {
-		coarseM = 1
-	}
-	coarse, err := video.SplitRange(0, numFrames, coarseM)
-	if err != nil {
-		return err
-	}
-	sampler, err := r.newSampler(coarse, r.opts.Seed)
-	if err != nil {
-		return err
-	}
-	// The pilot needs enough samples to rank coarse chunks but should stay
-	// a small fraction of the work.
-	pilot := int64(12 * coarseM)
-	if pilot > numFrames/4 {
-		pilot = numFrames / 4
-	}
-	if pilot < 1 {
-		pilot = 1
-	}
-	r.sampler = sampler
-	r.coarse = coarse
-	r.pilotBudget = pilot
-	return nil
-}
-
-// rechunk ends the pilot: each coarse chunk is re-split proportionally to
-// its pilot point estimate and the search resumes on the adaptive layout
-// with a fresh sampler. The discriminator and report persist across the
-// transition, so objects found during the pilot are never double-counted.
-func (r *queryRun) rechunk() error {
-	fine := adaptiveChunks(r.sampler, r.coarse, 128)
-	sampler, err := r.newSampler(fine, r.opts.Seed+0x5eed)
-	if err != nil {
-		return err
-	}
-	r.sampler = sampler
-	r.coarse = nil
-	return nil
-}
-
-// adaptiveChunks splits each coarse chunk into a number of sub-chunks
-// proportional to its pilot point estimate, spending ~budget chunks total.
-// Every coarse chunk keeps at least one sub-chunk so no region becomes
-// unreachable.
-func adaptiveChunks(pilot *core.Sampler, coarse []video.Chunk, budget int) []video.Chunk {
-	weights := make([]float64, len(coarse))
-	var total float64
-	for j := range coarse {
-		weights[j] = pilot.PointEstimate(j)
-		total += weights[j]
-	}
-	var out []video.Chunk
-	for j, c := range coarse {
-		k := 1
-		if total > 0 {
-			k = int(float64(budget)*weights[j]/total + 0.5)
-		}
-		if k < 1 {
-			k = 1
-		}
-		if int64(k) > c.Len() {
-			k = int(c.Len())
-		}
-		subs, err := video.SplitRange(c.Start, c.End, k)
-		if err != nil {
-			// Cannot happen for k in [1, len]; keep the coarse chunk.
-			subs = []video.Chunk{c}
-		}
-		out = append(out, subs...)
-	}
-	for i := range out {
-		out[i].ID = i
-	}
-	return out
-}
-
-// initProxyTraining starts the BlazeIt-style label-collection phase
-// (§II-B): random frames run the real detector until enough positives are
-// found or the budget runs out.
-func (r *queryRun) initProxyTraining() error {
-	budget := r.opts.ProxyTrainBudget
-	if budget == 0 {
-		budget = r.numFramesNow() / 50
-		if budget < int64(r.opts.ProxyTrainPositives) {
-			budget = int64(r.opts.ProxyTrainPositives)
-		}
-	}
-	order, err := video.NewUniformOrder(0, r.numFramesNow(), xrand.New(r.opts.Seed^0x7ea1))
-	if err != nil {
-		return err
-	}
-	r.training = true
-	r.trainNeed = r.opts.ProxyTrainPositives
-	r.trainBudget = budget
-	r.trainOrder = order
-	return nil
-}
-
-// enterProxyScan resolves the proxy strategy into its scored scan order,
-// charging the full upfront scoring pass (§II-B).
-func (r *queryRun) enterProxyScan() error {
-	quality := r.opts.ProxyQuality
-	if quality == 0 {
-		quality = 1
-	}
-	score, err := r.src.newScorer(r.query.Class, quality, r.opts.Seed^0xbead)
-	if err != nil {
-		return err
-	}
-	order, err := baseline.NewProxyOrderFunc(score, 0, r.numFramesNow(), r.opts.ProxyDupRadius)
-	if err != nil {
-		return err
-	}
-	// The scan is paid in full before the first post-scan detector call.
-	r.rep.ScanSeconds = r.src.scanSeconds(0, r.numFramesNow())
-	r.order = order
-	r.training = false
-	return nil
-}
-
 // syncTopology refreshes the run's view of an elastic source. It is one
 // generation compare per pick when nothing changed. When the topology
-// moved, the sampler (native-chunk runs only) gains fresh prior arms for
-// chunks that appeared and fences arms whose shard is draining; every
-// other piece of query state — per-chunk statistics, discriminator,
-// report, cache keys — is untouched, because the global address
-// space is append-only. Unbounded runs also widen their frame budget so
-// an attached shard's frames stay reachable.
+// moved, the picker syncs (see picker.sync); every other piece of query
+// state — discriminator, report, cache keys — is untouched, because the
+// global address space is append-only. Unbounded runs also widen their
+// frame budget so an attached shard's frames stay reachable.
 func (r *queryRun) syncTopology() {
 	if r.src.topology == nil {
 		return
@@ -634,11 +360,11 @@ func (r *queryRun) syncTopology() {
 	// Fold newly reachable shards into the recall denominator: a shard
 	// observed active for the first time adds its population (so recall
 	// and RecallTarget track the enlarged repository); drains subtract
-	// nothing, keeping recall monotonic. Only elastic sampler runs grow —
-	// order strategies filter draining frames but their orders were built
-	// over the original range and can never emit an attached shard's
-	// frames, so their denominator stays the population active at start.
-	if r.elastic && r.truthSeen != nil && r.src.shardTruth != nil {
+	// nothing, keeping recall monotonic. Only elastic runs grow — every
+	// other picker was built over the original range and can never emit
+	// an attached shard's frames, so its denominator stays the population
+	// active at start.
+	if r.elastic && r.truthSeen != nil {
 		n := snap.Map.NumShards()
 		for len(r.truthSeen) < n {
 			r.truthSeen = append(r.truthSeen, false)
@@ -651,134 +377,64 @@ func (r *queryRun) syncTopology() {
 		}
 		r.curve.SetTotal(r.truthTotal)
 	}
-	if !r.elastic || r.sampler == nil {
-		return
-	}
-	chunks := snap.Map.Chunks()
-	if n := r.sampler.NumChunks(); len(chunks) > n {
-		if err := r.sampler.Append(chunks[n:]); err != nil {
-			r.err = err
-			return
-		}
-	}
-	for j := range chunks {
-		if err := r.sampler.SetEnabled(j, snap.ChunkActive(j)); err != nil {
-			r.err = err
-			return
-		}
+	if err := r.pick.sync(snap); err != nil {
+		r.err = err
 	}
 }
 
 // activeFrame reports whether a frame is pickable under the synced
-// topology (frames of draining shards are not; fixed topologies accept
-// everything).
+// topology (frames of draining or gated shards are not; fixed topologies
+// accept everything). It is the one frame filter every picker's draws pass
+// through.
 func (r *queryRun) activeFrame(frame int64) bool {
 	return r.snap == nil || r.snap.FrameActive(frame)
 }
 
-// next draws the next frame from the strategy's order. Chunk is -1 for
-// non-chunked strategies. ok is false when the repository is exhausted;
-// for bounded runs, once false it stays false (an elastic attach does not
-// resurrect an exhausted query — the engine has already finalized it).
-// Standing runs never latch: the engine parks them on false and a later
-// append makes next productive again, because the sampler's arm set grows
-// at the syncTopology that follows the wake.
-func (r *queryRun) next() (pick core.Pick, ok bool) {
+// next draws the next frame from the picker. Chunk is -1 for non-chunked
+// strategies. ok is false when the repository is exhausted; for bounded
+// runs, once false it stays false (an elastic attach does not resurrect an
+// exhausted query — the engine has already finalized it). Standing runs
+// never latch: the engine parks them on false and a later append makes
+// next productive again, because the sampler's arm set grows at the
+// syncTopology that follows the wake. A drawn frame of a draining or gated
+// shard (one that straddles a frozen arm's boundary) is discarded
+// uncharged and never reaches the picker's feedback.
+func (r *queryRun) next() (core.Pick, bool) {
+	for r.ready() {
+		p, ok, err := r.pick.next()
+		switch {
+		case err != nil:
+			r.err = err
+		case !ok:
+			r.exhausted = !r.standing
+			return core.Pick{}, false
+		case r.activeFrame(p.Frame):
+			return p, true
+		}
+	}
+	return core.Pick{}, false
+}
+
+// ready syncs the topology and reports whether the run can still pick: it
+// has neither latched exhaustion nor a pipeline failure.
+func (r *queryRun) ready() bool {
 	if r.exhausted || r.err != nil {
-		return core.Pick{}, false
+		return false
 	}
 	r.syncTopology()
-	if r.err != nil {
-		return core.Pick{}, false
-	}
-	if r.training {
-		for r.trainNeed > 0 && r.trainSpent < r.trainBudget {
-			frame, ook := r.trainOrder.Next()
-			if !ook {
-				// The whole repository was consumed as training frames.
-				r.exhausted = true
-				return core.Pick{}, false
-			}
-			if !r.activeFrame(frame) {
-				// Draining shard: the frame is fenced, not charged.
-				continue
-			}
-			r.trainSpent++
-			return core.Pick{Frame: frame, Chunk: -1}, true
-		}
-		if r.training {
-			// Budget exhausted without enough labels: degrade to plain
-			// random sampling, continuing the training order so frames do
-			// not repeat (BlazeIt's rare-class fallback, §II-B). No scan
-			// is charged.
-			r.training = false
-			r.order = r.trainOrder
-		}
-	}
-	if r.sampler != nil {
-		if r.coarse != nil && r.rep.FramesProcessed >= r.pilotBudget {
-			if err := r.rechunk(); err != nil {
-				r.err = err
-				return core.Pick{}, false
-			}
-		}
-		p, sok := r.sampler.Next()
-		if !sok {
-			// A pilot sampler can exhaust before its budget on tiny
-			// repositories; resume on the adaptive layout.
-			if r.coarse != nil {
-				if err := r.rechunk(); err != nil {
-					r.err = err
-					return core.Pick{}, false
-				}
-				if p, sok = r.sampler.Next(); sok {
-					return p, true
-				}
-			}
-			if !r.standing {
-				r.exhausted = true
-			}
-			return core.Pick{}, false
-		}
-		return p, true
-	}
-	for {
-		frame, ook := r.order.Next()
-		if !ook {
-			if !r.standing {
-				r.exhausted = true
-			}
-			return core.Pick{}, false
-		}
-		if !r.activeFrame(frame) {
-			// Draining shard: skip the frame without charging anything.
-			continue
-		}
-		return core.Pick{Frame: frame, Chunk: -1}, true
-	}
+	return r.err == nil
 }
 
 // marginalValue estimates the query's expected new results per frame for
-// the engine's global budget planner: the best enabled arm's prior-smoothed
-// point estimate under ExSample, or a whole-run aggregate belief for
-// non-chunked strategies (results over frames, smoothed by the same paper
-// prior, so an untouched query starts at the prior exactly like a fresh
-// sampler). Topology is synced first so a standing query woken by an
-// append values its fresh prior arms before the plan is drawn, and a
-// finished or failed query values 0 — it has nothing left to claim.
+// the engine's global budget planner (see picker.value). Topology is
+// synced first so a standing query woken by an append values its fresh
+// prior arms before the plan is drawn, and a finished or failed query
+// values 0 — it has nothing left to claim.
 func (r *queryRun) marginalValue() float64 {
-	if r.exhausted || r.err != nil {
+	if !r.ready() {
 		return 0
 	}
-	r.syncTopology()
-	if r.err != nil {
-		return 0
-	}
-	if r.sampler != nil {
-		return r.sampler.MaxPointEstimate()
-	}
-	return (float64(len(r.rep.Results)) + core.DefaultAlpha0) /
-		(float64(r.rep.FramesProcessed) + core.DefaultBeta0)
+	return r.pick.value()
 }
 
 // detectBatchInto runs the detector on a batch of frames through the
@@ -841,9 +497,8 @@ func (d *detectStage) detectBatchInto(ctx context.Context, frames []int64, scr *
 }
 
 // apply charges the frame's decode and inference cost, feeds the detections
-// through the discriminator, grows the report and recall curve, and updates
-// the sampler's chunk statistics. It must be called in pick order from a
-// single goroutine.
+// through the discriminator, grows the report and recall curve, and feeds
+// the picker. It must be called in pick order from a single goroutine.
 func (r *queryRun) apply(p core.Pick, fr frameResult) (StepInfo, error) {
 	if r.err != nil {
 		return StepInfo{}, r.err
@@ -878,23 +533,8 @@ func (r *queryRun) apply(p core.Pick, fr frameResult) (StepInfo, error) {
 	}
 	rep.Recall = r.curve.Recall()
 
-	if r.training && len(newObjs) > 0 {
-		// A frame containing the class is one collected label; enough
-		// labels resolve the phase into the scored scan immediately (the
-		// scan is charged even if the query is already satisfied, exactly
-		// like the monolithic pipeline did).
-		r.trainNeed--
-		if r.trainNeed <= 0 {
-			if err := r.enterProxyScan(); err != nil {
-				return StepInfo{}, err
-			}
-		}
-	}
-
-	if r.sampler != nil {
-		if err := r.feedback(p.Chunk, newObjs, secondObjs); err != nil {
-			return StepInfo{}, err
-		}
+	if err := r.pick.feedback(p.Chunk, newObjs, secondObjs); err != nil {
+		return StepInfo{}, err
 	}
 	return info, nil
 }
@@ -921,31 +561,6 @@ func (r *queryRun) step(p core.Pick, fr frameResult) error {
 
 // failure is the pipeline failure the run has latched, if any (see err).
 func (r *queryRun) failure() error { return r.err }
-
-// feedback applies the (d0, d1) split to the sampler, using the technical
-// report's cross-chunk accounting when enabled: the -1 of a second sighting
-// is charged to the chunk where the object was discovered.
-func (r *queryRun) feedback(chunk int, newObjs, secondObjs []*discrim.Object) error {
-	if r.home == nil {
-		return r.sampler.Update(chunk, len(newObjs), len(secondObjs))
-	}
-	for _, o := range newObjs {
-		r.home[o.ID] = chunk
-	}
-	if err := r.sampler.Update(chunk, len(newObjs), 0); err != nil {
-		return err
-	}
-	for _, o := range secondObjs {
-		hc, ok := r.home[o.ID]
-		if !ok {
-			hc = chunk
-		}
-		if err := r.sampler.Adjust(hc, -1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // stopRequested reports whether the query's own stopping condition (Limit
 // and/or RecallTarget) is satisfied — Session's advisory Done.

@@ -36,7 +36,7 @@ func SearchSource(src Source, q Query, opts Options) (*Report, error) {
 	// Only the batched ExSample loop (§III-F) defers updates across a round;
 	// every other strategy steps one frame at a time.
 	round := 1
-	if opts.Strategy == StrategyExSample && !opts.AutoChunk && opts.BatchSize > 1 {
+	if opts.Strategy == StrategyExSample && opts.BatchSize > 1 {
 		round = opts.BatchSize
 	}
 	if err := runInline(run, run.src, round); err != nil {

@@ -110,7 +110,7 @@ func (s *Session) Seconds() float64 { return s.run.rep.TotalSeconds() }
 // StrategyExSample sessions; it returns nil for other strategies. Useful for
 // visualizing how the sampler's attention shifts.
 func (s *Session) ChunkStats() []ChunkStat {
-	sampler := s.run.sampler
+	sampler := s.run.pick.belief()
 	if sampler == nil {
 		return nil
 	}
