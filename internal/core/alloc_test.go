@@ -76,6 +76,47 @@ func TestSamplerDecisionAllocFreeGreedy(t *testing.T) {
 	}
 }
 
+// TestSamplerManyChunksAllocFree: at 1000 chunks, where most arms share a
+// few belief groups and a decision moves an arm between them, the decision
+// loop still allocates nothing, and neither do the SetEnabled calls
+// thompsonPicker.fence makes on every sync: fencing an arm and re-admitting
+// it, and a call per arm that leaves each arm as it is.
+func TestSamplerManyChunksAllocFree(t *testing.T) {
+	s := warmSampler(t, 1000, Thompson)
+	decide := testing.AllocsPerRun(200, func() {
+		p, ok := s.Next()
+		if !ok {
+			t.Fatal("sampler exhausted")
+		}
+		if err := s.Update(p.Chunk, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if decide > 0 {
+		t.Fatalf("1000-chunk decision allocates %.2f objects/decision, want 0", decide)
+	}
+	toggle := testing.AllocsPerRun(200, func() {
+		for _, on := range []bool{false, true} {
+			if err := s.SetEnabled(17, on); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if toggle > 0 {
+		t.Fatalf("fence and re-admit allocate %.2f objects, want 0", toggle)
+	}
+	unchanged := testing.AllocsPerRun(20, func() {
+		for j := 0; j < s.NumChunks(); j++ {
+			if err := s.SetEnabled(j, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if unchanged > 0 {
+		t.Fatalf("no-op SetEnabled over every arm allocates %.2f objects, want 0", unchanged)
+	}
+}
+
 // TestAllocationInto reuses the caller's buffer and matches Allocation.
 func TestAllocationInto(t *testing.T) {
 	s := warmSampler(t, 8, Thompson)

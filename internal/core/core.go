@@ -13,13 +13,26 @@
 //
 //	R_j ~ Gamma(alpha = N1[j]+α0, beta = n[j]+β0)  (Eq. III.4)
 //
-// Thompson sampling draws one value from each chunk's belief and samples a
-// frame from the arg-max chunk; the (α0, β0) prior keeps the belief
-// well-defined when N1 = 0 and lets chunks recover from early bad luck.
+// Thompson sampling samples a frame from the chunk whose belief draw is
+// largest (§III-C); the (α0, β0) prior keeps the belief well-defined when
+// N1 = 0 and lets chunks recover from early bad luck.
+//
+// Arms with the same (max(N1, 0), n) hold the same belief, so they are
+// exchangeable, and the sampler keeps its drawable arms in groups by that
+// key. The largest of k independent Gamma(α, β) draws has CDF F(x)^k, so a
+// group can draw its maximum once, at the inverse upper tail
+// Q(α, βx) = 1 - U^(1/k), and hand the win to a uniform member: the
+// arg-max has exactly the distribution of one draw per arm. Most arms of a
+// many-chunk query sit in a few such groups (three quarters still at the
+// prior after a few hundred picks), so a decision costs a draw per small
+// group member and an inversion per large group, not a draw per chunk.
+// Which is cheaper depends on the group's size; thompsonCrossover records
+// where the measured costs of the two cross.
 package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/exsample/exsample/internal/stats"
 	"github.com/exsample/exsample/internal/video"
@@ -112,12 +125,13 @@ type Config struct {
 	// policy's top scores tie within TieEpsilon, Next prefers the chunk
 	// with the higher CachedFrac(chunk) — the fraction of the chunk's
 	// frames already resident in a result cache, where sampling is
-	// near-free. The function must be cheap (it is consulted only on
-	// ties) and side-effect-free. Crucially the tie-break consumes no
-	// randomness: every enabled arm's score is drawn exactly as without
-	// it, so a sampler with CachedFrac set but no ties — or one whose
-	// cached fractions are all equal — picks byte-identically to one
-	// without.
+	// near-free. A group of exchangeable arms scored once (see Next) takes
+	// part in a tie as its highest-fraction member. The function must be
+	// cheap (it is consulted only on ties) and side-effect-free.
+	// Crucially the tie-break consumes no randomness: every score and
+	// member index is drawn exactly as without it, so a sampler with
+	// CachedFrac set but no ties — or one whose cached fractions are all
+	// equal — picks byte-identically to one without.
 	CachedFrac func(chunk int) float64
 	// TieEpsilon is the relative tie width for CachedFrac: scores a and b
 	// tie when hi-lo <= TieEpsilon*hi. Zero selects DefaultTieEpsilon;
@@ -195,28 +209,59 @@ type Sampler struct {
 	cfg    Config
 	chunks []video.Chunk
 	orders []video.FrameOrder
-	n1     []int64
-	n      []int64
-	// disabled marks arms fenced by an elastic topology change (a draining
-	// shard's chunks): Next never scores or draws from them — crucially,
-	// skipping happens before the policy's RNG draw, so a disabled arm
-	// consumes no randomness and the remaining arms' pick sequence is
-	// exactly what it would be if the arm had never existed. Update and
-	// Adjust still accept disabled arms, so in-flight picks apply cleanly.
-	disabled []bool
-	total    int64 // total frames sampled across chunks
-	live     int   // chunks with frames remaining
-	rng      *xrand.RNG
+	arms   []arm
+	total  int64 // total frames sampled across chunks
+	rng    *xrand.RNG
 	// rpSlab backs lazily opened random+ orders in blocks, so the cold
 	// chunk opens of a many-armed sampler amortize to ~1 allocation per
 	// slab instead of several per chunk.
 	rpSlab []video.RandomPlusOrder
+
+	// The drawable arms (enabled, frames left) grouped by belief key.
+	// groups holds the slots in the order Next visits them; a free slot has
+	// size 0 and its head links the next free slot after free. index maps
+	// a key to its slot.
+	groups []group
+	free   int32
+	index  []int32
+}
+
+// arm is one chunk's statistics and its place among the exchangeable arms.
+type arm struct {
+	n1, n int64 // N1 (signed) and the frames sampled
+	// disabled marks arms fenced by an elastic topology change (a draining
+	// shard's chunks): Next never scores or draws from them — crucially,
+	// a disabled arm belongs to no group, so it consumes no randomness and
+	// the remaining arms' pick sequence is exactly what it would be if the
+	// arm had never existed. Update and Adjust still accept disabled arms,
+	// so in-flight picks apply cleanly.
+	disabled   bool
+	group      int32 // slot of the arm's group, -1 while not drawable
+	prev, next int32 // neighbouring members, -1 at the ends
+}
+
+// group is a set of exchangeable arms: every member has belief key
+// (max(N1, 0), n), the only inputs of alphaBeta.
+type group struct {
+	n1, n       int64   // the key
+	alpha, beta float64 // its belief, as alphaBeta computes it
+	head, tail  int32   // member list ends, -1 if none
+	size        int32   // member count
 }
 
 // rpSlabSize is the random+ order slab block size; 64 keeps a block around
 // 16 KiB while amortizing the cold-open allocation well below one per
 // decision.
 const rpSlabSize = 64
+
+// thompsonCrossover is the group size from which Thompson draws a group's
+// maximum by one upper-tail inversion instead of one Gamma per member. On a
+// 2-core Xeon, at group sizes near this one, an inversion
+// (stats.GammaQInv) costs about 1.5 µs at the prior shape α0 = 0.1, where
+// a draw takes the boost branch and costs about 115 ns, and 0.75–1 µs at
+// shapes above 1, where a draw costs 31–36 ns: the two break even near 13
+// members below shape 1 and 24–28 above it, and 20 sits between.
+const thompsonCrossover = 20
 
 // New creates a sampler over the given chunks. Chunks must be non-empty and
 // non-overlapping; they are the sampler's arms.
@@ -233,16 +278,8 @@ func New(chunks []video.Chunk, cfg Config) (*Sampler, error) {
 			return nil, fmt.Errorf("core: chunk %d is empty", i)
 		}
 	}
-	s := &Sampler{
-		cfg:      cfg,
-		chunks:   append([]video.Chunk(nil), chunks...),
-		orders:   make([]video.FrameOrder, len(chunks)),
-		n1:       make([]int64, len(chunks)),
-		n:        make([]int64, len(chunks)),
-		disabled: make([]bool, len(chunks)),
-		live:     len(chunks),
-		rng:      xrand.New(cfg.Seed),
-	}
+	s := &Sampler{cfg: cfg, rng: xrand.New(cfg.Seed), free: -1}
+	s.grow(chunks)
 	return s, nil
 }
 
@@ -260,13 +297,37 @@ func (s *Sampler) Append(chunks []video.Chunk) error {
 			return fmt.Errorf("core: appended chunk %d is empty", i)
 		}
 	}
+	s.grow(chunks)
+	return nil
+}
+
+// grow adds arms at the prior and puts them in their group, last first so
+// the group's member list reads in chunk order.
+func (s *Sampler) grow(chunks []video.Chunk) {
+	old := len(s.chunks)
 	s.chunks = append(s.chunks, chunks...)
 	s.orders = append(s.orders, make([]video.FrameOrder, len(chunks))...)
-	s.n1 = append(s.n1, make([]int64, len(chunks))...)
-	s.n = append(s.n, make([]int64, len(chunks))...)
-	s.disabled = append(s.disabled, make([]bool, len(chunks))...)
-	s.live += len(chunks)
-	return nil
+	s.arms = append(s.arms, make([]arm, len(chunks))...)
+	// The table stays at most half full: there are never more groups than
+	// drawable arms.
+	if size := len(s.index); size < 2*len(s.chunks) {
+		for size < 2*len(s.chunks) {
+			size = max(2*size, 16)
+		}
+		s.index = make([]int32, size)
+		for g := range s.groups {
+			if s.groups[g].size > 0 {
+				s.index[s.probe(s.groups[g].n1, s.groups[g].n)] = int32(g) + 1
+			}
+		}
+	}
+	if s.groups == nil {
+		// Growing from nil would reallocate four times on the way to 16.
+		s.groups = make([]group, 0, 16)
+	}
+	for j := len(s.chunks) - 1; j >= old; j-- {
+		s.join(j)
+	}
 }
 
 // SetEnabled fences or re-admits an arm. A disabled arm is invisible to
@@ -274,17 +335,26 @@ func (s *Sampler) Append(chunks []video.Chunk) error {
 // from — but keeps its statistics and continues to accept Update/Adjust
 // for picks already in flight. This is the sampler half of draining a
 // shard: the shard's chunks are fenced while the belief state of every
-// other chunk carries on untouched.
+// other chunk carries on untouched. Setting an arm to the state it is
+// already in does nothing.
 func (s *Sampler) SetEnabled(chunk int, enabled bool) error {
 	if chunk < 0 || chunk >= len(s.chunks) {
 		return fmt.Errorf("core: chunk %d out of range [0, %d)", chunk, len(s.chunks))
 	}
-	s.disabled[chunk] = !enabled
+	if s.arms[chunk].disabled == !enabled {
+		return nil
+	}
+	s.arms[chunk].disabled = !enabled
+	if !enabled {
+		s.leave(chunk)
+	} else if o := s.orders[chunk]; o == nil || o.Remaining() > 0 {
+		s.join(chunk)
+	}
 	return nil
 }
 
 // Enabled reports whether an arm is currently pickable.
-func (s *Sampler) Enabled(chunk int) bool { return !s.disabled[chunk] }
+func (s *Sampler) Enabled(chunk int) bool { return !s.arms[chunk].disabled }
 
 // order lazily builds the within-chunk frame order for chunk j.
 func (s *Sampler) order(j int) (video.FrameOrder, error) {
@@ -328,43 +398,23 @@ func (s *Sampler) order(j int) (video.FrameOrder, error) {
 // negative when an object discovered in one chunk is re-sighted from
 // another (the -1 of the update lands on the re-sighting chunk), so alpha is
 // floored at the prior to keep the Gamma well-defined; the technical report
-// describes the same adjustment for instances spanning chunks.
+// describes the same adjustment for instances spanning chunks. The floor
+// makes max(N1, 0) and n the only inputs, the key arms are grouped by.
 func (s *Sampler) alphaBeta(j int) (alpha, beta float64) {
-	alpha = float64(s.n1[j]) + s.cfg.Alpha0
-	if alpha < s.cfg.Alpha0 {
-		alpha = s.cfg.Alpha0
-	}
+	return s.belief(max(s.arms[j].n1, 0), s.arms[j].n)
+}
+
+// belief is alphaBeta for the key (n1, n), n1 >= 0.
+func (s *Sampler) belief(n1, n int64) (alpha, beta float64) {
+	alpha = float64(n1) + s.cfg.Alpha0
 	if alpha <= 0 {
 		alpha = 1e-9 // alpha0 = 0 with no positive results yet
 	}
-	beta = float64(s.n[j]) + s.cfg.Beta0
+	beta = float64(n) + s.cfg.Beta0
 	if beta <= 0 {
 		beta = 1e-9
 	}
 	return alpha, beta
-}
-
-// score computes the chunk's selection score under the configured policy.
-func (s *Sampler) score(j int) float64 {
-	alpha, beta := s.alphaBeta(j)
-	switch s.cfg.Policy {
-	case BayesUCB:
-		// Quantile level 1 - 1/(t+1) grows with total samples t, the
-		// schedule from Kaufmann's Bayes-UCB (§III-C reference [18]).
-		level := 1 - 1/float64(s.total+2)
-		q, err := stats.GammaQuantile(level, alpha, beta)
-		if err != nil {
-			// Extremely defensive: fall back to the mean.
-			return alpha / beta
-		}
-		return q
-	case Greedy:
-		// Point estimate with vanishing random tie-break so identical
-		// estimates (e.g. at start) don't collapse onto chunk 0.
-		return alpha/beta + 1e-12*s.rng.Float64()
-	default:
-		return s.rng.Gamma(alpha, beta)
-	}
 }
 
 // Next returns the next frame to process: the Thompson (or alternative
@@ -372,41 +422,28 @@ func (s *Sampler) score(j int) float64 {
 // without-replacement order. Disabled arms are skipped without being
 // scored. ok is false when every enabled chunk is exhausted.
 //
-// With Config.CachedFrac set, arms whose scores tie within TieEpsilon are
-// broken toward the higher cached fraction (equal fractions keep the higher
-// score). Every enabled arm's score is still drawn, in the same order, so
-// the RNG stream is identical with and without the tie-break.
+// Next scores groups of exchangeable arms (see the package doc), visiting
+// them in slot order:
+//   - Thompson draws one Gamma per member of a group smaller than
+//     thompsonCrossover, and for a larger group draws the group's maximum
+//     once and, if it wins, a uniform member — the same arg-max
+//     distribution as one draw per arm.
+//   - BayesUCB computes one upper quantile per group and takes the
+//     lowest-index member of the best group; equal scores go to the lowest
+//     index, so the pick is the per-arm rule's first strict maximum.
+//   - Greedy picks uniformly among the arms tied at the best point
+//     estimate.
+//
+// With Config.CachedFrac set, scores that tie within TieEpsilon are broken
+// toward the higher cached fraction (equal fractions fall through to the
+// policy's rule); a group scored once ties as its highest-fraction member
+// and, winning that way, yields that member. Every score and member index
+// is still drawn, in the same order, so the RNG stream is identical with and
+// without the tie-break.
 func (s *Sampler) Next() (Pick, bool) {
-	for s.live > 0 {
-		best, bestScore := -1, 0.0
-		bestFrac := -1.0 // best's cached fraction, computed lazily on first tie
-		for j := range s.chunks {
-			if s.disabled[j] {
-				continue
-			}
-			if s.orders[j] != nil && s.orders[j].Remaining() == 0 {
-				continue
-			}
-			sc := s.score(j)
-			if best == -1 {
-				best, bestScore = j, sc
-				continue
-			}
-			if s.cfg.CachedFrac != nil && tied(sc, bestScore, s.cfg.TieEpsilon) {
-				if bestFrac < 0 {
-					bestFrac = s.cfg.CachedFrac(best)
-				}
-				f := s.cfg.CachedFrac(j)
-				if f > bestFrac || (f == bestFrac && sc > bestScore) {
-					best, bestScore, bestFrac = j, sc, f
-				}
-				continue
-			}
-			if sc > bestScore {
-				best, bestScore, bestFrac = j, sc, -1
-			}
-		}
-		if best == -1 {
+	for {
+		best := s.choose()
+		if best < 0 {
 			return Pick{}, false
 		}
 		o, err := s.order(best)
@@ -414,17 +451,191 @@ func (s *Sampler) Next() (Pick, bool) {
 			return Pick{}, false
 		}
 		frame, ok := o.Next()
-		if !ok {
-			// Chunk exhausted between the score pass and the draw.
-			s.live--
+		if !ok || o.Remaining() == 0 {
+			s.leave(best)
+		}
+		if ok {
+			return Pick{Frame: frame, Chunk: best}, true
+		}
+	}
+}
+
+// lead is the running best of one Next scan: an arm scored on its own, or
+// a group scored once whose member is chosen after the scan.
+type lead struct {
+	arm, group int     // exactly one is >= 0 once anything was scored
+	score      float64 // policy score
+	frac       float64 // cached fraction, -1 until a tie asks for it
+	fracArm    int     // the arm holding frac
+}
+
+// choose runs the policy over the groups and returns the chosen arm, or -1
+// when no arm is drawable.
+func (s *Sampler) choose() int {
+	c := lead{arm: -1, group: -1}
+	level := 1 - 1/float64(s.total+2) // BayesUCB
+	for gi := range s.groups {
+		g := &s.groups[gi]
+		if g.size == 0 {
 			continue
 		}
-		if o.Remaining() == 0 {
-			s.live--
+		if s.cfg.Policy == Thompson && g.size < thompsonCrossover {
+			for j := g.head; j >= 0; j = s.arms[j].next {
+				s.consider(&c, int(j), -1, s.rng.Gamma(g.alpha, g.beta))
+			}
+			continue
 		}
-		return Pick{Frame: frame, Chunk: best}, true
+		s.consider(&c, -1, gi, s.groupScore(g, level))
 	}
-	return Pick{}, false
+	if c.group < 0 {
+		return c.arm
+	}
+	var j int
+	switch s.cfg.Policy {
+	case BayesUCB:
+		j = s.lowest(c.group)
+	case Greedy:
+		j = s.tiedMember(c.score)
+	default:
+		j = s.member(c.group, s.rng.IntN(int(s.groups[c.group].size)))
+	}
+	if c.frac >= 0 && s.cfg.CachedFrac(j) < c.frac {
+		j = c.fracArm
+	}
+	return j
+}
+
+// groupScore scores a whole group once under the policy.
+func (s *Sampler) groupScore(g *group, level float64) float64 {
+	switch s.cfg.Policy {
+	case BayesUCB:
+		// Quantile level 1 - 1/(t+1) grows with total samples t, the
+		// schedule from Kaufmann's Bayes-UCB (§III-C reference [18]).
+		q, err := stats.GammaQuantile(level, g.alpha, g.beta)
+		if err != nil {
+			// Extremely defensive: fall back to the mean.
+			return g.alpha / g.beta
+		}
+		return q
+	case Greedy:
+		return g.alpha / g.beta
+	default:
+		// The maximum of size draws: P(max <= x) = P(α, βx)^size, so the
+		// maximum sits where the upper tail Q(α, βx) = 1 - U^(1/size).
+		u := s.rng.Float64()
+		for u == 0 {
+			u = s.rng.Float64()
+		}
+		// GammaQInv rejects only a tail outside (0, 1) or a shape that is
+		// not positive, and u in (0, 1) with α > 0 gives neither.
+		x, _ := stats.GammaQInv(g.alpha, -math.Expm1(math.Log(u)/float64(g.size)))
+		return x / g.beta
+	}
+}
+
+// consider offers one candidate — arm j, or group gi scored once — with
+// score sc to the running lead.
+func (s *Sampler) consider(c *lead, j, gi int, sc float64) {
+	if c.arm < 0 && c.group < 0 {
+		*c = lead{arm: j, group: gi, score: sc, frac: -1}
+		return
+	}
+	if s.cfg.CachedFrac != nil && tied(sc, c.score, s.cfg.TieEpsilon) {
+		if c.frac < 0 {
+			c.frac, c.fracArm = s.cachedFrac(c.arm, c.group)
+		}
+		if f, fj := s.cachedFrac(j, gi); f > c.frac || f == c.frac && s.beats(c, j, gi, sc) {
+			*c = lead{arm: j, group: gi, score: sc, frac: f, fracArm: fj}
+		}
+		return
+	}
+	if s.beats(c, j, gi, sc) {
+		*c = lead{arm: j, group: gi, score: sc, frac: -1}
+	}
+}
+
+// beats reports whether a candidate scoring sc displaces the lead: a higher
+// score wins; an equal one wins only under BayesUCB with a lower index, so
+// its pick is the per-arm scan's first strict maximum. (Thompson ties have
+// probability zero, and Greedy spreads its ties after the scan.)
+func (s *Sampler) beats(c *lead, j, gi int, sc float64) bool {
+	if sc != c.score || s.cfg.Policy != BayesUCB {
+		return sc > c.score
+	}
+	return s.first(j, gi) < s.first(c.arm, c.group)
+}
+
+// tiedMember returns a uniform arm among the groups whose Greedy score (the
+// point estimate) equals score.
+func (s *Sampler) tiedMember(score float64) int {
+	n := 0
+	for gi := range s.groups {
+		if g := &s.groups[gi]; g.size > 0 && g.alpha/g.beta == score {
+			n += int(g.size)
+		}
+	}
+	m := s.rng.IntN(n)
+	for gi := range s.groups {
+		if g := &s.groups[gi]; g.size > 0 && g.alpha/g.beta == score {
+			if m < int(g.size) {
+				return s.member(gi, m)
+			}
+			m -= int(g.size)
+		}
+	}
+	return -1
+}
+
+// member returns group gi's m-th member in list order, walking from the
+// nearer end.
+func (s *Sampler) member(gi, m int) int {
+	g := &s.groups[gi]
+	if back := int(g.size) - 1 - m; back < m {
+		j := g.tail
+		for ; back > 0; back-- {
+			j = s.arms[j].prev
+		}
+		return int(j)
+	}
+	j := g.head
+	for ; m > 0; m-- {
+		j = s.arms[j].next
+	}
+	return int(j)
+}
+
+// first returns arm j, or group gi's lowest-index member.
+func (s *Sampler) first(j, gi int) int {
+	if gi < 0 {
+		return j
+	}
+	return s.lowest(gi)
+}
+
+// lowest returns group gi's lowest-index member.
+func (s *Sampler) lowest(gi int) int {
+	best := -1
+	for j := s.groups[gi].head; j >= 0; j = s.arms[j].next {
+		if best < 0 || int(j) < best {
+			best = int(j)
+		}
+	}
+	return best
+}
+
+// cachedFrac returns arm j's cached fraction, or group gi's highest member
+// fraction and the lowest-index member holding it.
+func (s *Sampler) cachedFrac(j, gi int) (float64, int) {
+	if gi < 0 {
+		return s.cfg.CachedFrac(j), j
+	}
+	best, arm := -1.0, -1
+	for m := s.groups[gi].head; m >= 0; m = s.arms[m].next {
+		if f := s.cfg.CachedFrac(int(m)); f > best || f == best && int(m) < arm {
+			best, arm = f, int(m)
+		}
+	}
+	return best, arm
 }
 
 // tied reports whether two policy scores fall within the relative tie
@@ -435,6 +646,120 @@ func tied(a, b, eps float64) bool {
 		hi, lo = lo, hi
 	}
 	return hi-lo <= eps*hi
+}
+
+// join adds drawable arm j to the group of its key.
+func (s *Sampler) join(j int) {
+	a := &s.arms[j]
+	gi := s.slot(max(a.n1, 0), a.n)
+	g := &s.groups[gi]
+	a.group, a.prev, a.next = gi, -1, g.head
+	if g.head >= 0 {
+		s.arms[g.head].prev = int32(j)
+	} else {
+		g.tail = int32(j)
+	}
+	g.head = int32(j)
+	g.size++
+}
+
+// leave takes arm j out of its group, if it is in one, and frees the group
+// when it empties.
+func (s *Sampler) leave(j int) {
+	a := &s.arms[j]
+	gi := a.group
+	if gi < 0 {
+		return
+	}
+	g := &s.groups[gi]
+	if a.prev >= 0 {
+		s.arms[a.prev].next = a.next
+	} else {
+		g.head = a.next
+	}
+	if a.next >= 0 {
+		s.arms[a.next].prev = a.prev
+	} else {
+		g.tail = a.prev
+	}
+	a.group = -1
+	if g.size--; g.size == 0 {
+		s.unindex(g.n1, g.n)
+		g.head, s.free = s.free, gi
+	}
+}
+
+// rekey moves arm j to the group of its key after its statistics changed;
+// an arm that is not drawable stays out of every group.
+func (s *Sampler) rekey(j int) {
+	if a := &s.arms[j]; a.group >= 0 {
+		if g := &s.groups[a.group]; g.n1 != max(a.n1, 0) || g.n != a.n {
+			s.leave(j)
+			s.join(j)
+		}
+	}
+}
+
+// slot returns the slot of the group keyed (n1, n), opening one (a free
+// slot first) when the key has no group.
+func (s *Sampler) slot(n1, n int64) int32 {
+	i := s.probe(n1, n)
+	if s.index[i] != 0 {
+		return s.index[i] - 1
+	}
+	gi := s.free
+	if gi >= 0 {
+		s.free = s.groups[gi].head
+	} else {
+		gi = int32(len(s.groups))
+		s.groups = append(s.groups, group{})
+	}
+	alpha, beta := s.belief(n1, n)
+	s.groups[gi] = group{n1: n1, n: n, alpha: alpha, beta: beta, head: -1, tail: -1}
+	s.index[i] = gi + 1
+	return gi
+}
+
+// The key index is open addressing with linear probing over slot+1 (0 is
+// empty). Deletion shifts the rest of the probe run back instead of leaving
+// tombstones, so churn never degrades or regrows the table.
+
+// probe returns the table position holding key (n1, n), or the empty
+// position where it belongs.
+func (s *Sampler) probe(n1, n int64) int {
+	mask := len(s.index) - 1
+	i := keyHash(n1, n) & mask
+	for ; s.index[i] != 0; i = (i + 1) & mask {
+		if g := &s.groups[s.index[i]-1]; g.n1 == n1 && g.n == n {
+			break
+		}
+	}
+	return i
+}
+
+// unindex removes key (n1, n) from the table.
+func (s *Sampler) unindex(n1, n int64) {
+	mask := len(s.index) - 1
+	i := s.probe(n1, n)
+	for j := (i + 1) & mask; s.index[j] != 0; j = (j + 1) & mask {
+		g := &s.groups[s.index[j]-1]
+		// The entry at j may fill the hole at i unless its home position
+		// lies cyclically in (i, j].
+		if (j-keyHash(g.n1, g.n))&mask >= (j-i)&mask {
+			s.index[i] = s.index[j]
+			i = j
+		}
+	}
+	s.index[i] = 0
+}
+
+// keyHash mixes a group key into a table position seed.
+func keyHash(n1, n int64) int {
+	h := uint64(n1)*0x9e3779b97f4a7c15 ^ uint64(n)*0xc2b2ae3d27d4eb4f
+	h ^= h >> 31
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 29
+	return int(h >> 1)
 }
 
 // Update feeds back the discriminator's classification of the detections
@@ -448,9 +773,10 @@ func (s *Sampler) Update(chunk int, d0, d1 int) error {
 	if d0 < 0 || d1 < 0 {
 		return fmt.Errorf("core: negative counts d0=%d d1=%d", d0, d1)
 	}
-	s.n1[chunk] += int64(d0) - int64(d1)
-	s.n[chunk]++
+	s.arms[chunk].n1 += int64(d0) - int64(d1)
+	s.arms[chunk].n++
 	s.total++
+	s.rekey(chunk)
 	return nil
 }
 
@@ -464,12 +790,13 @@ func (s *Sampler) Adjust(chunk int, delta int64) error {
 	if chunk < 0 || chunk >= len(s.chunks) {
 		return fmt.Errorf("core: chunk %d out of range [0, %d)", chunk, len(s.chunks))
 	}
-	s.n1[chunk] += delta
+	s.arms[chunk].n1 += delta
+	s.rekey(chunk)
 	return nil
 }
 
 // Stats returns chunk j's current (N1, n).
-func (s *Sampler) Stats(j int) (n1, n int64) { return s.n1[j], s.n[j] }
+func (s *Sampler) Stats(j int) (n1, n int64) { return s.arms[j].n1, s.arms[j].n }
 
 // PointEstimate returns the prior-smoothed point estimate
 // (N1+α0)/(n+β0) for chunk j.
@@ -485,18 +812,13 @@ func (s *Sampler) PointEstimate(j int) float64 {
 // is the sampler's expected new results from its next frame: the marginal
 // value a cross-query scheduler compares when dividing a global detector
 // budget. A fresh or just-woken sampler reports the prior α0/β0; an
-// exhausted one reports 0. Allocation-free.
+// exhausted one reports 0. It reads one estimate per group of exchangeable
+// arms, not one per arm, and allocates nothing.
 func (s *Sampler) MaxPointEstimate() float64 {
 	best := 0.0
-	for j := range s.chunks {
-		if s.disabled[j] {
-			continue
-		}
-		if s.orders[j] != nil && s.orders[j].Remaining() == 0 {
-			continue
-		}
-		if e := s.PointEstimate(j); e > best {
-			best = e
+	for gi := range s.groups {
+		if g := &s.groups[gi]; g.size > 0 && g.alpha/g.beta > best {
+			best = g.alpha / g.beta
 		}
 	}
 	return best
@@ -524,18 +846,18 @@ func (s *Sampler) Allocation() []float64 {
 // capacity is short — the reusable-scores-buffer shape the steady-state
 // engine uses so per-round stats polling stays allocation-free.
 func (s *Sampler) AllocationInto(dst []float64) []float64 {
-	if cap(dst) < len(s.n) {
-		dst = make([]float64, len(s.n))
+	if cap(dst) < len(s.arms) {
+		dst = make([]float64, len(s.arms))
 	}
-	dst = dst[:len(s.n)]
+	dst = dst[:len(s.arms)]
 	if s.total == 0 {
 		for j := range dst {
 			dst[j] = 0
 		}
 		return dst
 	}
-	for j, nj := range s.n {
-		dst[j] = float64(nj) / float64(s.total)
+	for j := range s.arms {
+		dst[j] = float64(s.arms[j].n) / float64(s.total)
 	}
 	return dst
 }

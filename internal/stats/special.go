@@ -25,23 +25,42 @@ func GammaP(a, x float64) float64 {
 	if x == 0 {
 		return 0
 	}
+	lg, _ := math.Lgamma(a)
 	if x < a+1 {
-		return gammaSeries(a, x)
+		return gammaSeries(a, x) * math.Exp(-x+a*math.Log(x)-lg)
 	}
-	return 1 - gammaContinuedFraction(a, x)
+	return 1 - math.Exp(-x+a*math.Log(x)-lg)*gammaContinuedFraction(a, x)
 }
 
 // GammaQ returns the regularized upper incomplete gamma function
-// Q(a, x) = 1 - P(a, x).
-func GammaQ(a, x float64) float64 { return 1 - GammaP(a, x) }
+// Q(a, x) = 1 - P(a, x). Where the continued fraction applies it returns
+// that tail directly, so Q keeps its relative precision when it is far
+// below the rounding unit of 1 - P.
+func GammaQ(a, x float64) float64 {
+	if x >= a+1 && a > 0 {
+		lg, _ := math.Lgamma(a)
+		return math.Exp(-x+a*math.Log(x)-lg) * gammaContinuedFraction(a, x)
+	}
+	return 1 - GammaP(a, x)
+}
+
+// logGammaQ returns log Q(a, x) for x > 0, given lg = log Γ(a), without
+// leaving log space on the continued-fraction side.
+func logGammaQ(a, x, lg float64) float64 {
+	if x < a+1 {
+		return math.Log1p(-gammaSeries(a, x) * math.Exp(-x+a*math.Log(x)-lg))
+	}
+	return -x + a*math.Log(x) - lg + math.Log(gammaContinuedFraction(a, x))
+}
 
 const (
 	gammaIterMax = 500
 	gammaEps     = 3e-14
 )
 
+// gammaSeries returns the sum of the series for P(a, x), which is P divided
+// by the prefactor x^a e^-x / Γ(a).
 func gammaSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
 	ap := a
 	sum := 1.0 / a
 	del := sum
@@ -53,11 +72,12 @@ func gammaSeries(a, x float64) float64 {
 			break
 		}
 	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
+	return sum
 }
 
+// gammaContinuedFraction returns the Lentz evaluation of the continued
+// fraction for Q(a, x), which is Q divided by the prefactor x^a e^-x / Γ(a).
 func gammaContinuedFraction(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
 	const fpmin = 1e-300
 	b := x + 1 - a
 	c := 1 / fpmin
@@ -81,7 +101,98 @@ func gammaContinuedFraction(a, x float64) float64 {
 			break
 		}
 	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
+	return h
+}
+
+// GammaQInv returns x such that Q(a, x) = q: the upper-tail inverse of the
+// regularized incomplete gamma function, which is the (1-q) quantile of a
+// Gamma(a, 1) variable. It runs Halley's method on log Q(a, x) - log q in
+// log x, inside a bracket that falls back to bisection in log x whenever a
+// step would leave it. Working in logs keeps tails as small as q = 1e-300
+// at full relative precision, where 1 - P has long since rounded to zero.
+// a must be positive and finite and q must lie in (0, 1).
+func GammaQInv(a, q float64) (float64, error) {
+	if !(a > 0) || math.IsInf(a, 1) {
+		return 0, fmt.Errorf("stats: GammaQInv requires a finite a > 0 (a=%v)", a)
+	}
+	if !(q > 0 && q < 1) {
+		return 0, fmt.Errorf("stats: GammaQInv tail %v outside (0,1)", q)
+	}
+	lq := math.Log(q)
+	lg, _ := math.Lgamma(a)
+	x := gammaQInvGuess(a, q, lq, lg)
+	lo, hi := 0.0, math.Inf(1)
+	for i := 0; i < 100; i++ {
+		lQ := logGammaQ(a, x, lg)
+		f := lQ - lq
+		if f == 0 {
+			break
+		}
+		if f > 0 {
+			lo = x // Q is decreasing: the tail is still too heavy here
+		} else {
+			hi = x
+		}
+		// In u = log x: f' = -x^a e^-x / (Γ(a) Q) and f'' = f'(a - x - f'),
+		// so a Halley step costs no more evaluations than a Newton one.
+		d1 := -math.Exp(a*math.Log(x) - x - lg - lQ)
+		d2 := d1 * (a - x - d1)
+		step := -f / d1
+		if h := 1 + step*d2/(2*d1); h > 0.5 {
+			step /= h // Halley; near the root h → 1
+		}
+		step = math.Max(-8, math.Min(8, step))
+		next := x * math.Exp(step)
+		// Convergence is cubic, so a step this small leaves an error far
+		// below the evaluation's own rounding.
+		if math.Abs(step) <= 1e-5 {
+			return next, nil
+		}
+		if !(next > lo && next < hi) {
+			// A step leaves the bracket only toward a finite positive end.
+			next = math.Sqrt(lo * hi)
+		}
+		x = next
+	}
+	return x, nil
+}
+
+// gammaQInvGuess is the starting point of GammaQInv: for a < 1.5 and a
+// tail that puts x well above 1, a few fixed-point steps on the asymptotic
+// Q(a, x) ≈ x^(a-1) e^-x (1 + (a-1)/x) / Γ(a); otherwise Numerical Recipes
+// §6.2.1's invgammp guesses rewritten for the upper tail — Wilson–Hilferty
+// for a > 1, the small-x power law or the exponential tail below.
+func gammaQInvGuess(a, q, lq, lg float64) float64 {
+	if x := -lq - lg; a < 1.5 && x > 2.5 {
+		for i := 0; i < 2 && x > 1; i++ {
+			x = -lq - lg + (a-1)*math.Log(x) + math.Log1p((a-1)/x)
+		}
+		if x > 1 {
+			return x
+		}
+	}
+	var x float64
+	if a > 1 {
+		lpp := lq // log of the smaller tail
+		if q > 0.5 {
+			lpp = math.Log1p(-q)
+		}
+		t := math.Sqrt(-2 * lpp)
+		z := (2.30753+t*0.27061)/(1+t*(0.99229+t*0.04481)) - t // ≈ Φ⁻¹(min(q, 1-q))
+		if q > 0.5 {
+			z = -z
+		}
+		w := 1 - 1/(9*a) - z/(3*math.Sqrt(a))
+		x = math.Max(1e-3, a*w*w*w)
+	} else {
+		t := 1 - a*(0.253+a*0.12)
+		if p := 1 - q; p < t {
+			x = math.Exp((math.Log(p) - math.Log(t)) / a)
+		} else {
+			x = 1 - lq + math.Log(1-t)
+		}
+	}
+	return math.Max(x, 1e-300)
 }
 
 // GammaQuantile returns x such that P(alpha, beta*x) = p for a

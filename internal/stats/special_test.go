@@ -110,6 +110,97 @@ func TestGammaQuantileErrors(t *testing.T) {
 	}
 }
 
+// TestGammaQInvRoundTrip: Q(a, GammaQInv(a, q)) returns q to 1e-10
+// relative error across the shapes the sampler meets (α0 = 0.1 up to tens
+// of results) and tails from the far upper end to the bulk.
+func TestGammaQInvRoundTrip(t *testing.T) {
+	alphas := []float64{0.05, 0.1, 0.3, 0.5, 0.9, 1, 1.1, 2.1, 5, 10.1, 30, 64}
+	qs := []float64{1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999}
+	for _, a := range alphas {
+		for _, q := range qs {
+			x, err := GammaQInv(a, q)
+			if err != nil {
+				t.Fatalf("GammaQInv(%v, %v): %v", a, q, err)
+			}
+			if got := GammaQ(a, x); math.Abs(got-q) > 1e-10*q {
+				t.Errorf("GammaQ(%v, GammaQInv(%v, %v) = %v) = %v, relative error %.3g", a, a, q, x, got, math.Abs(got-q)/q)
+			}
+		}
+	}
+}
+
+// TestGammaQInvDeepTail: in log space the inverse stays exact far below the
+// rounding unit of 1 - P.
+func TestGammaQInvDeepTail(t *testing.T) {
+	for _, a := range []float64{0.1, 1, 20} {
+		for _, q := range []float64{1e-30, 1e-100, 1e-300} {
+			x, err := GammaQInv(a, q)
+			if err != nil {
+				t.Fatalf("GammaQInv(%v, %v): %v", a, q, err)
+			}
+			lg, _ := math.Lgamma(a)
+			if got := logGammaQ(a, x, lg); math.Abs(got-math.Log(q)) > 1e-10*math.Abs(math.Log(q)) {
+				t.Errorf("log Q(%v, %v) = %v, want %v", a, x, got, math.Log(q))
+			}
+		}
+	}
+}
+
+// TestGammaQInvTinyShape: shapes far below the sampler's prior still give
+// a finite, non-negative inverse, even where the root underflows to 0, and
+// an exact one where the asymptotic starting guess (tail -log q - log Γ(a)
+// just above 2.5) would step below zero.
+func TestGammaQInvTinyShape(t *testing.T) {
+	for _, a := range []float64{1e-3, 1e-2} {
+		for _, q := range []float64{1e-12, 1e-6, 0.01, 0.5, 0.999} {
+			x, err := GammaQInv(a, q)
+			if err != nil || !(x >= 0) || math.IsInf(x, 0) {
+				t.Errorf("GammaQInv(%v, %v) = %v, %v", a, q, x, err)
+			}
+		}
+		lg, _ := math.Lgamma(a)
+		q := math.Exp(-lg - 2.51)
+		x, err := GammaQInv(a, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := GammaQ(a, x); math.Abs(got-q) > 1e-10*q {
+			t.Errorf("GammaQ(%v, GammaQInv(%v, %v) = %v) = %v", a, a, q, x, got)
+		}
+	}
+}
+
+// TestGammaQInvMatchesQuantile: the upper-tail inverse and the bisection
+// quantile agree on the same point of the distribution.
+func TestGammaQInvMatchesQuantile(t *testing.T) {
+	for _, a := range []float64{0.1, 1, 5} {
+		for _, p := range []float64{0.1, 0.5, 0.9} {
+			want, err := GammaQuantile(p, a, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := GammaQInv(a, 1-p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got-want) > 1e-9*want {
+				t.Errorf("GammaQInv(%v, %v) = %v, GammaQuantile = %v", a, 1-p, got, want)
+			}
+		}
+	}
+}
+
+func TestGammaQInvErrors(t *testing.T) {
+	for _, c := range []struct{ a, q float64 }{
+		{0, 0.5}, {-1, 0.5}, {math.Inf(1), 0.5}, {math.NaN(), 0.5},
+		{1, 0}, {1, 1}, {1, -0.1}, {1, 1.5}, {1, math.NaN()},
+	} {
+		if _, err := GammaQInv(c.a, c.q); err == nil {
+			t.Errorf("GammaQInv(%v, %v) accepted", c.a, c.q)
+		}
+	}
+}
+
 func TestPercentile(t *testing.T) {
 	vals := []float64{3, 1, 2, 5, 4}
 	for _, c := range []struct{ q, want float64 }{{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}} {
