@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
 	"reflect"
 	"testing"
@@ -12,53 +13,135 @@ import (
 	"github.com/exsample/exsample/backend"
 )
 
-// reportDigest hashes every Report field bit-exactly: integers as
-// themselves, floats through math.Float64bits, strings and slices
+// digester hashes values bit-exactly: integers as themselves, floats
+// through math.Float64bits, strings length-prefixed, so two values share a
+// digest only if they are equal down to the last bit.
+type digester struct {
+	h hash.Hash
+	b [8]byte
+}
+
+func newDigester() *digester { return &digester{h: sha256.New()} }
+
+func (d *digester) u(v uint64) {
+	binary.LittleEndian.PutUint64(d.b[:], v)
+	d.h.Write(d.b[:])
+}
+
+func (d *digester) i(v int64)   { d.u(uint64(v)) }
+func (d *digester) f(v float64) { d.u(math.Float64bits(v)) }
+
+func (d *digester) flag(v bool) {
+	if v {
+		d.u(1)
+	} else {
+		d.u(0)
+	}
+}
+
+func (d *digester) s(v string) {
+	d.i(int64(len(v)))
+	d.h.Write([]byte(v))
+}
+
+func (d *digester) box(b Box) {
+	d.f(b.X1)
+	d.f(b.Y1)
+	d.f(b.X2)
+	d.f(b.Y2)
+}
+
+func (d *digester) sum() string { return hex.EncodeToString(d.h.Sum(nil)[:8]) }
+
+// reportDigest hashes every Report field bit-exactly, slices
 // length-prefixed, so two reports share a digest only if they are equal
 // down to the last bit of every charged second and curve point.
 func reportDigest(rep *Report) string {
-	h := sha256.New()
-	var b [8]byte
-	u := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	i := func(v int64) { u(uint64(v)) }
-	f := func(v float64) { u(math.Float64bits(v)) }
-	i(int64(rep.Strategy))
-	i(int64(len(rep.Results)))
+	d := newDigester()
+	d.i(int64(rep.Strategy))
+	d.i(int64(len(rep.Results)))
 	for _, r := range rep.Results {
-		i(int64(r.ObjectID))
-		i(r.Frame)
-		i(int64(len(r.Class)))
-		h.Write([]byte(r.Class))
-		f(r.Box.X1)
-		f(r.Box.Y1)
-		f(r.Box.X2)
-		f(r.Box.Y2)
-		f(r.Score)
+		d.i(int64(r.ObjectID))
+		d.i(r.Frame)
+		d.s(r.Class)
+		d.box(r.Box)
+		d.f(r.Score)
 	}
-	i(rep.FramesProcessed)
-	f(rep.DetectSeconds)
-	f(rep.DecodeSeconds)
-	f(rep.ScanSeconds)
-	f(rep.Recall)
-	i(rep.CacheHits)
-	i(rep.CacheMisses)
-	i(rep.RemoteCacheHits)
-	i(int64(len(rep.CurveSamples)))
+	d.i(rep.FramesProcessed)
+	d.f(rep.DetectSeconds)
+	d.f(rep.DecodeSeconds)
+	d.f(rep.ScanSeconds)
+	d.f(rep.Recall)
+	d.i(rep.CacheHits)
+	d.i(rep.CacheMisses)
+	d.i(rep.RemoteCacheHits)
+	d.i(int64(len(rep.CurveSamples)))
 	for _, v := range rep.CurveSamples {
-		i(v)
+		d.i(v)
 	}
-	i(int64(len(rep.CurveSeconds)))
+	d.i(int64(len(rep.CurveSeconds)))
 	for _, v := range rep.CurveSeconds {
-		f(v)
+		d.f(v)
 	}
-	i(int64(len(rep.CurveFound)))
+	d.i(int64(len(rep.CurveFound)))
 	for _, v := range rep.CurveFound {
-		i(int64(v))
+		d.i(int64(v))
 	}
-	return hex.EncodeToString(h.Sum(nil)[:8])
+	return d.sum()
+}
+
+// trackReportDigest is reportDigest for a TrackReport: every field, the
+// submitted predicate included, hashed bit-exactly. Each optional clause
+// is prefixed with a presence flag.
+func trackReportDigest(rep *TrackReport) string {
+	d := newDigester()
+	p := rep.Predicate
+	d.s(p.Class)
+	for _, r := range []Region{p.From, p.To, p.Visits} {
+		d.i(int64(len(r)))
+		for _, pt := range r {
+			d.f(pt.X)
+			d.f(pt.Y)
+		}
+	}
+	d.flag(p.Crosses != nil)
+	if c := p.Crosses; c != nil {
+		for _, v := range []float64{c.A.X, c.A.Y, c.B.X, c.B.Y} {
+			d.f(v)
+		}
+	}
+	d.flag(p.Direction != nil)
+	if dir := p.Direction; dir != nil {
+		d.f(dir.MinDeg)
+		d.f(dir.MaxDeg)
+	}
+	d.i(p.MinDuration)
+	d.i(p.MaxDuration)
+	d.f(p.MinSpeed)
+	d.f(p.MaxSpeed)
+	d.i(int64(len(rep.Results)))
+	for _, r := range rep.Results {
+		d.i(int64(r.TrackID))
+		d.s(r.Class)
+		d.i(r.Start)
+		d.i(r.End)
+		d.box(r.StartBox)
+		d.box(r.EndBox)
+		d.i(int64(r.Hits))
+		d.f(r.AvgSpeed)
+	}
+	d.i(rep.FramesProcessed)
+	d.i(rep.CoarseFrames)
+	d.i(rep.RefineFrames)
+	d.i(int64(rep.Intervals))
+	d.i(rep.IntervalFrames)
+	d.i(rep.DenseFrames)
+	d.f(rep.DetectSeconds)
+	d.f(rep.DecodeSeconds)
+	d.i(rep.CacheHits)
+	d.i(rep.CacheMisses)
+	d.i(rep.RemoteCacheHits)
+	return d.sum()
 }
 
 var digestSpec = SynthSpec{
@@ -118,6 +201,15 @@ func TestReportDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	car := Query{Class: "car", RecallTarget: 0.95}
+	trackSearch := func(src Source, opts TrackOptions) func(t *testing.T) []*TrackReport {
+		return func(t *testing.T) []*TrackReport {
+			rep, err := TrackSearch(src, trackPred(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []*TrackReport{rep}
+		}
+	}
 	search := func(src Source, q Query, opts Options, session bool) func(t *testing.T) []*Report {
 		return func(t *testing.T) []*Report {
 			rep, err := SearchSource(src, q, opts)
@@ -134,42 +226,56 @@ func TestReportDigests(t *testing.T) {
 		}
 	}
 	rows := []struct {
-		name string
-		run  func(t *testing.T) []*Report
-		want []string
+		name  string
+		run   func(t *testing.T) []*Report
+		track func(t *testing.T) []*TrackReport
+		want  []string
 	}{
-		{"exsample/default", search(ds, car, Options{Seed: 1}, true), []string{"dabf3a324d202b8d"}},
-		{"exsample/numchunks16", search(ds, car, Options{Seed: 2, NumChunks: 16}, true), []string{"eecd3eba1b109d6d"}},
-		{"exsample/autochunk", search(ds, car, Options{Seed: 3, AutoChunk: true}, true), []string{"4f9c884fe553fd40"}},
-		{"exsample/autochunk-tiny", search(tiny, Query{Class: "car", Limit: 1 << 30}, Options{Seed: 4, AutoChunk: true}, true), []string{"f6ecf38e593ef73d"}},
-		{"exsample/bayesucb", search(ds, car, Options{Seed: 5, Policy: PolicyBayesUCB}, true), []string{"dbcc746dd9e3f017"}},
-		{"exsample/greedy", search(ds, car, Options{Seed: 6, Policy: PolicyGreedy}, true), []string{"f7450f543eab2e75"}},
-		{"exsample/uniform-within", search(ds, car, Options{Seed: 7, UniformWithinChunk: true}, true), []string{"4d1ccfa5ddc87372"}},
-		{"exsample/fuse-proxy", search(ds, car, Options{Seed: 8, FuseProxyWithinChunk: true, ProxyQuality: 0.7}, true), []string{"43a34ad0bf6193f6"}},
-		{"exsample/home-chunk", search(ds, car, Options{Seed: 9, HomeChunkAccounting: true}, true), []string{"515a56224b59f4ce"}},
-		{"exsample/batch8", search(ds, car, Options{Seed: 10, BatchSize: 8}, false), []string{"6b98563371492acf"}},
-		{"exsample/custom-prior", search(ds, car, Options{Seed: 11, Alpha0: 0.5, Beta0: 2}, true), []string{"34b8975d24b6997e"}},
-		{"baseline/random", search(ds, car, Options{Seed: 12, Strategy: StrategyRandom}, true), []string{"bc21accfd13a6795"}},
-		{"baseline/random-plus", search(ds, car, Options{Seed: 13, Strategy: StrategyRandomPlus}, true), []string{"39e5c1f20e190074"}},
-		{"baseline/sequential", search(ds, Query{Class: "car", Limit: 20}, Options{Seed: 14, Strategy: StrategySequential, MaxFrames: 6000}, true), []string{"c40314c501b91c64"}},
-		{"proxy/plain", search(ds, car, Options{Seed: 15, Strategy: StrategyProxy, ProxyQuality: 0.8}, true), []string{"f0f546a414cb8c17"}},
-		{"proxy/dup-radius", search(ds, car, Options{Seed: 16, Strategy: StrategyProxy, ProxyQuality: 0.8, ProxyDupRadius: 300}, true), []string{"e0e7f1430da36f44"}},
-		{"proxy/train-common", search(ds, car, Options{Seed: 17, Strategy: StrategyProxy, ProxyTrainPositives: 5}, true), []string{"e6386d7d7244e4cb"}},
+		{"exsample/default", search(ds, car, Options{Seed: 1}, true), nil, []string{"dabf3a324d202b8d"}},
+		{"exsample/numchunks16", search(ds, car, Options{Seed: 2, NumChunks: 16}, true), nil, []string{"eecd3eba1b109d6d"}},
+		{"exsample/autochunk", search(ds, car, Options{Seed: 3, AutoChunk: true}, true), nil, []string{"4f9c884fe553fd40"}},
+		{"exsample/autochunk-tiny", search(tiny, Query{Class: "car", Limit: 1 << 30}, Options{Seed: 4, AutoChunk: true}, true), nil, []string{"f6ecf38e593ef73d"}},
+		{"exsample/bayesucb", search(ds, car, Options{Seed: 5, Policy: PolicyBayesUCB}, true), nil, []string{"dbcc746dd9e3f017"}},
+		{"exsample/greedy", search(ds, car, Options{Seed: 6, Policy: PolicyGreedy}, true), nil, []string{"f7450f543eab2e75"}},
+		{"exsample/uniform-within", search(ds, car, Options{Seed: 7, UniformWithinChunk: true}, true), nil, []string{"4d1ccfa5ddc87372"}},
+		{"exsample/fuse-proxy", search(ds, car, Options{Seed: 8, FuseProxyWithinChunk: true, ProxyQuality: 0.7}, true), nil, []string{"43a34ad0bf6193f6"}},
+		{"exsample/home-chunk", search(ds, car, Options{Seed: 9, HomeChunkAccounting: true}, true), nil, []string{"515a56224b59f4ce"}},
+		{"exsample/batch8", search(ds, car, Options{Seed: 10, BatchSize: 8}, false), nil, []string{"6b98563371492acf"}},
+		{"exsample/custom-prior", search(ds, car, Options{Seed: 11, Alpha0: 0.5, Beta0: 2}, true), nil, []string{"34b8975d24b6997e"}},
+		{"baseline/random", search(ds, car, Options{Seed: 12, Strategy: StrategyRandom}, true), nil, []string{"bc21accfd13a6795"}},
+		{"baseline/random-plus", search(ds, car, Options{Seed: 13, Strategy: StrategyRandomPlus}, true), nil, []string{"39e5c1f20e190074"}},
+		{"baseline/sequential", search(ds, Query{Class: "car", Limit: 20}, Options{Seed: 14, Strategy: StrategySequential, MaxFrames: 6000}, true), nil, []string{"c40314c501b91c64"}},
+		{"proxy/plain", search(ds, car, Options{Seed: 15, Strategy: StrategyProxy, ProxyQuality: 0.8}, true), nil, []string{"f0f546a414cb8c17"}},
+		{"proxy/dup-radius", search(ds, car, Options{Seed: 16, Strategy: StrategyProxy, ProxyQuality: 0.8, ProxyDupRadius: 300}, true), nil, []string{"e0e7f1430da36f44"}},
+		{"proxy/train-common", search(ds, car, Options{Seed: 17, Strategy: StrategyProxy, ProxyTrainPositives: 5}, true), nil, []string{"e6386d7d7244e4cb"}},
 		{"proxy/train-rare-fallback", search(rare, Query{Class: "unicorn", Limit: 3},
-			Options{Seed: 18, Strategy: StrategyProxy, ProxyTrainPositives: 4, ProxyTrainBudget: 200, MaxFrames: 3000}, true), []string{"8e8e168174af11a7"}},
-		{"source/sharded-session-addshard", digestShardedSession, []string{"896fb963d4dd8d45"}},
-		{"source/stream-standing", digestStreamStanding, []string{"52cd2fa27c6f692d"}},
-		{"engine/global-budget", digestGlobalBudget, []string{"e5ad2d9f4af30007", "b7868b137e759634", "67c3946333a52381"}},
+			Options{Seed: 18, Strategy: StrategyProxy, ProxyTrainPositives: 4, ProxyTrainBudget: 200, MaxFrames: 3000}, true), nil, []string{"8e8e168174af11a7"}},
+		{"source/sharded-session-addshard", digestShardedSession, nil, []string{"896fb963d4dd8d45"}},
+		{"source/stream-standing", digestStreamStanding, nil, []string{"52cd2fa27c6f692d"}},
+		{"engine/global-budget", digestGlobalBudget, nil, []string{"e5ad2d9f4af30007", "b7868b137e759634", "67c3946333a52381"}},
+		{"track/dataset", nil, trackSearch(trackScene(t), TrackOptions{Seed: 23}), []string{"2b369b71d4dcacbc"}},
+		{"track/sharded-boundary", nil, trackSearch(digestTrackPair(t), TrackOptions{Seed: 24}), []string{"270f16e4756be1f6"}},
+		{"track/coarse-only", nil, trackSearch(trackScene(t), TrackOptions{Seed: 25, CoarseOnly: true}), []string{"fdf6f52d2052d8f7"}},
+		{"track/engine", nil, digestTrackEngine, []string{"19cf616647ccded4"}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			reps := row.run(t)
-			got := make([]string, len(reps))
-			for i, rep := range reps {
-				if rep.FramesProcessed == 0 {
+			var got []string
+			vacuous := func(i int, frames int64) {
+				if frames == 0 {
 					t.Fatalf("report %d processed no frames — vacuous row", i)
 				}
-				got[i] = reportDigest(rep)
+			}
+			if row.track != nil {
+				for i, rep := range row.track(t) {
+					vacuous(i, rep.FramesProcessed)
+					got = append(got, trackReportDigest(rep))
+				}
+			} else {
+				for i, rep := range row.run(t) {
+					vacuous(i, rep.FramesProcessed)
+					got = append(got, reportDigest(rep))
+				}
 			}
 			if !reflect.DeepEqual(got, row.want) {
 				t.Errorf("digests = %#v, want %#v", got, row.want)
@@ -288,4 +394,39 @@ func digestGlobalBudget(t *testing.T) []*Report {
 		t.Fatal(err)
 	}
 	return append(reps, rep)
+}
+
+// digestTrackPair composes two noisy moving-object scenes into one
+// 40k-frame source, so candidate intervals can pad across the boundary.
+func digestTrackPair(t *testing.T) *ShardedSource {
+	var shards []*Dataset
+	for _, seed := range []uint64{331, 332} {
+		ds, err := Synthesize(SynthSpec{NumFrames: 20_000, NumInstances: 6, Class: "car",
+			MeanDuration: 300, ChunkFrames: 1000, Seed: seed, TravelX: 300})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, ds)
+	}
+	ss, err := NewShardedSource("track-pair", shards...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss
+}
+
+// digestTrackEngine runs a track query over the two-shard scene through
+// the engine: eight-frame rounds on four workers, so refine batches of
+// both shards detect concurrently.
+func digestTrackEngine(t *testing.T) []*TrackReport {
+	e := newTestEngine(t, EngineOptions{Workers: 4, FramesPerRound: 8})
+	h, err := e.SubmitTrack(context.Background(), digestTrackPair(t), trackPred(), TrackOptions{Seed: 26})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := h.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*TrackReport{rep}
 }

@@ -333,3 +333,61 @@ func TestShardedFailureInjectionStillTerminates(t *testing.T) {
 		t.Fatalf("memo cache consulted for a failure-injected source: %+v", st)
 	}
 }
+
+func TestShardLackingQueryClassDetectsNothing(t *testing.T) {
+	// Shards with disjoint classes: a "car" query over a car shard and a
+	// person shard must run to completion on both entry points, and the
+	// person shard must be sampled and charged like any other — a shard
+	// that lacks the query's class detects nothing rather than failing
+	// the query.
+	mk := func(class string, seed uint64) *Dataset {
+		spec := shardSpec(8000, seed)
+		spec.Class = class
+		ds, err := Synthesize(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	q := Query{Class: "car", Limit: 1 << 30}
+	opts := Options{Seed: 17, MaxFrames: 400}
+	personCalls := func(t *testing.T, ss *ShardedSource, rep *Report) {
+		t.Helper()
+		if rep.FramesProcessed != opts.MaxFrames {
+			t.Fatalf("processed %d frames, want the %d-frame budget", rep.FramesProcessed, opts.MaxFrames)
+		}
+		if len(rep.Results) == 0 {
+			t.Fatal("found no cars on the car shard")
+		}
+		if calls := ss.ShardStats()[1].DetectCalls; calls == 0 {
+			t.Fatal("the person shard was never charged a frame")
+		}
+	}
+	t.Run("search", func(t *testing.T) {
+		ss, err := NewShardedSource("disjoint", mk("car", 41), mk("person", 42))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := ss.Search(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		personCalls(t, ss, rep)
+	})
+	t.Run("engine", func(t *testing.T) {
+		ss, err := NewShardedSource("disjoint", mk("car", 41), mk("person", 42))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newTestEngine(t, EngineOptions{Workers: 2, FramesPerRound: 8})
+		h, err := e.Submit(context.Background(), ss, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := h.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		personCalls(t, ss, rep)
+	})
+}
