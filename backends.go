@@ -11,10 +11,13 @@ import (
 )
 
 // This file is the bridge between the public backend API and the internal
-// query pipeline: backendDetector drives a backend.Backend through the
-// internal detect.BatchDetector contract, and simBackend exposes a
-// Dataset's simulated detector as a backend.Backend — making the simulated
-// detector just the default Backend behind an adapter.
+// query pipeline. backend.Backend is the one detector contract a query
+// runs on: every Dataset query detects through backendDetector, over the
+// attached backend or, by default, simBackend — the dataset's simulated
+// detector exposed as a Backend. Failure injection wraps that adapter per
+// query (Dataset.newBatchDetector) and nowhere else, and unknown classes
+// are rejected only by the Backend that Dataset.Backend returns: a query's
+// own detector answers a class its dataset lacks with no detections.
 
 // backendDetector adapts a public backend.Backend to the internal batched
 // detector contract for one query's class. It honors the backend's MaxBatch
@@ -78,35 +81,46 @@ func (bd *backendDetector) DetectBatch(ctx context.Context, frames []int64) ([]d
 }
 
 // simBackend exposes a Dataset's simulated detector through the public
-// Backend API: per-class detectors (with the dataset's noise, cost and
-// failure-injection configuration) are built lazily and shared across
-// calls. It is what Dataset.Backend returns by default, and what an
-// httpbatch.Handler serves when a synthetic dataset stands in for a real
+// Backend API: per-class detectors (with the dataset's noise and cost) are
+// built lazily and shared across calls. It is the default backend of every
+// query, what Dataset.Backend returns when no backend is attached, and what
+// an httpbatch.Handler serves when a synthetic dataset stands in for a real
 // GPU fleet.
 type simBackend struct {
-	d    *Dataset
-	mu   sync.Mutex
-	dets map[string]detect.Detector
+	d *Dataset
+	// strict rejects classes the dataset has no ground truth for — the
+	// public boundary's check, set on what Dataset.Backend returns. A
+	// query's own detector leaves it unset, so a shard lacking the query's
+	// class detects nothing instead of failing the query.
+	strict bool
+	mu     sync.Mutex
+	sims   map[string]*detect.Sim
 }
 
-func (b *simBackend) detector(class string) (detect.Detector, error) {
+func (b *simBackend) detector(class string) (*detect.Sim, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if det, ok := b.dets[class]; ok {
-		return det, nil
+	if sim, ok := b.sims[class]; ok {
+		return sim, nil
 	}
-	if _, err := b.d.GroundTruthCount(class); err != nil {
-		return nil, err
+	if b.strict {
+		if _, err := b.d.GroundTruthCount(class); err != nil {
+			return nil, err
+		}
 	}
-	det, err := b.d.newDetector(Query{Class: class})
+	sim, err := detect.NewSim(b.d.inner.Index, b.d.seed^0xdecade,
+		detect.WithClass(class),
+		detect.WithNoise(b.d.noise),
+		detect.WithCost(1/b.d.cost.DetectFPS),
+	)
 	if err != nil {
 		return nil, err
 	}
-	if b.dets == nil {
-		b.dets = make(map[string]detect.Detector)
+	if b.sims == nil {
+		b.sims = make(map[string]*detect.Sim)
 	}
-	b.dets[class] = det
-	return det, nil
+	b.sims[class] = sim
+	return sim, nil
 }
 
 // DetectBatch implements backend.Backend over the simulated detector.

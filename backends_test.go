@@ -12,6 +12,7 @@ import (
 
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/backend/httpbatch"
+	"github.com/exsample/exsample/internal/detect"
 )
 
 // truthTwin opens a second dataset identical to smallDataset — same spec,
@@ -177,6 +178,108 @@ func TestFailureInjectionAppliesToCustomBackends(t *testing.T) {
 	}
 	if len(full.Results) <= len(got.Results) {
 		t.Fatalf("injection had no effect: %d results with outage, %d without", len(got.Results), len(full.Results))
+	}
+
+	// On a query's own detector the outage blanks exactly the frames past
+	// the limit, counted across batches, and still charges their cost. The
+	// dataset's public Backend stays healthy: it finds the frames.
+	injected := smallDataset(t, WithPerfectDetector(), WithDetectorFailureAfter(2))
+	frames := framesWithCars(t, injected, 4)
+	det := injected.newBatchDetector("car")
+	var outs []detect.FrameOutput
+	for _, batch := range [][]int64{frames[:3], frames[3:]} {
+		o, err := det.DetectBatch(context.Background(), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, o...)
+	}
+	for i, fo := range outs {
+		if healthy := i < 2; healthy != (len(fo.Dets) > 0) {
+			t.Fatalf("frame %d of the outage run: %d detections", i, len(fo.Dets))
+		}
+		if fo.Cost != 1.0/20 {
+			t.Fatalf("frame %d charged %v, want %v", i, fo.Cost, 1.0/20)
+		}
+	}
+}
+
+// framesWithCars returns the first n frames (scanning every 97th) on which
+// ds's detector sees a car.
+func framesWithCars(t *testing.T, ds *Dataset, n int) []int64 {
+	t.Helper()
+	var out []int64
+	for f := int64(0); f < ds.NumFrames() && len(out) < n; f += 97 {
+		dets, err := ds.Backend().DetectBatch(context.Background(), "car", []int64{f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dets[0]) > 0 {
+			out = append(out, f)
+		}
+	}
+	if len(out) < n {
+		t.Fatalf("only %d frames with cars", len(out))
+	}
+	return out
+}
+
+// cancelAfter is a context whose Err reports cancellation from its n-th
+// call on: a deterministic cancellation in the middle of a batch.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+func TestSimBackendThroughAdapter(t *testing.T) {
+	// The default detect path — the simulated detector as a Backend behind
+	// the backend adapter — returns one output per frame, aligned with
+	// the frames however they are ordered, charges the dataset's
+	// per-frame cost, and abandons a batch cancelled midway.
+	ds := smallDataset(t, WithPerfectDetector(), WithThroughput(40, 100))
+	cars := framesWithCars(t, ds, 2)
+	frames := []int64{cars[1], 3, cars[0]}
+	det := ds.newBatchDetector("car")
+	outs, err := det.DetectBatch(context.Background(), frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != len(frames) {
+		t.Fatalf("got %d outputs for %d frames", len(outs), len(frames))
+	}
+	for i, fo := range outs {
+		if fo.Cost != 1.0/40 {
+			t.Fatalf("frame %d charged %v, want %v", frames[i], fo.Cost, 1.0/40)
+		}
+		one, err := det.DetectBatch(context.Background(), frames[i:i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fo.Dets, one[0].Dets) {
+			t.Fatalf("frame %d: batch output %+v, single-frame output %+v", frames[i], fo.Dets, one[0].Dets)
+		}
+		for _, d := range fo.Dets {
+			if d.Frame != frames[i] {
+				t.Fatalf("output %d carries frame %d, want %d", i, d.Frame, frames[i])
+			}
+		}
+	}
+
+	sim := det.(*backendDetector).b.(*simBackend)
+	before := sim.sims["car"].Calls()
+	if _, err := det.DetectBatch(&cancelAfter{Context: context.Background(), n: 2}, frames); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ran := sim.sims["car"].Calls() - before; ran != 2 {
+		t.Fatalf("detected %d frames of a batch cancelled after 2", ran)
 	}
 }
 

@@ -89,9 +89,12 @@ func WithThroughput(detectFPS, scanFPS float64) DatasetOption {
 }
 
 // WithDetectorFailureAfter makes every search's detector return no
-// detections after n calls, simulating a mid-query inference outage.
+// detections after n frames, simulating a mid-query inference outage.
 // Searches must keep terminating cleanly (on their budget) rather than
-// spinning; this is a failure-injection knob for tests.
+// spinning; this is a failure-injection knob for tests. The outage is
+// injected at one point: around each query's backend adapter, per query,
+// whether the simulated detector or an attached backend sits behind it.
+// The Backend that Dataset.Backend returns stays healthy.
 func WithDetectorFailureAfter(n int64) DatasetOption {
 	return func(d *Dataset) { d.failAfter = n }
 }
@@ -113,15 +116,21 @@ func WithBackend(b backend.Backend) DatasetOption {
 
 // Backend returns the dataset's detector as a public backend.Backend: the
 // attached custom backend when one was configured, otherwise the simulated
-// detector behind the default adapter. Serving the returned backend over
-// backend/httpbatch.Handler turns the dataset into a remote detection
-// endpoint — the loopback setup the end-to-end tests and exserve's
-// -backend http mode use.
+// detector, the default backend every query detects through. Serving the
+// returned backend over backend/httpbatch.Handler turns the dataset into a
+// remote detection endpoint — the loopback setup the end-to-end tests and
+// exserve's -backend http mode use.
+//
+// This is the public boundary: the returned simulated detector rejects a
+// class the dataset has no ground truth for, where a query's own detector
+// (a shard lacking the query's class) detects nothing. Failure injection
+// (WithDetectorFailureAfter) applies to queries only, never to the
+// returned backend.
 func (d *Dataset) Backend() backend.Backend {
 	if d.be != nil {
 		return d.be
 	}
-	return &simBackend{d: d}
+	return &simBackend{d: d, strict: true}
 }
 
 // ProfileNames lists the built-in dataset profiles (the paper's six
@@ -235,42 +244,21 @@ func datasetContentID(inner *datasets.Dataset, seed uint64, noise detect.NoiseMo
 }
 
 // newBatchDetector builds the per-query batched detector — the single
-// construction point shared by Search, Session and Engine. With a custom
-// backend attached it adapts the backend for the query's class; otherwise
-// it wraps a fresh simulated detector. Failure injection
-// (WithDetectorFailureAfter) stays per-query on both paths: the simulated
-// detector is wrapped inside newDetector, a custom backend by the batch
-// adapter's own outage wrapper.
-func (d *Dataset) newBatchDetector(class string) (detect.BatchDetector, error) {
-	if d.be != nil {
-		var bd detect.BatchDetector = newBackendDetector(d.be, class)
-		if d.failAfter > 0 {
-			bd = &detect.FailAfterBatch{Inner: bd, Limit: d.failAfter}
-		}
-		return bd, nil
+// construction point shared by Search, Session and Engine, and the one
+// detect path: the attached backend, or the simulated detector as the
+// default backend, adapted for the query's class. Failure injection
+// (WithDetectorFailureAfter) wraps the adapter here, per query, whichever
+// backend sits behind it.
+func (d *Dataset) newBatchDetector(class string) detect.BatchDetector {
+	b := d.be
+	if b == nil {
+		b = &simBackend{d: d}
 	}
-	det, err := d.newDetector(Query{Class: class})
-	if err != nil {
-		return nil, err
-	}
-	return detect.Batch(det), nil
-}
-
-// newDetector builds the per-query simulated detector, applying the
-// failure-injection wrapper when configured.
-func (d *Dataset) newDetector(q Query) (detect.Detector, error) {
-	sim, err := detect.NewSim(d.inner.Index, d.seed^0xdecade,
-		detect.WithClass(q.Class),
-		detect.WithNoise(d.noise),
-		detect.WithCost(1/d.cost.DetectFPS),
-	)
-	if err != nil {
-		return nil, err
-	}
+	var bd detect.BatchDetector = newBackendDetector(b, class)
 	if d.failAfter > 0 {
-		return &detect.FailAfter{Inner: sim, Limit: d.failAfter}, nil
+		bd = &detect.FailAfterBatch{Inner: bd, Limit: d.failAfter}
 	}
-	return sim, nil
+	return bd
 }
 
 // SynthSpec describes a custom single-class synthetic dataset.
@@ -439,15 +427,11 @@ func (d *Dataset) NewDetector(class string) (Detector, error) {
 	if _, err := d.GroundTruthCount(class); err != nil {
 		return nil, err
 	}
-	inner, err := d.newBatchDetector(class)
-	if err != nil {
-		return nil, err
-	}
 	cost := 1 / d.cost.DetectFPS
 	if d.be != nil {
 		cost = d.be.Hints().CostSeconds
 	}
-	return &frameDetectorAdapter{inner: inner, cost: cost}, nil
+	return &frameDetectorAdapter{inner: d.newBatchDetector(class), cost: cost}, nil
 }
 
 // Detect implements Detector. A backend error (network failure, timeout)

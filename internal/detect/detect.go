@@ -1,4 +1,5 @@
-// Package detect provides the simulated object detector.
+// Package detect provides the simulated object detector and the internal
+// batched detector contract.
 //
 // The paper treats the detector as a black box with a costly runtime
 // (§II-A): the only things the search algorithm observes are the boxes the
@@ -7,6 +8,14 @@
 // detections are derived from the track model with a configurable noise
 // model (per-frame misses, localization jitter, false positives) and a fixed
 // per-frame inference cost.
+//
+// Queries do not call Sim directly. The one contract a query detects
+// through is a public backend.Backend (the simulated detector is the
+// default one) behind the root package's adapter, which implements
+// BatchDetector; FailAfterBatch, wrapped around that adapter per query, is
+// the one failure injector. Sim rejects no class: a class without ground
+// truth yields no true detections, and unknown classes are rejected only at
+// the public Backend boundary (Dataset.Backend).
 //
 // Detection noise is deterministic per (frame, instance): asking about the
 // same frame twice yields the same detections, just like a real (stateless)
@@ -24,7 +33,8 @@ import (
 	"github.com/exsample/exsample/internal/track"
 )
 
-// Detector is the black-box object detector interface used by samplers.
+// Detector is the per-frame detector interface Sim implements; offline
+// tools (ground-truth builders) drive it directly.
 type Detector interface {
 	// Detect returns the detections for one frame.
 	Detect(frame int64) []track.Detection
@@ -52,28 +62,6 @@ type BatchDetector interface {
 	// DetectBatch runs the detector on every frame of the batch and
 	// returns one output per frame, aligned with frames.
 	DetectBatch(ctx context.Context, frames []int64) ([]FrameOutput, error)
-}
-
-// Batch adapts a per-frame Detector to the BatchDetector contract: frames
-// run sequentially with a context check between them, each charged the
-// detector's CostSeconds.
-func Batch(d Detector) BatchDetector { return &batchAdapter{inner: d} }
-
-type batchAdapter struct {
-	inner Detector
-}
-
-// DetectBatch implements BatchDetector over the wrapped per-frame detector.
-func (a *batchAdapter) DetectBatch(ctx context.Context, frames []int64) ([]FrameOutput, error) {
-	cost := a.inner.CostSeconds()
-	out := make([]FrameOutput, len(frames))
-	for i, frame := range frames {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out[i] = FrameOutput{Dets: a.inner.Detect(frame), Cost: cost}
-	}
-	return out, nil
 }
 
 // NoiseModel controls how far the simulated detector deviates from ground
@@ -132,14 +120,12 @@ func (nm NoiseModel) Validate() error {
 // is safe for concurrent use (outputs are hash-derived per frame; the call
 // counter is atomic), matching a stateless DNN served to multiple workers.
 type Sim struct {
-	idx    *track.Index
-	class  string // "" means all classes
-	noise  NoiseModel
-	cost   float64
-	seed   uint64
-	calls  atomic.Int64
-	frameW float64
-	frameH float64
+	idx   *track.Index
+	class string // "" means all classes
+	noise NoiseModel
+	cost  float64
+	seed  uint64
+	calls atomic.Int64
 }
 
 // Option configures a Sim detector.
@@ -156,18 +142,13 @@ func WithNoise(nm NoiseModel) Option { return func(s *Sim) { s.noise = nm } }
 // the paper's measured detector throughput of 20 fps, §V-B).
 func WithCost(seconds float64) Option { return func(s *Sim) { s.cost = seconds } }
 
-// WithFrameSize sets the frame dimensions used for false-positive placement.
-func WithFrameSize(w, h float64) Option { return func(s *Sim) { s.frameW, s.frameH = w, h } }
-
 // NewSim builds a simulated detector over the given ground truth.
 func NewSim(idx *track.Index, seed uint64, opts ...Option) (*Sim, error) {
 	s := &Sim{
-		idx:    idx,
-		noise:  DefaultNoise(),
-		cost:   1.0 / 20.0,
-		seed:   seed,
-		frameW: 1920,
-		frameH: 1080,
+		idx:   idx,
+		noise: DefaultNoise(),
+		cost:  1.0 / 20.0,
+		seed:  seed,
 	}
 	for _, o := range opts {
 		o(s)
@@ -229,8 +210,9 @@ func (s *Sim) Detect(frame int64) []track.Detection {
 	if s.noise.FalsePositiveRate > 0 {
 		fpCount := s.fpCount(frame)
 		for k := 0; k < fpCount; k++ {
-			x := hash01(s.seed, uint64(frame), 0xfacade, uint64(4+3*k)) * s.frameW * 0.9
-			y := hash01(s.seed, uint64(frame), 0xfacade, uint64(5+3*k)) * s.frameH * 0.9
+			// Placed within a 1920x1080 frame.
+			x := hash01(s.seed, uint64(frame), 0xfacade, uint64(4+3*k)) * 1920 * 0.9
+			y := hash01(s.seed, uint64(frame), 0xfacade, uint64(5+3*k)) * 1080 * 0.9
 			size := 20 + hash01(s.seed, uint64(frame), 0xfacade, uint64(6+3*k))*60
 			class := s.class
 			if class == "" {
@@ -290,55 +272,12 @@ func hash01(seed, a, b, c uint64) float64 {
 	return float64(x>>11) / float64(1<<53)
 }
 
-// CountingDetector wraps a Detector and counts calls plus accumulated cost;
-// used by the evaluation harness to charge query time.
-type CountingDetector struct {
-	Inner   Detector
-	Frames  int64
-	Seconds float64
-}
-
-// Detect forwards to the inner detector, accounting for cost.
-func (c *CountingDetector) Detect(frame int64) []track.Detection {
-	c.Frames++
-	c.Seconds += c.Inner.CostSeconds()
-	return c.Inner.Detect(frame)
-}
-
-// CostSeconds returns the inner detector's per-frame cost.
-func (c *CountingDetector) CostSeconds() float64 { return c.Inner.CostSeconds() }
-
-// FailAfter wraps a detector and returns an error sentinel (empty
-// detections plus a tripped Failed flag) after a given number of calls. It
-// is used by failure-injection tests to verify samplers keep functioning
-// when the detector degrades. Safe for concurrent use.
-type FailAfter struct {
-	Inner  Detector
-	Limit  int64
-	calls  atomic.Int64
-	failed atomic.Bool
-}
-
-// Failed reports whether the failure mode has engaged.
-func (f *FailAfter) Failed() bool { return f.failed.Load() }
-
-// Detect forwards until Limit calls have happened, then returns nothing.
-func (f *FailAfter) Detect(frame int64) []track.Detection {
-	if f.calls.Add(1) > f.Limit {
-		f.failed.Store(true)
-		return nil
-	}
-	return f.Inner.Detect(frame)
-}
-
-// CostSeconds returns the inner detector's per-frame cost.
-func (f *FailAfter) CostSeconds() float64 { return f.Inner.CostSeconds() }
-
-// FailAfterBatch is FailAfter for the batched contract: frames past the
-// Limit-th processed frame return no detections (their cost is still
-// charged — a degraded detector keeps burning inference time). It is how
-// failure injection composes with custom backends. Safe for concurrent
-// use.
+// FailAfterBatch is the one failure injector: it wraps a batched
+// detector, and frames past the Limit-th processed frame return no
+// detections (their cost is still charged — a degraded detector keeps
+// burning inference time). Failure-injection tests use it to verify
+// samplers keep functioning when the detector degrades. Safe for
+// concurrent use.
 type FailAfterBatch struct {
 	Inner BatchDetector
 	Limit int64

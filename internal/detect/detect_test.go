@@ -1,8 +1,6 @@
 package detect
 
 import (
-	"context"
-	"errors"
 	"testing"
 
 	"github.com/exsample/exsample/internal/geom"
@@ -193,42 +191,6 @@ func TestNoiseValidation(t *testing.T) {
 	}
 }
 
-func TestCountingDetector(t *testing.T) {
-	idx := buildIndex(t, []track.Instance{inst(0, "car", 0, 99)}, 100)
-	inner, err := Perfect(idx, WithCost(0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &CountingDetector{Inner: inner}
-	c.Detect(1)
-	c.Detect(2)
-	c.Detect(3)
-	if c.Frames != 3 {
-		t.Fatalf("Frames = %d", c.Frames)
-	}
-	if c.Seconds < 0.149 || c.Seconds > 0.151 {
-		t.Fatalf("Seconds = %v", c.Seconds)
-	}
-}
-
-func TestFailAfter(t *testing.T) {
-	idx := buildIndex(t, []track.Instance{inst(0, "car", 0, 99)}, 100)
-	inner, err := Perfect(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &FailAfter{Inner: inner, Limit: 2}
-	if len(f.Detect(1)) != 1 || len(f.Detect(2)) != 1 {
-		t.Fatal("detector failed before limit")
-	}
-	if f.Failed() {
-		t.Fatal("failure flag tripped early")
-	}
-	if len(f.Detect(3)) != 0 || !f.Failed() {
-		t.Fatal("detector did not fail after limit")
-	}
-}
-
 func TestJitterStaysNearTruth(t *testing.T) {
 	in := inst(0, "car", 0, 999)
 	idx := buildIndex(t, []track.Instance{in}, 1000)
@@ -257,44 +219,5 @@ func TestCallsCounter(t *testing.T) {
 	d.Detect(1)
 	if d.Calls() != 2 {
 		t.Fatalf("Calls = %d", d.Calls())
-	}
-}
-
-func TestBatchAdapterAlignsOutputsAndCosts(t *testing.T) {
-	in := inst(0, "car", 0, 999)
-	idx := buildIndex(t, []track.Instance{in}, 1000)
-	d, err := Perfect(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	frames := []int64{5, 300, 7}
-	outs, err := Batch(d).DetectBatch(context.Background(), frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != len(frames) {
-		t.Fatalf("got %d outputs for %d frames", len(outs), len(frames))
-	}
-	for i, fo := range outs {
-		if fo.Cost != d.CostSeconds() {
-			t.Fatalf("frame %d charged %v, want %v", frames[i], fo.Cost, d.CostSeconds())
-		}
-		if len(fo.Dets) != 1 || fo.Dets[0].Frame != frames[i] {
-			t.Fatalf("frame %d: wrong detections %+v", frames[i], fo.Dets)
-		}
-	}
-}
-
-func TestBatchAdapterHonorsContext(t *testing.T) {
-	idx := buildIndex(t, nil, 10)
-	d, err := Perfect(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Batch(d).DetectBatch(ctx, []int64{1, 2, 3}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -174,10 +174,6 @@ func NewController(cfg Config, counters *Counters) (*Controller, error) {
 // Quota returns the current per-round quota.
 func (c *Controller) Quota() int { return c.quota }
 
-// EWMASeconds returns the current per-frame latency estimate (0 before any
-// observation).
-func (c *Controller) EWMASeconds() float64 { return c.ewma }
-
 // Observe feeds one successful batch observation — frames dispatched and
 // the batch's wall latency in seconds — and adjusts the quota: additive
 // increase after Settle consecutive flat observations, multiplicative

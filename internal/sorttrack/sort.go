@@ -226,6 +226,3 @@ func (t *Tracker) Flush() []Track {
 	t.live = nil
 	return t.finished
 }
-
-// Finished returns the tracks finalized so far without flushing live ones.
-func (t *Tracker) Finished() []Track { return t.finished }

@@ -2,7 +2,6 @@ package video
 
 import (
 	"fmt"
-	"math/bits"
 
 	"github.com/exsample/exsample/internal/xrand"
 )
@@ -168,28 +167,6 @@ func (r *RandomPlusOrder) segmentHasSample(a, b int64) bool {
 		a = hi
 	}
 	return false
-}
-
-// countSampled returns the number of sampled frames in [a, b).
-func (r *RandomPlusOrder) countSampled(a, b int64) int64 {
-	var total int64
-	for a < b {
-		w := a / 64
-		bitLo := uint(a % 64)
-		wordEnd := (w + 1) * 64
-		hi := b
-		if wordEnd < hi {
-			hi = wordEnd
-		}
-		bitHi := uint(hi - w*64)
-		mask := ^uint64(0) << bitLo
-		if bitHi < 64 {
-			mask &= (uint64(1) << bitHi) - 1
-		}
-		total += int64(bits.OnesCount64(r.sampled[w] & mask))
-		a = hi
-	}
-	return total
 }
 
 // fillLevel builds the emission queue for the current segment size: one

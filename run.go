@@ -109,19 +109,15 @@ type detectStage struct {
 // newDetectStage builds a run's detect stage for one class. The cache is
 // dropped for sources whose detector output is not a pure function of the
 // frame (e.g. under failure injection).
-func newDetectStage(src *querySource, class string, cc cacheConfig) (detectStage, error) {
+func newDetectStage(src *querySource, class string, cc cacheConfig) detectStage {
 	if !src.cacheable {
 		cc = cacheConfig{}
 	}
-	detector, err := src.newDetector(class)
-	if err != nil {
-		return detectStage{}, err
-	}
-	d := detectStage{src: src, class: class, detector: detector, tier: cc.tier, content: src.id}
+	d := detectStage{src: src, class: class, detector: src.newDetector(class), tier: cc.tier, content: src.id}
 	if cc.shared {
 		d.content = src.contentID
 	}
-	return d, nil
+	return d
 }
 
 // tally classifies one applied frame into its report's counters: a miss, a
@@ -273,10 +269,7 @@ func newQueryRun(s Source, q Query, opts Options, cc cacheConfig, standing bool)
 			return nil, fmt.Errorf("exsample: class %q has no instances on any active shard of %q", q.Class, src.name)
 		}
 	}
-	stage, err := newDetectStage(src, q.Class, cc)
-	if err != nil {
-		return nil, err
-	}
+	stage := newDetectStage(src, q.Class, cc)
 	coverage := opts.TrackerCoverage
 	if coverage == 0 {
 		coverage = 1

@@ -525,14 +525,14 @@ func (s *ShardedSource) scanSeconds(start, end int64) float64 {
 
 // newDetector builds the fan-out detector: frames route to the owning
 // shard's own batched detector — its attached Backend when one is
-// configured, otherwise its simulated detector (with that shard's noise,
-// cost and failure injection) — and detections come back remapped into
-// global coordinates. Per-shard detectors are built lazily per query, so a
-// shard attached after the query started is served the moment a pick
-// routes to it. This is where a ShardedSource routes each shard to its own
-// endpoint: every shard keeps its own backend.
-func (s *ShardedSource) newDetector(class string) (detect.BatchDetector, error) {
-	return &shardedDetector{src: s, class: class}, nil
+// configured, otherwise its simulated detector, behind the backend adapter
+// with that shard's cost and failure injection — and detections come back
+// remapped into global coordinates. Per-shard detectors are built lazily
+// per query, so a shard attached after the query started is served the
+// moment a pick routes to it. This is where a ShardedSource routes each
+// shard to its own endpoint: every shard keeps its own backend.
+func (s *ShardedSource) newDetector(class string) detect.BatchDetector {
+	return &shardedDetector{src: s, class: class}
 }
 
 // newExtender builds the discriminator's tracker model: a detection is
@@ -618,15 +618,13 @@ func (sc *shardedScorer) scoreSlow(t *shardedTopo, sh int, local int64) float64 
 
 // shardedDetector routes batches of global frames to per-shard batched
 // detectors and remaps detections (frame and truth id) into the global
-// space. A batch is regrouped so each shard receives ONE DetectBatch call
-// covering all of its frames, in pick order, whatever the interleaving —
-// so Search's batched loop gets per-shard wire batching even though its
-// picks alternate shards, and the engine's already-grouped rounds pass
-// through as a single group. Output positions follow the input, so
-// regrouping never reorders results. DetectBatch is safe for concurrent
-// use, like every shard detector it wraps. Each frame's cost comes from
-// its owning shard's detector, so heterogeneous fleets are charged
-// accurately.
+// space. Each maximal run of consecutive same-shard frames goes to its
+// shard as one DetectBatch call. Search, Session and the Engine all run
+// the engine round, whose affinity grouping hands it one shard's frames
+// per batch, so a batch is one run and one call. Output positions follow
+// the input. DetectBatch is safe for concurrent use, like every shard
+// detector it wraps. Each frame's cost comes from its owning shard's
+// detector, so heterogeneous fleets are charged accurately.
 //
 // Per-shard detectors are built lazily under a mutex, which is what lets a
 // query started before an AddShard route picks to the new shard without
@@ -641,20 +639,16 @@ type shardedDetector struct {
 }
 
 // detector returns the slot's batched detector, building it on first use.
-func (s *shardedDetector) detector(t *shardedTopo, slot int) (detect.BatchDetector, error) {
+func (s *shardedDetector) detector(t *shardedTopo, slot int) detect.BatchDetector {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(s.dets) <= slot {
 		s.dets = append(s.dets, nil)
 	}
 	if s.dets[slot] == nil {
-		det, err := t.members[slot].ds.newBatchDetector(s.class)
-		if err != nil {
-			return nil, err
-		}
-		s.dets[slot] = det
+		s.dets[slot] = t.members[slot].ds.newBatchDetector(s.class)
 	}
-	return s.dets[slot], nil
+	return s.dets[slot]
 }
 
 // DetectBatch implements detect.BatchDetector over the global frame space.
@@ -664,52 +658,40 @@ func (s *shardedDetector) DetectBatch(ctx context.Context, global []int64) ([]de
 	// batch is in flight.
 	t := s.src.topo.Load()
 	m := t.snap.Map
-	// Carve the batch into per-shard groups (stable: a shard's frames keep
-	// their relative order; groups appear in first-touch order).
-	type group struct {
-		sh    int
-		local []int64
-		idx   []int // positions in global / out
-	}
-	var groups []*group
-	byShard := make(map[int]*group)
-	for i, g := range global {
-		sh, local := m.Locate(g)
-		grp := byShard[sh]
-		if grp == nil {
-			grp = &group{sh: sh}
-			byShard[sh] = grp
-			groups = append(groups, grp)
+	local := make([]int64, len(global))
+	out := make([]detect.FrameOutput, 0, len(global))
+	for start := 0; start < len(global); {
+		sh, _ := m.Locate(global[start])
+		end := start
+		for ; end < len(global); end++ {
+			owner, l := m.Locate(global[end])
+			if owner != sh {
+				break
+			}
+			local[end] = l
 		}
-		grp.local = append(grp.local, local)
-		grp.idx = append(grp.idx, i)
-	}
-	out := make([]detect.FrameOutput, len(global))
-	for _, grp := range groups {
-		det, err := s.detector(t, grp.sh)
+		run := local[start:end]
+		outs, err := s.detector(t, sh).DetectBatch(ctx, run)
 		if err != nil {
 			return nil, err
 		}
-		outs, err := det.DetectBatch(ctx, grp.local)
-		if err != nil {
-			return nil, err
+		if len(outs) != len(run) {
+			return nil, fmt.Errorf("exsample: shard %d returned %d results for a %d-frame batch", sh, len(outs), len(run))
 		}
-		if len(outs) != len(grp.local) {
-			return nil, fmt.Errorf("exsample: shard %d returned %d results for a %d-frame batch", grp.sh, len(outs), len(grp.local))
-		}
-		t.members[grp.sh].detects.Add(int64(len(grp.local)))
-		for k, fo := range outs {
-			dets := make([]track.Detection, len(fo.Dets))
-			for j, d := range fo.Dets {
-				d.Frame = m.Global(grp.sh, d.Frame)
-				d.TruthID = m.GlobalTruthID(grp.sh, d.TruthID)
-				dets[j] = d
+		t.members[sh].detects.Add(int64(len(run)))
+		for _, fo := range outs {
+			var dets []track.Detection
+			if len(fo.Dets) > 0 {
+				dets = make([]track.Detection, len(fo.Dets))
+				for j, d := range fo.Dets {
+					d.Frame = m.Global(sh, d.Frame)
+					d.TruthID = m.GlobalTruthID(sh, d.TruthID)
+					dets[j] = d
+				}
 			}
-			if len(dets) == 0 {
-				dets = nil
-			}
-			out[grp.idx[k]] = detect.FrameOutput{Dets: dets, Cost: fo.Cost}
+			out = append(out, detect.FrameOutput{Dets: dets, Cost: fo.Cost})
 		}
+		start = end
 	}
 	return out, nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"github.com/exsample/exsample/backend"
 )
 
 // shardDatasets builds n small datasets with distinct seeds, all carrying
@@ -390,4 +392,96 @@ func TestShardLackingQueryClassDetectsNothing(t *testing.T) {
 		}
 		personCalls(t, ss, rep)
 	})
+}
+
+func TestShardedDetectorInterleavedBatch(t *testing.T) {
+	// A batch interleaving shards 0, 1, 0 goes out as one inner call per
+	// same-shard run, and comes back aligned with the input, every
+	// detection carrying its global frame and truth id.
+	const framesEach = 4000
+	var twins, shards []*Dataset
+	var counters []*cappedBackend
+	for i := uint64(0); i < 2; i++ {
+		twin := elasticShard(t, framesEach, 351+i, WithPerfectDetector())
+		counter := &cappedBackend{inner: twin.Backend()}
+		twins = append(twins, twin)
+		counters = append(counters, counter)
+		shards = append(shards, elasticShard(t, framesEach, 351+i, WithPerfectDetector(), WithBackend(counter)))
+	}
+	ss, err := NewShardedSource("interleaved", shards...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ss.topo.Load().snap.Map
+	if m.GlobalTruthID(1, 0) == 0 {
+		t.Fatal("shard 1's truth ids are not offset: the remap check would be vacuous")
+	}
+	lo, hi := framesWithCars(t, twins[0], 2), framesWithCars(t, twins[1], 1)
+	global := []int64{lo[0], framesEach + hi[0], lo[1]}
+	owner := []int{0, 1, 0}
+	outs, err := ss.qs.newDetector("car").DetectBatch(context.Background(), global)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != len(global) {
+		t.Fatalf("got %d outputs for %d frames", len(outs), len(global))
+	}
+	if c0, c1 := counters[0].calls.Load(), counters[1].calls.Load(); c0 != 2 || c1 != 1 {
+		t.Fatalf("inner calls = (%d, %d), want one per run: (2, 1)", c0, c1)
+	}
+	for i, fo := range outs {
+		sh := owner[i]
+		want, err := twins[sh].Backend().DetectBatch(context.Background(), "car", []int64{global[i] - m.Offset(sh)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fo.Dets) == 0 || len(fo.Dets) != len(want[0]) {
+			t.Fatalf("frame %d: %d detections, shard %d's own detector sees %d", global[i], len(fo.Dets), sh, len(want[0]))
+		}
+		for j, d := range fo.Dets {
+			w := want[0][j]
+			if d.Frame != global[i] || d.TruthID != m.GlobalTruthID(sh, w.TruthID) || d.Box != w.Box {
+				t.Fatalf("frame %d detection %d = %+v, want %+v remapped to global", global[i], j, d, w)
+			}
+		}
+	}
+}
+
+func TestShardedDetectorAllocs(t *testing.T) {
+	// A single-shard batch through a ShardedSource's detector costs a
+	// constant number of allocations plus one remap copy per frame that
+	// carries detections: no per-batch regrouping.
+	const framesEach = 4000
+	local := []int64{10, 20, 30, 40}
+	global := make([]int64, len(local))
+	empty := &stubBackend{out: make([][]backend.Detection, len(local))}
+	full := &stubBackend{out: make([][]backend.Detection, len(local))}
+	for i, f := range local {
+		global[i] = framesEach + f
+		if i%2 == 0 {
+			full.out[i] = []backend.Detection{{Frame: f, Class: "car", Score: 0.5}, {Frame: f, Class: "car", Score: 0.7}}
+		}
+	}
+	measure := func(b backend.Backend) float64 {
+		ss, err := NewShardedSource("canned",
+			elasticShard(t, framesEach, 361, WithBackend(b)), elasticShard(t, framesEach, 362, WithBackend(b)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		det := ss.qs.newDetector("car")
+		ctx := context.Background()
+		return testing.AllocsPerRun(200, func() {
+			if _, err := det.DetectBatch(ctx, global); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	e, f := measure(empty), measure(full)
+	t.Logf("allocs: %v empty, %v full", e, f)
+	if e > 3 {
+		t.Fatalf("empty single-shard batch allocates %.2f objects, want at most 3", e)
+	}
+	if f != e+2 {
+		t.Fatalf("batch with 2 detection-carrying frames allocates %.2f objects, want %.2f", f, e+2)
+	}
 }

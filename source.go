@@ -176,10 +176,10 @@ type querySource struct {
 	// nothing.
 	shardTruth func(class string, shard int) int
 	// newDetector builds the per-class batched detector: the attached
-	// public Backend behind an adapter when one is configured, otherwise
-	// the simulated detector (with any failure injection applied).
+	// public Backend, or the simulated detector as the default Backend,
+	// behind the backend adapter (with any failure injection applied).
 	// DetectBatch must be safe for concurrent use.
-	newDetector func(class string) (detect.BatchDetector, error)
+	newDetector func(class string) detect.BatchDetector
 	// newExtender builds the discriminator's SORT-style tracker model.
 	newExtender func(coverage float64) (discrim.Extender, error)
 	// newScorer builds a per-frame proxy scorer for the class.

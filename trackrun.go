@@ -96,10 +96,7 @@ func newTrackRun(s Source, p TrackPredicate, o TrackOptions, cc cacheConfig) (*t
 			}
 		}
 	}
-	stage, err := newDetectStage(src, p.Class, cc)
-	if err != nil {
-		return nil, err
-	}
+	stage := newDetectStage(src, p.Class, cc)
 	stride := o.strideFor(p)
 	pad := o.Pad
 	if pad == 0 {
