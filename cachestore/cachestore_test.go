@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/exsample/exsample/backend"
 )
@@ -499,12 +500,16 @@ func TestSingleflightExactlyOnce(t *testing.T) {
 		keys[i] = Key{Content: 21, Class: "car", Frame: int64(i)}
 	}
 	const callers = 8
-	var fills atomic.Int64
+	var fills, waiting atomic.Int64
 	slowFill := func(_ context.Context, miss []int) ([][]backend.Detection, []float64, error) {
-		// Hold the leader until every caller has missed L1 on every key:
-		// nothing is resident before this fill returns, so from here on the
-		// others can only find the leader's flight, not a finished L1 entry.
-		for tiered.Stats().L1Misses < callers*int64(len(keys)) {
+		// Hold the leader until every other caller waits on its flight.
+		// Having missed L1 is not enough: a caller that reaches the
+		// singleflight registry only after this fill returned finds the
+		// keys in L1 on its double-check and never merges. The deadline
+		// keeps a broken protocol (no caller ever waits) from hanging the
+		// test: the fill count below reports it instead.
+		deadline := time.Now().Add(10 * time.Second)
+		for waiting.Load() < callers-1 && time.Now().Before(deadline) {
 			runtime.Gosched()
 		}
 		fills.Add(int64(len(miss)))
@@ -522,7 +527,8 @@ func TestSingleflightExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			outcomes[c], errs[c] = tiered.FetchBatch(context.Background(), keys, nil, slowFill)
+			ctx := &waitSignal{Context: context.Background(), waiting: &waiting}
+			outcomes[c], errs[c] = tiered.FetchBatch(ctx, keys, nil, slowFill)
 		}(c)
 	}
 	wg.Wait()
@@ -542,6 +548,21 @@ func TestSingleflightExactlyOnce(t *testing.T) {
 	if st := tiered.Stats(); st.Merges == 0 {
 		t.Fatal("no singleflight merges recorded for concurrent identical fetches")
 	}
+}
+
+// waitSignal is a context that counts its caller into waiting the first
+// time Done is asked for. With no L2, FetchBatch asks only once the caller
+// blocks on another caller's flight, so the count is how many callers are
+// merging.
+type waitSignal struct {
+	context.Context
+	waiting *atomic.Int64
+	once    sync.Once
+}
+
+func (w *waitSignal) Done() <-chan struct{} {
+	w.once.Do(func() { w.waiting.Add(1) })
+	return w.Context.Done()
 }
 
 // TestSingleflightLeaderCancelled: a leader cancelled mid-fill completes
