@@ -9,6 +9,7 @@ import (
 
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/backend/router"
+	"github.com/exsample/exsample/internal/shard"
 )
 
 // shardSpec returns the SynthSpec shared by a shard and its replica twins.
@@ -575,6 +576,164 @@ func TestElasticEngineSurvivesReplicaDeath(t *testing.T) {
 	}
 	if !sawOpen {
 		t.Fatal("no breaker opened on the killed replicas")
+	}
+}
+
+// hookBackend calls hook with its running DetectBatch count after each
+// served batch — a deterministic mid-query trigger that needs no sleep. The
+// hook runs on the detecting goroutine, before the batch's results apply.
+type hookBackend struct {
+	backend.Backend
+	calls atomic.Int64
+	hook  func(call int64)
+}
+
+func (b *hookBackend) DetectBatch(ctx context.Context, class string, frames []int64) ([][]backend.Detection, error) {
+	dets, err := b.Backend.DetectBatch(ctx, class, frames)
+	if err == nil {
+		b.hook(b.calls.Add(1))
+	}
+	return dets, err
+}
+
+// trackPair builds a two-shard track scene (6 cars on each 20k-frame
+// shard) whose shard 0 detects through a hookBackend calling hook.
+func trackPair(t *testing.T, hook func(ss *ShardedSource, call int64)) *ShardedSource {
+	t.Helper()
+	mk := func(seed uint64, opts ...DatasetOption) *Dataset {
+		ds, err := Synthesize(SynthSpec{
+			NumFrames:    20_000,
+			NumInstances: 6,
+			Class:        "car",
+			MeanDuration: 300,
+			ChunkFrames:  1000,
+			Seed:         seed,
+			TravelX:      300,
+		}, append([]DatasetOption{WithPerfectDetector()}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	var ss *ShardedSource
+	hb := &hookBackend{Backend: mk(7).Backend(), hook: func(n int64) { hook(ss, n) }}
+	ss, err := NewShardedSource("pair", mk(7, WithBackend(hb)), mk(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss
+}
+
+func TestTrackQueriesHonorDrainAndGate(t *testing.T) {
+	// A running track query keeps DrainShard's and the motion gate's
+	// promise as distinct-object queries do: once shard 1 is drained or
+	// gated, its coarse arms are fenced and its refine frames are skipped,
+	// so no new frame of shard 1 reaches the detector beyond the round in
+	// flight. Shard 0's backend churns shard 1 on its k-th DetectBatch;
+	// one k lands in the coarse phase, one in the refine phase.
+	drivers := []struct {
+		name string
+		// slack is how many shard-1 frames the round in flight may still
+		// detect after the churn; coarseK and refineK are shard 0's batch
+		// counts that land in each phase.
+		slack, coarseK, refineK int64
+		run                     func(ss *ShardedSource) (*TrackReport, error)
+	}{
+		{"search", 0, 50, 1500, func(ss *ShardedSource) (*TrackReport, error) {
+			return TrackSearch(ss, trackPred(), TrackOptions{Seed: 9})
+		}},
+		{"engine", 8, 50, 300, func(ss *ShardedSource) (*TrackReport, error) {
+			e := newTestEngine(t, EngineOptions{Workers: 4, FramesPerRound: 8})
+			h, err := e.SubmitTrack(context.Background(), ss, trackPred(), TrackOptions{Seed: 9})
+			if err != nil {
+				return nil, err
+			}
+			return h.Wait()
+		}},
+	}
+	base, err := TrackSearch(trackPair(t, func(*ShardedSource, int64) {}), trackPred(), TrackOptions{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	churns := map[string]func(ss *ShardedSource) error{
+		"drain": func(ss *ShardedSource) error { return ss.DrainShard(1) },
+		"gate":  func(ss *ShardedSource) error { return ss.setShardStatus(1, shard.Gated) },
+	}
+	for _, churn := range []string{"drain", "gate"} {
+		for _, d := range drivers {
+			for _, phase := range []string{"coarse", "refine"} {
+				t.Run(churn+"/"+d.name+"/"+phase, func(t *testing.T) {
+					k := d.coarseK
+					if phase == "refine" {
+						k = d.refineK
+					}
+					atChurn := int64(-1)
+					ss := trackPair(t, func(ss *ShardedSource, n int64) {
+						if n == k {
+							atChurn = ss.ShardStats()[1].DetectCalls
+							if err := churns[churn](ss); err != nil {
+								t.Error(err)
+							}
+						}
+					})
+					rep, err := d.run(ss)
+					if err != nil {
+						t.Fatalf("query failed after the %s: %v", churn, err)
+					}
+					if atChurn < 0 {
+						t.Fatalf("shard 0 served fewer than %d batches; the %s never fired", k, churn)
+					}
+					if grew := ss.ShardStats()[1].DetectCalls - atChurn; grew > d.slack {
+						t.Fatalf("shard 1 detected %d frames after the %s, want at most %d", grew, churn, d.slack)
+					}
+					// The churn landed in the phase it names: a coarse churn
+					// cuts shard 1's grid short, a refine churn leaves the
+					// grid whole and cuts shard 1's refine frames.
+					if phase == "coarse" && rep.CoarseFrames >= base.CoarseFrames {
+						t.Fatalf("coarse frames %d, want fewer than the undisturbed %d", rep.CoarseFrames, base.CoarseFrames)
+					}
+					if phase == "refine" && (rep.CoarseFrames != base.CoarseFrames || rep.RefineFrames >= base.RefineFrames) {
+						t.Fatalf("coarse/refine frames %d/%d, want %d/fewer than %d",
+							rep.CoarseFrames, rep.RefineFrames, base.CoarseFrames, base.RefineFrames)
+					}
+				})
+			}
+		}
+	}
+	for _, d := range drivers {
+		t.Run("gate/"+d.name+"/reopen", func(t *testing.T) {
+			// A gate that reopens before the grid runs out lets the coarse
+			// phase cover the whole grid.
+			const gateK, reopenK = 20, 40
+			atGate, grew := int64(-1), int64(-1)
+			ss := trackPair(t, func(ss *ShardedSource, n int64) {
+				var err error
+				switch n {
+				case gateK:
+					atGate = ss.ShardStats()[1].DetectCalls
+					err = ss.setShardStatus(1, shard.Gated)
+				case reopenK:
+					grew = ss.ShardStats()[1].DetectCalls - atGate
+					err = ss.setShardStatus(1, shard.Active)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			})
+			rep, err := d.run(ss)
+			if err != nil {
+				t.Fatalf("query failed across the gate: %v", err)
+			}
+			if grew < 0 {
+				t.Fatal("the gate never reopened")
+			}
+			if grew > d.slack {
+				t.Fatalf("shard 1 detected %d frames while gated, want at most %d", grew, d.slack)
+			}
+			if rep.CoarseFrames != base.CoarseFrames {
+				t.Fatalf("coarse frames %d, want the undisturbed run's %d", rep.CoarseFrames, base.CoarseFrames)
+			}
+		})
 	}
 }
 

@@ -123,3 +123,40 @@ func TestEngineGlobalBudgetFloorPreventsStarvation(t *testing.T) {
 		t.Fatalf("hot query granted %d frames vs cold's %d; the planner never steered the surplus", hg, cg)
 	}
 }
+
+// TestEngineGlobalBudgetMixedFleet: a track query and a distinct-object
+// query share one contended GlobalBudget, so the planner ranks the track
+// query by its plan's marginal value every round. Whatever frames it
+// grants, the track query's coarse grid still runs to completion, so its
+// result set equals TrackSearch's.
+func TestEngineGlobalBudgetMixedFleet(t *testing.T) {
+	ds := trackScene(t, WithPerfectDetector())
+	want, err := TrackSearch(ds, trackPred(), TrackOptions{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newTestEngine(t, EngineOptions{Workers: 4, FramesPerRound: 16, GlobalBudget: 16})
+	dh, err := e.Submit(context.Background(), ds, Query{Class: "car", Limit: 1 << 30},
+		Options{Seed: 3, MaxFrames: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := e.SubmitTrack(context.Background(), ds, trackPred(), TrackOptions{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := th.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(normTracks(want.Results), normTracks(got.Results)) {
+		t.Fatalf("track results under the budget diverge from TrackSearch:\nbudget: %+v\nsearch: %+v",
+			normTracks(got.Results), normTracks(want.Results))
+	}
+	if g, _ := th.BudgetCounters(); g <= 0 {
+		t.Fatalf("track query granted %d frames; the planner never valued it", g)
+	}
+	if _, err := dh.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -46,10 +46,9 @@ func (iv Interval) Len() int64 { return iv.End - iv.Start + 1 }
 type Config struct {
 	// NumFrames is the source's total frame count.
 	NumFrames int64
-	// Chunks are the source chunks eligible for sampling (real-frame
-	// space). For sharded sources this is the active subset frozen at
-	// submit time; candidate intervals are clipped to their coverage, so
-	// refine never reads a frame the snapshot says is unreachable.
+	// Chunks are the source's chunks in real-frame space; they must tile
+	// [0, NumFrames). Each chunk with a grid point becomes one coarse
+	// sampler arm, which Fence can disable and re-enable.
 	Chunks []video.Chunk
 	// Stride is the coarse-grid spacing: phase 1 visits frames k*Stride.
 	Stride int64
@@ -87,6 +86,7 @@ type Config struct {
 type Plan struct {
 	cfg     Config
 	sampler *core.Sampler
+	arms    []video.Chunk // source chunk behind each coarse sampler arm
 
 	phase         Phase
 	pendingCoarse int
@@ -120,23 +120,19 @@ func NewPlan(cfg Config) (*Plan, error) {
 	if cfg.Pad < 0 {
 		return nil, fmt.Errorf("trackquery: Pad %d < 0", cfg.Pad)
 	}
-	if len(cfg.Chunks) == 0 {
-		return nil, fmt.Errorf("trackquery: no chunks")
+	if err := video.ValidateChunks(cfg.Chunks, cfg.NumFrames); err != nil {
+		return nil, fmt.Errorf("trackquery: %w", err)
 	}
-	var coarse []video.Chunk
+	coarse := make([]video.Chunk, 0, len(cfg.Chunks))
+	arms := make([]video.Chunk, 0, len(cfg.Chunks))
 	for _, c := range cfg.Chunks {
-		if c.Start < 0 || c.End > cfg.NumFrames || c.Len() <= 0 {
-			return nil, fmt.Errorf("trackquery: chunk %d range [%d, %d) invalid for %d frames", c.ID, c.Start, c.End, cfg.NumFrames)
-		}
 		kLo := (c.Start + cfg.Stride - 1) / cfg.Stride
 		kHi := (c.End + cfg.Stride - 1) / cfg.Stride
 		if kHi <= kLo {
 			continue
 		}
 		coarse = append(coarse, video.Chunk{ID: len(coarse), Start: kLo, End: kHi})
-	}
-	if len(coarse) == 0 {
-		return nil, fmt.Errorf("trackquery: stride %d places no grid point inside any chunk", cfg.Stride)
+		arms = append(arms, c)
 	}
 	s, err := core.New(coarse, core.Config{
 		Alpha0: cfg.Alpha0,
@@ -149,6 +145,7 @@ func NewPlan(cfg Config) (*Plan, error) {
 	return &Plan{
 		cfg:     cfg,
 		sampler: s,
+		arms:    arms,
 		applied: make(map[int64]bool),
 	}, nil
 }
@@ -156,8 +153,8 @@ func NewPlan(cfg Config) (*Plan, error) {
 // Next returns the next frame to detect. chunk is the coarse sampler arm
 // during phase 1 (echo it back to Observe) and -1 during refine. ok is
 // false when nothing can be issued right now — either the plan is done, or
-// phase 1 has issued its whole grid and is waiting on outstanding observes
-// before it can build intervals.
+// phase 1 has issued every grid point of its enabled arms and is waiting on
+// outstanding observes before it can build intervals.
 func (p *Plan) Next() (frame int64, chunk int, ok bool) {
 	if p.phase == PhaseCoarse {
 		pick, ok := p.sampler.Next()
@@ -180,11 +177,26 @@ func (p *Plan) Next() (frame int64, chunk int, ok bool) {
 	return 0, 0, false
 }
 
+// Fence enables exactly the coarse arms whose source chunk is active. A
+// fenced arm issues no grid point but keeps its statistics, and re-enabling
+// it before the grid is exhausted resumes it; once phase 1 has closed,
+// fencing changes nothing. A grid point of an arm still fenced when the
+// rest of the grid runs out is never issued.
+func (p *Plan) Fence(active func(video.Chunk) bool) error {
+	for j, c := range p.arms {
+		if err := p.sampler.SetEnabled(j, active(c)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Observe feeds back one detection result: whether the frame contained any
 // detection of the query class. chunk must be the value Next returned with
 // the frame. Frames must be observed exactly once, in any order within a
 // phase; the engine guarantees all of a round's observes land before the
-// next round's Next calls.
+// next round's Next calls. A frame the caller skips without detecting is
+// observed as a miss: its interval completes without it.
 func (p *Plan) Observe(frame int64, chunk int, hit bool) error {
 	if p.applied[frame] {
 		return fmt.Errorf("trackquery: frame %d observed twice", frame)
@@ -224,15 +236,15 @@ func (p *Plan) Observe(frame int64, chunk int, hit bool) error {
 	return nil
 }
 
-// transition closes phase 1: merge padded hit neighborhoods, clip them to
-// chunk coverage, and stage the refine queue. Called with zero outstanding
-// coarse observes, so the applied set is the full grid.
+// transition closes phase 1: merge padded hit neighborhoods into the
+// candidate intervals and stage the refine queue. Called with zero
+// outstanding coarse observes, so the applied set is every grid point
+// issued (the whole grid unless an arm stayed fenced).
 func (p *Plan) transition() {
 	hits := append([]int64(nil), p.hits...)
 	sort.Slice(hits, func(i, j int) bool { return hits[i] < hits[j] })
 
 	// Merge [h-Pad, h+Pad] neighborhoods (adjacent ranges coalesce).
-	var merged []Interval
 	for _, h := range hits {
 		lo, hi := h-p.cfg.Pad, h+p.cfg.Pad
 		if lo < 0 {
@@ -241,15 +253,14 @@ func (p *Plan) transition() {
 		if hi > p.cfg.NumFrames-1 {
 			hi = p.cfg.NumFrames - 1
 		}
-		if n := len(merged); n > 0 && lo <= merged[n-1].End+1 {
-			if hi > merged[n-1].End {
-				merged[n-1].End = hi
+		if n := len(p.intervals); n > 0 && lo <= p.intervals[n-1].End+1 {
+			if hi > p.intervals[n-1].End {
+				p.intervals[n-1].End = hi
 			}
 			continue
 		}
-		merged = append(merged, Interval{Start: lo, End: hi})
+		p.intervals = append(p.intervals, Interval{Start: lo, End: hi})
 	}
-	p.intervals = clipToCoverage(merged, p.cfg.Chunks)
 
 	if p.cfg.CoarseOnly {
 		p.ready = append(p.ready, p.intervals...)
@@ -275,43 +286,6 @@ func (p *Plan) transition() {
 		return
 	}
 	p.phase = PhaseRefine
-}
-
-// clipToCoverage intersects the merged intervals with the union of chunk
-// frame ranges; an interval straddling a coverage hole splits. With full
-// coverage (the common case) this is the identity.
-func clipToCoverage(ivs []Interval, chunks []video.Chunk) []Interval {
-	cov := make([]Interval, 0, len(chunks))
-	for _, c := range chunks {
-		cov = append(cov, Interval{Start: c.Start, End: c.End - 1})
-	}
-	sort.Slice(cov, func(i, j int) bool { return cov[i].Start < cov[j].Start })
-	var mergedCov []Interval
-	for _, c := range cov {
-		if n := len(mergedCov); n > 0 && c.Start <= mergedCov[n-1].End+1 {
-			if c.End > mergedCov[n-1].End {
-				mergedCov[n-1].End = c.End
-			}
-			continue
-		}
-		mergedCov = append(mergedCov, c)
-	}
-	var out []Interval
-	for _, iv := range ivs {
-		for _, c := range mergedCov {
-			lo, hi := iv.Start, iv.End
-			if c.Start > lo {
-				lo = c.Start
-			}
-			if c.End < hi {
-				hi = c.End
-			}
-			if lo <= hi {
-				out = append(out, Interval{Start: lo, End: hi})
-			}
-		}
-	}
-	return out
 }
 
 // TakeReady drains and returns the intervals whose every frame has been

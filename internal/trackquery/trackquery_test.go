@@ -273,35 +273,184 @@ func TestPlanNoHitsFinishesEmpty(t *testing.T) {
 	}
 }
 
-func TestPlanClipsToChunkCoverage(t *testing.T) {
-	// Coverage has a hole [40, 60); a hit at 38 with a wide pad must split
-	// around it and never issue frames inside the hole.
-	cfg := Config{
-		NumFrames: 100,
-		Chunks: []video.Chunk{
-			{ID: 0, Start: 0, End: 40},
-			{ID: 1, Start: 60, End: 100},
-		},
-		Stride: 4,
-		Pad:    30,
-		Seed:   3,
+// twoArmCfg is a 200-frame plan over two 100-frame chunks at stride 10:
+// arm 0 owns grid points 0..90, arm 1 owns 100..190.
+func twoArmCfg() Config {
+	return Config{
+		NumFrames: 200,
+		Chunks:    []video.Chunk{{ID: 0, Start: 0, End: 100}, {ID: 1, Start: 100, End: 200}},
+		Stride:    10,
+		Pad:       10,
+		Seed:      5,
 	}
-	p, err := NewPlan(cfg)
+}
+
+// stepCoarse issues and observes (as misses) up to n coarse frames one at a
+// time and returns them.
+func stepCoarse(t *testing.T, p *Plan, n int) []int64 {
+	t.Helper()
+	var out []int64
+	for len(out) < n {
+		f, c, ok := p.Next()
+		if !ok || c < 0 {
+			break
+		}
+		if err := p.Observe(f, c, false); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+func TestPlanFence(t *testing.T) {
+	onlyArm0 := func(c video.Chunk) bool { return c.Start < 100 }
+	all := func(video.Chunk) bool { return true }
+
+	t.Run("fenced arm issues nothing and keeps its statistics", func(t *testing.T) {
+		p, err := NewPlan(twoArmCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepCoarse(t, p, 6)
+		n1, n := p.sampler.Stats(1)
+		if err := p.Fence(onlyArm0); err != nil {
+			t.Fatal(err)
+		}
+		// Arm 0 has at most 10 grid points; everything after the fence
+		// must come from it, and the grid then closes without arm 1.
+		for _, f := range stepCoarse(t, p, 100) {
+			if f >= 100 {
+				t.Fatalf("fenced arm issued grid point %d", f)
+			}
+		}
+		if gn1, gn := p.sampler.Stats(1); gn1 != n1 || gn != n {
+			t.Fatalf("fenced arm stats (%d, %d), want (%d, %d)", gn1, gn, n1, n)
+		}
+		if _, _, ok := p.Next(); ok || !p.Done() {
+			t.Fatalf("plan with no hits not done after its enabled grid ran out (phase %v)", p.Phase())
+		}
+		if ci, _, _, _ := p.Stats(); ci >= 20 {
+			t.Fatalf("coarse issued %d, want fewer than the full grid of 20", ci)
+		}
+	})
+
+	t.Run("re-enabled arm resumes", func(t *testing.T) {
+		p, err := NewPlan(twoArmCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Fence(onlyArm0); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range stepCoarse(t, p, 5) {
+			if f >= 100 {
+				t.Fatalf("fenced arm issued grid point %d", f)
+			}
+		}
+		if err := p.Fence(all); err != nil {
+			t.Fatal(err)
+		}
+		got := map[int64]bool{}
+		for _, f := range stepCoarse(t, p, 100) {
+			got[f] = true
+		}
+		for f := int64(100); f < 200; f += 10 {
+			if !got[f] {
+				t.Fatalf("re-enabled arm never issued grid point %d", f)
+			}
+		}
+		if ci, _, _, _ := p.Stats(); ci != 20 {
+			t.Fatalf("coarse issued %d, want the full grid of 20", ci)
+		}
+	})
+
+	t.Run("fence after the transition changes nothing", func(t *testing.T) {
+		hit := func(f int64) bool { return f >= 130 && f <= 150 }
+		want, err := NewPlan(twoArmCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantReady := drive(t, want, 4, hit)
+		p, err := NewPlan(twoArmCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ready []Interval
+		var refine []int64
+		for !p.Done() {
+			f, c, ok := p.Next()
+			if !ok {
+				t.Fatal("plan stalled")
+			}
+			if c < 0 && len(refine) == 0 {
+				// First refine frame: the transition just ran.
+				if err := p.Fence(func(video.Chunk) bool { return false }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c < 0 {
+				refine = append(refine, f)
+			}
+			if err := p.Observe(f, c, hit(f)); err != nil {
+				t.Fatal(err)
+			}
+			ready = append(ready, p.TakeReady()...)
+		}
+		if len(refine) == 0 {
+			t.Fatal("no refine phase to fence")
+		}
+		if !reflect.DeepEqual(ready, wantReady) {
+			t.Fatalf("ready = %+v, want %+v", ready, wantReady)
+		}
+		gc, gr, gch, grh := p.Stats()
+		wc, wr, wch, wrh := want.Stats()
+		if gc != wc || gr != wr || gch != wch || grh != wrh {
+			t.Fatalf("stats (%d, %d, %d, %d), want (%d, %d, %d, %d)", gc, gr, gch, grh, wc, wr, wch, wrh)
+		}
+	})
+}
+
+func TestPlanSkipCompletesInterval(t *testing.T) {
+	// Object on [130, 179]: grid hits 130..170 pad into [120, 180], whose
+	// last missing frame 179 would be a hit. Skipping it — observing it
+	// as a miss without detecting — readies the interval and counts no
+	// refine hit.
+	hit := func(f int64) bool { return f >= 130 && f <= 179 }
+	p, err := NewPlan(planCfg(400, 10, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	issued := map[int64]bool{}
-	hit := func(f int64) bool {
-		if f >= 40 && f < 60 {
-			t.Fatalf("issued frame %d inside the coverage hole", f)
+	for {
+		f, c, ok := p.Next()
+		if !ok {
+			t.Fatal("plan stalled before its last refine frame")
 		}
-		issued[f] = true
-		return f == 36
+		if f == 179 {
+			if c != -1 {
+				t.Fatalf("frame 179 issued on coarse arm %d", c)
+			}
+			break
+		}
+		if err := p.Observe(f, c, hit(f)); err != nil {
+			t.Fatal(err)
+		}
+		if r := p.TakeReady(); len(r) != 0 {
+			t.Fatalf("interval ready before its last frame: %+v", r)
+		}
 	}
-	ready := drive(t, p, 8, hit)
-	want := []Interval{{Start: 6, End: 39}, {Start: 60, End: 66}}
-	if !reflect.DeepEqual(ready, want) {
-		t.Fatalf("ready = %+v, want %+v", ready, want)
+	_, _, _, before := p.Stats()
+	if err := p.Observe(179, -1, false); err != nil {
+		t.Fatal(err)
+	}
+	if r := p.TakeReady(); !reflect.DeepEqual(r, []Interval{{Start: 120, End: 180}}) {
+		t.Fatalf("ready after skip = %+v, want [{120 180}]", r)
+	}
+	if _, _, _, after := p.Stats(); after != before {
+		t.Fatalf("skip counted %d refine hits", after-before)
+	}
+	if !p.Done() {
+		t.Fatal("plan not done after its last frame was skipped")
 	}
 }
 
@@ -388,6 +537,9 @@ func TestNewPlanRejectsBadConfig(t *testing.T) {
 		"negative pad":   func(c *Config) { c.Pad = -1 },
 		"no chunks":      func(c *Config) { c.Chunks = nil },
 		"chunk past end": func(c *Config) { c.Chunks = []video.Chunk{{ID: 0, Start: 0, End: 500}} },
+		"coverage hole": func(c *Config) {
+			c.Chunks = []video.Chunk{{ID: 0, Start: 0, End: 40}, {ID: 1, Start: 60, End: 100}}
+		},
 	} {
 		c := good
 		mutate(&c)

@@ -56,10 +56,7 @@ func (r *queryRun) newPicker() (picker, error) {
 		if opts.AutoChunk {
 			return r.newAutoChunk()
 		}
-		chunks := r.src.chunks
-		if r.snap != nil {
-			chunks = r.snap.Map.Chunks()
-		}
+		chunks := r.chunksNow()
 		if opts.NumChunks > 0 {
 			if chunks, err = video.SplitRange(0, n, opts.NumChunks); err != nil {
 				return nil, err

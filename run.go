@@ -13,6 +13,7 @@ import (
 	"github.com/exsample/exsample/internal/metrics"
 	"github.com/exsample/exsample/internal/shard"
 	"github.com/exsample/exsample/internal/track"
+	"github.com/exsample/exsample/internal/video"
 )
 
 // queryRun is the incremental step state machine behind Search, Session and
@@ -35,7 +36,7 @@ import (
 // drive the run through the engine's round (§III-F); Session steps it one
 // frame at a time.
 type queryRun struct {
-	detectStage
+	runCore
 	query Query
 	opts  Options
 	dis   *discrim.Discriminator
@@ -49,16 +50,10 @@ type queryRun struct {
 	// baselines and the §VII extensions differ (see picker).
 	pick picker
 
-	// snap is the elastic-topology snapshot the run last synced to (nil
-	// for sources with a fixed topology). next compares its generation
-	// against the source's current snapshot on every pick — one atomic
-	// load when nothing changed — and re-syncs the picker when the
-	// topology moved, so belief state carries across shard churn instead
-	// of restarting. elastic is true only when the sampler's arms are the
-	// source's native global chunks, the one layout that can reach an
-	// attached shard (custom layouts — NumChunks, AutoChunk — are frozen
-	// at submission and only fence).
-	snap    *shard.Snapshot
+	// elastic is true only when the sampler's arms are the source's native
+	// global chunks, the one layout that can reach an attached shard
+	// (custom layouts — NumChunks, AutoChunk — are frozen at submission and
+	// only fence).
 	elastic bool
 	// truthSeen and truthTotal implement reachable-population recall for
 	// elastic sources: truthSeen[i] is set once shard i has been observed
@@ -72,12 +67,7 @@ type queryRun struct {
 	truthSeen  []bool
 	truthTotal int
 
-	// out, when non-nil, is the engine handle step publishes each applied
-	// frame's event to. Bound once at submit; nil under Search and Session.
-	out *handleCore
-
 	rep       *Report
-	maxFrames int64
 	exhausted bool
 	// standing marks a live-source query with park-on-exhaustion
 	// semantics: next reporting false is a pause (the engine parks the
@@ -85,16 +75,12 @@ type queryRun struct {
 	// running dry is not a stopping condition. Standing runs always ride
 	// the elastic sampler path.
 	standing bool
-	// err records a mid-run pipeline rebuild failure (re-chunk, scorer,
-	// topology sync); once set, next yields nothing, and apply, Search's
-	// driver and the engine handle's Wait all surface it.
-	err error
 }
 
-// detectStage is the cache-aware batched detect path every run type embeds
-// (distinct-object queryRun, track-query trackRun): the per-class detector,
-// the cache tier and the identity cache keys are built from.
-type detectStage struct {
+// runCore is the state every run type embeds (distinct-object queryRun,
+// track-query trackRun): the source and its topology snapshot, the
+// cache-aware batched detect path, the bound handle and the failure latch.
+type runCore struct {
 	src      *querySource
 	class    string
 	detector detect.BatchDetector
@@ -104,27 +90,101 @@ type detectStage struct {
 	// Key.Content of the run's cache keys (see cacheConfig).
 	tier    *cachestore.Tiered
 	content uint64
+
+	// snap is the elastic-topology snapshot the run last synced to (nil
+	// for sources with a fixed topology); see moved.
+	snap *shard.Snapshot
+
+	// out, when non-nil, is the engine handle the run publishes its events
+	// to. Bound once at submit; nil under Search, Session and TrackSearch.
+	out *handleCore
+
+	// err records a mid-run pipeline failure (re-chunk, scorer, topology
+	// sync, plan); once set, next yields nothing, and apply, the inline
+	// driver and the engine handle's Wait all surface it.
+	err error
 }
 
-// newDetectStage builds a run's detect stage for one class. The cache is
-// dropped for sources whose detector output is not a pure function of the
-// frame (e.g. under failure injection).
-func newDetectStage(src *querySource, class string, cc cacheConfig) detectStage {
-	if !src.cacheable {
-		cc = cacheConfig{}
+// openRun checks a source and opens a run core over it for one class. It
+// takes the source's topology snapshot, which must have an active shard
+// unless the run is standing; a standing run needs a live source. The cache
+// is dropped for sources whose detector output is not a pure function of
+// the frame (e.g. under failure injection).
+func openRun(s Source, class string, cc cacheConfig, standing bool) (runCore, error) {
+	if s == nil {
+		return runCore{}, fmt.Errorf("exsample: nil Source (open a Dataset or compose a ShardedSource first)")
 	}
-	d := detectStage{src: src, class: class, detector: src.newDetector(class), tier: cc.tier, content: src.id}
-	if cc.shared {
-		d.content = src.contentID
+	src := s.querySource()
+	if src == nil {
+		return runCore{}, fmt.Errorf("exsample: uninitialized Source — construct it with OpenProfile, Synthesize or NewShardedSource, not as a zero value")
 	}
-	return d
+	c := runCore{src: src, class: class, detector: src.newDetector(class), content: src.id}
+	if src.topology != nil {
+		c.snap = src.topology()
+		if c.snap.NumActive() == 0 && !standing {
+			return runCore{}, fmt.Errorf("exsample: source %q: %w (every shard is draining or gated; attach one with AddShard first)", src.name, ErrNoActiveShards)
+		}
+	} else if standing {
+		return runCore{}, fmt.Errorf("exsample: standing queries need a live source (a ShardedSource or StreamSource); %q has a fixed topology", src.name)
+	}
+	if src.cacheable {
+		c.tier = cc.tier
+		if cc.shared {
+			c.content = src.contentID
+		}
+	}
+	return c, nil
 }
+
+// moved adopts the source's current topology snapshot and reports whether
+// it differs from the one the run last synced to — one generation compare
+// when nothing changed, false for fixed topologies.
+func (c *runCore) moved() bool {
+	if c.src.topology == nil {
+		return false
+	}
+	snap := c.src.topology()
+	if snap.Gen == c.snap.Gen {
+		return false
+	}
+	c.snap = snap
+	return true
+}
+
+// chunksNow returns the source's native chunk layout under the synced
+// topology snapshot.
+func (c *runCore) chunksNow() []video.Chunk {
+	if c.snap != nil {
+		return c.snap.Map.Chunks()
+	}
+	return c.src.chunks
+}
+
+// numFramesNow returns the repository size under the synced topology
+// snapshot (the static source size when the topology is fixed).
+func (c *runCore) numFramesNow() int64 {
+	if c.snap != nil {
+		return c.snap.Map.NumFrames()
+	}
+	return c.src.numFrames
+}
+
+// activeFrame reports whether a frame is pickable under the synced
+// topology (frames of draining or gated shards are not; fixed topologies
+// accept everything). It is the one frame filter every run's picks pass
+// through.
+func (c *runCore) activeFrame(frame int64) bool {
+	return c.snap == nil || c.snap.FrameActive(frame)
+}
+
+// failure is the pipeline failure the run has latched, if any (see err).
+func (c *runCore) failure() error { return c.err }
 
 // tally classifies one applied frame into its report's counters: a miss, a
 // hit, or a hit the remote tier served. An uncached run counts nothing.
-func (d *detectStage) tally(fr frameResult, hits, remote, misses *int64) {
+func (c *runCore) tally(fr frameResult, hits, remote, misses *int64) {
 	switch {
-	case d.tier == nil:
+	case c.tier == nil:
 	case !fr.cached:
 		*misses++
 	default:
@@ -223,7 +283,7 @@ func (s *detectScratch) fill(ctx context.Context, miss []int) ([][]backend.Detec
 // newQueryRun builds the full per-query pipeline over a Source: detector,
 // SORT-style discriminator, recall curve, report, and the strategy's
 // sampling state. cc selects the cache tier memoizing detector output
-// across queries, if any (see newDetectStage). Callers are responsible for
+// across queries, if any (see openRun). Callers are responsible for
 // validating q and opts first (Session deliberately accepts queries
 // without a stopping condition).
 //
@@ -232,22 +292,11 @@ func (s *detectScratch) fill(ctx context.Context, miss []int) ([][]backend.Detec
 // submission (both may arrive with a later append), and exhaustion never
 // latches. Standing runs require an elastic topology.
 func newQueryRun(s Source, q Query, opts Options, cc cacheConfig, standing bool) (*queryRun, error) {
-	if s == nil {
-		return nil, fmt.Errorf("exsample: nil Source (open a Dataset or compose a ShardedSource first)")
+	rc, err := openRun(s, q.Class, cc, standing)
+	if err != nil {
+		return nil, err
 	}
-	src := s.querySource()
-	if src == nil {
-		return nil, fmt.Errorf("exsample: uninitialized Source — construct it with OpenProfile, Synthesize or NewShardedSource, not as a zero value")
-	}
-	var snap *shard.Snapshot
-	if src.topology != nil {
-		snap = src.topology()
-		if snap.NumActive() == 0 && !standing {
-			return nil, fmt.Errorf("exsample: source %q: %w (every shard is draining or gated; attach one with AddShard first)", src.name, ErrNoActiveShards)
-		}
-	} else if standing {
-		return nil, fmt.Errorf("exsample: standing queries need a live source (a ShardedSource or StreamSource); %q has a fixed topology", src.name)
-	}
+	src, snap := rc.src, rc.snap
 	total, err := src.groundTruth(q.Class)
 	if err != nil {
 		return nil, err
@@ -269,7 +318,6 @@ func newQueryRun(s Source, q Query, opts Options, cc cacheConfig, standing bool)
 			return nil, fmt.Errorf("exsample: class %q has no instances on any active shard of %q", q.Class, src.name)
 		}
 	}
-	stage := newDetectStage(src, q.Class, cc)
 	coverage := opts.TrackerCoverage
 	if coverage == 0 {
 		coverage = 1
@@ -286,28 +334,18 @@ func newQueryRun(s Source, q Query, opts Options, cc cacheConfig, standing bool)
 	if err != nil {
 		return nil, err
 	}
-	numFrames := src.numFrames
-	if snap != nil {
-		numFrames = snap.Map.NumFrames()
-	}
-	maxFrames := opts.MaxFrames
-	if maxFrames == 0 || maxFrames > numFrames {
-		maxFrames = numFrames
-	}
 	r := &queryRun{
-		detectStage: stage,
-		query:       q,
-		opts:        opts,
-		dis:         dis,
-		curve:       curve,
-		aware:       cc.aware && stage.tier != nil,
-		snap:        snap,
-		elastic:     snap != nil && opts.Strategy == StrategyExSample && opts.NumChunks == 0 && !opts.AutoChunk,
-		truthSeen:   truthSeen,
-		truthTotal:  total,
-		rep:         &Report{Strategy: opts.Strategy},
-		maxFrames:   maxFrames,
-		standing:    standing,
+		runCore:    rc,
+		query:      q,
+		opts:       opts,
+		dis:        dis,
+		curve:      curve,
+		aware:      cc.aware && rc.tier != nil,
+		elastic:    snap != nil && opts.Strategy == StrategyExSample && opts.NumChunks == 0 && !opts.AutoChunk,
+		truthSeen:  truthSeen,
+		truthTotal: total,
+		rep:        &Report{Strategy: opts.Strategy},
+		standing:   standing,
 	}
 	if r.pick, err = r.newPicker(); err != nil {
 		return nil, err
@@ -315,41 +353,15 @@ func newQueryRun(s Source, q Query, opts Options, cc cacheConfig, standing bool)
 	return r, nil
 }
 
-// numFramesNow returns the repository size under the synced topology
-// snapshot (the static source size when the topology is fixed).
-func (r *queryRun) numFramesNow() int64 {
-	if r.snap != nil {
-		return r.snap.Map.NumFrames()
-	}
-	return r.src.numFrames
-}
-
-// syncTopology refreshes the run's view of an elastic source. It is one
-// generation compare per pick when nothing changed. When the topology
-// moved, the picker syncs (see picker.sync); every other piece of query
-// state — discriminator, report, cache keys — is untouched, because the
-// global address space is append-only. Unbounded runs also widen their
-// frame budget so an attached shard's frames stay reachable.
+// syncTopology refreshes the run's view of an elastic source (see moved).
+// When the topology moved, the picker syncs (see picker.sync); every other
+// piece of query state — discriminator, report, cache keys — is untouched,
+// because the global address space is append-only.
 func (r *queryRun) syncTopology() {
-	if r.src.topology == nil {
+	if !r.moved() {
 		return
 	}
-	snap := r.src.topology()
-	if snap.Gen == r.snap.Gen {
-		return
-	}
-	r.snap = snap
-	// Re-derive the frame budget against the enlarged repository: an
-	// unbounded run tracks the source size, and a bounded run whose
-	// MaxFrames exceeded the old size regains headroom up to its bound.
-	if grown := snap.Map.NumFrames(); grown > r.maxFrames {
-		switch {
-		case r.opts.MaxFrames == 0:
-			r.maxFrames = grown
-		case r.opts.MaxFrames > r.maxFrames:
-			r.maxFrames = min(r.opts.MaxFrames, grown)
-		}
-	}
+	snap := r.snap
 	// Fold newly reachable shards into the recall denominator: a shard
 	// observed active for the first time adds its population (so recall
 	// and RecallTarget track the enlarged repository); drains subtract
@@ -373,14 +385,6 @@ func (r *queryRun) syncTopology() {
 	if err := r.pick.sync(snap); err != nil {
 		r.err = err
 	}
-}
-
-// activeFrame reports whether a frame is pickable under the synced
-// topology (frames of draining or gated shards are not; fixed topologies
-// accept everything). It is the one frame filter every picker's draws pass
-// through.
-func (r *queryRun) activeFrame(frame int64) bool {
-	return r.snap == nil || r.snap.FrameActive(frame)
 }
 
 // next draws the next frame from the picker. Chunk is -1 for non-chunked
@@ -442,12 +446,12 @@ func (r *queryRun) marginalValue() float64 {
 // with no results applied. The returned slice aliases the scratch and is
 // valid until the scratch's next use; scr.misses comes back holding how
 // many frames the backend served, the sizer's miss accounting.
-func (d *detectStage) detectBatchInto(ctx context.Context, frames []int64, scr *detectScratch) ([]frameResult, error) {
+func (c *runCore) detectBatchInto(ctx context.Context, frames []int64, scr *detectScratch) ([]frameResult, error) {
 	out := scr.results(len(frames))
-	if d.tier == nil {
+	if c.tier == nil {
 		// Uncached runs: the whole batch is one detector call, no index
 		// indirection.
-		outs, err := d.detector.DetectBatch(ctx, frames)
+		outs, err := c.detector.DetectBatch(ctx, frames)
 		if err != nil {
 			return nil, err
 		}
@@ -465,10 +469,10 @@ func (d *detectStage) detectBatchInto(ctx context.Context, frames []int64, scr *
 	}
 	scr.keys = scr.keys[:0]
 	for _, f := range frames {
-		scr.keys = append(scr.keys, cachestore.Key{Content: d.content, Class: d.class, Frame: f})
+		scr.keys = append(scr.keys, cachestore.Key{Content: c.content, Class: c.class, Frame: f})
 	}
-	scr.detector, scr.frames = d.detector, frames
-	res, err := d.tier.FetchBatch(ctx, scr.keys, scr.tierOuts, scr.fillFn)
+	scr.detector, scr.frames = c.detector, frames
+	res, err := c.tier.FetchBatch(ctx, scr.keys, scr.tierOuts, scr.fillFn)
 	scr.detector, scr.frames = nil, nil
 	if err != nil {
 		return nil, err
@@ -552,9 +556,6 @@ func (r *queryRun) step(p core.Pick, fr frameResult) error {
 	return nil
 }
 
-// failure is the pipeline failure the run has latched, if any (see err).
-func (r *queryRun) failure() error { return r.err }
-
 // stopRequested reports whether the query's own stopping condition (Limit
 // and/or RecallTarget) is satisfied — Session's advisory Done.
 func (r *queryRun) stopRequested() bool {
@@ -569,39 +570,14 @@ func (r *queryRun) stopRequested() bool {
 
 // done is the full Search stopping condition: query satisfaction plus the
 // frame and charged-time budgets. The Engine finalizes a query when this
-// reports true. Standing runs answer with standingDone — the
-// repository-size-derived frame budget does not apply to a repository that
-// grows while the query is registered.
+// reports true. A bounded run is also done once it has processed every
+// frame of the repository as the synced topology sees it; a standing run
+// is not, because its repository grows while the query is registered and
+// running dry is a pause (the engine parks the query).
 func (r *queryRun) done() bool {
-	if r.standing {
-		return r.standingDone()
-	}
-	if r.stopRequested() {
-		return true
-	}
-	if r.rep.FramesProcessed >= r.maxFrames {
-		return true
-	}
-	if r.opts.MaxSeconds > 0 && r.rep.TotalSeconds() >= r.opts.MaxSeconds {
-		return true
-	}
-	return false
-}
-
-// standingDone is the standing query's stopping condition: only explicit,
-// user-set bounds count. The repository running dry is a pause (the engine
-// parks the query), and the repository-size-derived frame budget that
-// terminates a bounded run is meaningless when the repository grows while
-// the query is registered.
-func (r *queryRun) standingDone() bool {
-	if r.stopRequested() {
-		return true
-	}
-	if r.opts.MaxFrames > 0 && r.rep.FramesProcessed >= r.opts.MaxFrames {
-		return true
-	}
-	if r.opts.MaxSeconds > 0 && r.rep.TotalSeconds() >= r.opts.MaxSeconds {
-		return true
-	}
-	return false
+	n := r.rep.FramesProcessed
+	return r.stopRequested() ||
+		r.opts.MaxFrames > 0 && n >= r.opts.MaxFrames ||
+		r.opts.MaxSeconds > 0 && r.rep.TotalSeconds() >= r.opts.MaxSeconds ||
+		!r.standing && n >= r.numFramesNow()
 }

@@ -15,10 +15,11 @@ import "context"
 // tracks, with the matches in QueryEvent.Tracks; the final TrackReport
 // comes from TrackHandle.Wait.
 //
-// Elastic sources are sampled under the topology active at submit: a track
-// query localizes intervals over a frozen frame population, so shards
+// Elastic sources are sampled over their chunks at submit. A running track
+// query fences drained and gated shards as distinct-object queries do: it
+// issues no grid point there and skips their refine frames uncharged. Shards
 // attached later are not folded into a running track query (submit another
-// one), and intervals never cross into shards that were draining.
+// one).
 func (e *Engine) SubmitTrack(ctx context.Context, src Source, p TrackPredicate, opts TrackOptions) (*TrackHandle, error) {
 	run, err := newTrackRun(src, p, opts, e.cacheCfg())
 	if err != nil {

@@ -309,7 +309,7 @@ type TrackReport struct {
 	// IntervalFrames is their total frame span.
 	Intervals      int
 	IntervalFrames int64
-	// DenseFrames is what a dense scan of the same (active) frame range
+	// DenseFrames is what a dense scan of the chunks active at submit
 	// would have cost in detector frames — the baseline the accelerate
 	// loop is saving against.
 	DenseFrames int64

@@ -1,8 +1,6 @@
 package exsample
 
 import (
-	"fmt"
-
 	"github.com/exsample/exsample/internal/core"
 	"github.com/exsample/exsample/internal/geom"
 	"github.com/exsample/exsample/internal/kalman"
@@ -19,20 +17,19 @@ import (
 // mutates state and must run in pick order on one goroutine; detect calls
 // may fan out across workers between a round's picks and its applies.
 //
-// Determinism: the coarse phase always runs its stride grid to completion,
-// so the hit set — and therefore the candidate intervals, the refine
-// schedule, the per-interval tracker inputs and the emitted TrackResults —
-// is a pure function of (source contents, predicate, options), independent
-// of the sampler seed, the engine's round size and worker count, and the
-// shard layout (a ShardedSource presents the same global frame space as
-// the equivalent Dataset).
+// Determinism: while every shard stays active, the coarse phase runs its
+// stride grid to completion, so the hit set — and therefore the candidate
+// intervals, the refine schedule, the per-interval tracker inputs and the
+// emitted TrackResults — is a pure function of (source contents,
+// predicate, options), independent of the sampler seed, the engine's round
+// size and worker count, and the shard layout (a ShardedSource presents
+// the same global frame space as the equivalent Dataset).
 type trackRun struct {
-	detectStage
+	runCore
 	pred   TrackPredicate
 	eval   *trackquery.Evaluator
 	opts   TrackOptions
 	plan   *trackquery.Plan
-	stride int64
 	trkCfg sorttrack.Config
 
 	// store holds every processed frame's detections until the interval
@@ -42,30 +39,18 @@ type trackRun struct {
 
 	rep            *TrackReport
 	intervalsNoted bool
-	err            error
-
-	// out, when non-nil, is the engine handle drain publishes one event per
-	// matching interval to. Intervals complete both from step (a refine
-	// observation) and from next (the coarse→refine transition readies
-	// intervals the coarse grid already covered — all of them in dense or
-	// CoarseOnly mode), which is why the run publishes rather than its
-	// driver. Bound once at submit; nil under TrackSearch.
-	out *handleCore
 }
 
 // newTrackRun validates the predicate and options and builds the full
-// track-query pipeline over a Source. For elastic sources the topology is
-// frozen at submit: the plan samples the shards active right now, and
-// later attach/drain events do not move a running track query (candidate
-// intervals are clipped to the frozen coverage, so refine never touches a
-// frame the snapshot cannot reach).
+// track-query pipeline over a Source. The plan's coarse arms are the
+// source's chunks at submit. The run follows the topology as queryRun
+// does: arms of draining or gated shards are fenced, and a refine frame on
+// such a shard is skipped uncharged. Shards attached after submit stay out
+// of a running track query (submit another one).
 func newTrackRun(s Source, p TrackPredicate, o TrackOptions, cc cacheConfig) (*trackRun, error) {
-	if s == nil {
-		return nil, fmt.Errorf("exsample: nil Source (open a Dataset or compose a ShardedSource first)")
-	}
-	src := s.querySource()
-	if src == nil {
-		return nil, fmt.Errorf("exsample: uninitialized Source — construct it with OpenProfile, Synthesize or NewShardedSource, not as a zero value")
+	rc, err := openRun(s, p.Class, cc, false)
+	if err != nil {
+		return nil, err
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -77,33 +62,17 @@ func newTrackRun(s Source, p TrackPredicate, o TrackOptions, cc cacheConfig) (*t
 	if err != nil {
 		return nil, err
 	}
-	if _, err := src.groundTruth(p.Class); err != nil {
+	if _, err := rc.src.groundTruth(p.Class); err != nil {
 		return nil, err
 	}
-	chunks := src.chunks
-	numFrames := src.numFrames
-	if src.topology != nil {
-		snap := src.topology()
-		if snap.NumActive() == 0 {
-			return nil, fmt.Errorf("exsample: source %q: %w (every shard is draining or gated; attach one with AddShard first)", src.name, ErrNoActiveShards)
-		}
-		numFrames = snap.Map.NumFrames()
-		all := snap.Map.Chunks()
-		chunks = make([]video.Chunk, 0, len(all))
-		for j, c := range all {
-			if snap.ChunkActive(j) {
-				chunks = append(chunks, c)
-			}
-		}
-	}
-	stage := newDetectStage(src, p.Class, cc)
+	chunks := rc.chunksNow()
 	stride := o.strideFor(p)
 	pad := o.Pad
 	if pad == 0 {
 		pad = stride
 	}
 	plan, err := trackquery.NewPlan(trackquery.Config{
-		NumFrames:  numFrames,
+		NumFrames:  rc.numFramesNow(),
 		Chunks:     chunks,
 		Stride:     stride,
 		Pad:        pad,
@@ -130,52 +99,74 @@ func newTrackRun(s Source, p TrackPredicate, o TrackOptions, cc cacheConfig) (*t
 	}
 	var dense int64
 	for _, c := range chunks {
-		dense += c.Len()
+		if rc.activeFrame(c.Start) {
+			dense += c.Len()
+		}
 	}
-	return &trackRun{
-		detectStage: stage,
-		pred:        p,
-		eval:        eval,
-		opts:        o,
-		plan:        plan,
-		stride:      stride,
-		trkCfg:      trkCfg,
-		store:       make(map[int64][]track.Detection),
-		rep:         &TrackReport{Predicate: p, DenseFrames: dense},
-	}, nil
+	r := &trackRun{
+		runCore: rc,
+		pred:    p,
+		eval:    eval,
+		opts:    o,
+		plan:    plan,
+		trkCfg:  trkCfg,
+		store:   make(map[int64][]track.Detection),
+		rep:     &TrackReport{Predicate: p, DenseFrames: dense},
+	}
+	// Fence the shards already draining or gated at submit.
+	if err := r.fence(); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// fence enables exactly the plan's coarse arms on an active shard of the
+// synced topology.
+func (r *trackRun) fence() error {
+	if r.snap == nil {
+		return nil
+	}
+	return r.plan.Fence(func(c video.Chunk) bool { return spanActive(r.snap, c) })
 }
 
 // next draws the next frame from the plan. Chunk is the coarse sampler arm
 // during phase 1 and -1 during refine. ok is false when the plan has
 // nothing to issue — terminal once done() holds, transient while a round's
-// coarse observes are outstanding. next runs on the same goroutine as
-// step (the one applying the engine's round), so it may drain intervals
-// the plan transition just readied.
+// coarse observes are outstanding. A drawn frame of a draining or gated
+// shard is observed as a miss and never charged or tracked. next runs on
+// the same goroutine as step (the one applying the engine's round), so it
+// may drain intervals the plan just readied.
 func (r *trackRun) next() (core.Pick, bool) {
-	if r.err != nil || r.done() {
-		return core.Pick{}, false
+	for r.ready() {
+		f, c, ok := r.plan.Next()
+		// Next may have run the coarse→refine transition, readying every
+		// interval the coarse grid already covered; assemble them now or
+		// they would never surface (in dense and CoarseOnly runs that is
+		// the entire result set).
+		if r.drain() != nil || !ok || r.done() {
+			break
+		}
+		if r.activeFrame(f) {
+			return core.Pick{Frame: f, Chunk: c}, true
+		}
+		r.observe(f, c, false)
 	}
-	f, c, ok := r.plan.Next()
-	// Next may have run the coarse→refine transition, readying every
-	// interval the coarse grid already covered; assemble them now or
-	// they would never surface (in dense and CoarseOnly runs that is
-	// the entire result set).
-	if err := r.drain(); err != nil {
-		return core.Pick{}, false
-	}
-	if !ok || r.done() {
-		return core.Pick{}, false
-	}
-	return core.Pick{Frame: f, Chunk: c}, true
+	return core.Pick{}, false
 }
 
-// failure is the pipeline failure the run has latched, if any.
-func (r *trackRun) failure() error { return r.err }
+// ready fences the plan if the topology moved and reports whether the run
+// can still pick: it has neither finished nor latched a failure.
+func (r *trackRun) ready() bool {
+	if r.err == nil && r.moved() {
+		r.err = r.fence()
+	}
+	return r.err == nil && !r.done()
+}
 
 // marginalValue exposes the plan's expected-value estimate to the engine's
 // global budget planner, on the same scale distinct-object queries use.
 func (r *trackRun) marginalValue() float64 {
-	if r.err != nil || r.done() {
+	if !r.ready() {
 		return 0
 	}
 	return r.plan.MarginalValue()
@@ -199,7 +190,13 @@ func (r *trackRun) step(p core.Pick, fr frameResult) error {
 		rep.RefineFrames++
 	}
 	r.store[p.Frame] = fr.dets
-	if err := r.plan.Observe(p.Frame, p.Chunk, len(fr.dets) > 0); err != nil {
+	return r.observe(p.Frame, p.Chunk, len(fr.dets) > 0)
+}
+
+// observe feeds one frame's verdict to the plan and assembles any interval
+// it completed (see drain).
+func (r *trackRun) observe(frame int64, chunk int, hit bool) error {
+	if err := r.plan.Observe(frame, chunk, hit); err != nil {
 		r.err = err
 		return err
 	}
