@@ -130,3 +130,83 @@ func TestBackendAdapterAllocsIndependentOfDetections(t *testing.T) {
 		t.Fatalf("adapter allocates %.2f objects/batch with no detections, %.2f with 8 per frame", e, f)
 	}
 }
+
+// TestStepResultsAliasReport: StepInfo.New and QueryEvent.New are windows
+// of the report's Results rather than copies. Every window kept across the
+// run — through many reallocations of Results — must still read exactly
+// the results it announced, their concatenation must be Report.Results
+// element for element with contiguous object ids, and appending to a
+// window must never reach the report.
+func TestStepResultsAliasReport(t *testing.T) {
+	ds := smallDataset(t, WithPerfectDetector())
+	q := Query{Class: "car", Limit: 200}
+	opts := Options{Seed: 17}
+	check := func(t *testing.T, windows [][]Result, results []Result) {
+		t.Helper()
+		if len(results) < 100 {
+			t.Fatalf("only %d results; the check needs Results to reallocate many times", len(results))
+		}
+		want := append([]Result(nil), results...)
+		for _, w := range windows {
+			_ = append(w, Result{ObjectID: -1, Class: "clobber"})
+		}
+		var got []Result
+		for _, w := range windows {
+			got = append(got, w...)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("windows hold %d results, report %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] || results[i] != want[i] {
+				t.Fatalf("result %d: window %+v, report %+v (before appends %+v)", i, got[i], results[i], want[i])
+			}
+			if want[i].ObjectID != i {
+				t.Fatalf("result %d has ObjectID %d", i, want[i].ObjectID)
+			}
+		}
+	}
+
+	t.Run("session", func(t *testing.T) {
+		sess, err := NewSession(ds, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var windows [][]Result
+		for !sess.Done() {
+			info, ok, err := sess.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if len(info.New) > 0 {
+				windows = append(windows, info.New)
+			}
+		}
+		check(t, windows, sess.Results())
+	})
+
+	t.Run("engine", func(t *testing.T) {
+		e := newTestEngine(t, EngineOptions{Workers: 2, FramesPerRound: 8, EventBuffer: 1 << 16})
+		h, err := e.Submit(context.Background(), ds, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := h.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := h.Dropped(); d != 0 {
+			t.Fatalf("%d events dropped", d)
+		}
+		var windows [][]Result
+		for ev := range h.Events() {
+			if len(ev.New) > 0 {
+				windows = append(windows, ev.New)
+			}
+		}
+		check(t, windows, rep.Results)
+	})
+}

@@ -519,6 +519,8 @@ type QueryEvent struct {
 	// Chunk is the chunk it came from (-1 for non-chunked strategies).
 	Chunk int
 	// New lists the distinct objects this frame discovered (often empty).
+	// It is read-only: it may share storage with the query's
+	// Report.Results, of which it is a window.
 	New []Result
 	// Tracks lists the matched track results this frame completed — set
 	// only for track queries (SubmitTrack), whose events fire when a

@@ -18,11 +18,32 @@ var Infeasible = math.Inf(1)
 // Solve finds the assignment of rows to columns minimizing total cost.
 // cost[i][j] is the cost of assigning row i to column j; the matrix may be
 // rectangular. It returns rowTo, where rowTo[i] is the column assigned to
-// row i or -1, and the total cost over feasible assignments.
+// row i or -1, and the total cost over feasible assignments. Solve uses a
+// fresh Solver; callers solving one matrix after another keep a Solver.
+func Solve(cost [][]float64) (rowTo []int, total float64, err error) {
+	var s Solver
+	return s.Solve(cost)
+}
+
+// Solver is a reusable assignment solver: its scratch — the padded square
+// matrix, kept flat, and the potentials and path vectors — survives between
+// calls, so a warmed Solver allocates nothing for a matrix no larger than
+// one it has already solved. A Solver is not safe for concurrent use; the
+// zero value is ready.
+type Solver struct {
+	a          []float64 // (size+1)² padded costs, row-major
+	u, v, minv []float64
+	p, way     []int
+	used       []bool
+	rowTo      []int
+}
+
+// Solve is the package-level Solve on the solver's scratch. The returned
+// rowTo is the solver's own buffer, valid until its next Solve.
 //
 // The implementation is the O(n³) Hungarian algorithm with potentials
 // (Jonker–Volgenant style shortest augmenting paths).
-func Solve(cost [][]float64) (rowTo []int, total float64, err error) {
+func (s *Solver) Solve(cost [][]float64) (rowTo []int, total float64, err error) {
 	n := len(cost)
 	if n == 0 {
 		return nil, 0, nil
@@ -32,14 +53,11 @@ func Solve(cost [][]float64) (rowTo []int, total float64, err error) {
 		if len(row) != m {
 			return nil, 0, fmt.Errorf("assign: ragged cost matrix at row %d", i)
 		}
+		// Negative costs are fine; +Inf (Infeasible) is the only special
+		// value.
 		for _, c := range row {
 			if math.IsNaN(c) {
 				return nil, 0, fmt.Errorf("assign: NaN cost at row %d", i)
-			}
-			if c < 0 && !math.IsInf(c, 1) {
-				// Negative costs are fine mathematically, but the Infeasible
-				// sentinel logic assumes +Inf is the only special value.
-				continue
 			}
 		}
 	}
@@ -51,36 +69,33 @@ func Solve(cost [][]float64) (rowTo []int, total float64, err error) {
 	if big == 1 {
 		big = 1 // all-infeasible matrix
 	}
-	size := n
-	if m > size {
-		size = m
-	}
-	a := make([][]float64, size+1)
-	for i := range a {
-		a[i] = make([]float64, size+1)
-	}
+	size := max(n, m)
+	w := size + 1
+	a := resize(&s.a, w*w)
 	for i := 1; i <= size; i++ {
 		for j := 1; j <= size; j++ {
 			v := big
 			if i <= n && j <= m && !math.IsInf(cost[i-1][j-1], 1) {
 				v = cost[i-1][j-1]
 			}
-			a[i][j] = v
+			a[i*w+j] = v
 		}
 	}
 
-	u := make([]float64, size+1)
-	v := make([]float64, size+1)
-	p := make([]int, size+1) // p[j] = row matched to column j
-	way := make([]int, size+1)
+	u, v := resize(&s.u, w), resize(&s.v, w)
+	p, way := resize(&s.p, w), resize(&s.way, w) // p[j] = row matched to column j
+	minv, used := resize(&s.minv, w), resize(&s.used, w)
+	clear(u)
+	clear(v)
+	clear(p)
+	clear(way)
 	for i := 1; i <= size; i++ {
 		p[0] = i
 		j0 := 0
-		minv := make([]float64, size+1)
-		used := make([]bool, size+1)
 		for j := range minv {
 			minv[j] = math.Inf(1)
 		}
+		clear(used)
 		for {
 			used[j0] = true
 			i0 := p[j0]
@@ -90,7 +105,7 @@ func Solve(cost [][]float64) (rowTo []int, total float64, err error) {
 				if used[j] {
 					continue
 				}
-				cur := a[i0][j] - u[i0] - v[j]
+				cur := a[i0*w+j] - u[i0] - v[j]
 				if cur < minv[j] {
 					minv[j] = cur
 					way[j] = j0
@@ -123,7 +138,7 @@ func Solve(cost [][]float64) (rowTo []int, total float64, err error) {
 		}
 	}
 
-	rowTo = make([]int, n)
+	rowTo = resize(&s.rowTo, n)
 	for i := range rowTo {
 		rowTo[i] = -1
 	}
@@ -138,6 +153,16 @@ func Solve(cost [][]float64) (rowTo []int, total float64, err error) {
 		}
 	}
 	return rowTo, total, nil
+}
+
+// resize returns *buf resized to n, reallocating only when its capacity is
+// short. Contents are unspecified.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 func maxFinite(cost [][]float64) float64 {

@@ -2,6 +2,7 @@ package assign
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -241,5 +242,68 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
+	}
+}
+
+// randomCost is an n×m matrix of integer costs in [0, 20) with about a
+// fifth of its cells Infeasible.
+func randomCost(rng *xrand.RNG, n, m int) [][]float64 {
+	cost := make([][]float64, n)
+	for i := range cost {
+		cost[i] = make([]float64, m)
+		for j := range cost[i] {
+			cost[i][j] = math.Floor(rng.Float64() * 20)
+			if rng.Float64() < 0.2 {
+				cost[i][j] = Infeasible
+			}
+		}
+	}
+	return cost
+}
+
+// TestSolverReuseMatchesSolve: one Solver driven through matrices of
+// changing shape — larger, smaller, rectangular both ways — returns exactly
+// what a fresh Solve returns for each, so no scratch state leaks between
+// calls.
+func TestSolverReuseMatchesSolve(t *testing.T) {
+	rng := xrand.New(7)
+	var s Solver
+	for k := 0; k < 500; k++ {
+		cost := randomCost(rng, 1+rng.IntN(7), 1+rng.IntN(7))
+		want, wantTotal, err := Solve(cost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, total, err := s.Solve(cost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if total != wantTotal || !slices.Equal(got, want) {
+			t.Fatalf("matrix %d (%dx%d): reused solver gave %v (total %v), fresh %v (total %v)",
+				k, len(cost), len(cost[0]), got, total, want, wantTotal)
+		}
+	}
+}
+
+// TestSolverAllocFree: a warmed Solver solving a matrix of the size it has
+// already solved allocates nothing.
+func TestSolverAllocFree(t *testing.T) {
+	rng := xrand.New(11)
+	costs := [][][]float64{randomCost(rng, 6, 4), randomCost(rng, 4, 6), randomCost(rng, 6, 6)}
+	var s Solver
+	for _, c := range costs {
+		if _, _, err := s.Solve(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(300, func() {
+		if _, _, err := s.Solve(costs[k%len(costs)]); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed Solver.Solve allocates %v objects, want 0", allocs)
 	}
 }

@@ -179,13 +179,25 @@ func (s *Sim) Calls() int64 { return s.calls.Load() }
 // frame for a given detector.
 func (s *Sim) Detect(frame int64) []track.Detection {
 	s.calls.Add(1)
+	// A frame rarely shows more than a handful of instances: collect them
+	// on the stack, spilling to the heap only past the buffer.
+	var buf [16]track.Instance
 	var visible []track.Instance
 	if s.class == "" {
-		visible = s.idx.At(frame, nil)
+		visible = s.idx.At(frame, buf[:0])
 	} else {
-		visible = s.idx.AtClass(frame, s.class, nil)
+		visible = s.idx.AtClass(frame, s.class, buf[:0])
 	}
+	// The output is sized once, on its first detection, for every visible
+	// instance and false positive; a frame with none stays nil.
+	fpCount := s.fpCount(frame)
 	var dets []track.Detection
+	add := func(d track.Detection) {
+		if dets == nil {
+			dets = make([]track.Detection, 0, len(visible)+fpCount)
+		}
+		dets = append(dets, d)
+	}
 	for _, in := range visible {
 		u := hash01(s.seed, uint64(frame), uint64(in.ID), 0)
 		if u < s.missProb(in, frame) {
@@ -198,7 +210,7 @@ func (s *Sim) Detect(frame int64) []track.Detection {
 			box = box.Translate(jx, jy)
 		}
 		score := s.noise.MinScore + (s.noise.MaxScore-s.noise.MinScore)*hash01(s.seed, uint64(frame), uint64(in.ID), 3)
-		dets = append(dets, track.Detection{
+		add(track.Detection{
 			Frame:   frame,
 			Class:   in.Class,
 			Box:     box,
@@ -207,25 +219,22 @@ func (s *Sim) Detect(frame int64) []track.Detection {
 		})
 	}
 	// False positives: deterministic per frame.
-	if s.noise.FalsePositiveRate > 0 {
-		fpCount := s.fpCount(frame)
-		for k := 0; k < fpCount; k++ {
-			// Placed within a 1920x1080 frame.
-			x := hash01(s.seed, uint64(frame), 0xfacade, uint64(4+3*k)) * 1920 * 0.9
-			y := hash01(s.seed, uint64(frame), 0xfacade, uint64(5+3*k)) * 1080 * 0.9
-			size := 20 + hash01(s.seed, uint64(frame), 0xfacade, uint64(6+3*k))*60
-			class := s.class
-			if class == "" {
-				class = "unknown"
-			}
-			dets = append(dets, track.Detection{
-				Frame:   frame,
-				Class:   class,
-				Box:     geom.Rect(x, y, size, size),
-				Score:   0.3 + 0.3*hash01(s.seed, uint64(frame), 0xfefe, uint64(k)),
-				TruthID: -1,
-			})
+	for k := 0; k < fpCount; k++ {
+		// Placed within a 1920x1080 frame.
+		x := hash01(s.seed, uint64(frame), 0xfacade, uint64(4+3*k)) * 1920 * 0.9
+		y := hash01(s.seed, uint64(frame), 0xfacade, uint64(5+3*k)) * 1080 * 0.9
+		size := 20 + hash01(s.seed, uint64(frame), 0xfacade, uint64(6+3*k))*60
+		class := s.class
+		if class == "" {
+			class = "unknown"
 		}
+		add(track.Detection{
+			Frame:   frame,
+			Class:   class,
+			Box:     geom.Rect(x, y, size, size),
+			Score:   0.3 + 0.3*hash01(s.seed, uint64(frame), 0xfefe, uint64(k)),
+			TruthID: -1,
+		})
 	}
 	return dets
 }

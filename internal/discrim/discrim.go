@@ -81,8 +81,37 @@ type Discriminator struct {
 	extender   Extender
 	objects    []*Object
 	bucketSize int64
-	buckets    map[int64][]int // bucket -> object indices whose track overlaps
+	// slab is the block new objects are carved from. Blocks grow from
+	// minSlab to maxSlab objects, so a query that finds few objects
+	// allocates little and one that finds many allocates once per maxSlab.
+	slab []Object
+	// buckets maps a frame bucket to the objects whose track overlaps it,
+	// as a list threaded through links. Lists keep discovery order, which
+	// match's tie-break follows, and adding an entry allocates only when
+	// links or the map grows.
+	buckets map[int64]bucket
+	links   []link
+	// newObjs and secondObjs are ObserveObjects' result buffers, reused by
+	// every call.
+	newObjs, secondObjs []*Object
 }
+
+// bucket is one frame bucket's object list: the first and last entries in
+// links.
+type bucket struct{ head, tail int32 }
+
+// link is one bucket entry; next is the following entry's position in
+// links, or -1 at the end of the list.
+type link struct {
+	obj  *Object
+	next int32
+}
+
+// Object slab block sizes (see Discriminator.slab).
+const (
+	minSlab = 8
+	maxSlab = 256
+)
 
 // DefaultIoUThreshold is the overlap needed for a detection to match a
 // predicted position, the usual SORT/IoU-matching operating point.
@@ -104,7 +133,7 @@ func New(extender Extender, iouThresh float64) (*Discriminator, error) {
 		iouThresh:  iouThresh,
 		extender:   extender,
 		bucketSize: 1 << 10,
-		buckets:    make(map[int64][]int),
+		buckets:    make(map[int64]bucket),
 	}, nil
 }
 
@@ -136,16 +165,7 @@ func (d *Discriminator) Add(frame int64, dets []track.Detection) []*Object {
 			obj.Sightings++
 			continue
 		}
-		obj := &Object{
-			ID:             len(d.objects),
-			Class:          det.Class,
-			Track:          d.extender.Extend(det),
-			Sightings:      1,
-			FirstDetection: det,
-		}
-		d.objects = append(d.objects, obj)
-		d.indexObject(obj)
-		created = append(created, obj)
+		created = append(created, d.newObject(det))
 	}
 	return created
 }
@@ -170,32 +190,46 @@ func (d *Discriminator) Observe(frame int64, dets []track.Detection) (d0, d1 []t
 // raw detections: newObjs are the objects created by this frame (the d0
 // set), secondObjs are the objects that received their second sighting (the
 // d1 set). Callers implementing the technical report's cross-chunk
-// accounting need secondObjs to locate each object's home chunk.
+// accounting need secondObjs to locate each object's home chunk. Both
+// slices are the discriminator's own buffers: they are valid only until the
+// next ObserveObjects call, and a frame that creates no object allocates
+// nothing.
 func (d *Discriminator) ObserveObjects(frame int64, dets []track.Detection) (newObjs, secondObjs []*Object) {
+	d.newObjs, d.secondObjs = d.newObjs[:0], d.secondObjs[:0]
 	// Classify and register one detection at a time so that two detections
 	// of the same new object within one frame are not both counted as new.
 	for _, det := range dets {
 		obj := d.match(frame, det)
 		switch {
 		case obj == nil:
-			newObj := &Object{
-				ID:             len(d.objects),
-				Class:          det.Class,
-				Track:          d.extender.Extend(det),
-				Sightings:      1,
-				FirstDetection: det,
-			}
-			d.objects = append(d.objects, newObj)
-			d.indexObject(newObj)
-			newObjs = append(newObjs, newObj)
+			d.newObjs = append(d.newObjs, d.newObject(det))
 		case obj.Sightings == 1:
-			secondObjs = append(secondObjs, obj)
+			d.secondObjs = append(d.secondObjs, obj)
 			obj.Sightings++
 		default:
 			obj.Sightings++
 		}
 	}
-	return newObjs, secondObjs
+	return d.newObjs, d.secondObjs
+}
+
+// newObject registers an object for a detection that matched nothing: it is
+// carved from the slab, extended by the tracker and indexed by bucket.
+func (d *Discriminator) newObject(det track.Detection) *Object {
+	if len(d.slab) == cap(d.slab) {
+		d.slab = make([]Object, 0, min(max(2*cap(d.slab), minSlab), maxSlab))
+	}
+	d.slab = append(d.slab, Object{
+		ID:             len(d.objects),
+		Class:          det.Class,
+		Track:          d.extender.Extend(det),
+		Sightings:      1,
+		FirstDetection: det,
+	})
+	obj := &d.slab[len(d.slab)-1]
+	d.objects = append(d.objects, obj)
+	d.indexObject(obj)
+	return obj
 }
 
 // match returns the known object whose predicted position at the frame best
@@ -203,8 +237,12 @@ func (d *Discriminator) ObserveObjects(frame int64, dets []track.Detection) (new
 func (d *Discriminator) match(frame int64, det track.Detection) *Object {
 	var best *Object
 	bestIoU := 0.0
-	for _, i := range d.buckets[frame/d.bucketSize] {
-		obj := d.objects[i]
+	bk, ok := d.buckets[frame/d.bucketSize]
+	if !ok {
+		return nil
+	}
+	for e := bk.head; e >= 0; e = d.links[e].next {
+		obj := d.links[e].obj
 		if obj.Class != det.Class || !obj.Track.Covers(frame) {
 			continue
 		}
@@ -217,9 +255,20 @@ func (d *Discriminator) match(frame int64, det track.Detection) *Object {
 	return best
 }
 
+// indexObject appends the object to the list of every bucket its track
+// overlaps.
 func (d *Discriminator) indexObject(obj *Object) {
 	for b := obj.Track.Start / d.bucketSize; b <= obj.Track.End/d.bucketSize; b++ {
-		d.buckets[b] = append(d.buckets[b], obj.ID)
+		e := int32(len(d.links))
+		d.links = append(d.links, link{obj: obj, next: -1})
+		bk, ok := d.buckets[b]
+		if ok {
+			d.links[bk.tail].next = e
+		} else {
+			bk.head = e
+		}
+		bk.tail = e
+		d.buckets[b] = bk
 	}
 }
 

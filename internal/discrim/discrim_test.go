@@ -1,6 +1,7 @@
 package discrim
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/exsample/exsample/internal/detect"
@@ -296,4 +297,82 @@ func TestN1Invariant(t *testing.T) {
 			t.Fatalf("after frame %d: N1 accumulator=%d, objects-seen-once=%d", frame, n1, want)
 		}
 	}
+}
+
+// TestDiscriminatorObserveAllocs: a frame whose detections all match known
+// objects allocates nothing, and registering new objects costs at most one
+// allocation per eight objects amortised (object slab, object list, bucket
+// links and bucket map together).
+func TestDiscriminatorObserveAllocs(t *testing.T) {
+	// Objects start every 25 frames and live 200, so about eight overlap
+	// at any frame; eight lanes keep overlapping objects apart, and each
+	// lane's next object starts after its previous one ended.
+	const n = 4096
+	instances := make([]track.Instance, n)
+	for i := range instances {
+		start := int64(i) * 25
+		instances[i] = separated(i, "car", start, start+199, float64(i%8))
+	}
+	idx, err := track.NewIndex(instances, n*25+200, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := NewTruthExtender(idx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(ext, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sighting := func(i int, frame int64) []track.Detection {
+		in := instances[i]
+		return []track.Detection{{Frame: frame, Class: in.Class, Box: in.BoxAt(frame), Score: 0.9, TruthID: in.ID}}
+	}
+	first := make([][]track.Detection, n)
+	later := make([][]track.Detection, n)
+	for i, in := range instances {
+		first[i] = sighting(i, in.Start)
+		later[i] = sighting(i, in.Start+100)
+	}
+
+	// Count every allocation of a whole sequence: AllocsPerRun rounds its
+	// per-run average down to an integer.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+
+	created := mallocs(func() {
+		for i := range first {
+			if newObjs, _ := d.ObserveObjects(first[i][0].Frame, first[i]); len(newObjs) != 1 {
+				t.Fatalf("object %d: %d new objects, want 1", i, len(newObjs))
+			}
+		}
+	})
+	if d.NumResults() != n {
+		t.Fatalf("%d objects registered, want %d", d.NumResults(), n)
+	}
+	if perNew := float64(created) / n; perNew > 1.0/8 {
+		t.Fatalf("registering %d new objects allocates %d objects (%.4f each), want at most 1/8 each", n, created, perNew)
+	}
+
+	// The first re-sighting sizes the second-sighting buffer.
+	d.ObserveObjects(later[0][0].Frame, later[0])
+	known := mallocs(func() {
+		for i := 1; i < n; i++ {
+			newObjs, second := d.ObserveObjects(later[i][0].Frame, later[i])
+			if len(newObjs) != 0 || len(second) != 1 || second[0].ID != i {
+				t.Fatalf("object %d: re-sighting gave %d new, %d second", i, len(newObjs), len(second))
+			}
+		}
+	})
+	if known != 0 {
+		t.Fatalf("%d frames matching only known objects allocate %d objects, want 0", n-1, known)
+	}
+	t.Logf("%d allocations for %d new objects", created, n)
 }

@@ -15,27 +15,33 @@ import (
 // so a recurring spurious box cannot suppress real results elsewhere.
 type TruthExtender struct {
 	idx      *track.Index
-	byID     map[int]track.Instance
 	coverage float64
 }
 
 // NewTruthExtender builds an extender over the ground-truth index. coverage
-// must be in (0, 1]; 1 reproduces the paper's assumption that the tracker
-// recovers the object's full visible extent.
+// must be in (0, 1] (see ValidateCoverage). Instances are found through the
+// index's own id lookup, shared by every extender over it, so building one
+// costs no per-query table.
 func NewTruthExtender(idx *track.Index, coverage float64) (*TruthExtender, error) {
+	if err := ValidateCoverage(coverage); err != nil {
+		return nil, err
+	}
+	return &TruthExtender{idx: idx, coverage: coverage}, nil
+}
+
+// ValidateCoverage reports whether coverage is a valid TruthExtender
+// coverage: in (0, 1], where 1 reproduces the paper's assumption that the
+// tracker recovers the object's full visible extent.
+func ValidateCoverage(coverage float64) error {
 	if coverage <= 0 || coverage > 1 {
-		return nil, fmt.Errorf("discrim: coverage %v outside (0, 1]", coverage)
+		return fmt.Errorf("discrim: coverage %v outside (0, 1]", coverage)
 	}
-	byID := make(map[int]track.Instance, len(idx.Instances()))
-	for _, in := range idx.Instances() {
-		byID[in.ID] = in
-	}
-	return &TruthExtender{idx: idx, byID: byID, coverage: coverage}, nil
+	return nil
 }
 
 // Extend returns the predicted track for a detection.
 func (e *TruthExtender) Extend(det track.Detection) PredictedTrack {
-	in, ok := e.byID[det.TruthID]
+	in, ok := e.idx.Lookup(det.TruthID)
 	if det.TruthID < 0 || !ok {
 		// False positive: the tracker cannot follow anything.
 		return PredictedTrack{Start: det.Frame, End: det.Frame, StartBox: det.Box, EndBox: det.Box}

@@ -101,6 +101,13 @@ type Tracker struct {
 	nextID    int
 	live      []*liveTrack
 	finished  []Track
+
+	// Association scratch, reused by every Observe: the solver, the cost
+	// matrix's cells (flat) and row views, and which detections matched.
+	solver     assign.Solver
+	costCells  []float64
+	costRows   [][]float64
+	matchedDet []bool
 }
 
 // New creates a tracker. A zero Config selects DefaultConfig.
@@ -133,11 +140,14 @@ func (t *Tracker) Observe(frame int64, dets []track.Detection) error {
 
 	// Build the association cost matrix: rows = detections, cols = live
 	// tracks; cost = 1 - IoU, infeasible below the gate or across classes.
-	matchedDet := make([]bool, len(dets))
+	if cap(t.matchedDet) < len(dets) {
+		t.matchedDet = make([]bool, len(dets))
+	}
+	matchedDet := t.matchedDet[:len(dets)]
+	clear(matchedDet)
 	if len(dets) > 0 && len(t.live) > 0 {
-		cost := make([][]float64, len(dets))
+		cost := t.costMatrix(len(dets), len(t.live))
 		for i, det := range dets {
-			cost[i] = make([]float64, len(t.live))
 			for j, lt := range t.live {
 				iou := geom.IoU(det.Box, lt.predicted)
 				if det.Class != lt.class || iou < t.cfg.IoUThreshold {
@@ -147,7 +157,7 @@ func (t *Tracker) Observe(frame int64, dets []track.Detection) error {
 				}
 			}
 		}
-		rowTo, _, err := assign.Solve(cost)
+		rowTo, _, err := t.solver.Solve(cost)
 		if err != nil {
 			return err
 		}
@@ -199,6 +209,20 @@ func (t *Tracker) Observe(frame int64, dets []track.Detection) error {
 	}
 	t.live = kept
 	return nil
+}
+
+// costMatrix returns the tracker's n×m association matrix scratch, its rows
+// carved from one flat slab. Every cell is the caller's to set.
+func (t *Tracker) costMatrix(n, m int) [][]float64 {
+	if cap(t.costCells) < n*m {
+		t.costCells = make([]float64, n*m)
+	}
+	cells := t.costCells[:n*m]
+	t.costRows = t.costRows[:0]
+	for i := 0; i < n; i++ {
+		t.costRows = append(t.costRows, cells[i*m:(i+1)*m:(i+1)*m])
+	}
+	return t.costRows
 }
 
 func (t *Tracker) finalize(lt *liveTrack) {

@@ -1,6 +1,8 @@
 package sorttrack
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/exsample/exsample/internal/detect"
@@ -281,5 +283,52 @@ func TestCompareToTruthUnknownClass(t *testing.T) {
 	cmp := CompareToTruth(rec, nil)
 	if cmp["ghost"].RecoveredCount != 1 || cmp["ghost"].TrueCount != 0 {
 		t.Fatalf("cmp = %+v", cmp)
+	}
+}
+
+// TestTrackerObserveAllocs: once its tracks exist, associating a frame's
+// detections with them — prediction, cost matrix, assignment, update —
+// allocates nothing beyond the growth of each track's path, which is
+// reserved here up front.
+func TestTrackerObserveAllocs(t *testing.T) {
+	const objects, warm, frames = 6, 10, 300
+	tr, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Six objects drifting right in separate lanes, detected every frame.
+	dets := make([][]track.Detection, warm+frames)
+	for f := range dets {
+		for k := 0; k < objects; k++ {
+			b := geom.Rect(100+float64(f)*3, 50+float64(k)*150, 60, 80)
+			dets[f] = append(dets[f], det(int64(f), "car", b))
+		}
+	}
+	for f := 0; f < warm; f++ {
+		if err := tr.Observe(int64(f), dets[f]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(tr.live) != objects {
+		t.Fatalf("%d live tracks after warm-up, want %d", len(tr.live), objects)
+	}
+	for _, lt := range tr.live {
+		lt.path = slices.Grow(lt.path, frames)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for f := warm; f < warm+frames; f++ {
+		if err := tr.Observe(int64(f), dets[f]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("%d steady-state frames allocate %d objects, want 0", frames, n)
+	}
+	if len(tr.live) != objects || tr.nextID != objects {
+		t.Fatalf("association broke: %d live tracks, %d created", len(tr.live), tr.nextID)
 	}
 }

@@ -11,6 +11,7 @@ package track
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/internal/geom"
@@ -83,6 +84,12 @@ type Index struct {
 	bucketSize int64
 	buckets    [][]int32 // instance indices per bucket
 	numFrames  int64
+
+	// byID maps instance ids to positions in instances for Lookup. It is
+	// built once, on first use, and stays nil when every instance's id is
+	// its position.
+	byIDOnce sync.Once
+	byID     map[int]int32
 }
 
 // DefaultBucketSize is used when NewIndex is called with bucketSize <= 0.
@@ -154,6 +161,42 @@ func (x *Index) AtClass(frame int64, class string, dst []Instance) []Instance {
 		}
 	}
 	return dst
+}
+
+// Lookup returns the instance with the given id; when several share it,
+// the last one wins. The id lookup is built once per index, on the first
+// call, so an index that is never asked pays nothing; when ids are
+// positions, as the generators assign them, it needs no table at all.
+func (x *Index) Lookup(id int) (Instance, bool) {
+	x.byIDOnce.Do(x.buildByID)
+	if x.byID == nil {
+		if id < 0 || id >= len(x.instances) {
+			return Instance{}, false
+		}
+		return x.instances[id], true
+	}
+	i, ok := x.byID[id]
+	if !ok {
+		return Instance{}, false
+	}
+	return x.instances[i], true
+}
+
+func (x *Index) buildByID() {
+	dense := true
+	for i, in := range x.instances {
+		if in.ID != i {
+			dense = false
+			break
+		}
+	}
+	if dense {
+		return
+	}
+	x.byID = make(map[int]int32, len(x.instances))
+	for i, in := range x.instances {
+		x.byID[in.ID] = int32(i)
+	}
 }
 
 // Instances returns the indexed instances (shared slice; do not mutate).

@@ -28,7 +28,9 @@ type picker interface {
 	// pipeline rebuild failure, which the run latches.
 	next() (p core.Pick, ok bool, err error)
 	// feedback reports an applied frame's (d0, d1) split: the objects it
-	// discovered and the objects it saw for the second time.
+	// discovered and the objects it saw for the second time. Both slices
+	// are the discriminator's buffers, valid only for the call; a picker
+	// keeps what it needs of them, never the slices.
 	feedback(chunk int, newObjs, secondObjs []*discrim.Object) error
 	// value is the expected new results per frame, the global budget
 	// planner's marginal value.

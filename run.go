@@ -67,7 +67,9 @@ type queryRun struct {
 	truthSeen  []bool
 	truthTotal int
 
-	rep       *Report
+	rep *Report
+	// truthIDs is apply's per-frame buffer of the new objects' truth ids.
+	truthIDs  []int
 	exhausted bool
 	// standing marks a live-source query with park-on-exhaustion
 	// semantics: next reporting false is a pause (the engine parks the
@@ -508,22 +510,27 @@ func (r *queryRun) apply(p core.Pick, fr frameResult) (StepInfo, error) {
 	newObjs, secondObjs := r.dis.ObserveObjects(p.Frame, fr.dets)
 
 	info := StepInfo{Frame: p.Frame, Chunk: p.Chunk, SecondSightings: len(secondObjs)}
-	var truthIDs []int
+	start := len(rep.Results)
+	r.truthIDs = r.truthIDs[:0]
 	for _, obj := range newObjs {
 		det := obj.FirstDetection
-		res := Result{
+		rep.Results = append(rep.Results, Result{
 			ObjectID: len(rep.Results),
 			Frame:    det.Frame,
 			Class:    det.Class,
 			Box:      det.Box,
 			Score:    det.Score,
-		}
-		rep.Results = append(rep.Results, res)
-		info.New = append(info.New, res)
-		truthIDs = append(truthIDs, det.TruthID)
+		})
+		r.truthIDs = append(r.truthIDs, det.TruthID)
 	}
-	r.curve.Observe(rep.FramesProcessed, rep.TotalSeconds(), truthIDs)
-	if len(truthIDs) > 0 {
+	if end := len(rep.Results); end > start {
+		// The frame's results as a window of the report: a Result is never
+		// rewritten once appended, and the clipped capacity keeps an
+		// append to New from reaching the report.
+		info.New = rep.Results[start:end:end]
+	}
+	r.curve.Observe(rep.FramesProcessed, rep.TotalSeconds(), r.truthIDs)
+	if len(r.truthIDs) > 0 {
 		rep.CurveSamples = append(rep.CurveSamples, rep.FramesProcessed)
 		rep.CurveSeconds = append(rep.CurveSeconds, rep.TotalSeconds())
 		rep.CurveFound = append(rep.CurveFound, r.curve.DistinctFound())

@@ -35,7 +35,8 @@ type StepInfo struct {
 	// Chunk is the chunk it came from (-1 for non-chunked strategies).
 	Chunk int
 	// New lists the distinct objects discovered by this frame (often
-	// empty).
+	// empty). It is read-only: it may share storage with the session's
+	// Results, of which it is a window.
 	New []Result
 	// SecondSightings counts objects re-confirmed by this frame.
 	SecondSightings int

@@ -541,13 +541,10 @@ func (s *ShardedSource) newDetector(class string) detect.BatchDetector {
 // validated eagerly; per-shard extenders are built lazily so detections
 // from late-attached shards extend too.
 func (s *ShardedSource) newExtender(coverage float64) (discrim.Extender, error) {
-	// Validate coverage once, against the first member — construction can
-	// only fail on the parameter, which is identical for every shard.
-	first, err := discrim.NewTruthExtender(s.topo.Load().members[0].ds.inner.Index, coverage)
-	if err != nil {
+	if err := discrim.ValidateCoverage(coverage); err != nil {
 		return nil, err
 	}
-	return &shardedExtender{src: s, coverage: coverage, exts: []discrim.Extender{first}}, nil
+	return &shardedExtender{src: s, coverage: coverage}, nil
 }
 
 // newScorer builds the routed proxy scorer. Shard 0 keeps the caller's
@@ -679,19 +676,36 @@ func (s *shardedDetector) DetectBatch(ctx context.Context, global []int64) ([]de
 			return nil, fmt.Errorf("exsample: shard %d returned %d results for a %d-frame batch", sh, len(outs), len(run))
 		}
 		t.members[sh].detects.Add(int64(len(run)))
-		for _, fo := range outs {
-			var dets []track.Detection
-			if len(fo.Dets) > 0 {
-				dets = make([]track.Detection, len(fo.Dets))
-				for j, d := range fo.Dets {
-					d.Frame = m.Global(sh, d.Frame)
-					d.TruthID = m.GlobalTruthID(sh, d.TruthID)
-					dets[j] = d
-				}
-			}
-			out = append(out, detect.FrameOutput{Dets: dets, Cost: fo.Cost})
-		}
+		out = append(out, outs...)
 		start = end
+	}
+	// Remap the detections into global frame and truth-id space, copying
+	// every frame's out of one slab: a shard backend may share its output
+	// with other callers, so it is never written in place. A frame with no
+	// detections reports nil.
+	n := 0
+	for i, fo := range out {
+		if len(fo.Dets) == 0 {
+			out[i].Dets = nil
+		}
+		n += len(fo.Dets)
+	}
+	if n == 0 {
+		return out, nil
+	}
+	slab := make([]track.Detection, 0, n)
+	for i, fo := range out {
+		if fo.Dets == nil {
+			continue
+		}
+		sh, _ := m.Locate(global[i])
+		k := len(slab)
+		for _, d := range fo.Dets {
+			d.Frame = m.Global(sh, d.Frame)
+			d.TruthID = m.GlobalTruthID(sh, d.TruthID)
+			slab = append(slab, d)
+		}
+		out[i].Dets = slab[k:len(slab):len(slab)]
 	}
 	return out, nil
 }

@@ -449,8 +449,9 @@ func TestShardedDetectorInterleavedBatch(t *testing.T) {
 
 func TestShardedDetectorAllocs(t *testing.T) {
 	// A single-shard batch through a ShardedSource's detector costs a
-	// constant number of allocations plus one remap copy per frame that
-	// carries detections: no per-batch regrouping.
+	// constant number of allocations plus at most one slab for the whole
+	// batch's remapped detections: no per-batch regrouping and no per-frame
+	// copy.
 	const framesEach = 4000
 	local := []int64{10, 20, 30, 40}
 	global := make([]int64, len(local))
@@ -481,7 +482,7 @@ func TestShardedDetectorAllocs(t *testing.T) {
 	if e > 3 {
 		t.Fatalf("empty single-shard batch allocates %.2f objects, want at most 3", e)
 	}
-	if f != e+2 {
-		t.Fatalf("batch with 2 detection-carrying frames allocates %.2f objects, want %.2f", f, e+2)
+	if f > e+1 {
+		t.Fatalf("batch with 2 detection-carrying frames allocates %.2f objects, want at most %.2f", f, e+1)
 	}
 }
