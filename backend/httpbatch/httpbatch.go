@@ -1,16 +1,45 @@
 // Package httpbatch is a production-shaped remote detector backend: a
-// Client that speaks a small JSON batch protocol to an HTTP endpoint, and a
+// Client that speaks a small batch protocol to an HTTP endpoint, and a
 // Handler that serves any backend.Backend over the same protocol (the
 // loopback pairing used by tests, examples and exserve's -backend http
 // mode).
 //
 // # Wire protocol
 //
-// One POST per batch. Request body:
+// One POST per batch, in one of two codecs. The Client speaks only the
+// binary frame of internal/batchwire (Content-Type
+// application/x-exsample-frame); the Handler answers a request in the codec
+// its Content-Type names, and JSON for anything else, so curl and non-Go
+// callers keep the JSON form below.
+//
+// Binary request frame, byte by byte:
+//
+//	version  1 byte, batchwire.Version (1)
+//	class    uvarint length, then that many bytes
+//	n        uvarint frame count
+//	frames   n zigzag varints
+//
+// Binary response frame (HTTP 200):
+//
+//	version  1 byte
+//	n        uvarint, equal to the request's frame count
+//	total    uvarint, detections across all n frames
+//	n times, for frames[i] in order:
+//	  cost   float64, little-endian IEEE-754 bits: the frame's charged seconds
+//	  dets   a detection list relative to (class, frames[i])
+//
+// A detection list is a uvarint count m, then m detections of at least 43
+// bytes each (see the batchwire package doc): a class tag (0: the requested
+// class), the detection's frame minus frames[i] as a zigzag varint, the box
+// as four float64s (x1, y1, x2, y2), the score as a float64 and the truth id
+// as a zigzag varint. The m's sum to total; trailing bytes, a NaN or an
+// infinity, and any count the bytes left cannot hold are errors.
+//
+// JSON request body:
 //
 //	{"class": "car", "frames": [17, 42, 1999]}
 //
-// Response body (HTTP 200):
+// JSON response body (HTTP 200):
 //
 //	{
 //	  "results": [
@@ -20,23 +49,17 @@
 //	    [{"frame": 1999, "class": "car", "box": [x1, y1, x2, y2],
 //	      "score": 0.88, "truth_id": -1}]
 //	  ],
+//	  "frame_costs": [0.05, 0.05, 0.05],
 //	  "cost_seconds": 0.15
 //	}
 //
-// results is aligned with the request's frames (results[i] holds frame
-// frames[i]'s detections; an empty array is a valid "nothing found").
-// The response may also carry per-frame charged costs:
-//
-//	"frame_costs": [0.05, 0.05, 0.05]
-//
-// When frame_costs is present (aligned with frames), the client charges
-// those exact seconds per frame — including legitimate zeros. Otherwise
-// cost_seconds, the server-reported inference latency for the whole batch,
-// is spread evenly across the batch's frames; and when neither is
-// reported the client falls back to its nominal Config.CostSeconds. Either
-// way charged query time tracks what the remote fleet actually spent.
-// truth_id is -1 when the server does not know ground-truth identity —
-// the value real detectors report.
+// In both codecs results are aligned with the request's frames (results[i]
+// holds frame frames[i]'s detections; an empty list is a valid "nothing
+// found"), and each frame carries its charged seconds — frame_costs in
+// JSON, with cost_seconds their sum — so the client charges exactly what
+// the remote fleet spent, legitimate zeros included. truth_id is -1 when
+// the server does not know ground-truth identity — the value real
+// detectors report.
 //
 // Errors: a non-200 status fails the batch. Timeouts, bounded retries (5xx
 // and transport errors only — a 4xx means the request itself is malformed),
@@ -48,9 +71,10 @@ package httpbatch
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -62,20 +86,104 @@ import (
 // ones the shared transport produces.
 const proto = batchwire.Proto("httpbatch")
 
-// request is the wire form of one batch request.
+// request is one batch request, decoded from either codec (and the JSON
+// form itself).
 type request struct {
 	Class  string  `json:"class"`
 	Frames []int64 `json:"frames"`
 }
 
-// response is the wire form of one batch response.
+// decodeFrame decodes a binary request frame into req, reusing its Frames.
+func (req *request) decodeFrame(b []byte) error {
+	r := batchwire.NewReader(b)
+	req.Class = r.String(req.Class)
+	n := r.Count(1) // a varint is at least one byte
+	req.Frames = slices.Grow(req.Frames[:0], n)
+	for range n {
+		req.Frames = append(req.Frames, r.Varint())
+	}
+	return r.Done()
+}
+
+// validate is the one check of a decoded request, whatever its codec.
+func (req *request) validate(maxBatch int) error {
+	if req.Class == "" || len(req.Frames) == 0 {
+		return fmt.Errorf("httpbatch: class and frames are required")
+	}
+	if maxBatch > 0 && len(req.Frames) > maxBatch {
+		return fmt.Errorf("httpbatch: batch of %d frames exceeds the backend's MaxBatch %d", len(req.Frames), maxBatch)
+	}
+	for _, f := range req.Frames {
+		if f < 0 {
+			return fmt.Errorf("httpbatch: negative frame %d", f)
+		}
+	}
+	return nil
+}
+
+// appendRequest appends the binary request frame for one batch.
+func appendRequest(b []byte, class string, frames []int64) []byte {
+	b = batchwire.AppendString(append(b, batchwire.Version), class)
+	b = binary.AppendUvarint(b, uint64(len(frames)))
+	for _, f := range frames {
+		b = binary.AppendVarint(b, f)
+	}
+	return b
+}
+
+// response is the JSON form of one batch response.
 type response struct {
 	Results [][]batchwire.Detection `json:"results"`
-	// FrameCosts, when present, is the exact charged seconds per frame.
+	// FrameCosts is the exact charged seconds per frame.
 	FrameCosts []float64 `json:"frame_costs,omitempty"`
-	// CostSeconds is the batch-level inference latency, used (spread
-	// evenly) when FrameCosts is absent.
+	// CostSeconds is their sum, the batch's inference latency.
 	CostSeconds float64 `json:"cost_seconds"`
+}
+
+// appendResponse appends the binary response frame for a batch the backend
+// answered with dets and costs.
+func appendResponse(b []byte, class string, frames []int64, dets [][]backend.Detection, costs []float64) ([]byte, error) {
+	total := 0
+	for _, d := range dets {
+		total += len(d)
+	}
+	b = binary.AppendUvarint(append(b, batchwire.Version), uint64(len(frames)))
+	b = binary.AppendUvarint(b, uint64(total))
+	for i, f := range frames {
+		var err error
+		if b, err = batchwire.AppendFloat(b, costs[i]); err != nil {
+			return b, fmt.Errorf("frame %d cost: %w", f, err)
+		}
+		if b, err = batchwire.AppendDetections(b, dets[i], class, f); err != nil {
+			return b, fmt.Errorf("frame %d: %w", f, err)
+		}
+	}
+	return b, nil
+}
+
+// decodeResponse decodes a binary response frame to a class/frames request:
+// one results slice, one detection slab carved into cap-clipped per-frame
+// windows, and the per-frame costs.
+func decodeResponse(b []byte, class string, frames []int64) ([][]backend.Detection, []float64, error) {
+	r := batchwire.NewReader(b)
+	n := r.Count(8 + 1) // a cost and a detection count per frame
+	if err := r.Err(); err != nil {
+		return nil, nil, err
+	}
+	if n != len(frames) {
+		return nil, nil, fmt.Errorf("server returned %d results for a %d-frame batch", n, len(frames))
+	}
+	r.Slab()
+	dets := make([][]backend.Detection, n)
+	costs := make([]float64, n)
+	for i, f := range frames {
+		costs[i] = r.Float()
+		dets[i] = r.Detections(class, f)
+	}
+	if err := r.Done(); err != nil {
+		return nil, nil, err
+	}
+	return dets, costs, nil
 }
 
 // Config parameterizes a Client. Endpoint is required; everything else has
@@ -104,9 +212,9 @@ type Config struct {
 	// MaxBatch is the batch-size hint advertised to the pipeline: larger
 	// batches are split before they reach the wire (default 32).
 	MaxBatch int
-	// CostSeconds is the nominal per-frame cost charged when the server
-	// does not report cost_seconds (default 1/20 s, the paper's measured
-	// 20 fps detector).
+	// CostSeconds is the nominal per-frame cost advertised to the pipeline
+	// in Hints (default 1/20 s, the paper's measured 20 fps detector); what
+	// a batch is charged is what the server reports per frame.
 	CostSeconds float64
 }
 
@@ -118,7 +226,7 @@ type Stats struct {
 	// Requests counts HTTP attempts (retries included); Retries the
 	// attempts beyond the first.
 	Requests, Retries int64
-	// ServerSeconds sums the server-reported cost_seconds across
+	// ServerSeconds sums the server-reported per-frame costs across
 	// successful batches — the charged inference time.
 	ServerSeconds float64
 }
@@ -200,36 +308,18 @@ func (c *Client) DetectBatchCost(ctx context.Context, class string, frames []int
 	if len(frames) == 0 {
 		return nil, nil, nil
 	}
-	body, err := json.Marshal(request{Class: class, Frames: frames})
+	// A fresh body per call: see batchwire.Client.Post.
+	body := appendRequest(make([]byte, 0, 1+binary.MaxVarintLen64*(2+len(frames))+len(class)), class, frames)
+	var (
+		out   [][]backend.Detection
+		costs []float64
+	)
+	err := c.wire.Post(ctx, c.cfg.Endpoint, body, func(b []byte) (err error) {
+		out, costs, err = decodeResponse(b, class, frames)
+		return err
+	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("httpbatch: encode request: %w", err)
-	}
-	var resp response
-	if err := c.wire.Post(ctx, c.cfg.Endpoint, body, &resp); err != nil {
 		return nil, nil, err
-	}
-	if len(resp.Results) != len(frames) {
-		return nil, nil, fmt.Errorf("httpbatch: server returned %d results for a %d-frame batch", len(resp.Results), len(frames))
-	}
-	if resp.FrameCosts != nil && len(resp.FrameCosts) != len(frames) {
-		return nil, nil, fmt.Errorf("httpbatch: server returned %d frame costs for a %d-frame batch", len(resp.FrameCosts), len(frames))
-	}
-	out := make([][]backend.Detection, len(frames))
-	for i, wire := range resp.Results {
-		out[i] = batchwire.FromWire(wire)
-	}
-	costs := resp.FrameCosts
-	if costs == nil {
-		// No per-frame costs: spread the batch latency evenly, falling
-		// back to the nominal rate when the server reported nothing.
-		per := resp.CostSeconds / float64(len(frames))
-		if resp.CostSeconds == 0 {
-			per = c.cfg.CostSeconds
-		}
-		costs = make([]float64, len(frames))
-		for i := range costs {
-			costs[i] = per
-		}
 	}
 	var total float64
 	for _, cost := range costs {
@@ -244,14 +334,16 @@ func (c *Client) DetectBatchCost(ctx context.Context, class string, frames []int
 }
 
 // Handler serves a backend.Backend over the httpbatch wire protocol — the
-// server half of the pairing. Detection cost in the response comes from the
-// backend's own accounting, reported per frame in frame_costs (so clients
-// charge exact values, no divide-by-batch-size loss): the measured
-// per-frame costs when the backend implements backend.BatchCoster, its
-// nominal Hints().CostSeconds per frame otherwise. Requests are bounded:
-// oversized bodies are rejected, and when the backend hints a MaxBatch,
-// batches beyond it are refused with a 400 rather than run unsplit. Pair
-// it with any mux: http.Handle("/detect", httpbatch.Handler(b)).
+// server half of the pairing. It answers each request in the codec the
+// request spoke: the binary frame when its Content-Type is
+// batchwire.MediaType, JSON otherwise. Detection cost in the response comes
+// from the backend's own accounting, reported per frame (so clients charge
+// exact values, no divide-by-batch-size loss): the measured per-frame costs
+// when the backend implements backend.BatchCoster, its nominal
+// Hints().CostSeconds per frame otherwise. Requests are bounded: oversized
+// bodies and negative frames are rejected, and when the backend hints a
+// MaxBatch, batches beyond it are refused with a 400 rather than run
+// unsplit. Pair it with any mux: http.Handle("/detect", httpbatch.Handler(b)).
 func Handler(b backend.Backend) http.Handler {
 	coster, _ := b.(backend.BatchCoster)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -261,15 +353,12 @@ func Handler(b backend.Backend) http.Handler {
 		req := reqPool.Get().(*request)
 		defer reqPool.Put(req)
 		req.Class, req.Frames = "", req.Frames[:0]
-		if !proto.Decode(w, r, req) {
+		frame, ok := proto.Decode(w, r, req, req.decodeFrame)
+		if !ok {
 			return
 		}
-		if req.Class == "" || len(req.Frames) == 0 {
-			http.Error(w, "httpbatch: class and frames are required", http.StatusBadRequest)
-			return
-		}
-		if max := b.Hints().MaxBatch; max > 0 && len(req.Frames) > max {
-			http.Error(w, fmt.Sprintf("httpbatch: batch of %d frames exceeds the backend's MaxBatch %d", len(req.Frames), max), http.StatusBadRequest)
+		if err := req.validate(b.Hints().MaxBatch); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		var (
@@ -287,8 +376,17 @@ func Handler(b backend.Backend) http.Handler {
 				costs[i] = per
 			}
 		}
+		if err == nil && (len(dets) != len(req.Frames) || len(costs) != len(req.Frames)) {
+			err = fmt.Errorf("%d results and %d costs for %d frames", len(dets), len(costs), len(req.Frames))
+		}
 		if err != nil {
 			http.Error(w, fmt.Sprintf("httpbatch: backend: %v", err), http.StatusInternalServerError)
+			return
+		}
+		if frame {
+			proto.RespondFrame(w, func(buf []byte) ([]byte, error) {
+				return appendResponse(buf, req.Class, req.Frames, dets, costs)
+			})
 			return
 		}
 		var total float64

@@ -3,8 +3,10 @@ package httpbatch
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -400,3 +402,142 @@ func canned(body []byte, length int64) (*http.Client, *atomic.Int64) {
 type roundTripper func(*http.Request) (*http.Response, error)
 
 func (f roundTripper) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// floatBackend answers every frame with detections whose floats have no
+// short decimal form, one whose class is not the requested one and one
+// whose echoed frame is off by one, at an arbitrary per-frame cost.
+type floatBackend struct{}
+
+func (floatBackend) DetectBatchCost(_ context.Context, class string, frames []int64) ([][]backend.Detection, []float64, error) {
+	out := make([][]backend.Detection, len(frames))
+	costs := make([]float64, len(frames))
+	for i, f := range frames {
+		costs[i] = 1.0 / 3.0 * float64(i+1)
+		if f%3 == 1 {
+			continue // nothing found
+		}
+		out[i] = []backend.Detection{
+			{Frame: f, Class: class, Box: backend.Box{X1: 0.1 + 0.2, Y1: 1.0 / 3.0, X2: 0.30000000000000004, Y2: 1e-17}, Score: 0.123456789012345678, TruthID: -1},
+			{Frame: f + 1, Class: "truck", Box: backend.Box{X1: math.SmallestNonzeroFloat64, Y1: math.Copysign(0, -1), X2: math.MaxFloat64, Y2: 5e-324}, Score: 1, TruthID: math.MaxInt32},
+		}
+	}
+	return out, costs, nil
+}
+
+func (b floatBackend) DetectBatch(ctx context.Context, class string, frames []int64) ([][]backend.Detection, error) {
+	dets, _, err := b.DetectBatchCost(ctx, class, frames)
+	return dets, err
+}
+
+func (floatBackend) Hints() backend.Hints { return backend.Hints{CostSeconds: 0.05, MaxBatch: 16} }
+
+// serve posts body to h under ctype and returns the recorded answer.
+func serve(h http.Handler, ctype string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/detect", bytes.NewReader(body))
+	req.Header.Set("Content-Type", ctype)
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestCodecsAgree: the same request sent as JSON and as a binary frame is
+// answered with the same detections and costs, bit for bit, and every
+// rejection is a 400 in both codecs.
+func TestCodecsAgree(t *testing.T) {
+	h := Handler(floatBackend{})
+	frames := []int64{0, 1, 2, 1999}
+	jsonBody, _ := json.Marshal(request{Class: "car", Frames: frames})
+
+	rec := serve(h, "application/json", jsonBody)
+	var jresp response
+	if err := json.Unmarshal(rec.Body.Bytes(), &jresp); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("JSON: status %d, %v: %s", rec.Code, err, rec.Body.Bytes())
+	}
+	rec = serve(h, batchwire.MediaType, appendRequest(nil, "car", frames))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("frame: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	dets, costs, err := decodeResponse(rec.Body.Bytes(), "car", frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantCosts, _ := floatBackend{}.DetectBatchCost(context.Background(), "car", frames)
+	for i := range frames {
+		fromJSON := batchwire.FromWire(jresp.Results[i])
+		if !sameDetections(dets[i], want[i]) || !sameDetections(fromJSON, want[i]) {
+			t.Errorf("frame %d: binary %+v, JSON %+v, want %+v", frames[i], dets[i], fromJSON, want[i])
+		}
+		if math.Float64bits(costs[i]) != math.Float64bits(wantCosts[i]) || math.Float64bits(jresp.FrameCosts[i]) != math.Float64bits(wantCosts[i]) {
+			t.Errorf("frame %d: cost binary %v, JSON %v, want %v", frames[i], costs[i], jresp.FrameCosts[i], wantCosts[i])
+		}
+		if cap(dets[i]) != len(dets[i]) {
+			t.Errorf("frame %d: window %d/%d is not cap-clipped", frames[i], len(dets[i]), cap(dets[i]))
+		}
+	}
+
+	many := make([]int64, 17) // floatBackend hints MaxBatch 16
+	good := appendRequest(nil, "car", []int64{1})
+	rejections := []struct {
+		name        string
+		json, frame []byte
+	}{
+		{"no frames", []byte(`{"class":"car","frames":[]}`), appendRequest(nil, "car", nil)},
+		{"no class", []byte(`{"class":"","frames":[1]}`), appendRequest(nil, "", []int64{1})},
+		{"over MaxBatch", mustJSON(request{Class: "car", Frames: many}), appendRequest(nil, "car", many)},
+		{"negative frame", []byte(`{"class":"car","frames":[3,-1]}`), appendRequest(nil, "car", []int64{3, -1})},
+		{"bad version", nil, append([]byte{batchwire.Version + 1}, good[1:]...)},
+		{"trailing bytes", []byte(`{"class":"car","frames":[1]} {}`), append(good, 0)},
+		{"truncated", []byte(`{"class":"car","frames":[1]`), good[:len(good)-1]},
+	}
+	for _, tc := range rejections {
+		if tc.json != nil {
+			if rec := serve(h, "application/json", tc.json); rec.Code != http.StatusBadRequest {
+				t.Errorf("%s: JSON status %d, want 400", tc.name, rec.Code)
+			}
+		}
+		if rec := serve(h, batchwire.MediaType, tc.frame); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: frame status %d, want 400", tc.name, rec.Code)
+		}
+	}
+}
+
+func mustJSON(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// TestFrameDecodeAllocs: decoding an n-frame response costs the results
+// slice, one detection slab and the costs — three allocations, however many
+// frames and detections the response carries.
+func TestFrameDecodeAllocs(t *testing.T) {
+	for _, tc := range []struct{ frames, perFrame int }{{1, 0}, {4, 1}, {32, 8}, {32, 64}} {
+		frames := make([]int64, tc.frames)
+		dets := make([][]backend.Detection, tc.frames)
+		costs := make([]float64, tc.frames)
+		for i := range frames {
+			frames[i] = int64(100 + i)
+			for j := 0; j < tc.perFrame; j++ {
+				dets[i] = append(dets[i], backend.Detection{Frame: frames[i], Class: "car", Box: backend.Box{X1: 1, Y1: 2, X2: 3, Y2: 4}, Score: 0.5, TruthID: j})
+			}
+		}
+		body, err := appendResponse(nil, "car", frames, dets, costs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 3.0
+		if tc.perFrame == 0 {
+			want = 2 // nothing found: no slab
+		}
+		got := testing.AllocsPerRun(50, func() {
+			if _, _, err := decodeResponse(body, "car", frames); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != want {
+			t.Errorf("%d frames × %d detections: %v allocations per decode, want %v", tc.frames, tc.perFrame, got, want)
+		}
+	}
+}

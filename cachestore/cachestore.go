@@ -8,8 +8,8 @@
 // *content* of a source (profile, scale, generation seed, noise model), so
 // they survive restarts and are identical across processes that opened the
 // same video. A Store can be the in-process L1 (Local, wrapping
-// internal/cache), a remote L2 (httpcache.Client, speaking the JSON batch
-// protocol in the backend/httpbatch idiom), or a Tiered composition of both
+// internal/cache), a remote L2 (httpcache.Client, speaking the binary batch
+// frame of backend/httpbatch's transport), or a Tiered composition of both
 // with write-through and singleflight dedupe.
 //
 // Values are []backend.Detection — the public wire type — so a remote store
@@ -43,7 +43,8 @@ type Key struct {
 
 // keyVersion is the wire-format version prefix; bump it when the encoding
 // (or the content-hash recipe feeding Key.Content) changes incompatibly, so
-// stale remote entries miss instead of poisoning new readers.
+// stale remote entries miss instead of poisoning new readers. The binary
+// frame's keys carry no prefix: bump batchwire.Version with it.
 const keyVersion = "v1"
 
 // Encode renders the key in its canonical wire form:

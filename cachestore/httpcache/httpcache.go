@@ -1,13 +1,48 @@
 // Package httpcache is the remote half of the shared result tier: a Client
-// that speaks a small JSON batch protocol to a cache server, and a Handler
-// that serves any cachestore.Store over the same protocol (the loopback
-// pairing used by tests, examples and exserve's -cache-remote mode).
+// that speaks a small batch protocol to a cache server, and a Handler that
+// serves any cachestore.Store over the same protocol (the loopback pairing
+// used by tests, examples and exserve's -cache-remote mode).
 //
 // # Wire protocol
 //
-// One POST per batch, routed by path suffix.
+// One POST per batch, routed by path suffix, in one of two codecs. The
+// Client speaks only the binary frame of internal/batchwire (Content-Type
+// application/x-exsample-frame); the Handler answers a request in the codec
+// its Content-Type names, and JSON for anything else, so curl and non-Go
+// callers keep the JSON form below.
 //
-// GET — POST {endpoint}/get:
+// In the binary frame every message starts with the version byte
+// (batchwire.Version, 1), and a key is
+//
+//	content  8 bytes, little-endian
+//	frame    zigzag varint
+//	class    uvarint length, then that many bytes
+//
+// GET — POST {endpoint}/get. Request: version, a uvarint key count n, then
+// n keys. Response (HTTP 200):
+//
+//	version  1 byte
+//	n        uvarint, equal to the request's key count
+//	total    uvarint, detections across all n entries
+//	n times, for keys[i] in order:
+//	  found  1 byte, 0 or 1
+//	  dets   a detection list relative to (keys[i].class, keys[i].frame);
+//	         empty when found is 0
+//
+// PUT — POST {endpoint}/put. Request: version, a uvarint entry count n, a
+// uvarint total detection count, then n times a key followed by its
+// detection list. Response (HTTP 200): version, then the uvarint count of
+// entries stored, which must equal n.
+//
+// A detection list is a uvarint count m, then m detections of at least 43
+// bytes each (see the batchwire package doc): a class tag (0: the key's
+// class), the detection's frame minus the key's as a zigzag varint, the box
+// as four float64s (x1, y1, x2, y2) and the score as a float64, each as
+// little-endian IEEE-754 bits, and the truth id as a zigzag varint. The m's
+// sum to total; trailing bytes, a NaN or an infinity, and any count the
+// bytes left cannot hold are errors.
+//
+// The JSON form carries keys as strings (cachestore.Key.Encode). GET:
 //
 //	{"keys": ["v1:000000000000002a:17:car", ...]}
 //
@@ -17,7 +52,7 @@
 //	  "box": [x1, y1, x2, y2], "score": 0.93, "truth_id": 7}]},
 //	  {"found": false}]}
 //
-// PUT — POST {endpoint}/put:
+// PUT:
 //
 //	{"entries": [{"key": "v1:000000000000002a:17:car", "dets": [...]}]}
 //
@@ -25,7 +60,7 @@
 //
 //	{"stored": 1}
 //
-// found:true with no dets is a valid memoized "nothing in this frame".
+// found with no detections is a valid memoized "nothing in this frame".
 // Errors: a non-200 status fails the batch. Timeouts, bounded retries (5xx
 // and transport errors only — a 4xx means the request itself is malformed),
 // the doomed-deadline rule, per-endpoint admission and the size bounds on
@@ -35,7 +70,7 @@ package httpcache
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"net/http"
 	"strings"
@@ -51,7 +86,7 @@ import (
 // ones the shared transport produces.
 const proto = batchwire.Proto("httpcache")
 
-// getRequest / getResponse are the wire forms of a batched lookup.
+// getRequest / getResponse are the JSON forms of a batched lookup.
 type getRequest struct {
 	Keys []string `json:"keys"`
 }
@@ -65,7 +100,7 @@ type getResponse struct {
 	Entries []getEntry `json:"entries"`
 }
 
-// putRequest / putResponse are the wire forms of a batched store.
+// putRequest / putResponse are the JSON forms of a batched store.
 type putRequest struct {
 	Entries []putEntry `json:"entries"`
 }
@@ -77,6 +112,138 @@ type putEntry struct {
 
 type putResponse struct {
 	Stored int `json:"stored"`
+}
+
+// minKeyBytes is the smallest binary key: the content, a one-byte frame and
+// an empty class.
+const minKeyBytes = 8 + 1 + 1
+
+// appendKey appends k's binary form.
+func appendKey(b []byte, k cachestore.Key) []byte {
+	b = binary.LittleEndian.AppendUint64(b, k.Content)
+	return batchwire.AppendString(binary.AppendVarint(b, k.Frame), k.Class)
+}
+
+// readKey reads a binary key, reusing class when the key's is the same.
+func readKey(r *batchwire.Reader, class string) cachestore.Key {
+	var k cachestore.Key
+	k.Content = r.Uint64()
+	k.Frame = r.Varint()
+	k.Class = r.String(class)
+	return k
+}
+
+// keysCap bounds the binary size of keys, entry overhead excluded.
+func keysCap(keys []cachestore.Key) int {
+	n := 1 + 2*binary.MaxVarintLen64
+	for _, k := range keys {
+		n += 8 + 2*binary.MaxVarintLen64 + len(k.Class)
+	}
+	return n
+}
+
+// appendGetRequest appends the binary lookup request for keys.
+func appendGetRequest(b []byte, keys []cachestore.Key) []byte {
+	b = binary.AppendUvarint(append(b, batchwire.Version), uint64(len(keys)))
+	for _, k := range keys {
+		b = appendKey(b, k)
+	}
+	return b
+}
+
+// decodeGetRequest decodes a binary lookup request.
+func decodeGetRequest(b []byte) ([]cachestore.Key, error) {
+	r := batchwire.NewReader(b)
+	keys := make([]cachestore.Key, r.Count(minKeyBytes))
+	class := ""
+	for i := range keys {
+		keys[i] = readKey(&r, class)
+		class = keys[i].Class
+	}
+	return keys, r.Done()
+}
+
+// appendEntries appends the binary lookup response for entries aligned with
+// keys. An absent entry carries no detections.
+func appendEntries(b []byte, keys []cachestore.Key, entries []cachestore.Entry) ([]byte, error) {
+	total := 0
+	for _, e := range entries {
+		if e.Found {
+			total += len(e.Dets)
+		}
+	}
+	b = binary.AppendUvarint(append(b, batchwire.Version), uint64(len(entries)))
+	b = binary.AppendUvarint(b, uint64(total))
+	for i, e := range entries {
+		var dets []backend.Detection
+		b = append(b, 0)
+		if e.Found {
+			b[len(b)-1], dets = 1, e.Dets
+		}
+		var err error
+		if b, err = batchwire.AppendDetections(b, dets, keys[i].Class, keys[i].Frame); err != nil {
+			return b, fmt.Errorf("key %+v: %w", keys[i], err)
+		}
+	}
+	return b, nil
+}
+
+// decodeEntries decodes a binary lookup response into out, aligned with
+// keys: one detection slab carved into cap-clipped per-entry windows, each
+// detection's class the key's own string unless the frame says otherwise.
+func decodeEntries(b []byte, keys []cachestore.Key, out []cachestore.Entry) error {
+	r := batchwire.NewReader(b)
+	n := r.Count(1 + 1) // a found byte and a detection count per entry
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if n != len(keys) {
+		return fmt.Errorf("server returned %d entries for a %d-key get", n, len(keys))
+	}
+	r.Slab()
+	for i, k := range keys {
+		found := r.Byte()
+		dets := r.Detections(k.Class, k.Frame)
+		if found > 1 || (found == 0 && dets != nil) {
+			return fmt.Errorf("entry %d: found byte %d with %d detections", i, found, len(dets))
+		}
+		out[i] = cachestore.Entry{Found: found == 1, Dets: dets}
+	}
+	return r.Done()
+}
+
+// appendPutRequest appends the binary store request for keys and vals.
+func appendPutRequest(b []byte, keys []cachestore.Key, vals [][]backend.Detection) ([]byte, error) {
+	total := 0
+	for _, v := range vals {
+		total += len(v)
+	}
+	b = binary.AppendUvarint(append(b, batchwire.Version), uint64(len(keys)))
+	b = binary.AppendUvarint(b, uint64(total))
+	for i, k := range keys {
+		var err error
+		if b, err = batchwire.AppendDetections(appendKey(b, k), vals[i], k.Class, k.Frame); err != nil {
+			return b, fmt.Errorf("key %+v: %w", k, err)
+		}
+	}
+	return b, nil
+}
+
+// decodePutRequest decodes a binary store request: the keys, and their
+// values carved from one detection slab.
+func decodePutRequest(b []byte) ([]cachestore.Key, [][]backend.Detection, error) {
+	r := batchwire.NewReader(b)
+	n := r.Count(minKeyBytes + 1) // a key and a detection count per entry
+	r.Slab()
+	keys := make([]cachestore.Key, n)
+	vals := make([][]backend.Detection, n)
+	class := ""
+	for i := range keys {
+		keys[i] = readKey(&r, class)
+		class = keys[i].Class
+		vals[i] = r.Detections(class, keys[i].Frame)
+	}
+	return keys, vals, r.Done()
 }
 
 // Config parameterizes a Client. Endpoint is required; everything else has
@@ -181,25 +348,10 @@ func (c *Client) GetBatch(ctx context.Context, keys []cachestore.Key) ([]cachest
 }
 
 func (c *Client) getChunk(ctx context.Context, keys []cachestore.Key, out []cachestore.Entry) error {
-	req := getRequest{Keys: make([]string, len(keys))}
-	for i, k := range keys {
-		req.Keys[i] = k.Encode()
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("httpcache: encode get request: %w", err)
-	}
-	var resp getResponse
-	if err := c.wire.Post(ctx, c.getURL, body, &resp); err != nil {
+	// A fresh body per call: see batchwire.Client.Post.
+	body := appendGetRequest(make([]byte, 0, keysCap(keys)), keys)
+	if err := c.wire.Post(ctx, c.getURL, body, func(b []byte) error { return decodeEntries(b, keys, out) }); err != nil {
 		return err
-	}
-	if len(resp.Entries) != len(keys) {
-		return fmt.Errorf("httpcache: server returned %d entries for a %d-key get", len(resp.Entries), len(keys))
-	}
-	for i, e := range resp.Entries {
-		if e.Found {
-			out[i] = cachestore.Entry{Found: true, Dets: batchwire.FromWire(e.Dets)}
-		}
 	}
 	c.mu.Lock()
 	c.stats.Gets++
@@ -223,18 +375,30 @@ func (c *Client) PutBatch(ctx context.Context, keys []cachestore.Key, vals [][]b
 	return nil
 }
 
+// putChunk stores one request's worth of entries. An acknowledgement of
+// fewer (or more) entries than were sent is an error: the server did not
+// store what the caller believes it did.
 func (c *Client) putChunk(ctx context.Context, keys []cachestore.Key, vals [][]backend.Detection) error {
-	req := putRequest{Entries: make([]putEntry, len(keys))}
-	for i, k := range keys {
-		req.Entries[i] = putEntry{Key: k.Encode(), Dets: batchwire.ToWire(vals[i])}
+	size := keysCap(keys)
+	for _, v := range vals {
+		size += len(v) * (batchwire.MinDetectionBytes + 4)
 	}
-	body, err := json.Marshal(req)
+	// A fresh body per call: see batchwire.Client.Post.
+	body, err := appendPutRequest(make([]byte, 0, size), keys, vals)
 	if err != nil {
 		return fmt.Errorf("httpcache: encode put request: %w", err)
 	}
-	var resp putResponse
-	if err := c.wire.Post(ctx, c.putURL, body, &resp); err != nil {
+	var stored uint64
+	err = c.wire.Post(ctx, c.putURL, body, func(b []byte) error {
+		r := batchwire.NewReader(b)
+		stored = r.Uvarint()
+		return r.Done()
+	})
+	if err != nil {
 		return err
+	}
+	if stored != uint64(len(keys)) {
+		return fmt.Errorf("httpcache: server acknowledged %d of %d entries", stored, len(keys))
 	}
 	c.mu.Lock()
 	c.stats.Puts++
@@ -256,9 +420,11 @@ const (
 
 // Handler serves a cachestore.Store over the httpcache wire protocol — the
 // server half of the pairing. Routing is by path suffix: POST .../get and
-// POST .../put. Requests are bounded (oversized bodies, oversized batches
-// and absurdly large entries are rejected with 400) and every key must
-// decode; a request carrying one undecodable key is rejected whole, so a
+// POST .../put. It answers each request in the codec the request spoke: the
+// binary frame when its Content-Type is batchwire.MediaType, JSON
+// otherwise. Requests are bounded (oversized bodies, oversized batches and
+// absurdly large entries are rejected with 400) and every key must decode;
+// a request carrying one undecodable key is rejected whole, so a
 // version-skewed client cannot silently poison a shared store. Pair it with
 // any mux: http.Handle("/cache/", httpcache.Handler(store)).
 func Handler(store cachestore.Store) http.Handler {
@@ -278,27 +444,86 @@ func Handler(store cachestore.Store) http.Handler {
 	})
 }
 
-func handleGet(store cachestore.Store, w http.ResponseWriter, r *http.Request) {
-	var req getRequest
-	if !proto.Decode(w, r, &req) {
-		return
+// validate is the one check of a decoded request, whatever its codec: keys
+// present and within the per-request cap, no negative frame, and for a store
+// (vals non-nil) no entry over the detection cap. what names the keys in
+// the answer ("keys", "entries").
+func validate(what string, keys []cachestore.Key, vals [][]backend.Detection) error {
+	if len(keys) == 0 {
+		return fmt.Errorf("httpcache: %s are required", what)
 	}
-	if len(req.Keys) == 0 {
-		http.Error(w, "httpcache: keys are required", http.StatusBadRequest)
-		return
+	if len(keys) > maxKeysPerRequest {
+		return fmt.Errorf("httpcache: %d %s exceeds the per-request cap %d", len(keys), what, maxKeysPerRequest)
 	}
-	if len(req.Keys) > maxKeysPerRequest {
-		http.Error(w, fmt.Sprintf("httpcache: %d keys exceeds the per-request cap %d", len(req.Keys), maxKeysPerRequest), http.StatusBadRequest)
-		return
+	for i, k := range keys {
+		if k.Frame < 0 {
+			return fmt.Errorf("httpcache: key %q: negative frame %d", k.Encode(), k.Frame)
+		}
+		if vals != nil && len(vals[i]) > maxDetsPerEntry {
+			return fmt.Errorf("httpcache: entry %q carries %d detections, cap is %d", k.Encode(), len(vals[i]), maxDetsPerEntry)
+		}
 	}
+	return nil
+}
+
+// decodeJSONKey decodes one JSON key string; one undecodable key rejects
+// the whole request.
+func decodeJSONKey(s string) (cachestore.Key, error) {
+	k, err := cachestore.DecodeKey(s)
+	if err != nil {
+		return k, fmt.Errorf("httpcache: %v", err)
+	}
+	return k, nil
+}
+
+// decode converts a JSON lookup to its keys.
+func (req *getRequest) decode() ([]cachestore.Key, error) {
 	keys := make([]cachestore.Key, len(req.Keys))
 	for i, s := range req.Keys {
-		k, err := cachestore.DecodeKey(s)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("httpcache: %v", err), http.StatusBadRequest)
-			return
+		var err error
+		if keys[i], err = decodeJSONKey(s); err != nil {
+			return nil, err
 		}
-		keys[i] = k
+	}
+	return keys, nil
+}
+
+// decode converts a JSON store to its keys and values.
+func (req *putRequest) decode() ([]cachestore.Key, [][]backend.Detection, error) {
+	keys := make([]cachestore.Key, len(req.Entries))
+	vals := make([][]backend.Detection, len(req.Entries))
+	for i, e := range req.Entries {
+		var err error
+		if keys[i], err = decodeJSONKey(e.Key); err != nil {
+			return nil, nil, err
+		}
+		vals[i] = batchwire.FromWire(e.Dets)
+	}
+	return keys, vals, nil
+}
+
+func handleGet(store cachestore.Store, w http.ResponseWriter, r *http.Request) {
+	var (
+		req  getRequest
+		keys []cachestore.Key
+		err  error
+	)
+	frame, ok := proto.Decode(w, r, &req, func(b []byte) (err error) {
+		keys, err = decodeGetRequest(b)
+		return err
+	})
+	if !ok {
+		return
+	}
+	if !frame {
+		keys, err = req.decode()
+	}
+	if err == nil {
+		err = validate("keys", keys, nil)
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	entries, err := store.GetBatch(r.Context(), keys)
 	if err != nil {
@@ -309,6 +534,10 @@ func handleGet(store cachestore.Store, w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("httpcache: store returned %d entries for %d keys", len(entries), len(keys)), http.StatusInternalServerError)
 		return
 	}
+	if frame {
+		proto.RespondFrame(w, func(b []byte) ([]byte, error) { return appendEntries(b, keys, entries) })
+		return
+	}
 	resp := getResponse{Entries: make([]getEntry, len(entries))}
 	for i, e := range entries {
 		resp.Entries[i] = getEntry{Found: e.Found, Dets: batchwire.ToWire(e.Dets)}
@@ -317,35 +546,37 @@ func handleGet(store cachestore.Store, w http.ResponseWriter, r *http.Request) {
 }
 
 func handlePut(store cachestore.Store, w http.ResponseWriter, r *http.Request) {
-	var req putRequest
-	if !proto.Decode(w, r, &req) {
+	var (
+		req  putRequest
+		keys []cachestore.Key
+		vals [][]backend.Detection
+		err  error
+	)
+	frame, ok := proto.Decode(w, r, &req, func(b []byte) (err error) {
+		keys, vals, err = decodePutRequest(b)
+		return err
+	})
+	if !ok {
 		return
 	}
-	if len(req.Entries) == 0 {
-		http.Error(w, "httpcache: entries are required", http.StatusBadRequest)
-		return
+	if !frame {
+		keys, vals, err = req.decode()
 	}
-	if len(req.Entries) > maxKeysPerRequest {
-		http.Error(w, fmt.Sprintf("httpcache: %d entries exceeds the per-request cap %d", len(req.Entries), maxKeysPerRequest), http.StatusBadRequest)
-		return
+	if err == nil {
+		err = validate("entries", keys, vals)
 	}
-	keys := make([]cachestore.Key, len(req.Entries))
-	vals := make([][]backend.Detection, len(req.Entries))
-	for i, e := range req.Entries {
-		k, err := cachestore.DecodeKey(e.Key)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("httpcache: %v", err), http.StatusBadRequest)
-			return
-		}
-		if len(e.Dets) > maxDetsPerEntry {
-			http.Error(w, fmt.Sprintf("httpcache: entry %q carries %d detections, cap is %d", e.Key, len(e.Dets), maxDetsPerEntry), http.StatusBadRequest)
-			return
-		}
-		keys[i] = k
-		vals[i] = batchwire.FromWire(e.Dets)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	if err := store.PutBatch(r.Context(), keys, vals); err != nil {
 		http.Error(w, fmt.Sprintf("httpcache: store: %v", err), http.StatusInternalServerError)
+		return
+	}
+	if frame {
+		proto.RespondFrame(w, func(b []byte) ([]byte, error) {
+			return binary.AppendUvarint(append(b, batchwire.Version), uint64(len(keys))), nil
+		})
 		return
 	}
 	proto.Respond(w, putResponse{Stored: len(keys)})

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -79,8 +80,8 @@ func TestClientServerRoundTrip(t *testing.T) {
 }
 
 // TestFloatRoundTrip: arbitrary float64 box coordinates and scores survive
-// the JSON wire bit-exactly (Go emits shortest-round-trip encodings), which
-// is what keeps remote-tier results byte-identical to paid inference.
+// the wire bit-exactly (the frame carries their IEEE-754 bits), which is
+// what keeps remote-tier results byte-identical to paid inference.
 func TestFloatRoundTrip(t *testing.T) {
 	c, _, _ := loopback(t)
 	ctx := context.Background()
@@ -198,8 +199,8 @@ func Test4xxTerminal(t *testing.T) {
 // a protocol error, not silently misaligned data.
 func TestEntryCountMismatch(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"entries":[]}`)
+		w.Header().Set("Content-Type", batchwire.MediaType)
+		w.Write([]byte{batchwire.Version, 0, 0}) // no entries, no detections
 	}))
 	defer srv.Close()
 	c, err := New(Config{Endpoint: srv.URL, Retries: -1})
@@ -415,5 +416,204 @@ func TestTieredOverLoopback(t *testing.T) {
 	}
 	if fills.Load() != 1 {
 		t.Fatalf("%d detector fills across two users, want 1", fills.Load())
+	}
+}
+
+// TestShortPutAcknowledgement: a server that acknowledges fewer entries than
+// it was sent has not stored what the caller believes; the put fails, and a
+// Tiered store counts it as a dropped write-through.
+func TestShortPutAcknowledgement(t *testing.T) {
+	short, hits := canned([]byte{batchwire.Version, 1}, -1)
+	c, err := New(Config{Endpoint: "http://cache", HTTPClient: short, Retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	keys := []cachestore.Key{{Content: 5, Class: "car", Frame: 0}, {Content: 5, Class: "car", Frame: 1}}
+	vals := [][]backend.Detection{dets(0), nil}
+	if err := c.PutBatch(ctx, keys, vals); err == nil || !strings.Contains(err.Error(), "httpcache: server acknowledged 1 of 2 entries") {
+		t.Fatalf("PutBatch err = %v, want the short acknowledgement", err)
+	}
+	if st := c.Stats(); st.Puts != 0 || st.Requests != 1 {
+		t.Fatalf("stats = %+v, want no successful put over one request", st)
+	}
+	tier := cachestore.NewTiered(cachestore.NewLocal(64), c)
+	if err := tier.PutBatch(ctx, keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	if st := tier.Stats(); st.L2PutErrors != 1 || hits.Load() != 2 {
+		t.Fatalf("tier stats = %+v after %d requests, want one dropped write-through", st, hits.Load())
+	}
+}
+
+// TestFrameVersionTracksKeyVersion: the binary key carries no version of
+// its own, so the frame's version byte must move with the JSON key's.
+func TestFrameVersionTracksKeyVersion(t *testing.T) {
+	if want := fmt.Sprintf("v%d:", batchwire.Version); !strings.HasPrefix(cachestore.Key{}.Encode(), want) {
+		t.Fatalf("key %q does not carry frame version %d", cachestore.Key{}.Encode(), batchwire.Version)
+	}
+}
+
+// postCodec posts body to a handler's path under ctype.
+func postCodec(h http.Handler, path, ctype string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	req.Header.Set("Content-Type", ctype)
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestCodecsAgree: the same puts and lookups sent as JSON and as binary
+// frames store and return the same detections, bit for bit, and every
+// rejection is a 400 in both codecs.
+func TestCodecsAgree(t *testing.T) {
+	floats := backend.Detection{Frame: 3, Class: "car",
+		Box:   backend.Box{X1: 0.1 + 0.2, Y1: 1.0 / 3.0, X2: 0.30000000000000004, Y2: 1e-17},
+		Score: 0.123456789012345678, TruthID: -1}
+	odd := backend.Detection{Frame: 4, Class: "truck",
+		Box:   backend.Box{X1: math.SmallestNonzeroFloat64, Y1: math.Copysign(0, -1), X2: math.MaxFloat64, Y2: 5e-324},
+		Score: 1, TruthID: math.MaxInt32}
+	keys := []cachestore.Key{{Content: 1, Class: "car", Frame: 3}, {Content: 1, Class: "car", Frame: 4}, {Content: 2, Class: "a:b", Frame: 0}}
+	vals := [][]backend.Detection{{floats, odd}, nil, {{Frame: 0, Class: "a:b", Box: backend.Box{X1: 1, Y1: 2, X2: 3, Y2: 4}, Score: 0.5, TruthID: 9}}}
+	probe := append(append([]cachestore.Key(nil), keys...), cachestore.Key{Content: 9, Class: "car", Frame: 1})
+
+	jsonPut := putRequest{}
+	for i, k := range keys {
+		jsonPut.Entries = append(jsonPut.Entries, putEntry{Key: k.Encode(), Dets: batchwire.ToWire(vals[i])})
+	}
+	binPut, err := appendPutRequest(nil, keys, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonGet := getRequest{}
+	for _, k := range probe {
+		jsonGet.Keys = append(jsonGet.Keys, k.Encode())
+	}
+	binGet := appendGetRequest(nil, probe)
+
+	// Each store is written in one codec and read in both.
+	for _, putCodec := range codecs {
+		h := Handler(cachestore.NewLocal(64))
+		body := binPut
+		if putCodec != batchwire.MediaType {
+			body = mustJSON(jsonPut)
+		}
+		if rec := postCodec(h, "/put", putCodec, body); rec.Code != http.StatusOK {
+			t.Fatalf("%s put: status %d: %s", putCodec, rec.Code, rec.Body.Bytes())
+		}
+		var fromJSON getResponse
+		if rec := postCodec(h, "/get", "application/json", mustJSON(jsonGet)); rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &fromJSON) != nil {
+			t.Fatalf("%s put, JSON get: status %d: %s", putCodec, rec.Code, rec.Body.Bytes())
+		}
+		rec := postCodec(h, "/get", batchwire.MediaType, binGet)
+		fromFrame := make([]cachestore.Entry, len(probe))
+		if err := decodeEntries(rec.Body.Bytes(), probe, fromFrame); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("%s put, binary get: status %d, %v", putCodec, rec.Code, err)
+		}
+		for i := range probe {
+			var want []backend.Detection
+			if i < len(vals) {
+				want = batchwire.PinFrame(keys[i].Frame, vals[i]) // as Local stores them
+			}
+			found := i < len(keys)
+			j := fromJSON.Entries[i]
+			if fromFrame[i].Found != found || j.Found != found ||
+				!sameDetections(fromFrame[i].Dets, want) || !sameDetections(batchwire.FromWire(j.Dets), want) {
+				t.Errorf("%s put, key %d: binary %+v, JSON %+v, want found=%v %+v", putCodec, i, fromFrame[i], j, found, want)
+			}
+		}
+	}
+
+	good := keys[0]
+	bad := cachestore.Key{Content: 1, Class: "car", Frame: -1}
+	many := make([]cachestore.Key, maxKeysPerRequest+1)
+	big := [][]backend.Detection{make([]backend.Detection, maxDetsPerEntry+1)}
+	for i := range big[0] {
+		big[0][i] = dets(good.Frame)[0]
+	}
+	getJSON := func(ks ...string) []byte { return mustJSON(getRequest{Keys: ks}) }
+	putJSON := func(k string, d []backend.Detection) []byte {
+		return mustJSON(putRequest{Entries: []putEntry{{Key: k, Dets: batchwire.ToWire(d)}}})
+	}
+	putFrame := func(ks []cachestore.Key, vs [][]backend.Detection) []byte {
+		b, err := appendPutRequest(nil, ks, vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	manyJSON := make([]string, len(many))
+	var manyPut putRequest
+	for i := range many {
+		many[i] = cachestore.Key{Content: 1, Class: "car", Frame: int64(i)}
+		manyJSON[i] = many[i].Encode()
+		manyPut.Entries = append(manyPut.Entries, putEntry{Key: manyJSON[i]})
+	}
+	goodGet, goodPut := appendGetRequest(nil, []cachestore.Key{good}), putFrame([]cachestore.Key{good}, [][]backend.Detection{nil})
+	rejections := []struct {
+		name, path  string
+		json, frame []byte
+	}{
+		{"no keys", "/get", getJSON(), appendGetRequest(nil, nil)},
+		{"no entries", "/put", []byte(`{"entries":[]}`), putFrame(nil, nil)},
+		{"over maxKeysPerRequest", "/get", getJSON(manyJSON...), appendGetRequest(nil, many)},
+		{"over maxKeysPerRequest", "/put", mustJSON(manyPut), putFrame(many, make([][]backend.Detection, len(many)))},
+		{"over maxDetsPerEntry", "/put", putJSON(good.Encode(), big[0]), putFrame([]cachestore.Key{good}, big)},
+		{"negative frame", "/get", getJSON("v1:0000000000000001:-1:car"), appendGetRequest(nil, []cachestore.Key{bad})},
+		{"negative frame", "/put", putJSON("v1:0000000000000001:-1:car", nil), putFrame([]cachestore.Key{bad}, [][]backend.Detection{nil})},
+		{"bad version", "/get", getJSON("v9:0000000000000001:0:car"), append([]byte{batchwire.Version + 1}, goodGet[1:]...)},
+		{"bad version", "/put", putJSON("v9:0000000000000001:0:car", nil), append([]byte{batchwire.Version + 1}, goodPut[1:]...)},
+		{"trailing bytes", "/get", append(getJSON(good.Encode()), " {}"...), append(goodGet, 0)},
+		{"trailing bytes", "/put", append(putJSON(good.Encode(), nil), " {}"...), append(goodPut, 0)},
+	}
+	for _, tc := range rejections {
+		store := cachestore.NewLocal(64)
+		h := Handler(store)
+		if rec := postCodec(h, tc.path, "application/json", tc.json); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s %s: JSON status %d, want 400", tc.name, tc.path, rec.Code)
+		}
+		if rec := postCodec(h, tc.path, batchwire.MediaType, tc.frame); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s %s: frame status %d, want 400", tc.name, tc.path, rec.Code)
+		}
+		if got, _ := store.GetBatch(context.Background(), []cachestore.Key{good}); got[0].Found {
+			t.Errorf("%s %s: a rejected request wrote to the store", tc.name, tc.path)
+		}
+	}
+}
+
+func mustJSON(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// TestFrameDecodeAllocs: decoding an n-key lookup into the caller's entries
+// costs one detection slab, however many keys and detections it carries.
+func TestFrameDecodeAllocs(t *testing.T) {
+	for _, tc := range []struct{ keys, perKey int }{{1, 1}, {4, 1}, {256, 8}, {256, 64}} {
+		keys := make([]cachestore.Key, tc.keys)
+		entries := make([]cachestore.Entry, tc.keys)
+		for i := range keys {
+			keys[i] = cachestore.Key{Content: 7, Class: "car", Frame: int64(i)}
+			entries[i].Found = i%4 != 3
+			for j := 0; entries[i].Found && j < tc.perKey; j++ {
+				entries[i].Dets = append(entries[i].Dets, backend.Detection{Frame: int64(i), Class: "car", Box: backend.Box{X1: 1, Y1: 2, X2: 3, Y2: 4}, Score: 0.5, TruthID: j})
+			}
+		}
+		body, err := appendEntries(nil, keys, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]cachestore.Entry, len(keys))
+		got := testing.AllocsPerRun(50, func() {
+			if err := decodeEntries(body, keys, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 1 {
+			t.Errorf("%d keys × %d detections: %v allocations per decode, want 1", tc.keys, tc.perKey, got)
+		}
 	}
 }

@@ -1,8 +1,47 @@
-// Package batchwire is the one wire under the module's two batched JSON
+// Package batchwire is the one wire under the module's two batched
 // protocols: backend/httpbatch (frames in, detections out) and
 // cachestore/httpcache (keys in, entries out; entries in, count out). Those
 // packages own their request/response shapes, their own validation and their
 // Stats; everything the protocols share is decided here, once.
+//
+// # Codecs
+//
+// Each protocol has two codecs over one in-memory request. The Go clients
+// speak only the binary frame, Content-Type MediaType
+// ("application/x-exsample-frame"): they cannot talk to a JSON-only server.
+// The handlers pick the codec from the request's Content-Type — the frame
+// for MediaType, JSON for anything else — and answer in the same one, so
+// curl and non-Go callers keep the documented JSON protocol.
+//
+// # Frame
+//
+// A frame is one HTTP body: the version byte (Version, 1), then the
+// protocol's message, with nothing after it. The message is built from
+//
+//	uvarint   unsigned LEB128, as encoding/binary.AppendUvarint
+//	varint    zigzag-encoded signed LEB128, as encoding/binary.AppendVarint
+//	uint64    8 bytes, little-endian
+//	float64   8 bytes, little-endian IEEE-754 bits; NaN and ±Inf refused
+//	string    uvarint byte length, then the bytes
+//
+// and, shared by both protocols, the detection list of one entry (a frame's
+// results, a cache key's value), relative to the entry's class and frame:
+//
+//	m         uvarint detection count
+//	m times:
+//	  class   uvarint tag: 0 = the entry's class; k+1 = a k-byte label follows
+//	  frame   varint: the detection's frame minus the entry's frame
+//	  box     4 float64: x1, y1, x2, y2
+//	  score   float64
+//	  truth   varint truth id (-1 when unknown)
+//
+// A detection is at least MinDetectionBytes (43) long. A message that
+// carries detection lists declares their total first, as a uvarint, and
+// the lists must add up to it; the decoder allocates one slab of that many
+// detections per message and hands each entry a cap-clipped window of it.
+// Every count is checked against the bytes left before anything is
+// allocated, so decoding never allocates more than the body's length
+// bounds. The protocol packages' docs give their message layouts.
 //
 // # Client discipline
 //
@@ -34,22 +73,27 @@
 // # Handler discipline
 //
 // A protocol's http.Handler is assembled from Proto.PostOnly (405 otherwise),
-// Proto.Decode (body bounded by MaxRequestBytes, decode-or-400) and
-// Proto.Respond (encode into a pooled buffer, then one write; an encode
-// failure is a 500, never a half-written body).
+// Proto.Decode (body bounded by MaxRequestBytes, codec by Content-Type,
+// decode-or-400, trailing data refused in both codecs) and Proto.Respond or
+// Proto.RespondFrame (encode into a pooled buffer, then one write; an encode
+// failure is a 500, never a half-written body). Between decode and encode a
+// handler runs one validation and one backend or store call, whatever the
+// codec.
 //
 // # Detections
 //
-// Detection is the one wire form of a detection; ToWire and FromWire are the
+// Detection is the JSON form of a detection; ToWire and FromWire are the
 // only code that maps between it and backend.Detection, the one in-memory
-// form, and PinFrame is the one place a result's Frame is forced to the
-// frame it was requested or stored for.
+// form, as AppendDetections and Reader.Detections are for the frame.
+// PinFrame is the one place a result's Frame is forced to the frame it was
+// requested or stored for.
 package batchwire
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -82,13 +126,13 @@ type Config struct {
 }
 
 // MaxResponseBytes bounds the 200 body a Client reads. It must fit any
-// response a conforming server produces for the largest batch a client
-// sends. The larger protocol is an httpcache lookup: a detection is under
-// 256 bytes on the wire (five shortest-round-trip floats, two integers, the
-// field names, a class label), so 64 MiB holds httpcache's default 256-key
-// batch with every entry at the server's 1024-detection cap
-// (256 × 1024 × 256 B), and equally the server's 4096-key request cap at 64
-// detections per frame. An httpbatch response (32 frames by default, plus
+// frame a conforming server produces for the largest batch a client sends.
+// The larger protocol is an httpcache lookup: a detection takes 43 bytes in
+// the frame when its class is the key's (MinDetectionBytes), so httpcache's
+// default 256-key batch with every entry at the server's 1024-detection cap
+// is 11 MiB (256 × 1024 × 43 B), and so is the server's 4096-key request cap
+// at 64 detections per frame; 64 MiB leaves room for detections that carry
+// their own class label. An httpbatch response (32 frames by default, plus
 // one float per frame) is orders of magnitude below either.
 const MaxResponseBytes = 64 << 20
 
@@ -151,24 +195,26 @@ func (c *Client) Counters() (requests, retries int64) {
 }
 
 // Post runs one exchange under the client discipline (see the package doc):
-// it POSTs body to url and decodes the 200 answer into into. The traffic is
+// it POSTs the frame body to url and hands the 200 answer to decode. decode
+// reads a pooled buffer that is recycled once it returns, so it must copy
+// whatever it keeps; its error is a terminal protocol error. The traffic is
 // counted whether or not the call succeeds.
 //
 // body must be a fresh allocation the caller does not reuse: net/http's
 // transport may keep reading (or closing) the body reader from its own
 // goroutine after Do returns — on failed attempts, and in edge cases (early
 // server response) even on successful ones — so nothing here can prove the
-// backing array is free again. Request bodies are tiny (~20 bytes per frame
-// or ~45 per key); the recycled buffers are the response reads and the
+// backing array is free again. Request bodies are tiny (a few bytes per
+// frame, ~20 per key); the recycled buffers are the response reads and the
 // handlers' encodes, whose lifetimes are synchronous.
-func (c *Client) Post(ctx context.Context, url string, body []byte, into any) error {
+func (c *Client) Post(ctx context.Context, url string, body []byte, decode func([]byte) error) error {
 	select {
 	case c.sem <- struct{}{}:
 		defer func() { <-c.sem }()
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	attempts, err := c.retry(ctx, url, body, into)
+	attempts, err := c.retry(ctx, url, body, decode)
 	c.mu.Lock()
 	c.requests += attempts
 	c.retries += attempts - 1
@@ -177,9 +223,9 @@ func (c *Client) Post(ctx context.Context, url string, body []byte, into any) er
 }
 
 // retry is the attempt loop. It reports how many attempts it issued.
-func (c *Client) retry(ctx context.Context, url string, body []byte, into any) (int64, error) {
+func (c *Client) retry(ctx context.Context, url string, body []byte, decode func([]byte) error) (int64, error) {
 	for attempts := int64(1); ; attempts++ {
-		retryable, err := c.attempt(ctx, url, body, into)
+		retryable, err := c.attempt(ctx, url, body, decode)
 		if err == nil || !retryable || attempts > int64(c.cfg.Retries) || ctx.Err() != nil {
 			return attempts, err
 		}
@@ -206,20 +252,21 @@ func (c *Client) retry(ctx context.Context, url string, body []byte, into any) (
 type scratch struct {
 	buf   bytes.Buffer
 	limit io.LimitedReader
+	frame []byte // a handler's binary response
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // attempt issues one HTTP request. retryable reports whether a failure is
 // worth retrying.
-func (c *Client) attempt(ctx context.Context, url string, body []byte, into any) (retryable bool, err error) {
+func (c *Client) attempt(ctx context.Context, url string, body []byte, decode func([]byte) error) (retryable bool, err error) {
 	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return false, fmt.Errorf("%s: build request: %w", c.proto, err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", MediaType)
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
 		// Attribute the failure to the caller's cancellation when that is
@@ -239,8 +286,8 @@ func (c *Client) attempt(ctx context.Context, url string, body []byte, into any)
 	// (after a 200 status) stays a retryable transport failure and only a
 	// complete body that does not parse is a protocol error. The read is
 	// bounded — a declared length over the limit is refused unread, an
-	// undeclared one after limit+1 bytes — and pooled: json.Unmarshal copies
-	// what the result keeps.
+	// undeclared one after limit+1 bytes — and pooled: decode copies what the
+	// result keeps.
 	if resp.ContentLength > c.maxResponse {
 		return false, c.tooLarge()
 	}
@@ -259,7 +306,7 @@ func (c *Client) attempt(ctx context.Context, url string, body []byte, into any)
 	if int64(s.buf.Len()) > c.maxResponse {
 		return false, c.tooLarge()
 	}
-	if err := json.Unmarshal(s.buf.Bytes(), into); err != nil {
+	if err := decode(s.buf.Bytes()); err != nil {
 		return false, fmt.Errorf("%s: decode response: %w", c.proto, err)
 	}
 	return false, nil
@@ -270,8 +317,9 @@ func (c *Client) tooLarge() error {
 }
 
 // MaxRequestBytes bounds a request body a handler is willing to decode: far
-// above any sane batch (a frame is ~20 bytes on the wire, a key ~45), far
-// below anything that could pressure server memory.
+// above any sane batch (a frame is ~20 bytes in JSON and 1–5 in the binary
+// frame, a key ~45 and ~20), far below anything that could pressure server
+// memory.
 const MaxRequestBytes = 8 << 20
 
 // PostOnly reports whether r is a POST; any other method is answered 405.
@@ -283,15 +331,36 @@ func (p Proto) PostOnly(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// Decode reads r's body, bounded by MaxRequestBytes, into req. It reports
-// whether the handler may go on; a body that is oversized or does not parse
-// is answered 400.
-func (p Proto) Decode(w http.ResponseWriter, r *http.Request, req any) bool {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(req); err != nil {
-		http.Error(w, fmt.Sprintf("%s: bad request: %v", p, err), http.StatusBadRequest)
-		return false
+// Decode reads r's body, bounded by MaxRequestBytes, in the codec its
+// Content-Type names: a binary frame (MediaType) is handed whole to frame,
+// anything else decodes as one JSON value into into, with nothing but
+// whitespace after it. frame reads a pooled buffer and must copy what it
+// keeps. Decode reports whether the request spoke the frame — the codec the
+// answer must use — and whether the handler may go on; a body that is
+// oversized or does not parse is answered 400.
+func (p Proto) Decode(w http.ResponseWriter, r *http.Request, into any, frame func([]byte) error) (binary, ok bool) {
+	body := http.MaxBytesReader(w, r.Body, MaxRequestBytes)
+	var err error
+	if binary = isFrame(r); binary {
+		s := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(s)
+		s.buf.Reset()
+		if _, err = s.buf.ReadFrom(body); err == nil {
+			err = frame(s.buf.Bytes())
+		}
+	} else {
+		dec := json.NewDecoder(body)
+		if err = dec.Decode(into); err == nil {
+			if _, end := dec.Token(); end != io.EOF {
+				err = errors.New("trailing data after the JSON value")
+			}
+		}
 	}
-	return true
+	if err != nil {
+		http.Error(w, fmt.Sprintf("%s: bad request: %v", p, err), http.StatusBadRequest)
+		return binary, false
+	}
+	return binary, true
 }
 
 // Respond answers 200 with resp as JSON. It encodes into a pooled buffer
@@ -307,4 +376,20 @@ func (p Proto) Respond(w http.ResponseWriter, resp any) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(s.buf.Bytes()) // a failed write means the peer is gone; nobody is left to tell
+}
+
+// RespondFrame answers 200 with the binary frame, version byte included,
+// that encode appends to an empty pooled buffer, under the same one-write,
+// 500-on-failure rule as Respond.
+func (p Proto) RespondFrame(w http.ResponseWriter, encode func([]byte) ([]byte, error)) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	b, err := encode(s.frame[:0])
+	s.frame = b[:0]
+	if err != nil {
+		http.Error(w, fmt.Sprintf("%s: encode response: %v", p, err), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", MediaType)
+	w.Write(b) // a failed write means the peer is gone; nobody is left to tell
 }

@@ -2,6 +2,7 @@ package batchwire
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -42,7 +43,7 @@ func transportError(msg string) step {
 // connection died after the status line.
 func resetMidBody() step {
 	return func(*http.Request) (*http.Response, error) {
-		body := io.MultiReader(strings.NewReader(`{"n":`), errReader{io.ErrUnexpectedEOF})
+		body := io.MultiReader(strings.NewReader(replyFrame(7, 8)[:4]), errReader{io.ErrUnexpectedEOF})
 		return &http.Response{StatusCode: 200, Status: "200 OK", Header: http.Header{}, Body: io.NopCloser(body), ContentLength: -1}, nil
 	}
 }
@@ -105,8 +106,21 @@ func newTestClient(t *testing.T, cfg Config, script ...step) (*Client, *endpoint
 	return c, ep, clock
 }
 
-type reply struct {
-	N int `json:"n"`
+// reply is the test protocol's answer: a frame holding a uvarint n and a
+// padding string, so a test can size a body to the byte.
+type reply struct{ N uint64 }
+
+func (p *reply) decode(b []byte) error {
+	r := NewReader(b)
+	p.N = r.Uvarint()
+	r.String("")
+	return r.Done()
+}
+
+// replyFrame encodes a reply of n with pad padding bytes: 3+pad bytes for n<128.
+func replyFrame(n uint64, pad int) string {
+	b := binary.AppendUvarint([]byte{Version}, n)
+	return string(AppendString(b, strings.Repeat("x", pad)))
 }
 
 func wantCounters(t *testing.T, c *Client, requests, retries int64) {
@@ -142,15 +156,15 @@ func TestRetriesOn5xxThenSucceeds(t *testing.T) {
 		name   string
 		script []step
 	}{
-		{"5xx twice", []step{status(500, "transient"), status(503, "still"), status(200, `{"n":7}`)}},
-		{"transport error", []step{transportError("connection refused"), status(200, `{"n":7}`)}},
-		{"reset mid-body", []step{resetMidBody(), status(200, `{"n":7}`)}},
+		{"5xx twice", []step{status(500, "transient"), status(503, "still"), status(200, replyFrame(7, 0))}},
+		{"transport error", []step{transportError("connection refused"), status(200, replyFrame(7, 0))}},
+		{"reset mid-body", []step{resetMidBody(), status(200, replyFrame(7, 0))}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c, ep, clock := newTestClient(t, Config{Retries: 2, RetryBackoff: 250 * time.Millisecond}, tc.script...)
 			var got reply
-			if err := c.Post(context.Background(), "http://endpoint/x", []byte(`{}`), &got); err != nil {
+			if err := c.Post(context.Background(), "http://endpoint/x", []byte(`{}`), got.decode); err != nil {
 				t.Fatal(err)
 			}
 			if got.N != 7 {
@@ -177,7 +191,7 @@ func TestRetriesOn5xxThenSucceeds(t *testing.T) {
 // attempts, and the last answer is the error.
 func TestRetriesAreBounded(t *testing.T) {
 	c, ep, _ := newTestClient(t, Config{Retries: 2}, status(503, "down"))
-	err := c.Post(context.Background(), "http://endpoint/x", []byte(`{}`), &reply{})
+	err := c.Post(context.Background(), "http://endpoint/x", []byte(`{}`), new(reply).decode)
 	if err == nil || !strings.Contains(err.Error(), "wiretest: endpoint returned 503 Service Unavailable: down") {
 		t.Fatalf("err = %v, want the endpoint's last answer", err)
 	}
@@ -191,7 +205,7 @@ func TestRetriesAreBounded(t *testing.T) {
 // for an endpoint that must never see the same batch twice.
 func TestRetriesMinusOneDisablesRetries(t *testing.T) {
 	c, ep, clock := newTestClient(t, Config{Retries: -1}, status(503, "down"))
-	if err := c.Post(context.Background(), "http://endpoint/x", []byte(`{}`), &reply{}); err == nil {
+	if err := c.Post(context.Background(), "http://endpoint/x", []byte(`{}`), new(reply).decode); err == nil {
 		t.Fatal("5xx did not fail the call")
 	}
 	if got := ep.hits.Load(); got != 1 {
@@ -207,7 +221,7 @@ func TestRetriesMinusOneDisablesRetries(t *testing.T) {
 // call at once — one request, no backoff, whatever Retries allows.
 func TestTerminalAnswers(t *testing.T) {
 	declared := func(r *http.Request) (*http.Response, error) {
-		resp, _ := status(200, `{"n":1}`)(r)
+		resp, _ := status(200, replyFrame(1, 0))(r)
 		resp.ContentLength = 65 // over the test's 64-byte bound, refused unread
 		return resp, nil
 	}
@@ -217,16 +231,16 @@ func TestTerminalAnswers(t *testing.T) {
 		wantErr string
 	}{
 		{"4xx", status(400, "no such class\n"), "wiretest: endpoint returned 400 Bad Request: no such class"},
-		{"corrupt 200", status(200, `{"n": not json`), "wiretest: decode response: "},
+		{"corrupt 200", status(200, "\x01\xff"), "wiretest: decode response: "},
 		{"empty 200", status(200, ``), "wiretest: decode response: "},
 		{"oversized 200, length declared", declared, "wiretest: response exceeds the 64-byte limit"},
-		{"oversized 200, length undeclared", status(200, `{"n":1}`+strings.Repeat(" ", 64)), "wiretest: response exceeds the 64-byte limit"},
+		{"oversized 200, length undeclared", status(200, replyFrame(1, 62)), "wiretest: response exceeds the 64-byte limit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c, ep, clock := newTestClient(t, Config{Retries: 5}, tc.answer)
 			c.maxResponse = 64
-			err := c.Post(context.Background(), "http://endpoint/x", []byte(`{}`), &reply{})
+			err := c.Post(context.Background(), "http://endpoint/x", []byte(`{}`), new(reply).decode)
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("err = %v, want %q", err, tc.wantErr)
 			}
@@ -240,10 +254,10 @@ func TestTerminalAnswers(t *testing.T) {
 		})
 	}
 	// A body of exactly the bound is served.
-	c, _, _ := newTestClient(t, Config{}, status(200, `{"n":1}`+strings.Repeat(" ", 57)))
+	c, _, _ := newTestClient(t, Config{}, status(200, replyFrame(1, 61)))
 	c.maxResponse = 64
 	var got reply
-	if err := c.Post(context.Background(), "http://endpoint/x", []byte(`{}`), &got); err != nil || got.N != 1 {
+	if err := c.Post(context.Background(), "http://endpoint/x", []byte(`{}`), got.decode); err != nil || got.N != 1 {
 		t.Fatalf("64-byte body under a 64-byte bound: %+v, %v", got, err)
 	}
 }
@@ -275,7 +289,7 @@ func TestDeadlineDuringBackoffIsTerminal(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c, ep, clock := newTestClient(t, Config{Retries: 10, RetryBackoff: 200 * time.Millisecond}, status(500, "boom"))
 			ctx := deadlineCtx{context.Background(), clock.now().Add(tc.remaining)}
-			err := c.Post(ctx, "http://endpoint/x", []byte(`{}`), &reply{})
+			err := c.Post(ctx, "http://endpoint/x", []byte(`{}`), new(reply).decode)
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 			}
@@ -304,7 +318,7 @@ func TestCancelDuringBackoffIsTerminal(t *testing.T) {
 		cancel() // the caller gives up while the client is backing off
 		return make(chan time.Time)
 	}
-	err := c.Post(ctx, "http://endpoint/x", []byte(`{}`), &reply{})
+	err := c.Post(ctx, "http://endpoint/x", []byte(`{}`), new(reply).decode)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -329,7 +343,7 @@ func TestPerEndpointConcurrencyCap(t *testing.T) {
 		entered <- struct{}{}
 		<-release
 		running.Add(-1)
-		return status(200, `{"n":1}`)(r)
+		return status(200, replyFrame(1, 0))(r)
 	}
 	c, ep, _ := newTestClient(t, Config{MaxConcurrent: limit}, gate)
 	var wg sync.WaitGroup
@@ -337,7 +351,7 @@ func TestPerEndpointConcurrencyCap(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := c.Post(context.Background(), "http://endpoint/x", []byte(`{}`), &reply{}); err != nil {
+			if err := c.Post(context.Background(), "http://endpoint/x", []byte(`{}`), new(reply).decode); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -349,7 +363,7 @@ func TestPerEndpointConcurrencyCap(t *testing.T) {
 	// through the context.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := c.Post(cancelled, "http://endpoint/x", []byte(`{}`), &reply{}); !errors.Is(err, context.Canceled) {
+	if err := c.Post(cancelled, "http://endpoint/x", []byte(`{}`), new(reply).decode); !errors.Is(err, context.Canceled) {
 		t.Fatalf("admission with both slots held and a cancelled context: err = %v, want context.Canceled", err)
 	}
 	if got := ep.hits.Load(); got != limit {
@@ -381,7 +395,7 @@ func TestAttemptContext(t *testing.T) {
 		}
 		c, ep, _ := newTestClient(t, Config{Timeout: time.Nanosecond, Retries: 1}, expire)
 		ctx := context.WithValue(context.Background(), ctxKey{}, "query-7")
-		err := c.Post(ctx, "http://endpoint/x", []byte(`{}`), &reply{})
+		err := c.Post(ctx, "http://endpoint/x", []byte(`{}`), new(reply).decode)
 		if !sawValue.Load() || !sawDeadline.Load() {
 			t.Fatalf("RoundTripper saw value=%v deadline=%v, want both", sawValue.Load(), sawDeadline.Load())
 		}
@@ -402,7 +416,7 @@ func TestAttemptContext(t *testing.T) {
 			return nil, r.Context().Err()
 		}
 		c, ep, clock := newTestClient(t, Config{Retries: 3}, abort)
-		err := c.Post(ctx, "http://endpoint/x", []byte(`{}`), &reply{})
+		err := c.Post(ctx, "http://endpoint/x", []byte(`{}`), new(reply).decode)
 		if !errors.Is(err, context.Canceled) || strings.HasPrefix(err.Error(), "wiretest: ") {
 			t.Fatalf("err = %v, want the caller's own context.Canceled, not a transport error", err)
 		}

@@ -2,7 +2,7 @@ package batchwire
 
 import "github.com/exsample/exsample/backend"
 
-// Detection is the wire form of one detection, the same in both protocols:
+// Detection is the JSON form of one detection, the same in both protocols:
 // a cache entry round-trips exactly what a remote detector would have
 // produced. truth_id is -1 when the sender does not know ground-truth
 // identity — the value real detectors report.

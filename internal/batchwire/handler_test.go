@@ -2,6 +2,7 @@ package batchwire
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -9,7 +10,8 @@ import (
 	"testing"
 )
 
-// echo is a minimal protocol handler assembled from the three shared pieces.
+// echo is a minimal protocol handler assembled from the shared pieces: it
+// answers x in the codec the request spoke.
 func echo(w http.ResponseWriter, r *http.Request) {
 	if !testProto.PostOnly(w, r) {
 		return
@@ -17,51 +19,87 @@ func echo(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		X float64 `json:"x"`
 	}
-	if !testProto.Decode(w, r, &req) {
+	frame, ok := testProto.Decode(w, r, &req, func(b []byte) error {
+		rd := NewReader(b)
+		req.X = rd.Float()
+		return rd.Done()
+	})
+	if !ok {
 		return
 	}
 	if req.X < 0 {
 		req.X = math.NaN() // not encodable: the response must become a 500
 	}
+	if frame {
+		testProto.RespondFrame(w, func(b []byte) ([]byte, error) { return AppendFloat(append(b, Version), req.X) })
+		return
+	}
 	testProto.Respond(w, map[string]float64{"x": req.X})
 }
 
+// xFrame is echo's binary request or answer for x.
+func xFrame(x float64) string {
+	return string(binary.LittleEndian.AppendUint64([]byte{Version}, math.Float64bits(x)))
+}
+
 // TestHandlerPieces: 405 for anything but POST, 400 for a body that does
-// not parse or exceeds MaxRequestBytes, 500 (and no partial body) when the
-// response cannot be encoded, one JSON write otherwise.
+// not parse, carries trailing data or exceeds MaxRequestBytes, 500 (and no
+// partial body) when the response cannot be encoded, one write in the
+// request's codec otherwise — the binary frame when the Content-Type names
+// it, JSON for anything else.
 func TestHandlerPieces(t *testing.T) {
 	cases := []struct {
-		name, method, body string
-		wantStatus         int
-		wantBody           string
+		name, method, ctype, body string
+		wantStatus                int
+		wantBody                  string
 	}{
-		{"get", http.MethodGet, ``, http.StatusMethodNotAllowed, "wiretest: POST only\n"},
-		{"put", http.MethodPut, `{"x":1}`, http.StatusMethodNotAllowed, "wiretest: POST only\n"},
-		{"not json", http.MethodPost, `{not json`, http.StatusBadRequest, "wiretest: bad request: "},
-		{"empty body", http.MethodPost, ``, http.StatusBadRequest, "wiretest: bad request: EOF\n"},
-		{"oversized body", http.MethodPost, `{"pad":"` + strings.Repeat("x", MaxRequestBytes) + `"}`, http.StatusBadRequest, "wiretest: bad request: http: request body too large\n"},
-		{"encode failure", http.MethodPost, `{"x":-1}`, http.StatusInternalServerError, "wiretest: encode response: json: unsupported value: NaN\n"},
-		{"ok", http.MethodPost, `{"x":1.5}`, http.StatusOK, `{"x":1.5}` + "\n"},
+		{"get", http.MethodGet, "", ``, http.StatusMethodNotAllowed, "wiretest: POST only\n"},
+		{"put", http.MethodPut, "", `{"x":1}`, http.StatusMethodNotAllowed, "wiretest: POST only\n"},
+		{"not json", http.MethodPost, "", `{not json`, http.StatusBadRequest, "wiretest: bad request: "},
+		{"empty body", http.MethodPost, "", ``, http.StatusBadRequest, "wiretest: bad request: EOF\n"},
+		{"oversized body", http.MethodPost, "", `{"pad":"` + strings.Repeat("x", MaxRequestBytes) + `"}`, http.StatusBadRequest, "wiretest: bad request: http: request body too large\n"},
+		{"encode failure", http.MethodPost, "", `{"x":-1}`, http.StatusInternalServerError, "wiretest: encode response: json: unsupported value: NaN\n"},
+		{"ok", http.MethodPost, "", `{"x":1.5}`, http.StatusOK, `{"x":1.5}` + "\n"},
+		{"json trailing whitespace", http.MethodPost, "application/json", `{"x":1.5}` + " \n", http.StatusOK, `{"x":1.5}` + "\n"},
+		{"json trailing data", http.MethodPost, "application/json", `{"x":1.5} {}`, http.StatusBadRequest, "wiretest: bad request: trailing data after the JSON value\n"},
+		{"frame ok", http.MethodPost, MediaType, xFrame(1.5), http.StatusOK, xFrame(1.5)},
+		{"frame with parameters", http.MethodPost, MediaType + "; charset=binary", xFrame(0.1), http.StatusOK, xFrame(0.1)},
+		{"frame empty", http.MethodPost, MediaType, ``, http.StatusBadRequest, "wiretest: bad request: truncated frame"},
+		{"frame bad version", http.MethodPost, MediaType, "\x02" + xFrame(1.5)[1:], http.StatusBadRequest, "wiretest: bad request: unsupported frame version 2 (want 1)\n"},
+		{"frame truncated", http.MethodPost, MediaType, xFrame(1.5)[:5], http.StatusBadRequest, "wiretest: bad request: truncated frame"},
+		{"frame trailing bytes", http.MethodPost, MediaType, xFrame(1.5) + "\x00", http.StatusBadRequest, "wiretest: bad request: 1 trailing bytes after the frame\n"},
+		{"frame non-finite", http.MethodPost, MediaType, xFrame(math.Inf(1)), http.StatusBadRequest, "wiretest: bad request: non-finite float +Inf\n"},
+		{"frame oversized", http.MethodPost, MediaType, strings.Repeat("x", MaxRequestBytes+1), http.StatusBadRequest, "wiretest: bad request: http: request body too large\n"},
+		{"frame encode failure", http.MethodPost, MediaType, xFrame(-1), http.StatusInternalServerError, "wiretest: encode response: non-finite float NaN\n"},
+		{"json read as frame", http.MethodPost, MediaType, `{"x":1.5}`, http.StatusBadRequest, "wiretest: bad request: unsupported frame version 123"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := httptest.NewRecorder()
-			echo(rec, httptest.NewRequest(tc.method, "/x", strings.NewReader(tc.body)))
+			req := httptest.NewRequest(tc.method, "/x", strings.NewReader(tc.body))
+			if tc.ctype != "" {
+				req.Header.Set("Content-Type", tc.ctype)
+			}
+			echo(rec, req)
 			if rec.Code != tc.wantStatus {
 				t.Fatalf("status %d, want %d (body %q)", rec.Code, tc.wantStatus, rec.Body.String())
 			}
 			if got := rec.Body.String(); !strings.HasPrefix(got, tc.wantBody) {
 				t.Fatalf("body %q, want it to start with %q", got, tc.wantBody)
 			}
-			if tc.wantStatus == http.StatusOK && rec.Header().Get("Content-Type") != "application/json" {
-				t.Fatalf("Content-Type %q", rec.Header().Get("Content-Type"))
+			wantType := "application/json"
+			if tc.ctype == MediaType || strings.HasPrefix(tc.ctype, MediaType+";") {
+				wantType = MediaType
+			}
+			if tc.wantStatus == http.StatusOK && rec.Header().Get("Content-Type") != wantType {
+				t.Fatalf("Content-Type %q, want %q", rec.Header().Get("Content-Type"), wantType)
 			}
 		})
 	}
 }
 
 // TestClientAgainstHandler crosses a real loopback socket once: the client
-// half and the handler half speak to each other.
+// half and the handler half speak the frame to each other.
 func TestClientAgainstHandler(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(echo))
 	defer srv.Close()
@@ -69,13 +107,16 @@ func TestClientAgainstHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got struct {
-		X float64 `json:"x"`
+	var got float64
+	decode := func(b []byte) error {
+		r := NewReader(b)
+		got = r.Float()
+		return r.Done()
 	}
-	if err := c.Post(context.Background(), srv.URL, []byte(`{"x":0.1}`), &got); err != nil || got.X != 0.1 {
-		t.Fatalf("round trip: %+v, %v", got, err)
+	if err := c.Post(context.Background(), srv.URL, []byte(xFrame(0.1)), decode); err != nil || got != 0.1 {
+		t.Fatalf("round trip: %v, %v", got, err)
 	}
-	err = c.Post(context.Background(), srv.URL, []byte(`{"x":-1}`), &got)
+	err = c.Post(context.Background(), srv.URL, []byte(xFrame(-1)), decode)
 	if err == nil || !strings.Contains(err.Error(), "wiretest: endpoint returned 500 Internal Server Error: wiretest: encode response") {
 		t.Fatalf("err = %v, want the handler's 500", err)
 	}
