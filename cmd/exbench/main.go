@@ -12,21 +12,22 @@
 //
 // -full runs fig3/fig4 at the paper's 16M-frame size (slow).
 //
-// -bench-out FILE skips the paper experiments and instead runs the engine
-// performance-trajectory suite (internal/perf): engine/sharded throughput,
-// sampler decision cost with allocation accounting, adaptive-vs-static
-// round sizing against a slow simulated backend, and fair-share vs
-// global-budget scheduling on a mixed fleet. The machine-readable snapshot
-// is written to FILE (and echoed to stdout when FILE is "-"); the
-// committed BENCH_engine.json and the CI artifact both come from this mode.
+// -bench-out FILE skips the paper experiments and instead runs the legacy
+// switch-pair suite (internal/perf): static vs adaptive round sizing
+// against a slow simulated backend, single-replica vs scatter-gather
+// routing over a heterogeneous fleet, fair-share vs global-budget
+// scheduling on a mixed fleet, and cache-aware sampling off vs on. The
+// machine-readable snapshot is written to FILE (and echoed to stdout when
+// FILE is "-"); the committed BENCH_engine.json and the CI artifact both
+// come from this mode.
 //
-// -bench-compare FILE runs the same suite fresh and compares its headline
-// throughput metrics (frames/s, results/kdetect) against the committed
-// snapshot in FILE for the low-noise gating rows (engine throughput and
-// the two scheduling arms), exiting nonzero when any gated metric
-// regresses by more than -bench-tolerance (default 0.25). Rows present on
-// only one side are reported and skipped, so the check survives suite
-// growth. This is the CI bench-regression smoke.
+// -bench-compare FILE runs the same suite fresh and checks it against the
+// committed snapshot in FILE through the per-row gate table (gates): each
+// row's gated metrics may not fall, nor its gated allocs_per_op rise, by
+// more than the row's tolerance (-bench-tolerance, default 0.25, unless
+// the table names another). A gated row or metric missing from either
+// side is an error too. This is the CI bench-regression gate; end-to-end
+// engine performance is measured by the benchmark/ harness instead.
 //
 // -cpuprofile / -memprofile write pprof profiles covering whichever mode
 // ran — paper experiment, suite snapshot or comparison — for digging into
@@ -53,8 +54,8 @@ func main() {
 		seed       = flag.Uint64("seed", 0, "seed override (0 = experiment default)")
 		full       = flag.Bool("full", false, "run fig3/fig4 at the paper's full 16M-frame size")
 		benchOut   = flag.String("bench-out", "", "write the engine perf-trajectory snapshot (BENCH_engine.json) to this file and exit (\"-\" = stdout)")
-		benchCmp   = flag.String("bench-compare", "", "run the perf-trajectory suite and fail on throughput regression against this committed snapshot")
-		benchTol   = flag.Float64("bench-tolerance", 0.25, "allowed fractional throughput regression for -bench-compare")
+		benchCmp   = flag.String("bench-compare", "", "run the perf-trajectory suite and fail on regression against this committed snapshot")
+		benchTol   = flag.Float64("bench-tolerance", 0.25, "allowed fractional regression for -bench-compare")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
@@ -115,95 +116,50 @@ func main() {
 	}
 }
 
-// compareMetrics are the headline throughput numbers the regression smoke
-// watches; higher is better for every one of them.
-var compareMetrics = []string{"frames/s", "results/kdetect", "vs-cold-x", "vs-single-x"}
-
-// compareMetricSkips suppresses gating for metrics that are reported for
-// context but too noisy to regress on. The warm shared-tier row keeps its
-// raw frames/s in the snapshot, but its wall time is dominated by loopback
-// HTTP latency that swings past the tolerance run to run; the acceptance
-// number is the warm/cold ratio (vs-cold-x), which divides out the shared
-// machine noise and is gated instead.
-var compareMetricSkips = map[string]map[string]bool{
-	"cache_second_user_warm": {"frames/s": true},
+// metricGate gates one higher-is-better metric of a row: the fresh value
+// may fall at most tol below the committed one (0 means -bench-tolerance).
+type metricGate struct {
+	name string
+	tol  float64
 }
 
-// compareMetricTols widens the tolerance for specific metrics. vs-cold-x
-// divides a loopback-HTTP-bound number by a sleep-bound one, so it swings
-// ~25% run to run even averaged over eight ops; what the gate must catch
-// is the remote tier silently not serving — which collapses the ratio to
-// ~1x, far past any tolerance — so a wide band loses nothing.
-// vs-single-x divides two sleep-bound numbers measured on the same
-// machine in the same process, so it is steadier, but both arms share the
-// scheduler's wall clock; a 0.30 band still catches the failure that
-// matters — scatter silently degrading to single-replica routing, which
-// drags the ratio to ~1x.
-var compareMetricTols = map[string]float64{"vs-cold-x": 0.45, "vs-single-x": 0.30}
-
-// compareRows are the suite rows stable enough to gate on: the end-to-end
-// engine throughput row, the two scheduling arms (whose detector-call
-// normalization makes them nearly noise-free), and the track-query accel
-// and dense arms — their results/kdetect is a deterministic count ratio,
-// so the accel row regressing toward the dense row's value means the
-// accelerate/refine loop stopped saving frames. The remaining rows
-// (sharded fan-out, stream ingest, coarse triage) swing past 20% run to
-// run on shared hardware and stay report-only.
-var compareRows = map[string]bool{
-	"engine_throughput_4q":           true,
-	"engine_fairshare_mixedfleet":    true,
-	"engine_globalbudget_mixedfleet": true,
-	"track_query_accel":              true,
-	"track_query_dense":              true,
-	// The shared-tier rows: cold pays simulated inference for every frame,
-	// warm resolves everything from a populated cache server. Both gate on
-	// frames/s; the warm row collapsing toward the cold row's value means
-	// the remote tier stopped serving.
-	"cache_second_user_cold": true,
-	"cache_second_user_warm": true,
-	// The cache-aware arms run a deterministic Workers-1 fleet and report
-	// only count ratios, so their results/kdetect is noise-free; the on
-	// row regressing toward the off row means tie-breaking stopped
-	// converting fleet overlap into cache hits.
-	"cache_aware_off": true,
-	"cache_aware_on":  true,
-	// The heterogeneous-fleet arms are sleep-bound like the slow-backend
-	// rows, so their frames/s is low-noise; the scatter row additionally
-	// gates vs-single-x, whose collapse toward 1x means scatter-gather
-	// stopped fanning batches out.
-	"hetero_fleet_single":  true,
-	"hetero_fleet_scatter": true,
-}
-
-// compareAllocRows gates allocs_per_op — lower is better — for the rows
-// whose allocation profile is deterministic enough to regress on: the
-// sampler decision micro-row (its steady state is pinned allocation-free by
-// CI AllocsPerRun guards; this catches drift in the setup path) and the two
-// scheduling arms, which run a fixed detector-call budget.
+// gates is the regression gate, one entry per BENCH_engine.json row in
+// suite order. Every row is a switch pair's arm; each lists the metrics
+// it gates and whether it also gates allocs_per_op (lower is better, held
+// to -bench-tolerance).
 //
-// Context for the scheduling arms' absolute values: the global-budget row
-// reports ~1.7x the fair-share row's allocs_per_op, which reads like a
-// regression but is inherent — the marginal-value allocator steers frames
-// at hot queries, so the same 6000-detector-call budget yields ~1.9x the
-// results, and every result carries discriminator/report allocations. Per
-// result the budget arm allocates ~9.0 objects against fair-share's ~9.8:
-// the budget path is the leaner of the two per unit of useful work, and
-// gating each row against its own committed baseline (rather than against
-// each other) is what keeps that inherent gap from tripping the smoke.
-var compareAllocRows = map[string]bool{
-	"sampler_decision_256":           true,
-	"engine_fairshare_mixedfleet":    true,
-	"engine_globalbudget_mixedfleet": true,
-	// The heterogeneous-fleet arms process a fixed 2048-frame budget over a
-	// fixed round schedule, so their allocation profile is as deterministic
-	// as the scheduling arms'; gating them pins the per-round cost of the
-	// weighted pick and the scatter fan-out (slice bookkeeping, goroutines).
-	"hetero_fleet_single":  true,
-	"hetero_fleet_scatter": true,
+// The slow-backend and hetero-fleet arms are bound by simulated sleeps, so
+// their frames/s is low-noise. vs-single-x divides two sleep-bound numbers
+// that share the scheduler's wall clock; a 0.30 band still catches the
+// failure that matters, scatter silently degrading to single-replica
+// routing, which drags the ratio to ~1x. The scheduling and cache-aware
+// arms gate results/kdetect, a count ratio at a fixed detector budget
+// (the cache-aware arms run Workers 1, so theirs is deterministic).
+//
+// Allocations are gated where the schedule is fixed: the fleet arms
+// process a fixed 2048-frame budget over a fixed round schedule, and the
+// scheduling arms a fixed detector-call budget. The global-budget arm
+// allocates ~1.7x the fair-share arm per op because it finds ~1.9x the
+// results and every result carries discriminator and report allocations;
+// each row is gated against its own committed value, not against its
+// pair, so that inherent gap never trips the gate.
+var gates = []struct {
+	row     string
+	metrics []metricGate
+	allocs  bool
+}{
+	{"engine_static_slowbackend", []metricGate{{"frames/s", 0}}, false},
+	{"engine_adaptive_slowbackend", []metricGate{{"frames/s", 0}}, false},
+	{"hetero_fleet_single", []metricGate{{"frames/s", 0}}, true},
+	{"hetero_fleet_scatter", []metricGate{{"frames/s", 0}, {"vs-single-x", 0.30}}, true},
+	{"engine_fairshare_mixedfleet", []metricGate{{"results/kdetect", 0}}, true},
+	{"engine_globalbudget_mixedfleet", []metricGate{{"results/kdetect", 0}}, true},
+	{"cache_aware_off", []metricGate{{"results/kdetect", 0}}, false},
+	{"cache_aware_on", []metricGate{{"results/kdetect", 0}}, false},
 }
 
-// compareBench runs the perf suite fresh and fails when any watched metric
-// of any row shared with the committed snapshot regresses by more than tol.
+// compareBench runs the perf suite fresh, prints the gate's report and
+// fails when compare does.
 func compareBench(path string, tol float64) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -217,57 +173,80 @@ func compareBench(path string, tol float64) error {
 	if err != nil {
 		return err
 	}
-	freshByName := make(map[string]perf.Result, len(fresh.Suite))
-	for _, r := range fresh.Suite {
-		freshByName[r.Name] = r
+	lines, err := compare(&committed, fresh, tol)
+	for _, l := range lines {
+		fmt.Println(l)
 	}
-	var failures int
-	for _, want := range committed.Suite {
-		if !compareRows[want.Name] {
-			continue
+	if err != nil {
+		return fmt.Errorf("against %s: %w", path, err)
+	}
+	return nil
+}
+
+// compare checks every gate of fresh against committed. It returns one
+// report line per gated number and an error counting the failures: a
+// gated number past its tolerance, or a gated row or metric missing from
+// either snapshot.
+func compare(committed, fresh *perf.Snapshot, tol float64) ([]string, error) {
+	byName := func(s *perf.Snapshot) map[string]perf.Result {
+		m := make(map[string]perf.Result, len(s.Suite))
+		for _, r := range s.Suite {
+			m[r.Name] = r
 		}
-		got, ok := freshByName[want.Name]
+		return m
+	}
+	wantRows, gotRows := byName(committed), byName(fresh)
+	var lines []string
+	failures := 0
+	report := func(row, metric string, base, cur float64, regressed bool) {
+		status := "ok"
+		if regressed {
+			status = "REGRESSION"
+			failures++
+		}
+		lines = append(lines, fmt.Sprintf("%-32s %-16s %12.2f -> %12.2f  (%+5.1f%%)  %s",
+			row, metric, base, cur, (cur/base-1)*100, status))
+	}
+	missing := func(row, what string) {
+		lines = append(lines, fmt.Sprintf("%-32s %-16s MISSING", row, what))
+		failures++
+	}
+	for _, g := range gates {
+		want, ok := wantRows[g.row]
 		if !ok {
-			fmt.Printf("%-32s committed row missing from fresh suite, skipped\n", want.Name)
+			missing(g.row, "committed row")
 			continue
 		}
-		for _, metric := range compareMetrics {
-			if compareMetricSkips[want.Name][metric] {
-				continue
-			}
-			base, ok := want.Metrics[metric]
-			if !ok || base <= 0 {
-				continue
-			}
-			cur := got.Metrics[metric]
-			ratio := cur / base
-			mtol := tol
-			if t, ok := compareMetricTols[metric]; ok {
-				mtol = t
-			}
-			status := "ok"
-			if ratio < 1-mtol {
-				status = "REGRESSION"
-				failures++
-			}
-			fmt.Printf("%-32s %-16s %12.0f -> %12.0f  (%+5.1f%%)  %s\n",
-				want.Name, metric, base, cur, (ratio-1)*100, status)
+		got, ok := gotRows[g.row]
+		if !ok {
+			missing(g.row, "fresh row")
+			continue
 		}
-		if compareAllocRows[want.Name] && want.AllocsPerOp > 0 {
-			ratio := got.AllocsPerOp / want.AllocsPerOp
-			status := "ok"
-			if ratio > 1+tol {
-				status = "REGRESSION"
-				failures++
+		for _, m := range g.metrics {
+			base, cur := want.Metrics[m.name], got.Metrics[m.name]
+			if base <= 0 || cur <= 0 {
+				missing(g.row, m.name)
+				continue
 			}
-			fmt.Printf("%-32s %-16s %12.0f -> %12.0f  (%+5.1f%%)  %s\n",
-				want.Name, "allocs_per_op", want.AllocsPerOp, got.AllocsPerOp, (ratio-1)*100, status)
+			mtol := tol
+			if m.tol > 0 {
+				mtol = m.tol
+			}
+			report(g.row, m.name, base, cur, cur < base*(1-mtol))
+		}
+		if g.allocs {
+			if want.AllocsPerOp <= 0 {
+				missing(g.row, "allocs_per_op")
+				continue
+			}
+			report(g.row, "allocs_per_op", want.AllocsPerOp, got.AllocsPerOp,
+				got.AllocsPerOp > want.AllocsPerOp*(1+tol))
 		}
 	}
 	if failures > 0 {
-		return fmt.Errorf("%d metric(s) regressed more than %.0f%% against %s", failures, tol*100, path)
+		return lines, fmt.Errorf("%d gated number(s) regressed past tolerance or went missing", failures)
 	}
-	return nil
+	return lines, nil
 }
 
 // writeBench runs the perf-trajectory suite and writes the JSON snapshot.

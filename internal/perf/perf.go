@@ -1,26 +1,26 @@
-// Package perf is the machine-readable performance trajectory behind
-// BENCH_engine.json: a small, fixed suite of end-to-end engine benchmarks
-// (throughput, sharded fan-out, sampler decision cost, adaptive-vs-static
-// round sizing) measured with explicit op counts and allocation accounting.
+// Package perf is the legacy switch-pair suite behind BENCH_engine.json:
+// four pairs of end-to-end engine runs that differ in exactly one switch —
+// static vs adaptive round sizing against a slow backend, single-replica
+// routing vs scatter-gather over a heterogeneous fleet, fair-share vs
+// global-budget scheduling on a mixed fleet, and cache-aware sampling off
+// vs on — measured with explicit op counts and allocation accounting.
 //
-// It exists separately from the go-test benchmarks so cmd/exbench can run
-// the suite from a plain binary (`exbench -bench-out BENCH_engine.json`)
-// and CI can upload the snapshot as an artifact; the go-test benchmarks
-// remain the interactive, -benchmem-friendly view of the same paths.
+// cmd/exbench runs it from a plain binary (`exbench -bench-out` writes the
+// snapshot, `exbench -bench-compare` gates a fresh run against the
+// committed one). Everything else about engine performance is measured by
+// the benchmark/ harness, which compares parent against change with
+// spread; these pairs stay here until that harness can express a switch.
 package perf
 
 import (
 	"context"
 	"fmt"
-	"net/http/httptest"
 	"runtime"
 	"time"
 
 	exsample "github.com/exsample/exsample"
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/backend/router"
-	"github.com/exsample/exsample/cachestore"
-	"github.com/exsample/exsample/cachestore/httpcache"
 )
 
 // Result is one benchmark's snapshot entry.
@@ -229,209 +229,17 @@ func budgetOp(dsHot, dsCold *exsample.Dataset, opts exsample.EngineOptions, seed
 	return m, nil
 }
 
-// streamOp runs one full live-ingest cycle: a standing query over a
-// segment ring, a writer appending segments (half of them dead) at the
-// consumption rate — each append issued at the previous park boundary —
-// and a cancel once the schedule drains. Reported metrics are alerts/s
-// (distinct objects surfaced per wall second), frames/op and the charged
-// gate probe cost.
-func streamOp(threshold float64, seedBase uint64) (map[string]float64, error) {
-	const framesEach = 1000
-	const appends = 6
-	mk := func(seed uint64, dead bool) (*exsample.Dataset, error) {
-		spec := exsample.SynthSpec{
-			NumFrames:    framesEach,
-			NumInstances: 40,
-			Class:        "car",
-			MeanDuration: 100,
-			SkewFraction: 1.0 / 8,
-			ChunkFrames:  framesEach / 8,
-			Seed:         seed,
-		}
-		if dead {
-			spec.NumInstances = 1
-			spec.MeanDuration = 1
-		}
-		return exsample.Synthesize(spec)
-	}
-	first, err := mk(seedBase, false)
-	if err != nil {
-		return nil, err
-	}
-	s, err := exsample.NewStreamSource(
-		exsample.StreamConfig{Retention: 4, MotionThreshold: threshold}, first)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := exsample.NewEngine(exsample.EngineOptions{
-		Workers:        4,
-		FramesPerRound: 4,
-		EventBuffer:    1 << 15,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	start := time.Now()
-	h, err := eng.SubmitStanding(context.Background(), s,
-		exsample.Query{Class: "car"}, exsample.Options{Seed: seedBase})
-	if err != nil {
-		return nil, err
-	}
-	waitPark := func() {
-		for !h.Parked() {
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	waitPark()
-	for a := 1; a <= appends; a++ {
-		seg, err := mk(seedBase+uint64(a), a%2 == 0)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := s.Append(seg); err != nil {
-			return nil, err
-		}
-		waitPark()
-	}
-	h.Cancel()
-	rep, err := h.Wait()
-	if err != nil && err != context.Canceled {
-		return nil, err
-	}
-	secs := time.Since(start).Seconds()
-	m := map[string]float64{
-		"frames/op": float64(rep.FramesProcessed),
-		"alerts/op": float64(len(rep.Results)),
-		"gate-s/op": s.StreamStats().GateSeconds,
-	}
-	if secs > 0 {
-		m["alerts/s"] = float64(len(rep.Results)) / secs
-		m["frames/s"] = float64(rep.FramesProcessed) / secs
-	}
-	return m, nil
-}
-
-// trackOp runs one track-predicate query through the engine over the
-// sparse moving-object scene and reports detector frames, matched tracks,
-// wall throughput and the realized dense-scan savings (dense-x) — the
-// accelerate/refine loop's acceptance metric.
-func trackOp(ds *exsample.Dataset, opts exsample.TrackOptions, seed *uint64) (map[string]float64, error) {
-	*seed++
-	opts.Seed = *seed
-	eng, err := exsample.NewEngine(exsample.EngineOptions{Workers: 4, FramesPerRound: 8})
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	start := time.Now()
-	h, err := eng.SubmitTrack(context.Background(), ds,
-		exsample.TrackPredicate{Class: "car", MinDuration: 50}, opts)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := h.Wait()
-	if err != nil {
-		return nil, err
-	}
-	secs := time.Since(start).Seconds()
-	m := map[string]float64{
-		"frames/op": float64(rep.FramesProcessed),
-		"tracks/op": float64(len(rep.Results)),
-		"dense-x":   rep.Speedup(),
-	}
-	if rep.FramesProcessed > 0 {
-		m["results/kdetect"] = float64(len(rep.Results)) / float64(rep.FramesProcessed) * 1000
-	}
-	if secs > 0 {
-		m["frames/s"] = float64(rep.FramesProcessed) / secs
-	}
-	return m, nil
-}
-
-// RunSuite measures the whole trajectory suite. It is deliberately small
-// (seconds, not minutes): the snapshot is a smoke-level trajectory, and
-// the go-test benchmarks remain the precision instrument.
+// RunSuite measures the four switch pairs, in BENCH_engine.json's order.
+// It is deliberately small (seconds, not minutes): the slow-backend and
+// fleet rows are bound by simulated sleeps and the scheduling and
+// cache-aware rows gate count ratios, so a few ops per row suffice.
 func RunSuite() (*Snapshot, error) {
 	snap := &Snapshot{GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
-
-	dashcam, err := exsample.OpenProfile("dashcam", 0.05, 3)
-	if err != nil {
-		return nil, err
-	}
-	var seed uint64
-	res, err := measure("engine_throughput_4q", 3, func() (map[string]float64, error) {
-		return engineOp(dashcam, "traffic light", 4, 10,
-			exsample.EngineOptions{Workers: 4, FramesPerRound: 4}, 0, &seed)
-	})
-	if err != nil {
-		return nil, err
-	}
-	snap.Suite = append(snap.Suite, res)
-
-	shards := make([]*exsample.Dataset, 2)
-	for i := range shards {
-		shards[i], err = exsample.Synthesize(exsample.SynthSpec{
-			NumFrames:    80_000,
-			NumInstances: 100,
-			Class:        "car",
-			MeanDuration: 120,
-			SkewFraction: 1.0 / 8,
-			ChunkFrames:  2000,
-			Seed:         uint64(40 + i),
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sharded, err := exsample.NewShardedSource("bench", shards...)
-	if err != nil {
-		return nil, err
-	}
-	seed = 100
-	res, err = measure("sharded_throughput_2s_4q", 3, func() (map[string]float64, error) {
-		return engineOp(sharded, "car", 4, 10,
-			exsample.EngineOptions{Workers: 4, FramesPerRound: 4}, 0, &seed)
-	})
-	if err != nil {
-		return nil, err
-	}
-	snap.Suite = append(snap.Suite, res)
-
-	// Sampler decision cost: one 256-frame ExSample search over 128 chunks
-	// with a near-free detector, so decision overhead dominates — the
-	// §III-F "sampling must be negligible" number, with allocs/op as the
-	// regression-sensitive part.
-	synth, err := exsample.Synthesize(exsample.SynthSpec{
-		NumFrames:    1 << 20,
-		NumInstances: 100,
-		MeanDuration: 100,
-		ChunkFrames:  1 << 13,
-		Seed:         9,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var dseed uint64
-	res, err = measure("sampler_decision_256", 8, func() (map[string]float64, error) {
-		dseed++
-		rep, err := synth.Search(exsample.Query{Class: "object", Limit: 1_000_000},
-			exsample.Options{MaxFrames: 256, Seed: dseed})
-		if err != nil {
-			return nil, err
-		}
-		return map[string]float64{"frames/op": float64(rep.FramesProcessed)}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Metrics["allocs/frame"] = res.AllocsPerOp / 256
-	snap.Suite = append(snap.Suite, res)
 
 	// Adaptive vs static round sizing against a slow fixed-overhead
 	// backend: same repository, same budget, the only difference is
 	// whether the quota may grow. The adaptive arm's frames/s advantage is
-	// the tentpole's acceptance metric.
+	// the pair's acceptance metric.
 	slowSpec := exsample.SynthSpec{
 		NumFrames:    200_000,
 		NumInstances: 300,
@@ -458,7 +266,7 @@ func RunSuite() (*Snapshot, error) {
 		{"engine_adaptive_slowbackend", true},
 	} {
 		aseed := uint64(500)
-		res, err = measure(arm.name, 2, func() (map[string]float64, error) {
+		res, err := measure(arm.name, 2, func() (map[string]float64, error) {
 			// Frame-budgeted, not result-limited: both arms process the
 			// same 256 frames per query; only the batching differs.
 			return engineOp(slow, "car", 2, 1_000_000,
@@ -601,7 +409,7 @@ func RunSuite() (*Snapshot, error) {
 			GlobalBudget: 40, FloorQuota: 1}},
 	} {
 		bseed := uint64(9000)
-		res, err = measure(arm.name, 2, func() (map[string]float64, error) {
+		res, err := measure(arm.name, 2, func() (map[string]float64, error) {
 			return budgetOp(dsHot, dsCold, arm.opts, &bseed)
 		})
 		if err != nil {
@@ -609,59 +417,6 @@ func RunSuite() (*Snapshot, error) {
 		}
 		snap.Suite = append(snap.Suite, res)
 	}
-
-	// Shared result tier, second-user path: the same two seeded queries
-	// against the same slow backend, with the remote cache server cold
-	// (every frame pays the simulated inference latency and fills the
-	// server) versus already populated by a previous process (every frame
-	// resolves in one loopback round trip per batch, the detector never
-	// fires). The warm row's frames/s multiple over the cold row —
-	// recorded as vs-cold-x — is the tier's acceptance metric.
-	const cacheSeedBase = 8000
-	cacheEngineOpts := func(client *httpcache.Client) exsample.EngineOptions {
-		return exsample.EngineOptions{Workers: 4, FramesPerRound: 8, RemoteCache: client}
-	}
-	res, err = measure("cache_second_user_cold", 3, func() (map[string]float64, error) {
-		// A fresh server per op keeps every op genuinely cold.
-		srv := httptest.NewServer(httpcache.Handler(cachestore.NewLocal(1 << 16)))
-		defer srv.Close()
-		client, err := httpcache.New(httpcache.Config{Endpoint: srv.URL})
-		if err != nil {
-			return nil, err
-		}
-		cseed := uint64(cacheSeedBase)
-		return engineOp(slow, "car", 2, 1_000_000, cacheEngineOpts(client), 256, &cseed)
-	})
-	if err != nil {
-		return nil, err
-	}
-	coldFS := res.Metrics["frames/s"]
-	snap.Suite = append(snap.Suite, res)
-
-	// One shared, pre-populated server for every warm op; each op still
-	// rebuilds the dataset and engine from scratch — the second user owns
-	// nothing but the server's address.
-	warmSrv := httptest.NewServer(httpcache.Handler(cachestore.NewLocal(1 << 16)))
-	defer warmSrv.Close()
-	// The warm op is wall-clock tiny (tens of milliseconds), so its
-	// frames/s — and through it vs-cold-x — is the suite's most
-	// jitter-prone number; eight ops average the loopback-latency noise
-	// down to where the ratio is gateable.
-	res, err = measure("cache_second_user_warm", 8, func() (map[string]float64, error) {
-		client, err := httpcache.New(httpcache.Config{Endpoint: warmSrv.URL})
-		if err != nil {
-			return nil, err
-		}
-		wseed := uint64(cacheSeedBase)
-		return engineOp(slow, "car", 2, 1_000_000, cacheEngineOpts(client), 256, &wseed)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if coldFS > 0 {
-		res.Metrics["vs-cold-x"] = res.Metrics["frames/s"] / coldFS
-	}
-	snap.Suite = append(snap.Suite, res)
 
 	// Cache-aware tie-breaking on an overlapping fleet: four same-class,
 	// different-seed queries sharing one memo cache, with Workers 1 so the
@@ -693,7 +448,7 @@ func RunSuite() (*Snapshot, error) {
 		{"cache_aware_off", false},
 		{"cache_aware_on", true},
 	} {
-		res, err = measure(arm.name, 2, func() (map[string]float64, error) {
+		res, err := measure(arm.name, 2, func() (map[string]float64, error) {
 			eng, err := exsample.NewEngine(exsample.EngineOptions{
 				Workers:        1,
 				FramesPerRound: 4,
@@ -740,62 +495,5 @@ func RunSuite() (*Snapshot, error) {
 		snap.Suite = append(snap.Suite, res)
 	}
 
-	// Live streaming ingest with the motion gate off and on: same append
-	// schedule (half the segments dead), paced at park boundaries. The
-	// gated arm's smaller frames/op at comparable alerts/op is the gate's
-	// detector saving made visible in the trajectory.
-	for _, arm := range []struct {
-		name      string
-		threshold float64
-	}{
-		{"stream_ingest_gate_off", 0},
-		{"stream_ingest_gate_on", 0.12},
-	} {
-		sseed := uint64(7000)
-		res, err = measure(arm.name, 2, func() (map[string]float64, error) {
-			sseed += 100
-			return streamOp(arm.threshold, sseed)
-		})
-		if err != nil {
-			return nil, err
-		}
-		snap.Suite = append(snap.Suite, res)
-	}
-
-	// Track-predicate queries over a sparse moving-object scene: the
-	// accelerate/refine loop (accel) against its coarse-only triage and
-	// dense-scan bounds. The accel row's dense-x (DenseFrames over frames
-	// actually charged) is the subsystem's acceptance metric; dense runs
-	// the same pipeline at stride 1 and by construction charges every
-	// frame.
-	trackDS, err := exsample.Synthesize(exsample.SynthSpec{
-		NumFrames:    40_000,
-		NumInstances: 8,
-		Class:        "car",
-		MeanDuration: 300,
-		ChunkFrames:  1000,
-		Seed:         7,
-		TravelX:      300,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, arm := range []struct {
-		name string
-		opts exsample.TrackOptions
-	}{
-		{"track_query_accel", exsample.TrackOptions{}},
-		{"track_query_coarse", exsample.TrackOptions{CoarseOnly: true}},
-		{"track_query_dense", exsample.TrackOptions{Stride: 1}},
-	} {
-		tseed := uint64(4000)
-		res, err = measure(arm.name, 2, func() (map[string]float64, error) {
-			return trackOp(trackDS, arm.opts, &tseed)
-		})
-		if err != nil {
-			return nil, err
-		}
-		snap.Suite = append(snap.Suite, res)
-	}
 	return snap, nil
 }
