@@ -117,7 +117,7 @@ func TestWaitSurfacesRunFailure(t *testing.T) {
 				t.Fatal(err)
 			}
 			run.err = boom
-			h := &QueryHandle{rep: run.rep, standing: standing}
+			h := &QueryHandle{rep: run.rep}
 			run.out = &h.handleCore
 			if err := e.submitRun(context.Background(), src, run, &h.handleCore, standing); err != nil {
 				t.Fatal(err)

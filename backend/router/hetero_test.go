@@ -333,8 +333,8 @@ func TestScatterSmallBatchUsesSinglePath(t *testing.T) {
 	}
 }
 
-// TestSizerSignalPerReplica: the sizer-facing signal carries per-replica
-// breaker opens and capacity weights.
+// TestSizerSignalPerReplica: the per-replica signals the batch sizer and
+// the operator read carry breaker opens, health and capacity weights.
 func TestSizerSignalPerReplica(t *testing.T) {
 	fakes, specs := heteroFleet(3, []float64{4, 1, 1}, nil, nil)
 	fakes[1].dead.Store(true)
@@ -353,18 +353,18 @@ func TestSizerSignalPerReplica(t *testing.T) {
 	if _, err := r.DetectBatch(context.Background(), "car", frames); err != nil {
 		t.Fatal(err)
 	}
-	sig := r.SizerSignal()
-	if len(sig.Replicas) != 3 {
-		t.Fatalf("SizerSignal carries %d replicas, want 3", len(sig.Replicas))
+	stats := r.Stats()
+	if len(stats) != 3 {
+		t.Fatalf("Stats carries %d replicas, want 3", len(stats))
 	}
-	if sig.Replicas[0].Weight != 4 || sig.Replicas[2].Weight != 1 {
-		t.Errorf("weights = %v / %v, want 4 / 1", sig.Replicas[0].Weight, sig.Replicas[2].Weight)
+	if stats[0].Weight != 4 || stats[2].Weight != 1 {
+		t.Errorf("weights = %v / %v, want 4 / 1", stats[0].Weight, stats[2].Weight)
 	}
-	if sig.Replicas[1].BreakerOpens != 1 || sig.Replicas[1].Healthy {
-		t.Errorf("dead replica signal = %+v, want 1 open and unhealthy", sig.Replicas[1])
+	if stats[1].BreakerOpens != 1 || stats[1].State != Open {
+		t.Errorf("dead replica stats = %+v, want 1 open and unhealthy", stats[1])
 	}
-	if sig.Replicas[0].BreakerOpens != 0 {
-		t.Errorf("healthy replica charged %d opens", sig.Replicas[0].BreakerOpens)
+	if stats[0].BreakerOpens != 0 {
+		t.Errorf("healthy replica charged %d opens", stats[0].BreakerOpens)
 	}
 	opens := r.ReplicaOpens()
 	if len(opens) != 3 || opens[1] != 1 || opens[0] != 0 {

@@ -757,69 +757,3 @@ func (r *Router) CapacityWeights() []float64 {
 // whatever the latency EWMA still says. The read is one atomic load —
 // safe at any polling rate.
 func (r *Router) BreakerOpens() int64 { return r.breakerOpens.Load() }
-
-// SizerSignal is the batch-sizer-facing slice of the router's health
-// state: how much capacity is live, how much is cooling down, and the
-// fleet's achievable per-batch latency.
-type SizerSignal struct {
-	// HealthyReplicas counts replicas currently admitting traffic;
-	// OpenBreakers counts replicas excluded while their breaker cools.
-	HealthyReplicas, OpenBreakers int
-	// BreakerOpens is the cumulative open-transition count (see the
-	// method of the same name).
-	BreakerOpens int64
-	// EWMALatencySeconds is the lowest per-batch latency EWMA among
-	// healthy measured replicas (0 when none has served traffic yet) —
-	// the "flat" reference a sizer can compare a round's observed batch
-	// latency against.
-	EWMALatencySeconds float64
-	// Replicas is the per-replica breakdown, indexed by replica — the
-	// signal a per-replica quota controller needs to scope a shrink to
-	// the member that actually dropped out.
-	Replicas []ReplicaSignal
-}
-
-// ReplicaSignal is one replica's slice of the sizer-facing signal.
-type ReplicaSignal struct {
-	// Replica is the replica's index; Name its configured label.
-	Replica int
-	Name    string
-	// Healthy reports whether the replica currently admits traffic.
-	Healthy bool
-	// BreakerOpens is the replica's cumulative open-transition count.
-	BreakerOpens int64
-	// EWMALatencySeconds is the replica's per-batch latency EWMA.
-	EWMALatencySeconds float64
-	// Weight is the replica's effective capacity weight.
-	Weight float64
-}
-
-// SizerSignal snapshots the sizer-facing health signal.
-func (r *Router) SizerSignal() SizerSignal {
-	sig := SizerSignal{
-		BreakerOpens: r.breakerOpens.Load(),
-		Replicas:     make([]ReplicaSignal, 0, len(r.replicas)),
-	}
-	for i, rep := range r.replicas {
-		rep.mu.Lock()
-		rs := ReplicaSignal{
-			Replica:            i,
-			Name:               rep.name,
-			Healthy:            rep.state != Open,
-			BreakerOpens:       rep.opens,
-			EWMALatencySeconds: rep.ewmaSeconds,
-			Weight:             capacityWeightLocked(rep),
-		}
-		if rep.state == Open {
-			sig.OpenBreakers++
-		} else {
-			sig.HealthyReplicas++
-			if rep.ewmaSeconds > 0 && (sig.EWMALatencySeconds == 0 || rep.ewmaSeconds < sig.EWMALatencySeconds) {
-				sig.EWMALatencySeconds = rep.ewmaSeconds
-			}
-		}
-		rep.mu.Unlock()
-		sig.Replicas = append(sig.Replicas, rs)
-	}
-	return sig
-}

@@ -440,9 +440,28 @@ func BenchmarkRouterFailover(b *testing.B) {
 	}
 }
 
-// TestSizerSignalCountsBreakerOpens: the sizer-facing signal reports one
-// cumulative open event per breaker transition (not per failure), the
-// live/cooling replica split, and the healthy fleet's best latency EWMA.
+// fleetHealth summarises a Stats snapshot the way a batch sizer reads it:
+// replicas admitting traffic (any state but Open), replicas cooling behind
+// an open breaker, and the lowest latency EWMA among healthy measured
+// replicas (0 when none has served traffic yet).
+func fleetHealth(stats []ReplicaStats) (healthy, open int, bestEWMA float64) {
+	for _, st := range stats {
+		if st.State == Open {
+			open++
+			continue
+		}
+		healthy++
+		if st.EWMALatencySeconds > 0 && (bestEWMA == 0 || st.EWMALatencySeconds < bestEWMA) {
+			bestEWMA = st.EWMALatencySeconds
+		}
+	}
+	return healthy, open, bestEWMA
+}
+
+// TestSizerSignalCountsBreakerOpens: the signals the batch sizer reads
+// report one cumulative open event per breaker transition (not per
+// failure), the live/cooling replica split, and the healthy fleet's best
+// latency EWMA.
 func TestSizerSignalCountsBreakerOpens(t *testing.T) {
 	fakes, bs := fleet(2)
 	// Threshold 1: the first failure trips the breaker, so the weighted
@@ -453,8 +472,8 @@ func TestSizerSignalCountsBreakerOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if sig := r.SizerSignal(); sig.BreakerOpens != 0 || sig.HealthyReplicas != 2 {
-		t.Fatalf("fresh signal = %+v, want 2 healthy / 0 opens", sig)
+	if healthy, _, _ := fleetHealth(r.Stats()); r.BreakerOpens() != 0 || healthy != 2 {
+		t.Fatalf("fresh router: %d healthy / %d opens, want 2 healthy / 0 opens", healthy, r.BreakerOpens())
 	}
 	// A few healthy batches establish a latency EWMA.
 	for i := 0; i < 4; i++ {
@@ -462,8 +481,8 @@ func TestSizerSignalCountsBreakerOpens(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sig := r.SizerSignal(); sig.EWMALatencySeconds <= 0 {
-		t.Fatalf("no latency EWMA after healthy traffic: %+v", sig)
+	if _, _, ewma := fleetHealth(r.Stats()); ewma <= 0 {
+		t.Fatalf("no latency EWMA after healthy traffic: %+v", r.Stats())
 	}
 	// Kill replica 0 and drive its breaker open; every failed batch is
 	// rescued by a sibling, so the caller never sees an error.
@@ -473,12 +492,11 @@ func TestSizerSignalCountsBreakerOpens(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sig := r.SizerSignal()
-	if sig.BreakerOpens != 1 {
-		t.Fatalf("BreakerOpens = %d after one replica died, want 1 (signal %+v)", sig.BreakerOpens, sig)
+	if healthy, open, _ := fleetHealth(r.Stats()); open != 1 || healthy != 1 {
+		t.Fatalf("%d open / %d healthy, want 1 open / 1 healthy (stats %+v)", open, healthy, r.Stats())
 	}
-	if sig.OpenBreakers != 1 || sig.HealthyReplicas != 1 {
-		t.Fatalf("signal = %+v, want 1 open / 1 healthy", sig)
+	if opens := r.ReplicaOpens(); len(opens) != 2 || opens[0] != 1 || opens[1] != 0 {
+		t.Fatalf("ReplicaOpens() = %v after replica 0 died, want [1 0]", opens)
 	}
 	if r.BreakerOpens() != 1 {
 		t.Fatalf("BreakerOpens() = %d, want 1", r.BreakerOpens())

@@ -331,11 +331,11 @@ func TestHTTPBatchShardedPerShardEndpoints(t *testing.T) {
 	// not one POST per frame.
 	q := Query{Class: "car", Limit: 12}
 	opts := Options{Seed: 5, BatchSize: 16}
-	want, err := local.Search(q, opts)
+	want, err := SearchSource(local, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := remote.Search(q, opts)
+	got, err := SearchSource(remote, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

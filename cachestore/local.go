@@ -82,6 +82,15 @@ type Stats struct {
 	Entries int
 }
 
+// HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
+func (s Stats) HitRate() float64 {
+	total := s.Hits + s.Misses
+	if total == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(total)
+}
+
 // Stats snapshots the store's counters.
 func (l *Local) Stats() Stats {
 	st := l.c.Stats()

@@ -1,6 +1,7 @@
 // Command exgen generates a synthetic dataset and exports its ground truth
-// as JSON for inspection or external tooling, along with summary statistics
-// (per-chunk histograms and the Figure 6 skew metric).
+// as JSON (exsample.GroundTruthFile, the format exsample.LoadGroundTruth
+// reads back), along with summary statistics (per-chunk histograms and the
+// Figure 6 skew metric).
 //
 // Usage:
 //
@@ -9,34 +10,17 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
+	"github.com/exsample/exsample"
 	"github.com/exsample/exsample/internal/datasets"
 	"github.com/exsample/exsample/internal/detect"
 	"github.com/exsample/exsample/internal/metrics"
 	"github.com/exsample/exsample/internal/sorttrack"
 	"github.com/exsample/exsample/internal/synth"
 )
-
-// exportInstance is the JSON shape for one ground-truth object.
-type exportInstance struct {
-	ID    int    `json:"id"`
-	Class string `json:"class"`
-	Start int64  `json:"start_frame"`
-	End   int64  `json:"end_frame"`
-}
-
-// exportFile is the JSON document.
-type exportFile struct {
-	Dataset   string           `json:"dataset"`
-	Scale     float64          `json:"scale"`
-	NumFrames int64            `json:"num_frames"`
-	NumChunks int              `json:"num_chunks"`
-	Instances []exportInstance `json:"instances"`
-}
 
 func main() {
 	var (
@@ -110,16 +94,11 @@ func run(dataset string, scale float64, seed uint64, out string, stats, rebuild 
 	if out == "" {
 		return nil
 	}
-	doc := exportFile{
-		Dataset:   dataset,
-		Scale:     scale,
-		NumFrames: ds.Repo.NumFrames(),
-		NumChunks: len(ds.Chunks),
-	}
-	for _, in := range ds.Instances {
-		doc.Instances = append(doc.Instances, exportInstance{
-			ID: in.ID, Class: in.Class, Start: in.Start, End: in.End,
-		})
+	// The export goes through the public dataset so the file is exactly
+	// what LoadGroundTruth reads back, frame rate included.
+	d, err := exsample.OpenProfile(dataset, scale, seed)
+	if err != nil {
+		return err
 	}
 	w := os.Stdout
 	if out != "-" {
@@ -130,13 +109,11 @@ func run(dataset string, scale float64, seed uint64, out string, stats, rebuild 
 		defer f.Close()
 		w = f
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
+	if err := d.SaveGroundTruth(w); err != nil {
 		return err
 	}
 	if out != "-" {
-		fmt.Printf("wrote %d instances to %s\n", len(doc.Instances), out)
+		fmt.Printf("wrote %d instances to %s\n", len(ds.Instances), out)
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package exsample
 
 import (
-	"context"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -406,44 +405,3 @@ func (d *Dataset) querySource() *querySource {
 	}
 	return d.qs
 }
-
-// compile-time check that the pipeline detector satisfies the public
-// Detector contract via the adapter below.
-var _ Detector = (*frameDetectorAdapter)(nil)
-
-// frameDetectorAdapter exposes the batched pipeline detector through the
-// public per-frame Detector interface (used by examples that want direct
-// detector access).
-type frameDetectorAdapter struct {
-	inner detect.BatchDetector
-	cost  float64
-}
-
-// NewDetector returns a standalone per-frame detector for the dataset,
-// restricted to one class: the attached custom backend when one was
-// configured, otherwise the same simulated detector Search uses internally,
-// including any configured failure injection.
-func (d *Dataset) NewDetector(class string) (Detector, error) {
-	if _, err := d.GroundTruthCount(class); err != nil {
-		return nil, err
-	}
-	cost := 1 / d.cost.DetectFPS
-	if d.be != nil {
-		cost = d.be.Hints().CostSeconds
-	}
-	return &frameDetectorAdapter{inner: d.newBatchDetector(class), cost: cost}, nil
-}
-
-// Detect implements Detector. A backend error (network failure, timeout)
-// surfaces as no detections — the per-frame interface has no error channel;
-// use Backend().DetectBatch for error-aware access.
-func (a *frameDetectorAdapter) Detect(frame int64) []Detection {
-	outs, err := a.inner.DetectBatch(context.Background(), []int64{frame})
-	if err != nil || len(outs) != 1 {
-		return nil
-	}
-	return outs[0].Dets
-}
-
-// CostSeconds implements Detector.
-func (a *frameDetectorAdapter) CostSeconds() float64 { return a.cost }

@@ -292,7 +292,7 @@ func digestShardedSession(t *testing.T) []*Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := ss.NewSession(Query{Class: "car", Limit: 1 << 30}, Options{Seed: 19})
+	sess, err := NewSession(ss, Query{Class: "car", Limit: 1 << 30}, Options{Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestElasticNoOpChurnByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := ss.NewSession(q, opts)
+		sess, err := NewSession(ss, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestElasticDrainFencesShardMidQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := ss.NewSession(Query{Class: "car", Limit: 1 << 30}, Options{Seed: 41})
+	sess, err := NewSession(ss, Query{Class: "car", Limit: 1 << 30}, Options{Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestElasticAddShardMidQuery(t *testing.T) {
 	if gen := ss.Generation(); gen != 1 {
 		t.Fatalf("fresh source generation = %d, want 1", gen)
 	}
-	sess, err := ss.NewSession(Query{Class: "car", Limit: 1 << 30}, Options{Seed: 17})
+	sess, err := NewSession(ss, Query{Class: "car", Limit: 1 << 30}, Options{Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestElasticAddShardMidQuery(t *testing.T) {
 	}
 	// A query submitted after the attach sees the enlarged repository from
 	// its first pick.
-	rep, err := ss.Search(Query{Class: "car", Limit: 5}, Options{Seed: 9, MaxFrames: 400})
+	rep, err := SearchSource(ss, Query{Class: "car", Limit: 5}, Options{Seed: 9, MaxFrames: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +295,10 @@ func TestElasticAllDrainingErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Query{Class: "car", Limit: 1}
-	if _, err := ss.Search(q, Options{Seed: 1}); !errors.Is(err, ErrNoActiveShards) {
+	if _, err := SearchSource(ss, q, Options{Seed: 1}); !errors.Is(err, ErrNoActiveShards) {
 		t.Errorf("Search on an all-draining source: %v, want ErrNoActiveShards", err)
 	}
-	if _, err := ss.NewSession(q, Options{Seed: 1}); !errors.Is(err, ErrNoActiveShards) {
+	if _, err := NewSession(ss, q, Options{Seed: 1}); !errors.Is(err, ErrNoActiveShards) {
 		t.Errorf("NewSession on an all-draining source: %v, want ErrNoActiveShards", err)
 	}
 	e := newTestEngine(t, EngineOptions{Workers: 1})
@@ -309,7 +309,7 @@ func TestElasticAllDrainingErrors(t *testing.T) {
 	if _, err := ss.AddShard(smallDataset(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ss.Search(q, Options{Seed: 1, MaxFrames: 50}); err != nil {
+	if _, err := SearchSource(ss, q, Options{Seed: 1, MaxFrames: 50}); err != nil {
 		t.Fatalf("Search after re-attach: %v", err)
 	}
 }
@@ -785,7 +785,7 @@ func TestFrozenLayoutsHonorDrainAndGate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := ss.NewSession(Query{Class: "car", Limit: 1 << 30}, l.opts)
+			sess, err := NewSession(ss, Query{Class: "car", Limit: 1 << 30}, l.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -820,7 +820,7 @@ func TestFrozenLayoutsHonorDrainAndGate(t *testing.T) {
 			if segs := s.Segments(); !segs[1].Gated {
 				t.Fatal("dead segment was not gated")
 			}
-			sess, err := s.NewSession(Query{Class: "car", Limit: 1 << 30}, l.opts)
+			sess, err := NewSession(s, Query{Class: "car", Limit: 1 << 30}, l.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -214,23 +214,7 @@ func (e *Engine) Workers() int { return e.opts.Workers }
 
 // CacheStats reports the shared memo cache's counters; the zero value is
 // returned when the cache is disabled.
-type CacheStats struct {
-	// Hits and Misses count memoized-lookup outcomes across all queries.
-	Hits, Misses int64
-	// Evictions counts entries displaced by capacity pressure.
-	Evictions int64
-	// Entries is the current resident entry count.
-	Entries int
-}
-
-// HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
+type CacheStats = cachestore.Stats
 
 // CacheStats snapshots the engine's shared detector memo cache. Every
 // frame a cached query looks up counts once: a hit when the memo cache
@@ -283,14 +267,6 @@ type EngineStats struct {
 	// the scheduling pressure: well below 1 means the budget is the
 	// binding constraint and frames are being steered by marginal value.
 	BudgetGranted, BudgetRequested int64
-	// TierL1Hits through TierMerges mirror the shared result tier's
-	// per-tier counters (all 0 when RemoteCache is unset; see TierStats
-	// for the full breakdown including round-trip latency). TierMerges
-	// counts frames resolved by joining another query's in-flight
-	// detector call instead of issuing a duplicate.
-	TierL1Hits, TierL1Misses     int64
-	TierL2Hits, TierL2Misses     int64
-	TierL2RoundTrips, TierMerges int64
 }
 
 // Stats snapshots the engine's scheduler counters.
@@ -298,25 +274,18 @@ func (e *Engine) Stats() EngineStats {
 	rounds, detects, batches := e.inner.Counters()
 	parks, wakes := e.inner.ParkCounters()
 	granted, requested := e.inner.BudgetCounters()
-	ts := e.TierStats()
 	return EngineStats{
-		Rounds:           rounds,
-		DetectCalls:      detects,
-		Batches:          batches,
-		QuotaGrows:       e.quota.Grows.Load(),
-		QuotaShrinks:     e.quota.Shrinks.Load(),
-		CapacityLosses:   e.quota.CapacityLosses.Load(),
-		PeakQuota:        e.quota.Peak.Load(),
-		Parks:            parks,
-		Wakes:            wakes,
-		BudgetGranted:    granted,
-		BudgetRequested:  requested,
-		TierL1Hits:       ts.L1Hits,
-		TierL1Misses:     ts.L1Misses,
-		TierL2Hits:       ts.L2Hits,
-		TierL2Misses:     ts.L2Misses,
-		TierL2RoundTrips: ts.L2RoundTrips,
-		TierMerges:       ts.Merges,
+		Rounds:          rounds,
+		DetectCalls:     detects,
+		Batches:         batches,
+		QuotaGrows:      e.quota.Grows.Load(),
+		QuotaShrinks:    e.quota.Shrinks.Load(),
+		CapacityLosses:  e.quota.CapacityLosses.Load(),
+		PeakQuota:       e.quota.Peak.Load(),
+		Parks:           parks,
+		Wakes:           wakes,
+		BudgetGranted:   granted,
+		BudgetRequested: requested,
 	}
 }
 
@@ -434,7 +403,7 @@ func (e *Engine) submitQuery(ctx context.Context, src Source, q Query, opts Opti
 	if err != nil {
 		return nil, err
 	}
-	h := &QueryHandle{rep: run.rep, static: e.opts.FramesPerRound, standing: standing}
+	h := &QueryHandle{rep: run.rep, static: e.opts.FramesPerRound}
 	run.out = &h.handleCore
 	if err := e.submitRun(ctx, src, run, &h.handleCore, standing); err != nil {
 		return nil, err
@@ -617,13 +586,7 @@ type QueryHandle struct {
 	handleCore
 	rep    *Report
 	static int // the engine's FramesPerRound
-	// standing marks a SubmitStanding query.
-	standing bool
 }
-
-// Standing reports whether this handle belongs to a standing
-// (SubmitStanding) query.
-func (h *QueryHandle) Standing() bool { return h.standing }
 
 // Parked reports whether a standing query is currently dormant — it has
 // sampled every active frame and left the scheduling loop until the source

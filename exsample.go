@@ -122,16 +122,6 @@ type Box = backend.Box
 // contract, including TruthID's -1-when-unknown convention).
 type Detection = backend.Detection
 
-// Detector is the black-box object detector contract: given a frame index it
-// returns detections, and it charges a fixed cost per invocation. Samplers
-// never look inside — this mirrors the paper's treatment of the detector
-// (§II-A).
-type Detector interface {
-	Detect(frame int64) []Detection
-	// CostSeconds is the per-frame inference cost charged to the query.
-	CostSeconds() float64
-}
-
 // Strategy selects the frame-sampling method for a search.
 type Strategy int
 

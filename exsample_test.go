@@ -334,29 +334,6 @@ func TestScanSeconds(t *testing.T) {
 	}
 }
 
-func TestNewDetector(t *testing.T) {
-	ds := smallDataset(t, WithPerfectDetector())
-	det, err := ds.NewDetector("car")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if det.CostSeconds() <= 0 {
-		t.Fatal("zero detector cost")
-	}
-	// Find a frame with a known instance via a quick search.
-	rep, err := ds.Search(Query{Class: "car", Limit: 1}, Options{Seed: 29})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dets := det.Detect(rep.Results[0].Frame)
-	if len(dets) == 0 {
-		t.Fatal("detector found nothing on a frame with a known result")
-	}
-	if _, err := ds.NewDetector("dragon"); err == nil {
-		t.Fatal("unknown class accepted")
-	}
-}
-
 func TestStrategyStrings(t *testing.T) {
 	want := map[Strategy]string{
 		StrategyExSample:   "exsample",

@@ -143,9 +143,8 @@ func TestAllocationInto(t *testing.T) {
 // TestSamplerColdOpenAllocs pins the first-visit path the warmed guards
 // above skip: a decision that lazily opens a chunk's frame order. Before
 // the order slab + in-place generator seeding, every cold open cost ~6
-// allocations (generator, order struct, bitset, pending queue), which is
-// exactly the drift BENCH_engine.json's sampler_decision_256 row recorded
-// at ~4.5 allocs/frame on a 8192-arm sampler. Small chunks (<= 256 frames)
+// allocations (generator, order struct, bitset, pending queue), which came
+// to ~4.5 allocs/frame on a 8192-arm sampler. Small chunks (<= 256 frames)
 // now open into slab + inline storage, so 256 cold decisions amortize to
 // well under one allocation each.
 func TestSamplerColdOpenAllocs(t *testing.T) {

@@ -64,8 +64,7 @@ type Config struct {
 	Seed uint64
 	// CoarseOnly skips densification: intervals become ready as soon as
 	// the grid completes, and tracking runs over the stride-spaced
-	// detections alone. Cheap, lower fidelity; the bench suite's
-	// track_query_coarse row measures exactly this mode.
+	// detections alone. Cheap, lower fidelity.
 	CoarseOnly bool
 	// Alpha0/Beta0 are the sampler prior (0 = paper defaults).
 	Alpha0, Beta0 float64

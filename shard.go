@@ -417,9 +417,6 @@ func (s *ShardedSource) NumShards() int { return len(s.topo.Load().members) }
 // NumActiveShards returns how many shards currently accept new picks.
 func (s *ShardedSource) NumActiveShards() int { return s.topo.Load().snap.NumActive() }
 
-// Shard returns the i-th underlying dataset.
-func (s *ShardedSource) Shard(i int) *Dataset { return s.topo.Load().members[i].ds }
-
 // Hours returns the repository length in hours of video across shards.
 func (s *ShardedSource) Hours() float64 {
 	var h float64
@@ -450,16 +447,6 @@ func (s *ShardedSource) GroundTruthCount(class string) (int, error) {
 		return 0, fmt.Errorf("exsample: sharded source %q has no class %q", s.name, class)
 	}
 	return n, nil
-}
-
-// Search runs a query against the composed repository; see Dataset.Search.
-func (s *ShardedSource) Search(q Query, opts Options) (*Report, error) {
-	return SearchSource(s, q, opts)
-}
-
-// NewSession prepares an incremental search over the composed repository.
-func (s *ShardedSource) NewSession(q Query, opts Options) (*Session, error) {
-	return NewSession(s, q, opts)
 }
 
 // querySource implements Source. It is nil-receiver-safe and returns nil

@@ -54,7 +54,7 @@ func TestShardedSingleShardMatchesSearch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := ss.Search(q, opts)
+		got, err := SearchSource(ss, q, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -128,7 +128,7 @@ func TestShardedDistinctCountingAcrossShards(t *testing.T) {
 	if n, _ := ss.GroundTruthCount("car"); n != 24 {
 		t.Fatalf("population = %d, want 24", n)
 	}
-	rep, err := ss.Search(Query{Class: "car", RecallTarget: 1}, Options{Seed: 9})
+	rep, err := SearchSource(ss, Query{Class: "car", RecallTarget: 1}, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestShardedEngineMatchesShardedSearch(t *testing.T) {
 	}
 	q := Query{Class: "car", Limit: 30}
 	opts := Options{Seed: 17}
-	want, err := ss.Search(q, opts)
+	want, err := SearchSource(ss, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestShardLackingQueryClassDetectsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := ss.Search(q, opts)
+		rep, err := SearchSource(ss, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

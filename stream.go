@@ -334,18 +334,6 @@ func (s *StreamSource) GroundTruthCount(class string) (int, error) {
 // value proposition, and what the acceptance tests assert.
 func (s *StreamSource) ShardStats() []ShardStat { return s.inner.ShardStats() }
 
-// Search runs a bounded query over the currently retained segments; see
-// Dataset.Search. The union of active segments behaves exactly like a
-// ShardedSource with the same shards and fences.
-func (s *StreamSource) Search(q Query, opts Options) (*Report, error) {
-	return SearchSource(s, q, opts)
-}
-
-// NewSession prepares an incremental search over the retained segments.
-func (s *StreamSource) NewSession(q Query, opts Options) (*Session, error) {
-	return NewSession(s, q, opts)
-}
-
 // onAppend forwards the wake-on-append subscription to the composed
 // repository — the seam SubmitStanding uses.
 func (s *StreamSource) onAppend(fn func()) (cancel func()) { return s.inner.onAppend(fn) }

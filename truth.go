@@ -13,7 +13,7 @@ import (
 )
 
 // GroundTruthFile is the JSON interchange format for dataset ground truth,
-// compatible with cmd/exgen's export. It carries only what the evaluation
+// the one SaveGroundTruth and cmd/exgen write. It carries only what the evaluation
 // needs — instance identities, classes and visibility intervals; bounding
 // boxes are reassigned deterministically on load (spatially disjoint lanes),
 // which preserves distinct-object semantics without bloating the file.
