@@ -185,6 +185,9 @@ type config struct {
 	// churnSignal, when non-nil, triggers an add/drain cycle per receive
 	// (wired to SIGHUP by main; tests poke it directly).
 	churnSignal <-chan os.Signal
+	// after starts the -churn delay (nil = time.After; tests fire it
+	// directly).
+	after func(time.Duration) <-chan time.Time
 	// Track-query-demo knobs (-trackquery mode).
 	track       bool
 	minDuration int64
@@ -414,6 +417,30 @@ func (f *fleetState) churnCycle(w io.Writer, ss *exsample.ShardedSource, cfg con
 	}
 	fmt.Fprintf(w, "churn: %s attached shard %d, draining shard %d\n", ss.Name(), added, drained)
 	return nil
+}
+
+// onTrigger calls cycle once per receive from fire until done or fire
+// closes. A receive already pending when done closes still runs, so a
+// trigger that fired before shutdown is never lost to it.
+func onTrigger[T any](fire <-chan T, done <-chan struct{}, cycle func()) {
+	for {
+		select {
+		case _, ok := <-fire:
+			if !ok {
+				return
+			}
+			cycle()
+		case <-done:
+			select {
+			case _, ok := <-fire:
+				if ok {
+					cycle()
+				}
+			default:
+			}
+			return
+		}
+	}
 }
 
 // churnAll runs one cycle on every sharded source.
@@ -862,41 +889,34 @@ func run(w io.Writer, cfg config) error {
 	}
 
 	// Churn triggers: a delay (-churn) and the signal channel (SIGHUP),
-	// live until every query finishes. Both are joined before run returns
-	// so an in-flight cycle cannot write to w (or register shutdown
-	// hooks) after the tables render and the cleanup snapshot is taken.
+	// live until every query finishes. Both are joined before the tables
+	// render, so the shard table shows every cycle and no cycle writes to
+	// w (or registers shutdown hooks) after the cleanup snapshot is taken.
 	churnDone := make(chan struct{})
 	var churnWG sync.WaitGroup
-	defer func() {
+	stopChurn := sync.OnceFunc(func() {
 		close(churnDone)
 		churnWG.Wait()
-	}()
+	})
+	defer stopChurn()
+	churn := func() { f.churnAll(w, cfg) }
 	if cfg.churn > 0 && len(f.sharded) > 0 {
+		after := cfg.after
+		if after == nil {
+			after = time.After
+		}
+		fire := after(cfg.churn)
 		churnWG.Add(1)
 		go func() {
 			defer churnWG.Done()
-			select {
-			case <-churnDone:
-			case <-time.After(cfg.churn):
-				f.churnAll(w, cfg)
-			}
+			onTrigger(fire, churnDone, churn)
 		}()
 	}
 	if cfg.churnSignal != nil {
 		churnWG.Add(1)
 		go func() {
 			defer churnWG.Done()
-			for {
-				select {
-				case <-churnDone:
-					return
-				case _, ok := <-cfg.churnSignal:
-					if !ok {
-						return
-					}
-					f.churnAll(w, cfg)
-				}
-			}
+			onTrigger(cfg.churnSignal, churnDone, churn)
 		}()
 	}
 
@@ -931,6 +951,7 @@ func run(w io.Writer, cfg config) error {
 		}(i, h)
 	}
 	wg.Wait()
+	stopChurn()
 
 	fmt.Fprintf(w, "engine: %d queries, %d workers, %d frames/round, %d shard(s)/profile, %d replica(s)/shard, %s backend\n\n",
 		cfg.queries, cfg.workers, cfg.round, cfg.shards, cfg.replicas, cfg.backend)
@@ -987,8 +1008,8 @@ func run(w io.Writer, cfg config) error {
 		}
 	}
 
-	// Snapshot the stats lists under the lock: the admin server and churn
-	// goroutines stay live (and can attach shards) until run returns.
+	// Snapshot the stats lists under the lock: the admin server stays live
+	// (and can attach shards) until run returns.
 	f.mu.Lock()
 	sharded := append([]*exsample.ShardedSource{}, f.sharded...)
 	backends := append([]backendStat{}, f.backends...)
@@ -1112,7 +1133,7 @@ func runTrack(w io.Writer, cfg config) error {
 	for i, tgt := range targets {
 		handles[i], err = eng.SubmitTrack(context.Background(), tgt.src,
 			exsample.TrackPredicate{Class: tgt.class, MinDuration: cfg.minDuration},
-			exsample.TrackOptions{Seed: cfg.seed + uint64(i), Limit: cfg.limit, CoarseOnly: cfg.coarseOnly})
+			exsample.TrackOptions{Limit: cfg.limit, CoarseOnly: cfg.coarseOnly})
 		if err != nil {
 			return err
 		}

@@ -155,6 +155,13 @@ func TestRunChurnCycleMidRun(t *testing.T) {
 	cfg := testConfig([]string{"dashcam"}, 6, 8)
 	cfg.shards = 2
 	cfg.churn = time.Millisecond
+	// The delay has already elapsed when run starts the timer, so the
+	// cycle runs whether or not the queries finish first.
+	cfg.after = func(time.Duration) <-chan time.Time {
+		fired := make(chan time.Time, 1)
+		fired <- time.Time{}
+		return fired
+	}
 	if err := run(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}

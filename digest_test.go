@@ -253,9 +253,9 @@ func TestReportDigests(t *testing.T) {
 		{"source/sharded-session-addshard", digestShardedSession, nil, []string{"896fb963d4dd8d45"}},
 		{"source/stream-standing", digestStreamStanding, nil, []string{"52cd2fa27c6f692d"}},
 		{"engine/global-budget", digestGlobalBudget, nil, []string{"e5ad2d9f4af30007", "b7868b137e759634", "67c3946333a52381"}},
-		{"track/dataset", nil, trackSearch(trackScene(t), TrackOptions{Seed: 23}), []string{"2b369b71d4dcacbc"}},
-		{"track/sharded-boundary", nil, trackSearch(digestTrackPair(t), TrackOptions{Seed: 24}), []string{"270f16e4756be1f6"}},
-		{"track/coarse-only", nil, trackSearch(trackScene(t), TrackOptions{Seed: 25, CoarseOnly: true}), []string{"fdf6f52d2052d8f7"}},
+		{"track/dataset", nil, trackSearch(trackScene(t), TrackOptions{Seed: 23}), []string{"329780815d90032a"}},
+		{"track/sharded-boundary", nil, trackSearch(digestTrackPair(t), TrackOptions{Seed: 24}), []string{"19cf616647ccded4"}},
+		{"track/coarse-only", nil, trackSearch(trackScene(t), TrackOptions{Seed: 25, CoarseOnly: true}), []string{"5e85e5d7b83185bf"}},
 		{"track/engine", nil, digestTrackEngine, []string{"19cf616647ccded4"}},
 	}
 	for _, row := range rows {

@@ -38,7 +38,7 @@ func main() {
 		Direction:   &exsample.DirectionRange{MinDeg: 315, MaxDeg: 45}, // wraps through 0°
 	}
 
-	rep, err := ds.TrackSearch(pred, exsample.TrackOptions{Seed: 1})
+	rep, err := ds.TrackSearch(pred, exsample.TrackOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func main() {
 		A: exsample.Point{X: 700, Y: 0},
 		B: exsample.Point{X: 700, Y: 2000},
 	}
-	rep, err = ds.TrackSearch(pred, exsample.TrackOptions{Seed: 1})
+	rep, err = ds.TrackSearch(pred, exsample.TrackOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -155,9 +155,9 @@ func (x *Index) AtClass(frame int64, class string, dst []Instance) []Instance {
 		return dst
 	}
 	for _, i := range x.buckets[frame/x.bucketSize] {
-		in := x.instances[i]
+		in := &x.instances[i]
 		if in.Class == class && in.VisibleAt(frame) {
-			dst = append(dst, in)
+			dst = append(dst, *in)
 		}
 	}
 	return dst

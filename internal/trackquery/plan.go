@@ -12,7 +12,7 @@ import (
 type Phase int
 
 const (
-	// PhaseCoarse: sampling the stride grid, ordered by the chunk sampler.
+	// PhaseCoarse: walking the stride grid round-robin over the chunks.
 	PhaseCoarse Phase = iota
 	// PhaseRefine: densifying the candidate intervals.
 	PhaseRefine
@@ -47,45 +47,50 @@ type Config struct {
 	// NumFrames is the source's total frame count.
 	NumFrames int64
 	// Chunks are the source's chunks in real-frame space; they must tile
-	// [0, NumFrames). Each chunk with a grid point becomes one coarse
-	// sampler arm, which Fence can disable and re-enable.
+	// [0, NumFrames). Each chunk with a grid point becomes one coarse arm,
+	// which Fence can disable and re-enable.
 	Chunks []video.Chunk
 	// Stride is the coarse-grid spacing: phase 1 visits frames k*Stride.
 	Stride int64
 	// Pad widens each coarse hit h into the candidate interval
 	// [h-Pad, h+Pad] before merging; it must cover the stride gap (the
-	// root package defaults it to Stride) or objects whose presence spans
+	// root package sets it to Stride) or objects whose presence spans
 	// a grid point can be truncated.
 	Pad int64
-	// Seed drives the coarse sampler. The final result set is independent
-	// of it — coarse runs to full grid coverage, so ordering affects only
-	// anytime behavior — but it is part of the determinism contract for
-	// intermediate stats.
+	// Seed is read by nothing: the coarse walk is a fixed order.
 	Seed uint64
 	// CoarseOnly skips densification: intervals become ready as soon as
 	// the grid completes, and tracking runs over the stride-spaced
 	// detections alone. Cheap, lower fidelity.
 	CoarseOnly bool
-	// Alpha0/Beta0 are the sampler prior (0 = paper defaults).
-	Alpha0, Beta0 float64
 }
 
-// Plan is the track query's frame-picking state machine — the analogue of
-// core.Sampler for the accelerate/refine loop. It is not goroutine-safe;
-// the engine drives it from the scheduler goroutine only.
+// arm is one source chunk's slice of the coarse grid: grid indexes
+// [next, end) are still unissued, and index k stands for frame k*Stride.
+type arm struct {
+	chunk     video.Chunk // the source chunk, as Fence tests it
+	next, end int64
+	fenced    bool
+}
+
+// Plan is the track query's frame-picking state machine. It is not
+// goroutine-safe; the engine drives it from the scheduler goroutine only.
 //
-// Phase 1 issues the coarse grid in sampler order; Observe feeds per-frame
-// hit/miss back into the chunk beliefs. When the grid is exhausted the plan
-// merges padded hit neighborhoods into disjoint intervals and phase 2
-// issues each interval's unobserved frames in ascending order. An interval
-// becomes ready — retrievable via TakeReady — once every frame in it has
-// been observed; because the refine queue is ascending and applies happen
-// in issue order, intervals complete in interval order, which is what makes
-// downstream track IDs deterministic across batch sizes.
+// Phase 1 walks the coarse grid round-robin over the enabled arms, each
+// arm in ascending order, so one round's frames spread across chunks (and
+// shards). The grid always runs to completion before anything is refined,
+// so no adaptive order could change the hit set. When the grid is
+// exhausted the plan merges padded hit neighborhoods into disjoint
+// intervals and phase 2 issues each interval's unobserved frames in
+// ascending order. An interval becomes ready — retrievable via TakeReady —
+// once every frame in it has been observed; because the refine queue is
+// ascending and applies happen in issue order, intervals complete in
+// interval order, which is what makes downstream track IDs deterministic
+// across batch sizes.
 type Plan struct {
-	cfg     Config
-	sampler *core.Sampler
-	arms    []video.Chunk // source chunk behind each coarse sampler arm
+	cfg  Config
+	arms []arm
+	turn int // arm the round-robin walk tries next
 
 	phase         Phase
 	pendingCoarse int
@@ -104,11 +109,8 @@ type Plan struct {
 	coarseHits, refineHits     int64
 }
 
-// NewPlan validates the config and builds the coarse-phase sampler. The
-// coarse grid lives in "coarse index" space: index k stands for frame
-// k*Stride, and each source chunk maps to the index range whose frames it
-// contains, so the chunk beliefs line up one-to-one with the source's
-// sampling arms.
+// NewPlan validates the config and lays out the coarse grid: each source
+// chunk becomes the arm holding the grid indexes whose frames it contains.
 func NewPlan(cfg Config) (*Plan, error) {
 	if cfg.NumFrames <= 0 {
 		return nil, fmt.Errorf("trackquery: NumFrames %d <= 0", cfg.NumFrames)
@@ -122,45 +124,35 @@ func NewPlan(cfg Config) (*Plan, error) {
 	if err := video.ValidateChunks(cfg.Chunks, cfg.NumFrames); err != nil {
 		return nil, fmt.Errorf("trackquery: %w", err)
 	}
-	coarse := make([]video.Chunk, 0, len(cfg.Chunks))
-	arms := make([]video.Chunk, 0, len(cfg.Chunks))
+	arms := make([]arm, 0, len(cfg.Chunks))
 	for _, c := range cfg.Chunks {
 		kLo := (c.Start + cfg.Stride - 1) / cfg.Stride
 		kHi := (c.End + cfg.Stride - 1) / cfg.Stride
-		if kHi <= kLo {
-			continue
+		if kHi > kLo {
+			arms = append(arms, arm{chunk: c, next: kLo, end: kHi})
 		}
-		coarse = append(coarse, video.Chunk{ID: len(coarse), Start: kLo, End: kHi})
-		arms = append(arms, c)
-	}
-	s, err := core.New(coarse, core.Config{
-		Alpha0: cfg.Alpha0,
-		Beta0:  cfg.Beta0,
-		Seed:   cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
 	}
 	return &Plan{
 		cfg:     cfg,
-		sampler: s,
 		arms:    arms,
 		applied: make(map[int64]bool),
 	}, nil
 }
 
-// Next returns the next frame to detect. chunk is the coarse sampler arm
-// during phase 1 (echo it back to Observe) and -1 during refine. ok is
-// false when nothing can be issued right now — either the plan is done, or
-// phase 1 has issued every grid point of its enabled arms and is waiting on
+// Next returns the next frame to detect. chunk is the coarse arm during
+// phase 1 (echo it back to Observe) and -1 during refine. ok is false when
+// nothing can be issued right now — either the plan is done, or phase 1
+// has issued every grid point of its enabled arms and is waiting on
 // outstanding observes before it can build intervals.
 func (p *Plan) Next() (frame int64, chunk int, ok bool) {
 	if p.phase == PhaseCoarse {
-		pick, ok := p.sampler.Next()
-		if ok {
+		if j := p.nextArm(); j >= 0 {
+			a := &p.arms[j]
+			frame = a.next * p.cfg.Stride
+			a.next++
 			p.pendingCoarse++
 			p.coarseIssued++
-			return pick.Frame * p.cfg.Stride, pick.Chunk, true
+			return frame, j, true
 		}
 		if p.pendingCoarse > 0 {
 			return 0, 0, false // grid issued; intervals wait on observes
@@ -176,18 +168,31 @@ func (p *Plan) Next() (frame int64, chunk int, ok bool) {
 	return 0, 0, false
 }
 
-// Fence enables exactly the coarse arms whose source chunk is active. A
-// fenced arm issues no grid point but keeps its statistics, and re-enabling
-// it before the grid is exhausted resumes it; once phase 1 has closed,
-// fencing changes nothing. A grid point of an arm still fenced when the
-// rest of the grid runs out is never issued.
-func (p *Plan) Fence(active func(video.Chunk) bool) error {
-	for j, c := range p.arms {
-		if err := p.sampler.SetEnabled(j, active(c)); err != nil {
-			return err
+// nextArm returns the first enabled arm with a grid point left, starting
+// at the round-robin turn, and moves the turn past it; -1 when there is
+// none.
+func (p *Plan) nextArm() int {
+	for range p.arms {
+		j := p.turn
+		if p.turn++; p.turn == len(p.arms) {
+			p.turn = 0
+		}
+		if a := &p.arms[j]; !a.fenced && a.next < a.end {
+			return j
 		}
 	}
-	return nil
+	return -1
+}
+
+// Fence enables exactly the coarse arms whose source chunk is active. A
+// fenced arm issues no grid point but keeps its place in the grid, and
+// re-enabling it before the grid is exhausted resumes it there; once
+// phase 1 has closed, fencing changes nothing. A grid point of an arm
+// still fenced when the rest of the grid runs out is never issued.
+func (p *Plan) Fence(active func(video.Chunk) bool) {
+	for j := range p.arms {
+		p.arms[j].fenced = !active(p.arms[j].chunk)
+	}
 }
 
 // Observe feeds back one detection result: whether the frame contained any
@@ -206,13 +211,11 @@ func (p *Plan) Observe(frame int64, chunk int, hit bool) error {
 			return fmt.Errorf("trackquery: coarse observe for frame %d in phase %v", frame, p.phase)
 		}
 		p.pendingCoarse--
-		d0 := 0
 		if hit {
-			d0 = 1
 			p.coarseHits++
 			p.hits = append(p.hits, frame)
 		}
-		return p.sampler.Update(chunk, d0, 0)
+		return nil
 	}
 	if p.phase != PhaseRefine {
 		return fmt.Errorf("trackquery: refine observe for frame %d in phase %v", frame, p.phase)
@@ -303,22 +306,15 @@ func (p *Plan) Done() bool { return p.phase == PhaseDone }
 
 // MarginalValue estimates the value of the next detector frame, on the
 // same "expected new results per frame" scale the engine's global budget
-// ranks distinct-object queries by: during coarse it is the sampler's best
-// chunk point estimate; during refine it is the hit density carried into
-// the remaining densification work.
+// ranks distinct-object queries by, under core's default prior: during
+// coarse it is the grid's hit rate so far; during refine it is the hit
+// density carried into the remaining densification work.
 func (p *Plan) MarginalValue() float64 {
 	switch p.phase {
 	case PhaseCoarse:
-		return p.sampler.MaxPointEstimate()
+		return (float64(p.coarseHits) + core.DefaultAlpha0) / (float64(p.coarseIssued) + core.DefaultBeta0)
 	case PhaseRefine:
-		a0, b0 := p.cfg.Alpha0, p.cfg.Beta0
-		if a0 == 0 {
-			a0 = core.DefaultAlpha0
-		}
-		if b0 == 0 {
-			b0 = core.DefaultBeta0
-		}
-		return (float64(p.coarseHits+p.refineHits) + a0) / (float64(p.totalMissing) + b0)
+		return (float64(p.coarseHits+p.refineHits) + core.DefaultAlpha0) / (float64(p.totalMissing) + core.DefaultBeta0)
 	default:
 		return 0
 	}

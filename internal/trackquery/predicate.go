@@ -1,17 +1,15 @@
 // Package trackquery implements the MIRIS-style accelerate/refine loop
 // behind track-predicate queries (SNIPPETS.md; Bastani et al., SIGMOD'20):
-// phase 1 samples the repository at a coarse stride — ordered by the same
-// Thompson sampler that drives distinct-object queries, so detector frames
-// flow to the chunks where the class is actually present — to localize
-// candidate intervals; phase 2 densifies only those intervals, associates
-// the dense detections into tracks (internal/sorttrack), smooths them
-// (internal/kalman) and evaluates a compiled trajectory predicate.
+// phase 1 samples the repository at a coarse stride — a fixed round-robin
+// walk over the chunks, since the grid always runs to completion — to
+// localize candidate intervals; phase 2 densifies only those intervals,
+// associates the dense detections into tracks (internal/sorttrack), smooths
+// them (internal/kalman) and evaluates a compiled trajectory predicate.
 //
 // The package is deliberately engine-agnostic: Plan is a pure frame-picking
-// state machine (the track-query analogue of core.Sampler) and Evaluator is
-// a pure function of a smoothed path, so the root package can drive them
-// from the sequential TrackSearch loop and the concurrent engine scheduler
-// with byte-identical results.
+// state machine and Evaluator is a pure function of a smoothed path, so the
+// root package can drive them from the sequential TrackSearch loop and the
+// concurrent engine scheduler with byte-identical results.
 package trackquery
 
 import (

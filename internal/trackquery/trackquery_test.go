@@ -307,16 +307,14 @@ func TestPlanFence(t *testing.T) {
 	onlyArm0 := func(c video.Chunk) bool { return c.Start < 100 }
 	all := func(video.Chunk) bool { return true }
 
-	t.Run("fenced arm issues nothing and keeps its statistics", func(t *testing.T) {
+	t.Run("fenced arm issues nothing and keeps its cursor", func(t *testing.T) {
 		p, err := NewPlan(twoArmCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
 		stepCoarse(t, p, 6)
-		n1, n := p.sampler.Stats(1)
-		if err := p.Fence(onlyArm0); err != nil {
-			t.Fatal(err)
-		}
+		cursor := p.arms[1].next
+		p.Fence(onlyArm0)
 		// Arm 0 has at most 10 grid points; everything after the fence
 		// must come from it, and the grid then closes without arm 1.
 		for _, f := range stepCoarse(t, p, 100) {
@@ -324,8 +322,8 @@ func TestPlanFence(t *testing.T) {
 				t.Fatalf("fenced arm issued grid point %d", f)
 			}
 		}
-		if gn1, gn := p.sampler.Stats(1); gn1 != n1 || gn != n {
-			t.Fatalf("fenced arm stats (%d, %d), want (%d, %d)", gn1, gn, n1, n)
+		if got := p.arms[1].next; got != cursor {
+			t.Fatalf("fenced arm cursor moved %d → %d", cursor, got)
 		}
 		if _, _, ok := p.Next(); ok || !p.Done() {
 			t.Fatalf("plan with no hits not done after its enabled grid ran out (phase %v)", p.Phase())
@@ -340,17 +338,13 @@ func TestPlanFence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Fence(onlyArm0); err != nil {
-			t.Fatal(err)
-		}
+		p.Fence(onlyArm0)
 		for _, f := range stepCoarse(t, p, 5) {
 			if f >= 100 {
 				t.Fatalf("fenced arm issued grid point %d", f)
 			}
 		}
-		if err := p.Fence(all); err != nil {
-			t.Fatal(err)
-		}
+		p.Fence(all)
 		got := map[int64]bool{}
 		for _, f := range stepCoarse(t, p, 100) {
 			got[f] = true
@@ -385,9 +379,7 @@ func TestPlanFence(t *testing.T) {
 			}
 			if c < 0 && len(refine) == 0 {
 				// First refine frame: the transition just ran.
-				if err := p.Fence(func(video.Chunk) bool { return false }); err != nil {
-					t.Fatal(err)
-				}
+				p.Fence(func(video.Chunk) bool { return false })
 			}
 			if c < 0 {
 				refine = append(refine, f)
@@ -409,6 +401,121 @@ func TestPlanFence(t *testing.T) {
 			t.Fatalf("stats (%d, %d, %d, %d), want (%d, %d, %d, %d)", gc, gr, gch, grh, wc, wr, wch, wrh)
 		}
 	})
+}
+
+// fiveArmCfg is a 500-frame plan over five 100-frame chunks at stride 10:
+// arm j owns grid points 100j..100j+90.
+func fiveArmCfg() Config {
+	chunks := make([]video.Chunk, 5)
+	for j := range chunks {
+		chunks[j] = video.Chunk{ID: j, Start: int64(100 * j), End: int64(100 * (j + 1))}
+	}
+	return Config{NumFrames: 500, Chunks: chunks, Stride: 10, Pad: 10}
+}
+
+func TestPlanRoundRobin(t *testing.T) {
+	// A round of k Next calls over m enabled arms touches min(k, m)
+	// distinct arms, whatever arms are fenced and wherever the walk is.
+	for _, enabled := range [][]bool{
+		{true, true, true, true, true},
+		{true, false, true, false, true},
+		{false, false, false, true, false},
+	} {
+		m := 0
+		for _, on := range enabled {
+			if on {
+				m++
+			}
+		}
+		for _, k := range []int{1, 2, 3, 5, 7} {
+			p, err := NewPlan(fiveArmCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Fence(func(c video.Chunk) bool { return enabled[c.ID] })
+			// Up to three rounds, each fully observed before the next,
+			// while the m enabled arms' 10 grid points each last.
+			for round := 0; round < min(3, 10*m/k); round++ {
+				arms := map[int]bool{}
+				var frames []int64
+				var chunks []int
+				for i := 0; i < k; i++ {
+					f, c, ok := p.Next()
+					if !ok {
+						t.Fatalf("enabled %v k=%d round %d: stalled after %d picks", enabled, k, round, i)
+					}
+					if !enabled[c] {
+						t.Fatalf("enabled %v: fenced arm %d issued frame %d", enabled, c, f)
+					}
+					arms[c] = true
+					frames, chunks = append(frames, f), append(chunks, c)
+				}
+				if want := min(k, m); len(arms) != want {
+					t.Errorf("enabled %v k=%d round %d: %d distinct arms, want %d", enabled, k, round, len(arms), want)
+				}
+				for i, f := range frames {
+					if err := p.Observe(f, chunks[i], false); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestPlanFencedArmResumesAtCursor(t *testing.T) {
+	// Arm 1's grid points go out in ascending order with no gap and no
+	// repeat, however long it stays fenced in between.
+	p, err := NewPlan(fiveArmCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := func(video.Chunk) bool { return true }
+	noArm1 := func(c video.Chunk) bool { return c.ID != 1 }
+	var arm1 []int64
+	collect := func(n int) {
+		for _, f := range stepCoarse(t, p, n) {
+			if f >= 100 && f < 200 {
+				arm1 = append(arm1, f)
+			}
+		}
+	}
+	collect(12) // three rounds of arms 0–4, less three picks
+	before := len(arm1)
+	p.Fence(noArm1)
+	collect(9)
+	if len(arm1) != before {
+		t.Fatalf("fenced arm 1 issued %v", arm1[before:])
+	}
+	p.Fence(all)
+	collect(100)
+	want := []int64{100, 110, 120, 130, 140, 150, 160, 170, 180, 190}
+	if !reflect.DeepEqual(arm1, want) {
+		t.Fatalf("arm 1 issued %v, want %v", arm1, want)
+	}
+}
+
+func TestPlanNextCoarseAllocFree(t *testing.T) {
+	// One coarse Next is a cursor bump: nothing to allocate. The grid
+	// holds 10000 points, more than AllocsPerRun's warm-up plus runs.
+	cfg := fiveArmCfg()
+	cfg.Stride = 1
+	cfg.NumFrames = 10_000
+	for j := range cfg.Chunks {
+		cfg.Chunks[j] = video.Chunk{ID: j, Start: int64(2000 * j), End: int64(2000 * (j + 1))}
+	}
+	p, err := NewPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, c, ok := p.Next(); !ok || c < 0 {
+			t.Fatal("coarse grid ran out")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("coarse Next allocates %v per call, want 0", allocs)
+	}
 }
 
 func TestPlanSkipCompletesInterval(t *testing.T) {

@@ -194,20 +194,13 @@ func (p TrackPredicate) lower() trackquery.Predicate {
 // predicate, pads intervals by one stride, and runs the full
 // accelerate/refine loop with the default SORT tracker.
 type TrackOptions struct {
-	// Seed drives the coarse phase's chunk sampler. The result set is
-	// independent of it (the coarse grid always runs to completion);
-	// it shapes only which chunks are localized first.
+	// Seed has no effect: the coarse phase is a fixed walk of the grid.
 	Seed uint64
 	// Stride is the coarse-grid spacing in frames. 0 derives it from the
 	// predicate: MinDuration/2 (an object visible for MinDuration frames
 	// cannot fall through a gap of half that), clamped to [1, 64], or 16
 	// when the predicate has no MinDuration.
 	Stride int64
-	// Pad widens each coarse hit into a candidate interval by this many
-	// frames on each side before merging (0 = Stride, which guarantees a
-	// track touching one grid point is densified across its whole
-	// neighborhood).
-	Pad int64
 	// CoarseOnly skips densification and tracks over the stride-spaced
 	// detections alone — a cheap low-fidelity mode for triage. Track
 	// endpoints snap to grid points and short tracks may be missed.
@@ -218,24 +211,12 @@ type TrackOptions struct {
 	MaxFrames int64
 	// MaxSeconds caps the charged query time (0 = no cap).
 	MaxSeconds float64
-	// IoUThreshold, MaxAge and MinHits tune the SORT association (0 =
-	// tracker defaults: 0.3, 3, 2). In CoarseOnly mode MaxAge is measured
-	// in grid steps (consecutive observations are a stride apart).
-	IoUThreshold float64
-	MaxAge       int64
-	MinHits      int
-	// SmoothQ and SmoothR tune the Kalman smoother's process and
-	// measurement noise (0 = filter defaults).
-	SmoothQ, SmoothR float64
 }
 
 // Validate reports an error for out-of-range track options.
 func (o TrackOptions) Validate() error {
 	if o.Stride < 0 {
 		return fmt.Errorf("exsample: negative Stride %d", o.Stride)
-	}
-	if o.Pad < 0 {
-		return fmt.Errorf("exsample: negative Pad %d", o.Pad)
 	}
 	if o.Limit < 0 {
 		return fmt.Errorf("exsample: negative Limit %d", o.Limit)
@@ -245,18 +226,6 @@ func (o TrackOptions) Validate() error {
 	}
 	if o.MaxSeconds < 0 {
 		return fmt.Errorf("exsample: negative MaxSeconds %v", o.MaxSeconds)
-	}
-	if o.IoUThreshold < 0 || o.IoUThreshold > 1 {
-		return fmt.Errorf("exsample: IoUThreshold %v outside [0,1]", o.IoUThreshold)
-	}
-	if o.MaxAge < 0 {
-		return fmt.Errorf("exsample: negative MaxAge %d", o.MaxAge)
-	}
-	if o.MinHits < 0 {
-		return fmt.Errorf("exsample: negative MinHits %d", o.MinHits)
-	}
-	if o.SmoothQ < 0 || o.SmoothR < 0 {
-		return fmt.Errorf("exsample: negative smoother noise")
 	}
 	return nil
 }

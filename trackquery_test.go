@@ -116,27 +116,37 @@ func TestTrackSearchDeterministicRepeat(t *testing.T) {
 }
 
 func TestTrackSearchSeedIndependentResults(t *testing.T) {
-	// The sampler seed orders the coarse phase but the grid always runs
-	// to completion, so the result set — and every frame counter — is
-	// seed-independent. Only charged seconds may differ (summation
-	// order).
-	ds := trackScene(t, WithPerfectDetector())
-	want, err := ds.TrackSearch(trackPred(), TrackOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seed := range []uint64{2, 99, 12345} {
-		got, err := ds.TrackSearch(trackPred(), TrackOptions{Seed: seed})
+	// The coarse phase is a fixed walk of the grid, so Seed reaches
+	// nothing: the full report — results, every counter and the charged
+	// seconds — is bit-identical across seeds, and the engine (eight-frame
+	// rounds on four workers) reproduces TrackSearch's report bit for bit.
+	digest := func(src Source, seed uint64) string {
+		rep, err := TrackSearch(src, trackPred(), TrackOptions{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want.Results, got.Results) {
-			t.Errorf("seed %d changed the result set (%d vs %d results)", seed, len(got.Results), len(want.Results))
+		return trackReportDigest(rep)
+	}
+	pair := digestTrackPair(t)
+	for _, src := range []Source{trackScene(t, WithPerfectDetector()), pair} {
+		want := digest(src, 1)
+		for seed := uint64(2); seed <= 8; seed++ {
+			if got := digest(src, seed); got != want {
+				t.Errorf("%s: seed %d digest %s, seed 1 %s", src.Name(), seed, got, want)
+			}
 		}
-		if got.FramesProcessed != want.FramesProcessed || got.Intervals != want.Intervals {
-			t.Errorf("seed %d changed coverage: frames %d vs %d, intervals %d vs %d",
-				seed, got.FramesProcessed, want.FramesProcessed, got.Intervals, want.Intervals)
-		}
+	}
+	e := newTestEngine(t, EngineOptions{Workers: 4, FramesPerRound: 8})
+	h, err := e.SubmitTrack(context.Background(), pair, trackPred(), TrackOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := h.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := trackReportDigest(rep), digest(pair, 1); got != want {
+		t.Errorf("engine digest %s, TrackSearch %s", got, want)
 	}
 }
 
@@ -520,15 +530,10 @@ func TestTrackPredicateValidation(t *testing.T) {
 func TestTrackOptionsValidation(t *testing.T) {
 	ds := trackScene(t)
 	for name, o := range map[string]TrackOptions{
-		"stride":   {Stride: -1},
-		"pad":      {Pad: -1},
-		"limit":    {Limit: -1},
-		"frames":   {MaxFrames: -1},
-		"seconds":  {MaxSeconds: -1},
-		"iou":      {IoUThreshold: 1.5},
-		"age":      {MaxAge: -1},
-		"hits":     {MinHits: -1},
-		"smoother": {SmoothQ: -1},
+		"stride":  {Stride: -1},
+		"limit":   {Limit: -1},
+		"frames":  {MaxFrames: -1},
+		"seconds": {MaxSeconds: -1},
 	} {
 		if _, err := ds.TrackSearch(trackPred(), o); err == nil {
 			t.Errorf("%s: invalid options accepted", name)

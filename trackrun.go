@@ -21,9 +21,9 @@ import (
 // stride grid to completion, so the hit set — and therefore the candidate
 // intervals, the refine schedule, the per-interval tracker inputs and the
 // emitted TrackResults — is a pure function of (source contents,
-// predicate, options), independent of the sampler seed, the engine's round
-// size and worker count, and the shard layout (a ShardedSource presents
-// the same global frame space as the equivalent Dataset).
+// predicate, options), independent of the engine's round size and worker
+// count, and the shard layout (a ShardedSource presents the same global
+// frame space as the equivalent Dataset).
 type trackRun struct {
 	runCore
 	pred   TrackPredicate
@@ -67,31 +67,19 @@ func newTrackRun(s Source, p TrackPredicate, o TrackOptions, cc cacheConfig) (*t
 	}
 	chunks := rc.chunksNow()
 	stride := o.strideFor(p)
-	pad := o.Pad
-	if pad == 0 {
-		pad = stride
-	}
+	// A pad of one stride densifies a track touching one grid point
+	// across its whole neighborhood.
 	plan, err := trackquery.NewPlan(trackquery.Config{
 		NumFrames:  rc.numFramesNow(),
 		Chunks:     chunks,
 		Stride:     stride,
-		Pad:        pad,
-		Seed:       o.Seed,
+		Pad:        stride,
 		CoarseOnly: o.CoarseOnly,
 	})
 	if err != nil {
 		return nil, err
 	}
-	trkCfg := sorttrack.Config{IoUThreshold: 0.3, MaxAge: 3, MinHits: 2}
-	if o.IoUThreshold > 0 {
-		trkCfg.IoUThreshold = o.IoUThreshold
-	}
-	if o.MaxAge > 0 {
-		trkCfg.MaxAge = o.MaxAge
-	}
-	if o.MinHits > 0 {
-		trkCfg.MinHits = o.MinHits
-	}
+	trkCfg := sorttrack.DefaultConfig()
 	if o.CoarseOnly {
 		// Consecutive observations are a stride apart, so age in grid
 		// steps: a track may miss MaxAge grid points before finalizing.
@@ -114,22 +102,19 @@ func newTrackRun(s Source, p TrackPredicate, o TrackOptions, cc cacheConfig) (*t
 		rep:     &TrackReport{Predicate: p, DenseFrames: dense},
 	}
 	// Fence the shards already draining or gated at submit.
-	if err := r.fence(); err != nil {
-		return nil, err
-	}
+	r.fence()
 	return r, nil
 }
 
 // fence enables exactly the plan's coarse arms on an active shard of the
 // synced topology.
-func (r *trackRun) fence() error {
-	if r.snap == nil {
-		return nil
+func (r *trackRun) fence() {
+	if r.snap != nil {
+		r.plan.Fence(func(c video.Chunk) bool { return spanActive(r.snap, c) })
 	}
-	return r.plan.Fence(func(c video.Chunk) bool { return spanActive(r.snap, c) })
 }
 
-// next draws the next frame from the plan. Chunk is the coarse sampler arm
+// next draws the next frame from the plan. Chunk is the coarse arm
 // during phase 1 and -1 during refine. ok is false when the plan has
 // nothing to issue — terminal once done() holds, transient while a round's
 // coarse observes are outstanding. A drawn frame of a draining or gated
@@ -158,7 +143,7 @@ func (r *trackRun) next() (core.Pick, bool) {
 // can still pick: it has neither finished nor latched a failure.
 func (r *trackRun) ready() bool {
 	if r.err == nil && r.moved() {
-		r.err = r.fence()
+		r.fence()
 	}
 	return r.err == nil && !r.done()
 }
@@ -279,7 +264,7 @@ func (r *trackRun) assemble(iv trackquery.Interval) ([]TrackResult, error) {
 			frames[i] = pp.Frame
 			boxes[i] = pp.Box
 		}
-		sm, err := kalman.Smooth(frames, boxes, r.opts.SmoothQ, r.opts.SmoothR)
+		sm, err := kalman.Smooth(frames, boxes, 0, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -333,12 +318,11 @@ func (r *trackRun) done() bool {
 // detector error returns with the report as of the last applied frame.
 //
 // The query runs the MIRIS-style accelerate/refine loop: phase 1 samples
-// the repository at a coarse stride (ordered by the adaptive chunk sampler,
-// so detector frames flow to chunks where the class actually appears) to
-// localize candidate intervals, phase 2 densifies only those intervals and
-// evaluates the predicate over the smoothed tracks found there. On sparse
-// scenes this charges a small fraction of a dense scan's detector frames —
-// TrackReport.Speedup reports the realized ratio.
+// the repository at a coarse stride (a fixed round-robin walk over the
+// chunks) to localize candidate intervals, phase 2 densifies only those
+// intervals and evaluates the predicate over the smoothed tracks found
+// there. On sparse scenes this charges a small fraction of a dense scan's
+// detector frames — TrackReport.Speedup reports the realized ratio.
 func TrackSearch(src Source, p TrackPredicate, o TrackOptions) (*TrackReport, error) {
 	run, err := newTrackRun(src, p, o, cacheConfig{})
 	if err != nil {
