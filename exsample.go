@@ -210,7 +210,7 @@ func (q Query) validate(needStop bool) error {
 	if q.Limit < 0 {
 		return fmt.Errorf("exsample: negative limit %d", q.Limit)
 	}
-	if q.RecallTarget < 0 || q.RecallTarget > 1 {
+	if !(q.RecallTarget >= 0 && q.RecallTarget <= 1) {
 		return fmt.Errorf("exsample: recall target %v outside [0,1]", q.RecallTarget)
 	}
 	if needStop && q.Limit == 0 && q.RecallTarget == 0 {
@@ -320,7 +320,7 @@ func (o Options) Validate() error {
 	if o.MaxSeconds < 0 {
 		return fmt.Errorf("exsample: negative MaxSeconds %v", o.MaxSeconds)
 	}
-	if o.ProxyQuality < 0 || o.ProxyQuality > 1 {
+	if !(o.ProxyQuality >= 0 && o.ProxyQuality <= 1) {
 		return fmt.Errorf("exsample: ProxyQuality %v outside [0,1]", o.ProxyQuality)
 	}
 	if o.ProxyDupRadius < 0 {
@@ -332,10 +332,10 @@ func (o Options) Validate() error {
 	if o.ProxyTrainBudget < 0 {
 		return fmt.Errorf("exsample: negative ProxyTrainBudget %d", o.ProxyTrainBudget)
 	}
-	if o.TrackerCoverage < 0 || o.TrackerCoverage > 1 {
+	if !(o.TrackerCoverage >= 0 && o.TrackerCoverage <= 1) {
 		return fmt.Errorf("exsample: TrackerCoverage %v outside [0,1]", o.TrackerCoverage)
 	}
-	if o.IoUThreshold < 0 || o.IoUThreshold > 1 {
+	if !(o.IoUThreshold >= 0 && o.IoUThreshold <= 1) {
 		return fmt.Errorf("exsample: IoUThreshold %v outside [0,1]", o.IoUThreshold)
 	}
 	if o.FuseProxyWithinChunk && o.Strategy != StrategyExSample {

@@ -3,6 +3,8 @@ package exsample
 import (
 	"math"
 	"testing"
+
+	"github.com/exsample/exsample/internal/discrim"
 )
 
 func smallDataset(t *testing.T, opts ...DatasetOption) *Dataset {
@@ -65,6 +67,41 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := (Options{}).Validate(); err != nil {
 		t.Errorf("zero options rejected: %v", err)
+	}
+}
+
+// TestNaNBoundsRejected pins that every [0, 1] (or (0, 1]) bound rejects
+// NaN. Written as x < lo || x > hi, a bound lets NaN through, and a NaN IoU
+// threshold or tracker coverage then makes every detection a new object.
+func TestNaNBoundsRejected(t *testing.T) {
+	nan := math.NaN()
+	ds, err := Synthesize(SynthSpec{NumFrames: 3000, NumInstances: 50, Class: "car", MeanDuration: 100, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		err  func() error
+	}{
+		{"Options.IoUThreshold", Options{IoUThreshold: nan}.Validate},
+		{"Options.TrackerCoverage", Options{TrackerCoverage: nan}.Validate},
+		{"Options.ProxyQuality", Options{ProxyQuality: nan}.Validate},
+		{"Query.RecallTarget", Query{Class: "car", Limit: 5, RecallTarget: nan}.Validate},
+		{"discrim.New", func() error { _, err := discrim.New(discrim.FrameExtender{}, nan); return err }},
+		{"discrim.ValidateCoverage", func() error { return discrim.ValidateCoverage(nan) }},
+		{"SearchSource with a NaN IoUThreshold", func() error {
+			_, err := SearchSource(ds, Query{Class: "car", Limit: 3000}, Options{Seed: 1, IoUThreshold: nan, MaxFrames: 3000})
+			return err
+		}},
+		{"SearchSource with a NaN TrackerCoverage", func() error {
+			_, err := SearchSource(ds, Query{Class: "car", Limit: 3000}, Options{Seed: 1, TrackerCoverage: nan, MaxFrames: 3000})
+			return err
+		}},
+	}
+	for _, c := range cases {
+		if c.err() == nil {
+			t.Errorf("%s: NaN accepted", c.name)
+		}
 	}
 }
 

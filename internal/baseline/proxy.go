@@ -44,8 +44,8 @@ func NewProxyScorer(idx *track.Index, class string, quality float64, seed uint64
 // Score returns the proxy score for a frame, in [0, 2).
 func (p *ProxyScorer) Score(frame int64) float64 {
 	var truth float64
-	var buf [4]track.Instance
-	var visible []track.Instance
+	var buf [4]*track.Instance
+	var visible []*track.Instance
 	if p.class == "" {
 		visible = p.idx.At(frame, buf[:0])
 	} else {

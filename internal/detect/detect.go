@@ -179,10 +179,10 @@ func (s *Sim) Calls() int64 { return s.calls.Load() }
 // frame for a given detector.
 func (s *Sim) Detect(frame int64) []track.Detection {
 	s.calls.Add(1)
-	// A frame rarely shows more than a handful of instances: collect them
-	// on the stack, spilling to the heap only past the buffer.
-	var buf [16]track.Instance
-	var visible []track.Instance
+	// Gather pointers to the visible instances on the stack; a frame
+	// spills to the heap only past 64 of them.
+	var buf [64]*track.Instance
+	var visible []*track.Instance
 	if s.class == "" {
 		visible = s.idx.At(frame, buf[:0])
 	} else {
@@ -253,7 +253,7 @@ func (s *Sim) fpCount(frame int64) int {
 
 // missProb returns the per-frame miss probability for an instance,
 // including the edge boost near track endpoints.
-func (s *Sim) missProb(in track.Instance, frame int64) float64 {
+func (s *Sim) missProb(in *track.Instance, frame int64) float64 {
 	p := s.noise.MissProb
 	dur := in.Duration()
 	if dur > 1 && s.noise.EdgeMissBoost > 0 {

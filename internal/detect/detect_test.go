@@ -356,3 +356,34 @@ func TestFailAfter(t *testing.T) {
 		t.Fatalf("concurrent callers kept %d detections, want exactly the limit 50", total)
 	}
 }
+
+// TestSimDetectAllocs pins Detect's allocation budget: the visible
+// instances are gathered as pointers on the stack, so a frame costs only its
+// output slice, however many instances it shows, and an empty frame costs
+// nothing.
+func TestSimDetectAllocs(t *testing.T) {
+	var instances []track.Instance
+	for i := 0; i < 50; i++ {
+		class := "car"
+		if i >= 40 {
+			class = "bus"
+		}
+		instances = append(instances, inst(i, class, 0, 99))
+	}
+	idx := buildIndex(t, instances, 1000)
+	noise := DefaultNoise()
+	noise.MissProb, noise.EdgeMissBoost, noise.FalsePositiveRate = 0, 0, 0
+	d, err := NewSim(idx, 7, WithClass("car"), WithNoise(noise))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(d.Detect(50)); n != 40 {
+		t.Fatalf("Detect(50) = %d detections, want 40", n)
+	}
+	if got := testing.AllocsPerRun(100, func() { d.Detect(50) }); got != 1 {
+		t.Errorf("frame with 40 visible cars: %v allocs, want 1 (the output slice)", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { d.Detect(500) }); got != 0 {
+		t.Errorf("empty frame: %v allocs, want 0", got)
+	}
+}

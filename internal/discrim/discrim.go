@@ -36,21 +36,20 @@ type PredictedTrack struct {
 }
 
 // BoxAt returns the predicted box at a frame within the track (clamped).
-func (p PredictedTrack) BoxAt(frame int64) geom.Box {
+// It is the one interpolation of a track; match calls it through a pointer
+// so the track is not copied per candidate.
+func (p *PredictedTrack) BoxAt(frame int64) geom.Box {
 	if p.End <= p.Start {
 		return p.StartBox
 	}
-	t := float64(frame-p.Start) / float64(p.End-p.Start)
-	if t < 0 {
-		t = 0
-	} else if t > 1 {
-		t = 1
-	}
-	return geom.Lerp(p.StartBox, p.EndBox, t)
+	// The quotient of two integers with a positive divisor is finite and
+	// never -0, so the builtin clamp equals the compare-and-assign one.
+	return geom.Lerp(p.StartBox, p.EndBox,
+		min(max(float64(frame-p.Start)/float64(p.End-p.Start), 0), 1))
 }
 
 // Covers reports whether the predicted track covers the frame.
-func (p PredictedTrack) Covers(frame int64) bool {
+func (p *PredictedTrack) Covers(frame int64) bool {
 	return frame >= p.Start && frame <= p.End
 }
 
@@ -118,7 +117,8 @@ const (
 const DefaultIoUThreshold = 0.5
 
 // New creates a discriminator. iouThresh <= 0 selects
-// DefaultIoUThreshold.
+// DefaultIoUThreshold; above 1 or NaN it is an error, so the threshold is
+// always in (0, 1].
 func New(extender Extender, iouThresh float64) (*Discriminator, error) {
 	if extender == nil {
 		return nil, fmt.Errorf("discrim: nil extender")
@@ -126,7 +126,7 @@ func New(extender Extender, iouThresh float64) (*Discriminator, error) {
 	if iouThresh <= 0 {
 		iouThresh = DefaultIoUThreshold
 	}
-	if iouThresh > 1 {
+	if !(iouThresh <= 1) {
 		return nil, fmt.Errorf("discrim: IoU threshold %v > 1", iouThresh)
 	}
 	return &Discriminator{
@@ -143,13 +143,13 @@ func New(extender Extender, iouThresh float64) (*Discriminator, error) {
 // once before. Detections matching an object already seen twice or more fall
 // into neither set.
 func (d *Discriminator) GetMatches(frame int64, dets []track.Detection) (d0, d1 []track.Detection) {
-	for _, det := range dets {
-		obj := d.match(frame, det)
+	for i := range dets {
+		obj := d.match(frame, &dets[i])
 		switch {
 		case obj == nil:
-			d0 = append(d0, det)
+			d0 = append(d0, dets[i])
 		case obj.Sightings == 1:
-			d1 = append(d1, det)
+			d1 = append(d1, dets[i])
 		}
 	}
 	return d0, d1
@@ -160,12 +160,12 @@ func (d *Discriminator) GetMatches(frame int64, dets []track.Detection) (d0, d1 
 // new objects via the tracker. It returns the newly created objects.
 func (d *Discriminator) Add(frame int64, dets []track.Detection) []*Object {
 	var created []*Object
-	for _, det := range dets {
-		if obj := d.match(frame, det); obj != nil {
+	for i := range dets {
+		if obj := d.match(frame, &dets[i]); obj != nil {
 			obj.Sightings++
 			continue
 		}
-		created = append(created, d.newObject(det))
+		created = append(created, d.newObject(dets[i]))
 	}
 	return created
 }
@@ -198,11 +198,11 @@ func (d *Discriminator) ObserveObjects(frame int64, dets []track.Detection) (new
 	d.newObjs, d.secondObjs = d.newObjs[:0], d.secondObjs[:0]
 	// Classify and register one detection at a time so that two detections
 	// of the same new object within one frame are not both counted as new.
-	for _, det := range dets {
-		obj := d.match(frame, det)
+	for i := range dets {
+		obj := d.match(frame, &dets[i])
 		switch {
 		case obj == nil:
-			d.newObjs = append(d.newObjs, d.newObject(det))
+			d.newObjs = append(d.newObjs, d.newObject(dets[i]))
 		case obj.Sightings == 1:
 			d.secondObjs = append(d.secondObjs, obj)
 			obj.Sightings++
@@ -233,20 +233,33 @@ func (d *Discriminator) newObject(det track.Detection) *Object {
 }
 
 // match returns the known object whose predicted position at the frame best
-// matches the detection (same class, IoU >= threshold), or nil.
-func (d *Discriminator) match(frame int64, det track.Detection) *Object {
-	var best *Object
-	bestIoU := 0.0
+// matches the detection (same class, IoU >= threshold), or nil; of equal
+// IoUs the first discovered wins.
+//
+// It computes IoU only for candidates that can match, rejecting in order of
+// cost: the track's interval, then geom.Overlap of the boxes, then the
+// class (the one test that follows a pointer to a string). The rejection
+// is exact: New keeps the threshold in (0, 1], so an IoU of 0 never
+// matches, and Overlap is false only where IoU is 0 (its contract),
+// NaN coordinates included.
+func (d *Discriminator) match(frame int64, det *track.Detection) *Object {
 	bk, ok := d.buckets[frame/d.bucketSize]
 	if !ok {
 		return nil
 	}
+	var best *Object
+	bestIoU := 0.0
 	for e := bk.head; e >= 0; e = d.links[e].next {
 		obj := d.links[e].obj
-		if obj.Class != det.Class || !obj.Track.Covers(frame) {
+		p := &obj.Track
+		if !p.Covers(frame) {
 			continue
 		}
-		iou := geom.IoU(obj.Track.BoxAt(frame), det.Box)
+		box := p.BoxAt(frame)
+		if !geom.Overlap(&box, &det.Box) || obj.Class != det.Class {
+			continue
+		}
+		iou := geom.IoU(box, det.Box)
 		if iou >= d.iouThresh && iou > bestIoU {
 			best = obj
 			bestIoU = iou

@@ -33,7 +33,7 @@ func NewTruthExtender(idx *track.Index, coverage float64) (*TruthExtender, error
 // coverage: in (0, 1], where 1 reproduces the paper's assumption that the
 // tracker recovers the object's full visible extent.
 func ValidateCoverage(coverage float64) error {
-	if coverage <= 0 || coverage > 1 {
+	if !(coverage > 0 && coverage <= 1) {
 		return fmt.Errorf("discrim: coverage %v outside (0, 1]", coverage)
 	}
 	return nil

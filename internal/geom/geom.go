@@ -32,6 +32,21 @@ func IoU(a, b Box) float64 {
 	return ia / union
 }
 
+// Overlap reports whether boxes a and b share an interior: both are
+// non-inverted and their intervals cross with positive length on both axes.
+// It is the cheap pre-test of IoU, with the contract
+//
+//	IoU(a, b) > 0 ⟺ Overlap(a, b)
+//
+// for every pair whose areas neither underflow to 0 nor overflow to +Inf.
+// The direction a caller skipping IoU relies on, IoU(a, b) > 0 ⟹
+// Overlap(a, b), holds for all inputs. Every test is a plain <, so a NaN
+// coordinate makes Overlap false, as it makes IoU 0.
+func Overlap(a, b *Box) bool {
+	return a.X1 < b.X2 && b.X1 < a.X2 && a.Y1 < b.Y2 && b.Y1 < a.Y2 &&
+		a.X1 < a.X2 && b.X1 < b.X2 && a.Y1 < a.Y2 && b.Y1 < b.Y2
+}
+
 // Lerp linearly interpolates between boxes a and b; t=0 gives a, t=1 gives
 // b. Used by the track model to place an object's box in frames between its
 // endpoints.

@@ -176,3 +176,27 @@ func TestCenter(t *testing.T) {
 		t.Fatalf("Center = %v,%v", cx, cy)
 	}
 }
+
+// TestOverlapIsIoUPositive checks Overlap's contract, IoU > 0 ⟺ Overlap,
+// on every pair of boxes with corners on a 4-point grid (inverted and
+// zero-area boxes included, touching edges and corners among them), and
+// with a NaN in each coordinate.
+func TestOverlapIsIoUPositive(t *testing.T) {
+	var boxes []Box
+	for c := 0; c < 4*4*4*4; c++ {
+		boxes = append(boxes, box(float64(c&3), float64(c>>2&3), float64(c>>4&3), float64(c>>6&3)))
+	}
+	for _, a := range boxes {
+		for _, b := range boxes {
+			if got, want := Overlap(&a, &b), IoU(a, b) > 0; got != want {
+				t.Fatalf("Overlap(%+v, %+v) = %v, IoU %v", a, b, got, IoU(a, b))
+			}
+		}
+	}
+	full, n := box(0, 0, 3, 3), math.NaN()
+	for _, bad := range []Box{box(n, 0, 3, 3), box(0, n, 3, 3), box(0, 0, n, 3), box(0, 0, 3, n)} {
+		if Overlap(&bad, &full) || Overlap(&full, &bad) {
+			t.Errorf("Overlap true for %+v", bad)
+		}
+	}
+}

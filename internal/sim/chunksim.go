@@ -118,7 +118,7 @@ func Run(method Method, cfg ChunkSimConfig) (Trajectory, error) {
 
 	sightings := make(map[int]int, len(cfg.Instances))
 	var found int64
-	var buf []track.Instance
+	var buf []*track.Instance
 
 	// observe processes one frame and returns the (d0, d1) sizes.
 	observe := func(frame int64) (d0, d1 int) {
@@ -223,7 +223,7 @@ func SamplesToReach(method Method, cfg ChunkSimConfig, target int64) (int64, boo
 	}
 	sightings := make(map[int]int)
 	var found, samples int64
-	var buf []track.Instance
+	var buf []*track.Instance
 
 	step := func(frame int64) (d0, d1 int, done bool) {
 		samples++

@@ -134,14 +134,15 @@ func NewIndex(instances []Instance, numFrames int64, bucketSize int64) (*Index, 
 }
 
 // At appends to dst the instances visible in the given frame and returns the
-// extended slice. Pass a reusable buffer to avoid allocation in hot loops.
-// Out-of-range frames yield no instances.
-func (x *Index) At(frame int64, dst []Instance) []Instance {
+// extended slice. The entries point into the index's own table, which never
+// changes, so a caller copies nothing; pass a reusable buffer to avoid
+// allocation in hot loops. Out-of-range frames yield no instances.
+func (x *Index) At(frame int64, dst []*Instance) []*Instance {
 	if frame < 0 || frame >= x.numFrames {
 		return dst
 	}
 	for _, i := range x.buckets[frame/x.bucketSize] {
-		in := x.instances[i]
+		in := &x.instances[i]
 		if in.VisibleAt(frame) {
 			dst = append(dst, in)
 		}
@@ -150,14 +151,14 @@ func (x *Index) At(frame int64, dst []Instance) []Instance {
 }
 
 // AtClass is like At but keeps only instances of the given class.
-func (x *Index) AtClass(frame int64, class string, dst []Instance) []Instance {
+func (x *Index) AtClass(frame int64, class string, dst []*Instance) []*Instance {
 	if frame < 0 || frame >= x.numFrames {
 		return dst
 	}
 	for _, i := range x.buckets[frame/x.bucketSize] {
 		in := &x.instances[i]
 		if in.Class == class && in.VisibleAt(frame) {
-			dst = append(dst, *in)
+			dst = append(dst, in)
 		}
 	}
 	return dst

@@ -252,10 +252,13 @@ func TestAtReusesBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]Instance, 0, 8)
+	buf := make([]*Instance, 0, 8)
 	got := idx.At(5, buf)
 	if len(got) != 1 {
 		t.Fatalf("got %d", len(got))
+	}
+	if got[0] != &idx.Instances()[0] {
+		t.Fatal("At copied the instance instead of pointing into the index")
 	}
 	got2 := idx.At(5, got[:0])
 	if len(got2) != 1 || &got2[0] != &got[0] {

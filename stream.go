@@ -115,7 +115,7 @@ type StreamSource struct {
 	gatedTotal  int
 	gateSeconds float64
 	// probe is the reused gate probe buffer.
-	probe []track.Instance
+	probe []*track.Instance
 }
 
 // NewStreamSource opens a live segment ring primed with one or more initial
