@@ -243,8 +243,9 @@ func TestSimBackendThroughAdapter(t *testing.T) {
 	// The default detect path — the simulated detector as a Backend behind
 	// the backend adapter — returns one output per frame, aligned with
 	// the frames however they are ordered, charges the dataset's
-	// per-frame cost, and abandons a batch cancelled midway.
-	ds := smallDataset(t, WithPerfectDetector(), WithThroughput(40, 100))
+	// per-frame cost (the paper's 20 fps detector), and abandons a batch
+	// cancelled midway.
+	ds := smallDataset(t, WithPerfectDetector())
 	cars := framesWithCars(t, ds, 2)
 	frames := []int64{cars[1], 3, cars[0]}
 	det := ds.newBatchDetector("car")
@@ -256,8 +257,8 @@ func TestSimBackendThroughAdapter(t *testing.T) {
 		t.Fatalf("got %d outputs for %d frames", len(outs), len(frames))
 	}
 	for i, fo := range outs {
-		if fo.Cost != 1.0/40 {
-			t.Fatalf("frame %d charged %v, want %v", frames[i], fo.Cost, 1.0/40)
+		if fo.Cost != 1.0/20 {
+			t.Fatalf("frame %d charged %v, want %v", frames[i], fo.Cost, 1.0/20)
 		}
 		one, err := det.DetectBatch(context.Background(), frames[i:i+1])
 		if err != nil {

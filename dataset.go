@@ -40,50 +40,13 @@ type Dataset struct {
 	qs *querySource
 }
 
-// NoiseConfig exposes the simulated detector's imperfections.
-type NoiseConfig struct {
-	// MissProb is the per-frame probability a visible object goes
-	// undetected.
-	MissProb float64
-	// EdgeMissBoost adds misses near the start/end of an object's
-	// visibility.
-	EdgeMissBoost float64
-	// JitterFrac perturbs box coordinates by up to this fraction of size.
-	JitterFrac float64
-	// FalsePositiveRate is the expected spurious detections per frame.
-	FalsePositiveRate float64
-}
-
 // DatasetOption customizes dataset construction.
 type DatasetOption func(*Dataset)
-
-// WithNoise replaces the default detector noise model.
-func WithNoise(nc NoiseConfig) DatasetOption {
-	return func(d *Dataset) {
-		d.noise = detect.NoiseModel{
-			MissProb:          nc.MissProb,
-			EdgeMissBoost:     nc.EdgeMissBoost,
-			JitterFrac:        nc.JitterFrac,
-			FalsePositiveRate: nc.FalsePositiveRate,
-			MinScore:          0.5,
-			MaxScore:          0.99,
-		}
-	}
-}
 
 // WithPerfectDetector removes all detector noise.
 func WithPerfectDetector() DatasetOption {
 	return func(d *Dataset) {
 		d.noise = detect.NoiseModel{MinScore: 1, MaxScore: 1}
-	}
-}
-
-// WithThroughput overrides the cost model (frames/second of the detector
-// path and of the proxy scoring scan). The defaults are the paper's measured
-// 20 and 100 fps.
-func WithThroughput(detectFPS, scanFPS float64) DatasetOption {
-	return func(d *Dataset) {
-		d.cost = costmodel.Model{DetectFPS: detectFPS, ScanFPS: scanFPS}
 	}
 }
 
@@ -207,15 +170,11 @@ func newDataset(inner *datasets.Dataset, seed uint64, opts ...DatasetOption) *Da
 		scanSeconds: func(start, end int64) float64 { return d.cost.ScanSeconds(end - start) },
 		groundTruth: d.GroundTruthCount,
 		newDetector: d.newBatchDetector,
-		newExtender: func(coverage float64) (discrim.Extender, error) {
-			return discrim.NewTruthExtender(d.inner.Index, coverage)
+		newExtender: func() (discrim.Extender, error) {
+			return discrim.NewTruthExtender(d.inner.Index, 1)
 		},
-		newScorer: func(class string, quality float64, seed uint64) (func(int64) float64, error) {
-			scorer, err := baseline.NewProxyScorer(d.inner.Index, class, quality, seed)
-			if err != nil {
-				return nil, err
-			}
-			return scorer.Score, nil
+		newScorer: func(class string, seed uint64) func(int64) float64 {
+			return baseline.NewProxyScorer(d.inner.Index, class, seed).Score
 		},
 	}
 	return d

@@ -107,6 +107,7 @@ package exsample
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/internal/core"
@@ -238,9 +239,6 @@ type Options struct {
 	AutoChunk bool
 	// Alpha0 and Beta0 override the belief prior (0 = paper defaults).
 	Alpha0, Beta0 float64
-	// UniformWithinChunk replaces the default random+ within-chunk order
-	// with plain uniform sampling (ablation knob).
-	UniformWithinChunk bool
 	// BatchSize processes frames in rounds of this size with deferred
 	// state updates, emulating GPU batch inference (§III-F): a round's
 	// picks are all drawn before any of its updates apply, and its frames
@@ -254,37 +252,23 @@ type Options struct {
 	MaxFrames int64
 	// MaxSeconds caps the charged query time (0 = no cap).
 	MaxSeconds float64
-	// ProxyQuality is the proxy score fidelity in [0,1] for StrategyProxy
-	// (default 1: a perfect proxy, the strongest baseline).
-	ProxyQuality float64
-	// ProxyDupRadius enables the proxy duplicate-avoidance heuristic:
-	// frames within this distance of an already-processed frame are
-	// deferred (0 = off).
-	ProxyDupRadius int64
 	// ProxyTrainPositives models BlazeIt's training requirement (§II-B):
 	// before scoring, the proxy must collect this many labels by random
 	// sampling with the full detector, where a label is a frame that
 	// discovers at least one new distinct object of the target class (a
 	// frame that only re-sights already-found objects collects nothing).
-	// If the labels are not found within ProxyTrainBudget frames, the
+	// If the labels are not found within a budget of 2% of the
+	// repository's frames (and at least ProxyTrainPositives frames), the
 	// proxy falls back to plain random sampling, as BlazeIt does. 0 skips
 	// the training phase (an idealized pre-trained proxy).
 	ProxyTrainPositives int
-	// ProxyTrainBudget caps the training phase's detector frames
-	// (0 = 2% of the repository).
-	ProxyTrainBudget int64
-	// TrackerCoverage is the fraction of an object's true visible extent
-	// the discriminator's tracker recovers (default 1, the paper's
-	// idealized SORT-style tracker).
-	TrackerCoverage float64
 	// IoUThreshold is the discriminator match threshold (default 0.5).
 	IoUThreshold float64
 	// FuseProxyWithinChunk implements the paper's §VII future-work fusion:
 	// ExSample still chooses chunks by Thompson sampling, but frames inside
 	// a chunk are processed in descending proxy-score order, and the
 	// scoring cost is charged per chunk on first visit instead of as a
-	// full-dataset scan. ProxyQuality controls the score fidelity. Only
-	// valid with StrategyExSample.
+	// full-dataset scan. Only valid with StrategyExSample.
 	FuseProxyWithinChunk bool
 	// HomeChunkAccounting applies the technical report's adjustment for
 	// instances spanning chunks: the -1 of a second sighting is charged to
@@ -308,7 +292,8 @@ func (o Options) Validate() error {
 	if o.NumChunks < 0 {
 		return fmt.Errorf("exsample: negative NumChunks %d", o.NumChunks)
 	}
-	if o.Alpha0 < 0 || o.Beta0 < 0 {
+	// A non-finite prior would hang the sampler's first Gamma draw.
+	if !(o.Alpha0 >= 0 && o.Beta0 >= 0) || math.IsInf(o.Alpha0, 1) || math.IsInf(o.Beta0, 1) {
 		return fmt.Errorf("exsample: negative prior")
 	}
 	if o.BatchSize < 0 {
@@ -317,32 +302,17 @@ func (o Options) Validate() error {
 	if o.MaxFrames < 0 {
 		return fmt.Errorf("exsample: negative MaxFrames %d", o.MaxFrames)
 	}
-	if o.MaxSeconds < 0 {
+	if !(o.MaxSeconds >= 0) {
 		return fmt.Errorf("exsample: negative MaxSeconds %v", o.MaxSeconds)
-	}
-	if !(o.ProxyQuality >= 0 && o.ProxyQuality <= 1) {
-		return fmt.Errorf("exsample: ProxyQuality %v outside [0,1]", o.ProxyQuality)
-	}
-	if o.ProxyDupRadius < 0 {
-		return fmt.Errorf("exsample: negative ProxyDupRadius %d", o.ProxyDupRadius)
 	}
 	if o.ProxyTrainPositives < 0 {
 		return fmt.Errorf("exsample: negative ProxyTrainPositives %d", o.ProxyTrainPositives)
-	}
-	if o.ProxyTrainBudget < 0 {
-		return fmt.Errorf("exsample: negative ProxyTrainBudget %d", o.ProxyTrainBudget)
-	}
-	if !(o.TrackerCoverage >= 0 && o.TrackerCoverage <= 1) {
-		return fmt.Errorf("exsample: TrackerCoverage %v outside [0,1]", o.TrackerCoverage)
 	}
 	if !(o.IoUThreshold >= 0 && o.IoUThreshold <= 1) {
 		return fmt.Errorf("exsample: IoUThreshold %v outside [0,1]", o.IoUThreshold)
 	}
 	if o.FuseProxyWithinChunk && o.Strategy != StrategyExSample {
 		return fmt.Errorf("exsample: FuseProxyWithinChunk requires StrategyExSample")
-	}
-	if o.FuseProxyWithinChunk && o.UniformWithinChunk {
-		return fmt.Errorf("exsample: FuseProxyWithinChunk conflicts with UniformWithinChunk")
 	}
 	if o.HomeChunkAccounting && o.Strategy != StrategyExSample {
 		return fmt.Errorf("exsample: HomeChunkAccounting requires StrategyExSample")

@@ -80,8 +80,8 @@ func TestFusionOptionValidation(t *testing.T) {
 		t.Error("fusion with random strategy accepted")
 	}
 	if _, err := ds.Search(Query{Class: "car", Limit: 1},
-		Options{FuseProxyWithinChunk: true, UniformWithinChunk: true}); err == nil {
-		t.Error("fusion with uniform-within accepted")
+		Options{FuseProxyWithinChunk: true, Strategy: StrategyProxy}); err == nil {
+		t.Error("fusion with proxy strategy accepted")
 	}
 	if _, err := ds.Search(Query{Class: "car", Limit: 1},
 		Options{HomeChunkAccounting: true, Strategy: StrategyProxy}); err == nil {

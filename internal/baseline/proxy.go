@@ -6,10 +6,10 @@
 // the dataset in an upfront sequential scan (at io+decode throughput), and
 // then runs the expensive detector on frames in descending score order. The
 // paper's central observation (Table I) is that the scan alone often costs
-// more than an entire ExSample query; the proxy model here is therefore
-// parameterized by score quality rather than by network architecture — a
-// perfect proxy (quality 1) is the strongest possible version of the
-// baseline, and the scan cost dominates regardless.
+// more than an entire ExSample query; the proxy model here is therefore a
+// perfect one, ranking every frame that shows the class above every frame
+// that does not: the strongest possible version of the baseline, whose scan
+// cost dominates regardless.
 package baseline
 
 import (
@@ -20,28 +20,21 @@ import (
 )
 
 // ProxyScorer assigns each frame a score approximating "contains a relevant
-// object". Quality q blends the ground-truth signal with hash noise:
-// q=1 ranks all positive frames above all negatives (a perfect proxy);
-// q=0 is a random permutation (an untrained proxy).
+// object". It is a perfect proxy: every frame showing the class scores above
+// every frame that does not, and a seeded hash orders frames within each
+// group.
 type ProxyScorer struct {
-	idx     *track.Index
-	class   string
-	quality float64
-	seed    uint64
+	idx   *track.Index
+	class string
+	seed  uint64
 }
 
 // NewProxyScorer builds a scorer for one query class over ground truth.
-func NewProxyScorer(idx *track.Index, class string, quality float64, seed uint64) (*ProxyScorer, error) {
-	if idx == nil {
-		return nil, fmt.Errorf("baseline: nil index")
-	}
-	if quality < 0 || quality > 1 {
-		return nil, fmt.Errorf("baseline: quality %v outside [0,1]", quality)
-	}
-	return &ProxyScorer{idx: idx, class: class, quality: quality, seed: seed}, nil
+func NewProxyScorer(idx *track.Index, class string, seed uint64) *ProxyScorer {
+	return &ProxyScorer{idx: idx, class: class, seed: seed}
 }
 
-// Score returns the proxy score for a frame, in [0, 2).
+// Score returns the proxy score for a frame, in [0, 1+1e-6).
 func (p *ProxyScorer) Score(frame int64) float64 {
 	var truth float64
 	var buf [4]*track.Instance
@@ -54,8 +47,7 @@ func (p *ProxyScorer) Score(frame int64) float64 {
 	if len(visible) > 0 {
 		truth = 1
 	}
-	noise := hash01(p.seed, uint64(frame))
-	return p.quality*truth + (1-p.quality)*noise + p.quality*noise*1e-6
+	return truth + hash01(p.seed, uint64(frame))*1e-6
 }
 
 func hash01(seed, a uint64) float64 {
@@ -78,28 +70,13 @@ type ProxyOrder struct {
 	// ScannedFrames is the number of frames the scoring pass touched
 	// (always the full range).
 	ScannedFrames int64
-
-	dupRadius int64
-	emitted   map[int64]bool // blocked buckets (frame / dupRadius)
-	deferred  []int64
-	inDefer   bool
 }
 
 // NewProxyOrder scores every frame in [start, end) and prepares the
-// descending-score order. dupRadius > 0 enables the duplicate-avoidance
-// heuristic (§III): frames within dupRadius of an already-emitted frame are
-// deferred until all other frames have been emitted.
-func NewProxyOrder(scorer *ProxyScorer, start, end, dupRadius int64) (*ProxyOrder, error) {
-	if scorer == nil {
-		return nil, fmt.Errorf("baseline: nil scorer")
-	}
-	return NewProxyOrderFunc(scorer.Score, start, end, dupRadius)
-}
-
-// NewProxyOrderFunc is NewProxyOrder over an arbitrary scoring function —
-// the shape sharded sources provide, where per-frame scores route to the
-// owning shard's scorer.
-func NewProxyOrderFunc(score func(frame int64) float64, start, end, dupRadius int64) (*ProxyOrder, error) {
+// descending-score order. score is any per-frame scoring function: a
+// ProxyScorer's Score, or a sharded source's router to the owning shard's
+// scorer.
+func NewProxyOrder(score func(frame int64) float64, start, end int64) (*ProxyOrder, error) {
 	if score == nil {
 		return nil, fmt.Errorf("baseline: nil scorer")
 	}
@@ -126,66 +103,20 @@ func NewProxyOrderFunc(score func(frame int64) float64, start, end, dupRadius in
 	for i, s := range all {
 		frames[i] = s.frame
 	}
-	po := &ProxyOrder{
-		frames:        frames,
-		ScannedFrames: n,
-		dupRadius:     dupRadius,
-	}
-	if dupRadius > 0 {
-		po.emitted = make(map[int64]bool)
-	}
-	return po, nil
+	return &ProxyOrder{frames: frames, ScannedFrames: n}, nil
 }
 
 // Next returns the next frame in proxy order.
 func (p *ProxyOrder) Next() (int64, bool) {
-	if p.dupRadius <= 0 {
-		if p.pos >= len(p.frames) {
-			return 0, false
-		}
-		f := p.frames[p.pos]
-		p.pos++
-		return f, true
+	if p.pos >= len(p.frames) {
+		return 0, false
 	}
-	for !p.inDefer {
-		if p.pos >= len(p.frames) {
-			p.inDefer = true
-			p.pos = 0
-			break
-		}
-		f := p.frames[p.pos]
-		p.pos++
-		if p.blocked(f) {
-			p.deferred = append(p.deferred, f)
-			continue
-		}
-		p.block(f)
-		return f, true
-	}
-	if p.pos < len(p.deferred) {
-		f := p.deferred[p.pos]
-		p.pos++
-		return f, true
-	}
-	return 0, false
-}
-
-func (p *ProxyOrder) blocked(f int64) bool {
-	return p.emitted[f/p.dupRadius]
-}
-
-func (p *ProxyOrder) block(f int64) {
-	b := f / p.dupRadius
-	p.emitted[b] = true
+	f := p.frames[p.pos]
+	p.pos++
+	return f, true
 }
 
 // Remaining returns how many frames have not been emitted yet.
 func (p *ProxyOrder) Remaining() int64 {
-	if p.dupRadius <= 0 {
-		return int64(len(p.frames) - p.pos)
-	}
-	if p.inDefer {
-		return int64(len(p.deferred) - p.pos)
-	}
-	return int64(len(p.frames)-p.pos) + int64(len(p.deferred))
+	return int64(len(p.frames) - p.pos)
 }

@@ -24,27 +24,10 @@ func mkIndex(t *testing.T, numFrames int64, intervals ...[2]int64) *track.Index 
 	return idx
 }
 
-func TestProxyScorerValidation(t *testing.T) {
-	idx := mkIndex(t, 100)
-	if _, err := NewProxyScorer(nil, "car", 1, 1); err == nil {
-		t.Error("nil index accepted")
-	}
-	if _, err := NewProxyScorer(idx, "car", -0.1, 1); err == nil {
-		t.Error("negative quality accepted")
-	}
-	if _, err := NewProxyScorer(idx, "car", 1.1, 1); err == nil {
-		t.Error("quality > 1 accepted")
-	}
-}
-
 func TestPerfectProxyRanksPositivesFirst(t *testing.T) {
 	// Frames 100..199 contain the object out of 1000 frames total.
 	idx := mkIndex(t, 1000, [2]int64{100, 199})
-	scorer, err := NewProxyScorer(idx, "car", 1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	order, err := NewProxyOrder(scorer, 0, 1000, 0)
+	order, err := NewProxyOrder(NewProxyScorer(idx, "car", 7).Score, 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,100 +51,37 @@ func TestPerfectProxyRanksPositivesFirst(t *testing.T) {
 	}
 }
 
-func TestZeroQualityProxyIsUninformative(t *testing.T) {
-	idx := mkIndex(t, 10000, [2]int64{0, 99})
-	scorer, err := NewProxyScorer(idx, "car", 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	order, err := NewProxyOrder(scorer, 0, 10000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Count positives in the first 1000 emissions; expectation ~10 under a
-	// random permutation (1% positive rate).
-	pos := 0
-	for i := 0; i < 1000; i++ {
-		f, ok := order.Next()
-		if !ok {
-			t.Fatal("exhausted")
-		}
-		if f < 100 {
-			pos++
-		}
-	}
-	if pos > 40 {
-		t.Fatalf("%d positives in first 1000 draws of a quality-0 proxy", pos)
-	}
-}
-
 func TestProxyOrderIsPermutation(t *testing.T) {
 	idx := mkIndex(t, 500, [2]int64{50, 80})
-	scorer, err := NewProxyScorer(idx, "car", 0.7, 9)
+	order, err := NewProxyOrder(NewProxyScorer(idx, "car", 9).Score, 0, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dupRadius := range []int64{0, 25} {
-		order, err := NewProxyOrder(scorer, 0, 500, dupRadius)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := make(map[int64]bool)
-		for {
-			f, ok := order.Next()
-			if !ok {
-				break
-			}
-			if f < 0 || f >= 500 || seen[f] {
-				t.Fatalf("dupRadius %d: bad emission %d", dupRadius, f)
-			}
-			seen[f] = true
-		}
-		if len(seen) != 500 {
-			t.Fatalf("dupRadius %d: emitted %d frames", dupRadius, len(seen))
-		}
-		if order.Remaining() != 0 {
-			t.Fatalf("Remaining = %d", order.Remaining())
-		}
-	}
-}
-
-func TestDupAvoidanceSpreadsEarlyEmissions(t *testing.T) {
-	// One long positive interval; with dup avoidance the first few
-	// emissions must come from distinct radius-50 buckets.
-	idx := mkIndex(t, 1000, [2]int64{0, 999})
-	scorer, err := NewProxyScorer(idx, "car", 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	order, err := NewProxyOrder(scorer, 0, 1000, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buckets := make(map[int64]bool)
-	for i := 0; i < 20; i++ {
+	seen := make(map[int64]bool)
+	for {
 		f, ok := order.Next()
 		if !ok {
-			t.Fatal("exhausted")
+			break
 		}
-		b := f / 50
-		if buckets[b] {
-			t.Fatalf("bucket %d hit twice in first 20 emissions", b)
+		if f < 0 || f >= 500 || seen[f] {
+			t.Fatalf("bad emission %d", f)
 		}
-		buckets[b] = true
+		seen[f] = true
+	}
+	if len(seen) != 500 {
+		t.Fatalf("emitted %d frames", len(seen))
+	}
+	if order.Remaining() != 0 {
+		t.Fatalf("Remaining = %d", order.Remaining())
 	}
 }
 
 func TestProxyOrderValidation(t *testing.T) {
 	idx := mkIndex(t, 100)
-	scorer, err := NewProxyScorer(idx, "car", 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewProxyOrder(nil, 0, 100, 0); err == nil {
+	if _, err := NewProxyOrder(nil, 0, 100); err == nil {
 		t.Error("nil scorer accepted")
 	}
-	if _, err := NewProxyOrder(scorer, 50, 50, 0); err == nil {
+	if _, err := NewProxyOrder(NewProxyScorer(idx, "car", 1).Score, 50, 50); err == nil {
 		t.Error("empty range accepted")
 	}
 }
@@ -175,10 +95,7 @@ func TestScoreClassFiltering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scorer, err := NewProxyScorer(idx, "bus", 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scorer := NewProxyScorer(idx, "bus", 2)
 	if s := scorer.Score(25); s >= 1 {
 		t.Fatalf("car-only frame scored %v for bus query", s)
 	}

@@ -166,7 +166,9 @@ func (c Config) withDefaults() Config {
 
 // Validate reports an error for out-of-range parameters.
 func (c Config) Validate() error {
-	if c.Alpha0 < 0 || c.Beta0 < 0 {
+	// The Gamma sampler's rejection loop never accepts a NaN or infinite
+	// shape, so a non-finite prior would hang the first draw.
+	if !(c.Alpha0 >= 0 && c.Beta0 >= 0) || math.IsInf(c.Alpha0, 1) || math.IsInf(c.Beta0, 1) {
 		return fmt.Errorf("core: negative prior (alpha0=%v beta0=%v)", c.Alpha0, c.Beta0)
 	}
 	switch c.Policy {

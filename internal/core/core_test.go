@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -26,6 +27,12 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(chunks, Config{Alpha0: -1}); err == nil {
 		t.Error("negative alpha0 accepted")
+	}
+	// A non-finite prior would spin the Gamma sampler's rejection loop.
+	for _, bad := range []Config{{Alpha0: math.NaN()}, {Beta0: math.NaN()}, {Alpha0: math.Inf(1)}, {Beta0: math.Inf(-1)}} {
+		if _, err := New(chunks, bad); err == nil {
+			t.Errorf("prior (%v, %v) accepted", bad.Alpha0, bad.Beta0)
+		}
 	}
 	if _, err := New(chunks, Config{Policy: Policy(99)}); err == nil {
 		t.Error("unknown policy accepted")

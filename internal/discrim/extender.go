@@ -19,24 +19,15 @@ type TruthExtender struct {
 }
 
 // NewTruthExtender builds an extender over the ground-truth index. coverage
-// must be in (0, 1] (see ValidateCoverage). Instances are found through the
-// index's own id lookup, shared by every extender over it, so building one
-// costs no per-query table.
+// must be in (0, 1], where 1 reproduces the paper's assumption that the
+// tracker recovers the object's full visible extent. Instances are found
+// through the index's own id lookup, shared by every extender over it, so
+// building one costs no per-query table.
 func NewTruthExtender(idx *track.Index, coverage float64) (*TruthExtender, error) {
-	if err := ValidateCoverage(coverage); err != nil {
-		return nil, err
+	if !(coverage > 0 && coverage <= 1) {
+		return nil, fmt.Errorf("discrim: coverage %v outside (0, 1]", coverage)
 	}
 	return &TruthExtender{idx: idx, coverage: coverage}, nil
-}
-
-// ValidateCoverage reports whether coverage is a valid TruthExtender
-// coverage: in (0, 1], where 1 reproduces the paper's assumption that the
-// tracker recovers the object's full visible extent.
-func ValidateCoverage(coverage float64) error {
-	if !(coverage > 0 && coverage <= 1) {
-		return fmt.Errorf("discrim: coverage %v outside (0, 1]", coverage)
-	}
-	return nil
 }
 
 // Extend returns the predicted track for a detection.

@@ -88,10 +88,7 @@ func (r *queryRun) newPicker() (picker, error) {
 			p.order, err = r.proxyScan()
 			return p, err
 		}
-		p.need, p.budget = opts.ProxyTrainPositives, opts.ProxyTrainBudget
-		if p.budget == 0 {
-			p.budget = max(n/50, int64(opts.ProxyTrainPositives))
-		}
+		p.need, p.budget = opts.ProxyTrainPositives, max(n/50, int64(opts.ProxyTrainPositives))
 		p.order, err = video.NewUniformOrder(0, n, xrand.New(opts.Seed^0x7ea1))
 		return p, err
 	default:
@@ -111,8 +108,9 @@ func (r *queryRun) fenced(p picker) (picker, error) {
 }
 
 // newSampler builds a core sampler over the given chunks with the
-// configured policy, within-chunk order and optional §VII fusion (scoring
-// charged per chunk on first visit into rep.ScanSeconds).
+// configured policy and random+ within chunks, or the §VII fusion's
+// proxy-score order (scoring charged per chunk on first visit into
+// rep.ScanSeconds).
 func (r *queryRun) newSampler(chunks []video.Chunk, seed uint64) (*core.Sampler, error) {
 	cfg := core.Config{
 		Alpha0: r.opts.Alpha0,
@@ -120,9 +118,6 @@ func (r *queryRun) newSampler(chunks []video.Chunk, seed uint64) (*core.Sampler,
 		Policy: r.opts.Policy.toCore(),
 		Within: core.WithinRandomPlus,
 		Seed:   seed,
-	}
-	if r.opts.UniformWithinChunk {
-		cfg.Within = core.WithinUniform
 	}
 	if r.aware {
 		// Cache-aware tie-breaking: the per-chunk cached fraction comes
@@ -143,12 +138,8 @@ func (r *queryRun) newSampler(chunks []video.Chunk, seed uint64) (*core.Sampler,
 		}
 	}
 	if r.opts.FuseProxyWithinChunk {
-		score, err := r.src.newScorer(r.query.Class, r.proxyQuality(), r.opts.Seed^0xbead)
-		if err != nil {
-			return nil, err
-		}
 		cfg.Within = core.WithinScored
-		cfg.Scorer = score
+		cfg.Scorer = r.src.newScorer(r.query.Class, r.opts.Seed^0xbead)
 		// Per-chunk scoring is charged on first visit — the fusion's whole
 		// point is avoiding the full-dataset scan.
 		cfg.OnChunkOpen = func(j int) {
@@ -158,23 +149,12 @@ func (r *queryRun) newSampler(chunks []video.Chunk, seed uint64) (*core.Sampler,
 	return core.New(chunks, cfg)
 }
 
-// proxyQuality is the configured proxy score fidelity (1 when unset).
-func (r *queryRun) proxyQuality() float64 {
-	if r.opts.ProxyQuality == 0 {
-		return 1
-	}
-	return r.opts.ProxyQuality
-}
-
 // proxyScan builds the proxy's scored scan order over the repository,
 // charging the full upfront scoring pass (§II-B): the scan is paid before
 // the first post-scan detector call.
 func (r *queryRun) proxyScan() (video.FrameOrder, error) {
-	score, err := r.src.newScorer(r.query.Class, r.proxyQuality(), r.opts.Seed^0xbead)
-	if err != nil {
-		return nil, err
-	}
-	order, err := baseline.NewProxyOrderFunc(score, 0, r.numFramesNow(), r.opts.ProxyDupRadius)
+	score := r.src.newScorer(r.query.Class, r.opts.Seed^0xbead)
+	order, err := baseline.NewProxyOrder(score, 0, r.numFramesNow())
 	if err != nil {
 		return nil, err
 	}

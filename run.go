@@ -320,11 +320,7 @@ func newQueryRun(s Source, q Query, opts Options, cc cacheConfig, standing bool)
 			return nil, fmt.Errorf("exsample: class %q has no instances on any active shard of %q", q.Class, src.name)
 		}
 	}
-	coverage := opts.TrackerCoverage
-	if coverage == 0 {
-		coverage = 1
-	}
-	extender, err := src.newExtender(coverage)
+	extender, err := src.newExtender()
 	if err != nil {
 		return nil, err
 	}

@@ -524,14 +524,10 @@ func (s *ShardedSource) newDetector(class string) detect.BatchDetector {
 
 // newExtender builds the discriminator's tracker model: a detection is
 // extended by its owning shard's ground-truth tracker and the predicted
-// track is translated back to global frames. The coverage parameter is
-// validated eagerly; per-shard extenders are built lazily so detections
-// from late-attached shards extend too.
-func (s *ShardedSource) newExtender(coverage float64) (discrim.Extender, error) {
-	if err := discrim.ValidateCoverage(coverage); err != nil {
-		return nil, err
-	}
-	return &shardedExtender{src: s, coverage: coverage}, nil
+// track is translated back to global frames. Per-shard extenders are
+// built lazily so detections from late-attached shards extend too.
+func (s *ShardedSource) newExtender() (discrim.Extender, error) {
+	return &shardedExtender{src: s}, nil
 }
 
 // newScorer builds the routed proxy scorer. Shard 0 keeps the caller's
@@ -539,15 +535,10 @@ func (s *ShardedSource) newExtender(coverage float64) (discrim.Extender, error) 
 // underlying dataset; later shards decorrelate their hash noise by slot,
 // so a shard's scores do not depend on when it was attached. Per-shard
 // scorers are built lazily for the same reason as detectors.
-func (s *ShardedSource) newScorer(class string, quality float64, seed uint64) (func(int64) float64, error) {
-	// Validate (class, quality) once against shard 0, like the eager path.
-	first, err := s.topo.Load().members[0].ds.qs.newScorer(class, quality, seed)
-	if err != nil {
-		return nil, err
-	}
-	sc := &shardedScorer{src: s, class: class, quality: quality, seed: seed}
-	sc.scores.Store(&[]func(int64) float64{first})
-	return sc.score, nil
+func (s *ShardedSource) newScorer(class string, seed uint64) func(int64) float64 {
+	sc := &shardedScorer{src: s, class: class, seed: seed}
+	sc.scores.Store(new([]func(int64) float64))
+	return sc.score
 }
 
 // shardedScorer routes per-frame proxy scores to lazily built per-shard
@@ -556,10 +547,9 @@ func (s *ShardedSource) newScorer(class string, quality float64, seed uint64) (f
 // the fast path is one extra atomic load over the old eager design, and
 // the mutex is taken only to build a late-attached shard's scorer.
 type shardedScorer struct {
-	src     *ShardedSource
-	class   string
-	quality float64
-	seed    uint64
+	src   *ShardedSource
+	class string
+	seed  uint64
 
 	scores atomic.Pointer[[]func(int64) float64]
 	mu     sync.Mutex // serializes slow-path slice growth
@@ -585,15 +575,8 @@ func (sc *shardedScorer) scoreSlow(t *shardedTopo, sh int, local int64) float64 
 	next := append(make([]func(int64) float64, 0, sh+1), cur...)
 	for len(next) <= sh {
 		slot := len(next)
-		score, err := t.members[slot].ds.qs.newScorer(sc.class, sc.quality,
-			sc.seed+uint64(slot)*0x9e3779b97f4a7c15)
-		if err != nil {
-			// Unreachable after the eager validation (construction fails
-			// only on quality, identical across shards); score the frame
-			// as class-absent rather than panicking mid-query.
-			score = func(int64) float64 { return 0 }
-		}
-		next = append(next, score)
+		next = append(next, t.members[slot].ds.qs.newScorer(sc.class,
+			sc.seed+uint64(slot)*0x9e3779b97f4a7c15))
 	}
 	sc.scores.Store(&next)
 	sc.mu.Unlock()
@@ -701,8 +684,7 @@ func (s *shardedDetector) DetectBatch(ctx context.Context, global []int64) ([]de
 // translates the predicted tracks back into global frames. Extenders are
 // built lazily by slot so detections on late-attached shards extend too.
 type shardedExtender struct {
-	src      *ShardedSource
-	coverage float64
+	src *ShardedSource
 
 	mu   sync.Mutex
 	exts []discrim.Extender
@@ -714,24 +696,15 @@ func (s *shardedExtender) extender(t *shardedTopo, slot int) discrim.Extender {
 	defer s.mu.Unlock()
 	for len(s.exts) <= slot {
 		next := len(s.exts)
-		var ext discrim.Extender
-		ext, err := discrim.NewTruthExtender(t.members[next].ds.inner.Index, s.coverage)
+		ext, err := t.members[next].ds.qs.newExtender()
 		if err != nil {
-			// Unreachable after the eager coverage validation; fall back to
+			// Unreachable: a dataset's extender always builds. Fall back to
 			// the no-extension model rather than panicking mid-query.
-			ext = identityExtender{}
+			ext = discrim.FrameExtender{}
 		}
 		s.exts = append(s.exts, ext)
 	}
 	return s.exts[slot]
-}
-
-// identityExtender predicts a single-frame track — the defensive fallback
-// for an extender that failed lazy construction.
-type identityExtender struct{}
-
-func (identityExtender) Extend(det track.Detection) discrim.PredictedTrack {
-	return discrim.PredictedTrack{Start: det.Frame, End: det.Frame, StartBox: det.Box, EndBox: det.Box}
 }
 
 // Extend implements discrim.Extender over the global frame space.

@@ -180,8 +180,10 @@ type querySource struct {
 	// behind the backend adapter (with any failure injection applied).
 	// DetectBatch must be safe for concurrent use.
 	newDetector func(class string) detect.BatchDetector
-	// newExtender builds the discriminator's SORT-style tracker model.
-	newExtender func(coverage float64) (discrim.Extender, error)
-	// newScorer builds a per-frame proxy scorer for the class.
-	newScorer func(class string, quality float64, seed uint64) (func(frame int64) float64, error)
+	// newExtender builds the discriminator's SORT-style tracker model, the
+	// paper's idealized tracker that recovers an object's full visible
+	// extent.
+	newExtender func() (discrim.Extender, error)
+	// newScorer builds a perfect per-frame proxy scorer for the class.
+	newScorer func(class string, seed uint64) func(frame int64) float64
 }

@@ -224,7 +224,7 @@ func (o TrackOptions) Validate() error {
 	if o.MaxFrames < 0 {
 		return fmt.Errorf("exsample: negative MaxFrames %d", o.MaxFrames)
 	}
-	if o.MaxSeconds < 0 {
+	if !(o.MaxSeconds >= 0) {
 		return fmt.Errorf("exsample: negative MaxSeconds %v", o.MaxSeconds)
 	}
 	return nil
