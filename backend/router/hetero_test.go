@@ -48,9 +48,6 @@ func TestRouterSpecsValidation(t *testing.T) {
 	if _, err := New(Config{Specs: []ReplicaSpec{{}}}); err == nil {
 		t.Error("nil Specs backend accepted")
 	}
-	if _, err := New(Config{Replicas: bs, ScatterMinSlice: -1}); err == nil {
-		t.Error("negative ScatterMinSlice accepted")
-	}
 }
 
 // wantShares asserts the exact number of batches each replica served.
@@ -113,12 +110,12 @@ func TestPickWeightShares(t *testing.T) {
 	})
 
 	t.Run("fast-breaker-open", func(t *testing.T) {
-		// The 4x replica dies: its breaker opens on the first failure and
+		// The 4x replica dies: its breaker opens on the third failure and
 		// the three equal slow siblings split the traffic evenly.
 		fakes, specs := heteroFleet(4, []float64{4, 1, 1, 1},
 			[]time.Duration{0, time.Millisecond, time.Millisecond, time.Millisecond}, nil)
 		fakes[0].dead.Store(true)
-		r, err := New(Config{Specs: specs, FailureThreshold: 1})
+		r, err := New(Config{Specs: specs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,11 +129,10 @@ func TestPickWeightShares(t *testing.T) {
 		if st := r.Stats()[0]; st.State != Open || st.BreakerOpens != 1 {
 			t.Errorf("fast replica state %v opens %d, want a breaker opened once", st.State, st.BreakerOpens)
 		}
-		// One call kills the fast replica (the 30 ms of fake time never
-		// reach its cooldown). The survivors rotate evenly; the staggered
-		// warm-up (replica 1 measures first and sits out two tie rounds)
-		// leaves the later replicas one rotation ahead.
-		wantShares(t, fakes, 1, 9, 10, 11)
+		// Three calls open the fast replica's breaker (the 30 ms of fake
+		// time never reach its cooldown), each rescued by a sibling. The
+		// survivors rotate evenly through all 30 batches.
+		wantShares(t, fakes, failureThreshold, 10, 10, 10)
 	})
 }
 
@@ -245,11 +241,12 @@ func TestScatterRespectsReplicaCaps(t *testing.T) {
 }
 
 // TestScatterSliceFailover: a slice landing on a dying replica is rescued
-// by an untried sibling; the batch succeeds with correct results.
+// by an untried sibling; every batch succeeds with correct results, and
+// the third failure opens the replica's breaker.
 func TestScatterSliceFailover(t *testing.T) {
 	fakes, specs := heteroFleet(4, []float64{1, 1, 1, 1}, nil, nil)
 	fakes[2].dead.Store(true)
-	r, err := New(Config{Specs: specs, Scatter: true, FailureThreshold: 1})
+	r, err := New(Config{Specs: specs, Scatter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,17 +255,19 @@ func TestScatterSliceFailover(t *testing.T) {
 	for i := range frames {
 		frames[i] = int64(i)
 	}
-	dets, err := r.DetectBatch(context.Background(), "car", frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, fr := range frames {
-		want := 0
-		if fr%2 == 0 {
-			want = 1
+	for b := 0; b < failureThreshold; b++ {
+		dets, err := r.DetectBatch(context.Background(), "car", frames)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(dets[i]) != want {
-			t.Fatalf("frame %d: %d detections after failover, want %d", fr, len(dets[i]), want)
+		for i, fr := range frames {
+			want := 0
+			if fr%2 == 0 {
+				want = 1
+			}
+			if len(dets[i]) != want {
+				t.Fatalf("batch %d frame %d: %d detections after failover, want %d", b, fr, len(dets[i]), want)
+			}
 		}
 	}
 	if got := r.Failovers(); got < 1 {
@@ -283,7 +282,7 @@ func TestScatterSliceFailover(t *testing.T) {
 // bad slice fails the entire batch — no partial results ever escape.
 func TestScatterPartialFailureFailsWholeBatch(t *testing.T) {
 	fakes, specs := heteroFleet(4, []float64{1, 1, 1, 1}, nil, nil)
-	r, err := New(Config{Specs: specs, Scatter: true, FailureThreshold: 1})
+	r, err := New(Config{Specs: specs, Scatter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +308,7 @@ func TestScatterPartialFailureFailsWholeBatch(t *testing.T) {
 	}
 }
 
-// TestScatterSmallBatchUsesSinglePath: batches under 2*ScatterMinSlice
+// TestScatterSmallBatchUsesSinglePath: batches under 2*scatterMinSlice
 // are not worth splitting and route whole, exactly like scatter off.
 func TestScatterSmallBatchUsesSinglePath(t *testing.T) {
 	fakes, specs := heteroFleet(4, nil, nil, nil)
@@ -338,7 +337,7 @@ func TestScatterSmallBatchUsesSinglePath(t *testing.T) {
 func TestSizerSignalPerReplica(t *testing.T) {
 	fakes, specs := heteroFleet(3, []float64{4, 1, 1}, nil, nil)
 	fakes[1].dead.Store(true)
-	r, err := New(Config{Specs: specs, Scatter: true, FailureThreshold: 1})
+	r, err := New(Config{Specs: specs, Scatter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,8 +349,11 @@ func TestSizerSignalPerReplica(t *testing.T) {
 	for i := range frames {
 		frames[i] = int64(i)
 	}
-	if _, err := r.DetectBatch(context.Background(), "car", frames); err != nil {
-		t.Fatal(err)
+	// Each scattered batch fails the dead replica's slice once.
+	for b := 0; b < failureThreshold; b++ {
+		if _, err := r.DetectBatch(context.Background(), "car", frames); err != nil {
+			t.Fatal(err)
+		}
 	}
 	stats := r.Stats()
 	if len(stats) != 3 {
@@ -383,16 +385,14 @@ func TestScatterFailoverSoak(t *testing.T) {
 	fakes, specs := heteroFleet(4, []float64{2, 1, 1, 1},
 		[]time.Duration{100 * time.Microsecond, 200 * time.Microsecond, 200 * time.Microsecond, 200 * time.Microsecond}, nil)
 	r, err := New(Config{
-		Specs:            specs,
-		Scatter:          true,
-		FailureThreshold: 2,
-		FailoverRetries:  3,
-		Cooldown:         10 * time.Millisecond,
+		Specs:   specs,
+		Scatter: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	accelerate(r, 200) // breakers cool down in ~10 ms of wall time
 	stop := make(chan struct{})
 	var chaos sync.WaitGroup
 	chaos.Add(1)

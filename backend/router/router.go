@@ -10,9 +10,12 @@
 // latency-weighted load among closed breakers), and a failed call is
 // retried transparently on a sibling — the query above never learns the
 // first replica died, it just observes a slower batch. Failures are
-// scored passively (consecutive failures trip the breaker) and healed
-// actively (an optional probe loop) or lazily (a half-open trial call
-// after the cooldown).
+// scored passively (three consecutive failures trip the breaker) and
+// healed actively (an optional probe loop, every second with a 5 s
+// timeout per probe) or lazily (a half-open trial call after a 2 s
+// cooldown). A failed batch is retried on each other replica at most
+// once. This tuning is fixed; a Config names only the fleet, its weights,
+// the scatter switch and the probe.
 //
 // Replicas must be equivalent: they serve the same repository and, for
 // the reproducibility guarantees of the exsample pipeline to hold, return
@@ -38,7 +41,7 @@ type State int
 const (
 	// Healthy replicas receive traffic.
 	Healthy State = iota
-	// Open replicas are excluded from routing until Cooldown elapses.
+	// Open replicas are excluded from routing until the cooldown elapses.
 	Open
 	// HalfOpen replicas have cooled down and admit one trial call; success
 	// closes the breaker, failure re-opens it.
@@ -60,8 +63,8 @@ func (s State) String() string {
 }
 
 // ReplicaSpec declares one replica together with its capacity metadata —
-// the structured alternative to the parallel Replicas/Names lists for
-// heterogeneous fleets.
+// the structured alternative to the plain Replicas list for heterogeneous
+// fleets.
 type ReplicaSpec struct {
 	// Backend is the replica endpoint (required).
 	Backend backend.Backend
@@ -77,16 +80,15 @@ type ReplicaSpec struct {
 	Weight float64
 }
 
-// Config parameterizes a Router. Replicas (or Specs) is required;
-// everything else has a production-shaped default.
+// Config parameterizes a Router. Replicas (or Specs) is required; the
+// breaker, failover, latency and probe tuning are the fixed constants
+// below.
 type Config struct {
-	// Replicas are the equivalent backends to route across (at least one).
-	// Mutually exclusive with Specs.
+	// Replicas are the equivalent backends to route across (at least one),
+	// labelled "replica-0", ... in Stats. Mutually exclusive with Specs.
 	Replicas []backend.Backend
-	// Names labels the replicas in Stats (default "replica-0", ...).
-	Names []string
-	// Specs declares the replicas with per-replica capacity weights — use
-	// this instead of Replicas/Names for heterogeneous fleets.
+	// Specs declares the replicas with names and per-replica capacity
+	// weights — use this instead of Replicas for heterogeneous fleets.
 	Specs []ReplicaSpec
 	// Scatter splits each large DetectBatch across several healthy
 	// replicas proportional to their capacity weights (contiguous frame
@@ -99,66 +101,43 @@ type Config struct {
 	// replica's. Off by default: the single-replica path is byte-for-byte
 	// the pre-scatter router.
 	Scatter bool
-	// ScatterMinSlice is the smallest slice worth a separate dispatch
-	// (default 8): batches under 2*ScatterMinSlice frames, and fleets with
-	// fewer than two healthy replicas, use the single-replica path.
-	ScatterMinSlice int
-	// FailureThreshold is how many consecutive failures open a replica's
-	// circuit breaker (default 3). The counter resets on any success, so
-	// sporadic failures only shed load transiently.
-	FailureThreshold int
-	// Cooldown is how long an open breaker excludes its replica before a
-	// half-open trial call is admitted (default 2s).
-	Cooldown time.Duration
-	// FailoverRetries bounds how many sibling replicas a failed
-	// DetectBatch is retried on (default: every other replica once).
-	// Caller context cancellation is always terminal — a cancelled query
-	// never fails over.
-	FailoverRetries int
 	// Probe, when non-nil, is the active health check: the probe loop
-	// calls it for every replica each ProbeInterval, and its error result
+	// calls it for every replica each probeInterval, and its error result
 	// feeds the same failure scoring as live traffic. A typical probe
 	// issues a one-frame DetectBatch for a known class. When nil, health
 	// is scored passively from live traffic only and re-admission happens
 	// through half-open trial calls.
 	Probe func(ctx context.Context, b backend.Backend) error
-	// ProbeInterval is the probe loop period (default 1s; ignored when
-	// Probe is nil).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe call (default 5s).
-	ProbeTimeout time.Duration
-	// LatencyDecay is the EWMA coefficient for the per-replica latency
-	// estimate in (0, 1]; higher weighs recent batches more (default 0.3).
-	LatencyDecay float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.FailureThreshold == 0 {
-		c.FailureThreshold = 3
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 2 * time.Second
-	}
-	if c.FailoverRetries == 0 {
-		n := len(c.Replicas)
-		if len(c.Specs) > 0 {
-			n = len(c.Specs)
-		}
-		c.FailoverRetries = n - 1
-	}
-	if c.ScatterMinSlice == 0 {
-		c.ScatterMinSlice = 8
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = time.Second
-	}
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = 5 * time.Second
-	}
-	if c.LatencyDecay == 0 {
-		c.LatencyDecay = 0.3
-	}
-	return c
+// The router's fixed tuning.
+const (
+	// scatterMinSlice is the smallest slice worth a separate dispatch:
+	// batches under 2*scatterMinSlice frames, and fleets with fewer than
+	// two healthy replicas, use the single-replica path.
+	scatterMinSlice = 8
+	// failureThreshold is how many consecutive failures open a replica's
+	// circuit breaker. The counter resets on any success, so sporadic
+	// failures only shed load transiently.
+	failureThreshold = 3
+	// cooldown is how long an open breaker excludes its replica before a
+	// half-open trial call is admitted.
+	cooldown = 2 * time.Second
+	// probeInterval is the probe loop period, and probeTimeout bounds one
+	// probe call.
+	probeInterval = time.Second
+	probeTimeout  = 5 * time.Second
+	// latencyDecay is the EWMA coefficient for the per-replica latency
+	// estimates; higher weighs recent batches more.
+	latencyDecay = 0.3
+)
+
+// newProbeTicker starts the probe loop's clock and returns its tick
+// channel and stop function. The package's own tests replace it to tick
+// the loop by hand.
+var newProbeTicker = func() (<-chan time.Time, func()) {
+	t := time.NewTicker(probeInterval)
+	return t.C, t.Stop
 }
 
 // ErrNoHealthyReplicas is wrapped by DetectBatch errors when every
@@ -235,35 +214,19 @@ var (
 // set, starts its health-probe loop. Callers that set Probe must Close
 // the router to stop the loop.
 func New(cfg Config) (*Router, error) {
-	if len(cfg.Specs) > 0 && (len(cfg.Replicas) > 0 || len(cfg.Names) > 0) {
-		return nil, fmt.Errorf("router: Config.Specs is mutually exclusive with Replicas/Names")
+	if len(cfg.Specs) > 0 && len(cfg.Replicas) > 0 {
+		return nil, fmt.Errorf("router: Config.Specs is mutually exclusive with Replicas")
 	}
 	specs := cfg.Specs
 	if len(specs) == 0 {
 		if len(cfg.Replicas) == 0 {
 			return nil, fmt.Errorf("router: Config.Replicas (or Specs) is required")
 		}
-		if cfg.Names != nil && len(cfg.Names) != len(cfg.Replicas) {
-			return nil, fmt.Errorf("router: %d names for %d replicas", len(cfg.Names), len(cfg.Replicas))
-		}
 		specs = make([]ReplicaSpec, len(cfg.Replicas))
 		for i, b := range cfg.Replicas {
 			specs[i] = ReplicaSpec{Backend: b}
-			if cfg.Names != nil {
-				specs[i].Name = cfg.Names[i]
-			}
 		}
 	}
-	if cfg.FailureThreshold < 0 || cfg.FailoverRetries < 0 {
-		return nil, fmt.Errorf("router: negative FailureThreshold or FailoverRetries")
-	}
-	if cfg.LatencyDecay < 0 || cfg.LatencyDecay > 1 {
-		return nil, fmt.Errorf("router: LatencyDecay %v outside [0, 1]", cfg.LatencyDecay)
-	}
-	if cfg.ScatterMinSlice < 0 {
-		return nil, fmt.Errorf("router: negative ScatterMinSlice")
-	}
-	cfg = cfg.withDefaults()
 	r := &Router{cfg: cfg, now: time.Now}
 	for i, s := range specs {
 		if s.Backend == nil {
@@ -286,7 +249,8 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Probe != nil {
 		r.probeStop = make(chan struct{})
 		r.probeDone = make(chan struct{})
-		go r.probeLoop(r.probeStop)
+		ticks, stopTicks := newProbeTicker()
+		go r.probeLoop(r.probeStop, ticks, stopTicks)
 	}
 	return r, nil
 }
@@ -304,21 +268,20 @@ func (r *Router) Close() {
 	}
 }
 
-// probeLoop actively health-checks every replica each ProbeInterval. A
-// probe success heals an open breaker without waiting for live traffic
-// to trial the replica; a probe failure counts exactly like a live one.
-func (r *Router) probeLoop(stop <-chan struct{}) {
+// probeLoop actively health-checks every replica on each tick. A probe
+// success heals an open breaker without waiting for live traffic to trial
+// the replica; a probe failure counts exactly like a live one.
+func (r *Router) probeLoop(stop <-chan struct{}, ticks <-chan time.Time, stopTicks func()) {
 	defer close(r.probeDone)
-	ticker := time.NewTicker(r.cfg.ProbeInterval)
-	defer ticker.Stop()
+	defer stopTicks()
 	for {
 		select {
 		case <-stop:
 			return
-		case <-ticker.C:
+		case <-ticks:
 		}
 		for _, rep := range r.replicas {
-			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 			err := r.cfg.Probe(ctx, rep.b)
 			cancel()
 			if err != nil {
@@ -340,7 +303,7 @@ func (r *Router) admissible(rep *replica, now time.Time) bool {
 	case Healthy:
 		return true
 	case Open:
-		if now.Sub(rep.openedAt) < r.cfg.Cooldown {
+		if now.Sub(rep.openedAt) < cooldown {
 			return false
 		}
 		rep.state = HalfOpen
@@ -474,7 +437,7 @@ func (r *Router) noteSuccess(rep *replica, elapsed time.Duration, frames int, co
 	if counts {
 		rep.successes++
 		sec := elapsed.Seconds()
-		d := r.cfg.LatencyDecay
+		d := float64(latencyDecay) // typed, so 1-d rounds as a float64 expression
 		if rep.ewmaSeconds == 0 {
 			rep.ewmaSeconds = sec
 		} else {
@@ -501,7 +464,7 @@ func (r *Router) noteFailure(rep *replica, err error) {
 	rep.consecFails++
 	rep.lastErr = err
 	rep.lastErrAt = r.now()
-	if rep.state == HalfOpen || rep.consecFails >= r.cfg.FailureThreshold {
+	if rep.state == HalfOpen || rep.consecFails >= failureThreshold {
 		if rep.state != Open {
 			r.breakerOpens.Add(1)
 			rep.opens++
@@ -553,7 +516,7 @@ func (r *Router) DetectBatch(ctx context.Context, class string, frames []int64) 
 
 // DetectBatchCost implements backend.BatchCoster: the batch runs on the
 // healthiest replica and, should the call fail, fails over to untried
-// siblings (up to FailoverRetries) before surfacing an error. Caller
+// siblings (each other replica at most once) before surfacing an error. Caller
 // cancellation is terminal immediately — a cancelled query never burns
 // sibling capacity. Charged costs are the serving replica's: measured
 // per-call for BatchCoster replicas, Hints().CostSeconds otherwise.
@@ -570,7 +533,7 @@ func (r *Router) DetectBatchCost(ctx context.Context, class string, frames []int
 	}
 	tried := make(map[int]bool)
 	var lastErr error
-	for attempt := 0; attempt <= r.cfg.FailoverRetries; attempt++ {
+	for attempt := range r.replicas {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}

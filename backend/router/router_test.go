@@ -58,6 +58,38 @@ func virtualize(r *Router, fakes []*fakeBackend) *fakeClock {
 	return clock
 }
 
+// accelerate runs the router's clock k times faster than the wall clock,
+// for concurrent tests that want the 2 s breaker cooldown to elapse within
+// milliseconds. Call before any traffic.
+func accelerate(r *Router, k int64) {
+	start := time.Now()
+	r.now = func() time.Time { return start.Add(time.Since(start) * time.Duration(k)) }
+}
+
+// tickProbes replaces the probe loop's ticker for one test: the returned
+// channel delivers the loop's ticks, one round per send.
+func tickProbes(t *testing.T) chan<- time.Time {
+	ticks := make(chan time.Time)
+	prev := newProbeTicker
+	newProbeTicker = func() (<-chan time.Time, func()) { return ticks, func() {} }
+	t.Cleanup(func() { newProbeTicker = prev })
+	return ticks
+}
+
+// tripBreaker sends one-frame batches until replica i's breaker opens,
+// failing the test if that takes more than maxBatches.
+func tripBreaker(t *testing.T, r *Router, i, maxBatches int) {
+	t.Helper()
+	for n := 0; r.Stats()[i].State != Open; n++ {
+		if n == maxBatches {
+			t.Fatalf("replica %d still %v after %d batches", i, r.Stats()[i].State, n)
+		}
+		if _, err := r.DetectBatch(context.Background(), "car", []int64{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // maxSeen returns the largest batch (or slice) the replica served.
 func (f *fakeBackend) maxSeen() int64 { return f.biggest.Load() }
 
@@ -112,16 +144,6 @@ func TestRouterValidation(t *testing.T) {
 	if _, err := New(Config{Replicas: []backend.Backend{nil}}); err == nil {
 		t.Error("nil replica accepted")
 	}
-	_, bs := fleet(2)
-	if _, err := New(Config{Replicas: bs, Names: []string{"only-one"}}); err == nil {
-		t.Error("mismatched names accepted")
-	}
-	if _, err := New(Config{Replicas: bs, LatencyDecay: 2}); err == nil {
-		t.Error("out-of-range LatencyDecay accepted")
-	}
-	if _, err := New(Config{Replicas: bs, FailoverRetries: -1}); err == nil {
-		t.Error("negative FailoverRetries accepted")
-	}
 }
 
 func TestRouterRoutesAndSpreadsLoad(t *testing.T) {
@@ -158,7 +180,7 @@ func TestRouterRoutesAndSpreadsLoad(t *testing.T) {
 
 func TestRouterFailoverIsTransparent(t *testing.T) {
 	fakes, bs := fleet(3)
-	r, err := New(Config{Replicas: bs, FailureThreshold: 1})
+	r, err := New(Config{Replicas: bs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,25 +208,29 @@ func TestRouterFailoverIsTransparent(t *testing.T) {
 		t.Fatal("dead replica's failure not recorded")
 	}
 	deadCalls := fakes[0].calls.Load()
-	if deadCalls > 2 {
+	if deadCalls > failureThreshold {
 		t.Fatalf("dead replica kept receiving traffic: %d calls", deadCalls)
 	}
 }
 
 func TestRouterAllReplicasDead(t *testing.T) {
 	fakes, bs := fleet(2)
-	r, err := New(Config{Replicas: bs, FailureThreshold: 1, Cooldown: time.Hour})
+	r, err := New(Config{Replicas: bs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	virtualize(r, fakes) // the fake clock never reaches the cooldown
 	for _, f := range fakes {
 		f.dead.Store(true)
 	}
-	if _, err := r.DetectBatch(context.Background(), "car", []int64{1}); err == nil {
-		t.Fatal("all-dead fleet succeeded")
+	// Each failed batch tries both replicas once.
+	for i := 0; i < failureThreshold; i++ {
+		if _, err := r.DetectBatch(context.Background(), "car", []int64{1}); err == nil {
+			t.Fatal("all-dead fleet succeeded")
+		}
 	}
-	// Breakers are now open with a long cooldown: the next call fails fast
+	// Breakers are now open and cooling down: the next call fails fast
 	// with the sentinel, without touching any replica.
 	before := fakes[0].calls.Load() + fakes[1].calls.Load()
 	_, err = r.DetectBatch(context.Background(), "car", []int64{1})
@@ -218,25 +244,30 @@ func TestRouterAllReplicasDead(t *testing.T) {
 
 func TestRouterCircuitReadmission(t *testing.T) {
 	fakes, bs := fleet(2)
-	r, err := New(Config{Replicas: bs, FailureThreshold: 1, Cooldown: 20 * time.Millisecond})
+	r, err := New(Config{Replicas: bs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	clock := virtualize(r, fakes)
 	fakes[0].dead.Store(true)
-	// Trip replica 0's breaker.
+	// Trip replica 0's breaker: the two replicas alternate, so three
+	// failures take six batches.
+	tripBreaker(t, r, 0, 2*failureThreshold)
+	// One step short of the cooldown, the open breaker admits nothing.
+	fakes[0].dead.Store(false)
+	clock.advance(cooldown - time.Millisecond)
+	calls := fakes[0].calls.Load()
 	for i := 0; i < 4; i++ {
 		if _, err := r.DetectBatch(context.Background(), "car", []int64{1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := r.Stats(); st[0].State != Open {
-		t.Fatalf("replica 0 state = %v, want open", st[0].State)
+	if got := fakes[0].calls.Load(); got != calls || r.Stats()[0].State != Open {
+		t.Fatalf("replica 0 served %d calls inside its cooldown, state %v", got-calls, r.Stats()[0].State)
 	}
-	// Heal it and step past the cooldown: a half-open trial call readmits.
-	fakes[0].dead.Store(false)
-	clock.advance(30 * time.Millisecond)
+	// Step past the cooldown: a half-open trial call readmits.
+	clock.advance(time.Millisecond)
 	healed := false
 	for i := 0; i < 10; i++ {
 		if _, err := r.DetectBatch(context.Background(), "car", []int64{1}); err != nil {
@@ -254,19 +285,15 @@ func TestRouterCircuitReadmission(t *testing.T) {
 
 func TestRouterFailedTrialReopens(t *testing.T) {
 	fakes, bs := fleet(2)
-	r, err := New(Config{Replicas: bs, FailureThreshold: 1, Cooldown: 10 * time.Millisecond})
+	r, err := New(Config{Replicas: bs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	clock := virtualize(r, fakes)
 	fakes[0].dead.Store(true)
-	for i := 0; i < 3; i++ {
-		if _, err := r.DetectBatch(context.Background(), "car", []int64{1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	clock.advance(15 * time.Millisecond)
+	tripBreaker(t, r, 0, 2*failureThreshold)
+	clock.advance(cooldown)
 	// Still dead: the half-open trial fails and the breaker re-opens
 	// immediately (one strike, no threshold credit).
 	for i := 0; i < 4; i++ {
@@ -274,21 +301,23 @@ func TestRouterFailedTrialReopens(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := r.Stats(); st[0].State != Open {
-		t.Fatalf("replica 0 state after failed trial = %v, want open", st[0].State)
+	if st := r.Stats(); st[0].State != Open || st[0].BreakerOpens != 2 {
+		t.Fatalf("replica 0 after failed trial: state %v, %d opens; want open, 2 opens", st[0].State, st[0].BreakerOpens)
 	}
 }
 
 func TestRouterProbeHealsWithoutTraffic(t *testing.T) {
+	ticks := tickProbes(t)
 	fakes, bs := fleet(2)
-	var probed atomic.Int64
+	// The loop probes the replicas in order, so once the probe of replica
+	// 1 has begun, replica 0's probe outcome of that round is recorded.
+	reached := make(chan struct{})
 	r, err := New(Config{
-		Replicas:         bs,
-		FailureThreshold: 1,
-		Cooldown:         10 * time.Millisecond,
-		ProbeInterval:    10 * time.Millisecond,
+		Replicas: bs,
 		Probe: func(ctx context.Context, b backend.Backend) error {
-			probed.Add(1)
+			if b == bs[1] {
+				reached <- struct{}{}
+			}
 			_, err := b.DetectBatch(ctx, "car", []int64{0})
 			return err
 		},
@@ -297,29 +326,33 @@ func TestRouterProbeHealsWithoutTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	round := func() {
+		ticks <- time.Time{}
+		<-reached
+	}
 	fakes[0].dead.Store(true)
+	// One live failure, then probe failures up to the threshold.
 	if _, err := r.DetectBatch(context.Background(), "car", []int64{1}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(2 * time.Second)
-	for r.Stats()[0].State != Open {
-		select {
-		case <-deadline:
-			t.Fatalf("probe never opened the dead replica: %+v", r.Stats()[0])
-		case <-time.After(5 * time.Millisecond):
+	for i := 1; i < failureThreshold; i++ {
+		if st := r.Stats()[0]; st.State != Healthy || st.ConsecutiveFailures != i {
+			t.Fatalf("after %d failures: %+v, want healthy with %d consecutive failures", i, st, i)
 		}
+		round()
 	}
-	// Heal the backend; the probe loop alone must close the breaker.
+	if st := r.Stats()[0]; st.State != Open {
+		t.Fatalf("probes never opened the dead replica: %+v", st)
+	}
+	// Heal the backend; one probe round alone closes the breaker, with no
+	// traffic and long before the cooldown.
 	fakes[0].dead.Store(false)
-	for r.Stats()[0].State != Healthy {
-		select {
-		case <-deadline:
-			t.Fatalf("probe never healed the replica: %+v", r.Stats()[0])
-		case <-time.After(5 * time.Millisecond):
-		}
+	round()
+	if st := r.Stats()[0]; st.State != Healthy || st.ConsecutiveFailures != 0 {
+		t.Fatalf("probe never healed the replica: %+v", st)
 	}
-	if probed.Load() == 0 {
-		t.Fatal("probe never ran")
+	if got := fakes[0].calls.Load(); got != int64(failureThreshold)+1 {
+		t.Fatalf("replica 0 served %d calls, want %d (one live call, then one probe per round)", got, failureThreshold+1)
 	}
 }
 
@@ -365,11 +398,12 @@ func TestRouterCancellationIsTerminal(t *testing.T) {
 
 func TestRouterConcurrentUse(t *testing.T) {
 	fakes, bs := fleet(3)
-	r, err := New(Config{Replicas: bs, FailureThreshold: 2, Cooldown: 5 * time.Millisecond})
+	r, err := New(Config{Replicas: bs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	accelerate(r, 1000) // half-open trials every ~2 ms of wall time
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -413,11 +447,12 @@ func BenchmarkRouterFailover(b *testing.B) {
 	for _, dead := range []int{0, 1} {
 		b.Run(fmt.Sprintf("dead=%d", dead), func(b *testing.B) {
 			fakes, bs := fleet(3)
-			r, err := New(Config{Replicas: bs, FailureThreshold: 1, Cooldown: time.Millisecond})
+			r, err := New(Config{Replicas: bs})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer r.Close()
+			accelerate(r, 2000) // a trial call every ~1 ms of wall time
 			for i := 0; i < dead; i++ {
 				fakes[i].dead.Store(true)
 			}
@@ -464,13 +499,17 @@ func fleetHealth(stats []ReplicaStats) (healthy, open int, bestEWMA float64) {
 // latency EWMA.
 func TestSizerSignalCountsBreakerOpens(t *testing.T) {
 	fakes, bs := fleet(2)
-	// Threshold 1: the first failure trips the breaker, so the weighted
-	// pick's passive avoidance of the slow failed replica cannot keep the
-	// breaker half-shut for the whole test.
-	r, err := New(Config{Replicas: bs, FailureThreshold: 1, Cooldown: time.Hour})
+	r, err := New(Config{Replicas: bs})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Equal fake latencies keep the two replicas tied, so the dead one
+	// keeps its turn in the rotation until its breaker opens, and the fake
+	// clock never reaches the cooldown.
+	for _, f := range fakes {
+		f.delay = time.Millisecond
+	}
+	virtualize(r, fakes)
 	ctx := context.Background()
 	if healthy, _, _ := fleetHealth(r.Stats()); r.BreakerOpens() != 0 || healthy != 2 {
 		t.Fatalf("fresh router: %d healthy / %d opens, want 2 healthy / 0 opens", healthy, r.BreakerOpens())
@@ -487,7 +526,8 @@ func TestSizerSignalCountsBreakerOpens(t *testing.T) {
 	// Kill replica 0 and drive its breaker open; every failed batch is
 	// rescued by a sibling, so the caller never sees an error.
 	fakes[0].dead.Store(true)
-	for i := 0; i < 6; i++ {
+	tripBreaker(t, r, 0, 2*failureThreshold)
+	for i := 0; i < 4; i++ {
 		if _, err := r.DetectBatch(ctx, "car", []int64{int64(i)}); err != nil {
 			t.Fatal(err)
 		}

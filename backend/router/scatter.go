@@ -11,8 +11,8 @@ import (
 // scatterBatch splits one batch across several healthy replicas
 // proportional to their capacity weights: contiguous frame slices
 // dispatched concurrently, reassembled in frame order. A failed slice
-// fails over onto untried siblings (up to FailoverRetries, same as a
-// whole batch); a slice that exhausts its retries cancels the remaining
+// fails over onto untried siblings (each at most once, same as a whole
+// batch); a slice that exhausts its retries cancels the remaining
 // slices and fails the whole batch — callers keep the exact
 // all-or-nothing semantics of single-replica routing, so engine
 // determinism is untouched.
@@ -35,7 +35,7 @@ func (r *Router) scatterBatch(ctx context.Context, class string, frames []int64)
 		}
 		rep.mu.Unlock()
 	}
-	width := len(frames) / r.cfg.ScatterMinSlice
+	width := len(frames) / scatterMinSlice
 	if width > len(members) {
 		width = len(members)
 	}
@@ -124,7 +124,7 @@ func (r *Router) scatterBatch(ctx context.Context, class string, frames []int64)
 func (r *Router) scatterSlice(ctx context.Context, first int, class string, frames []int64) ([][]backend.Detection, []float64, error) {
 	tried := make(map[int]bool)
 	var lastErr error
-	for attempt := 0; attempt <= r.cfg.FailoverRetries; attempt++ {
+	for attempt := range r.replicas {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}

@@ -267,11 +267,12 @@ type Config struct {
 	// MaxConcurrent caps in-flight requests to the endpoint across every
 	// query sharing this client (default 4).
 	MaxConcurrent int
-	// MaxBatch caps keys per wire request; larger batches are split into
-	// sequential requests (default 256 — cache entries are far smaller
-	// than detector batches, so the cap is correspondingly higher).
-	MaxBatch int
 }
+
+// maxBatch caps keys per wire request; larger batches are split into
+// sequential requests. Cache entries are far smaller than detector
+// batches, so the cap is correspondingly higher.
+const maxBatch = 256
 
 // Stats is a snapshot of a client's traffic counters.
 type Stats struct {
@@ -290,7 +291,6 @@ type Stats struct {
 // honestly.
 type Client struct {
 	getURL, putURL string
-	maxBatch       int
 	wire           *batchwire.Client
 
 	mu    sync.Mutex
@@ -305,9 +305,6 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Endpoint == "" {
 		return nil, fmt.Errorf("httpcache: Config.Endpoint is required")
 	}
-	if cfg.MaxBatch < 0 {
-		return nil, fmt.Errorf("httpcache: negative MaxBatch")
-	}
 	wire, err := proto.NewClient(batchwire.Config{
 		HTTPClient:    cfg.HTTPClient,
 		Timeout:       cfg.Timeout,
@@ -318,11 +315,8 @@ func New(cfg Config) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = 256
-	}
 	base := strings.TrimSuffix(cfg.Endpoint, "/")
-	return &Client{getURL: base + "/get", putURL: base + "/put", maxBatch: cfg.MaxBatch, wire: wire}, nil
+	return &Client{getURL: base + "/get", putURL: base + "/put", wire: wire}, nil
 }
 
 // Stats returns a snapshot of the client's traffic counters.
@@ -334,12 +328,12 @@ func (c *Client) Stats() Stats {
 	return st
 }
 
-// GetBatch implements cachestore.Store. Batches beyond MaxBatch are split
+// GetBatch implements cachestore.Store. Batches beyond maxBatch keys are split
 // into sequential wire requests; the returned entries are aligned with keys.
 func (c *Client) GetBatch(ctx context.Context, keys []cachestore.Key) ([]cachestore.Entry, error) {
 	out := make([]cachestore.Entry, len(keys))
-	for lo := 0; lo < len(keys); lo += c.maxBatch {
-		hi := min(lo+c.maxBatch, len(keys))
+	for lo := 0; lo < len(keys); lo += maxBatch {
+		hi := min(lo+maxBatch, len(keys))
 		if err := c.getChunk(ctx, keys[lo:hi], out[lo:hi]); err != nil {
 			return nil, err
 		}
@@ -360,14 +354,14 @@ func (c *Client) getChunk(ctx context.Context, keys []cachestore.Key, out []cach
 	return nil
 }
 
-// PutBatch implements cachestore.Store, splitting by MaxBatch like GetBatch.
+// PutBatch implements cachestore.Store, splitting by maxBatch like GetBatch.
 // A length mismatch is refused before anything reaches the wire.
 func (c *Client) PutBatch(ctx context.Context, keys []cachestore.Key, vals [][]backend.Detection) error {
 	if len(vals) != len(keys) {
 		return fmt.Errorf("httpcache: PutBatch got %d values for %d keys", len(vals), len(keys))
 	}
-	for lo := 0; lo < len(keys); lo += c.maxBatch {
-		hi := min(lo+c.maxBatch, len(keys))
+	for lo := 0; lo < len(keys); lo += maxBatch {
+		hi := min(lo+maxBatch, len(keys))
 		if err := c.putChunk(ctx, keys[lo:hi], vals[lo:hi]); err != nil {
 			return err
 		}
@@ -410,7 +404,7 @@ func (c *Client) putChunk(ctx context.Context, keys []cachestore.Key, vals [][]b
 // Server-side bounds on top of batchwire.MaxRequestBytes.
 const (
 	// maxKeysPerRequest bounds keys (or entries) per request — far above
-	// any batch a well-behaved client sends (MaxBatch defaults to 256).
+	// any batch a well-behaved client sends (maxBatch, 256).
 	maxKeysPerRequest = 4096
 	// maxDetsPerEntry bounds detections in a single stored entry; a frame
 	// with thousands of detections is a corrupt or hostile payload, not a

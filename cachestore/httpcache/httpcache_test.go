@@ -103,7 +103,7 @@ func TestFloatRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchSplitting: a batch beyond MaxBatch splits into sequential wire
+// TestBatchSplitting: a batch beyond maxBatch splits into sequential wire
 // requests, entries still aligned.
 func TestBatchSplitting(t *testing.T) {
 	store := cachestore.NewLocal(4096)
@@ -115,13 +115,14 @@ func TestBatchSplitting(t *testing.T) {
 		Handler(store).ServeHTTP(w, r)
 	}))
 	defer srv.Close()
-	c, err := New(Config{Endpoint: srv.URL, MaxBatch: 10})
+	c, err := New(Config{Endpoint: srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	keys := make([]cachestore.Key, 25)
-	vals := make([][]backend.Detection, 25)
+	n := 2*maxBatch + 5
+	keys := make([]cachestore.Key, n)
+	vals := make([][]backend.Detection, n)
 	for i := range keys {
 		keys[i] = cachestore.Key{Content: 7, Class: "car", Frame: int64(i)}
 		vals[i] = dets(int64(i))
@@ -133,8 +134,8 @@ func TestBatchSplitting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := gets.Load(); n != 3 {
-		t.Fatalf("25 keys at MaxBatch 10 issued %d get requests, want 3", n)
+	if got := gets.Load(); got != 3 {
+		t.Fatalf("%d keys at maxBatch %d issued %d get requests, want 3", n, maxBatch, got)
 	}
 	for i, e := range got {
 		if !e.Found || e.Dets[0].Frame != int64(i) {
@@ -373,9 +374,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Endpoint: "http://x", Timeout: -time.Second}); err == nil {
 		t.Error("negative Timeout accepted")
-	}
-	if _, err := New(Config{Endpoint: "http://x", MaxBatch: -1}); err == nil {
-		t.Error("negative MaxBatch accepted")
 	}
 }
 

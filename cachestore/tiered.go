@@ -99,13 +99,13 @@ type Tiered struct {
 	freeMu   sync.Mutex // guards free, the idle call scratches
 	free     []*fetchScratch
 
-	l1Hits, l1Misses       atomic.Int64
-	l2Hits, l2Misses       atomic.Int64
-	l2Trips                atomic.Int64
-	l2Errors, l2PutErrors  atomic.Int64
-	merges, fills, warmed  atomic.Int64
-	rttMu                  sync.Mutex
-	rttEWMA, rttLastSecond float64
+	l1Hits, l1Misses      atomic.Int64
+	l2Hits, l2Misses      atomic.Int64
+	l2Trips               atomic.Int64
+	l2Errors, l2PutErrors atomic.Int64
+	merges, fills, warmed atomic.Int64
+	rttMu                 sync.Mutex
+	rttEWMA               float64
 }
 
 // Compile-time interface check.
@@ -206,7 +206,6 @@ func (t *Tiered) observeRTT(d time.Duration) {
 	} else {
 		t.rttEWMA = 0.2*s + 0.8*t.rttEWMA
 	}
-	t.rttLastSecond = s
 	t.rttMu.Unlock()
 }
 

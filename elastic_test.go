@@ -514,7 +514,7 @@ func TestElasticEngineSurvivesReplicaDeath(t *testing.T) {
 					killReplica = func() { dead.Store(true) }
 				}
 			}
-			r, err := router.New(router.Config{Specs: specs, FailureThreshold: 1})
+			r, err := router.New(router.Config{Specs: specs})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,22 +4,12 @@ import (
 	"testing"
 )
 
-// Tests for the cache-aware tie-break (Config.CachedFrac / TieEpsilon).
+// Tests for the cache-aware tie-break (Config.CachedFrac, tieEpsilon).
 
 func TestCacheAwareValidation(t *testing.T) {
-	chunks := mkChunks(t, 100, 4)
-	if _, err := New(chunks, Config{TieEpsilon: 0.1}); err == nil {
-		t.Error("TieEpsilon without CachedFrac accepted")
-	}
 	frac := func(int) float64 { return 0 }
-	if _, err := New(chunks, Config{CachedFrac: frac, TieEpsilon: -0.1}); err == nil {
-		t.Error("negative TieEpsilon accepted")
-	}
-	if _, err := New(chunks, Config{CachedFrac: frac, TieEpsilon: 1}); err == nil {
-		t.Error("TieEpsilon 1 accepted")
-	}
-	if _, err := New(chunks, Config{CachedFrac: frac}); err != nil {
-		t.Errorf("CachedFrac with defaulted epsilon rejected: %v", err)
+	if _, err := New(mkChunks(t, 100, 4), Config{CachedFrac: frac}); err != nil {
+		t.Errorf("CachedFrac rejected: %v", err)
 	}
 }
 
@@ -107,10 +97,7 @@ func TestCacheAwareConsumesNoExtraRandomness(t *testing.T) {
 func TestCacheAwarePrefersCachedOnTies(t *testing.T) {
 	const hot = 2
 	count := func(aware bool) int {
-		cfg := Config{Seed: 5, TieEpsilon: 0.5}
-		if !aware {
-			cfg = Config{Seed: 5}
-		}
+		cfg := Config{Seed: 5}
 		if aware {
 			cfg.CachedFrac = func(j int) float64 {
 				if j == hot {
@@ -129,7 +116,7 @@ func TestCacheAwarePrefersCachedOnTies(t *testing.T) {
 		// tie-break is for. (At the raw prior, Gamma(0.1) draws span orders
 		// of magnitude and relative ties are rare.)
 		for j := 0; j < s.NumChunks(); j++ {
-			for r := 0; r < 10; r++ {
+			for r := 0; r < 100; r++ {
 				if err := s.Update(j, 9, 1); err != nil {
 					t.Fatal(err)
 				}

@@ -122,7 +122,7 @@ type Config struct {
 	// is built (e.g. to charge per-chunk scoring cost in a fusion setup).
 	OnChunkOpen func(chunk int)
 	// CachedFrac, if set, enables cache-aware tie-breaking: when the
-	// policy's top scores tie within TieEpsilon, Next prefers the chunk
+	// policy's top scores tie within tieEpsilon, Next prefers the chunk
 	// with the higher CachedFrac(chunk) — the fraction of the chunk's
 	// frames already resident in a result cache, where sampling is
 	// near-free. A group of exchangeable arms scored once (see Next) takes
@@ -133,10 +133,6 @@ type Config struct {
 	// CachedFrac set but no ties — or one whose cached fractions are all
 	// equal — picks byte-identically to one without.
 	CachedFrac func(chunk int) float64
-	// TieEpsilon is the relative tie width for CachedFrac: scores a and b
-	// tie when hi-lo <= TieEpsilon*hi. Zero selects DefaultTieEpsilon;
-	// it must be left zero when CachedFrac is nil.
-	TieEpsilon float64
 }
 
 // DefaultAlpha0 and DefaultBeta0 are the paper's prior (§III-C).
@@ -145,11 +141,12 @@ const (
 	DefaultBeta0  = 1.0
 )
 
-// DefaultTieEpsilon is the default relative tie width for cache-aware
-// tie-breaking: 5% — wide enough that near-identical beliefs (where the
-// policy's choice is effectively arbitrary) defer to the cache signal,
-// narrow enough that a genuinely better arm is never overridden.
-const DefaultTieEpsilon = 0.05
+// tieEpsilon is the relative tie width for cache-aware tie-breaking:
+// scores a and b tie when hi-lo <= tieEpsilon*hi. 5% is wide enough that
+// near-identical beliefs (where the policy's choice is effectively
+// arbitrary) defer to the cache signal, narrow enough that a genuinely
+// better arm is never overridden.
+const tieEpsilon = 0.05
 
 func (c Config) withDefaults() Config {
 	if c.Alpha0 == 0 {
@@ -157,9 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Beta0 == 0 {
 		c.Beta0 = DefaultBeta0
-	}
-	if c.CachedFrac != nil && c.TieEpsilon == 0 {
-		c.TieEpsilon = DefaultTieEpsilon
 	}
 	return c
 }
@@ -175,12 +169,6 @@ func (c Config) Validate() error {
 	case Thompson, BayesUCB, Greedy:
 	default:
 		return fmt.Errorf("core: unknown policy %d", int(c.Policy))
-	}
-	if c.TieEpsilon < 0 || c.TieEpsilon >= 1 {
-		return fmt.Errorf("core: TieEpsilon %v outside [0, 1)", c.TieEpsilon)
-	}
-	if c.TieEpsilon != 0 && c.CachedFrac == nil {
-		return fmt.Errorf("core: TieEpsilon set but CachedFrac is nil")
 	}
 	switch c.Within {
 	case WithinRandomPlus, WithinUniform:
@@ -355,9 +343,6 @@ func (s *Sampler) SetEnabled(chunk int, enabled bool) error {
 	return nil
 }
 
-// Enabled reports whether an arm is currently pickable.
-func (s *Sampler) Enabled(chunk int) bool { return !s.arms[chunk].disabled }
-
 // order lazily builds the within-chunk frame order for chunk j.
 func (s *Sampler) order(j int) (video.FrameOrder, error) {
 	if s.orders[j] != nil {
@@ -436,7 +421,7 @@ func (s *Sampler) belief(n1, n int64) (alpha, beta float64) {
 //   - Greedy picks uniformly among the arms tied at the best point
 //     estimate.
 //
-// With Config.CachedFrac set, scores that tie within TieEpsilon are broken
+// With Config.CachedFrac set, scores that tie within tieEpsilon are broken
 // toward the higher cached fraction (equal fractions fall through to the
 // policy's rule); a group scored once ties as its highest-fraction member
 // and, winning that way, yields that member. Every score and member index
@@ -542,7 +527,7 @@ func (s *Sampler) consider(c *lead, j, gi int, sc float64) {
 		*c = lead{arm: j, group: gi, score: sc, frac: -1}
 		return
 	}
-	if s.cfg.CachedFrac != nil && tied(sc, c.score, s.cfg.TieEpsilon) {
+	if s.cfg.CachedFrac != nil && tied(sc, c.score, tieEpsilon) {
 		if c.frac < 0 {
 			c.frac, c.fracArm = s.cachedFrac(c.arm, c.group)
 		}
@@ -825,9 +810,6 @@ func (s *Sampler) MaxPointEstimate() float64 {
 	}
 	return best
 }
-
-// TotalSamples returns the number of frames sampled so far.
-func (s *Sampler) TotalSamples() int64 { return s.total }
 
 // NumChunks returns the number of arms.
 func (s *Sampler) NumChunks() int { return len(s.chunks) }

@@ -272,8 +272,8 @@ func TestStatsAndPointEstimate(t *testing.T) {
 	if got := s.PointEstimate(0); got < want-1e-12 || got > want+1e-12 {
 		t.Fatalf("PointEstimate = %v, want %v", got, want)
 	}
-	if s.TotalSamples() != 2 {
-		t.Fatalf("TotalSamples = %d", s.TotalSamples())
+	if s.total != 2 {
+		t.Fatalf("total samples = %d", s.total)
 	}
 }
 
@@ -505,7 +505,7 @@ func TestSetEnabledFencesAndReadmits(t *testing.T) {
 	if err := s.SetEnabled(1, false); err != nil {
 		t.Fatal(err)
 	}
-	if s.Enabled(1) {
+	if !s.arms[1].disabled {
 		t.Fatal("chunk 1 still enabled after fence")
 	}
 	for i := 0; i < 150; i++ {

@@ -47,16 +47,6 @@ func (m Model) DetectSeconds(n int64) float64 { return float64(n) / m.DetectFPS 
 // repository of n frames.
 func (m Model) ScanSeconds(n int64) float64 { return float64(n) / m.ScanFPS }
 
-// FramesInTime returns how many frames the sampling path can process in the
-// given seconds (Table I compares "how far does ExSample get while the proxy
-// is still scanning").
-func (m Model) FramesInTime(seconds float64) int64 {
-	if seconds <= 0 {
-		return 0
-	}
-	return int64(seconds * m.DetectFPS)
-}
-
 // FormatDuration renders seconds in the paper's compact style: "18s",
 // "1m37s", "41m", "9h50m", "2h58m". Minutes-only when seconds round to 0;
 // hours+minutes above one hour.

@@ -34,27 +34,12 @@ func TestSeconds(t *testing.T) {
 	}
 }
 
-func TestFramesInTime(t *testing.T) {
-	m := Default()
-	if got := m.FramesInTime(10); got != 200 {
-		t.Errorf("FramesInTime(10) = %d", got)
-	}
-	if got := m.FramesInTime(0); got != 0 {
-		t.Errorf("FramesInTime(0) = %d", got)
-	}
-	if got := m.FramesInTime(-5); got != 0 {
-		t.Errorf("FramesInTime(-5) = %d", got)
-	}
-}
-
 func TestScanVsDetectConsistency(t *testing.T) {
 	// The paper's core Table I argument: scanning 1.1M frames at 100 fps
 	// takes ~3h; in that time the detector path processes 5x fewer frames.
 	m := Default()
-	scan := m.ScanSeconds(1_100_000)
-	frames := m.FramesInTime(scan)
-	if frames != 220_000 {
-		t.Fatalf("frames processable during scan = %d", frames)
+	if scan, detect := m.ScanSeconds(1_100_000), m.DetectSeconds(220_000); scan != detect {
+		t.Fatalf("scanning 1.1M frames takes %vs, detecting 220k takes %vs; want equal", scan, detect)
 	}
 }
 

@@ -101,16 +101,17 @@ func DefaultNoise() NoiseModel {
 
 // Validate reports an error if the noise parameters are out of range.
 func (nm NoiseModel) Validate() error {
-	if nm.MissProb < 0 || nm.MissProb > 1 {
+	// The !(in range) form rejects NaN, which fails every comparison.
+	if !(nm.MissProb >= 0 && nm.MissProb <= 1) {
 		return fmt.Errorf("detect: MissProb %v outside [0,1]", nm.MissProb)
 	}
-	if nm.EdgeMissBoost < 0 || nm.EdgeMissBoost > 1 {
+	if !(nm.EdgeMissBoost >= 0 && nm.EdgeMissBoost <= 1) {
 		return fmt.Errorf("detect: EdgeMissBoost %v outside [0,1]", nm.EdgeMissBoost)
 	}
-	if nm.JitterFrac < 0 || nm.JitterFrac > 0.5 {
+	if !(nm.JitterFrac >= 0 && nm.JitterFrac <= 0.5) {
 		return fmt.Errorf("detect: JitterFrac %v outside [0,0.5]", nm.JitterFrac)
 	}
-	if nm.FalsePositiveRate < 0 {
+	if !(nm.FalsePositiveRate >= 0 && nm.FalsePositiveRate <= math.MaxFloat64) {
 		return fmt.Errorf("detect: negative FalsePositiveRate %v", nm.FalsePositiveRate)
 	}
 	return nil

@@ -3,6 +3,7 @@ package detect
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -184,6 +185,11 @@ func TestNoiseValidation(t *testing.T) {
 		{EdgeMissBoost: 2},
 		{JitterFrac: 0.9},
 		{FalsePositiveRate: -1},
+		{MissProb: math.NaN()},
+		{EdgeMissBoost: math.NaN()},
+		{JitterFrac: math.NaN()},
+		{FalsePositiveRate: math.NaN()},
+		{FalsePositiveRate: math.Inf(1)},
 	}
 	for i, nm := range bad {
 		if _, err := NewSim(idx, 1, WithNoise(nm)); err == nil {

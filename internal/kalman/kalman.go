@@ -134,6 +134,3 @@ func (bf *BoxFilter) Box() geom.Box {
 		Y2: bf.cy.X + h/2,
 	}
 }
-
-// Velocity returns the estimated center velocity in pixels per frame.
-func (bf *BoxFilter) Velocity() (vx, vy float64) { return bf.cx.V, bf.cy.V }

@@ -115,7 +115,7 @@ func TestBoxFilterTracksMovingBox(t *testing.T) {
 	if math.Abs(cx-wantCX) > 15 {
 		t.Fatalf("predicted cx = %v, want ~%v", cx, wantCX)
 	}
-	vx, vy := bf.Velocity()
+	vx, vy := bf.cx.V, bf.cy.V
 	if math.Abs(vx-5) > 0.5 || math.Abs(vy) > 0.5 {
 		t.Fatalf("velocity = (%v, %v), want (~5, ~0)", vx, vy)
 	}

@@ -78,21 +78,6 @@ func (rc *RecallCurve) Recall() float64 {
 // DistinctFound returns the number of distinct instances discovered.
 func (rc *RecallCurve) DistinctFound() int { return len(rc.seen) }
 
-// SamplesToRecall returns the number of processed frames at which recall
-// first reached r, and whether it was reached.
-func (rc *RecallCurve) SamplesToRecall(r float64) (int64, bool) {
-	need := int(math.Ceil(r * float64(rc.total)))
-	if need < 1 {
-		need = 1
-	}
-	for i, f := range rc.Found {
-		if f >= need {
-			return rc.Samples[i], true
-		}
-	}
-	return 0, false
-}
-
 // SecondsToRecall returns the charged seconds at which recall first reached
 // r, and whether it was reached.
 func (rc *RecallCurve) SecondsToRecall(r float64) (float64, bool) {
@@ -196,7 +181,3 @@ func MinChunksForHalf(chunkCounts []int) (int, error) {
 	}
 	return int(math.Round(float64(len(chunkCounts)) / 2 / s)), nil
 }
-
-// GeoMeanSavings aggregates per-query savings ratios as the paper does
-// ("geometric average of 1.9x across all settings").
-func GeoMeanSavings(ratios []float64) (float64, error) { return stats.GeoMean(ratios) }

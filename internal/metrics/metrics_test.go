@@ -49,7 +49,7 @@ func TestNewRecallCurveValidation(t *testing.T) {
 	}
 }
 
-func TestSamplesToRecall(t *testing.T) {
+func TestSecondsToRecall(t *testing.T) {
 	rc, err := NewRecallCurve(10)
 	if err != nil {
 		t.Fatal(err)
@@ -57,21 +57,17 @@ func TestSamplesToRecall(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		rc.Observe(int64(i+1)*10, float64(i+1), []int{i})
 	}
-	n, ok := rc.SamplesToRecall(0.5)
-	if !ok || n != 50 {
-		t.Fatalf("SamplesToRecall(0.5) = %d, %v", n, ok)
-	}
 	sec, ok := rc.SecondsToRecall(0.5)
 	if !ok || sec != 5 {
 		t.Fatalf("SecondsToRecall(0.5) = %v, %v", sec, ok)
 	}
-	if _, ok := rc.SamplesToRecall(1.0); ok {
+	if _, ok := rc.SecondsToRecall(1.0); ok {
 		t.Fatal("recall 1.0 reported reached with 9/10 found")
 	}
 	// Tiny recall needs at least one instance.
-	n, ok = rc.SamplesToRecall(0.01)
-	if !ok || n != 10 {
-		t.Fatalf("SamplesToRecall(0.01) = %d, %v", n, ok)
+	sec, ok = rc.SecondsToRecall(0.01)
+	if !ok || sec != 1 {
+		t.Fatalf("SecondsToRecall(0.01) = %v, %v", sec, ok)
 	}
 }
 
@@ -160,15 +156,5 @@ func TestSkewMetricErrors(t *testing.T) {
 	}
 	if _, err := SkewMetric([]int{-1, 2}); err == nil {
 		t.Error("negative accepted")
-	}
-}
-
-func TestGeoMeanSavings(t *testing.T) {
-	g, err := GeoMeanSavings([]float64{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(g-2) > 1e-12 {
-		t.Fatalf("geomean = %v", g)
 	}
 }

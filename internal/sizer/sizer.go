@@ -17,11 +17,12 @@
 // The per-frame latency model: a batch of q frames costs roughly
 // overhead + q·perFrame seconds, so per-frame latency (seconds/q) FALLS as
 // the quota grows until the backend saturates, then rises as requests
-// queue. AIMD probes that knee: grow by Step while the per-frame EWMA stays
-// within Inflation of the best level observed, halve on inflation. The
-// baseline drifts slowly toward the current EWMA so a backend that becomes
-// permanently slower (fleet churn, model swap) re-anchors instead of
-// pinning the controller at Min forever.
+// queue. AIMD probes that knee: grow by one frame per observation while the
+// per-frame EWMA (decay 0.4) stays within 1.5x of the best level observed,
+// halve on inflation. The baseline drifts 2% per observation toward the
+// current EWMA so a backend that becomes permanently slower (fleet churn,
+// model swap) re-anchors instead of pinning the controller at Min forever.
+// These constants are fixed; a Config sets only the quota's bounds.
 package sizer
 
 import (
@@ -30,8 +31,7 @@ import (
 	"sync/atomic"
 )
 
-// Config parameterizes a Controller. Min is required; everything else has
-// a production-shaped default.
+// Config parameterizes a Controller: the bounds of its quota.
 type Config struct {
 	// Min is the quota floor — the engine's static FramesPerRound, and the
 	// controller's starting point. Required (>= 1).
@@ -43,30 +43,27 @@ type Config struct {
 	// trade away sample efficiency, not just latency. Max below Min is
 	// raised to Min.
 	Max int
-	// Step is the additive increase applied after each settled (flat)
-	// observation window (default 1).
-	Step int
-	// Shrink is the multiplicative decrease factor applied on latency
-	// inflation, in (0, 1) (default 0.5).
-	Shrink float64
-	// Inflation is the per-frame latency ratio over the baseline that
-	// counts as queueing and triggers a shrink (default 1.5).
-	Inflation float64
-	// Settle is how many consecutive flat observations are required per
-	// growth step (default 1: grow every flat round, classic AIMD).
-	Settle int
-	// Decay is the EWMA coefficient for the per-frame latency estimate in
-	// (0, 1]; higher weighs recent batches more (default 0.4).
-	Decay float64
-	// Drift is the per-observation relaxation of the baseline toward the
-	// current EWMA when the EWMA is above it, in [0, 1) (default 0.02).
-	// Zero freezes the baseline at the best latency ever observed.
-	Drift float64
 }
 
 // DefaultMaxFactor caps the quota at Min*DefaultMaxFactor when the backend
 // advertises no MaxBatch.
 const DefaultMaxFactor = 16
+
+// The controller's fixed tuning.
+const (
+	// shrinkFactor is the multiplicative decrease applied on latency
+	// inflation and on capacity loss.
+	shrinkFactor = 0.5
+	// inflation is the per-frame latency ratio over the baseline that
+	// counts as queueing and triggers a shrink.
+	inflation = 1.5
+	// decay is the EWMA coefficient for the per-frame latency estimate;
+	// higher weighs recent batches more.
+	decay = 0.4
+	// drift is the per-observation relaxation of the baseline toward the
+	// current EWMA when the EWMA is above it.
+	drift = 0.02
+)
 
 func (c Config) withDefaults() Config {
 	if c.Max <= 0 {
@@ -75,24 +72,6 @@ func (c Config) withDefaults() Config {
 	if c.Max < c.Min {
 		c.Max = c.Min
 	}
-	if c.Step == 0 {
-		c.Step = 1
-	}
-	if c.Shrink == 0 {
-		c.Shrink = 0.5
-	}
-	if c.Inflation == 0 {
-		c.Inflation = 1.5
-	}
-	if c.Settle == 0 {
-		c.Settle = 1
-	}
-	if c.Decay == 0 {
-		c.Decay = 0.4
-	}
-	if c.Drift == 0 {
-		c.Drift = 0.02
-	}
 	return c
 }
 
@@ -100,24 +79,6 @@ func (c Config) withDefaults() Config {
 func (c Config) Validate() error {
 	if c.Min < 1 {
 		return fmt.Errorf("sizer: Min %d below 1", c.Min)
-	}
-	if c.Step < 0 {
-		return fmt.Errorf("sizer: negative Step %d", c.Step)
-	}
-	if c.Shrink < 0 || c.Shrink >= 1 {
-		return fmt.Errorf("sizer: Shrink %v outside [0, 1)", c.Shrink)
-	}
-	if c.Inflation < 0 || (c.Inflation > 0 && c.Inflation < 1) {
-		return fmt.Errorf("sizer: Inflation %v below 1", c.Inflation)
-	}
-	if c.Settle < 0 {
-		return fmt.Errorf("sizer: negative Settle %d", c.Settle)
-	}
-	if c.Decay < 0 || c.Decay > 1 {
-		return fmt.Errorf("sizer: Decay %v outside [0, 1]", c.Decay)
-	}
-	if c.Drift < 0 || c.Drift >= 1 {
-		return fmt.Errorf("sizer: Drift %v outside [0, 1)", c.Drift)
 	}
 	return nil
 }
@@ -156,7 +117,6 @@ type Controller struct {
 	quota    int
 	ewma     float64 // per-frame latency EWMA (0 until the first observation)
 	baseline float64 // best (lowest) per-frame level, with slow upward drift
-	settled  int     // consecutive flat observations since the last change
 }
 
 // NewController builds a controller starting at cfg.Min. counters may be
@@ -175,10 +135,10 @@ func NewController(cfg Config, counters *Counters) (*Controller, error) {
 func (c *Controller) Quota() int { return c.quota }
 
 // Observe feeds one successful batch observation — frames dispatched and
-// the batch's wall latency in seconds — and adjusts the quota: additive
-// increase after Settle consecutive flat observations, multiplicative
-// decrease when the per-frame EWMA inflates past Inflation times the
-// baseline. Observations with no frames are ignored.
+// the batch's wall latency in seconds — and adjusts the quota: one more
+// frame after each flat observation, multiplicative decrease when the
+// per-frame EWMA inflates past inflation times the baseline. Observations
+// with no frames are ignored.
 //
 // The EWMA update is weighted by frames/quota: a sub-quota batch — a
 // sharded query's round split across shards leaves some groups with a
@@ -199,7 +159,7 @@ func (c *Controller) Observe(frames int, seconds float64) {
 	if c.ewma == 0 {
 		c.ewma = per
 	} else {
-		d := c.cfg.Decay * weight
+		d := decay * weight
 		c.ewma = d*per + (1-d)*c.ewma
 	}
 	switch {
@@ -208,21 +168,16 @@ func (c *Controller) Observe(frames int, seconds float64) {
 	default:
 		// Relax toward a persistently higher level so a permanently slower
 		// backend re-anchors the flatness test instead of shrinking forever.
-		c.baseline += c.cfg.Drift * (c.ewma - c.baseline)
+		c.baseline += drift * (c.ewma - c.baseline)
 	}
-	if c.ewma > c.cfg.Inflation*c.baseline {
+	if c.ewma > inflation*c.baseline {
 		c.shrink(false)
 		return
 	}
-	c.settled++
-	if c.settled < c.cfg.Settle || c.quota >= c.cfg.Max {
+	if c.quota >= c.cfg.Max {
 		return
 	}
-	c.settled = 0
-	c.quota += c.cfg.Step
-	if c.quota > c.cfg.Max {
-		c.quota = c.cfg.Max
-	}
+	c.quota++
 	if c.counters != nil {
 		c.counters.Grows.Add(1)
 	}
@@ -236,8 +191,7 @@ func (c *Controller) Observe(frames int, seconds float64) {
 func (c *Controller) CapacityLoss() { c.shrink(true) }
 
 func (c *Controller) shrink(capacity bool) {
-	c.settled = 0
-	q := int(float64(c.quota) * c.cfg.Shrink)
+	q := int(float64(c.quota) * shrinkFactor)
 	if q < c.cfg.Min {
 		q = c.cfg.Min
 	}

@@ -283,17 +283,3 @@ func Mean(values []float64) (float64, error) {
 	}
 	return sum / float64(len(values)), nil
 }
-
-// StdDev returns the population standard deviation.
-func StdDev(values []float64) (float64, error) {
-	m, err := Mean(values)
-	if err != nil {
-		return 0, err
-	}
-	var ss float64
-	for _, v := range values {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(values))), nil
-}

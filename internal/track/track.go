@@ -10,7 +10,6 @@ package track
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/exsample/exsample/backend"
@@ -224,17 +223,6 @@ func FilterClass(instances []Instance, class string) []Instance {
 		}
 	}
 	return out
-}
-
-// SortByStart sorts instances in place by start frame (ties by ID) so
-// downstream code can rely on a deterministic order.
-func SortByStart(instances []Instance) {
-	sort.Slice(instances, func(i, j int) bool {
-		if instances[i].Start != instances[j].Start {
-			return instances[i].Start < instances[j].Start
-		}
-		return instances[i].ID < instances[j].ID
-	})
 }
 
 // Detection is the public backend.Detection: the pipeline, the caches and

@@ -201,52 +201,6 @@ func TestFilterClass(t *testing.T) {
 	}
 }
 
-func TestSortByStart(t *testing.T) {
-	in := []Instance{inst(2, "car", 50, 60), inst(1, "car", 10, 20), inst(3, "car", 10, 30)}
-	SortByStart(in)
-	if in[0].ID != 1 || in[1].ID != 3 || in[2].ID != 2 {
-		t.Fatalf("sorted order = %d %d %d", in[0].ID, in[1].ID, in[2].ID)
-	}
-}
-
-// TestSortByStartTieBreakDeterministic is the regression guard for the
-// equal-start tie-break: sort.Slice is unstable, so without the explicit
-// by-ID tie rule different input permutations (exactly what -shuffle=on
-// produces through map iteration and test ordering upstream) could emit
-// equal-start instances in different orders. Every permutation must yield
-// the one canonical order: by start, then by ID.
-func TestSortByStartTieBreakDeterministic(t *testing.T) {
-	base := []Instance{
-		inst(7, "car", 10, 20),
-		inst(3, "car", 10, 25),
-		inst(5, "car", 10, 22),
-		inst(1, "car", 5, 9),
-		inst(9, "car", 10, 21),
-		inst(2, "car", 30, 40),
-	}
-	want := []int{1, 3, 5, 7, 9, 2}
-	// Rotate through every cyclic permutation of the input.
-	for shift := 0; shift < len(base); shift++ {
-		in := make([]Instance, 0, len(base))
-		in = append(in, base[shift:]...)
-		in = append(in, base[:shift]...)
-		SortByStart(in)
-		for i, id := range want {
-			if in[i].ID != id {
-				t.Fatalf("shift %d: position %d has ID %d, want %d (full order %+v)", shift, i, in[i].ID, id, ids(in))
-			}
-		}
-	}
-}
-
-func ids(in []Instance) []int {
-	out := make([]int, len(in))
-	for i := range in {
-		out[i] = in[i].ID
-	}
-	return out
-}
-
 func TestAtReusesBuffer(t *testing.T) {
 	idx, err := NewIndex([]Instance{inst(0, "car", 0, 10)}, 100, 0)
 	if err != nil {

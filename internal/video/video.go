@@ -12,7 +12,6 @@ package video
 
 import (
 	"fmt"
-	"sort"
 )
 
 // File is one video file in the repository, occupying the frame range
@@ -66,18 +65,6 @@ func (r *Repository) NumFrames() int64 { return r.numFrames }
 
 // NumFiles returns the number of files.
 func (r *Repository) NumFiles() int { return len(r.files) }
-
-// Files returns the file list (shared slice; do not mutate).
-func (r *Repository) Files() []File { return r.files }
-
-// FileAt returns the file containing the given global frame.
-func (r *Repository) FileAt(frame int64) (File, error) {
-	if frame < 0 || frame >= r.numFrames {
-		return File{}, fmt.Errorf("video: frame %d out of range [0, %d)", frame, r.numFrames)
-	}
-	i := sort.Search(len(r.files), func(i int) bool { return r.files[i].End() > frame })
-	return r.files[i], nil
-}
 
 // Hours returns the repository length in hours of video.
 func (r *Repository) Hours() float64 {
@@ -210,10 +197,4 @@ func (m DecodeCostModel) Cost(frame int64) float64 {
 	}
 	sinceKey := frame % m.KeyframeInterval
 	return m.SeekCost + float64(sinceKey+1)*m.PerFrameDecode
-}
-
-// SequentialCost returns the time in seconds to decode n consecutive frames
-// (no per-frame seek, every frame decoded once).
-func (m DecodeCostModel) SequentialCost(n int64) float64 {
-	return m.SeekCost + float64(n)*m.PerFrameDecode
 }

@@ -22,9 +22,8 @@ func TestNewRepository(t *testing.T) {
 	if r.NumFiles() != 3 {
 		t.Fatalf("NumFiles = %d", r.NumFiles())
 	}
-	files := r.Files()
-	if files[1].Start != 100 || files[1].End() != 300 {
-		t.Fatalf("file[1] = %+v", files[1])
+	if f := r.files[1]; f.Start != 100 || f.End() != 300 {
+		t.Fatalf("file[1] = %+v", f)
 	}
 }
 
@@ -37,28 +36,6 @@ func TestNewRepositoryErrors(t *testing.T) {
 	}
 	if _, err := NewRepository(30, 100, 0); err == nil {
 		t.Error("zero-length file accepted")
-	}
-}
-
-func TestFileAt(t *testing.T) {
-	r := mustRepo(t, 30, 100, 200, 300)
-	for _, c := range []struct {
-		frame int64
-		want  string
-	}{{0, "file-0000"}, {99, "file-0000"}, {100, "file-0001"}, {299, "file-0001"}, {300, "file-0002"}, {599, "file-0002"}} {
-		f, err := r.FileAt(c.frame)
-		if err != nil {
-			t.Fatalf("FileAt(%d): %v", c.frame, err)
-		}
-		if f.Name != c.want {
-			t.Errorf("FileAt(%d) = %s, want %s", c.frame, f.Name, c.want)
-		}
-	}
-	if _, err := r.FileAt(-1); err == nil {
-		t.Error("FileAt(-1) accepted")
-	}
-	if _, err := r.FileAt(600); err == nil {
-		t.Error("FileAt(end) accepted")
 	}
 }
 
@@ -194,12 +171,5 @@ func TestDecodeCostNoKeyframes(t *testing.T) {
 	m := DecodeCostModel{KeyframeInterval: 0, SeekCost: 0.01, PerFrameDecode: 0.002}
 	if got := m.Cost(12345); got != 0.012 {
 		t.Errorf("Cost = %v", got)
-	}
-}
-
-func TestSequentialCost(t *testing.T) {
-	m := DefaultDecodeCost()
-	if got := m.SequentialCost(1000); got != m.SeekCost+1000*m.PerFrameDecode {
-		t.Errorf("SequentialCost = %v", got)
 	}
 }

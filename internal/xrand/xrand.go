@@ -219,13 +219,6 @@ func (g *RNG) gammaShape(alpha float64) float64 {
 	}
 }
 
-// Beta returns a Beta(a, b)-distributed value via two Gamma draws.
-func (g *RNG) Beta(a, b float64) float64 {
-	x := g.gammaShape(a)
-	y := g.gammaShape(b)
-	return x / (x + y)
-}
-
 // Poisson returns a Poisson(lambda)-distributed value. For small lambda it
 // uses Knuth's multiplication method; for large lambda the PTRS
 // transformed-rejection method (Hörmann 1993), which is O(1).
@@ -278,16 +271,6 @@ func (g *RNG) poissonPTRS(lambda float64) int {
 func logGamma(x float64) float64 {
 	v, _ := math.Lgamma(x)
 	return v
-}
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	g.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap

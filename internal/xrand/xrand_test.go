@@ -160,20 +160,6 @@ func TestPoissonNonNegativeProperty(t *testing.T) {
 	}
 }
 
-func TestBetaRange(t *testing.T) {
-	g := New(11)
-	for i := 0; i < 10000; i++ {
-		x := g.Beta(0.5, 0.5)
-		if x < 0 || x > 1 {
-			t.Fatalf("Beta out of range: %v", x)
-		}
-	}
-	mean, _ := moments(100000, func() float64 { return g.Beta(2, 6) })
-	if relErr(mean, 0.25) > 0.05 {
-		t.Errorf("Beta(2,6) mean = %v, want ~0.25", mean)
-	}
-}
-
 func TestWeightedIndexProportions(t *testing.T) {
 	g := New(21)
 	weights := []float64{1, 2, 0, 7}
@@ -208,11 +194,15 @@ func TestWeightedIndexPanics(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
+func TestShuffleIsPermutation(t *testing.T) {
 	g := New(31)
 	f := func(raw uint8) bool {
 		n := int(raw%64) + 1
-		p := g.Perm(n)
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
+		}
+		g.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {

@@ -24,18 +24,16 @@ type StreamConfig struct {
 	// the gate. Dead segments still occupy retention slots: they are
 	// retained data, just not detector work.
 	MotionThreshold float64
-	// GateStride is the frame stride of the gate's probe pass (default
-	// 16): the gate inspects every GateStride-th frame, so its cost is a
-	// ~1/GateStride fraction of a full scan.
-	GateStride int64
 }
+
+// gateStride is the frame stride of the motion gate's probe pass: the gate
+// inspects every 16th frame, so its cost is a ~1/16 fraction of a full
+// scan.
+const gateStride = 16
 
 func (c StreamConfig) withDefaults() StreamConfig {
 	if c.Name == "" {
 		c.Name = "stream"
-	}
-	if c.GateStride <= 0 {
-		c.GateStride = 16
 	}
 	return c
 }
@@ -59,7 +57,7 @@ type SegmentInfo struct {
 	// NumFrames is the segment length.
 	NumFrames int64
 	// Energy is the motion-gate energy measured at append time: the mean
-	// per-probe activity over every GateStride-th frame, in [0, 1]. Frames
+	// per-probe activity over every 16th frame, in [0, 1]. Frames
 	// with moving objects probe at 1; empty frames contribute only a small
 	// deterministic sensor-flicker noise floor.
 	Energy float64
@@ -182,7 +180,7 @@ func (s *StreamSource) classify(slot int, d *Dataset) SegmentInfo {
 	}
 	var energy float64
 	probes := 0
-	for f := int64(0); f < info.NumFrames; f += s.cfg.GateStride {
+	for f := int64(0); f < info.NumFrames; f += gateStride {
 		s.probe = d.inner.Index.At(f, s.probe[:0])
 		if len(s.probe) > 0 {
 			energy += 1
@@ -195,7 +193,7 @@ func (s *StreamSource) classify(slot int, d *Dataset) SegmentInfo {
 		info.Energy = energy / float64(probes)
 	}
 	// The probe pass is charged at the segment's own scan rate — the gate
-	// is a strided scan, and its whole point is costing ~1/GateStride of
+	// is a strided scan, and its whole point is costing ~1/gateStride of
 	// one.
 	s.gateSeconds += d.cost.ScanSeconds(int64(probes))
 	info.Gated = info.Energy < s.cfg.MotionThreshold
