@@ -73,6 +73,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"sync"
@@ -259,7 +260,7 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Endpoint == "" {
 		return nil, fmt.Errorf("httpbatch: Config.Endpoint is required")
 	}
-	if cfg.MaxBatch < 0 || cfg.CostSeconds < 0 {
+	if cfg.MaxBatch < 0 || !(cfg.CostSeconds >= 0) || math.IsInf(cfg.CostSeconds, 1) {
 		return nil, fmt.Errorf("httpbatch: negative MaxBatch or CostSeconds")
 	}
 	wire, err := proto.NewClient(batchwire.Config{

@@ -328,6 +328,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Endpoint: "http://x", MaxBatch: -1}); err == nil {
 		t.Fatal("negative MaxBatch accepted")
 	}
+	for _, cost := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := New(Config{Endpoint: "http://x", CostSeconds: cost}); err == nil {
+			t.Errorf("CostSeconds %v accepted", cost)
+		}
+	}
 }
 
 // TestDeadlineDuringBackoffIsTerminal pins what a caller sees on the

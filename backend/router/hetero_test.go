@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -42,8 +43,10 @@ func TestRouterSpecsValidation(t *testing.T) {
 	if _, err := New(Config{Replicas: bs, Specs: specs}); err == nil {
 		t.Error("Specs combined with Replicas accepted")
 	}
-	if _, err := New(Config{Specs: []ReplicaSpec{{Backend: bs[0], Weight: -1}}}); err == nil {
-		t.Error("negative Weight accepted")
+	for _, w := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := New(Config{Specs: []ReplicaSpec{{Backend: bs[0], Weight: w}}}); err == nil {
+			t.Errorf("Weight %v accepted", w)
+		}
 	}
 	if _, err := New(Config{Specs: []ReplicaSpec{{}}}); err == nil {
 		t.Error("nil Specs backend accepted")
@@ -332,8 +335,9 @@ func TestScatterSmallBatchUsesSinglePath(t *testing.T) {
 	}
 }
 
-// TestSizerSignalPerReplica: the per-replica signals the batch sizer and
-// the operator read carry breaker opens, health and capacity weights.
+// TestSizerSignalPerReplica: the per-replica stats the operator reads
+// carry breaker opens, health and capacity weights, and a scattering
+// router charges a dead slice's breaker to its own replica only.
 func TestSizerSignalPerReplica(t *testing.T) {
 	fakes, specs := heteroFleet(3, []float64{4, 1, 1}, nil, nil)
 	fakes[1].dead.Store(true)
@@ -342,9 +346,6 @@ func TestSizerSignalPerReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if !r.ScatterEnabled() {
-		t.Fatal("ScatterEnabled() = false with Scatter on")
-	}
 	frames := make([]int64, 32)
 	for i := range frames {
 		frames[i] = int64(i)
@@ -368,13 +369,14 @@ func TestSizerSignalPerReplica(t *testing.T) {
 	if stats[0].BreakerOpens != 0 {
 		t.Errorf("healthy replica charged %d opens", stats[0].BreakerOpens)
 	}
-	opens := r.ReplicaOpens()
-	if len(opens) != 3 || opens[1] != 1 || opens[0] != 0 {
-		t.Errorf("ReplicaOpens() = %v, want [0 1 0]", opens)
+	if stats[2].BreakerOpens != 0 {
+		t.Errorf("healthy replica 2 charged %d opens", stats[2].BreakerOpens)
 	}
-	weights := r.CapacityWeights()
-	if len(weights) != 3 || weights[0] != 4 {
-		t.Errorf("CapacityWeights() = %v, want explicit [4 1 1]", weights)
+	if stats[1].Weight != 1 {
+		t.Errorf("dead replica weight = %v, want explicit 1", stats[1].Weight)
+	}
+	if got := r.Scatters(); got != failureThreshold {
+		t.Errorf("Scatters() = %d, want %d (every batch scattered)", got, failureThreshold)
 	}
 }
 

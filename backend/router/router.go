@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -232,7 +233,7 @@ func New(cfg Config) (*Router, error) {
 		if s.Backend == nil {
 			return nil, fmt.Errorf("router: replica %d is nil", i)
 		}
-		if s.Weight < 0 {
+		if !(s.Weight >= 0) || math.IsInf(s.Weight, 1) {
 			return nil, fmt.Errorf("router: replica %d has negative Weight %v", i, s.Weight)
 		}
 		name := s.Name
@@ -455,8 +456,9 @@ func (r *Router) noteSuccess(rep *replica, elapsed time.Duration, frames int, co
 }
 
 // noteFailure records a failed call (or probe), opening the breaker when
-// the consecutive-failure score reaches the threshold — and immediately
-// for a failed half-open trial, which has no credit to burn.
+// the consecutive-failure score reaches the threshold. Only a success
+// resets the score, so a failed half-open trial reopens the breaker at
+// once: the score is still at or past the threshold that opened it.
 func (r *Router) noteFailure(rep *replica, err error) {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
@@ -464,7 +466,7 @@ func (r *Router) noteFailure(rep *replica, err error) {
 	rep.consecFails++
 	rep.lastErr = err
 	rep.lastErrAt = r.now()
-	if rep.state == HalfOpen || rep.consecFails >= failureThreshold {
+	if rep.consecFails >= failureThreshold {
 		if rep.state != Open {
 			r.breakerOpens.Add(1)
 			rep.opens++
@@ -624,8 +626,7 @@ type ReplicaStats struct {
 	// ConsecutiveFailures is the current failure streak.
 	ConsecutiveFailures int
 	// EWMALatencySeconds is the decayed per-batch latency estimate — the
-	// signal behind weighted picks, and the stat the adaptive batch sizer
-	// wants.
+	// signal behind weighted picks.
 	EWMALatencySeconds float64
 	// Weight is the replica's effective capacity weight at snapshot time:
 	// the configured ReplicaSpec.Weight, or the live derived estimate.
@@ -682,35 +683,6 @@ func (r *Router) Scatters() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.scatters
-}
-
-// ScatterEnabled reports whether scatter-gather batch splitting is on.
-func (r *Router) ScatterEnabled() bool { return r.cfg.Scatter }
-
-// ReplicaOpens snapshots each replica's cumulative breaker-open count,
-// indexed by replica. The per-replica complement of BreakerOpens: a
-// caller that diffs successive snapshots can attribute a capacity-loss
-// edge to the specific replica that dropped out.
-func (r *Router) ReplicaOpens() []int64 {
-	out := make([]int64, len(r.replicas))
-	for i, rep := range r.replicas {
-		rep.mu.Lock()
-		out[i] = rep.opens
-		rep.mu.Unlock()
-	}
-	return out
-}
-
-// CapacityWeights snapshots each replica's effective capacity weight
-// (configured or live-derived), indexed by replica.
-func (r *Router) CapacityWeights() []float64 {
-	out := make([]float64, len(r.replicas))
-	for i, rep := range r.replicas {
-		rep.mu.Lock()
-		out[i] = capacityWeightLocked(rep)
-		rep.mu.Unlock()
-	}
-	return out
 }
 
 // BreakerOpens returns the cumulative count of circuit-breaker open

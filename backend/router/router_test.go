@@ -535,8 +535,8 @@ func TestSizerSignalCountsBreakerOpens(t *testing.T) {
 	if healthy, open, _ := fleetHealth(r.Stats()); open != 1 || healthy != 1 {
 		t.Fatalf("%d open / %d healthy, want 1 open / 1 healthy (stats %+v)", open, healthy, r.Stats())
 	}
-	if opens := r.ReplicaOpens(); len(opens) != 2 || opens[0] != 1 || opens[1] != 0 {
-		t.Fatalf("ReplicaOpens() = %v after replica 0 died, want [1 0]", opens)
+	if st := r.Stats(); st[0].BreakerOpens != 1 || st[1].BreakerOpens != 0 {
+		t.Fatalf("per-replica opens = %d, %d after replica 0 died, want 1, 0", st[0].BreakerOpens, st[1].BreakerOpens)
 	}
 	if r.BreakerOpens() != 1 {
 		t.Fatalf("BreakerOpens() = %d, want 1", r.BreakerOpens())

@@ -154,18 +154,6 @@ func newDataset(inner *datasets.Dataset, seed uint64, opts ...DatasetOption) *Da
 			}
 			return 0
 		},
-		replicaFleets: func() []shardReplicas {
-			sig, ok := d.be.(replicaSignaler)
-			if !ok {
-				return nil
-			}
-			return []shardReplicas{{
-				shard:   0,
-				scatter: sig.ScatterEnabled(),
-				weights: sig.CapacityWeights(),
-				opens:   sig.ReplicaOpens(),
-			}}
-		},
 		decodeCost:  d.dec.Cost,
 		scanSeconds: func(start, end int64) float64 { return d.cost.ScanSeconds(end - start) },
 		groundTruth: d.GroundTruthCount,

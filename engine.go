@@ -243,12 +243,15 @@ type EngineStats struct {
 	// inference batch size.
 	Batches int64
 	// QuotaGrows and QuotaShrinks count adaptive round-quota adjustments
-	// across every AdaptiveRounds query: additive increases while batch
-	// latency stays flat, multiplicative decreases on latency inflation or
-	// capacity loss. Both are 0 when AdaptiveRounds is off.
+	// across every AdaptiveRounds query's AIMD controllers (one per
+	// backend key): additive increases while batch latency stays flat,
+	// multiplicative decreases on latency inflation or capacity loss.
+	// Both are 0 when AdaptiveRounds is off.
 	QuotaGrows, QuotaShrinks int64
 	// CapacityLosses counts the shrinks (or shrink attempts at the floor)
-	// forced by a backend circuit breaker opening mid-run.
+	// forced by a backend circuit breaker opening mid-run: each open edge
+	// shrinks every controller of the query, and counts once per
+	// controller (once when the query has observed no batch yet).
 	CapacityLosses int64
 	// PeakQuota is the largest per-round quota any adaptive query reached
 	// (0 when AdaptiveRounds is off; at least FramesPerRound otherwise).
@@ -813,20 +816,14 @@ func (q *engineQuery) DetectBatch(frames []int64) ([]any, error) {
 // AffinityKey implements engine.Affine: frames of the same (source, shard)
 // share a key, so the scheduler can group a round's detect batch by shard
 // (a track query's refine interval spanning a shard boundary splits into
-// one inference batch per shard).
+// one inference batch per shard). The key is also the adaptive sizer's
+// backend key.
 func (q *engineQuery) AffinityKey(frame int64) uint64 {
 	shard := 0
 	if q.src.shardOf != nil {
 		shard = q.src.shardOf(frame)
 	}
-	return shardAffinityKey(q.src, shard)
-}
-
-// shardAffinityKey maps a shard index to the affinity key AffinityKey
-// would produce for that shard's frames — the key the sizer fleet files
-// the shard's quota controllers under. An unsharded source is shard 0.
-func shardAffinityKey(src *querySource, shard int) uint64 {
-	return src.id<<16 | uint64(shard)&0xffff
+	return q.src.id<<16 | uint64(shard)&0xffff
 }
 
 func (q *engineQuery) Apply(frame int64, dets any) (bool, error) {
@@ -859,102 +856,33 @@ type sizedQuery struct {
 	// when no backend reports capacity); lastOpens is the edge detector.
 	breakerOpens func() int64
 	lastOpens    int64
-	// scope attributes capacity-loss edges to (shard, replica).
-	scope capacityScope
 }
 
 // newSizedQuery wires an adapter to its quota fleet: DetectBatch starts
-// recording backend-served counts, the breaker edge detector is baselined
-// and the per-replica controllers are seeded, all before the first round.
+// recording backend-served counts and the breaker edge detector is
+// baselined, both before the first round.
 func newSizedQuery(eq *engineQuery, fleet *sizer.Fleet) *sizedQuery {
 	eq.observed = true
 	sq := &sizedQuery{engineQuery: eq, fleet: fleet, breakerOpens: eq.src.breakerOpens}
 	if sq.breakerOpens != nil {
 		sq.lastOpens = sq.breakerOpens()
 	}
-	sq.scope.seed(eq.src, fleet)
 	return sq
 }
 
 // RoundQuota implements engine.Sized: it folds any breaker-open events
 // since the last round into the controller (capacity loss shrinks
 // multiplicatively before the next propose) and returns the fleet's
-// current quota. The cheap aggregate counter is the edge detector; only
-// on an edge does the scope do per-replica attribution.
+// current quota. An edge shrinks every backend key's controller: the
+// aggregate counter cannot say which key lost the server.
 func (q *sizedQuery) RoundQuota(base int) int {
 	if q.breakerOpens != nil {
 		if n := q.breakerOpens(); n > q.lastOpens {
 			q.lastOpens = n
-			q.scope.loss(q.src, q.fleet)
+			q.fleet.CapacityLossAll()
 		}
 	}
 	return q.fleet.Quota()
-}
-
-// capacityScope attributes a query's breaker-open edges to the specific
-// (shard, replica) controller that should shrink, by diffing per-replica
-// open counts between edges. Anything it cannot attribute — a shard
-// whose backend exposes no per-replica detail, or an edge whose
-// per-replica diff shows nothing new — falls back to shrinking every
-// controller, the pre-scoping behavior.
-type capacityScope struct {
-	// last maps shard index → per-replica opens at the last edge (or at
-	// seeding time). A shard first sighted mid-run is baselined, not
-	// charged: its historical opens predate this query's view.
-	last map[int][]int64
-}
-
-// seed snapshots the per-replica baselines and registers per-replica
-// quota controllers for every scatter-enabled shard. Called once at
-// submit, before the first round.
-func (cs *capacityScope) seed(src *querySource, fleet *sizer.Fleet) {
-	if src.replicaFleets == nil {
-		return
-	}
-	fleets := src.replicaFleets()
-	if len(fleets) == 0 {
-		return
-	}
-	cs.last = make(map[int][]int64, len(fleets))
-	for _, rf := range fleets {
-		cs.last[rf.shard] = append([]int64(nil), rf.opens...)
-		if rf.scatter && len(rf.weights) > 1 {
-			fleet.SeedReplicas(shardAffinityKey(src, rf.shard), rf.weights)
-		}
-	}
-}
-
-// loss handles one aggregate breaker-open edge.
-func (cs *capacityScope) loss(src *querySource, fleet *sizer.Fleet) {
-	if src.replicaFleets == nil {
-		fleet.CapacityLossAll()
-		return
-	}
-	attributed := false
-	for _, rf := range src.replicaFleets() {
-		prev, seen := cs.last[rf.shard]
-		if !seen {
-			if cs.last == nil {
-				cs.last = make(map[int][]int64)
-			}
-			cs.last[rf.shard] = append([]int64(nil), rf.opens...)
-			continue
-		}
-		for ri, n := range rf.opens {
-			var p int64
-			if ri < len(prev) {
-				p = prev[ri]
-			}
-			if n > p {
-				fleet.CapacityLoss(shardAffinityKey(src, rf.shard), ri)
-				attributed = true
-			}
-		}
-		cs.last[rf.shard] = append(prev[:0], rf.opens...)
-	}
-	if !attributed {
-		fleet.CapacityLossAll()
-	}
 }
 
 // ObserveBatch implements engine.Sized: one successfully dispatched

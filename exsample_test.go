@@ -70,8 +70,10 @@ func TestOptionsValidate(t *testing.T) {
 // TestNaNBoundsRejected pins that every bound rejects NaN, and the prior
 // ±Inf too. Written as x < lo || x > hi, a bound lets NaN through: a NaN IoU
 // threshold or tracker coverage then makes every detection a new object, a
-// non-finite prior spins the Gamma sampler's rejection loop forever, and a
-// NaN MaxSeconds silently means no cap.
+// non-finite prior spins the Gamma sampler's rejection loop forever, a
+// NaN MaxSeconds silently means no cap, and a non-finite motion threshold
+// or recording rate, or a NaN mean duration, builds a source that cannot
+// be sampled sensibly.
 func TestNaNBoundsRejected(t *testing.T) {
 	nan := math.NaN()
 	ds, err := Synthesize(SynthSpec{NumFrames: 3000, NumInstances: 50, Class: "car", MeanDuration: 100, Seed: 3})
@@ -96,6 +98,11 @@ func TestNaNBoundsRejected(t *testing.T) {
 		{"Query.RecallTarget", Query{Class: "car", Limit: 5, RecallTarget: nan}.Validate},
 		{"discrim.New", func() error { _, err := discrim.New(discrim.FrameExtender{}, nan); return err }},
 		{"discrim.NewTruthExtender", func() error { _, err := discrim.NewTruthExtender(nil, nan); return err }},
+		{"StreamConfig.MotionThreshold", StreamConfig{MotionThreshold: nan}.Validate},
+		{"StreamConfig.MotionThreshold +Inf", StreamConfig{MotionThreshold: math.Inf(1)}.Validate},
+		{"SynthSpec.MeanDuration", synthErr(SynthSpec{MeanDuration: nan})},
+		{"SynthSpec.FPS", synthErr(SynthSpec{MeanDuration: 100, FPS: nan})},
+		{"SynthSpec.FPS +Inf", synthErr(SynthSpec{MeanDuration: 100, FPS: math.Inf(1)})},
 		{"SearchSource with a NaN IoUThreshold", func() error {
 			_, err := SearchSource(ds, Query{Class: "car", Limit: 3000}, Options{Seed: 1, IoUThreshold: nan, MaxFrames: 3000})
 			return err
@@ -105,6 +112,16 @@ func TestNaNBoundsRejected(t *testing.T) {
 		if c.err() == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
+	}
+}
+
+// synthErr returns Synthesize's error for spec over an otherwise valid
+// 3000-frame, 50-car scene.
+func synthErr(spec SynthSpec) func() error {
+	spec.NumFrames, spec.NumInstances, spec.Class, spec.Seed = 3000, 50, "car", 3
+	return func() error {
+		_, err := Synthesize(spec)
+		return err
 	}
 }
 

@@ -12,7 +12,8 @@
 // already collects: per-batch wall latency measured by the engine scheduler
 // (the same quantity backend/httpbatch reports per request and
 // backend/router tracks as a per-replica EWMA), and the router's
-// breaker-open counter for capacity-loss events.
+// breaker-open counter for capacity-loss events. Fleet keeps one
+// controller per backend key and shrinks them all on a capacity loss.
 //
 // The per-frame latency model: a batch of q frames costs roughly
 // overhead + q·perFrame seconds, so per-frame latency (seconds/q) FALLS as
@@ -206,97 +207,25 @@ func (c *Controller) shrink(capacity bool) {
 	}
 }
 
-// ReplicaAll is the replica index for observations and capacity-loss
-// events that cannot be attributed to one replica of a backend key — the
-// single-controller layout every key has until SeedReplicas declares its
-// fleet shape.
-const ReplicaAll = -1
-
-// keyCtrs is one backend key's controller set: a single unattributed
-// (ReplicaAll) controller by default, or one controller per replica once
-// SeedReplicas declares the key fronts a heterogeneous fleet. The slices
-// run parallel: reps[i] is the replica index ctrs[i] controls.
-type keyCtrs struct {
-	key     uint64
-	reps    []int
-	ctrs    []*Controller
-	weights []float64 // static capacity shares (nil = single-controller)
-	wsum    float64
-	shares  []int     // Observe split scratch
-	fracs   []float64 // largest-remainder scratch
-}
-
-// ctrFor returns the controller for a replica index, nil when absent.
-func (kc *keyCtrs) ctrFor(replica int) *Controller {
-	for i, r := range kc.reps {
-		if r == replica {
-			return kc.ctrs[i]
-		}
-	}
-	return nil
-}
-
-// quotaSum is the key's round quota: the sum across its replica
-// controllers (a scattered batch is served by all of them at once),
-// capped at the fleet ceiling.
-func (kc *keyCtrs) quotaSum(max int) int {
-	total := 0
-	for _, c := range kc.ctrs {
-		total += c.Quota()
-	}
-	if total > max {
-		total = max
-	}
-	return total
-}
-
-// split distributes frames across the key's replica controllers
-// proportional to the STATIC seed weights by largest remainder (ties to
-// the lowest index — deterministic). The static weights mirror how the
-// router actually slices a scattered batch; splitting by live quotas
-// instead would spiral (a shrunken controller's smaller share reads as
-// higher per-frame latency, shrinking it further). Callers hold the
-// fleet lock; the returned slice is kc scratch.
-func (kc *keyCtrs) split(frames int) []int {
-	n := len(kc.weights)
-	if kc.shares == nil {
-		kc.shares = make([]int, n)
-		kc.fracs = make([]float64, n)
-	}
-	assigned := 0
-	for i, w := range kc.weights {
-		ideal := float64(frames) * w / kc.wsum
-		s := int(ideal)
-		kc.shares[i] = s
-		kc.fracs[i] = ideal - float64(s)
-		assigned += s
-	}
-	for assigned < frames {
-		best := 0
-		for i := 1; i < n; i++ {
-			if kc.fracs[i] > kc.fracs[best] {
-				best = i
-			}
-		}
-		kc.shares[best]++
-		kc.fracs[best]--
-		assigned++
-	}
-	return kc.shares
+// keyCtr is one backend key's controller.
+type keyCtr struct {
+	key uint64
+	ctr *Controller
 }
 
 // Fleet is the engine-facing controller set for one query: one controller
-// per (backend key, replica), created lazily on first observation —
-// per-key only (ReplicaAll) until SeedReplicas declares a key's replica
-// fleet. The query's round quota is the MINIMUM across its keys — the
-// slowest backend gates the round's wall time, so it gates the quota too
-// — where a seeded key's own quota is the SUM across its replica
-// controllers. Fleet is safe for concurrent use: quota reads come from
-// stats surfaces while the scheduler observes batches.
+// per backend key (the shard-affinity key), created lazily on the key's
+// first observation. The query's round quota is the MINIMUM across its
+// keys — the slowest backend gates the round's wall time, so it gates the
+// quota too. A capacity-loss edge shrinks every key's controller
+// (CapacityLossAll): the engine polls one aggregate breaker-open counter
+// per source, so it cannot tell which key lost the server. Fleet is safe
+// for concurrent use: quota reads come from stats surfaces while the
+// scheduler observes batches.
 type Fleet struct {
 	mu    sync.Mutex
 	cfg   Config
-	keys  []*keyCtrs   // tiny (one per shard-affinity key): linear scan
+	keys  []keyCtr     // tiny (one per shard-affinity key): linear scan
 	quota atomic.Int64 // cached min across keys
 
 	counters *Counters
@@ -319,136 +248,24 @@ func NewFleet(cfg Config, counters *Counters) (*Fleet, error) {
 // its per-backend-key quotas, cfg.Min before any observation.
 func (f *Fleet) Quota() int { return int(f.quota.Load()) }
 
-// SeedReplicas declares that key's backend fronts a fleet of
-// len(weights) replicas with the given static capacity shares (the
-// router's scatter split), so the key learns one AIMD quota per replica:
-// each controller starts from its proportional share of cfg.Min and may
-// grow to its share of cfg.Max, and CapacityLoss can shrink one
-// replica's controller without touching its siblings. Idempotent; a
-// no-op for fewer than two replicas or a key that already has
-// controllers.
-func (f *Fleet) SeedReplicas(key uint64, weights []float64) {
-	if len(weights) < 2 {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if kc := f.findKey(key); kc != nil {
-		return
-	}
-	n := len(weights)
-	ws := make([]float64, n)
-	var wsum float64
-	for i, w := range weights {
-		if w <= 0 {
-			w = 1
-		}
-		ws[i] = w
-		wsum += w
-	}
-	kc := &keyCtrs{key: key, weights: ws, wsum: wsum}
-	// Proportional floors (each at least 1 so every controller is a
-	// valid AIMD instance), remainders to the largest fractional shares.
-	mins := make([]int, n)
-	fracs := make([]float64, n)
-	assigned := 0
-	for i, w := range ws {
-		ideal := float64(f.cfg.Min) * w / wsum
-		s := int(ideal)
-		if s < 1 {
-			s = 1
-		}
-		mins[i] = s
-		fracs[i] = ideal - float64(s)
-		assigned += s
-	}
-	for assigned < f.cfg.Min {
-		best := 0
-		for i := 1; i < n; i++ {
-			if fracs[i] > fracs[best] {
-				best = i
-			}
-		}
-		mins[best]++
-		fracs[best]--
-		assigned++
-	}
-	for i, w := range ws {
-		cfg := f.cfg
-		cfg.Min = mins[i]
-		cfg.Max = int(float64(f.cfg.Max)*w/wsum + 0.999999)
-		if cfg.Max < cfg.Min {
-			cfg.Max = cfg.Min
-		}
-		c, err := NewController(cfg, f.counters)
-		if err != nil {
-			return // cannot happen: derived from a validated config
-		}
-		kc.reps = append(kc.reps, i)
-		kc.ctrs = append(kc.ctrs, c)
-	}
-	f.keys = append(f.keys, kc)
-	f.recompute()
-}
-
-// Observe feeds one successful batch observation for the given backend
-// key. For a seeded key the frames are split across the replica
-// controllers by the static seed weights — each replica served its share
-// of the scattered batch within the same wall time.
+// Observe feeds one successful batch observation to the given backend
+// key's controller.
 func (f *Fleet) Observe(key uint64, frames int, seconds float64) {
 	if frames <= 0 || seconds < 0 {
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	kc := f.keyFor(key)
-	if kc == nil {
+	c := f.ctrFor(key)
+	if c == nil {
 		return
 	}
-	if len(kc.weights) == 0 {
-		kc.ctrs[0].Observe(frames, seconds)
-	} else {
-		shares := kc.split(frames)
-		for i, s := range shares {
-			if s > 0 {
-				kc.ctrs[i].Observe(s, seconds)
-			}
-		}
-	}
+	c.Observe(frames, seconds)
 	f.recompute()
 }
 
-// CapacityLoss shrinks the controller for the given (key, replica) — the
-// signalled replica's breaker opened, so only its share of the round
-// quota is unsustainable; siblings (and other keys) keep their learned
-// quotas. Events for a key without per-replica controllers shrink the
-// key's unattributed controller; events for an unknown key are counted
-// but shrink nothing (there is no quota to shrink yet).
-func (f *Fleet) CapacityLoss(key uint64, replica int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if kc := f.findKey(key); kc != nil {
-		c := kc.ctrFor(replica)
-		if c == nil {
-			c = kc.ctrFor(ReplicaAll)
-		}
-		if c == nil && len(kc.ctrs) > 0 {
-			c = kc.ctrs[0]
-		}
-		if c != nil {
-			c.CapacityLoss()
-			f.recompute()
-			return
-		}
-	}
-	if f.counters != nil {
-		f.counters.CapacityLosses.Add(1)
-	}
-}
-
-// CapacityLossAll shrinks every controller — for capacity-loss events
-// that cannot be attributed to one backend key or replica: losing a
-// server somewhere reduces the capacity every round competes for.
+// CapacityLossAll shrinks every controller: losing a server somewhere
+// reduces the capacity every round competes for.
 func (f *Fleet) CapacityLossAll() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -461,37 +278,25 @@ func (f *Fleet) CapacityLossAll() {
 		return
 	}
 	for _, kc := range f.keys {
-		for _, c := range kc.ctrs {
-			c.CapacityLoss()
-		}
+		kc.ctr.CapacityLoss()
 	}
 	f.recompute()
 }
 
-// findKey returns the key's controller set, nil when absent. Callers
+// ctrFor returns (creating it if needed) the controller for key. Callers
 // hold f.mu.
-func (f *Fleet) findKey(key uint64) *keyCtrs {
+func (f *Fleet) ctrFor(key uint64) *Controller {
 	for _, kc := range f.keys {
 		if kc.key == key {
-			return kc
+			return kc.ctr
 		}
-	}
-	return nil
-}
-
-// keyFor returns (creating a single-controller set if needed) the
-// controller set for key. Callers hold f.mu.
-func (f *Fleet) keyFor(key uint64) *keyCtrs {
-	if kc := f.findKey(key); kc != nil {
-		return kc
 	}
 	c, err := NewController(f.cfg, f.counters)
 	if err != nil {
 		return nil
 	}
-	kc := &keyCtrs{key: key, reps: []int{ReplicaAll}, ctrs: []*Controller{c}}
-	f.keys = append(f.keys, kc)
-	return kc
+	f.keys = append(f.keys, keyCtr{key: key, ctr: c})
+	return c
 }
 
 // recompute refreshes the cached min-across-keys quota. Callers hold
@@ -499,9 +304,7 @@ func (f *Fleet) keyFor(key uint64) *keyCtrs {
 func (f *Fleet) recompute() {
 	min := f.cfg.Min
 	for i, kc := range f.keys {
-		q := kc.quotaSum(f.cfg.Max)
-		f.counters.notePeak(q)
-		if i == 0 || q < min {
+		if q := kc.ctr.Quota(); i == 0 || q < min {
 			min = q
 		}
 	}

@@ -72,7 +72,7 @@ func (s GridSpec) Validate() error {
 	if s.SkewFraction < 0 || s.SkewFraction > 1 {
 		return fmt.Errorf("synth: SkewFraction %v outside [0,1]", s.SkewFraction)
 	}
-	if s.MeanDuration <= 0 {
+	if !(s.MeanDuration > 0) {
 		return fmt.Errorf("synth: MeanDuration must be positive, got %v", s.MeanDuration)
 	}
 	if s.MeanDuration >= float64(s.NumFrames) {

@@ -12,6 +12,7 @@ package video
 
 import (
 	"fmt"
+	"math"
 )
 
 // File is one video file in the repository, occupying the frame range
@@ -36,7 +37,7 @@ type Repository struct {
 // NewRepository builds a repository from file lengths. Each file is assigned
 // a contiguous global frame range in order. fps applies to all files.
 func NewRepository(fps float64, frameCounts ...int64) (*Repository, error) {
-	if fps <= 0 {
+	if !(fps > 0) || math.IsInf(fps, 1) {
 		return nil, fmt.Errorf("video: fps must be positive, got %v", fps)
 	}
 	if len(frameCounts) == 0 {

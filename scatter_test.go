@@ -89,9 +89,9 @@ func TestScatterReportsByteIdentical(t *testing.T) {
 }
 
 // TestScatterAdaptiveRoundsComplete: adaptive round sizing over a
-// scattering router — per-replica quota controllers seeded from the
-// fleet's weights — runs to completion and reports the same results as
-// the routerless adaptive run.
+// scattering router — one quota controller for the router's backend key,
+// whatever the fleet's weights — runs to completion and reports the same
+// results as the routerless adaptive run.
 func TestScatterAdaptiveRoundsComplete(t *testing.T) {
 	const frames = 4000
 	const seed = 701
@@ -134,5 +134,60 @@ func TestScatterAdaptiveRoundsComplete(t *testing.T) {
 	plain := runEngine(elasticShard(t, frames, seed))
 	if len(rep.Results) != len(plain.Results) {
 		t.Fatalf("adaptive scatter found %d results, routerless adaptive found %d", len(rep.Results), len(plain.Results))
+	}
+}
+
+// TestScatterAdaptiveDeadReplicaShrinksQuota: the capacity-loss signal the
+// adaptive sizer keeps, end to end through a real router. One replica of a
+// scattering fleet always fails; its slices fail over to the twins until
+// its breaker opens, the router's BreakerOpens edge reaches the sizer as a
+// capacity loss, and the query still finds what the routerless run finds.
+func TestScatterAdaptiveDeadReplicaShrinksQuota(t *testing.T) {
+	const frames = 4000
+	const seed = 702
+	// Unbounded and uncapped: both runs sample every frame, so the result
+	// count is schedule-proof even though adaptive quota trajectories are
+	// clock-dependent.
+	q := Query{Class: "car", Limit: 1 << 30}
+	opts := Options{Seed: 43}
+
+	runEngine := func(ds *Dataset) (*Report, EngineStats) {
+		t.Helper()
+		e := newTestEngine(t, EngineOptions{Workers: 2, FramesPerRound: 32, AdaptiveRounds: true})
+		h, err := e.Submit(context.Background(), ds, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range h.Events() {
+		}
+		rep, err := h.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, e.Stats()
+	}
+
+	// Explicit equal weights keep the dead replica in every scatter split
+	// until its breaker opens (a live-derived weight would starve it).
+	specs := []router.ReplicaSpec{
+		{Backend: elasticShard(t, frames, seed).Backend(), Weight: 1},
+		{Backend: failingBackend{}, Weight: 1},
+		{Backend: elasticShard(t, frames, seed).Backend(), Weight: 1},
+	}
+	r, err := router.New(router.Config{Specs: specs, Scatter: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	rep, st := runEngine(elasticShard(t, frames, seed, WithBackend(r)))
+	if r.Stats()[1].BreakerOpens == 0 {
+		t.Fatalf("dead replica's breaker never opened (router stats %+v)", r.Stats())
+	}
+	if st.CapacityLosses < 1 {
+		t.Fatalf("breaker open never reached the sizer: %+v", st)
+	}
+	plain, _ := runEngine(elasticShard(t, frames, seed))
+	if len(plain.Results) == 0 || len(rep.Results) != len(plain.Results) {
+		t.Fatalf("dead-replica run found %d results, routerless run found %d", len(rep.Results), len(plain.Results))
 	}
 }

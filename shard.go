@@ -217,22 +217,6 @@ func NewShardedSource(name string, shards ...*Dataset) (*ShardedSource, error) {
 			}
 			return n
 		},
-		replicaFleets: func() []shardReplicas {
-			var out []shardReplicas
-			for i, m := range s.topo.Load().members {
-				sig, ok := m.ds.be.(replicaSignaler)
-				if !ok {
-					continue
-				}
-				out = append(out, shardReplicas{
-					shard:   i,
-					scatter: sig.ScatterEnabled(),
-					weights: sig.CapacityWeights(),
-					opens:   sig.ReplicaOpens(),
-				})
-			}
-			return out
-		},
 		shardOf: func(frame int64) int {
 			sh, _ := s.topo.Load().snap.Map.Locate(frame)
 			return sh

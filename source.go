@@ -63,35 +63,6 @@ type capacitySignaler interface {
 	BreakerOpens() int64
 }
 
-// replicaSignaler extends capacitySignaler with the per-replica detail a
-// capacity-aware fanout backend (backend/router) exposes: per-replica
-// breaker-open counts (so a capacity-loss event can be attributed to the
-// replica that dropped out), the fleet's capacity weights, and whether
-// scatter-gather splitting is on (in which case the sizer should learn
-// one quota per replica). Matched by type assertion, like
-// capacitySignaler.
-type replicaSignaler interface {
-	capacitySignaler
-	ReplicaOpens() []int64
-	CapacityWeights() []float64
-	ScatterEnabled() bool
-}
-
-// shardReplicas is one shard's replica-fleet snapshot, as returned by
-// querySource.replicaFleets.
-type shardReplicas struct {
-	// shard is the shard index (0 for unsharded sources) — the same
-	// index the scheduler's affinity key encodes.
-	shard int
-	// scatter reports whether the shard's router splits batches across
-	// replicas (per-replica quota learning only pays off then).
-	scatter bool
-	// weights are the fleet's capacity weights, indexed by replica.
-	weights []float64
-	// opens are the cumulative per-replica breaker-open counts.
-	opens []int64
-}
-
 // backendMaxBatch returns the sizer's quota ceiling for the source: the
 // tightest positive MaxBatch across its backends, 0 (meaning "no bound,
 // use the sizer default cap") when no backend reports one.
@@ -153,12 +124,6 @@ type querySource struct {
 	// capacity). The adaptive sizer polls it once per round and treats any
 	// increase as a capacity-loss event.
 	breakerOpens func() int64
-	// replicaFleets, when non-nil, snapshots the per-replica detail of
-	// every shard whose backend is a replicaSignaler (empty when none
-	// is). The adaptive sizer uses it to seed per-replica quota
-	// controllers for scatter-enabled shards and to attribute a
-	// capacity-loss edge to the (shard, replica) that dropped out.
-	replicaFleets func() []shardReplicas
 
 	// decodeCost is the charged random-read+decode time for one frame.
 	decodeCost func(frame int64) float64

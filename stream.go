@@ -2,6 +2,7 @@ package exsample
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/exsample/exsample/internal/shard"
@@ -43,7 +44,7 @@ func (c StreamConfig) Validate() error {
 	if c.Retention < 0 {
 		return fmt.Errorf("exsample: negative Retention %d", c.Retention)
 	}
-	if c.MotionThreshold < 0 {
+	if !(c.MotionThreshold >= 0) || math.IsInf(c.MotionThreshold, 1) {
 		return fmt.Errorf("exsample: negative MotionThreshold %v", c.MotionThreshold)
 	}
 	return nil
