@@ -8,7 +8,6 @@ import (
 
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/cachestore"
-	"github.com/exsample/exsample/internal/cache"
 	"github.com/exsample/exsample/internal/sizer"
 )
 
@@ -222,11 +221,10 @@ func TestAdaptiveObserveSkipsMemoHits(t *testing.T) {
 	ds := smallDataset(t, WithPerfectDetector())
 	caches := map[string]func() cacheConfig{
 		"memo": func() cacheConfig {
-			return cacheConfig{tier: cachestore.NewTiered(cachestore.WrapCache(cache.New(1<<12)), nil)}
+			return cacheConfig{tier: cachestore.NewTiered(cachestore.NewLocal(1<<12), nil)}
 		},
 		"tier": func() cacheConfig {
-			l1 := cachestore.WrapCache(cache.New(1 << 12))
-			return cacheConfig{tier: cachestore.NewTiered(l1, cachestore.NewLocal(1<<12))}
+			return cacheConfig{tier: cachestore.NewTiered(cachestore.NewLocal(1<<12), cachestore.NewLocal(1<<12))}
 		},
 	}
 	runs := map[string]func(cacheConfig) (engineRun, error){

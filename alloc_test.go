@@ -6,7 +6,6 @@ import (
 
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/cachestore"
-	"github.com/exsample/exsample/internal/cache"
 	"github.com/exsample/exsample/internal/core"
 )
 
@@ -18,8 +17,7 @@ import (
 // one-frame batches.
 func TestDetectBatchMemoHitAllocFree(t *testing.T) {
 	ds := smallDataset(t, WithPerfectDetector())
-	memo := cache.New(1 << 12)
-	run, err := newQueryRun(ds, Query{Class: "car", Limit: 10}, Options{Seed: 3}, cacheConfig{tier: cachestore.NewTiered(cachestore.WrapCache(memo), nil)}, false)
+	run, err := newQueryRun(ds, Query{Class: "car", Limit: 10}, Options{Seed: 3}, cacheConfig{tier: cachestore.NewTiered(cachestore.NewLocal(1<<12), nil)}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

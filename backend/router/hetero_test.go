@@ -335,6 +335,45 @@ func TestScatterSmallBatchUsesSinglePath(t *testing.T) {
 	}
 }
 
+// TestScatterColdReplicaWarmsUp: with live-derived weights (no
+// ReplicaSpec.Weight) a cold replica is not comparable to warmed siblings
+// (weight 1 against 1/perFrame), so scatter waits on the single path until
+// every healthy replica has warmed. A replica that always fails therefore
+// reaches its breaker instead of being starved of slices behind siblings
+// its own failovers warmed, and every batch succeeds throughout.
+func TestScatterColdReplicaWarmsUp(t *testing.T) {
+	fakes, specs := heteroFleet(3, nil, []time.Duration{time.Millisecond, time.Millisecond, time.Millisecond}, nil)
+	fakes[1].dead.Store(true)
+	r, err := New(Config{Specs: specs, Scatter: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	virtualize(r, fakes)
+	frames := make([]int64, 64)
+	for i := range frames {
+		frames[i] = int64(i)
+	}
+	for b := 0; b < 12; b++ {
+		dets, err := r.DetectBatch(context.Background(), "car", frames)
+		if err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		for i, fr := range frames {
+			if want := 1 - int(fr%2); len(dets[i]) != want {
+				t.Fatalf("batch %d frame %d: %d detections, want %d", b, fr, len(dets[i]), want)
+			}
+		}
+	}
+	st := r.Stats()
+	if st[1].BreakerOpens == 0 {
+		t.Fatalf("failing replica's breaker never opened: %+v", st[1])
+	}
+	if r.Scatters() == 0 || st[0].Slices == 0 || st[2].Slices == 0 {
+		t.Fatalf("scatter never resumed across the warmed pair: %d scatters, stats %+v", r.Scatters(), st)
+	}
+}
+
 // TestSizerSignalPerReplica: the per-replica stats the operator reads
 // carry breaker opens, health and capacity weights, and a scattering
 // router charges a dead slice's breaker to its own replica only.

@@ -324,8 +324,9 @@ func (r *Router) admissible(rep *replica, now time.Time) bool {
 // measured per-frame throughput (1/perFrame — frames per second, modulo
 // batch overhead) is the live estimate, the MaxBatch hint stands in
 // before the EWMA warms, and 1 is the no-signal fallback. Weights only
-// ever compare against each other, so the mixed scales are harmless: a
-// cold replica ranks at load 0 and warms regardless of its weight.
+// ever compare against each other, so the mixed scales are harmless: pick
+// ranks a cold replica at load 0, so it warms regardless of its weight,
+// and scatterBatch splits nothing while a derived-weight replica is cold.
 // Caller must hold rep.mu.
 func capacityWeightLocked(rep *replica) float64 {
 	if rep.weight > 0 {

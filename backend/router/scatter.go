@@ -18,9 +18,12 @@ import (
 // determinism is untouched.
 //
 // Returns ok=false when the batch is not worth splitting (too few
-// frames, fewer than two healthy replicas): the caller falls back to the
-// single-replica path, which also owns half-open trials and degraded
-// fleets.
+// frames, fewer than two healthy replicas) or while a healthy replica
+// without an explicit Weight is still cold: its stand-in weight (1 or its
+// MaxBatch) against its warmed siblings' 1/perFrame would round its slice
+// to zero, so it would never warm, and a dead one would never trip its
+// breaker. The caller falls back to the single-replica path, which ranks
+// cold replicas first and also owns half-open trials and degraded fleets.
 func (r *Router) scatterBatch(ctx context.Context, class string, frames []int64) (_ [][]backend.Detection, _ []float64, ok bool, _ error) {
 	type member struct {
 		i      int
@@ -30,10 +33,16 @@ func (r *Router) scatterBatch(ctx context.Context, class string, frames []int64)
 	var members []member
 	for i, rep := range r.replicas {
 		rep.mu.Lock()
-		if rep.state == Healthy {
-			members = append(members, member{i, capacityWeightLocked(rep), rep.maxBatch})
-		}
+		healthy, cold := rep.state == Healthy, rep.weight == 0 && rep.requests < coldRequests
+		m := member{i, capacityWeightLocked(rep), rep.maxBatch}
 		rep.mu.Unlock()
+		if !healthy {
+			continue
+		}
+		if cold {
+			return nil, nil, false, nil
+		}
+		members = append(members, m)
 	}
 	width := len(frames) / scatterMinSlice
 	if width > len(members) {

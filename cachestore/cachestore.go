@@ -7,10 +7,11 @@
 // lifts the same memoization to a seam a fleet can share: keys hash the
 // *content* of a source (profile, scale, generation seed, noise model), so
 // they survive restarts and are identical across processes that opened the
-// same video. A Store can be the in-process L1 (Local, wrapping
-// internal/cache), a remote L2 (httpcache.Client, speaking the binary batch
-// frame of backend/httpbatch's transport), or a Tiered composition of both
-// with write-through and singleflight dedupe.
+// same video. A Store is the in-process L1 (Local, wrapping
+// internal/cache) or a remote L2 (httpcache.Client, speaking the binary
+// batch frame of backend/httpbatch's transport); a Tiered composes a Local
+// L1 with an optional L2 behind one FetchBatch call, with write-through
+// and singleflight dedupe.
 //
 // Values are []backend.Detection — the public wire type — so a remote store
 // round-trips exactly what a remote detector would have produced, and a
@@ -116,7 +117,7 @@ type Entry struct {
 	Dets  []backend.Detection
 }
 
-// Store is the batched cache contract every tier implements. Both methods
+// Store is the batched cache contract of a single tier. Both methods
 // take the full batch in one call — the whole point of the tier is paying
 // one round trip for a round's worth of frames — and honor ctx for
 // cancellation and deadlines.
@@ -144,12 +145,4 @@ func checkPut(keys []Key, vals [][]backend.Detection) error {
 		return fmt.Errorf("cachestore: PutBatch got %d values for %d keys", len(vals), len(keys))
 	}
 	return nil
-}
-
-// rangeCounter is implemented by stores that can cheaply report how many
-// entries they hold for a (content, class) pair within a frame range — the
-// signal behind cache-aware sampling. Local implements it; Tiered delegates
-// to its L1.
-type rangeCounter interface {
-	CountRange(content uint64, class string, start, end int64) int
 }

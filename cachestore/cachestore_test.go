@@ -333,162 +333,6 @@ func TestTieredL2Degrades(t *testing.T) {
 	if st.L2Errors != 1 || st.L2PutErrors != 1 {
 		t.Fatalf("stats = %+v, want one read error and one dropped put", st)
 	}
-	if _, err := tiered.Warm(ctx, keys); err == nil {
-		t.Fatal("Warm against a down remote succeeded, want error")
-	}
-}
-
-// countingStore wraps a Store behind a type that is not *Local, counting
-// its GetBatch calls.
-type countingStore struct {
-	Store
-	gets atomic.Int64
-}
-
-func (c *countingStore) GetBatch(ctx context.Context, keys []Key) ([]Entry, error) {
-	c.gets.Add(1)
-	return c.Store.GetBatch(ctx, keys)
-}
-
-// TestTieredGenericL1: an L1 that is not a *Local is read through its
-// GetBatch — hits, misses and write-through behave as over a Local — and a
-// failing L1 degrades every lookup to a miss, so FetchBatch still serves
-// through the fill and GetBatch reports not-found rather than an error.
-func TestTieredGenericL1(t *testing.T) {
-	ctx := context.Background()
-	keys := []Key{{Content: 12, Class: "car", Frame: 1}, {Content: 12, Class: "car", Frame: 2}}
-
-	l1 := &countingStore{Store: NewLocal(64)}
-	tiered := NewTiered(l1, nil)
-	var fc fillCounter
-	out, err := tiered.FetchBatch(ctx, keys, nil, fc.fill(keys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range out {
-		if o.Where != TierDetector {
-			t.Fatalf("cold outcome %d = %+v, want detector fill", i, o)
-		}
-	}
-	if out, err = tiered.FetchBatch(ctx, keys, out, fc.fill(keys)); err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range out {
-		if o.Where != TierL1 || len(o.Dets) != 1 {
-			t.Fatalf("warm outcome %d = %+v, want L1 hit", i, o)
-		}
-	}
-	for k, n := range fc.calls {
-		if n != 1 {
-			t.Fatalf("key %v filled %d times, want 1", k, n)
-		}
-	}
-	got, err := tiered.GetBatch(ctx, []Key{keys[0], {Content: 12, Class: "car", Frame: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got[0].Found || got[1].Found {
-		t.Fatalf("GetBatch = %+v, want hit then miss", got)
-	}
-	if st := tiered.Stats(); st.L1Hits != 3 || st.L1Misses != 3 || st.Fills != 2 {
-		t.Fatalf("stats = %+v, want 3 L1 hits, 3 L1 misses, 2 fills", st)
-	}
-	if l1.gets.Load() == 0 {
-		t.Fatal("lookups bypassed the L1's GetBatch")
-	}
-
-	down := NewTiered(errStore{}, nil)
-	var fc2 fillCounter
-	for pass := 0; pass < 2; pass++ {
-		out, err := down.FetchBatch(ctx, keys, nil, fc2.fill(keys))
-		if err != nil {
-			t.Fatalf("pass %d: FetchBatch over a failing L1: %v", pass, err)
-		}
-		for i, o := range out {
-			if o.Where != TierDetector || len(o.Dets) != 1 {
-				t.Fatalf("pass %d outcome %d = %+v, want detector fill", pass, i, o)
-			}
-		}
-	}
-	got, err = down.GetBatch(ctx, keys)
-	if err != nil {
-		t.Fatalf("GetBatch over a failing L1: %v", err)
-	}
-	for i, e := range got {
-		if e.Found {
-			t.Fatalf("entry %d found in a failing L1", i)
-		}
-	}
-	if st := down.Stats(); st.L1Hits != 0 || st.L1Misses != 6 || st.Fills != 4 {
-		t.Fatalf("failing-L1 stats = %+v, want 0 hits, 6 misses, 4 fills", st)
-	}
-}
-
-// TestTieredWarm: Warm copies exactly the remotely present keys into L1 and
-// reports the count; a later fetch is all L1 with zero fills.
-func TestTieredWarm(t *testing.T) {
-	l2 := NewLocal(1024)
-	ctx := context.Background()
-	present := []Key{{Content: 5, Class: "car", Frame: 0}, {Content: 5, Class: "car", Frame: 1}}
-	if err := l2.PutBatch(ctx, present, [][]backend.Detection{{det(0, 0.7)}, nil}); err != nil {
-		t.Fatal(err)
-	}
-	tiered := NewTiered(NewLocal(1024), l2)
-	probe := append(append([]Key{}, present...), Key{Content: 5, Class: "car", Frame: 2})
-	n, err := tiered.Warm(ctx, probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("Warm = %d, want 2", n)
-	}
-	var fc fillCounter
-	out, err := tiered.FetchBatch(ctx, present, nil, fc.fill(present))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range out {
-		if o.Where != TierL1 {
-			t.Fatalf("post-warm outcome %d = %+v, want L1", i, o)
-		}
-	}
-	if len(fc.calls) != 0 {
-		t.Fatalf("post-warm fetch paid %d fills, want 0", len(fc.calls))
-	}
-	if st := tiered.Stats(); st.Warmed != 2 {
-		t.Fatalf("Warmed = %d, want 2", st.Warmed)
-	}
-}
-
-// TestTieredStoreInterface: Tiered's own GetBatch/PutBatch fan across tiers
-// so tiered stores nest (a Tiered can be a cache server's backing store).
-func TestTieredStoreInterface(t *testing.T) {
-	l2 := NewLocal(64)
-	tiered := NewTiered(NewLocal(64), l2)
-	ctx := context.Background()
-	keys := []Key{{Content: 11, Class: "bus", Frame: 3}}
-	if err := tiered.PutBatch(ctx, keys, [][]backend.Detection{{det(3, 0.6)}}); err != nil {
-		t.Fatal(err)
-	}
-	// Both tiers hold it.
-	for name, s := range map[string]Store{"tiered": tiered, "l2": l2} {
-		got, err := s.GetBatch(ctx, keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got[0].Found {
-			t.Fatalf("%s missing entry after PutBatch", name)
-		}
-	}
-	// A fresh L1 resolves through L2 via the Store interface too.
-	second := NewTiered(NewLocal(64), l2)
-	got, err := second.GetBatch(ctx, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got[0].Found {
-		t.Fatal("nested GetBatch missed an L2-resident entry")
-	}
 }
 
 // TestSingleflightExactlyOnce: N concurrent fetches of the same cold keys
@@ -624,7 +468,8 @@ func TestSingleflightLeaderCancelled(t *testing.T) {
 // TestFetchBatchFillError: a real fill error (the detector failing)
 // propagates, and the keys stay absent rather than memoized.
 func TestFetchBatchFillError(t *testing.T) {
-	tiered := NewTiered(NewLocal(64), nil)
+	l1 := NewLocal(64)
+	tiered := NewTiered(l1, nil)
 	ctx := context.Background()
 	keys := []Key{{Content: 41, Class: "car", Frame: 0}}
 	boom := errors.New("detector down")
@@ -635,7 +480,7 @@ func TestFetchBatchFillError(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the fill error", err)
 	}
-	got, err := tiered.GetBatch(ctx, keys)
+	got, err := l1.GetBatch(ctx, keys)
 	if err != nil {
 		t.Fatal(err)
 	}

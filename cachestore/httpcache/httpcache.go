@@ -286,7 +286,7 @@ type Stats struct {
 
 // Client is a remote cache store: it implements cachestore.Store over the
 // httpcache wire protocol and is safe for concurrent use by any number of
-// queries. A failing remote never fails a query — the Tiered store above
+// queries. A failing remote never fails a query — a Tiered over it
 // degrades its errors to misses — but the Client itself reports them
 // honestly.
 type Client struct {

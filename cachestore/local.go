@@ -9,32 +9,21 @@ import (
 )
 
 // Local is the in-process tier: a Store over the bounded sharded LRU that
-// backs the engine's memo cache. It is the natural L1 of a Tiered store and
-// the natural backing store for an httpcache.Handler (a cache server is a
+// backs the engine's memo cache. It is the L1 of every Tiered store and the
+// natural backing store for an httpcache.Handler (a cache server is a
 // Local behind the wire protocol). Local never returns an error and is safe
 // for concurrent use.
 type Local struct {
 	c *cache.Cache
 }
 
-// Compile-time interface checks.
-var (
-	_ Store        = (*Local)(nil)
-	_ rangeCounter = (*Local)(nil)
-)
+// Compile-time interface check.
+var _ Store = (*Local)(nil)
 
 // NewLocal builds a local store bounding resident entries to roughly
 // capacity (values < 1 are clamped to 1, matching internal/cache).
 func NewLocal(capacity int) *Local {
 	return &Local{c: cache.New(capacity)}
-}
-
-// WrapCache builds a Local over an existing internal cache, sharing its
-// entries, counters and presence index. This is the bridge the engine uses
-// to make its memo cache double as the tier's L1 — external callers want
-// NewLocal (the parameter type is internal to this module).
-func WrapCache(c *cache.Cache) *Local {
-	return &Local{c: c}
 }
 
 // GetBatch implements Store. The returned detections are the cached slices

@@ -57,15 +57,14 @@ type flightRef struct {
 	pos int
 }
 
-// fetchScratch is one FetchBatch or GetBatch call's reusable index and key
-// buffers, recycled through Tiered's free list so a call allocates nothing
-// of its own in steady state.
+// fetchScratch is one FetchBatch call's reusable index and key buffers,
+// recycled through Tiered's free list so a call allocates nothing of its
+// own in steady state.
 type fetchScratch struct {
 	all, miss, lead, still, retry []int
 	waits                         []waiter
 	keys                          []Key
 	vals                          [][]backend.Detection
-	outs                          []Outcome // GetBatch's outcome buffer
 }
 
 // waiter is one key this caller resolves from another caller's flight.
@@ -74,25 +73,21 @@ type waiter struct {
 	flightRef
 }
 
-// Tiered composes a fast local store (L1) with a shared remote store (L2):
-// lookups go L1 → L2 → fill, remote hits and fills write through to L1, and
-// fills write through to L2 so the whole fleet inherits them. Concurrent
-// identical misses are deduplicated per key (singleflight): one caller
-// leads the fill, the others wait and merge its result at zero cost — N
-// queries sampling the same hot frame pay for one detector call.
+// Tiered composes the in-process Local (L1) with an optional shared remote
+// store (L2), and FetchBatch is the only way in: lookups go L1 → L2 →
+// fill, remote hits and fills write through to L1, and fills write through
+// to L2 so the whole fleet inherits them. Concurrent identical misses are
+// deduplicated per key (singleflight): one caller leads the fill, the
+// others wait and merge its result at zero cost — N queries sampling the
+// same hot frame pay for one detector call.
 //
 // Every layer degrades gracefully: an L2 read error counts as a miss and an
 // L2 write error is dropped (both surface in TierStats), so a remote cache
 // outage slows queries down but never fails them. A fill error — a real
 // detector failure — is the only error FetchBatch propagates.
-//
-// Tiered itself implements Store (GetBatch/PutBatch fan across the tiers),
-// so stores nest: a Tiered can serve as another process's L2 behind an
-// httpcache.Handler.
 type Tiered struct {
-	l1    Store
-	local *Local // l1 when it is a *Local: the allocation-free lookup path
-	l2    Store  // nil disables the remote tier (L1-only, still singleflighted)
+	l1 *Local
+	l2 Store // nil disables the remote tier (L1-only, still singleflighted)
 
 	mu       sync.Mutex // guards inflight
 	inflight map[Key]flightRef
@@ -103,23 +98,18 @@ type Tiered struct {
 	l2Hits, l2Misses      atomic.Int64
 	l2Trips               atomic.Int64
 	l2Errors, l2PutErrors atomic.Int64
-	merges, fills, warmed atomic.Int64
+	merges, fills         atomic.Int64
 	rttMu                 sync.Mutex
 	rttEWMA               float64
 }
 
-// Compile-time interface check.
-var _ Store = (*Tiered)(nil)
-
 // NewTiered composes l1 (required) and l2 (nil for a local-only tier that
 // still gets singleflight dedupe).
-func NewTiered(l1, l2 Store) *Tiered {
+func NewTiered(l1 *Local, l2 Store) *Tiered {
 	if l1 == nil {
 		panic("cachestore: NewTiered requires an L1 store")
 	}
-	t := &Tiered{l1: l1, l2: l2, inflight: make(map[Key]flightRef)}
-	t.local, _ = l1.(*Local)
-	return t
+	return &Tiered{l1: l1, l2: l2, inflight: make(map[Key]flightRef)}
 }
 
 // getScratch takes an idle call scratch (or a new one); putScratch returns
@@ -143,7 +133,6 @@ func (t *Tiered) getScratch() *fetchScratch {
 func (t *Tiered) putScratch(s *fetchScratch) {
 	clear(s.vals[:cap(s.vals)])
 	clear(s.waits[:cap(s.waits)])
-	clear(s.outs[:cap(s.outs)])
 	t.freeMu.Lock()
 	t.free = append(t.free, s)
 	t.freeMu.Unlock()
@@ -164,8 +153,8 @@ type TierStats struct {
 	L2Errors, L2PutErrors int64
 	// Merges counts frames served by another caller's in-flight fill
 	// (singleflight); Fills counts frames the fill function actually
-	// served; Warmed counts entries copied L2→L1 by Warm.
-	Merges, Fills, Warmed int64
+	// served.
+	Merges, Fills int64
 }
 
 // Stats snapshots the tier counters.
@@ -184,17 +173,13 @@ func (t *Tiered) Stats() TierStats {
 		L2PutErrors:  t.l2PutErrors.Load(),
 		Merges:       t.merges.Load(),
 		Fills:        t.fills.Load(),
-		Warmed:       t.warmed.Load(),
 	}
 }
 
 // CountRange delegates the cache-aware sampler's per-range entry count to
-// the L1 store (0 when the L1 cannot count).
+// the L1.
 func (t *Tiered) CountRange(content uint64, class string, start, end int64) int {
-	if rc, ok := t.l1.(rangeCounter); ok {
-		return rc.CountRange(content, class, start, end)
-	}
-	return 0
+	return t.l1.CountRange(content, class, start, end)
 }
 
 // observeRTT folds one remote round trip into the EWMA.
@@ -250,20 +235,16 @@ func resetOutcomes(buf []Outcome, n int) []Outcome {
 	return buf
 }
 
-// lookup is the cache half of FetchBatch and GetBatch: L1 for every key,
-// then one L2 round trip for the L1 misses. Hits land in out; s.miss comes
-// back holding the indexes no tier held. The error is the context's, when
-// it ends the lookup.
+// lookup is the cache half of FetchBatch: L1 for every key, then one L2
+// round trip for the L1 misses. Hits land in out; s.miss comes back holding
+// the indexes no tier held. The error is the context's, when it ends the
+// lookup.
 func (t *Tiered) lookup(ctx context.Context, keys []Key, out []Outcome, s *fetchScratch) error {
 	s.all = s.all[:0]
 	for i := range keys {
 		s.all = append(s.all, i)
 	}
-	var err error
-	s.miss, err = t.lookupL1(ctx, keys, s.all, out, s.miss[:0], s)
-	if err != nil {
-		return err
-	}
+	s.miss = t.lookupL1(keys, s.all, out, s.miss[:0])
 	t.l1Hits.Add(int64(len(keys) - len(s.miss)))
 	t.l1Misses.Add(int64(len(s.miss)))
 	if len(s.miss) > 0 && t.l2 != nil {
@@ -274,36 +255,16 @@ func (t *Tiered) lookup(ctx context.Context, keys []Key, out []Outcome, s *fetch
 }
 
 // lookupL1 reads keys[i] for every i in idxs from L1, writes the hits into
-// out and returns the missed indexes appended to miss. A failing L1
-// degrades to all-miss — the fill (and L2) still serve — unless the
-// context has ended, which is returned.
-func (t *Tiered) lookupL1(ctx context.Context, keys []Key, idxs []int, out []Outcome, miss []int, s *fetchScratch) ([]int, error) {
-	if t.local != nil {
-		for _, i := range idxs {
-			if dets, ok := t.local.lookup(keys[i]); ok {
-				out[i] = Outcome{Dets: dets, Where: TierL1}
-			} else {
-				miss = append(miss, i)
-			}
-		}
-		return miss, nil
-	}
-	s.keys = s.keys[:0]
+// out and returns the missed indexes appended to miss.
+func (t *Tiered) lookupL1(keys []Key, idxs []int, out []Outcome, miss []int) []int {
 	for _, i := range idxs {
-		s.keys = append(s.keys, keys[i])
-	}
-	entries, err := t.l1.GetBatch(ctx, s.keys)
-	if err != nil || len(entries) != len(idxs) {
-		return append(miss, idxs...), ctx.Err()
-	}
-	for j, i := range idxs {
-		if entries[j].Found {
-			out[i] = Outcome{Dets: entries[j].Dets, Where: TierL1}
+		if dets, ok := t.l1.lookup(keys[i]); ok {
+			out[i] = Outcome{Dets: dets, Where: TierL1}
 		} else {
 			miss = append(miss, i)
 		}
 	}
-	return miss, nil
+	return miss
 }
 
 // lookupL2 issues the remote lookup for s.miss, writes hits into out and
@@ -415,7 +376,7 @@ func (t *Tiered) resolveMisses(ctx context.Context, keys []Key, out []Outcome, f
 // detector call; per-key flights would cost an allocation per missed key
 // on every fill instead.
 func (t *Tiered) leadFill(ctx context.Context, keys []Key, out []Outcome, f *flight, fill FillFunc, s *fetchScratch) error {
-	s.still, _ = t.lookupL1(ctx, keys, s.lead, out, s.still[:0], s)
+	s.still = t.lookupL1(keys, s.lead, out, s.still[:0])
 	if hits := int64(len(s.lead) - len(s.still)); hits > 0 {
 		t.l1Hits.Add(hits)
 		t.l1Misses.Add(-hits)
@@ -479,80 +440,4 @@ func (t *Tiered) putL2(ctx context.Context, keys []Key, out []Outcome, idxs []in
 	if err := t.l2.PutBatch(ctx, s.keys, s.vals); err != nil {
 		t.l2PutErrors.Add(1)
 	}
-}
-
-// Warm copies L2 entries for the given keys into L1 without touching the
-// fill path — the ahead-of-query prefetch behind Engine.Warm. It returns
-// how many of the keys were present remotely. Unlike lookups, a remote
-// error here is returned: warming is an explicit operation whose caller
-// wants to know the remote tier is unreachable.
-func (t *Tiered) Warm(ctx context.Context, keys []Key) (int, error) {
-	if t.l2 == nil {
-		return 0, fmt.Errorf("cachestore: no remote tier to warm from")
-	}
-	if len(keys) == 0 {
-		return 0, nil
-	}
-	start := time.Now()
-	entries, err := t.l2.GetBatch(ctx, keys)
-	t.l2Trips.Add(1)
-	t.observeRTT(time.Since(start))
-	if err != nil {
-		t.l2Errors.Add(1)
-		return 0, err
-	}
-	if len(entries) != len(keys) {
-		t.l2Errors.Add(1)
-		return 0, fmt.Errorf("cachestore: remote returned %d entries for %d keys", len(entries), len(keys))
-	}
-	var wbKeys []Key
-	var wbVals [][]backend.Detection
-	for i, e := range entries {
-		if e.Found {
-			wbKeys = append(wbKeys, keys[i])
-			wbVals = append(wbVals, e.Dets)
-		}
-	}
-	if len(wbKeys) > 0 {
-		if err := t.l1.PutBatch(ctx, wbKeys, wbVals); err != nil {
-			return 0, err
-		}
-	}
-	t.warmed.Add(int64(len(wbKeys)))
-	return len(wbKeys), nil
-}
-
-// GetBatch implements Store: L1 → L2 with write-through, no fill. Misses
-// come back Found false.
-func (t *Tiered) GetBatch(ctx context.Context, keys []Key) ([]Entry, error) {
-	s := t.getScratch()
-	defer t.putScratch(s)
-	s.outs = resetOutcomes(s.outs, len(keys))
-	if err := t.lookup(ctx, keys, s.outs, s); err != nil {
-		return nil, err
-	}
-	out := make([]Entry, len(keys))
-	for i, o := range s.outs {
-		if o.Where != TierDetector { // TierDetector: no tier held it
-			out[i] = Entry{Found: true, Dets: o.Dets}
-		}
-	}
-	return out, nil
-}
-
-// PutBatch implements Store: write-through to both tiers. An L2 write
-// failure is dropped and counted, matching the lookup path's degradation.
-func (t *Tiered) PutBatch(ctx context.Context, keys []Key, vals [][]backend.Detection) error {
-	if err := checkPut(keys, vals); err != nil {
-		return err
-	}
-	if err := t.l1.PutBatch(ctx, keys, vals); err != nil {
-		return err
-	}
-	if t.l2 != nil {
-		if err := t.l2.PutBatch(ctx, keys, vals); err != nil {
-			t.l2PutErrors.Add(1)
-		}
-	}
-	return nil
 }

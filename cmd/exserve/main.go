@@ -10,8 +10,8 @@
 //
 //	exserve -datasets dashcam,bdd1k -queries 8 -limit 10
 //	        [-workers 4] [-round 4] [-adaptive] [-scale 0.05] [-seed 1]
-//	        [-budget 0] [-floor 1] [-shards 1] [-cache 0]
-//	        [-cache-remote URL] [-cache-warm] [-cache-aware]
+//	        [-budget 0] [-shards 1] [-cache 0]
+//	        [-cache-remote URL] [-cache-aware]
 //	        [-backend sim|http] [-endpoint URL] [-replicas 1]
 //	        [-replica-weight W1,W2,...] [-scatter]
 //	        [-churn 0] [-admin addr]
@@ -24,11 +24,10 @@
 // cachestore/httpcache server) behind the memo cache: detector results are
 // looked up L1-then-L2 and written through, so a fleet of exserve
 // processes pointed at one server shares every frame any of them paid
-// for. -cache-warm prefetches each target's cached entries L2→L1 before
-// the queries start; -cache-aware breaks Thompson-sampling ties toward
-// chunks with more cached frames. With a remote tier the run ends with a
-// per-tier table: hits/misses per tier, round trips, EWMA round-trip
-// latency and the singleflight merge/fill counters.
+// for; -cache-aware breaks Thompson-sampling ties toward chunks with more
+// cached frames. With a remote tier the run ends with a per-tier table:
+// hits/misses per tier, round trips, EWMA round-trip latency and the
+// singleflight merge/fill counters.
 //
 // -adaptive turns on feedback-controlled round sizing: each query's
 // per-round detector quota grows from -round toward the backend's MaxBatch
@@ -39,8 +38,8 @@
 //
 // -budget N replaces fair-share scheduling with one engine-level budget of
 // N frames per round, divided across the queries by marginal value (each
-// query's expected new results per frame under its Thompson beliefs);
-// -floor M guarantees every query at least M frames per round so nothing
+// query's expected new results per frame under its Thompson beliefs),
+// and every query is guaranteed at least one frame per round so nothing
 // starves. -round (or the adaptive controller's live quota) becomes each
 // query's per-round cap. The run then prints a budget table: frames
 // granted vs the fair-share request per query, and the engine-level grant
@@ -117,11 +116,9 @@ func main() {
 	flag.IntVar(&cfg.shards, "shards", 1, "shards per profile (>1 composes a ShardedSource)")
 	flag.IntVar(&cfg.cache, "cache", 0, "detector memo cache entries (0 = disabled)")
 	flag.StringVar(&cfg.cacheRemote, "cache-remote", "", "shared remote result tier endpoint URL (a cachestore/httpcache server)")
-	flag.BoolVar(&cfg.cacheWarm, "cache-warm", false, "prefetch each target's cached entries from the remote tier before the queries start (requires -cache-remote)")
 	flag.BoolVar(&cfg.cacheAware, "cache-aware", false, "break Thompson-sampling ties toward chunks with more cached frames (requires -cache or -cache-remote)")
 	flag.BoolVar(&cfg.adaptive, "adaptive", false, "adaptive round sizing: grow each query's per-round quota toward the backend's MaxBatch while latency stays flat")
 	flag.IntVar(&cfg.budget, "budget", 0, "engine-level frames-per-round budget divided across queries by marginal value (0 = fair-share)")
-	flag.IntVar(&cfg.floor, "floor", 1, "per-round frame floor every query is guaranteed under -budget")
 	flag.StringVar(&cfg.backend, "backend", "sim", "detector backend: sim (in-process) or http (httpbatch wire protocol)")
 	flag.StringVar(&cfg.endpoint, "endpoint", "", "external httpbatch endpoint URL (http backend only; empty = per-shard loopback servers)")
 	flag.IntVar(&cfg.replicas, "replicas", 1, "replica endpoints per shard behind a health-checked router (http loopback mode)")
@@ -164,14 +161,12 @@ type config struct {
 	seed     uint64
 	shards   int
 	cache    int
-	// Shared-result-tier knobs: the remote cache endpoint, the pre-warm
-	// toggle and the cache-aware sampling toggle.
+	// Shared-result-tier knobs: the remote cache endpoint and the
+	// cache-aware sampling toggle.
 	cacheRemote string
-	cacheWarm   bool
 	cacheAware  bool
 	adaptive    bool
 	budget      int
-	floor       int
 	backend     string
 	endpoint    string
 	replicas    int
@@ -241,7 +236,6 @@ func engineOptions(cfg config) (exsample.EngineOptions, error) {
 		CacheEntries:   cfg.cache,
 		AdaptiveRounds: cfg.adaptive,
 		GlobalBudget:   cfg.budget,
-		FloorQuota:     cfg.floor,
 		CacheAware:     cfg.cacheAware,
 	}
 	if cfg.cacheRemote != "" {
@@ -266,8 +260,8 @@ func printTierTable(w io.Writer, eng *exsample.Engine, cfg config) {
 	fmt.Fprintf(w, "%-5s %10s %10s %12s %9s\n", "tier", "hits", "misses", "round-trips", "rtt-ms")
 	fmt.Fprintf(w, "%-5s %10d %10d %12s %9s\n", "L1", ts.L1Hits, ts.L1Misses, "-", "-")
 	fmt.Fprintf(w, "%-5s %10d %10d %12d %9.2f\n", "L2", ts.L2Hits, ts.L2Misses, ts.L2RoundTrips, ts.L2RTTSeconds*1e3)
-	fmt.Fprintf(w, "singleflight: %d merged, %d filled, %d warmed; L2 outages: %d read, %d write\n",
-		ts.Merges, ts.Fills, ts.Warmed, ts.L2Errors, ts.L2PutErrors)
+	fmt.Fprintf(w, "singleflight: %d merged, %d filled; L2 outages: %d read, %d write\n",
+		ts.Merges, ts.Fills, ts.L2Errors, ts.L2PutErrors)
 }
 
 // serveBackend starts a loopback HTTP server for a dataset's backend — the
@@ -635,7 +629,6 @@ func runStream(w io.Writer, cfg config) error {
 		CacheEntries:   cfg.cache,
 		AdaptiveRounds: cfg.adaptive,
 		GlobalBudget:   cfg.budget,
-		FloorQuota:     cfg.floor,
 		EventBuffer:    1 << 15,
 	})
 	if err != nil {
@@ -801,9 +794,6 @@ func run(w io.Writer, cfg config) error {
 	if cfg.churn > 0 && cfg.shards <= 1 {
 		return fmt.Errorf("-churn requires -shards > 1")
 	}
-	if cfg.cacheWarm && cfg.cacheRemote == "" {
-		return fmt.Errorf("-cache-warm requires -cache-remote")
-	}
 	if cfg.cacheAware && cfg.cache <= 0 && cfg.cacheRemote == "" {
 		return fmt.Errorf("-cache-aware requires -cache or -cache-remote")
 	}
@@ -874,19 +864,6 @@ func run(w io.Writer, cfg config) error {
 		return err
 	}
 	defer eng.Close()
-
-	// Pre-warm the local tier: copy whatever the remote already holds for
-	// each target into L1 so the first rounds hit locally instead of
-	// paying a round trip each.
-	if cfg.cacheWarm {
-		for _, tgt := range targets {
-			n, err := eng.Warm(context.Background(), tgt.src, tgt.class, 0)
-			if err != nil {
-				return fmt.Errorf("cache-warm %s/%s: %w", tgt.src.Name(), tgt.class, err)
-			}
-			fmt.Fprintf(w, "warm: %s/%s — %d cached frame(s) copied to L1\n", tgt.src.Name(), tgt.class, n)
-		}
-	}
 
 	// Churn triggers: a delay (-churn) and the signal channel (SIGHUP),
 	// live until every query finishes. Both are joined before the tables
@@ -993,8 +970,8 @@ func run(w io.Writer, cfg config) error {
 		if st.BudgetRequested > 0 {
 			ratio = float64(st.BudgetGranted) / float64(st.BudgetRequested)
 		}
-		fmt.Fprintf(w, "\nglobal budget: %d frames/round, floor %d; granted %d of %d requested (%.1f%%)\n",
-			cfg.budget, cfg.floor, st.BudgetGranted, st.BudgetRequested, ratio*100)
+		fmt.Fprintf(w, "\nglobal budget: %d frames/round, floor 1; granted %d of %d requested (%.1f%%)\n",
+			cfg.budget, st.BudgetGranted, st.BudgetRequested, ratio*100)
 		fmt.Fprintf(w, "%-3s %-12s %-14s %10s %10s %7s\n",
 			"#", "dataset", "class", "granted", "requested", "share%")
 		for i, h := range handles {
@@ -1114,19 +1091,6 @@ func runTrack(w io.Writer, cfg config) error {
 		return err
 	}
 	defer eng.Close()
-
-	if cfg.cacheWarm {
-		if cfg.cacheRemote == "" {
-			return fmt.Errorf("-cache-warm requires -cache-remote")
-		}
-		for _, tgt := range targets {
-			n, err := eng.Warm(context.Background(), tgt.src, tgt.class, 0)
-			if err != nil {
-				return fmt.Errorf("cache-warm %s/%s: %w", tgt.src.Name(), tgt.class, err)
-			}
-			fmt.Fprintf(w, "warm: %s/%s — %d cached frame(s) copied to L1\n", tgt.src.Name(), tgt.class, n)
-		}
-	}
 
 	start := time.Now()
 	handles := make([]*exsample.TrackHandle, len(targets))

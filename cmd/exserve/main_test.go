@@ -254,11 +254,6 @@ func TestRunFlagValidation(t *testing.T) {
 		t.Error("-churn without -shards accepted")
 	}
 	bad = testConfig([]string{"dashcam"}, 1, 5)
-	bad.cacheWarm = true // without -cache-remote
-	if err := run(&buf, bad); err == nil {
-		t.Error("-cache-warm without -cache-remote accepted")
-	}
-	bad = testConfig([]string{"dashcam"}, 1, 5)
 	bad.cacheAware = true // without any cache
 	if err := run(&buf, bad); err == nil {
 		t.Error("-cache-aware without a cache accepted")
@@ -267,8 +262,8 @@ func TestRunFlagValidation(t *testing.T) {
 
 // TestRunRemoteCacheTier: two exserve runs against one shared httpcache
 // server — the ops-surface equivalent of two processes splitting a
-// detector bill. The first run fills the server; the second pre-warms,
-// samples cache-aware, and must show local hits plus the tier table.
+// detector bill. The first run fills the server; the second samples
+// cache-aware and must show the tier table.
 func TestRunRemoteCacheTier(t *testing.T) {
 	srv := httptest.NewServer(httpcache.Handler(cachestore.NewLocal(1 << 16)))
 	defer srv.Close()
@@ -281,16 +276,12 @@ func TestRunRemoteCacheTier(t *testing.T) {
 	if !strings.Contains(first.String(), "shared result tier") {
 		t.Fatalf("first run missing tier table:\n%s", first.String())
 	}
-	cfg.cacheWarm = true
 	cfg.cacheAware = true
 	var second bytes.Buffer
 	if err := run(&second, cfg); err != nil {
 		t.Fatal(err)
 	}
 	out := second.String()
-	if !strings.Contains(out, "warm: dashcam/") {
-		t.Fatalf("missing warm log line:\n%s", out)
-	}
 	if !strings.Contains(out, "shared result tier") || !strings.Contains(out, "L2") {
 		t.Fatalf("missing tier table:\n%s", out)
 	}
@@ -316,7 +307,6 @@ func TestRunGlobalBudget(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := testConfig([]string{"dashcam"}, 4, 5)
 	cfg.budget = 6
-	cfg.floor = 1
 	if err := run(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -250,7 +250,7 @@ func TestReportDigests(t *testing.T) {
 			Options{Seed: 18, Strategy: StrategyProxy, ProxyTrainPositives: 4, MaxFrames: 3000}, true), nil, []string{"8e8e168174af11a7"}},
 		{"source/sharded-session-addshard", digestShardedSession, nil, []string{"896fb963d4dd8d45"}},
 		{"source/stream-standing", digestStreamStanding, nil, []string{"52cd2fa27c6f692d"}},
-		{"engine/global-budget", digestGlobalBudget, nil, []string{"e5ad2d9f4af30007", "b7868b137e759634", "67c3946333a52381"}},
+		{"engine/global-budget", digestGlobalBudget, nil, []string{"622ebed7ddd20c0e", "b7868b137e759634", "45a4ddd4e53868cc"}},
 		{"track/dataset", nil, trackSearch(trackScene(t), TrackOptions{Seed: 23}), []string{"329780815d90032a"}},
 		{"track/sharded-boundary", nil, trackSearch(digestTrackPair(t), TrackOptions{Seed: 24}), []string{"19cf616647ccded4"}},
 		{"track/coarse-only", nil, trackSearch(trackScene(t), TrackOptions{Seed: 25, CoarseOnly: true}), []string{"5e85e5d7b83185bf"}},
@@ -360,7 +360,7 @@ func (b *blockFirst) DetectBatch(ctx context.Context, class string, frames []int
 func digestGlobalBudget(t *testing.T) []*Report {
 	gate := &blockFirst{Backend: digestDataset(t).Backend(), entered: make(chan struct{}), release: make(chan struct{})}
 	ds := digestDataset(t, WithBackend(gate))
-	e := newTestEngine(t, EngineOptions{Workers: 1, FramesPerRound: 8, GlobalBudget: 10, FloorQuota: 2, CacheEntries: 1 << 14})
+	e := newTestEngine(t, EngineOptions{Workers: 1, FramesPerRound: 8, GlobalBudget: 10, CacheEntries: 1 << 14})
 	q := Query{Class: "car", Limit: 1 << 30}
 	hot, err := e.Submit(context.Background(), ds, q, Options{Seed: 21, MaxFrames: 600})
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"github.com/exsample/exsample/cachestore"
-	"github.com/exsample/exsample/internal/cache"
 	"github.com/exsample/exsample/internal/core"
 	"github.com/exsample/exsample/internal/engine"
 	"github.com/exsample/exsample/internal/sizer"
@@ -96,7 +95,9 @@ type EngineOptions struct {
 	// queries by marginal value — each query's expected new results per
 	// frame, read off its Thompson beliefs (the arg-max arm's
 	// prior-smoothed point estimate, Eq. III.1). Hot queries get more
-	// frames, nearly exhausted ones decay toward FloorQuota, and a
+	// frames, nearly exhausted ones decay toward one frame per round
+	// (the floor every active query is granted, which keeps a zero-value
+	// query draining its repository instead of starving), and a
 	// standing query that just woke re-enters at its prior belief.
 	// FramesPerRound (or, under AdaptiveRounds, the AIMD controller's
 	// live quota) becomes each query's per-round *cap*: the budget
@@ -106,12 +107,6 @@ type EngineOptions struct {
 	// reports stay byte-identical to the fair-share scheduler whenever
 	// the budget covers the fleet's caps.
 	GlobalBudget int
-	// FloorQuota is the per-round minimum every active query is granted
-	// under GlobalBudget, whatever its marginal value (default 1; values
-	// <= 0 select the default). The floor is what keeps a zero-value
-	// query live: it still drains its repository and terminates instead
-	// of starving. Ignored when GlobalBudget is 0.
-	FloorQuota int
 }
 
 func (o EngineOptions) withDefaults() EngineOptions {
@@ -129,9 +124,6 @@ func (o EngineOptions) withDefaults() EngineOptions {
 	}
 	if o.GlobalBudget < 0 {
 		o.GlobalBudget = 0
-	}
-	if o.GlobalBudget > 0 && o.FloorQuota <= 0 {
-		o.FloorQuota = 1
 	}
 	return o
 }
@@ -170,10 +162,9 @@ func (o EngineOptions) Validate() error {
 type Engine struct {
 	opts  EngineOptions
 	inner *engine.Engine
-	memo  *cache.Cache
+	memo  *cachestore.Local
 	// tier is the one cached detect path (non-nil whenever memo is): the
-	// memo cache is its L1 via cachestore.WrapCache, and RemoteCache, when
-	// set, its L2.
+	// memo cache is its L1, and RemoteCache, when set, its L2.
 	tier *cachestore.Tiered
 	// quota aggregates adaptive round-sizing adjustments across every
 	// AdaptiveRounds query (all zeros when the option is off).
@@ -193,13 +184,12 @@ func NewEngine(opts EngineOptions) (*Engine, error) {
 			Workers:        opts.Workers,
 			FramesPerRound: opts.FramesPerRound,
 			GlobalBudget:   opts.GlobalBudget,
-			FloorQuota:     opts.FloorQuota,
 		}),
 	}
 	if opts.CacheEntries > 0 {
 		// withDefaults guarantees the memo cache exists under a RemoteCache.
-		e.memo = cache.New(opts.CacheEntries)
-		e.tier = cachestore.NewTiered(cachestore.WrapCache(e.memo), opts.RemoteCache)
+		e.memo = cachestore.NewLocal(opts.CacheEntries)
+		e.tier = cachestore.NewTiered(e.memo, opts.RemoteCache)
 	}
 	return e, nil
 }
@@ -301,47 +291,6 @@ func (e *Engine) TierStats() cachestore.TierStats {
 		return cachestore.TierStats{}
 	}
 	return e.tier.Stats()
-}
-
-// Warm prefetches a source's cached detector results for one class from
-// the remote tier into the local L1, ahead of any query: a subsequent
-// query over frames another process already paid for runs at cache speed
-// from its first round. limit bounds how many frames (from frame 0) to
-// probe; <= 0 means the whole source. Returns the number of entries
-// copied into the local tier. Warm requires a RemoteCache and is
-// independent of any running query — it issues only remote lookups, never
-// detector calls.
-func (e *Engine) Warm(ctx context.Context, src Source, class string, limit int64) (int, error) {
-	if e.opts.RemoteCache == nil {
-		return 0, fmt.Errorf("exsample: Warm needs EngineOptions.RemoteCache")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	qs := src.querySource()
-	n := qs.numFrames
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	const batch = 512
-	keys := make([]cachestore.Key, 0, batch)
-	total := 0
-	for frame := int64(0); frame < n; frame += batch {
-		end := frame + batch
-		if end > n {
-			end = n
-		}
-		keys = keys[:0]
-		for f := frame; f < end; f++ {
-			keys = append(keys, cachestore.Key{Content: qs.contentID, Class: class, Frame: f})
-		}
-		got, err := e.tier.Warm(ctx, keys)
-		total += got
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }
 
 // Submit registers a query against a source — a local Dataset or a

@@ -103,6 +103,9 @@ func TestNaNBoundsRejected(t *testing.T) {
 		{"SynthSpec.MeanDuration", synthErr(SynthSpec{MeanDuration: nan})},
 		{"SynthSpec.FPS", synthErr(SynthSpec{MeanDuration: 100, FPS: nan})},
 		{"SynthSpec.FPS +Inf", synthErr(SynthSpec{MeanDuration: 100, FPS: math.Inf(1)})},
+		{"SynthSpec.SkewFraction", synthErr(SynthSpec{MeanDuration: 100, SkewFraction: nan})},
+		{"SynthSpec.TravelX", synthErr(SynthSpec{MeanDuration: 100, TravelX: nan})},
+		{"SynthSpec.TravelY +Inf", synthErr(SynthSpec{MeanDuration: 100, TravelY: math.Inf(1)})},
 		{"SearchSource with a NaN IoUThreshold", func() error {
 			_, err := SearchSource(ds, Query{Class: "car", Limit: 3000}, Options{Seed: 1, IoUThreshold: nan, MaxFrames: 3000})
 			return err

@@ -87,7 +87,7 @@ func TestEngineGlobalBudgetFloorPreventsStarvation(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newTestEngine(t, EngineOptions{Workers: 2, FramesPerRound: 8,
-		GlobalBudget: 10, FloorQuota: 2})
+		GlobalBudget: 10})
 
 	hot, err := e.Submit(context.Background(), ds, Query{Class: "person", Limit: 1 << 30},
 		Options{Seed: 11})

@@ -181,7 +181,7 @@ func TestSchedulerRoundAllocFreeGlobalBudget(t *testing.T) {
 		&allocQuery{frames: make([]int64, 0, 16)},
 		&sizedAllocQuery{allocQuery{frames: make([]int64, 0, 16), sizer: sz}},
 	}
-	cfg := Config{Workers: 2, FramesPerRound: 4, GlobalBudget: 10, FloorQuota: 1}
+	cfg := Config{Workers: 2, FramesPerRound: 4, GlobalBudget: 10}
 	if allocs := roundAllocsCfg(t, cfg, queries); allocs > 0 {
 		t.Fatalf("global-budget scheduler round allocates %.1f objects/round, want 0", allocs)
 	}

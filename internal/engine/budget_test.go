@@ -44,7 +44,7 @@ func TestBudgetProportionalToValue(t *testing.T) {
 	hot.frames = make([]int64, 0, 64)
 	cold := &valuedBudgetQuery{budgetQuery{value: 0.003}}
 	cold.frames = make([]int64, 0, 64)
-	cfg := Config{Workers: 1, FramesPerRound: 32, GlobalBudget: 16, FloorQuota: 1}
+	cfg := Config{Workers: 1, FramesPerRound: 32, GlobalBudget: 16}
 	e := newBudgetEngine(t, cfg, []Query{hot, cold})
 	e.runOneRound()
 	if len(hot.offered) != 1 || len(cold.offered) != 1 {
@@ -114,14 +114,16 @@ func TestBudgetFloorReachesZeroValueQuery(t *testing.T) {
 	dead.frames = make([]int64, 0, 64)
 	hot := &valuedBudgetQuery{budgetQuery{value: 0.4}}
 	hot.frames = make([]int64, 0, 64)
-	cfg := Config{Workers: 1, FramesPerRound: 8, GlobalBudget: 10, FloorQuota: 2}
+	// Budget 9 = the hot query's cap 8 + the floor 1, so no surplus can
+	// reach the zero-value query: all it gets is the floor.
+	cfg := Config{Workers: 1, FramesPerRound: 8, GlobalBudget: 9}
 	e := newBudgetEngine(t, cfg, []Query{dead, hot})
 	for i := 0; i < 5; i++ {
 		e.runOneRound()
 	}
 	for i, got := range dead.offered {
-		if got != 2 {
-			t.Fatalf("round %d offered the zero-value query %d frames, want exactly the floor 2", i, got)
+		if got != floorQuota {
+			t.Fatalf("round %d offered the zero-value query %d frames, want exactly the floor %d", i, got, floorQuota)
 		}
 	}
 	for i, got := range hot.offered {

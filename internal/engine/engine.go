@@ -181,18 +181,18 @@ type Config struct {
 	// a Sized query's RoundQuota — become *caps* the allocator fills up
 	// to, never past, so AIMD round sizing composes: the sizer bounds how
 	// big one query's batch may get, the budget decides who deserves the
-	// frames. Every non-cancelled query is granted at least FloorQuota
+	// frames. Every non-cancelled query is granted at least floorQuota
 	// frames (budget permitting it is a floor, not a share: with N active
-	// queries the round dispatches at least N*FloorQuota frames), which
+	// queries the round dispatches at least N*floorQuota frames), which
 	// is what lets a zero-value query still drain to completion instead
 	// of starving.
 	GlobalBudget int
-	// FloorQuota is the per-query minimum grant under GlobalBudget
-	// (default 1; values < 1 are clamped to 1, because a zero-frame
-	// Propose is indistinguishable from an exhausted repository). Ignored
-	// when GlobalBudget is 0.
-	FloorQuota int
 }
+
+// floorQuota is the per-query minimum grant under GlobalBudget. It is
+// never 0, because a zero-frame Propose is indistinguishable from an
+// exhausted repository.
+const floorQuota = 1
 
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
@@ -203,9 +203,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GlobalBudget < 0 {
 		c.GlobalBudget = 0
-	}
-	if c.FloorQuota < 1 {
-		c.FloorQuota = 1
 	}
 	return c
 }
@@ -675,7 +672,6 @@ func (e *Engine) planBudget(round []*Handle) {
 	}
 	s.grants, s.caps, s.vals = s.grants[:n], s.caps[:n], s.vals[:n]
 	base := e.cfg.FramesPerRound
-	floor := e.cfg.FloorQuota
 	remaining := e.cfg.GlobalBudget
 	for i, h := range round {
 		if h.cancelled.Load() {
@@ -690,10 +686,7 @@ func (e *Engine) planBudget(round []*Handle) {
 				v = 0
 			}
 		}
-		f := floor
-		if f > qcap {
-			f = qcap
-		}
+		f := min(floorQuota, qcap)
 		s.grants[i], s.caps[i], s.vals[i] = f, qcap, v
 		remaining -= f
 	}

@@ -406,7 +406,7 @@ func RunSuite() (*Snapshot, error) {
 	}{
 		{"engine_fairshare_mixedfleet", exsample.EngineOptions{Workers: 4, FramesPerRound: 16}},
 		{"engine_globalbudget_mixedfleet", exsample.EngineOptions{Workers: 4, FramesPerRound: 16,
-			GlobalBudget: 40, FloorQuota: 1}},
+			GlobalBudget: 40}},
 	} {
 		bseed := uint64(9000)
 		res, err := measure(arm.name, 2, func() (map[string]float64, error) {

@@ -69,7 +69,7 @@ func (s GridSpec) Validate() error {
 	if s.NumFrames <= 0 {
 		return fmt.Errorf("synth: NumFrames must be positive, got %d", s.NumFrames)
 	}
-	if s.SkewFraction < 0 || s.SkewFraction > 1 {
+	if !(s.SkewFraction >= 0 && s.SkewFraction <= 1) {
 		return fmt.Errorf("synth: SkewFraction %v outside [0,1]", s.SkewFraction)
 	}
 	if !(s.MeanDuration > 0) {
@@ -81,11 +81,16 @@ func (s GridSpec) Validate() error {
 	if s.DurationSigma < 0 {
 		return fmt.Errorf("synth: negative DurationSigma %v", s.DurationSigma)
 	}
-	if s.Center < 0 || s.Center > 1 {
+	if !(s.Center >= 0 && s.Center <= 1) {
 		return fmt.Errorf("synth: Center %v outside [0,1]", s.Center)
+	}
+	if !finite(s.TravelX) || !finite(s.TravelY) {
+		return fmt.Errorf("synth: travel (%v, %v) must be finite", s.TravelX, s.TravelY)
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Generate produces the instance population for a grid cell. Instances are
 // spatially laid out in disjoint lanes so that temporally overlapping

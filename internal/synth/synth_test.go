@@ -122,8 +122,18 @@ func TestGenerateValidation(t *testing.T) {
 		{NumInstances: 10, NumFrames: 100, MeanDuration: 10, SkewFraction: -0.1},
 		{NumInstances: 10, NumFrames: 100, MeanDuration: 10, SkewFraction: 1.5},
 		{NumInstances: 10, NumFrames: 100, MeanDuration: 10, DurationSigma: -1},
+		{NumInstances: 10, NumFrames: 100, MeanDuration: 10, SkewFraction: math.NaN()},
+		{NumInstances: 10, NumFrames: 100, MeanDuration: 10, Center: math.NaN()},
+		{NumInstances: 10, NumFrames: 100, MeanDuration: 10, TravelX: math.NaN()},
+		{NumInstances: 10, NumFrames: 100, MeanDuration: 10, TravelX: math.Inf(-1)},
+		{NumInstances: 10, NumFrames: 100, MeanDuration: 10, TravelY: math.Inf(1)},
 	}
 	for i, spec := range bad {
+		if spec.Validate() == nil {
+			// Generate need not terminate on a spec Validate passes.
+			t.Errorf("bad spec %d passed Validate", i)
+			continue
+		}
 		if _, err := Generate(spec); err == nil {
 			t.Errorf("bad spec %d accepted", i)
 		}

@@ -418,7 +418,7 @@ func TestStreamChurnSoakGlobalBudget(t *testing.T) {
 	// keeps every query — including the near-zero-value ones late in the
 	// run — progressing without loss, duplication or gated-segment samples.
 	runStreamChurnSoak(t, EngineOptions{Workers: 4, FramesPerRound: 4,
-		EventBuffer: 1 << 16, GlobalBudget: 16, FloorQuota: 1})
+		EventBuffer: 1 << 16, GlobalBudget: 16})
 }
 
 func runStreamChurnSoak(t *testing.T, engOpts EngineOptions) {
