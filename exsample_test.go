@@ -2,6 +2,7 @@ package exsample
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/exsample/exsample/internal/discrim"
@@ -110,10 +111,20 @@ func TestNaNBoundsRejected(t *testing.T) {
 			_, err := SearchSource(ds, Query{Class: "car", Limit: 3000}, Options{Seed: 1, IoUThreshold: nan, MaxFrames: 3000})
 			return err
 		}},
+		{"OpenProfile with a NaN scale", func() error {
+			_, err := OpenProfile("dashcam", nan, 1)
+			return err
+		}},
 	}
+	// A NaN scale must fail the bound itself, not the frame count it would
+	// truncate to: the Go spec leaves int64(NaN) to the implementation.
+	because := map[string]string{"OpenProfile with a NaN scale": "outside (0,1]"}
 	for _, c := range cases {
-		if c.err() == nil {
+		err := c.err()
+		if err == nil {
 			t.Errorf("%s: accepted", c.name)
+		} else if want := because[c.name]; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: rejected as %q, want an %q error", c.name, err, want)
 		}
 	}
 }

@@ -4,12 +4,20 @@
 // at paper size) can be exercised end-to-end in seconds during tests and
 // benchmarks; shapes — who wins, rough factors, crossovers — are preserved
 // at reduced scale.
+//
+// The detector experiments — Table I, Figure 5 and the §VII extensions —
+// run every query through the public Search, the same pipeline Session and
+// Engine drive. The §III-D and §IV simulation studies (Figures 2–4 and the
+// ablations) run on internal/sim's sampling simulator, and Figure 6 reads
+// ground truth only.
 package bench
 
 import (
 	"fmt"
 	"io"
 	"math"
+
+	exsample "github.com/exsample/exsample"
 )
 
 // LogCheckpoints returns ~perDecade sample counts per decade between lo and
@@ -61,4 +69,30 @@ func fmtRatio(r float64) string {
 		return fmt.Sprintf("%.0fx", r)
 	}
 	return fmt.Sprintf("%.2gx", r)
+}
+
+// samplesToRecalls runs one Search for class to the highest of recalls and
+// returns the class's population and, per recall level, the frames the
+// search had processed when found/total first reached it (-1 when it never
+// did), read off the report's discovery record.
+func samplesToRecalls(ds *exsample.Dataset, class string, recalls []float64, opts exsample.Options) ([]int64, int, error) {
+	total, err := ds.GroundTruthCount(class)
+	if err != nil {
+		return nil, 0, err
+	}
+	rep, err := ds.Search(exsample.Query{Class: class, RecallTarget: recalls[len(recalls)-1]}, opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	out := make([]int64, len(recalls))
+	for k, level := range recalls {
+		out[k] = -1
+		for i, found := range rep.CurveFound {
+			if float64(found)/float64(total) >= level {
+				out[k] = rep.CurveSamples[i]
+				break
+			}
+		}
+	}
+	return out, total, nil
 }

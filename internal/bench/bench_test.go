@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -363,5 +364,15 @@ func TestRunValidationErrors(t *testing.T) {
 	}
 	if _, err := RunAblation(AblationConfig{}); err == nil {
 		t.Error("empty ablation config accepted")
+	}
+	// A NaN scale fails the bound itself, whatever else is missing.
+	nan := math.NaN()
+	_, table1 := RunTable1(Table1Config{Scale: nan, Recalls: []float64{0.5}})
+	_, fig5 := RunFig5(Fig5Config{Scale: nan, Recalls: []float64{0.5}, Trials: 1})
+	_, fig6 := RunFig6(Fig6Config{Scale: nan})
+	for name, err := range map[string]error{"table1": table1, "fig5": fig5, "fig6": fig6} {
+		if err == nil || !strings.Contains(err.Error(), "outside (0,1]") {
+			t.Errorf("%s with a NaN scale: %v, want an %q error", name, err, "outside (0,1]")
+		}
 	}
 }

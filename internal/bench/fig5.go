@@ -5,20 +5,18 @@ import (
 	"io"
 	"sort"
 
-	"github.com/exsample/exsample/internal/core"
 	"github.com/exsample/exsample/internal/datasets"
-	"github.com/exsample/exsample/internal/detect"
-	"github.com/exsample/exsample/internal/discrim"
-	"github.com/exsample/exsample/internal/metrics"
 	"github.com/exsample/exsample/internal/stats"
-	"github.com/exsample/exsample/internal/video"
-	"github.com/exsample/exsample/internal/xrand"
+
+	exsample "github.com/exsample/exsample"
 )
 
 // Fig5Config parameterizes the savings-per-query experiment: for every
 // dataset × class, the ratio of random sampling's time to ExSample's time to
 // reach each recall level (the paper reports a 1.9x geometric mean, up to
-// ~6x best case, ~0.75x worst case).
+// ~6x best case, ~0.75x worst case). Seed builds the datasets, and with
+// them the detector's noise, which is therefore fixed per dataset; trial t
+// varies the sampler's and the random order's seed (Seed + 6151·t).
 type Fig5Config struct {
 	Scale    float64
 	Recalls  []float64
@@ -56,7 +54,7 @@ type Fig5Result struct {
 
 // RunFig5 executes the experiment.
 func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
-	if cfg.Scale <= 0 || cfg.Scale > 1 {
+	if !(cfg.Scale > 0 && cfg.Scale <= 1) {
 		return nil, fmt.Errorf("bench: fig5 scale %v outside (0,1]", cfg.Scale)
 	}
 	if cfg.Trials <= 0 || len(cfg.Recalls) == 0 {
@@ -71,7 +69,7 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 		if len(want) > 0 && !want[p.Name] {
 			continue
 		}
-		ds, err := datasets.Build(p, cfg.Scale, cfg.Seed)
+		ds, err := exsample.OpenProfile(p.Name, cfg.Scale, cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("bench: fig5 %s: %w", p.Name, err)
 		}
@@ -113,101 +111,19 @@ func (r *Fig5Result) finishAggregates() {
 	}
 }
 
-// samplesToRecalls runs one search, returning the frame count at which each
-// recall level was crossed (-1 when missed).
-func samplesToRecalls(ds *datasets.Dataset, class string, recalls []float64,
-	useExSample bool, seed uint64) ([]int64, error) {
-
-	detector, err := detect.NewSim(ds.Index, seed^0xbee,
-		detect.WithClass(class), detect.WithCost(1.0/20))
-	if err != nil {
-		return nil, err
-	}
-	ext, err := discrim.NewTruthExtender(ds.Index, 1)
-	if err != nil {
-		return nil, err
-	}
-	dis, err := discrim.New(ext, 0)
-	if err != nil {
-		return nil, err
-	}
-	curve, err := metrics.NewRecallCurve(ds.CountByClass[class])
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(recalls))
-	for i := range out {
-		out[i] = -1
-	}
-
-	var next func() (int64, int, bool)
-	var update func(chunk, d0, d1 int) error
-	if useExSample {
-		sampler, err := core.New(ds.Chunks, core.Config{Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		next = func() (int64, int, bool) {
-			p, ok := sampler.Next()
-			return p.Frame, p.Chunk, ok
-		}
-		update = sampler.Update
-	} else {
-		order, err := video.NewUniformOrder(0, ds.Repo.NumFrames(), xrand.New(seed))
-		if err != nil {
-			return nil, err
-		}
-		next = func() (int64, int, bool) {
-			f, ok := order.Next()
-			return f, 0, ok
-		}
-		update = func(int, int, int) error { return nil }
-	}
-
-	var frames int64
-	maxRecall := recalls[len(recalls)-1]
-	for frames < ds.Repo.NumFrames() {
-		frame, chunk, ok := next()
-		if !ok {
-			break
-		}
-		frames++
-		d0, d1 := dis.Observe(frame, detector.Detect(frame))
-		if err := update(chunk, len(d0), len(d1)); err != nil {
-			return nil, err
-		}
-		if len(d0) == 0 {
-			continue
-		}
-		ids := make([]int, len(d0))
-		for i, det := range d0 {
-			ids[i] = det.TruthID
-		}
-		curve.Observe(frames, 0, ids)
-		rec := curve.Recall()
-		for k, level := range recalls {
-			if out[k] < 0 && rec >= level {
-				out[k] = frames
-			}
-		}
-		if rec >= maxRecall {
-			break
-		}
-	}
-	return out, nil
-}
-
-func runFig5Query(ds *datasets.Dataset, class string, cfg Fig5Config) (Fig5Row, error) {
+func runFig5Query(ds *exsample.Dataset, class string, cfg Fig5Config) (Fig5Row, error) {
 	row := Fig5Row{Class: class, Savings: make([]float64, len(cfg.Recalls))}
 	exAt := make([][]float64, len(cfg.Recalls))
 	rndAt := make([][]float64, len(cfg.Recalls))
 	for t := 0; t < cfg.Trials; t++ {
 		seed := cfg.Seed + uint64(t)*6151
-		ex, err := samplesToRecalls(ds, class, cfg.Recalls, true, seed)
+		ex, _, err := samplesToRecalls(ds, class, cfg.Recalls,
+			exsample.Options{Strategy: exsample.StrategyExSample, Seed: seed})
 		if err != nil {
 			return row, err
 		}
-		rnd, err := samplesToRecalls(ds, class, cfg.Recalls, false, seed)
+		rnd, _, err := samplesToRecalls(ds, class, cfg.Recalls,
+			exsample.Options{Strategy: exsample.StrategyRandom, Seed: seed})
 		if err != nil {
 			return row, err
 		}

@@ -61,7 +61,7 @@ type Fig6Result struct {
 
 // RunFig6 computes the panels.
 func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
-	if cfg.Scale <= 0 || cfg.Scale > 1 {
+	if !(cfg.Scale > 0 && cfg.Scale <= 1) {
 		return nil, fmt.Errorf("bench: fig6 scale %v outside (0,1]", cfg.Scale)
 	}
 	if len(cfg.Queries) == 0 {

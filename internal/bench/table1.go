@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/exsample/exsample/internal/core"
 	"github.com/exsample/exsample/internal/costmodel"
 	"github.com/exsample/exsample/internal/datasets"
-	"github.com/exsample/exsample/internal/detect"
-	"github.com/exsample/exsample/internal/discrim"
-	"github.com/exsample/exsample/internal/metrics"
+
+	exsample "github.com/exsample/exsample"
 )
 
 // Table1Config parameterizes the Table I reproduction: for every dataset ×
@@ -24,7 +22,8 @@ type Table1Config struct {
 	Recalls []float64
 	// Profiles restricts to named datasets (nil = all six).
 	Profiles []string
-	// Seed drives dataset generation and sampling.
+	// Seed drives dataset generation (and with it the detector's noise)
+	// and sampling.
 	Seed uint64
 }
 
@@ -58,7 +57,7 @@ type Table1Result struct {
 
 // RunTable1 executes the experiment.
 func RunTable1(cfg Table1Config) (*Table1Result, error) {
-	if cfg.Scale <= 0 || cfg.Scale > 1 {
+	if !(cfg.Scale > 0 && cfg.Scale <= 1) {
 		return nil, fmt.Errorf("bench: table1 scale %v outside (0,1]", cfg.Scale)
 	}
 	if len(cfg.Recalls) == 0 {
@@ -74,11 +73,11 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 		if len(want) > 0 && !want[p.Name] {
 			continue
 		}
-		ds, err := datasets.Build(p, cfg.Scale, cfg.Seed)
+		ds, err := exsample.OpenProfile(p.Name, cfg.Scale, cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("bench: table1 %s: %w", p.Name, err)
 		}
-		scan := cost.ScanSeconds(ds.Repo.NumFrames())
+		scan := ds.ScanSeconds()
 		for _, q := range p.Queries {
 			row, err := runTable1Query(ds, q.Class, cfg, cost)
 			if err != nil {
@@ -96,67 +95,18 @@ func RunTable1(cfg Table1Config) (*Table1Result, error) {
 	return res, nil
 }
 
-// runTable1Query runs one ExSample search to the highest recall level,
-// recording the time each level was crossed.
-func runTable1Query(ds *datasets.Dataset, class string, cfg Table1Config, cost costmodel.Model) (Table1Row, error) {
-	row := Table1Row{Class: class, RecallSeconds: make([]float64, len(cfg.Recalls))}
-	for i := range row.RecallSeconds {
-		row.RecallSeconds[i] = -1
-	}
-	total := ds.CountByClass[class]
-	row.Instances = total
-
-	detector, err := detect.NewSim(ds.Index, cfg.Seed^0xace,
-		detect.WithClass(class), detect.WithCost(1/cost.DetectFPS))
+// runTable1Query searches one class to the highest recall level and
+// charges each level the detector time of the frames processed by then.
+func runTable1Query(ds *exsample.Dataset, class string, cfg Table1Config, cost costmodel.Model) (Table1Row, error) {
+	frames, total, err := samplesToRecalls(ds, class, cfg.Recalls, exsample.Options{Seed: cfg.Seed})
 	if err != nil {
-		return row, err
+		return Table1Row{}, err
 	}
-	ext, err := discrim.NewTruthExtender(ds.Index, 1)
-	if err != nil {
-		return row, err
-	}
-	dis, err := discrim.New(ext, 0)
-	if err != nil {
-		return row, err
-	}
-	curve, err := metrics.NewRecallCurve(total)
-	if err != nil {
-		return row, err
-	}
-	sampler, err := core.New(ds.Chunks, core.Config{Seed: cfg.Seed})
-	if err != nil {
-		return row, err
-	}
-
-	var frames int64
-	budget := ds.Repo.NumFrames()
-	maxRecall := cfg.Recalls[len(cfg.Recalls)-1]
-	for frames < budget {
-		p, ok := sampler.Next()
-		if !ok {
-			break
-		}
-		frames++
-		dets := detector.Detect(p.Frame)
-		d0, d1 := dis.Observe(p.Frame, dets)
-		if err := sampler.Update(p.Chunk, len(d0), len(d1)); err != nil {
-			return row, err
-		}
-		if len(d0) > 0 {
-			ids := make([]int, len(d0))
-			for i, det := range d0 {
-				ids[i] = det.TruthID
-			}
-			curve.Observe(frames, cost.DetectSeconds(frames), ids)
-			rec := curve.Recall()
-			for k, level := range cfg.Recalls {
-				if row.RecallSeconds[k] < 0 && rec >= level {
-					row.RecallSeconds[k] = cost.DetectSeconds(frames)
-				}
-			}
-			if rec >= maxRecall {
-				break
-			}
+	row := Table1Row{Class: class, Instances: total, RecallSeconds: make([]float64, len(frames))}
+	for k, f := range frames {
+		row.RecallSeconds[k] = -1
+		if f >= 0 {
+			row.RecallSeconds[k] = cost.DetectSeconds(f)
 		}
 	}
 	return row, nil

@@ -181,7 +181,7 @@ type Dataset struct {
 // scales shrink frames and populations proportionally, preserving density
 // and skew so savings ratios survive). seed controls generation.
 func Build(p Profile, scale float64, seed uint64) (*Dataset, error) {
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) {
 		return nil, fmt.Errorf("datasets: scale %v outside (0,1]", scale)
 	}
 	numFrames := int64(float64(p.NumFrames) * scale)

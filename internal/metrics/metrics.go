@@ -1,7 +1,7 @@
 // Package metrics computes the evaluation quantities the paper reports:
-// recall trajectories over distinct instances, time/samples-to-recall,
-// savings ratios between methods (Figure 5), aggregate bands (median,
-// 25–75%), and the per-query skew metric S shown in Figure 6.
+// recall over distinct instances, savings ratios between methods (Figure
+// 5), aggregate bands (median, 25–75%), and the per-query skew metric S
+// shown in Figure 6.
 package metrics
 
 import (
@@ -14,14 +14,12 @@ import (
 	"github.com/exsample/exsample/internal/video"
 )
 
-// RecallCurve tracks distinct ground-truth instances discovered as a
-// function of processed frames (and charged seconds).
+// RecallCurve tracks the distinct ground-truth instances a query has
+// discovered against the population it is measured over. The discovery
+// trajectory itself is the query report's to keep.
 type RecallCurve struct {
-	total   int
-	seen    map[int]bool
-	Samples []int64   // cumulative frames processed at each discovery step
-	Seconds []float64 // cumulative seconds at each discovery step
-	Found   []int     // distinct count after each discovery step
+	total int
+	seen  map[int]bool
 }
 
 // NewRecallCurve creates a curve for a query with the given number of
@@ -36,22 +34,14 @@ func NewRecallCurve(totalInstances int) (*RecallCurve, error) {
 	return &RecallCurve{total: totalInstances, seen: make(map[int]bool)}, nil
 }
 
-// Observe records the truth ids discovered by one processed frame at the
-// given cumulative cost. False positives (negative ids) are ignored — the
-// paper measures recall over true distinct instances.
-func (rc *RecallCurve) Observe(cumSamples int64, cumSeconds float64, truthIDs []int) {
-	grew := false
+// Observe records the truth ids discovered by one processed frame. False
+// positives (negative ids) are ignored — the paper measures recall over
+// true distinct instances.
+func (rc *RecallCurve) Observe(truthIDs []int) {
 	for _, id := range truthIDs {
-		if id < 0 || rc.seen[id] {
-			continue
+		if id >= 0 {
+			rc.seen[id] = true
 		}
-		rc.seen[id] = true
-		grew = true
-	}
-	if grew {
-		rc.Samples = append(rc.Samples, cumSamples)
-		rc.Seconds = append(rc.Seconds, cumSeconds)
-		rc.Found = append(rc.Found, len(rc.seen))
 	}
 }
 
@@ -77,21 +67,6 @@ func (rc *RecallCurve) Recall() float64 {
 
 // DistinctFound returns the number of distinct instances discovered.
 func (rc *RecallCurve) DistinctFound() int { return len(rc.seen) }
-
-// SecondsToRecall returns the charged seconds at which recall first reached
-// r, and whether it was reached.
-func (rc *RecallCurve) SecondsToRecall(r float64) (float64, bool) {
-	need := int(math.Ceil(r * float64(rc.total)))
-	if need < 1 {
-		need = 1
-	}
-	for i, f := range rc.Found {
-		if f >= need {
-			return rc.Seconds[i], true
-		}
-	}
-	return 0, false
-}
 
 // Savings is the Figure 5 quantity: the ratio of the baseline's cost to
 // ExSample's cost to reach the same recall. >1 means ExSample wins.

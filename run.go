@@ -525,7 +525,7 @@ func (r *queryRun) apply(p core.Pick, fr frameResult) (StepInfo, error) {
 		// append to New from reaching the report.
 		info.New = rep.Results[start:end:end]
 	}
-	r.curve.Observe(rep.FramesProcessed, rep.TotalSeconds(), r.truthIDs)
+	r.curve.Observe(r.truthIDs)
 	if len(r.truthIDs) > 0 {
 		rep.CurveSamples = append(rep.CurveSamples, rep.FramesProcessed)
 		rep.CurveSeconds = append(rep.CurveSeconds, rep.TotalSeconds())
