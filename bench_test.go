@@ -7,8 +7,8 @@
 // The paper's tables and figures come from cmd/exbench -experiment (shape
 // checks in internal/bench's tests); end-to-end engine performance is
 // measured by the benchmark/ harness, parent against change; and the
-// remaining switch pairs (adaptive rounds, scatter-gather, global budget,
-// cache-aware sampling) are gated by cmd/exbench -bench-compare.
+// remaining switch pairs (adaptive rounds, scatter-gather, global budget)
+// and the memo-cache fleet row are gated by cmd/exbench -bench-compare.
 package exsample_test
 
 import (

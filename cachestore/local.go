@@ -54,13 +54,6 @@ func (l *Local) PutBatch(_ context.Context, keys []Key, vals [][]backend.Detecti
 	return nil
 }
 
-// CountRange reports roughly how many entries for (content, class) are
-// resident with frames in [start, end) — the cache-aware sampler's
-// per-chunk signal.
-func (l *Local) CountRange(content uint64, class string, start, end int64) int {
-	return l.c.CountRange(content, class, start, end)
-}
-
 // Stats is a snapshot of a local store's counters.
 type Stats struct {
 	// Hits and Misses count lookup outcomes since construction.

@@ -176,12 +176,6 @@ func (t *Tiered) Stats() TierStats {
 	}
 }
 
-// CountRange delegates the cache-aware sampler's per-range entry count to
-// the L1.
-func (t *Tiered) CountRange(content uint64, class string, start, end int64) int {
-	return t.l1.CountRange(content, class, start, end)
-}
-
 // observeRTT folds one remote round trip into the EWMA.
 func (t *Tiered) observeRTT(d time.Duration) {
 	s := d.Seconds()

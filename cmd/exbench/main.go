@@ -16,8 +16,8 @@
 // switch-pair suite (internal/perf): static vs adaptive round sizing
 // against a slow simulated backend, single-replica vs scatter-gather
 // routing over a heterogeneous fleet, fair-share vs global-budget
-// scheduling on a mixed fleet, and cache-aware sampling off vs on. The
-// machine-readable snapshot is written to FILE (and echoed to stdout when
+// scheduling on a mixed fleet, and four queries sharing one memo cache.
+// The machine-readable snapshot is written to FILE (and echoed to stdout when
 // FILE is "-"); the committed BENCH_engine.json and the CI artifact both
 // come from this mode.
 //
@@ -124,17 +124,19 @@ type metricGate struct {
 }
 
 // gates is the regression gate, one entry per BENCH_engine.json row in
-// suite order. Every row is a switch pair's arm; each lists the metrics
-// it gates and whether it also gates allocs_per_op (lower is better, held
+// suite order. Every row but the last is a switch pair's arm; each lists
+// the metrics it gates and whether it also gates allocs_per_op (lower is better, held
 // to -bench-tolerance).
 //
 // The slow-backend and hetero-fleet arms are bound by simulated sleeps, so
 // their frames/s is low-noise. vs-single-x divides two sleep-bound numbers
 // that share the scheduler's wall clock; a 0.30 band still catches the
 // failure that matters, scatter silently degrading to single-replica
-// routing, which drags the ratio to ~1x. The scheduling and cache-aware
-// arms gate results/kdetect, a count ratio at a fixed detector budget
-// (the cache-aware arms run Workers 1, so theirs is deterministic).
+// routing, which drags the ratio to ~1x. The scheduling arms and the
+// memo-cache fleet row (cache_aware_off, named for the pair it once
+// belonged to) gate results/kdetect, a count ratio at a fixed detector
+// budget; the memo-cache row runs Workers 1, so its ratio is
+// deterministic.
 //
 // Allocations are gated where the schedule is fixed: the fleet arms
 // process a fixed 2048-frame budget over a fixed round schedule, and the
@@ -155,7 +157,6 @@ var gates = []struct {
 	{"engine_fairshare_mixedfleet", []metricGate{{"results/kdetect", 0}}, true},
 	{"engine_globalbudget_mixedfleet", []metricGate{{"results/kdetect", 0}}, true},
 	{"cache_aware_off", []metricGate{{"results/kdetect", 0}}, false},
-	{"cache_aware_on", []metricGate{{"results/kdetect", 0}}, false},
 }
 
 // compareBench runs the perf suite fresh, prints the gate's report and

@@ -78,7 +78,7 @@ func TestCompareBench(t *testing.T) {
 		{"throughput drop", snapshot("engine_static_slowbackend", func(r *perf.Result) { r.Metrics["frames/s"] = 70 }), true},
 		{"ratio drop within its own band", snapshot("hetero_fleet_scatter", func(r *perf.Result) { r.Metrics["vs-single-x"] = 72 }), false},
 		{"allocation rise", snapshot("hetero_fleet_single", func(r *perf.Result) { r.AllocsPerOp = 1300 }), true},
-		{"missing gated row", snapshot("cache_aware_on", nil), true},
+		{"missing gated row", snapshot("cache_aware_off", nil), true},
 		{"missing gated metric", snapshot("engine_fairshare_mixedfleet", func(r *perf.Result) { delete(r.Metrics, "results/kdetect") }), true},
 		{"improvement", snapshot("engine_globalbudget_mixedfleet", func(r *perf.Result) {
 			r.Metrics["results/kdetect"] = 200

@@ -11,7 +11,7 @@
 //	exserve -datasets dashcam,bdd1k -queries 8 -limit 10
 //	        [-workers 4] [-round 4] [-adaptive] [-scale 0.05] [-seed 1]
 //	        [-budget 0] [-shards 1] [-cache 0]
-//	        [-cache-remote URL] [-cache-aware]
+//	        [-cache-remote URL]
 //	        [-backend sim|http] [-endpoint URL] [-replicas 1]
 //	        [-replica-weight W1,W2,...] [-scatter]
 //	        [-churn 0] [-admin addr]
@@ -24,8 +24,7 @@
 // cachestore/httpcache server) behind the memo cache: detector results are
 // looked up L1-then-L2 and written through, so a fleet of exserve
 // processes pointed at one server shares every frame any of them paid
-// for; -cache-aware breaks Thompson-sampling ties toward chunks with more
-// cached frames. With a remote tier the run ends with a per-tier table:
+// for. With a remote tier the run ends with a per-tier table:
 // hits/misses per tier, round trips, EWMA round-trip latency and the
 // singleflight merge/fill counters.
 //
@@ -116,7 +115,6 @@ func main() {
 	flag.IntVar(&cfg.shards, "shards", 1, "shards per profile (>1 composes a ShardedSource)")
 	flag.IntVar(&cfg.cache, "cache", 0, "detector memo cache entries (0 = disabled)")
 	flag.StringVar(&cfg.cacheRemote, "cache-remote", "", "shared remote result tier endpoint URL (a cachestore/httpcache server)")
-	flag.BoolVar(&cfg.cacheAware, "cache-aware", false, "break Thompson-sampling ties toward chunks with more cached frames (requires -cache or -cache-remote)")
 	flag.BoolVar(&cfg.adaptive, "adaptive", false, "adaptive round sizing: grow each query's per-round quota toward the backend's MaxBatch while latency stays flat")
 	flag.IntVar(&cfg.budget, "budget", 0, "engine-level frames-per-round budget divided across queries by marginal value (0 = fair-share)")
 	flag.StringVar(&cfg.backend, "backend", "sim", "detector backend: sim (in-process) or http (httpbatch wire protocol)")
@@ -161,10 +159,8 @@ type config struct {
 	seed     uint64
 	shards   int
 	cache    int
-	// Shared-result-tier knobs: the remote cache endpoint and the
-	// cache-aware sampling toggle.
+	// cacheRemote is the shared result tier's endpoint.
 	cacheRemote string
-	cacheAware  bool
 	adaptive    bool
 	budget      int
 	backend     string
@@ -236,7 +232,6 @@ func engineOptions(cfg config) (exsample.EngineOptions, error) {
 		CacheEntries:   cfg.cache,
 		AdaptiveRounds: cfg.adaptive,
 		GlobalBudget:   cfg.budget,
-		CacheAware:     cfg.cacheAware,
 	}
 	if cfg.cacheRemote != "" {
 		client, err := httpcache.New(httpcache.Config{Endpoint: cfg.cacheRemote})
@@ -793,9 +788,6 @@ func run(w io.Writer, cfg config) error {
 	}
 	if cfg.churn > 0 && cfg.shards <= 1 {
 		return fmt.Errorf("-churn requires -shards > 1")
-	}
-	if cfg.cacheAware && cfg.cache <= 0 && cfg.cacheRemote == "" {
-		return fmt.Errorf("-cache-aware requires -cache or -cache-remote")
 	}
 	// Churn messages print from timer/signal goroutines while the main
 	// goroutine renders tables; serialize the writer.

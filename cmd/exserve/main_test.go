@@ -253,17 +253,12 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run(&buf, bad); err == nil {
 		t.Error("-churn without -shards accepted")
 	}
-	bad = testConfig([]string{"dashcam"}, 1, 5)
-	bad.cacheAware = true // without any cache
-	if err := run(&buf, bad); err == nil {
-		t.Error("-cache-aware without a cache accepted")
-	}
 }
 
 // TestRunRemoteCacheTier: two exserve runs against one shared httpcache
 // server — the ops-surface equivalent of two processes splitting a
-// detector bill. The first run fills the server; the second samples
-// cache-aware and must show the tier table.
+// detector bill. The first run fills the server; the second reads it and
+// must show the tier table.
 func TestRunRemoteCacheTier(t *testing.T) {
 	srv := httptest.NewServer(httpcache.Handler(cachestore.NewLocal(1 << 16)))
 	defer srv.Close()
@@ -276,7 +271,6 @@ func TestRunRemoteCacheTier(t *testing.T) {
 	if !strings.Contains(first.String(), "shared result tier") {
 		t.Fatalf("first run missing tier table:\n%s", first.String())
 	}
-	cfg.cacheAware = true
 	var second bytes.Buffer
 	if err := run(&second, cfg); err != nil {
 		t.Fatal(err)

@@ -82,14 +82,6 @@ type EngineOptions struct {
 	// A failing remote degrades to misses (see cachestore.TierStats) and
 	// never fails a query.
 	RemoteCache cachestore.Store
-	// CacheAware opts every query's sampler into cache-aware
-	// tie-breaking: when Thompson beliefs tie within epsilon, prefer the
-	// chunk with the higher cached fraction, converting incidental cache
-	// hits into deliberate near-zero-cost rounds. Off by default — the
-	// tie-break changes pick sequences, so seeded reports are
-	// byte-identical to Search only with it off. Requires CacheEntries or
-	// RemoteCache.
-	CacheAware bool
 	// GlobalBudget, when positive, replaces fair-share scheduling with one
 	// engine-level frames-per-round budget divided across the active
 	// queries by marginal value — each query's expected new results per
@@ -137,9 +129,6 @@ func (o EngineOptions) Validate() error {
 	}
 	if o.CacheEntries < 0 {
 		return fmt.Errorf("exsample: negative CacheEntries %d", o.CacheEntries)
-	}
-	if o.CacheAware && o.CacheEntries <= 0 && o.RemoteCache == nil {
-		return fmt.Errorf("exsample: CacheAware needs a cache to be aware of; set CacheEntries or RemoteCache")
 	}
 	return nil
 }
@@ -196,7 +185,7 @@ func NewEngine(opts EngineOptions) (*Engine, error) {
 
 // cacheCfg is the cache wiring handed to every run this engine creates.
 func (e *Engine) cacheCfg() cacheConfig {
-	return cacheConfig{tier: e.tier, shared: e.opts.RemoteCache != nil, aware: e.opts.CacheAware}
+	return cacheConfig{tier: e.tier, shared: e.opts.RemoteCache != nil}
 }
 
 // Workers returns the engine's detector concurrency bound.

@@ -39,25 +39,6 @@ type Cache struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-
-	// presence tracks, per (source, class), how many resident entries fall
-	// into each fixed-width frame bucket — the cache-aware sampler's
-	// per-chunk cached-count signal (see CountRange). It is maintained on
-	// the Put/eviction path only, so the allocation-free Get hit path is
-	// untouched.
-	presMu   sync.RWMutex
-	presence map[presenceKey][]int32
-}
-
-// presenceBucketShift fixes the presence-index granularity at 1024 frames
-// per bucket: coarse enough that the whole index for an hours-long source
-// is a few kilobytes, fine enough that chunk-level cached fractions are
-// meaningful (chunks are typically thousands of frames).
-const presenceBucketShift = 10
-
-type presenceKey struct {
-	source uint64
-	class  string
 }
 
 // lruShard keeps its entries in a slab of slots doubly linked by int32
@@ -172,8 +153,6 @@ func (c *Cache) Put(k Key, dets []track.Detection) {
 		s.mu.Unlock()
 		return
 	}
-	evicted := false
-	var evictedKey Key
 	var i int32
 	if len(s.slots) < s.cap {
 		s.slots = append(s.slots, slot{})
@@ -181,68 +160,14 @@ func (c *Cache) Put(k Key, dets []track.Detection) {
 	} else {
 		// Full: the least recently used slot takes the new entry in place.
 		i = s.tail
-		evictedKey = s.slots[i].key
-		delete(s.idx, evictedKey)
+		delete(s.idx, s.slots[i].key)
 		s.unlink(i)
-		evicted = true
+		c.evictions.Add(1)
 	}
 	s.slots[i].key, s.slots[i].dets = k, dets
 	s.pushFront(i)
 	s.idx[k] = i
 	s.mu.Unlock()
-	if evicted {
-		c.evictions.Add(1)
-		c.presAdd(evictedKey, -1)
-	}
-	c.presAdd(k, 1)
-}
-
-// presAdd adjusts the presence bucket covering a key's frame. Called
-// outside the shard lock (insert and eviction only — never on the hit
-// path), so the presence mutex never nests inside a shard mutex.
-func (c *Cache) presAdd(k Key, delta int32) {
-	b := int(k.Frame >> presenceBucketShift)
-	if b < 0 {
-		return
-	}
-	pk := presenceKey{source: k.Source, class: k.Class}
-	c.presMu.Lock()
-	if c.presence == nil {
-		c.presence = make(map[presenceKey][]int32)
-	}
-	buckets := c.presence[pk]
-	for len(buckets) <= b {
-		buckets = append(buckets, 0)
-	}
-	buckets[b] += delta
-	c.presence[pk] = buckets
-	c.presMu.Unlock()
-}
-
-// CountRange reports approximately how many entries for (source, class) are
-// resident with frames in [start, end): the sum of every presence bucket the
-// range overlaps. Partial buckets at the edges are counted whole — the
-// value is a sampling signal (which chunk is warmer), not an exact census.
-func (c *Cache) CountRange(source uint64, class string, start, end int64) int {
-	if end <= start || start < 0 {
-		return 0
-	}
-	lo := int(start >> presenceBucketShift)
-	hi := int((end - 1) >> presenceBucketShift)
-	c.presMu.RLock()
-	defer c.presMu.RUnlock()
-	buckets := c.presence[presenceKey{source: source, class: class}]
-	if len(buckets) == 0 {
-		return 0
-	}
-	if hi >= len(buckets) {
-		hi = len(buckets) - 1
-	}
-	n := 0
-	for b := lo; b <= hi && b < len(buckets); b++ {
-		n += int(buckets[b])
-	}
-	return n
 }
 
 // Stats is a snapshot of the cache's aggregate counters.

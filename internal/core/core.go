@@ -121,18 +121,6 @@ type Config struct {
 	// OnChunkOpen, if set, is called the first time a chunk's frame order
 	// is built (e.g. to charge per-chunk scoring cost in a fusion setup).
 	OnChunkOpen func(chunk int)
-	// CachedFrac, if set, enables cache-aware tie-breaking: when the
-	// policy's top scores tie within tieEpsilon, Next prefers the chunk
-	// with the higher CachedFrac(chunk) — the fraction of the chunk's
-	// frames already resident in a result cache, where sampling is
-	// near-free. A group of exchangeable arms scored once (see Next) takes
-	// part in a tie as its highest-fraction member. The function must be
-	// cheap (it is consulted only on ties) and side-effect-free.
-	// Crucially the tie-break consumes no randomness: every score and
-	// member index is drawn exactly as without it, so a sampler with
-	// CachedFrac set but no ties — or one whose cached fractions are all
-	// equal — picks byte-identically to one without.
-	CachedFrac func(chunk int) float64
 }
 
 // DefaultAlpha0 and DefaultBeta0 are the paper's prior (§III-C).
@@ -140,13 +128,6 @@ const (
 	DefaultAlpha0 = 0.1
 	DefaultBeta0  = 1.0
 )
-
-// tieEpsilon is the relative tie width for cache-aware tie-breaking:
-// scores a and b tie when hi-lo <= tieEpsilon*hi. 5% is wide enough that
-// near-identical beliefs (where the policy's choice is effectively
-// arbitrary) defer to the cache signal, narrow enough that a genuinely
-// better arm is never overridden.
-const tieEpsilon = 0.05
 
 func (c Config) withDefaults() Config {
 	if c.Alpha0 == 0 {
@@ -420,13 +401,6 @@ func (s *Sampler) belief(n1, n int64) (alpha, beta float64) {
 //     index, so the pick is the per-arm rule's first strict maximum.
 //   - Greedy picks uniformly among the arms tied at the best point
 //     estimate.
-//
-// With Config.CachedFrac set, scores that tie within tieEpsilon are broken
-// toward the higher cached fraction (equal fractions fall through to the
-// policy's rule); a group scored once ties as its highest-fraction member
-// and, winning that way, yields that member. Every score and member index
-// is still drawn, in the same order, so the RNG stream is identical with and
-// without the tie-break.
 func (s *Sampler) Next() (Pick, bool) {
 	for {
 		best := s.choose()
@@ -452,8 +426,6 @@ func (s *Sampler) Next() (Pick, bool) {
 type lead struct {
 	arm, group int     // exactly one is >= 0 once anything was scored
 	score      float64 // policy score
-	frac       float64 // cached fraction, -1 until a tie asks for it
-	fracArm    int     // the arm holding frac
 }
 
 // choose runs the policy over the groups and returns the chosen arm, or -1
@@ -477,19 +449,14 @@ func (s *Sampler) choose() int {
 	if c.group < 0 {
 		return c.arm
 	}
-	var j int
 	switch s.cfg.Policy {
 	case BayesUCB:
-		j = s.lowest(c.group)
+		return s.lowest(c.group)
 	case Greedy:
-		j = s.tiedMember(c.score)
+		return s.tiedMember(c.score)
 	default:
-		j = s.member(c.group, s.rng.IntN(int(s.groups[c.group].size)))
+		return s.member(c.group, s.rng.IntN(int(s.groups[c.group].size)))
 	}
-	if c.frac >= 0 && s.cfg.CachedFrac(j) < c.frac {
-		j = c.fracArm
-	}
-	return j
 }
 
 // groupScore scores a whole group once under the policy.
@@ -523,21 +490,8 @@ func (s *Sampler) groupScore(g *group, level float64) float64 {
 // consider offers one candidate — arm j, or group gi scored once — with
 // score sc to the running lead.
 func (s *Sampler) consider(c *lead, j, gi int, sc float64) {
-	if c.arm < 0 && c.group < 0 {
-		*c = lead{arm: j, group: gi, score: sc, frac: -1}
-		return
-	}
-	if s.cfg.CachedFrac != nil && tied(sc, c.score, tieEpsilon) {
-		if c.frac < 0 {
-			c.frac, c.fracArm = s.cachedFrac(c.arm, c.group)
-		}
-		if f, fj := s.cachedFrac(j, gi); f > c.frac || f == c.frac && s.beats(c, j, gi, sc) {
-			*c = lead{arm: j, group: gi, score: sc, frac: f, fracArm: fj}
-		}
-		return
-	}
-	if s.beats(c, j, gi, sc) {
-		*c = lead{arm: j, group: gi, score: sc, frac: -1}
+	if c.arm < 0 && c.group < 0 || s.beats(c, j, gi, sc) {
+		*c = lead{arm: j, group: gi, score: sc}
 	}
 }
 
@@ -608,31 +562,6 @@ func (s *Sampler) lowest(gi int) int {
 		}
 	}
 	return best
-}
-
-// cachedFrac returns arm j's cached fraction, or group gi's highest member
-// fraction and the lowest-index member holding it.
-func (s *Sampler) cachedFrac(j, gi int) (float64, int) {
-	if gi < 0 {
-		return s.cfg.CachedFrac(j), j
-	}
-	best, arm := -1.0, -1
-	for m := s.groups[gi].head; m >= 0; m = s.arms[m].next {
-		if f := s.cfg.CachedFrac(int(m)); f > best || f == best && int(m) < arm {
-			best, arm = f, int(m)
-		}
-	}
-	return best, arm
-}
-
-// tied reports whether two policy scores fall within the relative tie
-// width: hi-lo <= eps*hi.
-func tied(a, b, eps float64) bool {
-	hi, lo := a, b
-	if hi < lo {
-		hi, lo = lo, hi
-	}
-	return hi-lo <= eps*hi
 }
 
 // join adds drawable arm j to the group of its key.

@@ -1,9 +1,9 @@
 // Package perf is the legacy switch-pair suite behind BENCH_engine.json:
-// four pairs of end-to-end engine runs that differ in exactly one switch —
+// three pairs of end-to-end engine runs that differ in exactly one switch —
 // static vs adaptive round sizing against a slow backend, single-replica
-// routing vs scatter-gather over a heterogeneous fleet, fair-share vs
-// global-budget scheduling on a mixed fleet, and cache-aware sampling off
-// vs on — measured with explicit op counts and allocation accounting.
+// routing vs scatter-gather over a heterogeneous fleet, and fair-share vs
+// global-budget scheduling on a mixed fleet — plus one memo-cache fleet
+// row, measured with explicit op counts and allocation accounting.
 //
 // cmd/exbench runs it from a plain binary (`exbench -bench-out` writes the
 // snapshot, `exbench -bench-compare` gates a fresh run against the
@@ -229,10 +229,11 @@ func budgetOp(dsHot, dsCold *exsample.Dataset, opts exsample.EngineOptions, seed
 	return m, nil
 }
 
-// RunSuite measures the four switch pairs, in BENCH_engine.json's order.
-// It is deliberately small (seconds, not minutes): the slow-backend and
-// fleet rows are bound by simulated sleeps and the scheduling and
-// cache-aware rows gate count ratios, so a few ops per row suffice.
+// RunSuite measures the three switch pairs and the memo-cache fleet row,
+// in BENCH_engine.json's order. It is deliberately small (seconds, not
+// minutes): the slow-backend and fleet rows are bound by simulated sleeps
+// and the scheduling and memo-cache rows gate count ratios, so a few ops
+// per row suffice.
 func RunSuite() (*Snapshot, error) {
 	snap := &Snapshot{GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
 
@@ -418,17 +419,16 @@ func RunSuite() (*Snapshot, error) {
 		snap.Suite = append(snap.Suite, res)
 	}
 
-	// Cache-aware tie-breaking on an overlapping fleet: four same-class,
+	// The memo cache on an overlapping fleet: four same-class,
 	// different-seed queries sharing one memo cache, with Workers 1 so the
 	// schedule (and therefore every count below) is deterministic. The
 	// source is deliberately small and densely chunked — 250-frame chunks
-	// — so fleet-mates steered into the same chunk collide on actual
-	// frames, not just chunks. The aware arm steers tied Thompson draws
-	// toward chunks its fleet-mates already paid for, so at equal results
-	// it charges fewer detector frames — results/kdetect is the row's
-	// gated metric. frames/s is deliberately not reported: these rows
-	// exist to compare counts, and a wall-clock metric would only add
-	// gate noise.
+	// — so fleet-mates sampling the same chunk collide on actual frames,
+	// not just chunks, and a hit spares a detector call: results/kdetect
+	// is the row's gated metric. frames/s is deliberately not reported:
+	// the row exists to gate counts, and a wall-clock metric would only
+	// add gate noise. The row keeps its committed name, cache_aware_off,
+	// from when it was the unaware arm of a pair.
 	fleetSrc, err := exsample.Synthesize(exsample.SynthSpec{
 		NumFrames:    20_000,
 		NumInstances: 40,
@@ -441,59 +441,50 @@ func RunSuite() (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, arm := range []struct {
-		name  string
-		aware bool
-	}{
-		{"cache_aware_off", false},
-		{"cache_aware_on", true},
-	} {
-		res, err := measure(arm.name, 2, func() (map[string]float64, error) {
-			eng, err := exsample.NewEngine(exsample.EngineOptions{
-				Workers:        1,
-				FramesPerRound: 4,
-				CacheEntries:   1 << 16,
-				CacheAware:     arm.aware,
-			})
-			if err != nil {
-				return nil, err
-			}
-			defer eng.Close()
-			handles := make([]*exsample.QueryHandle, 4)
-			for i := range handles {
-				handles[i], err = eng.Submit(context.Background(), fleetSrc,
-					exsample.Query{Class: "car", Limit: 20},
-					exsample.Options{Seed: uint64(8100 + i)})
-				if err != nil {
-					return nil, err
-				}
-			}
-			var found int
-			var hits, misses int64
-			for _, h := range handles {
-				rep, err := h.Wait()
-				if err != nil {
-					return nil, err
-				}
-				found += len(rep.Results)
-				hits += rep.CacheHits
-				misses += rep.CacheMisses
-			}
-			m := map[string]float64{
-				"results/op": float64(found),
-				"hits/op":    float64(hits),
-				"detects/op": float64(misses),
-			}
-			if misses > 0 {
-				m["results/kdetect"] = float64(found) / float64(misses) * 1000
-			}
-			return m, nil
+	res, err := measure("cache_aware_off", 2, func() (map[string]float64, error) {
+		eng, err := exsample.NewEngine(exsample.EngineOptions{
+			Workers:        1,
+			FramesPerRound: 4,
+			CacheEntries:   1 << 16,
 		})
 		if err != nil {
 			return nil, err
 		}
-		snap.Suite = append(snap.Suite, res)
+		defer eng.Close()
+		handles := make([]*exsample.QueryHandle, 4)
+		for i := range handles {
+			handles[i], err = eng.Submit(context.Background(), fleetSrc,
+				exsample.Query{Class: "car", Limit: 20},
+				exsample.Options{Seed: uint64(8100 + i)})
+			if err != nil {
+				return nil, err
+			}
+		}
+		var found int
+		var hits, misses int64
+		for _, h := range handles {
+			rep, err := h.Wait()
+			if err != nil {
+				return nil, err
+			}
+			found += len(rep.Results)
+			hits += rep.CacheHits
+			misses += rep.CacheMisses
+		}
+		m := map[string]float64{
+			"results/op": float64(found),
+			"hits/op":    float64(hits),
+			"detects/op": float64(misses),
+		}
+		if misses > 0 {
+			m["results/kdetect"] = float64(found) / float64(misses) * 1000
+		}
+		return m, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	snap.Suite = append(snap.Suite, res)
 
 	return snap, nil
 }

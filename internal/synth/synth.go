@@ -37,11 +37,8 @@ type GridSpec struct {
 	Center float64
 	// MeanDuration is the target mean of the LogNormal duration
 	// distribution, in frames (Fig. 3 rows: 14, 100, 700, 4900).
+	// Its shape parameter is durationSigma.
 	MeanDuration float64
-	// DurationSigma is the LogNormal shape parameter. 0 selects
-	// DefaultDurationSigma, which reproduces the paper's ~50..5000 frame
-	// range at mean 700.
-	DurationSigma float64
 	// Class labels all generated instances (default "object").
 	Class string
 	// Seed drives generation.
@@ -57,9 +54,10 @@ type GridSpec struct {
 	TravelX, TravelY float64
 }
 
-// DefaultDurationSigma makes a LogNormal whose 2000-sample range is roughly
-// a factor of 100 (the paper reports durations ~50..5000 at mean 700).
-const DefaultDurationSigma = 0.7
+// durationSigma is the duration LogNormal's shape parameter: its 2000-sample
+// range is roughly a factor of 100 (the paper reports durations ~50..5000
+// at mean 700).
+const durationSigma = 0.7
 
 // Validate reports an error for an unusable spec.
 func (s GridSpec) Validate() error {
@@ -77,9 +75,6 @@ func (s GridSpec) Validate() error {
 	}
 	if s.MeanDuration >= float64(s.NumFrames) {
 		return fmt.Errorf("synth: MeanDuration %v >= NumFrames %d", s.MeanDuration, s.NumFrames)
-	}
-	if s.DurationSigma < 0 {
-		return fmt.Errorf("synth: negative DurationSigma %v", s.DurationSigma)
 	}
 	if !(s.Center >= 0 && s.Center <= 1) {
 		return fmt.Errorf("synth: Center %v outside [0,1]", s.Center)
@@ -103,11 +98,9 @@ func Generate(spec GridSpec) ([]track.Instance, error) {
 	if spec.Class == "" {
 		spec.Class = "object"
 	}
-	sigma := spec.DurationSigma
-	if sigma == 0 {
-		sigma = DefaultDurationSigma
-	}
-	// mu so that the LogNormal mean is MeanDuration.
+	// mu so that the LogNormal mean is MeanDuration. sigma is a float64
+	// variable, not the untyped constant, so sigma*sigma rounds as float64.
+	sigma := float64(durationSigma)
 	mu := math.Log(spec.MeanDuration) - sigma*sigma/2
 
 	rng := xrand.New(spec.Seed)

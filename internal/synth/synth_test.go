@@ -121,7 +121,6 @@ func TestGenerateValidation(t *testing.T) {
 		{NumInstances: 10, NumFrames: 100, MeanDuration: 200},
 		{NumInstances: 10, NumFrames: 100, MeanDuration: 10, SkewFraction: -0.1},
 		{NumInstances: 10, NumFrames: 100, MeanDuration: 10, SkewFraction: 1.5},
-		{NumInstances: 10, NumFrames: 100, MeanDuration: 10, DurationSigma: -1},
 		{NumInstances: 10, NumFrames: 100, MeanDuration: 10, SkewFraction: math.NaN()},
 		{NumInstances: 10, NumFrames: 100, MeanDuration: 10, Center: math.NaN()},
 		{NumInstances: 10, NumFrames: 100, MeanDuration: 10, TravelX: math.NaN()},

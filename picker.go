@@ -119,24 +119,6 @@ func (r *queryRun) newSampler(chunks []video.Chunk, seed uint64) (*core.Sampler,
 		Within: core.WithinRandomPlus,
 		Seed:   seed,
 	}
-	if r.aware {
-		// Cache-aware tie-breaking: the per-chunk cached fraction comes
-		// from the tier L1's presence index — an O(chunk frames / bucket
-		// width) read consulted only when Thompson draws actually tie, so
-		// the signal is effectively free.
-		cfg.CachedFrac = func(j int) float64 {
-			c := chunks[j]
-			n := c.Len()
-			if n <= 0 {
-				return 0
-			}
-			frac := float64(r.tier.CountRange(r.content, r.query.Class, c.Start, c.End)) / float64(n)
-			if frac > 1 {
-				frac = 1 // presence buckets are coarse; clamp the estimate
-			}
-			return frac
-		}
-	}
 	if r.opts.FuseProxyWithinChunk {
 		cfg.Within = core.WithinScored
 		cfg.Scorer = r.src.newScorer(r.query.Class, r.opts.Seed^0xbead)

@@ -41,10 +41,6 @@ type queryRun struct {
 	opts  Options
 	dis   *discrim.Discriminator
 	curve *metrics.RecallCurve
-	// aware enables the cache-aware sampler tie-break: when Thompson
-	// beliefs tie within epsilon, prefer the chunk with the higher cached
-	// fraction (see core.Config.CachedFrac).
-	aware bool
 
 	// pick is the strategy: the one place the paper's method, its
 	// baselines and the §VII extensions differ (see picker).
@@ -81,7 +77,7 @@ type queryRun struct {
 
 // runCore is the state every run type embeds (distinct-object queryRun,
 // track-query trackRun): the source and its topology snapshot, the
-// cache-aware batched detect path, the bound handle and the failure latch.
+// memoized batched detect path, the bound handle and the failure latch.
 type runCore struct {
 	src      *querySource
 	class    string
@@ -217,9 +213,6 @@ type cacheConfig struct {
 	// fold a WithBackend backend and two such datasets of one spec must not
 	// share entries.
 	shared bool
-	// aware opts the sampler into cache-aware tie-breaking; it requires a
-	// tier.
-	aware bool
 }
 
 // detectScratch is a reusable buffer set for one in-flight detectBatch
@@ -338,7 +331,6 @@ func newQueryRun(s Source, q Query, opts Options, cc cacheConfig, standing bool)
 		opts:       opts,
 		dis:        dis,
 		curve:      curve,
-		aware:      cc.aware && rc.tier != nil,
 		elastic:    snap != nil && opts.Strategy == StrategyExSample && opts.NumChunks == 0 && !opts.AutoChunk,
 		truthSeen:  truthSeen,
 		truthTotal: total,

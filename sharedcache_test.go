@@ -15,7 +15,7 @@ import (
 )
 
 // Tests for the shared result tier: remote L2 via httpcache, content
-// addressing, engine-level singleflight and cache-aware sampling.
+// addressing and engine-level singleflight.
 
 // loopbackCache spins up an httpcache server over a Local store and returns
 // a connected client plus the backing store.
@@ -332,84 +332,43 @@ func TestEngineSingleflightSharedFrames(t *testing.T) {
 	}
 }
 
-func TestCacheAwareColdIdentity(t *testing.T) {
-	// With an empty cache every chunk's cached fraction is 0, ties resolve
-	// to the higher score — exactly the unaware rule — so a cold
-	// cache-aware run is still byte-identical to Search.
-	ds := smallDataset(t, WithPerfectDetector())
+// TestMemoCacheMatchesSearch: the memo cache changes charged costs, never
+// picks. A hundred seeded queries share one engine's cache, so later ones
+// run over frames earlier ones (or concurrent ones) already paid for; each
+// must still return exactly Search's Results, at one worker and at four.
+func TestMemoCacheMatchesSearch(t *testing.T) {
+	ds := smallDataset(t)
 	q := Query{Class: "car", Limit: 20}
-	opts := Options{Seed: 31}
-	want, err := ds.Search(q, opts)
-	if err != nil {
-		t.Fatal(err)
+	const seeds = 100
+	want := make([][]Result, seeds)
+	for i := range want {
+		rep, err := ds.Search(q, Options{Seed: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rep.Results
 	}
-	e := newTestEngine(t, EngineOptions{Workers: 1, CacheEntries: 1 << 16, CacheAware: true})
-	h, err := e.Submit(context.Background(), ds, q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := h.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Results, rep.Results) {
-		t.Fatal("cold cache-aware run diverged from Search")
-	}
-}
-
-// TestCacheAwarePrefersCachedChunks: cache-aware sampling needs no prefetch.
-// Four users with different seeds run one after another on one engine, so
-// each finds the memo cache (the tier's L1) filled by the ones before it.
-// Summed over the users and five seed sets, an aware engine pays for fewer
-// detector frames than an unaware one. One seed set can lose: awareness is
-// a tie-break, not a guarantee.
-func TestCacheAwarePrefersCachedChunks(t *testing.T) {
-	spec := SynthSpec{
-		NumFrames:    200_000,
-		NumInstances: 300,
-		Class:        "car",
-		MeanDuration: 150,
-		SkewFraction: 1.0 / 16,
-		ChunkFrames:  4000,
-		Seed:         21,
-	}
-	ds, err := Synthesize(spec, WithPerfectDetector())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Query{Class: "car", Limit: 120}
-	// misses runs the four users and returns their summed detector frames.
-	misses := func(aware bool, seed uint64) int64 {
-		e := newTestEngine(t, EngineOptions{Workers: 1, CacheEntries: 1 << 16, CacheAware: aware})
-		var n int64
-		for _, s := range []uint64{seed + 1, seed + 2, seed + 3, seed + 500} {
-			h, err := e.Submit(context.Background(), ds, q, Options{Seed: s})
+	for _, workers := range []int{1, 4} {
+		e := newTestEngine(t, EngineOptions{Workers: workers, CacheEntries: 1 << 16})
+		handles := make([]*QueryHandle, seeds)
+		for i := range handles {
+			h, err := e.Submit(context.Background(), ds, q, Options{Seed: uint64(i + 1)})
 			if err != nil {
 				t.Fatal(err)
 			}
+			handles[i] = h
+		}
+		for i, h := range handles {
 			rep, err := h.Wait()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rep.Results) < q.Limit {
-				t.Fatalf("seed %d: found %d results, want %d", s, len(rep.Results), q.Limit)
+			if !reflect.DeepEqual(want[i], rep.Results) {
+				t.Errorf("Workers %d, seed %d: cached engine diverged from Search", workers, i+1)
 			}
-			n += rep.CacheMisses
 		}
-		return n
-	}
-	var offMiss, onMiss int64
-	for seed := uint64(0); seed < 5000; seed += 1000 {
-		offMiss += misses(false, seed)
-		onMiss += misses(true, seed)
-	}
-	if onMiss >= offMiss {
-		t.Fatalf("cache-aware users paid for %d detector frames, unaware %d — awareness saved nothing", onMiss, offMiss)
-	}
-}
-
-func TestCacheAwareNeedsCache(t *testing.T) {
-	if _, err := NewEngine(EngineOptions{CacheAware: true}); err == nil {
-		t.Fatal("CacheAware without any cache accepted")
+		if e.CacheStats().Hits == 0 {
+			t.Fatalf("Workers %d: no query hit the memo cache; the test shares nothing", workers)
+		}
 	}
 }
