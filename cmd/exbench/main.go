@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	exbench -experiment fig2|fig3|fig4|table1|fig5|fig6|ablation|extensions|all
+//	exbench -experiment fig2|fig3|fig4|table1|fig5|fig6|ablation|all
 //	        [-scale 0.05] [-trials N] [-seed N] [-full]
 //	exbench -bench-out BENCH_engine.json
 //	exbench -bench-compare BENCH_engine.json [-bench-tolerance 0.25]
@@ -48,7 +48,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig2|fig3|fig4|table1|fig5|fig6|ablation|extensions|all")
+		experiment = flag.String("experiment", "all", "fig2|fig3|fig4|table1|fig5|fig6|ablation|all")
 		scale      = flag.Float64("scale", 0, "dataset scale for table1/fig5/fig6 (0 = experiment default)")
 		trials     = flag.Int("trials", 0, "trial count override (0 = experiment default)")
 		seed       = flag.Uint64("seed", 0, "seed override (0 = experiment default)")
@@ -376,19 +376,6 @@ func run(experiment string, scale float64, trials int, seed uint64, full bool) e
 				return err
 			}
 			return res.Render(os.Stdout)
-		case "extensions":
-			cfg := bench.DefaultExtensions()
-			if trials > 0 {
-				cfg.Trials = trials
-			}
-			if seed != 0 {
-				cfg.Seed = seed
-			}
-			res, err := bench.RunExtensions(cfg)
-			if err != nil {
-				return err
-			}
-			return res.Render(os.Stdout)
 		case "ablation":
 			cfg := bench.DefaultAblation()
 			if trials > 0 {
@@ -408,7 +395,7 @@ func run(experiment string, scale float64, trials int, seed uint64, full bool) e
 	}
 
 	if experiment == "all" {
-		for _, name := range []string{"fig2", "fig3", "fig4", "table1", "fig5", "fig6", "ablation", "extensions"} {
+		for _, name := range []string{"fig2", "fig3", "fig4", "table1", "fig5", "fig6", "ablation"} {
 			if err := runOne(name); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}

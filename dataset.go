@@ -63,10 +63,18 @@ func WithDetectorFailureAfter(n int64) DatasetOption {
 
 // WithBackend attaches a custom detector backend: every query against the
 // dataset runs its inference through b instead of the simulated detector.
-// The sampler, discriminator and cost accounting are unchanged — the
-// backend is the paper's black box, and the pipeline charges whatever cost
-// it reports (Hints().CostSeconds per frame, or the measured per-call cost
-// for backend.BatchCoster implementations such as httpbatch).
+// The sampler and cost accounting are unchanged — the backend is the
+// paper's black box, and the pipeline charges whatever cost it reports
+// (Hints().CostSeconds per frame, or the measured per-call cost for
+// backend.BatchCoster implementations such as httpbatch).
+//
+// The discriminator is not: it simulates the paper's tracker from each
+// detection's TruthID, and a detection with TruthID -1 gets a one-frame
+// track that nothing later matches. A backend that reports no truth ids
+// therefore turns every detection into a new result, and ExSample's N1
+// counts every detection, not new objects. On a 300-object synthetic
+// dataset that over-counts 8x at 500 frames and 81x at 8000 (ROADMAP
+// item 17).
 //
 // In a ShardedSource each shard keeps its own backend, so a fleet can route
 // every shard to its own endpoint. Backends used with the Engine's memo

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/exsample/exsample/backend"
+	"github.com/exsample/exsample/internal/core"
 )
 
 // digester hashes values bit-exactly: integers as themselves, floats
@@ -190,16 +191,6 @@ func sessionReport(t *testing.T, src Source, q Query, opts Options) *Report {
 // Session driven to Search's stopping condition reports identically.
 func TestReportDigests(t *testing.T) {
 	ds := digestDataset(t)
-	tiny, err := Synthesize(SynthSpec{NumFrames: 48, NumInstances: 6, Class: "car",
-		MeanDuration: 4, ChunkFrames: 8, Seed: 303})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rare, err := Synthesize(SynthSpec{NumFrames: 60_000, NumInstances: 4, Class: "unicorn",
-		MeanDuration: 20, ChunkFrames: 2000, Seed: 305}, WithPerfectDetector())
-	if err != nil {
-		t.Fatal(err)
-	}
 	car := Query{Class: "car", RecallTarget: 0.95}
 	trackSearch := func(src Source, opts TrackOptions) func(t *testing.T) []*TrackReport {
 		return func(t *testing.T) []*TrackReport {
@@ -233,21 +224,14 @@ func TestReportDigests(t *testing.T) {
 	}{
 		{"exsample/default", search(ds, car, Options{Seed: 1}, true), nil, []string{"dabf3a324d202b8d"}},
 		{"exsample/numchunks16", search(ds, car, Options{Seed: 2, NumChunks: 16}, true), nil, []string{"eecd3eba1b109d6d"}},
-		{"exsample/autochunk", search(ds, car, Options{Seed: 3, AutoChunk: true}, true), nil, []string{"4f9c884fe553fd40"}},
-		{"exsample/autochunk-tiny", search(tiny, Query{Class: "car", Limit: 1 << 30}, Options{Seed: 4, AutoChunk: true}, true), nil, []string{"f6ecf38e593ef73d"}},
-		{"exsample/bayesucb", search(ds, car, Options{Seed: 5, Policy: PolicyBayesUCB}, true), nil, []string{"dbcc746dd9e3f017"}},
-		{"exsample/greedy", search(ds, car, Options{Seed: 6, Policy: PolicyGreedy}, true), nil, []string{"f7450f543eab2e75"}},
-		{"exsample/fuse-proxy", search(ds, car, Options{Seed: 8, FuseProxyWithinChunk: true}, true), nil, []string{"43a34ad0bf6193f6"}},
-		{"exsample/home-chunk", search(ds, car, Options{Seed: 9, HomeChunkAccounting: true}, true), nil, []string{"515a56224b59f4ce"}},
+		{"exsample/bayesucb", search(ds, car, Options{Seed: 5, policy: core.BayesUCB}, true), nil, []string{"dbcc746dd9e3f017"}},
+		{"exsample/greedy", search(ds, car, Options{Seed: 6, policy: core.Greedy}, true), nil, []string{"f7450f543eab2e75"}},
 		{"exsample/batch8", search(ds, car, Options{Seed: 10, BatchSize: 8}, false), nil, []string{"6b98563371492acf"}},
 		{"exsample/custom-prior", search(ds, car, Options{Seed: 11, Alpha0: 0.5, Beta0: 2}, true), nil, []string{"34b8975d24b6997e"}},
 		{"baseline/random", search(ds, car, Options{Seed: 12, Strategy: StrategyRandom}, true), nil, []string{"bc21accfd13a6795"}},
 		{"baseline/random-plus", search(ds, car, Options{Seed: 13, Strategy: StrategyRandomPlus}, true), nil, []string{"39e5c1f20e190074"}},
 		{"baseline/sequential", search(ds, Query{Class: "car", Limit: 20}, Options{Seed: 14, Strategy: StrategySequential, MaxFrames: 6000}, true), nil, []string{"c40314c501b91c64"}},
 		{"proxy/plain", search(ds, car, Options{Seed: 15, Strategy: StrategyProxy}, true), nil, []string{"f0f546a414cb8c17"}},
-		{"proxy/train-common", search(ds, car, Options{Seed: 17, Strategy: StrategyProxy, ProxyTrainPositives: 5}, true), nil, []string{"e6386d7d7244e4cb"}},
-		{"proxy/train-rare-fallback", search(rare, Query{Class: "unicorn", Limit: 3},
-			Options{Seed: 18, Strategy: StrategyProxy, ProxyTrainPositives: 4, MaxFrames: 3000}, true), nil, []string{"8e8e168174af11a7"}},
 		{"source/sharded-session-addshard", digestShardedSession, nil, []string{"896fb963d4dd8d45"}},
 		{"source/stream-standing", digestStreamStanding, nil, []string{"52cd2fa27c6f692d"}},
 		{"engine/global-budget", digestGlobalBudget, nil, []string{"622ebed7ddd20c0e", "b7868b137e759634", "45a4ddd4e53868cc"}},

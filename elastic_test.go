@@ -756,19 +756,18 @@ var errReplicaDown = errors.New("replica down: connection refused")
 func (m *mortalBackend) Hints() backend.Hints { return m.inner.Hints() }
 
 func TestFrozenLayoutsHonorDrainAndGate(t *testing.T) {
-	// Custom arm layouts (NumChunks, AutoChunk) cannot map a shard onto
-	// their arms one to one, yet they must keep DrainShard's and the
-	// motion gate's promise: no pick routes to a draining or gated shard.
-	// Arms wholly inside such a shard are fenced; a frame drawn from an
-	// arm straddling the boundary is discarded uncharged. NumChunks 7
-	// straddles the 2-shard boundary; 8 aligns with it.
+	// A custom arm layout (NumChunks) cannot map a shard onto its arms one
+	// to one, yet it must keep DrainShard's and the motion gate's promise:
+	// no pick routes to a draining or gated shard. Arms wholly inside such
+	// a shard are fenced; a frame drawn from an arm straddling the boundary
+	// is discarded uncharged. NumChunks 7 straddles the 2-shard boundary; 8
+	// aligns with it.
 	layouts := []struct {
 		name string
 		opts Options
 	}{
 		{"numchunks8", Options{Seed: 31, NumChunks: 8}},
 		{"numchunks7", Options{Seed: 32, NumChunks: 7}},
-		{"autochunk", Options{Seed: 33, AutoChunk: true}},
 	}
 	step := func(t *testing.T, sess *Session) StepInfo {
 		t.Helper()

@@ -291,8 +291,7 @@ func (e *Engine) TierStats() cachestore.TierStats {
 // (not the engine): when ctx is done the query is finalized at the next
 // round boundary and Wait returns ctx's error alongside the partial report.
 //
-// Batching belongs to the engine, so opts.BatchSize must be unset;
-// AutoChunk and the proxy training phase are Search and Session only.
+// Batching belongs to the engine, so opts.BatchSize must be unset.
 func (e *Engine) Submit(ctx context.Context, src Source, q Query, opts Options) (*QueryHandle, error) {
 	return e.submitQuery(ctx, src, q, opts, false)
 }
@@ -309,12 +308,12 @@ func (e *Engine) Submit(ctx context.Context, src Source, q Query, opts Options) 
 // Relative to Submit, validation is relaxed and tightened in opposite
 // directions: q.Limit and q.RecallTarget are optional (an alert query can
 // run open-ended, and its class may have no instances — or no frames at
-// all — yet), while opts.NumChunks and opts.AutoChunk are rejected because
-// a standing query must follow the source's live chunk topology for
-// appended segments to become sampler arms. Determinism matches Submit:
-// with a fixed seed, a standing query that has consumed a given segment
-// history reports byte-identically to an offline Search over the retained
-// segments (see StreamSource).
+// all — yet), while opts.NumChunks is rejected because a standing query
+// must follow the source's live chunk topology for appended segments to
+// become sampler arms. Determinism matches Submit: with a fixed seed, a
+// standing query that has consumed a given segment history reports
+// byte-identically to an offline Search over the retained segments (see
+// StreamSource).
 func (e *Engine) SubmitStanding(ctx context.Context, src Source, q Query, opts Options) (*QueryHandle, error) {
 	return e.submitQuery(ctx, src, q, opts, true)
 }
@@ -331,14 +330,8 @@ func (e *Engine) submitQuery(ctx context.Context, src Source, q Query, opts Opti
 	if opts.BatchSize > 1 {
 		return nil, fmt.Errorf("exsample: the engine schedules batching itself; set EngineOptions.FramesPerRound instead of BatchSize")
 	}
-	if standing && (opts.AutoChunk || opts.NumChunks > 0) {
-		return nil, fmt.Errorf("exsample: standing queries follow the source's live chunk topology; NumChunks/AutoChunk cannot apply")
-	}
-	if opts.AutoChunk {
-		return nil, fmt.Errorf("exsample: engine queries do not support AutoChunk")
-	}
-	if opts.ProxyTrainPositives > 0 {
-		return nil, fmt.Errorf("exsample: engine queries do not support the proxy training phase")
+	if standing && opts.NumChunks > 0 {
+		return nil, fmt.Errorf("exsample: standing queries follow the source's live chunk topology; NumChunks cannot apply")
 	}
 	run, err := newQueryRun(src, q, opts, e.cacheCfg(), standing)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -320,8 +321,6 @@ func TestEngineSubmitValidation(t *testing.T) {
 		{"no stop condition", Query{Class: "car"}, Options{}},
 		{"unknown class", Query{Class: "dragon", Limit: 1}, Options{}},
 		{"batch size", Query{Class: "car", Limit: 1}, Options{BatchSize: 8}},
-		{"autochunk", Query{Class: "car", Limit: 1}, Options{AutoChunk: true}},
-		{"proxy training", Query{Class: "car", Limit: 1}, Options{Strategy: StrategyProxy, ProxyTrainPositives: 3}},
 	}
 	for _, tc := range cases {
 		if _, err := e.Submit(ctx, ds, tc.q, tc.opts); err == nil {
@@ -339,6 +338,79 @@ func TestEngineSubmitValidation(t *testing.T) {
 	closed.Close()
 	if _, err := closed.Submit(ctx, ds, Query{Class: "car", Limit: 1}, Options{}); err == nil {
 		t.Error("Submit after Close accepted")
+	}
+}
+
+// TestDriversAgreeOnOptions: Search, Session and Engine take one Options
+// surface. Every row is accepted or rejected by all three alike, except
+// BatchSize > 1, which only Search accepts: a Session steps one frame at a
+// time and the engine sizes its own rounds.
+func TestDriversAgreeOnOptions(t *testing.T) {
+	ds := smallDataset(t, WithPerfectDetector())
+	e := newTestEngine(t, EngineOptions{Workers: 1})
+	q := Query{Class: "car", Limit: 1}
+	nan := math.NaN()
+	rows := []struct {
+		name string
+		opts Options
+		ok   bool
+	}{
+		{"zero", Options{}, true},
+		{"exsample", Options{Strategy: StrategyExSample, Seed: 1}, true},
+		{"random", Options{Strategy: StrategyRandom, Seed: 1}, true},
+		{"random-plus", Options{Strategy: StrategyRandomPlus, Seed: 1}, true},
+		{"sequential", Options{Strategy: StrategySequential}, true},
+		{"proxy", Options{Strategy: StrategyProxy, Seed: 1}, true},
+		{"unknown strategy", Options{Strategy: Strategy(99)}, false},
+		{"numchunks", Options{NumChunks: 16}, true},
+		{"negative numchunks", Options{NumChunks: -1}, false},
+		{"numchunks on random", Options{Strategy: StrategyRandom, NumChunks: 16}, true},
+		{"prior", Options{Alpha0: 0.5, Beta0: 2}, true},
+		{"negative alpha", Options{Alpha0: -1}, false},
+		{"negative beta", Options{Beta0: -1}, false},
+		{"NaN alpha", Options{Alpha0: nan}, false},
+		{"NaN beta", Options{Beta0: nan}, false},
+		{"infinite alpha", Options{Alpha0: math.Inf(1)}, false},
+		{"max frames", Options{MaxFrames: 100}, true},
+		{"negative max frames", Options{MaxFrames: -1}, false},
+		{"max seconds", Options{MaxSeconds: 5}, true},
+		{"negative max seconds", Options{MaxSeconds: -1}, false},
+		{"NaN max seconds", Options{MaxSeconds: nan}, false},
+		{"iou", Options{IoUThreshold: 0.3}, true},
+		{"iou above 1", Options{IoUThreshold: 2}, false},
+		{"negative iou", Options{IoUThreshold: -0.1}, false},
+		{"NaN iou", Options{IoUThreshold: nan}, false},
+		{"batch 0", Options{BatchSize: 0}, true},
+		{"batch 1", Options{BatchSize: 1}, true},
+		{"batch 8", Options{BatchSize: 8}, true},
+		{"batch 8 on random", Options{Strategy: StrategyRandom, BatchSize: 8}, true},
+		{"negative batch", Options{BatchSize: -1}, false},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			_, searchErr := SearchSource(ds, q, row.opts)
+			_, sessErr := NewSession(ds, q, row.opts)
+			h, submitErr := e.Submit(context.Background(), ds, q, row.opts)
+			if submitErr == nil {
+				if _, err := h.Wait(); err != nil {
+					t.Fatalf("engine query: %v", err)
+				}
+			}
+			stepped := row.ok && row.opts.BatchSize <= 1
+			for _, d := range []struct {
+				driver string
+				err    error
+				ok     bool
+			}{
+				{"Search", searchErr, row.ok},
+				{"Session", sessErr, stepped},
+				{"Submit", submitErr, stepped},
+			} {
+				if (d.err == nil) != d.ok {
+					t.Errorf("%s: err = %v, want accepted = %v", d.driver, d.err, d.ok)
+				}
+			}
+		})
 	}
 }
 

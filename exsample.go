@@ -160,31 +160,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// Policy selects how ExSample turns chunk beliefs into decisions.
-type Policy int
-
-const (
-	// PolicyThompson draws from each chunk's Gamma belief (the paper's
-	// method).
-	PolicyThompson Policy = iota
-	// PolicyBayesUCB scores chunks by an upper belief quantile (§III-C).
-	PolicyBayesUCB
-	// PolicyGreedy uses the raw point estimate; prone to getting stuck,
-	// provided for ablations.
-	PolicyGreedy
-)
-
-func (p Policy) toCore() core.Policy {
-	switch p {
-	case PolicyBayesUCB:
-		return core.BayesUCB
-	case PolicyGreedy:
-		return core.Greedy
-	default:
-		return core.Thompson
-	}
-}
-
 // Query describes what to search for and when to stop.
 type Query struct {
 	// Class is the object class to search for; it must exist in the
@@ -226,17 +201,9 @@ func (q Query) validate(needStop bool) error {
 type Options struct {
 	// Strategy selects the sampling method (default StrategyExSample).
 	Strategy Strategy
-	// Policy selects the ExSample decision rule (default PolicyThompson).
-	Policy Policy
 	// NumChunks overrides the dataset's native chunk layout with an even
 	// split into this many chunks (0 = native layout).
 	NumChunks int
-	// AutoChunk implements the paper's §VII "automating chunking" future
-	// work: a short pilot phase samples a coarse chunking, then the
-	// repository is re-chunked — hot regions finely, cold regions coarsely
-	// — and the search continues with the adaptive layout. Mutually
-	// exclusive with NumChunks; only valid with StrategyExSample.
-	AutoChunk bool
 	// Alpha0 and Beta0 override the belief prior (0 = paper defaults).
 	Alpha0, Beta0 float64
 	// BatchSize processes frames in rounds of this size with deferred
@@ -252,29 +219,11 @@ type Options struct {
 	MaxFrames int64
 	// MaxSeconds caps the charged query time (0 = no cap).
 	MaxSeconds float64
-	// ProxyTrainPositives models BlazeIt's training requirement (§II-B):
-	// before scoring, the proxy must collect this many labels by random
-	// sampling with the full detector, where a label is a frame that
-	// discovers at least one new distinct object of the target class (a
-	// frame that only re-sights already-found objects collects nothing).
-	// If the labels are not found within a budget of 2% of the
-	// repository's frames (and at least ProxyTrainPositives frames), the
-	// proxy falls back to plain random sampling, as BlazeIt does. 0 skips
-	// the training phase (an idealized pre-trained proxy).
-	ProxyTrainPositives int
 	// IoUThreshold is the discriminator match threshold (default 0.5).
 	IoUThreshold float64
-	// FuseProxyWithinChunk implements the paper's §VII future-work fusion:
-	// ExSample still chooses chunks by Thompson sampling, but frames inside
-	// a chunk are processed in descending proxy-score order, and the
-	// scoring cost is charged per chunk on first visit instead of as a
-	// full-dataset scan. Only valid with StrategyExSample.
-	FuseProxyWithinChunk bool
-	// HomeChunkAccounting applies the technical report's adjustment for
-	// instances spanning chunks: the -1 of a second sighting is charged to
-	// the chunk where the object was first discovered rather than to the
-	// chunk being sampled. Only affects StrategyExSample.
-	HomeChunkAccounting bool
+	// policy is the ExSample decision rule (zero value Thompson). Only
+	// this package's tests set it, to run the §III-C ablations.
+	policy core.Policy
 }
 
 // Validate reports an error for out-of-range options.
@@ -283,11 +232,6 @@ func (o Options) Validate() error {
 	case StrategyExSample, StrategyRandom, StrategyRandomPlus, StrategySequential, StrategyProxy:
 	default:
 		return fmt.Errorf("exsample: unknown strategy %d", int(o.Strategy))
-	}
-	switch o.Policy {
-	case PolicyThompson, PolicyBayesUCB, PolicyGreedy:
-	default:
-		return fmt.Errorf("exsample: unknown policy %d", int(o.Policy))
 	}
 	if o.NumChunks < 0 {
 		return fmt.Errorf("exsample: negative NumChunks %d", o.NumChunks)
@@ -305,33 +249,8 @@ func (o Options) Validate() error {
 	if !(o.MaxSeconds >= 0) {
 		return fmt.Errorf("exsample: negative MaxSeconds %v", o.MaxSeconds)
 	}
-	if o.ProxyTrainPositives < 0 {
-		return fmt.Errorf("exsample: negative ProxyTrainPositives %d", o.ProxyTrainPositives)
-	}
 	if !(o.IoUThreshold >= 0 && o.IoUThreshold <= 1) {
 		return fmt.Errorf("exsample: IoUThreshold %v outside [0,1]", o.IoUThreshold)
-	}
-	if o.FuseProxyWithinChunk && o.Strategy != StrategyExSample {
-		return fmt.Errorf("exsample: FuseProxyWithinChunk requires StrategyExSample")
-	}
-	if o.HomeChunkAccounting && o.Strategy != StrategyExSample {
-		return fmt.Errorf("exsample: HomeChunkAccounting requires StrategyExSample")
-	}
-	if o.AutoChunk {
-		if o.Strategy != StrategyExSample {
-			return fmt.Errorf("exsample: AutoChunk requires StrategyExSample")
-		}
-		if o.NumChunks > 0 {
-			return fmt.Errorf("exsample: AutoChunk conflicts with NumChunks")
-		}
-		if o.BatchSize > 1 {
-			return fmt.Errorf("exsample: AutoChunk does not support batching")
-		}
-		if o.HomeChunkAccounting {
-			// Chunk identities change when the layout is rebuilt, so the
-			// home-chunk bookkeeping cannot survive the re-chunk.
-			return fmt.Errorf("exsample: AutoChunk conflicts with HomeChunkAccounting")
-		}
 	}
 	return nil
 }

@@ -50,7 +50,6 @@ func TestQueryValidate(t *testing.T) {
 func TestOptionsValidate(t *testing.T) {
 	bad := []Options{
 		{Strategy: Strategy(99)},
-		{Policy: Policy(99)},
 		{NumChunks: -1},
 		{Alpha0: -1},
 		{BatchSize: -1},

@@ -5,11 +5,11 @@
 // benchmarks; shapes — who wins, rough factors, crossovers — are preserved
 // at reduced scale.
 //
-// The detector experiments — Table I, Figure 5 and the §VII extensions —
-// run every query through the public Search, the same pipeline Session and
-// Engine drive. The §III-D and §IV simulation studies (Figures 2–4 and the
-// ablations) run on internal/sim's sampling simulator, and Figure 6 reads
-// ground truth only.
+// The detector experiments — Table I and Figure 5 — run every query
+// through the public Search, the same pipeline Session and Engine drive.
+// The §III-D and §IV simulation studies (Figures 2–4 and the ablations)
+// run on internal/sim's sampling simulator, and Figure 6 reads ground truth
+// only.
 package bench
 
 import (

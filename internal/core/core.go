@@ -78,12 +78,6 @@ const (
 	WithinRandomPlus WithinChunk = iota
 	// WithinUniform samples uniformly without replacement.
 	WithinUniform
-	// WithinScored orders frames inside a chunk by a caller-provided score
-	// (descending). §VII notes the chunk estimates remain valid under
-	// non-uniform within-chunk sampling; this is the building block of the
-	// ExSample+proxy fusion, which scores only the chunks actually visited
-	// instead of scanning the whole dataset. Requires Config.Scorer.
-	WithinScored
 )
 
 // String returns the order name.
@@ -93,8 +87,6 @@ func (w WithinChunk) String() string {
 		return "random+"
 	case WithinUniform:
 		return "uniform"
-	case WithinScored:
-		return "scored"
 	default:
 		return fmt.Sprintf("within(%d)", int(w))
 	}
@@ -114,13 +106,6 @@ type Config struct {
 	// Seed drives all sampler randomness; runs with the same seed, chunks
 	// and update sequence are identical.
 	Seed uint64
-	// Scorer supplies per-frame scores for WithinScored; it is consulted
-	// lazily, once per frame of each chunk that is actually sampled. It
-	// must be nil for other within-chunk orders.
-	Scorer func(frame int64) float64
-	// OnChunkOpen, if set, is called the first time a chunk's frame order
-	// is built (e.g. to charge per-chunk scoring cost in a fusion setup).
-	OnChunkOpen func(chunk int)
 }
 
 // DefaultAlpha0 and DefaultBeta0 are the paper's prior (§III-C).
@@ -153,13 +138,6 @@ func (c Config) Validate() error {
 	}
 	switch c.Within {
 	case WithinRandomPlus, WithinUniform:
-		if c.Scorer != nil {
-			return fmt.Errorf("core: Scorer set but within-chunk order is %v", c.Within)
-		}
-	case WithinScored:
-		if c.Scorer == nil {
-			return fmt.Errorf("core: WithinScored requires a Scorer")
-		}
 	default:
 		return fmt.Errorf("core: unknown within-chunk order %d", int(c.Within))
 	}
@@ -204,8 +182,8 @@ type arm struct {
 	// shard's chunks): Next never scores or draws from them — crucially,
 	// a disabled arm belongs to no group, so it consumes no randomness and
 	// the remaining arms' pick sequence is exactly what it would be if the
-	// arm had never existed. Update and Adjust still accept disabled arms,
-	// so in-flight picks apply cleanly.
+	// arm had never existed. Update still accepts disabled arms, so
+	// in-flight picks apply cleanly.
 	disabled   bool
 	group      int32 // slot of the arm's group, -1 while not drawable
 	prev, next int32 // neighbouring members, -1 at the ends
@@ -303,11 +281,11 @@ func (s *Sampler) grow(chunks []video.Chunk) {
 
 // SetEnabled fences or re-admits an arm. A disabled arm is invisible to
 // Next — not scored (so it consumes no policy randomness) and never drawn
-// from — but keeps its statistics and continues to accept Update/Adjust
-// for picks already in flight. This is the sampler half of draining a
-// shard: the shard's chunks are fenced while the belief state of every
-// other chunk carries on untouched. Setting an arm to the state it is
-// already in does nothing.
+// from — but keeps its statistics and continues to accept Update for
+// picks already in flight. This is the sampler half of draining a shard:
+// the shard's chunks are fenced while the belief state of every other
+// chunk carries on untouched. Setting an arm to the state it is already
+// in does nothing.
 func (s *Sampler) SetEnabled(chunk int, enabled bool) error {
 	if chunk < 0 || chunk >= len(s.chunks) {
 		return fmt.Errorf("core: chunk %d out of range [0, %d)", chunk, len(s.chunks))
@@ -337,8 +315,6 @@ func (s *Sampler) order(j int) (video.FrameOrder, error) {
 	switch s.cfg.Within {
 	case WithinUniform:
 		o, err = video.NewUniformOrder(c.Start, c.End, xrand.NewFrom(s.cfg.Seed, uint64(j)+1))
-	case WithinScored:
-		o, err = video.NewScoredOrder(c.Start, c.End, s.cfg.Scorer)
 	default:
 		// Random+ (the default) opens in place into the order slab: the
 		// (Seed, chunk id) stream derivation is identical to handing
@@ -354,9 +330,6 @@ func (s *Sampler) order(j int) (video.FrameOrder, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	if s.cfg.OnChunkOpen != nil {
-		s.cfg.OnChunkOpen(j)
 	}
 	s.orders[j] = o
 	return o, nil
@@ -692,21 +665,6 @@ func (s *Sampler) Update(chunk int, d0, d1 int) error {
 	s.arms[chunk].n1 += int64(d0) - int64(d1)
 	s.arms[chunk].n++
 	s.total++
-	s.rekey(chunk)
-	return nil
-}
-
-// Adjust applies a raw N1 delta to a chunk without counting a sample. It
-// implements the technical report's cross-chunk accounting: when an object
-// discovered from chunk A is re-sighted while sampling chunk B, the -1 of
-// the "seen exactly once" bookkeeping belongs to A (where the object's +1
-// lives), not to B. Callers using this pass d1 as per-home-chunk deltas and
-// report Update(chunk, d0, 0) for the sampled chunk.
-func (s *Sampler) Adjust(chunk int, delta int64) error {
-	if chunk < 0 || chunk >= len(s.chunks) {
-		return fmt.Errorf("core: chunk %d out of range [0, %d)", chunk, len(s.chunks))
-	}
-	s.arms[chunk].n1 += delta
 	s.rekey(chunk)
 	return nil
 }

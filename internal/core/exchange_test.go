@@ -20,9 +20,10 @@ type armState struct {
 }
 
 // mixedSampler builds a sampler whose arms are the given blocks, set up
-// through Update and Adjust, followed by one disabled and one exhausted arm
-// whose beliefs would otherwise lead every decision. It returns the sampler
-// and the two arms that must never win.
+// through Update alone (the first update carries N1, so a block with n = 0
+// must have N1 = 0), followed by one disabled and one exhausted arm whose
+// beliefs would otherwise lead every decision. It returns the sampler and
+// the two arms that must never win.
 func mixedSampler(t *testing.T, cfg Config, blocks []armState) (*Sampler, map[int]bool) {
 	t.Helper()
 	blocks = append(blocks,
@@ -46,12 +47,13 @@ func mixedSampler(t *testing.T, cfg Config, blocks []armState) (*Sampler, map[in
 	for _, b := range blocks {
 		for i := 0; i < b.count; i, j = i+1, j+1 {
 			for k := int64(0); k < b.n; k++ {
-				if err := s.Update(j, 0, 0); err != nil {
+				d0, d1 := 0, 0
+				if k == 0 {
+					d0, d1 = int(max(b.n1, 0)), int(max(-b.n1, 0))
+				}
+				if err := s.Update(j, d0, d1); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := s.Adjust(j, b.n1); err != nil {
-				t.Fatal(err)
 			}
 		}
 	}
@@ -180,7 +182,7 @@ func TestGreedyGroupWinsMatchPerArm(t *testing.T) {
 	testGroupWinsMatchReference(t, Config{Seed: 43, Policy: Greedy, Alpha0: 1, Beta0: 1}, []armState{
 		{count: 500},
 		{count: 40, n1: 1, n: 1},
-		{count: 1, n1: -3, n: 0}, // floors into the prior key
+		{count: 1, n1: -3, n: 1}, // floors into the key (0, 1)
 		{count: thompsonCrossover - 1, n1: 3, n: 3},
 		{count: 40, n1: 2, n: 3},
 		{count: 1, n1: 6, n: 6},

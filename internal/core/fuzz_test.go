@@ -11,7 +11,7 @@ import (
 const maxFuzzArms = 64
 
 // FuzzSamplerGroups drives random operation sequences decoded from the fuzz
-// input — Update (N1 may go negative), Adjust, SetEnabled (no-op toggles
+// input — Update (N1 may go negative), SetEnabled (no-op toggles
 // included), Append and Next — then draws until the sampler is exhausted,
 // and after every operation checks the exchangeable-arm groups against a
 // naive recomputation from the arms (see checkGroups).
@@ -38,8 +38,6 @@ func FuzzSamplerGroups(f *testing.F) {
 			case 0:
 				// d1 > d0 drives N1 negative.
 				err = s.Update(j, int(b&3), int(b>>2&3))
-			case 1:
-				err = s.Adjust(j, int64(int8(b))%5)
 			case 2:
 				err = s.SetEnabled(j, b&1 == 0)
 			case 3:
@@ -48,6 +46,7 @@ func FuzzSamplerGroups(f *testing.F) {
 					err = s.Append([]video.Chunk{{ID: len(s.chunks), Start: end, End: end + int64(b%4) + 1}})
 				}
 			default:
+				// Ops 1, 4 and 5 draw.
 				s.Next()
 			}
 			if err != nil {

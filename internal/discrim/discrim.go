@@ -189,11 +189,10 @@ func (d *Discriminator) Observe(frame int64, dets []track.Detection) (d0, d1 []t
 // ObserveObjects is Observe returning the affected objects instead of the
 // raw detections: newObjs are the objects created by this frame (the d0
 // set), secondObjs are the objects that received their second sighting (the
-// d1 set). Callers implementing the technical report's cross-chunk
-// accounting need secondObjs to locate each object's home chunk. Both
-// slices are the discriminator's own buffers: they are valid only until the
-// next ObserveObjects call, and a frame that creates no object allocates
-// nothing.
+// d1 set). A query run builds its results from each new object's first
+// detection without Observe's copies. Both slices are the discriminator's
+// own buffers: they are valid only until the next ObserveObjects call, and
+// a frame that creates no object allocates nothing.
 func (d *Discriminator) ObserveObjects(frame int64, dets []track.Detection) (newObjs, secondObjs []*Object) {
 	d.newObjs, d.secondObjs = d.newObjs[:0], d.secondObjs[:0]
 	// Classify and register one detection at a time so that two detections

@@ -26,8 +26,7 @@ import (
 //
 // queryRun works over any Source (a local Dataset or a ShardedSource); the
 // step machine never learns whether its frames live on one shard or many.
-// Its strategy — ExSample, a baseline, the §VII auto-chunking pilot or the
-// BlazeIt-style proxy training phase — is one picker chosen at
+// Its strategy — ExSample or a baseline — is one picker chosen at
 // construction, so drivers need no special cases.
 //
 // Only apply mutates state, and callers must invoke it in pick order from a
@@ -42,14 +41,13 @@ type queryRun struct {
 	dis   *discrim.Discriminator
 	curve *metrics.RecallCurve
 
-	// pick is the strategy: the one place the paper's method, its
-	// baselines and the §VII extensions differ (see picker).
+	// pick is the strategy: the one place the paper's method and its
+	// baselines differ (see picker).
 	pick picker
 
 	// elastic is true only when the sampler's arms are the source's native
 	// global chunks, the one layout that can reach an attached shard
-	// (custom layouts — NumChunks, AutoChunk — are frozen at submission and
-	// only fence).
+	// (a NumChunks layout is frozen at submission and only fences).
 	elastic bool
 	// truthSeen and truthTotal implement reachable-population recall for
 	// elastic sources: truthSeen[i] is set once shard i has been observed
@@ -331,7 +329,7 @@ func newQueryRun(s Source, q Query, opts Options, cc cacheConfig, standing bool)
 		opts:       opts,
 		dis:        dis,
 		curve:      curve,
-		elastic:    snap != nil && opts.Strategy == StrategyExSample && opts.NumChunks == 0 && !opts.AutoChunk,
+		elastic:    snap != nil && opts.Strategy == StrategyExSample && opts.NumChunks == 0,
 		truthSeen:  truthSeen,
 		truthTotal: total,
 		rep:        &Report{Strategy: opts.Strategy},
@@ -525,7 +523,7 @@ func (r *queryRun) apply(p core.Pick, fr frameResult) (StepInfo, error) {
 	}
 	rep.Recall = r.curve.Recall()
 
-	if err := r.pick.feedback(p.Chunk, newObjs, secondObjs); err != nil {
+	if err := r.pick.feedback(p.Chunk, len(newObjs), len(secondObjs)); err != nil {
 		return StepInfo{}, err
 	}
 	return info, nil

@@ -190,43 +190,3 @@ func TestSessionValidation(t *testing.T) {
 		t.Error("recall target above 1 accepted")
 	}
 }
-
-func TestSessionHomeChunkAccounting(t *testing.T) {
-	ds := smallDataset(t, WithPerfectDetector())
-	sess, err := ds.NewSession(Query{Class: "car", Limit: 20},
-		Options{HomeChunkAccounting: true, Seed: 103})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !sess.Done() {
-		if _, ok, err := sess.Step(); err != nil || !ok {
-			if err != nil {
-				t.Fatal(err)
-			}
-			break
-		}
-	}
-	if len(sess.Results()) < 20 {
-		t.Fatalf("found %d", len(sess.Results()))
-	}
-}
-
-func TestSessionFusion(t *testing.T) {
-	ds := smallDataset(t, WithPerfectDetector())
-	sess, err := ds.NewSession(Query{Class: "car", Limit: 10},
-		Options{FuseProxyWithinChunk: true, Seed: 105})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !sess.Done() {
-		if _, ok, err := sess.Step(); err != nil || !ok {
-			if err != nil {
-				t.Fatal(err)
-			}
-			break
-		}
-	}
-	if sess.Seconds() <= 0 || len(sess.Results()) < 10 {
-		t.Fatalf("fusion session: %d results, %vs", len(sess.Results()), sess.Seconds())
-	}
-}

@@ -42,13 +42,10 @@ func TestShardedSingleShardMatchesSearch(t *testing.T) {
 	}
 	q := Query{Class: "car", Limit: 25}
 	for name, opts := range map[string]Options{
-		"exsample":  {Seed: 73},
-		"batched":   {Seed: 73, BatchSize: 8},
-		"random":    {Strategy: StrategyRandom, Seed: 73},
-		"proxy":     {Strategy: StrategyProxy, Seed: 73},
-		"fusion":    {FuseProxyWithinChunk: true, Seed: 73},
-		"homechunk": {HomeChunkAccounting: true, Seed: 73},
-		"autochunk": {AutoChunk: true, Seed: 73},
+		"exsample": {Seed: 73},
+		"batched":  {Seed: 73, BatchSize: 8},
+		"random":   {Strategy: StrategyRandom, Seed: 73},
+		"proxy":    {Strategy: StrategyProxy, Seed: 73},
 	} {
 		want, err := ds.Search(q, opts)
 		if err != nil {

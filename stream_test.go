@@ -568,8 +568,6 @@ func TestStreamConstructionAndValidation(t *testing.T) {
 		{Query{Class: "car", RecallTarget: 1.5}, Options{}},
 		{Query{Class: "car"}, Options{BatchSize: 4}},
 		{Query{Class: "car"}, Options{NumChunks: 8}},
-		{Query{Class: "car"}, Options{AutoChunk: true}},
-		{Query{Class: "car"}, Options{ProxyTrainPositives: 5}},
 	}
 	for i, c := range bad {
 		if _, err := e.SubmitStanding(ctx, s, c.q, c.opts); err == nil {
