@@ -1,24 +1,22 @@
 package httpbatch
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/internal/batchwire"
 )
 
-// binaryRequests is the binary seed corpus of FuzzHandlerDetect: the package
-// doc's example, a batch over MaxBatch, empty and negative requests, and
-// frames broken at each layer (version, truncation, trailing bytes).
-func binaryRequests() [][]byte {
+// handlerRequests is the seed corpus of FuzzHandlerDetect: the README's
+// three-frame example, a batch over MaxBatch, empty, frameless and negative
+// requests, and frames broken at each layer (version, truncation, trailing
+// bytes, varint overflow).
+func handlerRequests() [][]byte {
 	doc := appendRequest(nil, "car", []int64{17, 42, 1999})
 	return [][]byte{
 		doc,
@@ -29,70 +27,36 @@ func binaryRequests() [][]byte {
 		doc[:len(doc)-1],
 		append(append([]byte(nil), doc...), 0),
 		{batchwire.Version, 3, 'c', 'a', 'r', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		appendRequest(nil, "car", nil),
 	}
 }
 
-// FuzzHandlerDetect feeds arbitrary request bodies to the handler over an
-// in-memory backend, once as JSON and once as a binary frame: it must never
-// panic, must answer 200 or 4xx, and a 200 must be aligned with the request
-// it answers, in the request's codec — one result (an array, never null in
-// JSON) and one frame cost per frame.
+// FuzzHandlerDetect feeds arbitrary request frames to the handler over an
+// in-memory backend: it must never panic, must answer 200 or 4xx, and a 200
+// must be a frame aligned with the request it answers — one result and one
+// frame cost per frame.
 func FuzzHandlerDetect(f *testing.F) {
-	f.Add([]byte(`{"class": "car", "frames": [17, 42, 1999]}`)) // the package doc's example
-	f.Add([]byte(`{"class":"car","frames":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16]}`))
-	f.Add([]byte(`{"class":"","frames":[]}`))
-	f.Add([]byte(`{"class":"car","frames":null}`))
-	f.Add([]byte(`{"class":"car"}`))
-	f.Add([]byte(`{"CLASS":"car","frames":[-1,9223372036854775807]} trailing`))
-	f.Add([]byte(`{"class":"car","frames":[1.5]}`))
-	f.Add([]byte(`[]`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`{not json`))
-	for _, body := range binaryRequests() {
+	for _, body := range handlerRequests() {
 		f.Add(body)
 	}
 	h := Handler(&fakeBackend{cost: 0.05})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, ctype := range []string{"application/json", batchwire.MediaType} {
-			rec := httptest.NewRecorder()
-			post := httptest.NewRequest(http.MethodPost, "/detect", bytes.NewReader(body))
-			post.Header.Set("Content-Type", ctype)
-			h.ServeHTTP(rec, post)
-			if rec.Code >= 400 && rec.Code < 500 {
-				continue
-			}
-			if rec.Code != http.StatusOK {
-				t.Fatalf("%s: status %d for body %q", ctype, rec.Code, body)
-			}
-			if got := rec.Header().Get("Content-Type"); got != ctype {
-				t.Fatalf("%s request answered as %s", ctype, got)
-			}
-			if ctype == batchwire.MediaType {
-				var req request
-				if err := req.decodeFrame(body); err != nil {
-					t.Fatalf("200 for a frame that does not decode (%v): %q", err, body)
-				}
-				if _, _, err := decodeResponse(rec.Body.Bytes(), req.Class, req.Frames); err != nil {
-					t.Fatalf("200 frame does not decode against its %d-frame request (%v): %q", len(req.Frames), err, rec.Body.Bytes())
-				}
-				continue
-			}
-			var req request
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-				t.Fatalf("200 for a body that does not decode (%v): %q", err, body)
-			}
-			var resp response
-			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-				t.Fatalf("200 body does not decode (%v): %q", err, rec.Body.Bytes())
-			}
-			if len(resp.Results) != len(req.Frames) || len(resp.FrameCosts) != len(req.Frames) {
-				t.Fatalf("%d results and %d frame costs for %d frames", len(resp.Results), len(resp.FrameCosts), len(req.Frames))
-			}
-			for i, dets := range resp.Results {
-				if dets == nil {
-					t.Fatalf("results[%d] is null, want an array: %q", i, rec.Body.Bytes())
-				}
-			}
+		rec := serve(h, batchwire.MediaType, body)
+		if rec.Code >= 400 && rec.Code < 500 {
+			return
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d for body %q", rec.Code, body)
+		}
+		if got := rec.Header().Get("Content-Type"); got != batchwire.MediaType {
+			t.Fatalf("answered as %s", got)
+		}
+		var req request
+		if err := req.decodeFrame(body); err != nil {
+			t.Fatalf("200 for a frame that does not decode (%v): %q", err, body)
+		}
+		if _, _, err := decodeResponse(rec.Body.Bytes(), req.Class, req.Frames); err != nil {
+			t.Fatalf("200 frame does not decode against its %d-frame request (%v): %q", len(req.Frames), err, rec.Body.Bytes())
 		}
 	})
 }
@@ -176,7 +140,7 @@ func refResponse(b []byte, class string, frames []int64) ([][]backend.Detection,
 	return dets, costs, err
 }
 
-// clientResponses is the binary seed corpus of FuzzClientResponse, each for
+// clientResponses is the seed corpus of FuzzClientResponse, each for
 // a batch of three frames: answers that conform and answers broken at each
 // layer of the frame.
 func clientResponses() [][]byte {

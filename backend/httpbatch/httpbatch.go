@@ -6,20 +6,18 @@
 //
 // # Wire protocol
 //
-// One POST per batch, in one of two codecs. The Client speaks only the
-// binary frame of internal/batchwire (Content-Type
-// application/x-exsample-frame); the Handler answers a request in the codec
-// its Content-Type names, and JSON for anything else, so curl and non-Go
-// callers keep the JSON form below.
+// One POST per batch, in the binary frame of internal/batchwire
+// (Content-Type application/x-exsample-frame); the Handler answers any other
+// Content-Type 415.
 //
-// Binary request frame, byte by byte:
+// Request frame, byte by byte:
 //
 //	version  1 byte, batchwire.Version (1)
 //	class    uvarint length, then that many bytes
 //	n        uvarint frame count
 //	frames   n zigzag varints
 //
-// Binary response frame (HTTP 200):
+// Response frame (HTTP 200):
 //
 //	version  1 byte
 //	n        uvarint, equal to the request's frame count
@@ -35,30 +33,11 @@
 // as a zigzag varint. The m's sum to total; trailing bytes, a NaN or an
 // infinity, and any count the bytes left cannot hold are errors.
 //
-// JSON request body:
-//
-//	{"class": "car", "frames": [17, 42, 1999]}
-//
-// JSON response body (HTTP 200):
-//
-//	{
-//	  "results": [
-//	    [{"frame": 17, "class": "car", "box": [x1, y1, x2, y2],
-//	      "score": 0.93, "truth_id": 7}],
-//	    [],
-//	    [{"frame": 1999, "class": "car", "box": [x1, y1, x2, y2],
-//	      "score": 0.88, "truth_id": -1}]
-//	  ],
-//	  "frame_costs": [0.05, 0.05, 0.05],
-//	  "cost_seconds": 0.15
-//	}
-//
-// In both codecs results are aligned with the request's frames (results[i]
-// holds frame frames[i]'s detections; an empty list is a valid "nothing
-// found"), and each frame carries its charged seconds — frame_costs in
-// JSON, with cost_seconds their sum — so the client charges exactly what
-// the remote fleet spent, legitimate zeros included. truth_id is -1 when
-// the server does not know ground-truth identity — the value real
+// Results are aligned with the request's frames (the i-th list holds frame
+// frames[i]'s detections; an empty list is a valid "nothing found"), and
+// each frame carries its charged seconds, so the client charges exactly
+// what the remote fleet spent, legitimate zeros included. The truth id is
+// -1 when the server does not know ground-truth identity — the value real
 // detectors report.
 //
 // Errors: a non-200 status fails the batch. Timeouts, bounded retries (5xx
@@ -87,11 +66,10 @@ import (
 // ones the shared transport produces.
 const proto = batchwire.Proto("httpbatch")
 
-// request is one batch request, decoded from either codec (and the JSON
-// form itself).
+// request is one decoded batch request.
 type request struct {
-	Class  string  `json:"class"`
-	Frames []int64 `json:"frames"`
+	Class  string
+	Frames []int64
 }
 
 // decodeFrame decodes a binary request frame into req, reusing its Frames.
@@ -106,7 +84,7 @@ func (req *request) decodeFrame(b []byte) error {
 	return r.Done()
 }
 
-// validate is the one check of a decoded request, whatever its codec.
+// validate is the one check of a decoded request.
 func (req *request) validate(maxBatch int) error {
 	if req.Class == "" || len(req.Frames) == 0 {
 		return fmt.Errorf("httpbatch: class and frames are required")
@@ -130,15 +108,6 @@ func appendRequest(b []byte, class string, frames []int64) []byte {
 		b = binary.AppendVarint(b, f)
 	}
 	return b
-}
-
-// response is the JSON form of one batch response.
-type response struct {
-	Results [][]batchwire.Detection `json:"results"`
-	// FrameCosts is the exact charged seconds per frame.
-	FrameCosts []float64 `json:"frame_costs,omitempty"`
-	// CostSeconds is their sum, the batch's inference latency.
-	CostSeconds float64 `json:"cost_seconds"`
 }
 
 // appendResponse appends the binary response frame for a batch the backend
@@ -232,9 +201,9 @@ type Stats struct {
 	ServerSeconds float64
 }
 
-// reqPool recycles the Handler's decoded request structs; encoding/json
-// reuses the Frames slice capacity when decoding into a non-nil slice, so
-// a warm handler stops allocating a frames array per request.
+// reqPool recycles the Handler's decoded request structs; decodeFrame
+// reuses the Frames slice's capacity, so a warm handler stops allocating a
+// frames array per request.
 var reqPool = sync.Pool{New: func() any { return new(request) }}
 
 // Client is a remote HTTP batch detector backend. It implements both
@@ -335,16 +304,16 @@ func (c *Client) DetectBatchCost(ctx context.Context, class string, frames []int
 }
 
 // Handler serves a backend.Backend over the httpbatch wire protocol — the
-// server half of the pairing. It answers each request in the codec the
-// request spoke: the binary frame when its Content-Type is
-// batchwire.MediaType, JSON otherwise. Detection cost in the response comes
-// from the backend's own accounting, reported per frame (so clients charge
-// exact values, no divide-by-batch-size loss): the measured per-frame costs
-// when the backend implements backend.BatchCoster, its nominal
-// Hints().CostSeconds per frame otherwise. Requests are bounded: oversized
-// bodies and negative frames are rejected, and when the backend hints a
-// MaxBatch, batches beyond it are refused with a 400 rather than run
-// unsplit. Pair it with any mux: http.Handle("/detect", httpbatch.Handler(b)).
+// server half of the pairing. It speaks only the binary frame: a request
+// whose Content-Type is not batchwire.MediaType is answered 415. Detection
+// cost in the response comes from the backend's own accounting, reported per
+// frame (so clients charge exact values, no divide-by-batch-size loss): the
+// measured per-frame costs when the backend implements backend.BatchCoster,
+// its nominal Hints().CostSeconds per frame otherwise. Requests are
+// bounded: oversized bodies and negative frames are rejected, and when the
+// backend hints a MaxBatch, batches beyond it are refused with a 400 rather
+// than run unsplit. Pair it with any mux:
+// http.Handle("/detect", httpbatch.Handler(b)).
 func Handler(b backend.Backend) http.Handler {
 	coster, _ := b.(backend.BatchCoster)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -354,8 +323,7 @@ func Handler(b backend.Backend) http.Handler {
 		req := reqPool.Get().(*request)
 		defer reqPool.Put(req)
 		req.Class, req.Frames = "", req.Frames[:0]
-		frame, ok := proto.Decode(w, r, req, req.decodeFrame)
-		if !ok {
+		if !proto.Decode(w, r, req.decodeFrame) {
 			return
 		}
 		if err := req.validate(b.Hints().MaxBatch); err != nil {
@@ -384,20 +352,8 @@ func Handler(b backend.Backend) http.Handler {
 			http.Error(w, fmt.Sprintf("httpbatch: backend: %v", err), http.StatusInternalServerError)
 			return
 		}
-		if frame {
-			proto.RespondFrame(w, func(buf []byte) ([]byte, error) {
-				return appendResponse(buf, req.Class, req.Frames, dets, costs)
-			})
-			return
-		}
-		var total float64
-		for _, cost := range costs {
-			total += cost
-		}
-		resp := response{Results: make([][]batchwire.Detection, len(dets)), FrameCosts: costs, CostSeconds: total}
-		for i, frameDets := range dets {
-			resp.Results[i] = batchwire.ToWire(frameDets)
-		}
-		proto.Respond(w, resp)
+		proto.Respond(w, func(buf []byte) ([]byte, error) {
+			return appendResponse(buf, req.Class, req.Frames, dets, costs)
+		})
 	})
 }

@@ -3,7 +3,6 @@ package httpbatch
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"math"
@@ -113,6 +112,25 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if st.ServerSeconds != cost {
 		t.Fatalf("ServerSeconds = %v, want %v", st.ServerSeconds, cost)
+	}
+
+	// Floats with no short decimal form, -0, subnormals, a foreign class
+	// and an off-by-one echoed frame cross the wire bit for bit, each
+	// frame's detections in a cap-clipped window of the response's slab.
+	exact, _ := newTestPair(t, floatBackend{}, Config{})
+	frames = []int64{0, 1, 2, 1999}
+	dets, costs, err = exact.DetectBatchCost(context.Background(), "car", frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantCosts, _ := floatBackend{}.DetectBatchCost(context.Background(), "car", frames)
+	for i := range frames {
+		if !sameDetections(dets[i], want[i]) || math.Float64bits(costs[i]) != math.Float64bits(wantCosts[i]) {
+			t.Errorf("frame %d: %+v at %v, want %+v at %v", frames[i], dets[i], costs[i], want[i], wantCosts[i])
+		}
+		if cap(dets[i]) != len(dets[i]) {
+			t.Errorf("frame %d: window %d/%d is not cap-clipped", frames[i], len(dets[i]), cap(dets[i]))
+		}
 	}
 }
 
@@ -258,35 +276,55 @@ func TestPerEndpointConcurrencyCap(t *testing.T) {
 	}
 }
 
+// TestHandlerRejectsMalformedRequests: 405 for anything but POST, and 400
+// for a request frame that does not parse or fails validation; none of them
+// reaches the backend.
 func TestHandlerRejectsMalformedRequests(t *testing.T) {
-	srv := httptest.NewServer(Handler(&fakeBackend{cost: 0.01}))
-	defer srv.Close()
+	fb := &fakeBackend{cost: 0.01}
+	h := Handler(fb)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/detect", nil))
+	if rec.Code != http.StatusMethodNotAllowed {
+		t.Fatalf("GET = %d, want 405", rec.Code)
+	}
+	good := appendRequest(nil, "car", []int64{1})
+	cases := []struct {
+		name string
+		body []byte
+	}{
+		{"empty request", appendRequest(nil, "", nil)},
+		{"no frames", appendRequest(nil, "car", nil)},
+		{"no class", appendRequest(nil, "", []int64{1})},
+		{"negative frame", appendRequest(nil, "car", []int64{3, -1})},
+		{"bad version", append([]byte{batchwire.Version + 1}, good[1:]...)},
+		{"trailing bytes", append(append([]byte(nil), good...), 0)},
+		{"truncated", good[:len(good)-1]},
+		{"JSON read as a frame", []byte(`{"class":"car","frames":[1]}`)},
+	}
+	for _, tc := range cases {
+		if rec := serve(h, batchwire.MediaType, tc.body); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, rec.Code)
+		}
+	}
+	if fb.calls.Load() != 0 {
+		t.Fatal("a malformed request reached the backend")
+	}
+}
 
-	resp, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
+// TestHandlerRefusesOtherMediaTypes: the handler speaks only the frame. A
+// JSON request, or one with no Content-Type, is answered 415 before its
+// body is read, and never reaches the backend.
+func TestHandlerRefusesOtherMediaTypes(t *testing.T) {
+	fb := &fakeBackend{cost: 0.01}
+	h := Handler(fb)
+	for _, ctype := range []string{"application/json", ""} {
+		rec := serve(h, ctype, []byte(`{"class":"car","frames":[17,42,1999]}`))
+		if rec.Code != http.StatusUnsupportedMediaType || !strings.HasPrefix(rec.Body.String(), "httpbatch: unsupported Content-Type") {
+			t.Errorf("Content-Type %q: status %d %q, want 415 under the httpbatch prefix", ctype, rec.Code, rec.Body.String())
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET = %d, want 405", resp.StatusCode)
-	}
-
-	resp, err = http.Post(srv.URL, "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad JSON = %d, want 400", resp.StatusCode)
-	}
-
-	resp, err = http.Post(srv.URL, "application/json", strings.NewReader(`{"class":"","frames":[]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty request = %d, want 400", resp.StatusCode)
+	if fb.calls.Load() != 0 {
+		t.Fatalf("a refused request reached the backend %d times", fb.calls.Load())
 	}
 }
 
@@ -296,16 +334,8 @@ func TestHandlerEnforcesMaxBatch(t *testing.T) {
 	fb := &fakeBackend{cost: 0.01}
 	srv := httptest.NewServer(Handler(fb))
 	defer srv.Close()
-	frames := make([]byte, 0, 64)
-	frames = append(frames, `{"class":"car","frames":[`...)
-	for i := 0; i < 17; i++ {
-		if i > 0 {
-			frames = append(frames, ',')
-		}
-		frames = append(frames, byte('0'+i%10))
-	}
-	frames = append(frames, "]}"...)
-	resp, err := http.Post(srv.URL, "application/json", bytes.NewReader(frames))
+	body := appendRequest(nil, "car", make([]int64, 17))
+	resp, err := http.Post(srv.URL, batchwire.MediaType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +403,7 @@ func TestDeadlineDuringBackoffIsTerminal(t *testing.T) {
 // conforming server produces is refused, not buffered — one request, no
 // retry, a protocol error under this package's prefix.
 func TestOversizedResponseIsTerminal(t *testing.T) {
-	huge, hits := canned([]byte(`{"results":[[]]}`), batchwire.MaxResponseBytes+1)
+	huge, hits := canned([]byte{batchwire.Version}, batchwire.MaxResponseBytes+1)
 	c, err := New(Config{Endpoint: "http://gpu/detect", HTTPClient: huge, RetryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -443,75 +473,6 @@ func serve(h http.Handler, ctype string, body []byte) *httptest.ResponseRecorder
 	req.Header.Set("Content-Type", ctype)
 	h.ServeHTTP(rec, req)
 	return rec
-}
-
-// TestCodecsAgree: the same request sent as JSON and as a binary frame is
-// answered with the same detections and costs, bit for bit, and every
-// rejection is a 400 in both codecs.
-func TestCodecsAgree(t *testing.T) {
-	h := Handler(floatBackend{})
-	frames := []int64{0, 1, 2, 1999}
-	jsonBody, _ := json.Marshal(request{Class: "car", Frames: frames})
-
-	rec := serve(h, "application/json", jsonBody)
-	var jresp response
-	if err := json.Unmarshal(rec.Body.Bytes(), &jresp); rec.Code != http.StatusOK || err != nil {
-		t.Fatalf("JSON: status %d, %v: %s", rec.Code, err, rec.Body.Bytes())
-	}
-	rec = serve(h, batchwire.MediaType, appendRequest(nil, "car", frames))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("frame: status %d: %s", rec.Code, rec.Body.Bytes())
-	}
-	dets, costs, err := decodeResponse(rec.Body.Bytes(), "car", frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, wantCosts, _ := floatBackend{}.DetectBatchCost(context.Background(), "car", frames)
-	for i := range frames {
-		fromJSON := batchwire.FromWire(jresp.Results[i])
-		if !sameDetections(dets[i], want[i]) || !sameDetections(fromJSON, want[i]) {
-			t.Errorf("frame %d: binary %+v, JSON %+v, want %+v", frames[i], dets[i], fromJSON, want[i])
-		}
-		if math.Float64bits(costs[i]) != math.Float64bits(wantCosts[i]) || math.Float64bits(jresp.FrameCosts[i]) != math.Float64bits(wantCosts[i]) {
-			t.Errorf("frame %d: cost binary %v, JSON %v, want %v", frames[i], costs[i], jresp.FrameCosts[i], wantCosts[i])
-		}
-		if cap(dets[i]) != len(dets[i]) {
-			t.Errorf("frame %d: window %d/%d is not cap-clipped", frames[i], len(dets[i]), cap(dets[i]))
-		}
-	}
-
-	many := make([]int64, 17) // floatBackend hints MaxBatch 16
-	good := appendRequest(nil, "car", []int64{1})
-	rejections := []struct {
-		name        string
-		json, frame []byte
-	}{
-		{"no frames", []byte(`{"class":"car","frames":[]}`), appendRequest(nil, "car", nil)},
-		{"no class", []byte(`{"class":"","frames":[1]}`), appendRequest(nil, "", []int64{1})},
-		{"over MaxBatch", mustJSON(request{Class: "car", Frames: many}), appendRequest(nil, "car", many)},
-		{"negative frame", []byte(`{"class":"car","frames":[3,-1]}`), appendRequest(nil, "car", []int64{3, -1})},
-		{"bad version", nil, append([]byte{batchwire.Version + 1}, good[1:]...)},
-		{"trailing bytes", []byte(`{"class":"car","frames":[1]} {}`), append(good, 0)},
-		{"truncated", []byte(`{"class":"car","frames":[1]`), good[:len(good)-1]},
-	}
-	for _, tc := range rejections {
-		if tc.json != nil {
-			if rec := serve(h, "application/json", tc.json); rec.Code != http.StatusBadRequest {
-				t.Errorf("%s: JSON status %d, want 400", tc.name, rec.Code)
-			}
-		}
-		if rec := serve(h, batchwire.MediaType, tc.frame); rec.Code != http.StatusBadRequest {
-			t.Errorf("%s: frame status %d, want 400", tc.name, rec.Code)
-		}
-	}
-}
-
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }
 
 // TestFrameDecodeAllocs: decoding an n-frame response costs the results

@@ -25,8 +25,6 @@ package cachestore
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"github.com/exsample/exsample/backend"
 )
@@ -36,77 +34,16 @@ import (
 // profile at the same scale and seed derive the same value — see the root
 // package's content addressing), Class the detector head, Frame the global
 // frame index.
+//
+// A key crosses the wire only in httpcache's binary frame, which carries no
+// key version of its own: bump batchwire.Version when the key's binary form
+// or the content-hash recipe feeding Content changes incompatibly. A server
+// of the other version then answers 400, and a Tiered degrades that to a
+// miss, so stale remote entries are never served.
 type Key struct {
 	Content uint64
 	Class   string
 	Frame   int64
-}
-
-// keyVersion is the wire-format version prefix; bump it when the encoding
-// (or the content-hash recipe feeding Key.Content) changes incompatibly, so
-// stale remote entries miss instead of poisoning new readers. The binary
-// frame's keys carry no prefix: bump batchwire.Version with it.
-const keyVersion = "v1"
-
-// Encode renders the key in its canonical wire form:
-//
-//	v1:<content as 16 lowercase hex digits>:<frame as decimal>:<class>
-//
-// The class is last and unescaped — it may contain any byte, including the
-// separator — so DecodeKey splits on the first three colons only.
-func (k Key) Encode() string {
-	var b strings.Builder
-	b.Grow(len(keyVersion) + 1 + 16 + 1 + 20 + 1 + len(k.Class))
-	b.WriteString(keyVersion)
-	b.WriteByte(':')
-	var hexBuf [16]byte
-	const digits = "0123456789abcdef"
-	for i := 0; i < 16; i++ {
-		hexBuf[i] = digits[(k.Content>>uint(60-4*i))&0xf]
-	}
-	b.Write(hexBuf[:])
-	b.WriteByte(':')
-	b.WriteString(strconv.FormatInt(k.Frame, 10))
-	b.WriteByte(':')
-	b.WriteString(k.Class)
-	return b.String()
-}
-
-// DecodeKey parses a wire-form key. It accepts exactly the shape Encode
-// produces: the v1 prefix, a 16-digit lowercase hex content hash, a
-// non-negative decimal frame, and the class as the unvalidated remainder
-// (which may be empty or contain further colons).
-func DecodeKey(s string) (Key, error) {
-	parts := strings.SplitN(s, ":", 4)
-	if len(parts) != 4 {
-		return Key{}, fmt.Errorf("cachestore: key %q: want 4 colon-separated fields, got %d", s, len(parts))
-	}
-	if parts[0] != keyVersion {
-		return Key{}, fmt.Errorf("cachestore: key %q: unsupported version %q", s, parts[0])
-	}
-	if len(parts[1]) != 16 {
-		return Key{}, fmt.Errorf("cachestore: key %q: content hash must be 16 hex digits, got %d", s, len(parts[1]))
-	}
-	if strings.ToLower(parts[1]) != parts[1] {
-		return Key{}, fmt.Errorf("cachestore: key %q: content hash must be lowercase hex", s)
-	}
-	content, err := strconv.ParseUint(parts[1], 16, 64)
-	if err != nil {
-		return Key{}, fmt.Errorf("cachestore: key %q: bad content hash: %v", s, err)
-	}
-	frame, err := strconv.ParseInt(parts[2], 10, 64)
-	if err != nil {
-		return Key{}, fmt.Errorf("cachestore: key %q: bad frame: %v", s, err)
-	}
-	if frame < 0 {
-		return Key{}, fmt.Errorf("cachestore: key %q: negative frame %d", s, frame)
-	}
-	// Reject non-canonical frame spellings ("+7", "007") so a key has
-	// exactly one wire form and remote stores never hold aliased entries.
-	if strconv.FormatInt(frame, 10) != parts[2] {
-		return Key{}, fmt.Errorf("cachestore: key %q: non-canonical frame %q", s, parts[2])
-	}
-	return Key{Content: content, Class: parts[3], Frame: frame}, nil
 }
 
 // Entry is one key's lookup outcome. Found distinguishes a memoized empty

@@ -22,58 +22,6 @@ func det(frame int64, score float64) backend.Detection {
 	}
 }
 
-// TestKeyEncodeDecode: Encode and DecodeKey are exact inverses over
-// representative keys, including classes containing the separator.
-func TestKeyEncodeDecode(t *testing.T) {
-	keys := []Key{
-		{},
-		{Content: 1, Class: "car", Frame: 0},
-		{Content: ^uint64(0), Class: "person", Frame: 1<<63 - 1},
-		{Content: 0xdeadbeef, Class: "a:b:c", Frame: 7},
-		{Content: 42, Class: "", Frame: 123456},
-		{Content: 42, Class: "with space\tand\nnewline", Frame: 1},
-	}
-	for _, k := range keys {
-		s := k.Encode()
-		got, err := DecodeKey(s)
-		if err != nil {
-			t.Fatalf("DecodeKey(%q): %v", s, err)
-		}
-		if got != k {
-			t.Fatalf("round trip %q: got %+v want %+v", s, got, k)
-		}
-	}
-	// Canonical form is stable.
-	s := Key{Content: 0xabc, Class: "car", Frame: 9}.Encode()
-	if want := "v1:0000000000000abc:9:car"; s != want {
-		t.Fatalf("Encode = %q, want %q", s, want)
-	}
-}
-
-// TestDecodeKeyRejects: every malformed shape is an error, not a mangled
-// key — remote stores must never hold aliased or misparsed entries.
-func TestDecodeKeyRejects(t *testing.T) {
-	bad := []string{
-		"",
-		"v1",
-		"v1:0000000000000abc:9", // missing class field entirely
-		"v2:0000000000000abc:9:car",
-		"v1:abc:9:car",               // short hex
-		"v1:0000000000000ABC:9:car",  // uppercase hex
-		"v1:000000000000zabc:9:car",  // non-hex
-		"v1:0000000000000abc:-1:car", // negative frame
-		"v1:0000000000000abc:+9:car", // non-canonical frame
-		"v1:0000000000000abc:09:car", // non-canonical frame
-		"v1:0000000000000abc::car",   // empty frame
-		"v1:0000000000000abc:9.5:car",
-	}
-	for _, s := range bad {
-		if _, err := DecodeKey(s); err == nil {
-			t.Errorf("DecodeKey(%q) succeeded, want error", s)
-		}
-	}
-}
-
 // TestLocalStore: PutBatch/GetBatch round-trip through the internal cache,
 // distinguishing memoized-empty from absent.
 func TestLocalStore(t *testing.T) {

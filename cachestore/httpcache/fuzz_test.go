@@ -1,10 +1,8 @@
 package httpcache
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
@@ -16,34 +14,30 @@ import (
 	"github.com/exsample/exsample/internal/batchwire"
 )
 
-// serveFuzz posts body under ctype to path on a handler over store and
+// serveFuzz posts body as a frame to path on a handler over store and
 // reports the answer, or false for a 4xx. Any other non-200 status, or a 200
-// in another codec than the request's, fails.
-func serveFuzz(t *testing.T, store cachestore.Store, path, ctype string, body []byte) (*httptest.ResponseRecorder, bool) {
+// that is not a frame, fails.
+func serveFuzz(t *testing.T, store cachestore.Store, path string, body []byte) (*httptest.ResponseRecorder, bool) {
 	t.Helper()
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
-	req.Header.Set("Content-Type", ctype)
-	Handler(store).ServeHTTP(rec, req)
+	rec := post(Handler(store), path, batchwire.MediaType, body)
 	if rec.Code >= 400 && rec.Code < 500 {
 		return rec, false
 	}
 	if rec.Code != http.StatusOK {
-		t.Fatalf("%s: status %d for body %q", ctype, rec.Code, body)
+		t.Fatalf("status %d for body %q", rec.Code, body)
 	}
-	if got := rec.Header().Get("Content-Type"); got != ctype {
-		t.Fatalf("%s request answered as %s", ctype, got)
+	if got := rec.Header().Get("Content-Type"); got != batchwire.MediaType {
+		t.Fatalf("answered as %s", got)
 	}
 	return rec, true
 }
 
-// codecs are the two Content-Types every handler fuzzer posts each body as.
-var codecs = []string{"application/json", batchwire.MediaType}
-
 var docKey = cachestore.Key{Content: 42, Class: "car", Frame: 17}
 
-// binaryGets is the binary seed corpus of FuzzHandlerGet.
-func binaryGets() [][]byte {
+// handlerGets is the seed corpus of FuzzHandlerGet: one key (docKey),
+// two keys, no keys, a negative frame, frames broken at each layer and a key
+// count beyond the body.
+func handlerGets() [][]byte {
 	doc := appendGetRequest(nil, []cachestore.Key{docKey})
 	return [][]byte{
 		doc,
@@ -57,60 +51,35 @@ func binaryGets() [][]byte {
 	}
 }
 
-// FuzzHandlerGet feeds arbitrary bodies to the get route, as JSON and as a
-// binary frame: never a panic, 200 or 4xx, and a 200 carries exactly one
-// entry per requested key, in the request's codec.
+// FuzzHandlerGet feeds arbitrary frames to the get route: never a panic,
+// 200 or 4xx, and a 200 carries exactly one entry per requested key.
 func FuzzHandlerGet(f *testing.F) {
-	f.Add([]byte(`{"keys": ["v1:000000000000002a:17:car"]}`)) // the package doc's example
-	f.Add([]byte(`{"keys": ["v1:000000000000002a:17:car", "v1:000000000000002a:18:a:b"]}`))
-	f.Add([]byte(`{"keys": ["v9:junk:1:car"]}`))
-	f.Add([]byte(`{"keys": []}`))
-	f.Add([]byte(`{"keys": null}`))
-	f.Add([]byte(`{"keys": [17]}`))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`[]`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`{"keys": [`))
-	for _, body := range binaryGets() {
+	for _, body := range handlerGets() {
 		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, ctype := range codecs {
-			store := cachestore.NewLocal(64)
-			if err := store.PutBatch(context.Background(), []cachestore.Key{docKey}, [][]backend.Detection{dets(17)}); err != nil {
-				t.Fatal(err)
-			}
-			rec, ok := serveFuzz(t, store, "/cache/get", ctype, body)
-			if !ok {
-				continue
-			}
-			if ctype == batchwire.MediaType {
-				keys, err := decodeGetRequest(body)
-				if err != nil {
-					t.Fatalf("200 for a frame that does not decode (%v): %q", err, body)
-				}
-				if err := decodeEntries(rec.Body.Bytes(), keys, make([]cachestore.Entry, len(keys))); err != nil {
-					t.Fatalf("200 frame does not decode against its %d keys (%v): %q", len(keys), err, rec.Body.Bytes())
-				}
-				continue
-			}
-			var req getRequest
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-				t.Fatalf("200 for a body that does not decode (%v): %q", err, body)
-			}
-			var resp getResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-				t.Fatalf("200 body does not decode (%v): %q", err, rec.Body.Bytes())
-			}
-			if len(resp.Entries) != len(req.Keys) {
-				t.Fatalf("%d entries for %d keys", len(resp.Entries), len(req.Keys))
-			}
+		store := cachestore.NewLocal(64)
+		if err := store.PutBatch(context.Background(), []cachestore.Key{docKey}, [][]backend.Detection{dets(17)}); err != nil {
+			t.Fatal(err)
+		}
+		rec, ok := serveFuzz(t, store, "/cache/get", body)
+		if !ok {
+			return
+		}
+		keys, err := decodeGetRequest(body)
+		if err != nil {
+			t.Fatalf("200 for a frame that does not decode (%v): %q", err, body)
+		}
+		if err := decodeEntries(rec.Body.Bytes(), keys, make([]cachestore.Entry, len(keys))); err != nil {
+			t.Fatalf("200 frame does not decode against its %d keys (%v): %q", len(keys), err, rec.Body.Bytes())
 		}
 	})
 }
 
-// binaryPuts is the binary seed corpus of FuzzHandlerPut.
-func binaryPuts() [][]byte {
+// handlerPuts is the seed corpus of FuzzHandlerPut: one entry, a memoized
+// empty and a nil entry, no entries, a negative frame, an entry over
+// maxDetsPerEntry, frames broken at each layer and a total beyond the body.
+func handlerPuts() [][]byte {
 	put := func(keys []cachestore.Key, vals [][]backend.Detection) []byte {
 		b, err := appendPutRequest(nil, keys, vals)
 		if err != nil {
@@ -132,67 +101,30 @@ func binaryPuts() [][]byte {
 	}
 }
 
-// FuzzHandlerPut feeds arbitrary bodies to the put route, as JSON and as a
-// binary frame: never a panic, 200 or 4xx, and a 200 acknowledges every
-// entry of the request, in the request's codec, and has stored the last one.
+// FuzzHandlerPut feeds arbitrary frames to the put route: never a panic,
+// 200 or 4xx, and a 200 acknowledges every entry of the request and has
+// stored the last one.
 func FuzzHandlerPut(f *testing.F) {
-	f.Add([]byte(`{"entries": [{"key": "v1:000000000000002a:17:car", "dets": [{"frame": 17, "class": "car", "box": [1, 2, 3, 4], "score": 0.93, "truth_id": 7}]}]}`))
-	f.Add([]byte(`{"entries": [{"key": "v1:000000000000002a:17:car"}, {"key": "v1:000000000000002a:18:car", "dets": []}]}`))
-	f.Add([]byte(`{"entries": [{"key": "v1:000000000000002a:17:car", "dets": null}]}`))
-	f.Add([]byte(`{"entries": [{"key": "garbage", "dets": []}]}`))
-	f.Add([]byte(`{"entries": [{"dets": [{"box": [1, 2, 3, 4, 5]}]}]}`))
-	f.Add([]byte(`{"entries": []}`))
-	f.Add([]byte(`{"entries": null}`))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`[]`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`{"entries": [`))
-	for _, body := range binaryPuts() {
+	for _, body := range handlerPuts() {
 		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, ctype := range codecs {
-			store := cachestore.NewLocal(64)
-			rec, ok := serveFuzz(t, store, "/cache/put", ctype, body)
-			if !ok {
-				continue
-			}
-			var keys []cachestore.Key
-			var stored uint64
-			if ctype == batchwire.MediaType {
-				var err error
-				if keys, _, err = decodePutRequest(body); err != nil {
-					t.Fatalf("200 for a frame that does not decode (%v): %q", err, body)
-				}
-				r := batchwire.NewReader(rec.Body.Bytes())
-				if stored = r.Uvarint(); r.Done() != nil {
-					t.Fatalf("200 frame does not decode (%v): %q", r.Done(), rec.Body.Bytes())
-				}
-			} else {
-				var req putRequest
-				if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-					t.Fatalf("200 for a body that does not decode (%v): %q", err, body)
-				}
-				var resp putResponse
-				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-					t.Fatalf("200 body does not decode (%v): %q", err, rec.Body.Bytes())
-				}
-				for _, e := range req.Entries {
-					k, err := cachestore.DecodeKey(e.Key)
-					if err != nil {
-						t.Fatalf("200 for an undecodable key: %v", err)
-					}
-					keys = append(keys, k)
-				}
-				stored = uint64(resp.Stored)
-			}
-			if stored != uint64(len(keys)) || stored == 0 {
-				t.Fatalf("stored %d for %d entries", stored, len(keys))
-			}
-			last := keys[len(keys)-1]
-			if got, err := store.GetBatch(context.Background(), []cachestore.Key{last}); err != nil || !got[0].Found {
-				t.Fatalf("acknowledged entry %+v is not in the store: %+v, %v", last, got, err)
-			}
+		store := cachestore.NewLocal(64)
+		rec, ok := serveFuzz(t, store, "/cache/put", body)
+		if !ok {
+			return
+		}
+		keys, _, err := decodePutRequest(body)
+		if err != nil {
+			t.Fatalf("200 for a frame that does not decode (%v): %q", err, body)
+		}
+		r := batchwire.NewReader(rec.Body.Bytes())
+		if stored := r.Uvarint(); r.Done() != nil || stored != uint64(len(keys)) || stored == 0 {
+			t.Fatalf("stored %d for %d entries (%v): %q", stored, len(keys), r.Done(), rec.Body.Bytes())
+		}
+		last := keys[len(keys)-1]
+		if got, err := store.GetBatch(context.Background(), []cachestore.Key{last}); err != nil || !got[0].Found {
+			t.Fatalf("acknowledged entry %+v is not in the store: %+v, %v", last, got, err)
 		}
 	})
 }
@@ -281,7 +213,7 @@ func refEntries(b []byte, keys []cachestore.Key) ([]cachestore.Entry, error) {
 	return out, err
 }
 
-// clientResponses is the binary seed corpus of FuzzClientResponse, each for
+// clientResponses is the seed corpus of FuzzClientResponse, each for
 // a two-key batch: lookups that conform, lookups broken at each layer of the
 // frame, and store acknowledgements.
 func clientResponses() [][]byte {

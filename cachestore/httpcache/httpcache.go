@@ -5,14 +5,12 @@
 //
 // # Wire protocol
 //
-// One POST per batch, routed by path suffix, in one of two codecs. The
-// Client speaks only the binary frame of internal/batchwire (Content-Type
-// application/x-exsample-frame); the Handler answers a request in the codec
-// its Content-Type names, and JSON for anything else, so curl and non-Go
-// callers keep the JSON form below.
+// One POST per batch, routed by path suffix, in the binary frame of
+// internal/batchwire (Content-Type application/x-exsample-frame); the
+// Handler answers any other Content-Type 415.
 //
-// In the binary frame every message starts with the version byte
-// (batchwire.Version, 1), and a key is
+// Every message starts with the version byte (batchwire.Version, 1), and a
+// key is
 //
 //	content  8 bytes, little-endian
 //	frame    zigzag varint
@@ -42,25 +40,9 @@
 // sum to total; trailing bytes, a NaN or an infinity, and any count the
 // bytes left cannot hold are errors.
 //
-// The JSON form carries keys as strings (cachestore.Key.Encode). GET:
+// A found entry with an empty list is a valid memoized "nothing in this
+// frame".
 //
-//	{"keys": ["v1:000000000000002a:17:car", ...]}
-//
-// Response (HTTP 200), entries aligned with keys:
-//
-//	{"entries": [{"found": true, "dets": [{"frame": 17, "class": "car",
-//	  "box": [x1, y1, x2, y2], "score": 0.93, "truth_id": 7}]},
-//	  {"found": false}]}
-//
-// PUT:
-//
-//	{"entries": [{"key": "v1:000000000000002a:17:car", "dets": [...]}]}
-//
-// Response (HTTP 200):
-//
-//	{"stored": 1}
-//
-// found with no detections is a valid memoized "nothing in this frame".
 // Errors: a non-200 status fails the batch. Timeouts, bounded retries (5xx
 // and transport errors only — a 4xx means the request itself is malformed),
 // the doomed-deadline rule, per-endpoint admission and the size bounds on
@@ -85,34 +67,6 @@ import (
 // proto prefixes every error and rejection of this protocol, including the
 // ones the shared transport produces.
 const proto = batchwire.Proto("httpcache")
-
-// getRequest / getResponse are the JSON forms of a batched lookup.
-type getRequest struct {
-	Keys []string `json:"keys"`
-}
-
-type getEntry struct {
-	Found bool                  `json:"found"`
-	Dets  []batchwire.Detection `json:"dets,omitempty"`
-}
-
-type getResponse struct {
-	Entries []getEntry `json:"entries"`
-}
-
-// putRequest / putResponse are the JSON forms of a batched store.
-type putRequest struct {
-	Entries []putEntry `json:"entries"`
-}
-
-type putEntry struct {
-	Key  string                `json:"key"`
-	Dets []batchwire.Detection `json:"dets,omitempty"`
-}
-
-type putResponse struct {
-	Stored int `json:"stored"`
-}
 
 // minKeyBytes is the smallest binary key: the content, a one-byte frame and
 // an empty class.
@@ -414,11 +368,11 @@ const (
 
 // Handler serves a cachestore.Store over the httpcache wire protocol — the
 // server half of the pairing. Routing is by path suffix: POST .../get and
-// POST .../put. It answers each request in the codec the request spoke: the
-// binary frame when its Content-Type is batchwire.MediaType, JSON
-// otherwise. Requests are bounded (oversized bodies, oversized batches and
-// absurdly large entries are rejected with 400) and every key must decode;
-// a request carrying one undecodable key is rejected whole, so a
+// POST .../put. It speaks only the binary frame: a request whose
+// Content-Type is not batchwire.MediaType is answered 415. Requests are
+// bounded (oversized bodies, oversized batches and absurdly large entries
+// are rejected with 400) and every key must decode; a request carrying one
+// undecodable key, or a frame of another version, is rejected whole, so a
 // version-skewed client cannot silently poison a shared store. Pair it with
 // any mux: http.Handle("/cache/", httpcache.Handler(store)).
 func Handler(store cachestore.Store) http.Handler {
@@ -438,7 +392,7 @@ func Handler(store cachestore.Store) http.Handler {
 	})
 }
 
-// validate is the one check of a decoded request, whatever its codec: keys
+// validate is the one check of a decoded request: keys
 // present and within the per-request cap, no negative frame, and for a store
 // (vals non-nil) no entry over the detection cap. what names the keys in
 // the answer ("keys", "entries").
@@ -451,71 +405,24 @@ func validate(what string, keys []cachestore.Key, vals [][]backend.Detection) er
 	}
 	for i, k := range keys {
 		if k.Frame < 0 {
-			return fmt.Errorf("httpcache: key %q: negative frame %d", k.Encode(), k.Frame)
+			return fmt.Errorf("httpcache: key content %016x frame %d class %q: negative frame", k.Content, k.Frame, k.Class)
 		}
 		if vals != nil && len(vals[i]) > maxDetsPerEntry {
-			return fmt.Errorf("httpcache: entry %q carries %d detections, cap is %d", k.Encode(), len(vals[i]), maxDetsPerEntry)
+			return fmt.Errorf("httpcache: entry content %016x frame %d class %q carries %d detections, cap is %d", k.Content, k.Frame, k.Class, len(vals[i]), maxDetsPerEntry)
 		}
 	}
 	return nil
 }
 
-// decodeJSONKey decodes one JSON key string; one undecodable key rejects
-// the whole request.
-func decodeJSONKey(s string) (cachestore.Key, error) {
-	k, err := cachestore.DecodeKey(s)
-	if err != nil {
-		return k, fmt.Errorf("httpcache: %v", err)
-	}
-	return k, nil
-}
-
-// decode converts a JSON lookup to its keys.
-func (req *getRequest) decode() ([]cachestore.Key, error) {
-	keys := make([]cachestore.Key, len(req.Keys))
-	for i, s := range req.Keys {
-		var err error
-		if keys[i], err = decodeJSONKey(s); err != nil {
-			return nil, err
-		}
-	}
-	return keys, nil
-}
-
-// decode converts a JSON store to its keys and values.
-func (req *putRequest) decode() ([]cachestore.Key, [][]backend.Detection, error) {
-	keys := make([]cachestore.Key, len(req.Entries))
-	vals := make([][]backend.Detection, len(req.Entries))
-	for i, e := range req.Entries {
-		var err error
-		if keys[i], err = decodeJSONKey(e.Key); err != nil {
-			return nil, nil, err
-		}
-		vals[i] = batchwire.FromWire(e.Dets)
-	}
-	return keys, vals, nil
-}
-
 func handleGet(store cachestore.Store, w http.ResponseWriter, r *http.Request) {
-	var (
-		req  getRequest
-		keys []cachestore.Key
-		err  error
-	)
-	frame, ok := proto.Decode(w, r, &req, func(b []byte) (err error) {
+	var keys []cachestore.Key
+	if !proto.Decode(w, r, func(b []byte) (err error) {
 		keys, err = decodeGetRequest(b)
 		return err
-	})
-	if !ok {
+	}) {
 		return
 	}
-	if !frame {
-		keys, err = req.decode()
-	}
-	if err == nil {
-		err = validate("keys", keys, nil)
-	}
-	if err != nil {
+	if err := validate("keys", keys, nil); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -528,38 +435,21 @@ func handleGet(store cachestore.Store, w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("httpcache: store returned %d entries for %d keys", len(entries), len(keys)), http.StatusInternalServerError)
 		return
 	}
-	if frame {
-		proto.RespondFrame(w, func(b []byte) ([]byte, error) { return appendEntries(b, keys, entries) })
-		return
-	}
-	resp := getResponse{Entries: make([]getEntry, len(entries))}
-	for i, e := range entries {
-		resp.Entries[i] = getEntry{Found: e.Found, Dets: batchwire.ToWire(e.Dets)}
-	}
-	proto.Respond(w, resp)
+	proto.Respond(w, func(b []byte) ([]byte, error) { return appendEntries(b, keys, entries) })
 }
 
 func handlePut(store cachestore.Store, w http.ResponseWriter, r *http.Request) {
 	var (
-		req  putRequest
 		keys []cachestore.Key
 		vals [][]backend.Detection
-		err  error
 	)
-	frame, ok := proto.Decode(w, r, &req, func(b []byte) (err error) {
+	if !proto.Decode(w, r, func(b []byte) (err error) {
 		keys, vals, err = decodePutRequest(b)
 		return err
-	})
-	if !ok {
+	}) {
 		return
 	}
-	if !frame {
-		keys, vals, err = req.decode()
-	}
-	if err == nil {
-		err = validate("entries", keys, vals)
-	}
-	if err != nil {
+	if err := validate("entries", keys, vals); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -567,11 +457,7 @@ func handlePut(store cachestore.Store, w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("httpcache: store: %v", err), http.StatusInternalServerError)
 		return
 	}
-	if frame {
-		proto.RespondFrame(w, func(b []byte) ([]byte, error) {
-			return binary.AppendUvarint(append(b, batchwire.Version), uint64(len(keys))), nil
-		})
-		return
-	}
-	proto.Respond(w, putResponse{Stored: len(keys)})
+	proto.Respond(w, func(b []byte) ([]byte, error) {
+		return binary.AppendUvarint(append(b, batchwire.Version), uint64(len(keys))), nil
+	})
 }

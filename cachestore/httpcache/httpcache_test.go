@@ -3,12 +3,11 @@ package httpcache
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -80,7 +79,9 @@ func TestClientServerRoundTrip(t *testing.T) {
 }
 
 // TestFloatRoundTrip: arbitrary float64 box coordinates and scores survive
-// the wire bit-exactly (the frame carries their IEEE-754 bits), which is
+// the wire bit-exactly (the frame carries their IEEE-754 bits), -0 and
+// subnormals included, as do a detection of another class than its key's
+// and a key whose class contains a colon — which is
 // what keeps remote-tier results byte-identical to paid inference.
 func TestFloatRoundTrip(t *testing.T) {
 	c, _, _ := loopback(t)
@@ -88,18 +89,26 @@ func TestFloatRoundTrip(t *testing.T) {
 	in := []backend.Detection{{
 		Frame: 3, Class: "car",
 		Box:   backend.Box{X1: 0.1 + 0.2, Y1: 1.0 / 3.0, X2: 0.30000000000000004, Y2: 1e-17},
-		Score: 0.123456789012345678,
+		Score: 0.123456789012345678, TruthID: -1,
+	}, {
+		Frame: 3, Class: "truck",
+		Box:   backend.Box{X1: math.SmallestNonzeroFloat64, Y1: math.Copysign(0, -1), X2: math.MaxFloat64, Y2: 5e-324},
+		Score: 1, TruthID: math.MaxInt32,
 	}}
-	k := []cachestore.Key{{Content: 1, Class: "car", Frame: 3}}
-	if err := c.PutBatch(ctx, k, [][]backend.Detection{in}); err != nil {
+	colon := []backend.Detection{{Frame: 0, Class: "a:b", Box: backend.Box{X1: 1, Y1: 2, X2: 3, Y2: 4}, Score: 0.5, TruthID: 9}}
+	k := []cachestore.Key{{Content: 1, Class: "car", Frame: 3}, {Content: 2, Class: "a:b", Frame: 0}}
+	if err := c.PutBatch(ctx, k, [][]backend.Detection{in, colon}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.GetBatch(ctx, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].Dets[0] != in[0] {
-		t.Fatalf("floats drifted over the wire: got %+v want %+v", got[0].Dets[0], in[0])
+	if !got[0].Found || !sameDetections(got[0].Dets, in) {
+		t.Fatalf("floats drifted over the wire: got %+v want %+v", got[0].Dets, in)
+	}
+	if !got[1].Found || !sameDetections(got[1].Dets, colon) {
+		t.Fatalf("key %+v: got %+v want %+v", k[1], got[1], colon)
 	}
 }
 
@@ -217,7 +226,7 @@ func TestEntryCountMismatch(t *testing.T) {
 // conforming server produces is refused, not buffered — one request, no
 // retry, a protocol error under this package's prefix.
 func TestOversizedResponseIsTerminal(t *testing.T) {
-	huge, hits := canned([]byte(`{"entries":[{"found":false}],"stored":1}`), batchwire.MaxResponseBytes+1)
+	huge, hits := canned([]byte{batchwire.Version, 1}, batchwire.MaxResponseBytes+1)
 	c, err := New(Config{Endpoint: "http://cache", HTTPClient: huge, RetryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -297,70 +306,115 @@ func TestPutBatchLengthMismatch(t *testing.T) {
 	}
 }
 
-func postJSON(t *testing.T, url, body string) *http.Response {
-	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { resp.Body.Close() })
-	return resp
+// post posts body to a handler's path under ctype.
+func post(h http.Handler, path, ctype string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	req.Header.Set("Content-Type", ctype)
+	h.ServeHTTP(rec, req)
+	return rec
 }
 
 // TestHandlerRejects: the server rejects malformed, oversized and
-// version-skewed requests with 400 — one bad key fails the whole batch so
-// a skewed client cannot poison a shared store.
+// version-skewed requests with 400 and writes nothing — one bad key fails
+// the whole batch so a skewed client cannot poison a shared store.
 func TestHandlerRejects(t *testing.T) {
-	_, _, srv := loopback(t)
-	goodKey := cachestore.Key{Content: 1, Class: "car", Frame: 0}.Encode()
-
-	manyKeys := make([]string, 5000)
-	for i := range manyKeys {
-		manyKeys[i] = cachestore.Key{Content: 1, Class: "car", Frame: int64(i)}.Encode()
+	good := cachestore.Key{Content: 1, Class: "car", Frame: 0}
+	bad := cachestore.Key{Content: 1, Class: "car", Frame: -1}
+	many := make([]cachestore.Key, maxKeysPerRequest+1)
+	for i := range many {
+		many[i] = cachestore.Key{Content: 1, Class: "car", Frame: int64(i + 1)}
 	}
-	manyJSON, _ := json.Marshal(map[string]any{"keys": manyKeys})
-
-	bigDets := make([]batchwire.Detection, 2000)
-	bigEntry, _ := json.Marshal(map[string]any{"entries": []any{map[string]any{"key": goodKey, "dets": bigDets}}})
-
+	big := make([]backend.Detection, maxDetsPerEntry+1)
+	for i := range big {
+		big[i] = dets(good.Frame)[0]
+	}
+	putFrame := func(ks []cachestore.Key, vs [][]backend.Detection) []byte {
+		b, err := appendPutRequest(nil, ks, vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	goodGet, goodPut := appendGetRequest(nil, []cachestore.Key{good}), putFrame([]cachestore.Key{good}, [][]backend.Detection{nil})
 	cases := []struct {
-		name, path, body string
-		wantStatus       int
+		name, path string
+		body       []byte
+		wantStatus int
 	}{
-		{"corrupt get body", "/get", `{"keys": [`, http.StatusBadRequest},
-		{"empty keys", "/get", `{"keys": []}`, http.StatusBadRequest},
-		{"bad key", "/get", `{"keys": ["v9:junk:1:car"]}`, http.StatusBadRequest},
-		{"one bad key poisons the batch", "/get", fmt.Sprintf(`{"keys": [%q, "nope"]}`, goodKey), http.StatusBadRequest},
-		{"oversized key batch", "/get", string(manyJSON), http.StatusBadRequest},
-		{"corrupt put body", "/put", `{"entries": [`, http.StatusBadRequest},
-		{"empty entries", "/put", `{"entries": []}`, http.StatusBadRequest},
-		{"bad put key", "/put", `{"entries": [{"key": "garbage", "dets": []}]}`, http.StatusBadRequest},
-		{"oversized entry", "/put", string(bigEntry), http.StatusBadRequest},
-		{"unknown endpoint", "/stats", `{}`, http.StatusNotFound},
+		{"truncated get", "/get", goodGet[:len(goodGet)-1], http.StatusBadRequest},
+		{"no keys", "/get", appendGetRequest(nil, nil), http.StatusBadRequest},
+		{"negative frame", "/get", appendGetRequest(nil, []cachestore.Key{bad}), http.StatusBadRequest},
+		{"one bad key poisons the batch", "/get", appendGetRequest(nil, []cachestore.Key{good, bad}), http.StatusBadRequest},
+		{"over maxKeysPerRequest", "/get", appendGetRequest(nil, many), http.StatusBadRequest},
+		{"bad version", "/get", append([]byte{batchwire.Version + 1}, goodGet[1:]...), http.StatusBadRequest},
+		{"trailing bytes", "/get", append(append([]byte(nil), goodGet...), 0), http.StatusBadRequest},
+		{"oversized body", "/get", bytes.Repeat([]byte{batchwire.Version}, batchwire.MaxRequestBytes+1), http.StatusBadRequest},
+		{"truncated put", "/put", goodPut[:len(goodPut)-1], http.StatusBadRequest},
+		{"no entries", "/put", putFrame(nil, nil), http.StatusBadRequest},
+		{"negative frame", "/put", putFrame([]cachestore.Key{bad}, [][]backend.Detection{nil}), http.StatusBadRequest},
+		{"one bad key poisons the batch", "/put", putFrame([]cachestore.Key{good, bad}, [][]backend.Detection{nil, nil}), http.StatusBadRequest},
+		{"over maxKeysPerRequest", "/put", putFrame(many, make([][]backend.Detection, len(many))), http.StatusBadRequest},
+		{"over maxDetsPerEntry", "/put", putFrame([]cachestore.Key{good}, [][]backend.Detection{big}), http.StatusBadRequest},
+		{"bad version", "/put", append([]byte{batchwire.Version + 1}, goodPut[1:]...), http.StatusBadRequest},
+		{"trailing bytes", "/put", append(append([]byte(nil), goodPut...), 0), http.StatusBadRequest},
+		{"unknown endpoint", "/stats", goodPut, http.StatusNotFound},
 	}
 	for _, tc := range cases {
-		resp := postJSON(t, srv.URL+tc.path, tc.body)
-		if resp.StatusCode != tc.wantStatus {
-			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.wantStatus)
+		store := cachestore.NewLocal(64)
+		if rec := post(Handler(store), tc.path, batchwire.MediaType, tc.body); rec.Code != tc.wantStatus {
+			t.Errorf("%s %s: status %d, want %d", tc.name, tc.path, rec.Code, tc.wantStatus)
+		}
+		if got, _ := store.GetBatch(context.Background(), append([]cachestore.Key{good}, many...)); slices.ContainsFunc(got, func(e cachestore.Entry) bool { return e.Found }) {
+			t.Errorf("%s %s: a rejected request wrote to the store", tc.name, tc.path)
 		}
 	}
 
 	// Non-POST is 405.
-	resp, err := http.Get(srv.URL + "/get")
-	if err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	Handler(cachestore.NewLocal(64)).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/get", nil))
+	if rec.Code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /get: status %d, want 405", rec.Code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /get: status %d, want 405", resp.StatusCode)
-	}
+}
 
-	// An oversized body (beyond MaxRequestBytes) is rejected, not decoded.
-	huge := `{"keys": ["` + strings.Repeat("x", batchwire.MaxRequestBytes) + `"]}`
-	resp2 := postJSON(t, srv.URL+"/get", huge)
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("oversized body: status %d, want 400", resp2.StatusCode)
+// TestHandlerRefusesOtherMediaTypes: the handler speaks only the frame. A
+// JSON lookup or store, or a request with no Content-Type, is answered 415
+// before its body is read, and never reaches the store.
+func TestHandlerRefusesOtherMediaTypes(t *testing.T) {
+	store := &countingStore{Store: cachestore.NewLocal(64)}
+	h := Handler(store)
+	bodies := map[string]string{
+		"/get": `{"keys": ["v1:000000000000002a:17:car"]}`,
+		"/put": `{"entries": [{"key": "v1:000000000000002a:17:car", "dets": []}]}`,
 	}
+	for path, body := range bodies {
+		for _, ctype := range []string{"application/json", ""} {
+			rec := post(h, path, ctype, []byte(body))
+			if rec.Code != http.StatusUnsupportedMediaType || !strings.HasPrefix(rec.Body.String(), "httpcache: unsupported Content-Type") {
+				t.Errorf("%s as %q: status %d %q, want 415 under the httpcache prefix", path, ctype, rec.Code, rec.Body.String())
+			}
+		}
+	}
+	if n := store.calls.Load(); n != 0 {
+		t.Fatalf("a refused request reached the store %d times", n)
+	}
+}
+
+// countingStore counts the calls that reach its Store.
+type countingStore struct {
+	cachestore.Store
+	calls atomic.Int64
+}
+
+func (s *countingStore) GetBatch(ctx context.Context, keys []cachestore.Key) ([]cachestore.Entry, error) {
+	s.calls.Add(1)
+	return s.Store.GetBatch(ctx, keys)
+}
+
+func (s *countingStore) PutBatch(ctx context.Context, keys []cachestore.Key, vals [][]backend.Detection) error {
+	s.calls.Add(1)
+	return s.Store.PutBatch(ctx, keys, vals)
 }
 
 // TestConfigValidation: New rejects out-of-range configs.
@@ -446,149 +500,6 @@ func TestShortPutAcknowledgement(t *testing.T) {
 	if st := tier.Stats(); st.L2PutErrors != 1 || st.Fills != 2 || hits.Load() != 3 {
 		t.Fatalf("tier stats = %+v after %d requests, want one dropped write-through", st, hits.Load())
 	}
-}
-
-// TestFrameVersionTracksKeyVersion: the binary key carries no version of
-// its own, so the frame's version byte must move with the JSON key's.
-func TestFrameVersionTracksKeyVersion(t *testing.T) {
-	if want := fmt.Sprintf("v%d:", batchwire.Version); !strings.HasPrefix(cachestore.Key{}.Encode(), want) {
-		t.Fatalf("key %q does not carry frame version %d", cachestore.Key{}.Encode(), batchwire.Version)
-	}
-}
-
-// postCodec posts body to a handler's path under ctype.
-func postCodec(h http.Handler, path, ctype string, body []byte) *httptest.ResponseRecorder {
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
-	req.Header.Set("Content-Type", ctype)
-	h.ServeHTTP(rec, req)
-	return rec
-}
-
-// TestCodecsAgree: the same puts and lookups sent as JSON and as binary
-// frames store and return the same detections, bit for bit, and every
-// rejection is a 400 in both codecs.
-func TestCodecsAgree(t *testing.T) {
-	floats := backend.Detection{Frame: 3, Class: "car",
-		Box:   backend.Box{X1: 0.1 + 0.2, Y1: 1.0 / 3.0, X2: 0.30000000000000004, Y2: 1e-17},
-		Score: 0.123456789012345678, TruthID: -1}
-	odd := backend.Detection{Frame: 4, Class: "truck",
-		Box:   backend.Box{X1: math.SmallestNonzeroFloat64, Y1: math.Copysign(0, -1), X2: math.MaxFloat64, Y2: 5e-324},
-		Score: 1, TruthID: math.MaxInt32}
-	keys := []cachestore.Key{{Content: 1, Class: "car", Frame: 3}, {Content: 1, Class: "car", Frame: 4}, {Content: 2, Class: "a:b", Frame: 0}}
-	vals := [][]backend.Detection{{floats, odd}, nil, {{Frame: 0, Class: "a:b", Box: backend.Box{X1: 1, Y1: 2, X2: 3, Y2: 4}, Score: 0.5, TruthID: 9}}}
-	probe := append(append([]cachestore.Key(nil), keys...), cachestore.Key{Content: 9, Class: "car", Frame: 1})
-
-	jsonPut := putRequest{}
-	for i, k := range keys {
-		jsonPut.Entries = append(jsonPut.Entries, putEntry{Key: k.Encode(), Dets: batchwire.ToWire(vals[i])})
-	}
-	binPut, err := appendPutRequest(nil, keys, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonGet := getRequest{}
-	for _, k := range probe {
-		jsonGet.Keys = append(jsonGet.Keys, k.Encode())
-	}
-	binGet := appendGetRequest(nil, probe)
-
-	// Each store is written in one codec and read in both.
-	for _, putCodec := range codecs {
-		h := Handler(cachestore.NewLocal(64))
-		body := binPut
-		if putCodec != batchwire.MediaType {
-			body = mustJSON(jsonPut)
-		}
-		if rec := postCodec(h, "/put", putCodec, body); rec.Code != http.StatusOK {
-			t.Fatalf("%s put: status %d: %s", putCodec, rec.Code, rec.Body.Bytes())
-		}
-		var fromJSON getResponse
-		if rec := postCodec(h, "/get", "application/json", mustJSON(jsonGet)); rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &fromJSON) != nil {
-			t.Fatalf("%s put, JSON get: status %d: %s", putCodec, rec.Code, rec.Body.Bytes())
-		}
-		rec := postCodec(h, "/get", batchwire.MediaType, binGet)
-		fromFrame := make([]cachestore.Entry, len(probe))
-		if err := decodeEntries(rec.Body.Bytes(), probe, fromFrame); rec.Code != http.StatusOK || err != nil {
-			t.Fatalf("%s put, binary get: status %d, %v", putCodec, rec.Code, err)
-		}
-		for i := range probe {
-			var want []backend.Detection
-			if i < len(vals) {
-				want = batchwire.PinFrame(keys[i].Frame, vals[i]) // as Local stores them
-			}
-			found := i < len(keys)
-			j := fromJSON.Entries[i]
-			if fromFrame[i].Found != found || j.Found != found ||
-				!sameDetections(fromFrame[i].Dets, want) || !sameDetections(batchwire.FromWire(j.Dets), want) {
-				t.Errorf("%s put, key %d: binary %+v, JSON %+v, want found=%v %+v", putCodec, i, fromFrame[i], j, found, want)
-			}
-		}
-	}
-
-	good := keys[0]
-	bad := cachestore.Key{Content: 1, Class: "car", Frame: -1}
-	many := make([]cachestore.Key, maxKeysPerRequest+1)
-	big := [][]backend.Detection{make([]backend.Detection, maxDetsPerEntry+1)}
-	for i := range big[0] {
-		big[0][i] = dets(good.Frame)[0]
-	}
-	getJSON := func(ks ...string) []byte { return mustJSON(getRequest{Keys: ks}) }
-	putJSON := func(k string, d []backend.Detection) []byte {
-		return mustJSON(putRequest{Entries: []putEntry{{Key: k, Dets: batchwire.ToWire(d)}}})
-	}
-	putFrame := func(ks []cachestore.Key, vs [][]backend.Detection) []byte {
-		b, err := appendPutRequest(nil, ks, vs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	manyJSON := make([]string, len(many))
-	var manyPut putRequest
-	for i := range many {
-		many[i] = cachestore.Key{Content: 1, Class: "car", Frame: int64(i)}
-		manyJSON[i] = many[i].Encode()
-		manyPut.Entries = append(manyPut.Entries, putEntry{Key: manyJSON[i]})
-	}
-	goodGet, goodPut := appendGetRequest(nil, []cachestore.Key{good}), putFrame([]cachestore.Key{good}, [][]backend.Detection{nil})
-	rejections := []struct {
-		name, path  string
-		json, frame []byte
-	}{
-		{"no keys", "/get", getJSON(), appendGetRequest(nil, nil)},
-		{"no entries", "/put", []byte(`{"entries":[]}`), putFrame(nil, nil)},
-		{"over maxKeysPerRequest", "/get", getJSON(manyJSON...), appendGetRequest(nil, many)},
-		{"over maxKeysPerRequest", "/put", mustJSON(manyPut), putFrame(many, make([][]backend.Detection, len(many)))},
-		{"over maxDetsPerEntry", "/put", putJSON(good.Encode(), big[0]), putFrame([]cachestore.Key{good}, big)},
-		{"negative frame", "/get", getJSON("v1:0000000000000001:-1:car"), appendGetRequest(nil, []cachestore.Key{bad})},
-		{"negative frame", "/put", putJSON("v1:0000000000000001:-1:car", nil), putFrame([]cachestore.Key{bad}, [][]backend.Detection{nil})},
-		{"bad version", "/get", getJSON("v9:0000000000000001:0:car"), append([]byte{batchwire.Version + 1}, goodGet[1:]...)},
-		{"bad version", "/put", putJSON("v9:0000000000000001:0:car", nil), append([]byte{batchwire.Version + 1}, goodPut[1:]...)},
-		{"trailing bytes", "/get", append(getJSON(good.Encode()), " {}"...), append(goodGet, 0)},
-		{"trailing bytes", "/put", append(putJSON(good.Encode(), nil), " {}"...), append(goodPut, 0)},
-	}
-	for _, tc := range rejections {
-		store := cachestore.NewLocal(64)
-		h := Handler(store)
-		if rec := postCodec(h, tc.path, "application/json", tc.json); rec.Code != http.StatusBadRequest {
-			t.Errorf("%s %s: JSON status %d, want 400", tc.name, tc.path, rec.Code)
-		}
-		if rec := postCodec(h, tc.path, batchwire.MediaType, tc.frame); rec.Code != http.StatusBadRequest {
-			t.Errorf("%s %s: frame status %d, want 400", tc.name, tc.path, rec.Code)
-		}
-		if got, _ := store.GetBatch(context.Background(), []cachestore.Key{good}); got[0].Found {
-			t.Errorf("%s %s: a rejected request wrote to the store", tc.name, tc.path)
-		}
-	}
-}
-
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }
 
 // TestFrameDecodeAllocs: decoding an n-key lookup into the caller's entries

@@ -4,14 +4,13 @@
 // packages own their request/response shapes, their own validation and their
 // Stats; everything the protocols share is decided here, once.
 //
-// # Codecs
+// # Codec
 //
-// Each protocol has two codecs over one in-memory request. The Go clients
-// speak only the binary frame, Content-Type MediaType
-// ("application/x-exsample-frame"): they cannot talk to a JSON-only server.
-// The handlers pick the codec from the request's Content-Type — the frame
-// for MediaType, JSON for anything else — and answer in the same one, so
-// curl and non-Go callers keep the documented JSON protocol.
+// Both protocols speak one codec, the binary frame below, under
+// Content-Type MediaType ("application/x-exsample-frame"): the Go clients
+// send it, and the handlers answer any other Content-Type 415 before
+// reading the body. The frame is documented byte by byte so a client or a
+// server in any language can speak it.
 //
 // # Frame
 //
@@ -73,27 +72,23 @@
 // # Handler discipline
 //
 // A protocol's http.Handler is assembled from Proto.PostOnly (405 otherwise),
-// Proto.Decode (body bounded by MaxRequestBytes, codec by Content-Type,
-// decode-or-400, trailing data refused in both codecs) and Proto.Respond or
-// Proto.RespondFrame (encode into a pooled buffer, then one write; an encode
+// Proto.Decode (415 unless the Content-Type is MediaType, then the body
+// bounded by MaxRequestBytes, decode-or-400, trailing bytes refused) and
+// Proto.Respond (encode into a pooled buffer, then one write; an encode
 // failure is a 500, never a half-written body). Between decode and encode a
-// handler runs one validation and one backend or store call, whatever the
-// codec.
+// handler runs one validation and one backend or store call.
 //
 // # Detections
 //
-// Detection is the JSON form of a detection; ToWire and FromWire are the
-// only code that maps between it and backend.Detection, the one in-memory
-// form, as AppendDetections and Reader.Detections are for the frame.
-// PinFrame is the one place a result's Frame is forced to the frame it was
-// requested or stored for.
+// AppendDetections and Reader.Detections are the only code that maps a
+// detection list between backend.Detection, the one in-memory form, and the
+// frame. PinFrame is the one place a result's Frame is forced to the frame
+// it was requested or stored for.
 package batchwire
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -252,7 +247,7 @@ func (c *Client) retry(ctx context.Context, url string, body []byte, decode func
 type scratch struct {
 	buf   bytes.Buffer
 	limit io.LimitedReader
-	frame []byte // a handler's binary response
+	frame []byte // a handler's response
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -317,9 +312,8 @@ func (c *Client) tooLarge() error {
 }
 
 // MaxRequestBytes bounds a request body a handler is willing to decode: far
-// above any sane batch (a frame is ~20 bytes in JSON and 1–5 in the binary
-// frame, a key ~45 and ~20), far below anything that could pressure server
-// memory.
+// above any sane batch (a frame number is 1–5 bytes, a key ~20), far below
+// anything that could pressure server memory.
 const MaxRequestBytes = 8 << 20
 
 // PostOnly reports whether r is a POST; any other method is answered 405.
@@ -331,57 +325,35 @@ func (p Proto) PostOnly(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// Decode reads r's body, bounded by MaxRequestBytes, in the codec its
-// Content-Type names: a binary frame (MediaType) is handed whole to frame,
-// anything else decodes as one JSON value into into, with nothing but
-// whitespace after it. frame reads a pooled buffer and must copy what it
-// keeps. Decode reports whether the request spoke the frame — the codec the
-// answer must use — and whether the handler may go on; a body that is
-// oversized or does not parse is answered 400.
-func (p Proto) Decode(w http.ResponseWriter, r *http.Request, into any, frame func([]byte) error) (binary, ok bool) {
-	body := http.MaxBytesReader(w, r.Body, MaxRequestBytes)
-	var err error
-	if binary = isFrame(r); binary {
-		s := scratchPool.Get().(*scratch)
-		defer scratchPool.Put(s)
-		s.buf.Reset()
-		if _, err = s.buf.ReadFrom(body); err == nil {
-			err = frame(s.buf.Bytes())
-		}
-	} else {
-		dec := json.NewDecoder(body)
-		if err = dec.Decode(into); err == nil {
-			if _, end := dec.Token(); end != io.EOF {
-				err = errors.New("trailing data after the JSON value")
-			}
-		}
+// Decode answers 415 unless r's Content-Type is MediaType (parameters
+// allowed), without reading the body. Otherwise it reads the body, bounded
+// by MaxRequestBytes, and hands it whole to frame, which reads a pooled
+// buffer and must copy what it keeps. A body that is oversized or does not
+// parse is answered 400. Decode reports whether the handler may go on.
+func (p Proto) Decode(w http.ResponseWriter, r *http.Request, frame func([]byte) error) bool {
+	if !isFrame(r) {
+		http.Error(w, fmt.Sprintf("%s: unsupported Content-Type %q (want %s)", p, r.Header.Get("Content-Type"), MediaType), http.StatusUnsupportedMediaType)
+		return false
 	}
-	if err != nil {
-		http.Error(w, fmt.Sprintf("%s: bad request: %v", p, err), http.StatusBadRequest)
-		return binary, false
-	}
-	return binary, true
-}
-
-// Respond answers 200 with resp as JSON. It encodes into a pooled buffer
-// first: the response hits the wire in one write, and an encode failure can
-// still surface as a 500 instead of a half-written body.
-func (p Proto) Respond(w http.ResponseWriter, resp any) {
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
 	s.buf.Reset()
-	if err := json.NewEncoder(&s.buf).Encode(resp); err != nil {
-		http.Error(w, fmt.Sprintf("%s: encode response: %v", p, err), http.StatusInternalServerError)
-		return
+	_, err := s.buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	if err == nil {
+		err = frame(s.buf.Bytes())
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(s.buf.Bytes()) // a failed write means the peer is gone; nobody is left to tell
+	if err != nil {
+		http.Error(w, fmt.Sprintf("%s: bad request: %v", p, err), http.StatusBadRequest)
+		return false
+	}
+	return true
 }
 
-// RespondFrame answers 200 with the binary frame, version byte included,
-// that encode appends to an empty pooled buffer, under the same one-write,
-// 500-on-failure rule as Respond.
-func (p Proto) RespondFrame(w http.ResponseWriter, encode func([]byte) ([]byte, error)) {
+// Respond answers 200 with the binary frame, version byte included, that
+// encode appends to an empty pooled buffer. The response hits the wire in
+// one write, and an encode failure surfaces as a 500 instead of a
+// half-written body.
+func (p Proto) Respond(w http.ResponseWriter, encode func([]byte) ([]byte, error)) {
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
 	b, err := encode(s.frame[:0])

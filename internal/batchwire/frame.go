@@ -11,14 +11,15 @@ import (
 	"github.com/exsample/exsample/backend"
 )
 
-// MediaType is the Content-Type of the binary frame. A request carrying it
-// is decoded, and answered, as a frame; any other request speaks JSON.
+// MediaType is the Content-Type of the binary frame, the one codec of both
+// protocols: a handler answers any other request 415.
 const MediaType = "application/x-exsample-frame"
 
-// Version is the frame's first byte. It is bumped together with
-// cachestore's key version: a frame key carries no version of its own, so a
-// change to the key's content-hash recipe must make version-skewed peers
-// refuse each other's frames instead of sharing entries.
+// Version is the frame's first byte. A frame key carries no version of its
+// own, so Version is also the key's: it is bumped when the key's binary form
+// or cachestore's content-hash recipe changes incompatibly, and
+// version-skewed peers then refuse each other's frames instead of sharing
+// entries.
 const Version byte = 1
 
 // MinDetectionBytes is the smallest encoding of one detection: a one-byte
@@ -35,8 +36,8 @@ func isFrame(r *http.Request) bool {
 var errNonFinite = errors.New("non-finite float")
 
 // AppendFloat appends v as its little-endian IEEE-754 bits. A NaN or an
-// infinity is refused: JSON cannot carry one either, so the two codecs
-// accept the same values.
+// infinity is refused: no detector produces one, and a decoder refuses it
+// too.
 func AppendFloat(b []byte, v float64) ([]byte, error) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return b, fmt.Errorf("%w %v", errNonFinite, v)

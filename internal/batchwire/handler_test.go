@@ -11,57 +11,47 @@ import (
 )
 
 // echo is a minimal protocol handler assembled from the shared pieces: it
-// answers x in the codec the request spoke.
+// answers the x it was sent.
 func echo(w http.ResponseWriter, r *http.Request) {
 	if !testProto.PostOnly(w, r) {
 		return
 	}
-	var req struct {
-		X float64 `json:"x"`
-	}
-	frame, ok := testProto.Decode(w, r, &req, func(b []byte) error {
+	var x float64
+	if !testProto.Decode(w, r, func(b []byte) error {
 		rd := NewReader(b)
-		req.X = rd.Float()
+		x = rd.Float()
 		return rd.Done()
-	})
-	if !ok {
+	}) {
 		return
 	}
-	if req.X < 0 {
-		req.X = math.NaN() // not encodable: the response must become a 500
+	if x < 0 {
+		x = math.NaN() // not encodable: the response must become a 500
 	}
-	if frame {
-		testProto.RespondFrame(w, func(b []byte) ([]byte, error) { return AppendFloat(append(b, Version), req.X) })
-		return
-	}
-	testProto.Respond(w, map[string]float64{"x": req.X})
+	testProto.Respond(w, func(b []byte) ([]byte, error) { return AppendFloat(append(b, Version), x) })
 }
 
-// xFrame is echo's binary request or answer for x.
+// xFrame is echo's request or answer for x.
 func xFrame(x float64) string {
 	return string(binary.LittleEndian.AppendUint64([]byte{Version}, math.Float64bits(x)))
 }
 
-// TestHandlerPieces: 405 for anything but POST, 400 for a body that does
-// not parse, carries trailing data or exceeds MaxRequestBytes, 500 (and no
-// partial body) when the response cannot be encoded, one write in the
-// request's codec otherwise — the binary frame when the Content-Type names
-// it, JSON for anything else.
+// TestHandlerPieces: 405 for anything but POST, 415 for any Content-Type but
+// the frame's, 400 for a body that does not parse, carries trailing bytes or
+// exceeds MaxRequestBytes, 500 (and no partial body) when the response
+// cannot be encoded, one write of the answer frame otherwise.
 func TestHandlerPieces(t *testing.T) {
+	const unsupported = "wiretest: unsupported Content-Type "
 	cases := []struct {
 		name, method, ctype, body string
 		wantStatus                int
 		wantBody                  string
 	}{
 		{"get", http.MethodGet, "", ``, http.StatusMethodNotAllowed, "wiretest: POST only\n"},
-		{"put", http.MethodPut, "", `{"x":1}`, http.StatusMethodNotAllowed, "wiretest: POST only\n"},
-		{"not json", http.MethodPost, "", `{not json`, http.StatusBadRequest, "wiretest: bad request: "},
-		{"empty body", http.MethodPost, "", ``, http.StatusBadRequest, "wiretest: bad request: EOF\n"},
-		{"oversized body", http.MethodPost, "", `{"pad":"` + strings.Repeat("x", MaxRequestBytes) + `"}`, http.StatusBadRequest, "wiretest: bad request: http: request body too large\n"},
-		{"encode failure", http.MethodPost, "", `{"x":-1}`, http.StatusInternalServerError, "wiretest: encode response: json: unsupported value: NaN\n"},
-		{"ok", http.MethodPost, "", `{"x":1.5}`, http.StatusOK, `{"x":1.5}` + "\n"},
-		{"json trailing whitespace", http.MethodPost, "application/json", `{"x":1.5}` + " \n", http.StatusOK, `{"x":1.5}` + "\n"},
-		{"json trailing data", http.MethodPost, "application/json", `{"x":1.5} {}`, http.StatusBadRequest, "wiretest: bad request: trailing data after the JSON value\n"},
+		{"put", http.MethodPut, MediaType, xFrame(1), http.StatusMethodNotAllowed, "wiretest: POST only\n"},
+		{"no Content-Type", http.MethodPost, "", xFrame(1.5), http.StatusUnsupportedMediaType, unsupported + `"" (want ` + MediaType + ")\n"},
+		{"application/json", http.MethodPost, "application/json", `{"x":1.5}`, http.StatusUnsupportedMediaType, unsupported + `"application/json" (want ` + MediaType + ")\n"},
+		{"text/plain", http.MethodPost, "text/plain; charset=utf-8", xFrame(1.5), http.StatusUnsupportedMediaType, unsupported + `"text/plain; charset=utf-8"`},
+		{"unparsable Content-Type", http.MethodPost, MediaType + "; charset", xFrame(1.5), http.StatusUnsupportedMediaType, unsupported},
 		{"frame ok", http.MethodPost, MediaType, xFrame(1.5), http.StatusOK, xFrame(1.5)},
 		{"frame with parameters", http.MethodPost, MediaType + "; charset=binary", xFrame(0.1), http.StatusOK, xFrame(0.1)},
 		{"frame empty", http.MethodPost, MediaType, ``, http.StatusBadRequest, "wiretest: bad request: truncated frame"},
@@ -87,12 +77,8 @@ func TestHandlerPieces(t *testing.T) {
 			if got := rec.Body.String(); !strings.HasPrefix(got, tc.wantBody) {
 				t.Fatalf("body %q, want it to start with %q", got, tc.wantBody)
 			}
-			wantType := "application/json"
-			if tc.ctype == MediaType || strings.HasPrefix(tc.ctype, MediaType+";") {
-				wantType = MediaType
-			}
-			if tc.wantStatus == http.StatusOK && rec.Header().Get("Content-Type") != wantType {
-				t.Fatalf("Content-Type %q, want %q", rec.Header().Get("Content-Type"), wantType)
+			if tc.wantStatus == http.StatusOK && rec.Header().Get("Content-Type") != MediaType {
+				t.Fatalf("Content-Type %q, want %q", rec.Header().Get("Content-Type"), MediaType)
 			}
 		})
 	}
