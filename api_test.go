@@ -17,8 +17,8 @@ import (
 var updateAPI = flag.Bool("update", false, "rewrite api.txt from the current source")
 
 // apiPackages are the module's public packages, as directories relative to
-// the module root. Everything else lives under internal/, cmd/, examples/
-// or benchmark/ and is not importable surface.
+// the module root. Everything else lives under internal/, cmd/ or
+// benchmark/ and is not importable surface.
 var apiPackages = []string{
 	".",
 	"backend",

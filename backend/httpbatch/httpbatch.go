@@ -1,8 +1,8 @@
 // Package httpbatch is a production-shaped remote detector backend: a
 // Client that speaks a small batch protocol to an HTTP endpoint, and a
 // Handler that serves any backend.Backend over the same protocol (the
-// loopback pairing used by tests, examples and exserve's -backend http
-// mode).
+// loopback pairing used by tests, the package example and exserve's
+// -backend http mode).
 //
 // # Wire protocol
 //

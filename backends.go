@@ -14,10 +14,9 @@ import (
 // query pipeline. backend.Backend is the one detector contract a query
 // runs on: every Dataset query detects through backendDetector, over the
 // attached backend or, by default, simBackend — the dataset's simulated
-// detector exposed as a Backend. Failure injection wraps that adapter per
-// query (Dataset.newBatchDetector) and nowhere else, and unknown classes
-// are rejected only by the Backend that Dataset.Backend returns: a query's
-// own detector answers a class its dataset lacks with no detections.
+// detector exposed as a Backend. Unknown classes are rejected only by the
+// Backend that Dataset.Backend returns: a query's own detector answers a
+// class its dataset lacks with no detections.
 
 // backendDetector adapts a public backend.Backend to the internal batched
 // detector contract for one query's class. It honors the backend's MaxBatch

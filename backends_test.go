@@ -12,7 +12,6 @@ import (
 
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/backend/httpbatch"
-	"github.com/exsample/exsample/internal/detect"
 )
 
 // truthTwin opens a second dataset identical to smallDataset — same spec,
@@ -143,63 +142,6 @@ func TestHTTPBatchEngineEndToEnd(t *testing.T) {
 		// charged).
 		if got.DetectSeconds <= 0 || got.DetectSeconds > st.ServerSeconds+1e-9 {
 			t.Fatalf("round=%d: report charged %v detect seconds, server reported %v", round, got.DetectSeconds, st.ServerSeconds)
-		}
-	}
-}
-
-func TestFailureInjectionAppliesToCustomBackends(t *testing.T) {
-	// WithDetectorFailureAfter must not be silently dropped when a custom
-	// backend is attached: the outage injects at the same per-frame count
-	// on both paths, so the degraded reports stay byte-identical.
-	q := Query{Class: "car", Limit: 500}
-	opts := Options{Seed: 13, MaxFrames: 400}
-
-	simInjected := smallDataset(t, WithDetectorFailureAfter(20))
-	want, err := simInjected.Search(q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	twin := truthTwin(t)
-	backendInjected := smallDataset(t, WithBackend(twin.Backend()), WithDetectorFailureAfter(20))
-	got, err := backendInjected.Search(q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("backend-path failure injection diverged: frames %d vs %d, results %d vs %d",
-			got.FramesProcessed, want.FramesProcessed, len(got.Results), len(want.Results))
-	}
-	// The outage actually engaged: a healthy run finds more.
-	healthy := smallDataset(t)
-	full, err := healthy.Search(q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Results) <= len(got.Results) {
-		t.Fatalf("injection had no effect: %d results with outage, %d without", len(got.Results), len(full.Results))
-	}
-
-	// On a query's own detector the outage blanks exactly the frames past
-	// the limit, counted across batches, and still charges their cost. The
-	// dataset's public Backend stays healthy: it finds the frames.
-	injected := smallDataset(t, WithPerfectDetector(), WithDetectorFailureAfter(2))
-	frames := framesWithCars(t, injected, 4)
-	det := injected.newBatchDetector("car")
-	var outs []detect.FrameOutput
-	for _, batch := range [][]int64{frames[:3], frames[3:]} {
-		o, err := det.DetectBatch(context.Background(), batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs = append(outs, o...)
-	}
-	for i, fo := range outs {
-		if healthy := i < 2; healthy != (len(fo.Dets) > 0) {
-			t.Fatalf("frame %d of the outage run: %d detections", i, len(fo.Dets))
-		}
-		if fo.Cost != 1.0/20 {
-			t.Fatalf("frame %d charged %v, want %v", i, fo.Cost, 1.0/20)
 		}
 	}
 }

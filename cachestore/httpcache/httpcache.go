@@ -1,7 +1,7 @@
 // Package httpcache is the remote half of the shared result tier: a Client
 // that speaks a small batch protocol to a cache server, and a Handler that
 // serves any cachestore.Store over the same protocol (the loopback pairing
-// used by tests, examples and exserve's -cache-remote mode).
+// used by tests, the package example and exserve's -cache-remote mode).
 //
 // # Wire protocol
 //

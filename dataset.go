@@ -29,9 +29,6 @@ type Dataset struct {
 	cost  costmodel.Model
 	dec   video.DecodeCostModel
 	seed  uint64
-	// failAfter > 0 injects a detector outage after that many calls per
-	// search (failure-injection testing).
-	failAfter int64
 	// be is the attached custom detector backend; nil runs the simulated
 	// detector (the default Backend).
 	be backend.Backend
@@ -48,17 +45,6 @@ func WithPerfectDetector() DatasetOption {
 	return func(d *Dataset) {
 		d.noise = detect.NoiseModel{MinScore: 1, MaxScore: 1}
 	}
-}
-
-// WithDetectorFailureAfter makes every search's detector return no
-// detections after n frames, simulating a mid-query inference outage.
-// Searches must keep terminating cleanly (on their budget) rather than
-// spinning; this is a failure-injection knob for tests. The outage is
-// injected at one point: around each query's backend adapter, per query,
-// whether the simulated detector or an attached backend sits behind it.
-// The Backend that Dataset.Backend returns stays healthy.
-func WithDetectorFailureAfter(n int64) DatasetOption {
-	return func(d *Dataset) { d.failAfter = n }
 }
 
 // WithBackend attaches a custom detector backend: every query against the
@@ -93,9 +79,7 @@ func WithBackend(b backend.Backend) DatasetOption {
 //
 // This is the public boundary: the returned simulated detector rejects a
 // class the dataset has no ground truth for, where a query's own detector
-// (a shard lacking the query's class) detects nothing. Failure injection
-// (WithDetectorFailureAfter) applies to queries only, never to the
-// returned backend.
+// (a shard lacking the query's class) detects nothing.
 func (d *Dataset) Backend() backend.Backend {
 	if d.be != nil {
 		return d.be
@@ -149,7 +133,6 @@ func newDataset(inner *datasets.Dataset, seed uint64, opts ...DatasetOption) *Da
 		fps:       inner.Profile.FPS,
 		chunks:    inner.Chunks,
 		numShards: 1,
-		cacheable: d.failAfter == 0,
 		maxBatch: func() int {
 			if d.be == nil {
 				return 0 // the simulated detector batches without bound
@@ -200,19 +183,13 @@ func datasetContentID(inner *datasets.Dataset, seed uint64, noise detect.NoiseMo
 // newBatchDetector builds the per-query batched detector — the single
 // construction point shared by Search, Session and Engine, and the one
 // detect path: the attached backend, or the simulated detector as the
-// default backend, adapted for the query's class. Failure injection
-// (WithDetectorFailureAfter) wraps the adapter here, per query, whichever
-// backend sits behind it.
+// default backend, adapted for the query's class.
 func (d *Dataset) newBatchDetector(class string) detect.BatchDetector {
 	b := d.be
 	if b == nil {
 		b = &simBackend{d: d}
 	}
-	var bd detect.BatchDetector = newBackendDetector(b, class)
-	if d.failAfter > 0 {
-		bd = &detect.FailAfterBatch{Inner: bd, Limit: d.failAfter}
-	}
-	return bd
+	return newBackendDetector(b, class)
 }
 
 // SynthSpec describes a custom single-class synthetic dataset.

@@ -48,8 +48,7 @@ type EngineOptions struct {
 	// detector call, the others merge its result at zero cost. Results
 	// stay byte-identical to an uncached run for the same seed — only
 	// charged costs change (and, for MaxSeconds-budgeted queries, how many
-	// frames the budget buys). Sources under failure injection bypass the
-	// cache.
+	// frames the budget buys).
 	CacheEntries int
 	// AdaptiveRounds opts every query into feedback-controlled round
 	// sizing: an AIMD controller per (query, backend) grows the per-round

@@ -3,7 +3,6 @@ package exsample
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -493,47 +492,6 @@ func TestEngineMatchesSessionDrivenToExhaustion(t *testing.T) {
 		t.Fatalf("engine exhausted at %d frames/%d results, session at %d/%d",
 			rep.FramesProcessed, len(rep.Results), sess.Frames(), len(sess.Results()))
 	}
-}
-
-func ExampleEngine() {
-	ds, err := Synthesize(SynthSpec{
-		NumFrames:    100_000,
-		NumInstances: 200,
-		Class:        "event",
-		MeanDuration: 120,
-		SkewFraction: 1.0 / 8,
-		Seed:         5,
-	}, WithPerfectDetector())
-	if err != nil {
-		panic(err)
-	}
-	eng, err := NewEngine(EngineOptions{Workers: 4})
-	if err != nil {
-		panic(err)
-	}
-	defer eng.Close()
-
-	// Run the same class at two seeds concurrently; both share the
-	// detector worker pool.
-	var handles []*QueryHandle
-	for seed := uint64(1); seed <= 2; seed++ {
-		h, err := eng.Submit(context.Background(), ds,
-			Query{Class: "event", Limit: 10}, Options{Seed: seed})
-		if err != nil {
-			panic(err)
-		}
-		handles = append(handles, h)
-	}
-	for i, h := range handles {
-		rep, err := h.Wait()
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("query %d: reached its limit: %v\n", i, len(rep.Results) >= 10)
-	}
-	// Output:
-	// query 0: reached its limit: true
-	// query 1: reached its limit: true
 }
 
 // TestEngineOptionDefaulting pins the sizing-knob defaulting rule: any

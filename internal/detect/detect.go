@@ -12,10 +12,9 @@
 // Queries do not call Sim directly. The one contract a query detects
 // through is a public backend.Backend (the simulated detector is the
 // default one) behind the root package's adapter, which implements
-// BatchDetector; FailAfterBatch, wrapped around that adapter per query, is
-// the one failure injector. Sim rejects no class: a class without ground
-// truth yields no true detections, and unknown classes are rejected only at
-// the public Backend boundary (Dataset.Backend).
+// BatchDetector. Sim rejects no class: a class without ground truth yields
+// no true detections, and unknown classes are rejected only at the public
+// Backend boundary (Dataset.Backend).
 //
 // Detection noise is deterministic per (frame, instance): asking about the
 // same frame twice yields the same detections, just like a real (stateless)
@@ -280,31 +279,4 @@ func hash01(seed, a, b, c uint64) float64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return float64(x>>11) / float64(1<<53)
-}
-
-// FailAfterBatch is the one failure injector: it wraps a batched
-// detector, and frames past the Limit-th processed frame return no
-// detections (their cost is still charged — a degraded detector keeps
-// burning inference time). Failure-injection tests use it to verify
-// samplers keep functioning when the detector degrades. Safe for
-// concurrent use.
-type FailAfterBatch struct {
-	Inner BatchDetector
-	Limit int64
-	calls atomic.Int64
-}
-
-// DetectBatch forwards to the inner detector, then blanks the detections
-// of every frame beyond the limit.
-func (f *FailAfterBatch) DetectBatch(ctx context.Context, frames []int64) ([]FrameOutput, error) {
-	outs, err := f.Inner.DetectBatch(ctx, frames)
-	if err != nil {
-		return nil, err
-	}
-	for i := range outs {
-		if f.calls.Add(1) > f.Limit {
-			outs[i].Dets = nil
-		}
-	}
-	return outs, nil
 }

@@ -1,11 +1,7 @@
 package detect
 
 import (
-	"context"
-	"errors"
 	"math"
-	"slices"
-	"sync"
 	"testing"
 
 	"github.com/exsample/exsample/internal/geom"
@@ -232,141 +228,6 @@ func TestCallsCounter(t *testing.T) {
 	}
 }
 
-// seqBatch runs a per-frame Detector under the batched contract, one frame
-// at a time with a context check before each, charging CostSeconds per
-// frame: the inner detector FailAfterBatch wraps in these tests.
-type seqBatch struct{ d Detector }
-
-func (b seqBatch) DetectBatch(ctx context.Context, frames []int64) ([]FrameOutput, error) {
-	out := make([]FrameOutput, len(frames))
-	for i, frame := range frames {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out[i] = FrameOutput{Dets: b.d.Detect(frame), Cost: b.d.CostSeconds()}
-	}
-	return out, nil
-}
-
-func TestBatchAdapterAlignsOutputsAndCosts(t *testing.T) {
-	// FailAfterBatch keeps one output per frame, aligned with frames
-	// however they are ordered, and charges every frame — blanked or not.
-	in := inst(0, "car", 0, 999)
-	idx := buildIndex(t, []track.Instance{in}, 1000)
-	d, err := Perfect(idx, WithCost(0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := []int64{5, 300, 7}
-	for _, limit := range []int64{100, 1} {
-		outs, err := (&FailAfterBatch{Inner: seqBatch{d}, Limit: limit}).DetectBatch(context.Background(), frames)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(outs) != len(frames) {
-			t.Fatalf("limit %d: got %d outputs for %d frames", limit, len(outs), len(frames))
-		}
-		for i, fo := range outs {
-			if fo.Cost != d.CostSeconds() {
-				t.Fatalf("limit %d: frame %d charged %v, want %v", limit, frames[i], fo.Cost, d.CostSeconds())
-			}
-			if int64(i) >= limit {
-				if len(fo.Dets) != 0 {
-					t.Fatalf("limit %d: frame %d past the limit kept %d detections", limit, frames[i], len(fo.Dets))
-				}
-				continue
-			}
-			if len(fo.Dets) != 1 || fo.Dets[0].Frame != frames[i] {
-				t.Fatalf("limit %d: frame %d: wrong detections %+v", limit, frames[i], fo.Dets)
-			}
-		}
-	}
-}
-
-func TestBatchAdapterHonorsContext(t *testing.T) {
-	// A cancelled batch returns the context's error, and its abandoned
-	// frames do not count toward the failure limit.
-	idx := buildIndex(t, []track.Instance{inst(0, "car", 0, 99)}, 100)
-	d, err := Perfect(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &FailAfterBatch{Inner: seqBatch{d}, Limit: 2}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := f.DetectBatch(ctx, []int64{1, 2, 3}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	outs, err := f.DetectBatch(context.Background(), []int64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, fo := range outs {
-		if len(fo.Dets) != 1 {
-			t.Fatalf("frame %d after a cancelled batch: %d detections", i+1, len(fo.Dets))
-		}
-	}
-}
-
-func TestFailAfter(t *testing.T) {
-	// The limit counts frames across batches, and across concurrent
-	// callers: exactly Limit frames keep their detections.
-	idx := buildIndex(t, []track.Instance{inst(0, "car", 0, 999)}, 1000)
-	d, err := Perfect(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &FailAfterBatch{Inner: seqBatch{d}, Limit: 2}
-	var kept []int
-	for _, batch := range [][]int64{{1}, {2, 3}, {4}} {
-		outs, err := f.DetectBatch(context.Background(), batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, fo := range outs {
-			kept = append(kept, len(fo.Dets))
-		}
-	}
-	if want := []int{1, 1, 0, 0}; !slices.Equal(kept, want) {
-		t.Fatalf("detections per frame = %v, want %v", kept, want)
-	}
-
-	shared := &FailAfterBatch{Inner: seqBatch{d}, Limit: 50}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		total int
-	)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			frames := make([]int64, 25)
-			for i := range frames {
-				frames[i] = int64(g*25 + i)
-			}
-			outs, err := shared.DetectBatch(context.Background(), frames)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for _, fo := range outs {
-				total += len(fo.Dets)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if total != 50 {
-		t.Fatalf("concurrent callers kept %d detections, want exactly the limit 50", total)
-	}
-}
-
-// TestSimDetectAllocs pins Detect's allocation budget: the visible
-// instances are gathered as pointers on the stack, so a frame costs only its
-// output slice, however many instances it shows, and an empty frame costs
-// nothing.
 func TestSimDetectAllocs(t *testing.T) {
 	var instances []track.Instance
 	for i := 0; i < 50; i++ {

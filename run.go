@@ -103,9 +103,7 @@ type runCore struct {
 
 // openRun checks a source and opens a run core over it for one class. It
 // takes the source's topology snapshot, which must have an active shard
-// unless the run is standing; a standing run needs a live source. The cache
-// is dropped for sources whose detector output is not a pure function of
-// the frame (e.g. under failure injection).
+// unless the run is standing; a standing run needs a live source.
 func openRun(s Source, class string, cc cacheConfig, standing bool) (runCore, error) {
 	if s == nil {
 		return runCore{}, fmt.Errorf("exsample: nil Source (open a Dataset or compose a ShardedSource first)")
@@ -123,11 +121,9 @@ func openRun(s Source, class string, cc cacheConfig, standing bool) (runCore, er
 	} else if standing {
 		return runCore{}, fmt.Errorf("exsample: standing queries need a live source (a ShardedSource or StreamSource); %q has a fixed topology", src.name)
 	}
-	if src.cacheable {
-		c.tier = cc.tier
-		if cc.shared {
-			c.content = src.contentID
-		}
+	c.tier = cc.tier
+	if cc.shared {
+		c.content = src.contentID
 	}
 	return c, nil
 }

@@ -177,12 +177,6 @@ func NewShardedSource(name string, shards ...*Dataset) (*ShardedSource, error) {
 		members: members,
 		counts:  counts,
 	})
-	cacheable := true
-	for _, d := range shards {
-		if d.failAfter > 0 {
-			cacheable = false
-		}
-	}
 	s.qs = &querySource{
 		id:        sourceIDs.Add(1),
 		contentID: shardedContentID(name, shards),
@@ -191,7 +185,6 @@ func NewShardedSource(name string, shards ...*Dataset) (*ShardedSource, error) {
 		fps:       shards[0].inner.Profile.FPS,
 		chunks:    m.Chunks(),
 		numShards: len(shards),
-		cacheable: cacheable,
 		maxBatch: func() int {
 			// The tightest positive per-shard bound: every shard must
 			// accept whatever slice of a round lands on it.
@@ -264,10 +257,6 @@ func shardedContentID(name string, shards []*Dataset) uint64 {
 // boundary and starts sampling them from the belief prior. Queries
 // submitted after AddShard returns see the enlarged repository (classes
 // and ground-truth populations included) immediately.
-//
-// Failure-injected datasets (WithDetectorFailureAfter) must be present at
-// construction — attaching one later would silently poison the memo cache
-// of queries already running with cacheable output — and are rejected.
 func (s *ShardedSource) AddShard(d *Dataset) (int, error) {
 	return s.addShardStatus(d, shard.Active)
 }
@@ -281,9 +270,6 @@ func (s *ShardedSource) AddShard(d *Dataset) (int, error) {
 func (s *ShardedSource) addShardStatus(d *Dataset, st shard.Status) (int, error) {
 	if d == nil {
 		return 0, fmt.Errorf("exsample: cannot attach a nil shard")
-	}
-	if d.failAfter > 0 {
-		return 0, fmt.Errorf("exsample: failure-injected shards must be composed at construction, not attached live")
 	}
 	s.mu.Lock()
 	old := s.topo.Load()
@@ -497,7 +483,7 @@ func (s *ShardedSource) scanSeconds(start, end int64) float64 {
 // newDetector builds the fan-out detector: frames route to the owning
 // shard's own batched detector — its attached Backend when one is
 // configured, otherwise its simulated detector, behind the backend adapter
-// with that shard's cost and failure injection — and detections come back
+// with that shard's cost — and detections come back
 // remapped into global coordinates. Per-shard detectors are built lazily
 // per query, so a shard attached after the query started is served the
 // moment a pick routes to it. This is where a ShardedSource routes each

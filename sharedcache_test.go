@@ -231,18 +231,21 @@ func TestEngineSingleflightSharedFrames(t *testing.T) {
 			e := newTestEngine(t, eo)
 			inner := smallDataset(t, WithPerfectDetector()).Backend()
 
-			// An uncached blocker holds the scheduler's first round until both
+			// A one-frame blocker holds the scheduler's first round until both
 			// queries are registered, so from the second round on they pick
-			// the same frame in the same round.
+			// the same frame in the same round. It is its own source with its
+			// own content, so its one cached frame never collides with theirs.
 			blocking, release := make(chan struct{}), make(chan struct{})
-			blocker := smallDataset(t, WithDetectorFailureAfter(1<<40), WithBackend(&heldBackend{
+			blocker := smallDataset(t, WithPerfectDetector(), WithBackend(&heldBackend{
 				inner: inner,
 				hold:  func(*atomic.Int64) { close(blocking); <-release },
 			}))
 			// On one dataset the first cached detector call is then held
 			// until the other query has missed the same frame in the memo
-			// cache (a leader's own lookups count two misses) or called the
-			// backend itself. A sharded fleet counts what its shards served.
+			// cache (a leader's own lookups count two misses, on top of the
+			// blocker's) or called the backend itself. A sharded fleet counts
+			// what its shards served.
+			var blockerMisses int64
 			var src Source
 			var served func() int64
 			var ss *ShardedSource
@@ -261,7 +264,7 @@ func TestEngineSingleflightSharedFrames(t *testing.T) {
 				}
 			} else {
 				held := &heldBackend{inner: inner, hold: func(calls *atomic.Int64) {
-					for e.memo.Stats().Misses < 3 && calls.Load() < 2 {
+					for e.memo.Stats().Misses < blockerMisses+3 && calls.Load() < 2 {
 						runtime.Gosched()
 					}
 				}}
@@ -270,11 +273,12 @@ func TestEngineSingleflightSharedFrames(t *testing.T) {
 
 			q := Query{Class: "car", Limit: 20}
 			opts := Options{Seed: 5}
-			hb, err := e.Submit(context.Background(), blocker, Query{Class: "car", Limit: 1}, opts)
+			hb, err := e.Submit(context.Background(), blocker, Query{Class: "car", Limit: 1}, Options{Seed: 5, MaxFrames: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			<-blocking
+			blockerMisses = e.memo.Stats().Misses
 			var handles [2]*QueryHandle
 			for i := range handles {
 				h, err := e.Submit(context.Background(), src, q, opts)
@@ -284,7 +288,8 @@ func TestEngineSingleflightSharedFrames(t *testing.T) {
 				handles[i] = h
 			}
 			close(release)
-			if _, err := hb.Wait(); err != nil {
+			blocked, err := hb.Wait()
+			if err != nil {
 				t.Fatal(err)
 			}
 			var wg sync.WaitGroup
@@ -325,8 +330,8 @@ func TestEngineSingleflightSharedFrames(t *testing.T) {
 					}
 				}
 			}
-			if st := e.TierStats(); tc.remote && st.Fills != reps[0].FramesProcessed {
-				t.Fatalf("tier filled %d frames, want %d", st.Fills, reps[0].FramesProcessed)
+			if st, want := e.TierStats(), reps[0].FramesProcessed+blocked.FramesProcessed; tc.remote && st.Fills != want {
+				t.Fatalf("tier filled %d frames, want %d", st.Fills, want)
 			}
 		})
 	}

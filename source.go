@@ -111,10 +111,6 @@ type querySource struct {
 	// state carried across. nil means the topology is fixed for the
 	// source's lifetime (a local Dataset).
 	topology func() *shard.Snapshot
-	// cacheable is false when detector output is not a pure function of
-	// (source, class, frame) — e.g. under failure injection — and the
-	// memo cache must be bypassed.
-	cacheable bool
 	// maxBatch, when non-nil, returns the tightest positive MaxBatch hint
 	// across the source's backends (0 = no bound) — the adaptive round
 	// sizer's quota ceiling. Consulted once per Submit.
@@ -142,7 +138,7 @@ type querySource struct {
 	shardTruth func(class string, shard int) int
 	// newDetector builds the per-class batched detector: the attached
 	// public Backend, or the simulated detector as the default Backend,
-	// behind the backend adapter (with any failure injection applied).
+	// behind the backend adapter.
 	// DetectBatch must be safe for concurrent use.
 	newDetector func(class string) detect.BatchDetector
 	// newExtender builds the discriminator's SORT-style tracker model, the

@@ -133,9 +133,6 @@ func NewStreamSource(cfg StreamConfig, first ...*Dataset) (*StreamSource, error)
 		if d == nil {
 			return nil, fmt.Errorf("exsample: initial segment %d is nil", i)
 		}
-		if d.failAfter > 0 {
-			return nil, fmt.Errorf("exsample: failure-injected segments cannot join a stream (they would poison the memo cache)")
-		}
 	}
 	inner, err := NewShardedSource(cfg.Name, first...)
 	if err != nil {

@@ -2,8 +2,12 @@ package exsample
 
 import (
 	"bytes"
+	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"github.com/exsample/exsample/backend"
 )
 
 func TestGroundTruthRoundTrip(t *testing.T) {
@@ -99,8 +103,33 @@ func TestLoadGroundTruthDefaults(t *testing.T) {
 	}
 }
 
+// degradedBackend serves from inner, then blanks the detections of every
+// frame past the first limit it has served, counted across batches: a
+// mid-query inference outage whose frames are still charged.
+type degradedBackend struct {
+	inner  backend.Backend
+	limit  int64
+	served atomic.Int64
+}
+
+func (b *degradedBackend) DetectBatch(ctx context.Context, class string, frames []int64) ([][]backend.Detection, error) {
+	dets, err := b.inner.DetectBatch(ctx, class, frames)
+	if err != nil {
+		return nil, err
+	}
+	for i := range dets {
+		if b.served.Add(1) > b.limit {
+			dets[i] = nil
+		}
+	}
+	return dets, nil
+}
+
+func (b *degradedBackend) Hints() backend.Hints { return b.inner.Hints() }
+
 func TestDetectorFailureInjection(t *testing.T) {
-	ds := smallDataset(t, WithPerfectDetector(), WithDetectorFailureAfter(30))
+	inner := smallDataset(t, WithPerfectDetector()).Backend()
+	ds := smallDataset(t, WithPerfectDetector(), WithBackend(&degradedBackend{inner: inner, limit: 30}))
 	rep, err := ds.Search(Query{Class: "car", Limit: 1000},
 		Options{MaxFrames: 200, Seed: 85})
 	if err != nil {
