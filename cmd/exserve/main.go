@@ -70,15 +70,6 @@
 // shard drained while the queries keep running; the shard table shows the
 // resulting statuses. -admin ADDR serves GET /healthz plus POST
 // /admin/add, /admin/drain and /admin/churn for manual control.
-//
-// Live streaming: -stream switches to the ingest demo — a synthetic camera
-// appends fixed-duration segments (every -interval, -segments times, half
-// of them dead) into a bounded ring (-retention slots, motion gate at
-// -gate), while -queries standing queries registered with SubmitStanding
-// ride along: they emit alerts as segments arrive, park when the ring is
-// drained and wake on the next live append. The run prints the append log,
-// a standing alert log, the per-query table and the ring's segment table
-// (energy, gated, evicted, detector calls).
 package main
 
 import (
@@ -124,15 +115,6 @@ func main() {
 	flag.BoolVar(&cfg.scatter, "scatter", false, "scatter-gather: split each batch across healthy replicas proportional to capacity (requires -replicas > 1)")
 	flag.DurationVar(&cfg.churn, "churn", 0, "run one add/drain churn cycle this long after the queries start (0 = off; requires -shards > 1)")
 	flag.StringVar(&cfg.admin, "admin", "", "serve /healthz and /admin/{add,drain,churn} on this address (e.g. 127.0.0.1:8080)")
-	flag.BoolVar(&cfg.track, "trackquery", false, "track-predicate demo: MIRIS-style accelerate/refine queries (one per source class) instead of distinct-object queries")
-	flag.Int64Var(&cfg.minDuration, "min-duration", 50, "track predicate MinDuration in frames (-trackquery; also sets the coarse stride)")
-	flag.BoolVar(&cfg.coarseOnly, "coarse-only", false, "skip densification: track over the coarse grid alone (-trackquery)")
-	flag.BoolVar(&cfg.stream, "stream", false, "live ingest demo: a synthetic camera appends segments into a bounded ring while standing queries alert on them")
-	flag.IntVar(&cfg.segments, "segments", 12, "segments the synthetic camera appends (-stream)")
-	flag.Int64Var(&cfg.segFrames, "segment-frames", 2000, "frames per appended segment (-stream)")
-	flag.IntVar(&cfg.retention, "retention", 6, "segment ring retention in slots, 0 = unbounded (-stream)")
-	flag.Float64Var(&cfg.gate, "gate", 0.12, "motion-gate energy threshold, 0 = gate off (-stream)")
-	flag.DurationVar(&cfg.interval, "interval", 50*time.Millisecond, "synthetic camera append interval (-stream)")
 	flag.Parse()
 	cfg.profiles = strings.Split(cfg.datasets, ",")
 
@@ -179,17 +161,6 @@ type config struct {
 	// after starts the -churn delay (nil = time.After; tests fire it
 	// directly).
 	after func(time.Duration) <-chan time.Time
-	// Track-query-demo knobs (-trackquery mode).
-	track       bool
-	minDuration int64
-	coarseOnly  bool
-	// Streaming-demo knobs (-stream mode).
-	stream    bool
-	segments  int
-	segFrames int64
-	retention int
-	gate      float64
-	interval  time.Duration
 }
 
 // backendStat tracks one httpbatch client for the stats table: a
@@ -223,8 +194,8 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-// engineOptions builds the engine configuration shared by the query and
-// track modes, dialing the remote result tier when -cache-remote is set.
+// engineOptions builds the engine configuration from the flags, dialing
+// the remote result tier when -cache-remote is set.
 func engineOptions(cfg config) (exsample.EngineOptions, error) {
 	opts := exsample.EngineOptions{
 		Workers:        cfg.workers,
@@ -568,180 +539,10 @@ func (f *fleetState) adminHandler(w io.Writer, cfg config) http.Handler {
 	return mux
 }
 
-// runStream is the -stream mode: a synthetic camera appends segments into
-// a bounded StreamSource ring while standing queries alert on them. Half
-// the appended segments are dead (one barely-visible object), so with the
-// gate on the segment table shows them fenced at zero detector cost.
-func runStream(w io.Writer, cfg config) error {
-	if cfg.queries < 1 {
-		return fmt.Errorf("need at least one standing query, got %d", cfg.queries)
-	}
-	if cfg.segments < 0 {
-		return fmt.Errorf("need a non-negative segment count, got %d", cfg.segments)
-	}
-	if cfg.segFrames < 16 {
-		return fmt.Errorf("need at least 16 frames per segment, got %d", cfg.segFrames)
-	}
-	if cfg.backend != "" && cfg.backend != "sim" {
-		return fmt.Errorf("-stream runs on the in-process sim backend (got %q)", cfg.backend)
-	}
-	if cfg.shards > 1 || cfg.churn > 0 || cfg.admin != "" || cfg.endpoint != "" || cfg.cacheRemote != "" {
-		return fmt.Errorf("-stream is its own topology: drop -shards/-churn/-admin/-endpoint/-cache-remote")
-	}
-	w = &syncWriter{w: w}
-
-	mkSeg := func(seed uint64, dead bool) (*exsample.Dataset, error) {
-		spec := exsample.SynthSpec{
-			NumFrames:    cfg.segFrames,
-			NumInstances: 40,
-			Class:        "car",
-			MeanDuration: 100,
-			SkewFraction: 1.0 / 8,
-			ChunkFrames:  cfg.segFrames / 8,
-			Seed:         seed,
-		}
-		if dead {
-			spec.NumInstances = 1
-			spec.MeanDuration = 1
-		}
-		return exsample.Synthesize(spec)
-	}
-	first, err := mkSeg(cfg.seed, false)
-	if err != nil {
-		return err
-	}
-	src, err := exsample.NewStreamSource(exsample.StreamConfig{
-		Name:            "camera",
-		Retention:       cfg.retention,
-		MotionThreshold: cfg.gate,
-	}, first)
-	if err != nil {
-		return err
-	}
-	eng, err := exsample.NewEngine(exsample.EngineOptions{
-		Workers:        cfg.workers,
-		FramesPerRound: cfg.round,
-		CacheEntries:   cfg.cache,
-		AdaptiveRounds: cfg.adaptive,
-		GlobalBudget:   cfg.budget,
-		EventBuffer:    1 << 15,
-	})
-	if err != nil {
-		return err
-	}
-	defer eng.Close()
-
-	fmt.Fprintf(w, "stream: %d standing queries over a %d-slot ring, %d-frame segments every %v, gate threshold %v\n\n",
-		cfg.queries, cfg.retention, cfg.segFrames, cfg.interval, cfg.gate)
-
-	// Standing alert log: each query's consumer prints its first few
-	// distinct-object alerts, then just counts — the log shows the shape
-	// (alerts arrive per segment, silence while parked) without drowning
-	// the tables.
-	const logPerQuery = 4
-	start := time.Now()
-	handles := make([]*exsample.QueryHandle, cfg.queries)
-	alerts := make([]int64, cfg.queries)
-	var logWG sync.WaitGroup
-	for i := range handles {
-		handles[i], err = eng.SubmitStanding(context.Background(), src,
-			exsample.Query{Class: "car"}, exsample.Options{Seed: cfg.seed + uint64(i)})
-		if err != nil {
-			return err
-		}
-		logWG.Add(1)
-		go func(i int, h *exsample.QueryHandle) {
-			defer logWG.Done()
-			logged := 0
-			for ev := range h.Events() {
-				if len(ev.New) == 0 {
-					continue
-				}
-				alerts[i] += int64(len(ev.New))
-				if logged < logPerQuery {
-					logged++
-					fmt.Fprintf(w, "alert: query %d  slot %d  frame %d  +%d object(s)  (%d found, %.1fs charged)\n",
-						i, int(ev.Frame/cfg.segFrames), ev.Frame, len(ev.New), ev.Found, ev.Seconds)
-					if logged == logPerQuery {
-						fmt.Fprintf(w, "alert: query %d  ... (further alerts counted, not logged)\n", i)
-					}
-				}
-			}
-		}(i, handles[i])
-	}
-
-	waitParked := func(h *exsample.QueryHandle) {
-		deadline := time.Now().Add(30 * time.Second)
-		for !h.Parked() && time.Now().Before(deadline) {
-			time.Sleep(200 * time.Microsecond)
-		}
-	}
-	for n := 1; n <= cfg.segments; n++ {
-		time.Sleep(cfg.interval)
-		dead := n%2 == 0
-		seg, err := mkSeg(cfg.seed+uint64(n)*977, dead)
-		if err != nil {
-			return err
-		}
-		info, err := src.Append(seg)
-		if err != nil {
-			return err
-		}
-		st := src.StreamStats()
-		fmt.Fprintf(w, "append: slot %d  %d frames  energy %.3f  gated=%-5v  live %d/%d evicted %d\n",
-			info.Slot, info.NumFrames, info.Energy, info.Gated, st.Live, st.Appended, st.Evicted)
-	}
-	// Let the ring drain, then close the standing queries out.
-	for _, h := range handles {
-		waitParked(h)
-	}
-	for _, h := range handles {
-		h.Cancel()
-	}
-	// The log goroutines own the alert counters; let them drain the closed
-	// event channels before the table reads the counts.
-	logWG.Wait()
-	fmt.Fprintf(w, "\n%-3s %8s %8s %10s %8s\n", "#", "found", "frames", "charged-s", "alerts")
-	var totalFrames int64
-	for i, h := range handles {
-		rep, err := h.Wait()
-		if err != nil && err != context.Canceled {
-			return fmt.Errorf("standing query %d: %w", i, err)
-		}
-		totalFrames += rep.FramesProcessed
-		fmt.Fprintf(w, "%-3d %8d %8d %10.1f %8d\n",
-			i, len(rep.Results), rep.FramesProcessed, rep.TotalSeconds(), alerts[i])
-	}
-
-	wall := time.Since(start)
-	est := eng.Stats()
-	sst := src.StreamStats()
-	fmt.Fprintf(w, "\ntotal: %d detector frames in %v wall (%.0f frames/s aggregate); %d rounds, %d parks, %d wakes\n",
-		totalFrames, wall.Round(time.Millisecond), float64(totalFrames)/wall.Seconds(),
-		est.Rounds, est.Parks, est.Wakes)
-	fmt.Fprintf(w, "ring: %d appended, %d live, %d evicted, %d gated; gate charge %.1fs (generation %d)\n",
-		sst.Appended, sst.Live, sst.Evicted, sst.Gated, sst.GateSeconds, sst.Generation)
-
-	fmt.Fprintf(w, "\nsegments of %s:\n", src.Name())
-	fmt.Fprintf(w, "%-4s %-9s %8s %8s %10s\n", "slot", "status", "frames", "energy", "detects")
-	stats := src.ShardStats()
-	for _, seg := range src.Segments() {
-		fmt.Fprintf(w, "%-4d %-9s %8d %8.3f %10d\n",
-			seg.Slot, stats[seg.Slot].Status, seg.NumFrames, seg.Energy, stats[seg.Slot].DetectCalls)
-	}
-	return nil
-}
-
 // run opens the sources, fans the queries out over the engine, reacts to
 // churn triggers and renders the throughput, shard, backend, router and
 // cache tables.
 func run(w io.Writer, cfg config) error {
-	if cfg.stream {
-		return runStream(w, cfg)
-	}
-	if cfg.track {
-		return runTrack(w, cfg)
-	}
 	if cfg.queries < 1 {
 		return fmt.Errorf("need at least one query, got %d", cfg.queries)
 	}
@@ -1025,103 +826,6 @@ func run(w io.Writer, cfg config) error {
 		cst := eng.CacheStats()
 		fmt.Fprintf(w, "\ncache: %d entries, %d hits / %d misses (%.1f%% hit rate), %d evictions\n",
 			cst.Entries, cst.Hits, cst.Misses, cst.HitRate()*100, cst.Evictions)
-	}
-	printTierTable(w, eng, cfg)
-	return nil
-}
-
-// runTrack is the -trackquery mode: one MIRIS-style track-predicate query
-// per (profile, class) target, scheduled concurrently through the shared
-// engine, with a table showing how much of a dense scan each query's
-// accelerate/refine loop avoided.
-func runTrack(w io.Writer, cfg config) error {
-	if cfg.limit < 1 {
-		return fmt.Errorf("need a positive per-query limit, got %d", cfg.limit)
-	}
-	if cfg.shards < 1 {
-		return fmt.Errorf("need at least one shard per profile, got %d", cfg.shards)
-	}
-	if cfg.minDuration < 0 {
-		return fmt.Errorf("need a non-negative -min-duration, got %d", cfg.minDuration)
-	}
-	f := &fleetState{shardSeq: make(map[string]uint64)}
-	defer func() {
-		f.mu.Lock()
-		stops := append([]func(){}, f.stops...)
-		f.mu.Unlock()
-		for _, stop := range stops {
-			stop()
-		}
-	}()
-	type target struct {
-		src   exsample.Source
-		class string
-	}
-	var targets []target
-	for _, name := range cfg.profiles {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		src, err := f.openSource(name, cfg)
-		if err != nil {
-			return err
-		}
-		for _, class := range src.Classes() {
-			targets = append(targets, target{src: src, class: class})
-		}
-	}
-	if len(targets) == 0 {
-		return fmt.Errorf("no datasets given")
-	}
-	engOpts, err := engineOptions(cfg)
-	if err != nil {
-		return err
-	}
-	eng, err := exsample.NewEngine(engOpts)
-	if err != nil {
-		return err
-	}
-	defer eng.Close()
-
-	start := time.Now()
-	handles := make([]*exsample.TrackHandle, len(targets))
-	for i, tgt := range targets {
-		handles[i], err = eng.SubmitTrack(context.Background(), tgt.src,
-			exsample.TrackPredicate{Class: tgt.class, MinDuration: cfg.minDuration},
-			exsample.TrackOptions{Limit: cfg.limit, CoarseOnly: cfg.coarseOnly})
-		if err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(w, "track queries: %d targets, min-duration %d, %d workers, %d frames/round, %d shard(s)/profile\n\n",
-		len(targets), cfg.minDuration, cfg.workers, cfg.round, cfg.shards)
-	fmt.Fprintf(w, "%-3s %-12s %-14s %7s %8s %8s %8s %6s %8s %10s\n",
-		"#", "dataset", "class", "tracks", "frames", "coarse", "refine", "ivals", "dense-x", "charged-s")
-	var frames, dense int64
-	for i, h := range handles {
-		rep, err := h.Wait()
-		if err != nil {
-			return fmt.Errorf("track query %d (%s/%s): %w", i, targets[i].src.Name(), targets[i].class, err)
-		}
-		frames += rep.FramesProcessed
-		dense += rep.DenseFrames
-		fmt.Fprintf(w, "%-3d %-12s %-14s %7d %8d %8d %8d %6d %8.1f %10.1f\n",
-			i, targets[i].src.Name(), targets[i].class, len(rep.Results),
-			rep.FramesProcessed, rep.CoarseFrames, rep.RefineFrames,
-			rep.Intervals, rep.Speedup(), rep.TotalSeconds())
-	}
-	wall := time.Since(start)
-	ratio := 0.0
-	if frames > 0 {
-		ratio = float64(dense) / float64(frames)
-	}
-	fmt.Fprintf(w, "\ntotal: %d detector frames (dense scan: %d — %.1fx avoided) in %v wall; %d rounds, %d detect batches\n",
-		frames, dense, ratio, wall.Round(time.Millisecond), eng.Stats().Rounds, eng.Stats().Batches)
-	if cfg.cache > 0 {
-		cst := eng.CacheStats()
-		fmt.Fprintf(w, "cache: %d entries, %d hits / %d misses (%.1f%% hit rate)\n",
-			cst.Entries, cst.Hits, cst.Misses, cst.HitRate()*100)
 	}
 	printTierTable(w, eng, cfg)
 	return nil

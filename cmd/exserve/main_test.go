@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	exsample "github.com/exsample/exsample"
+	"github.com/exsample/exsample/backend/httpbatch"
 	"github.com/exsample/exsample/cachestore"
 	"github.com/exsample/exsample/cachestore/httpcache"
 )
@@ -313,52 +315,69 @@ func TestRunGlobalBudget(t *testing.T) {
 	}
 }
 
-func TestRunStreamMode(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := testConfig(nil, 3, 0)
-	cfg.stream = true
-	cfg.segments = 6
-	cfg.segFrames = 1000
-	cfg.retention = 4
-	cfg.gate = 0.12
-	cfg.interval = time.Millisecond
-	if err := run(&buf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"stream: 3 standing queries",
-		"append: slot 1",
-		"gated=true",
-		"alert: query 0",
-		"segments of camera:",
-		"gated",
-		"evicted",
-		"parks",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in stream-mode output:\n%s", want, out)
+// queryRows maps each per-query row's "#" column to its found and frames
+// columns. Class names may contain spaces, so the fields are read after
+// the fixed-width "#", dataset and class columns.
+func queryRows(t *testing.T, out string) map[string][2]string {
+	t.Helper()
+	const prefix = 3 + 1 + 12 + 1 + 14 + 1
+	rows := make(map[string][2]string)
+	inTable := false
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, "#   dataset"):
+			inTable = true
+		case line == "":
+			inTable = false
+		case inTable && len(line) > prefix:
+			f := strings.Fields(line[prefix:])
+			rows[strings.TrimSpace(line[:3])] = [2]string{f[0], f[1]}
 		}
 	}
-	// Standing queries must have parked at least once each and woken on
-	// live appends.
-	if strings.Contains(out, "0 parks, 0 wakes") {
-		t.Fatalf("park/wake never exercised:\n%s", out)
+	if len(rows) == 0 {
+		t.Fatalf("no query rows in:\n%s", out)
 	}
+	return rows
+}
 
-	bad := cfg
-	bad.shards = 2
-	if err := run(&buf, bad); err == nil {
-		t.Error("-stream with -shards accepted")
+// TestRunExternalEndpoint: one shared client to an external httpbatch
+// service, here a same-seed dashcam twin behind httptest, finds exactly
+// what the in-process simulator finds at that seed.
+func TestRunExternalEndpoint(t *testing.T) {
+	cfg := testConfig([]string{"dashcam"}, 4, 5)
+	twin, err := exsample.OpenProfile("dashcam", cfg.scale, cfg.seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad = cfg
-	bad.backend = "http"
-	if err := run(&buf, bad); err == nil {
-		t.Error("-stream with http backend accepted")
+	srv := httptest.NewServer(httpbatch.Handler(twin.Backend()))
+	defer srv.Close()
+
+	var sim bytes.Buffer
+	if err := run(&sim, cfg); err != nil {
+		t.Fatal(err)
 	}
-	bad = cfg
-	bad.segFrames = 4
-	if err := run(&buf, bad); err == nil {
-		t.Error("tiny segment frames accepted")
+	ext := cfg
+	ext.backend = "http"
+	ext.endpoint = srv.URL
+	var remote bytes.Buffer
+	if err := run(&remote, ext); err != nil {
+		t.Fatal(err)
+	}
+	out := remote.String()
+	if !strings.Contains(out, "backend (httpbatch):") {
+		t.Fatalf("missing backend table:\n%s", out)
+	}
+	// The shared client is one row, shard "all", profile "(all)".
+	if !strings.Contains(out, "\n(all)        all   ") {
+		t.Fatalf("missing shared-endpoint backend row:\n%s", out)
+	}
+	want, got := queryRows(t, sim.String()), queryRows(t, out)
+	if len(got) != cfg.queries || len(want) != cfg.queries {
+		t.Fatalf("got %d endpoint rows and %d sim rows, want %d each", len(got), len(want), cfg.queries)
+	}
+	for q, w := range want {
+		if got[q] != w {
+			t.Errorf("query %s: endpoint found/frames %v, sim %v", q, got[q], w)
+		}
 	}
 }

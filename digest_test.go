@@ -237,7 +237,6 @@ func TestReportDigests(t *testing.T) {
 		{"engine/global-budget", digestGlobalBudget, nil, []string{"622ebed7ddd20c0e", "b7868b137e759634", "45a4ddd4e53868cc"}},
 		{"track/dataset", nil, trackSearch(trackScene(t), TrackOptions{Seed: 23}), []string{"329780815d90032a"}},
 		{"track/sharded-boundary", nil, trackSearch(digestTrackPair(t), TrackOptions{Seed: 24}), []string{"19cf616647ccded4"}},
-		{"track/coarse-only", nil, trackSearch(trackScene(t), TrackOptions{Seed: 25, CoarseOnly: true}), []string{"5e85e5d7b83185bf"}},
 		{"track/engine", nil, digestTrackEngine, []string{"19cf616647ccded4"}},
 	}
 	for _, row := range rows {

@@ -79,7 +79,9 @@ type EngineOptions struct {
 	// left zero with a remote tier configured). Results for a fixed seed
 	// stay byte-identical to an uncached run; only charged costs change.
 	// A failing remote degrades to misses (see cachestore.TierStats) and
-	// never fails a query.
+	// never fails a query. The content address ignores an attached
+	// WithBackend detector: datasets of one spec with different detectors
+	// share entries, so give each detector its own remote tier.
 	RemoteCache cachestore.Store
 	// GlobalBudget, when positive, replaces fair-share scheduling with one
 	// engine-level frames-per-round budget divided across the active

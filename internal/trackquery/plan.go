@@ -59,10 +59,6 @@ type Config struct {
 	Pad int64
 	// Seed is read by nothing: the coarse walk is a fixed order.
 	Seed uint64
-	// CoarseOnly skips densification: intervals become ready as soon as
-	// the grid completes, and tracking runs over the stride-spaced
-	// detections alone. Cheap, lower fidelity.
-	CoarseOnly bool
 }
 
 // arm is one source chunk's slice of the coarse grid: grid indexes
@@ -262,12 +258,6 @@ func (p *Plan) transition() {
 			continue
 		}
 		p.intervals = append(p.intervals, Interval{Start: lo, End: hi})
-	}
-
-	if p.cfg.CoarseOnly {
-		p.ready = append(p.ready, p.intervals...)
-		p.phase = PhaseDone
-		return
 	}
 
 	p.missing = make([]int, len(p.intervals))

@@ -215,28 +215,6 @@ func TestPlanIntervalsIndependentOfSeedAndBatch(t *testing.T) {
 	}
 }
 
-func TestPlanCoarseOnly(t *testing.T) {
-	hit := func(f int64) bool { return f >= 100 && f <= 140 }
-	cfg := planCfg(400, 10, 10)
-	cfg.CoarseOnly = true
-	p, err := NewPlan(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ready := drive(t, p, 8, hit)
-	want := []Interval{{Start: 90, End: 150}}
-	if !reflect.DeepEqual(ready, want) {
-		t.Fatalf("ready = %+v, want %+v", ready, want)
-	}
-	ci, ri, _, _ := p.Stats()
-	if ri != 0 {
-		t.Errorf("coarse-only plan issued %d refine frames", ri)
-	}
-	if ci != 40 {
-		t.Errorf("coarse issued %d, want 40", ci)
-	}
-}
-
 func TestPlanStrideOneIsDense(t *testing.T) {
 	// Stride 1: the grid is every frame, so refine has nothing to add and
 	// the plan completes with zero refine issues.

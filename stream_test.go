@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -36,8 +37,8 @@ func deadSegment(t *testing.T, framesEach int64, seed uint64) *Dataset {
 	return ds
 }
 
-// waitParked polls until the standing query parks (or the deadline fires) —
-// the deterministic synchronization point of the ingest tests: a parked
+// waitParked yields until the standing query parks (or the deadline fires)
+// — the deterministic synchronization point of the ingest tests: a parked
 // query has consumed every active frame it can reach.
 func waitParked(t *testing.T, h *QueryHandle, what string) {
 	t.Helper()
@@ -46,7 +47,7 @@ func waitParked(t *testing.T, h *QueryHandle, what string) {
 		if time.Now().After(deadline) {
 			t.Fatalf("standing query never parked (%s)", what)
 		}
-		time.Sleep(200 * time.Microsecond)
+		runtime.Gosched()
 	}
 }
 

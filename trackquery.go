@@ -201,10 +201,6 @@ type TrackOptions struct {
 	// cannot fall through a gap of half that), clamped to [1, 64], or 16
 	// when the predicate has no MinDuration.
 	Stride int64
-	// CoarseOnly skips densification and tracks over the stride-spaced
-	// detections alone — a cheap low-fidelity mode for triage. Track
-	// endpoints snap to grid points and short tracks may be missed.
-	CoarseOnly bool
 	// Limit stops the query after this many matching tracks (0 = none).
 	Limit int
 	// MaxFrames caps detector frames processed (0 = no cap).

@@ -367,28 +367,6 @@ func TestTrackPredicateClauses(t *testing.T) {
 	}
 }
 
-func TestTrackCoarseOnly(t *testing.T) {
-	// CoarseOnly skips densification entirely: only grid frames are
-	// charged and long tracks still surface (at grid-snapped endpoints).
-	ds := trackScene(t, WithPerfectDetector())
-	rep, err := ds.TrackSearch(trackPred(), TrackOptions{Seed: 3, CoarseOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RefineFrames != 0 {
-		t.Errorf("CoarseOnly charged %d refine frames", rep.RefineFrames)
-	}
-	if rep.FramesProcessed != rep.CoarseFrames {
-		t.Errorf("frames %d != coarse %d", rep.FramesProcessed, rep.CoarseFrames)
-	}
-	if rep.FramesProcessed >= 40_000/20 {
-		t.Errorf("coarse pass charged %d frames — more than the stride-25 grid", rep.FramesProcessed)
-	}
-	if len(rep.Results) == 0 {
-		t.Error("coarse-only pass found no tracks")
-	}
-}
-
 func TestTrackLimitStopsEarly(t *testing.T) {
 	ds := trackScene(t, WithPerfectDetector())
 	full, err := ds.TrackSearch(trackPred(), TrackOptions{Seed: 3})

@@ -26,11 +26,10 @@ import (
 // frame space as the equivalent Dataset).
 type trackRun struct {
 	runCore
-	pred   TrackPredicate
-	eval   *trackquery.Evaluator
-	opts   TrackOptions
-	plan   *trackquery.Plan
-	trkCfg sorttrack.Config
+	pred TrackPredicate
+	eval *trackquery.Evaluator
+	opts TrackOptions
+	plan *trackquery.Plan
 
 	// store holds every processed frame's detections until the interval
 	// containing the frame is assembled (coarse frames outside every
@@ -70,20 +69,13 @@ func newTrackRun(s Source, p TrackPredicate, o TrackOptions, cc cacheConfig) (*t
 	// A pad of one stride densifies a track touching one grid point
 	// across its whole neighborhood.
 	plan, err := trackquery.NewPlan(trackquery.Config{
-		NumFrames:  rc.numFramesNow(),
-		Chunks:     chunks,
-		Stride:     stride,
-		Pad:        stride,
-		CoarseOnly: o.CoarseOnly,
+		NumFrames: rc.numFramesNow(),
+		Chunks:    chunks,
+		Stride:    stride,
+		Pad:       stride,
 	})
 	if err != nil {
 		return nil, err
-	}
-	trkCfg := sorttrack.DefaultConfig()
-	if o.CoarseOnly {
-		// Consecutive observations are a stride apart, so age in grid
-		// steps: a track may miss MaxAge grid points before finalizing.
-		trkCfg.MaxAge *= stride
 	}
 	var dense int64
 	for _, c := range chunks {
@@ -97,7 +89,6 @@ func newTrackRun(s Source, p TrackPredicate, o TrackOptions, cc cacheConfig) (*t
 		eval:    eval,
 		opts:    o,
 		plan:    plan,
-		trkCfg:  trkCfg,
 		store:   make(map[int64][]track.Detection),
 		rep:     &TrackReport{Predicate: p, DenseFrames: dense},
 	}
@@ -126,8 +117,8 @@ func (r *trackRun) next() (core.Pick, bool) {
 		f, c, ok := r.plan.Next()
 		// Next may have run the coarse→refine transition, readying every
 		// interval the coarse grid already covered; assemble them now or
-		// they would never surface (in dense and CoarseOnly runs that is
-		// the entire result set).
+		// they would never surface (in a stride-1 run that is the entire
+		// result set).
 		if r.drain() != nil || !ok || r.done() {
 			break
 		}
@@ -237,14 +228,15 @@ func (r *trackRun) assemble(iv trackquery.Interval) ([]TrackResult, error) {
 	if r.opts.Limit > 0 && len(r.rep.Results) >= r.opts.Limit {
 		return nil, nil
 	}
-	tr, err := sorttrack.New(r.trkCfg)
+	tr, err := sorttrack.New(sorttrack.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
 	for f := iv.Start; f <= iv.End; f++ {
 		dets, ok := r.store[f]
 		if !ok {
-			// CoarseOnly mode: only grid frames were processed.
+			// A fenced refine frame (its shard drained or gated) was
+			// observed as a miss and never processed.
 			continue
 		}
 		// Processed frames with no detections still age live tracks —
