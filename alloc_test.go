@@ -2,11 +2,13 @@ package exsample
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/cachestore"
 	"github.com/exsample/exsample/internal/core"
+	"github.com/exsample/exsample/internal/detect"
 )
 
 // TestDetectBatchMemoHitAllocFree: once every frame of a batch is resident
@@ -103,9 +105,9 @@ func (b *stubBackend) DetectBatch(_ context.Context, _ string, frames []int64) (
 func (b *stubBackend) Hints() backend.Hints { return backend.Hints{CostSeconds: 0.01} }
 
 // TestBackendAdapterAllocsIndependentOfDetections: the backend adapter hands
-// a conforming backend's detection slices to the pipeline as they are, so a
-// batch costs the same allocations whether its frames carry no detections or
-// eight each.
+// a conforming backend's detection slices to the pipeline as they are and
+// appends its outputs to the caller's buffer, so a batch into a warm buffer
+// allocates nothing, whether its frames carry no detections or eight each.
 func TestBackendAdapterAllocsIndependentOfDetections(t *testing.T) {
 	frames := []int64{10, 20, 30, 40}
 	empty := &stubBackend{out: make([][]backend.Detection, len(frames))}
@@ -118,14 +120,16 @@ func TestBackendAdapterAllocsIndependentOfDetections(t *testing.T) {
 	ctx := context.Background()
 	measure := func(b backend.Backend) float64 {
 		bd := newBackendDetector(b, "car")
+		var scr detect.Scratch
+		dst := make([]detect.FrameOutput, 0, len(frames))
 		return testing.AllocsPerRun(200, func() {
-			if _, err := bd.DetectBatch(ctx, frames); err != nil {
+			if _, err := bd.DetectBatch(ctx, frames, dst[:0], &scr); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	if e, f := measure(empty), measure(full); e != f {
-		t.Fatalf("adapter allocates %.2f objects/batch with no detections, %.2f with 8 per frame", e, f)
+	if e, f := measure(empty), measure(full); e != 0 || f != 0 {
+		t.Fatalf("adapter allocates %.2f objects/batch with no detections, %.2f with 8 per frame; want 0 into a warm buffer", e, f)
 	}
 }
 
@@ -207,4 +211,55 @@ func TestStepResultsAliasReport(t *testing.T) {
 		}
 		check(t, windows, rep.Results)
 	})
+}
+
+// TestShardedSessionStepAllocs: a seeded 4-shard Session steps one frame at
+// a time through the whole detect stack — the sharded detector, each
+// shard's backend adapter and its simulated detector — and the sharded
+// detector and the adapter append into the session's one detect scratch.
+// Counted from fresh sessions, warm-up included, the way the benchmark's
+// session.allocs_per_frame is. When every layer allocated its own output
+// this read 7.09; what remains is the simulated backend's public
+// DetectBatch (its outer slice and one exact slice per frame with
+// detections), the remap slab, the sampler's chunk opens, the
+// discriminator's new objects and the report's growth.
+func TestShardedSessionStepAllocs(t *testing.T) {
+	shards := make([]*Dataset, 4)
+	for i := range shards {
+		shards[i] = elasticShard(t, 4000, 401+uint64(i))
+	}
+	src, err := NewShardedSource("session-guard", shards...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Count every allocation of the whole sequence: AllocsPerRun rounds its
+	// per-run average down to an integer.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const sessions, steps = 16, 64
+	var mallocs uint64
+	found := 0
+	for i := 0; i < sessions; i++ {
+		sess, err := NewSession(src, Query{Class: "car"}, Options{Seed: 900 + uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for n := 0; n < steps; n++ {
+			if _, ok, err := sess.Step(); err != nil || !ok {
+				t.Fatalf("session %d step %d: ok=%v err=%v", i, n, ok, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		found += len(sess.Results())
+	}
+	perFrame := float64(mallocs) / (sessions * steps)
+	t.Logf("%.2f allocs/frame over %d sessions of %d steps, %d results", perFrame, sessions, steps, found)
+	if found == 0 {
+		t.Fatal("no session found anything: the guard would not exercise the detection path")
+	}
+	if perFrame > 4.5 {
+		t.Fatalf("stepping a 4-shard session allocates %.2f objects/frame, want <= 4.5", perFrame)
+	}
 }

@@ -39,8 +39,8 @@ func newBackendDetector(b backend.Backend, class string) *backendDetector {
 }
 
 // DetectBatch implements detect.BatchDetector over the public backend.
-func (bd *backendDetector) DetectBatch(ctx context.Context, frames []int64) ([]detect.FrameOutput, error) {
-	out := make([]detect.FrameOutput, 0, len(frames))
+// It appends to dst and needs no scratch.
+func (bd *backendDetector) DetectBatch(ctx context.Context, frames []int64, dst []detect.FrameOutput, _ *detect.Scratch) ([]detect.FrameOutput, error) {
 	max := bd.hints.MaxBatch
 	for start := 0; start < len(frames); {
 		end := len(frames)
@@ -72,11 +72,11 @@ func (bd *backendDetector) DetectBatch(ctx context.Context, frames []int64) ([]d
 			if costs != nil {
 				cost = costs[i]
 			}
-			out = append(out, detect.FrameOutput{Dets: batchwire.PinFrame(frame, dets[i]), Cost: cost})
+			dst = append(dst, detect.FrameOutput{Dets: batchwire.PinFrame(frame, dets[i]), Cost: cost})
 		}
 		start = end
 	}
-	return out, nil
+	return dst, nil
 }
 
 // simBackend exposes a Dataset's simulated detector through the public

@@ -12,6 +12,7 @@ import (
 
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/backend/httpbatch"
+	"github.com/exsample/exsample/internal/detect"
 )
 
 // truthTwin opens a second dataset identical to smallDataset — same spec,
@@ -191,7 +192,8 @@ func TestSimBackendThroughAdapter(t *testing.T) {
 	cars := framesWithCars(t, ds, 2)
 	frames := []int64{cars[1], 3, cars[0]}
 	det := ds.newBatchDetector("car")
-	outs, err := det.DetectBatch(context.Background(), frames)
+	var scr detect.Scratch
+	outs, err := det.DetectBatch(context.Background(), frames, nil, &scr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +204,7 @@ func TestSimBackendThroughAdapter(t *testing.T) {
 		if fo.Cost != 1.0/20 {
 			t.Fatalf("frame %d charged %v, want %v", frames[i], fo.Cost, 1.0/20)
 		}
-		one, err := det.DetectBatch(context.Background(), frames[i:i+1])
+		one, err := det.DetectBatch(context.Background(), frames[i:i+1], nil, new(detect.Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +220,7 @@ func TestSimBackendThroughAdapter(t *testing.T) {
 
 	sim := det.(*backendDetector).b.(*simBackend)
 	before := sim.sims["car"].Calls()
-	if _, err := det.DetectBatch(&cancelAfter{Context: context.Background(), n: 2}, frames); !errors.Is(err, context.Canceled) {
+	if _, err := det.DetectBatch(&cancelAfter{Context: context.Background(), n: 2}, frames, nil, &scr); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if ran := sim.sims["car"].Calls() - before; ran != 2 {

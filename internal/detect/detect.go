@@ -45,6 +45,11 @@ type Detector interface {
 // charged for it. Frame-dependent costs (a sharded detector over shards
 // with different throughputs) are expressed here, per output, rather than
 // through a side-channel on the detector.
+//
+// Dets is shared, never owned: it is a backend's own slice passed through,
+// or a slab a sharded detector remapped one batch into, so no reader may
+// write through it. Nothing writes it again either, which is what lets a
+// memo tier or a track run keep it across rounds for as long as it likes.
 type FrameOutput struct {
 	Dets []track.Detection
 	Cost float64
@@ -59,8 +64,32 @@ type FrameOutput struct {
 // worker pool.
 type BatchDetector interface {
 	// DetectBatch runs the detector on every frame of the batch and
-	// returns one output per frame, aligned with frames.
-	DetectBatch(ctx context.Context, frames []int64) ([]FrameOutput, error)
+	// appends one output per frame to dst, aligned with frames, returning
+	// the extended slice (nil on error). The caller owns dst and scr and
+	// passes them to one call at a time; no detection slice the call
+	// returns points into either, so the caller reuses both for its next
+	// batch while the detection slices live on.
+	DetectBatch(ctx context.Context, frames []int64, dst []FrameOutput, scr *Scratch) ([]FrameOutput, error)
+}
+
+// Scratch is caller-owned memory a DetectBatch call borrows for the length
+// of the call: the frame buffer a detector that translates its batch into
+// another frame space (a sharded source's per-shard local frames) writes
+// into. One detector of a call owns it: the sharded detector, whose members
+// are plain datasets that never ask for it. The zero Scratch is ready to
+// use; it is not safe for concurrent use.
+type Scratch struct {
+	frames []int64
+}
+
+// Frames returns the scratch's frame buffer resized to n, growing only when
+// capacity is short.
+func (s *Scratch) Frames(n int) []int64 {
+	if cap(s.frames) < n {
+		s.frames = make([]int64, n)
+	}
+	s.frames = s.frames[:n]
+	return s.frames
 }
 
 // NoiseModel controls how far the simulated detector deviates from ground

@@ -68,7 +68,13 @@ type RandomPlusOrder struct {
 	rng      *xrand.RNG
 	ownRNG   xrand.RNG // backing generator when built via Init
 
-	sampled  []uint64 // bitset over [0, n)
+	// sampled is the bitset over [0, n) of emitted offsets. A range past
+	// the inline storage starts without one: its first emitted offsets
+	// are listed in sampledInline (listed of them), and the bitset is
+	// allocated only when a fifth is marked. Most chunks of a many-armed
+	// sampler are visited a few times at most and never need one.
+	sampled  []uint64
+	listed   int
 	emitted  int64
 	segSize  int64   // current level's segment size
 	pending  []int64 // frames queued for emission at the current level
@@ -78,8 +84,9 @@ type RandomPlusOrder struct {
 	// Inline backing storage for small chunks: a sampler lazily opening
 	// one order per visited chunk is the engine's cold-start hot path, and
 	// with ranges of <= 256 frames neither the bitset nor the first levels'
-	// pending queue needs a heap allocation. An order must not be copied
-	// once initialized.
+	// pending queue needs a heap allocation; a longer range lists its first
+	// four offsets here instead. An order must not be copied once
+	// initialized.
 	sampledInline [4]uint64
 	pendInline    [4]int64
 }
@@ -116,12 +123,10 @@ func (r *RandomPlusOrder) init(start, end, initialSegment int64, rng *xrand.RNG)
 	}
 	r.start, r.n = start, n
 	r.rng = rng
-	words := (n + 63) / 64
-	if words <= int64(len(r.sampledInline)) {
-		r.sampledInline = [4]uint64{}
+	r.sampledInline = [4]uint64{}
+	r.sampled, r.listed = nil, 0
+	if words := (n + 63) / 64; words <= int64(len(r.sampledInline)) {
 		r.sampled = r.sampledInline[:words]
-	} else {
-		r.sampled = make([]uint64, words)
 	}
 	r.emitted = 0
 	r.segSize = initialSegment
@@ -137,16 +142,44 @@ func (r *RandomPlusOrder) init(start, end, initialSegment int64, rng *xrand.RNG)
 }
 
 func (r *RandomPlusOrder) isSampled(i int64) bool {
+	if r.sampled == nil {
+		return r.listedIn(i, i+1)
+	}
 	return r.sampled[i/64]&(1<<(uint(i)%64)) != 0
 }
 
+// listedIn reports whether a listed offset lies in [a, b), for an order
+// that has no bitset yet.
+func (r *RandomPlusOrder) listedIn(a, b int64) bool {
+	for _, f := range r.sampledInline[:r.listed] {
+		if int64(f) >= a && int64(f) < b {
+			return true
+		}
+	}
+	return false
+}
+
 func (r *RandomPlusOrder) markSampled(i int64) {
+	if r.sampled == nil {
+		if r.listed < len(r.sampledInline) {
+			r.sampledInline[r.listed] = uint64(i)
+			r.listed++
+			return
+		}
+		r.sampled = make([]uint64, (r.n+63)/64)
+		for _, f := range r.sampledInline[:r.listed] {
+			r.sampled[f/64] |= 1 << (f % 64)
+		}
+	}
 	r.sampled[i/64] |= 1 << (uint(i) % 64)
 }
 
 // segmentHasSample reports whether any frame in [a, b) has been emitted,
-// using word-level scans of the bitset.
+// using word-level scans of the bitset (or a scan of the listed offsets).
 func (r *RandomPlusOrder) segmentHasSample(a, b int64) bool {
+	if r.sampled == nil {
+		return r.listedIn(a, b)
+	}
 	for a < b {
 		w := a / 64
 		bitLo := uint(a % 64)

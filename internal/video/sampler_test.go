@@ -282,6 +282,48 @@ func TestRandomPlusInitMatchesNew(t *testing.T) {
 	}
 }
 
+// TestRandomPlusListedOffsetsMatchBitset: a long range's order lists its
+// first emitted offsets inline and allocates the bitset only at the fifth;
+// its emission sequence must be the one an order with the bitset from the
+// start emits, draw for draw, to the end of the range.
+func TestRandomPlusListedOffsetsMatchBitset(t *testing.T) {
+	for _, tc := range []struct{ start, end, seg int64 }{
+		{0, 257, 0},
+		{0, 2000, 0},
+		{100, 5100, 0},
+		{0, 3000, 128},
+		{7, 1031, 1},
+	} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			var lazy, eager RandomPlusOrder
+			if err := lazy.Init(tc.start, tc.end, tc.seg, seed, 4); err != nil {
+				t.Fatal(err)
+			}
+			if err := eager.Init(tc.start, tc.end, tc.seg, seed, 4); err != nil {
+				t.Fatal(err)
+			}
+			if lazy.sampled != nil {
+				t.Fatalf("range [%d,%d) opened with a bitset", tc.start, tc.end)
+			}
+			eager.sampled = make([]uint64, (eager.n+63)/64)
+			for i := 0; ; i++ {
+				lf, lok := lazy.Next()
+				ef, eok := eager.Next()
+				if lf != ef || lok != eok {
+					t.Fatalf("range [%d,%d) seg %d seed %d draw %d: listed order = (%d, %v), bitset order = (%d, %v)",
+						tc.start, tc.end, tc.seg, seed, i, lf, lok, ef, eok)
+				}
+				if (i < 4) != (lazy.sampled == nil) {
+					t.Fatalf("range [%d,%d): after %d draws the bitset is allocated = %v", tc.start, tc.end, i+1, lazy.sampled != nil)
+				}
+				if !lok {
+					break
+				}
+			}
+		}
+	}
+}
+
 // TestRandomPlusInitReuse verifies a struct can be re-initialized and
 // behaves like a fresh order (state from the previous use fully cleared).
 func TestRandomPlusInitReuse(t *testing.T) {

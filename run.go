@@ -210,16 +210,23 @@ type cacheConfig struct {
 }
 
 // detectScratch is a reusable buffer set for one in-flight detectBatch
-// call: the per-frame results, the tier's key and outcome buffers, and the
-// fill function bound once to the scratch. One scratch serves one call at a
-// time; concurrent batches (the engine runs a query's affinity groups in
-// parallel) each need their own, which the engine recycles through a
-// per-query free list.
+// call: the per-frame results, the detector's output buffer and scratch,
+// the tier's key and outcome buffers, and the fill function bound once to
+// the scratch. One scratch serves one call at a time; concurrent
+// batches (the engine runs a query's affinity groups in parallel) each need
+// their own, which the engine recycles through a per-query free list.
 type detectScratch struct {
 	res []frameResult
 	out []any // engine-side boxed view; unused by run.go itself
 	// misses is how many of the last call's frames the backend served.
-	misses   int
+	misses int
+	// outs is the detector's output buffer, rewritten by every call. The
+	// detection slices it points at belong to the backend or a sharded
+	// detector's remap slab, never to the scratch: the tier's L1 and a
+	// track run's store keep them across rounds while later calls reuse
+	// outs and buf.
+	outs     []detect.FrameOutput
+	buf      detect.Scratch
 	keys     []cachestore.Key
 	tierOuts []cachestore.Outcome
 	// fillFn is fill bound once; detector and frames are the current call's,
@@ -245,6 +252,23 @@ func (s *detectScratch) results(n int) []frameResult {
 	return s.res
 }
 
+// detect runs one batch through det into the scratch's output buffer, and
+// checks that every frame got its output.
+func (s *detectScratch) detect(ctx context.Context, det detect.BatchDetector, frames []int64) ([]detect.FrameOutput, error) {
+	if cap(s.outs) < len(frames) {
+		s.outs = make([]detect.FrameOutput, 0, len(frames))
+	}
+	outs, err := det.DetectBatch(ctx, frames, s.outs[:0], &s.buf)
+	if err != nil {
+		return nil, err
+	}
+	s.outs = outs
+	if len(outs) != len(frames) {
+		return nil, fmt.Errorf("exsample: detector returned %d results for a %d-frame batch", len(outs), len(frames))
+	}
+	return outs, nil
+}
+
 // fill is the tier's FillFunc for the scratch's current call: the frames no
 // tier held go to the backend as one DetectBatch, and the results come back
 // in the scratch's reused buffers (the tier reads them only until it
@@ -254,12 +278,9 @@ func (s *detectScratch) fill(ctx context.Context, miss []int) ([][]backend.Detec
 	for _, i := range miss {
 		s.fillFrames = append(s.fillFrames, s.frames[i])
 	}
-	outs, err := s.detector.DetectBatch(ctx, s.fillFrames)
+	outs, err := s.detect(ctx, s.detector, s.fillFrames)
 	if err != nil {
 		return nil, nil, err
-	}
-	if len(outs) != len(miss) {
-		return nil, nil, fmt.Errorf("exsample: detector returned %d results for a %d-frame batch", len(outs), len(miss))
 	}
 	s.fillDets, s.fillCosts = s.fillDets[:0], s.fillCosts[:0]
 	for _, fo := range outs {
@@ -435,12 +456,9 @@ func (c *runCore) detectBatchInto(ctx context.Context, frames []int64, scr *dete
 	if c.tier == nil {
 		// Uncached runs: the whole batch is one detector call, no index
 		// indirection.
-		outs, err := c.detector.DetectBatch(ctx, frames)
+		outs, err := scr.detect(ctx, c.detector, frames)
 		if err != nil {
 			return nil, err
-		}
-		if len(outs) != len(frames) {
-			return nil, fmt.Errorf("exsample: detector returned %d results for a %d-frame batch", len(outs), len(frames))
 		}
 		for i, fo := range outs {
 			out[i] = frameResult{dets: fo.Dets, cost: fo.Cost}

@@ -589,14 +589,17 @@ func (s *shardedDetector) detector(t *shardedTopo, slot int) detect.BatchDetecto
 }
 
 // DetectBatch implements detect.BatchDetector over the global frame space.
-func (s *shardedDetector) DetectBatch(ctx context.Context, global []int64) ([]detect.FrameOutput, error) {
+// The local frames live in the scratch's frame buffer, each run's outputs
+// are appended to dst in place, and the batch's detections are remapped
+// into one slab of their own.
+func (s *shardedDetector) DetectBatch(ctx context.Context, global []int64, dst []detect.FrameOutput, scr *detect.Scratch) ([]detect.FrameOutput, error) {
 	// One topology load per batch: the append-only address space means a
 	// snapshot taken here stays valid however the topology moves while the
 	// batch is in flight.
 	t := s.src.topo.Load()
 	m := t.snap.Map
-	local := make([]int64, len(global))
-	out := make([]detect.FrameOutput, 0, len(global))
+	local := scr.Frames(len(global))
+	base := len(dst)
 	for start := 0; start < len(global); {
 		sh, _ := m.Locate(global[start])
 		end := start
@@ -608,21 +611,24 @@ func (s *shardedDetector) DetectBatch(ctx context.Context, global []int64) ([]de
 			local[end] = l
 		}
 		run := local[start:end]
-		outs, err := s.detector(t, sh).DetectBatch(ctx, run)
-		if err != nil {
+		at := len(dst)
+		var err error
+		if dst, err = s.detector(t, sh).DetectBatch(ctx, run, dst, scr); err != nil {
 			return nil, err
 		}
-		if len(outs) != len(run) {
-			return nil, fmt.Errorf("exsample: shard %d returned %d results for a %d-frame batch", sh, len(outs), len(run))
+		if got := len(dst) - at; got != len(run) {
+			return nil, fmt.Errorf("exsample: shard %d returned %d results for a %d-frame batch", sh, got, len(run))
 		}
 		t.members[sh].detects.Add(int64(len(run)))
-		out = append(out, outs...)
 		start = end
 	}
 	// Remap the detections into global frame and truth-id space, copying
-	// every frame's out of one slab: a shard backend may share its output
-	// with other callers, so it is never written in place. A frame with no
-	// detections reports nil.
+	// every frame's out of one slab sized for the batch: a shard backend may
+	// share its output with other callers, so it is never written in place,
+	// and a slab per batch keeps what a memo entry holding one frame's slice
+	// retains to that batch's detections. A frame with no detections
+	// reports nil.
+	out := dst[base:]
 	n := 0
 	for i, fo := range out {
 		if len(fo.Dets) == 0 {
@@ -631,7 +637,7 @@ func (s *shardedDetector) DetectBatch(ctx context.Context, global []int64) ([]de
 		n += len(fo.Dets)
 	}
 	if n == 0 {
-		return out, nil
+		return dst, nil
 	}
 	slab := make([]track.Detection, 0, n)
 	for i, fo := range out {
@@ -647,7 +653,7 @@ func (s *shardedDetector) DetectBatch(ctx context.Context, global []int64) ([]de
 		}
 		out[i].Dets = slab[k:len(slab):len(slab)]
 	}
-	return out, nil
+	return dst, nil
 }
 
 // shardedExtender routes detections to per-shard tracker models and
