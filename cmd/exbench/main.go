@@ -283,7 +283,6 @@ func writeBench(path string) error {
 }
 
 func run(experiment string, scale float64, trials int, seed uint64, full bool) error {
-	type renderer interface{ Render(w *os.File) error }
 	runOne := func(name string) error {
 		switch name {
 		case "fig2":

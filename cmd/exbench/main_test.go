@@ -33,6 +33,14 @@ func TestRunTable1SmallScale(t *testing.T) {
 	}
 }
 
+// TestRunAblationSmallTrials drives a §IV experiment through the -trials
+// and -seed overrides.
+func TestRunAblationSmallTrials(t *testing.T) {
+	if err := run("ablation", 0, 2, 5, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCompareBench drives the regression gate on hand-built snapshots and
 // pins BENCH_engine.json's rows to the gate table.
 func TestCompareBench(t *testing.T) {

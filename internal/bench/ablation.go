@@ -74,22 +74,23 @@ func RunAblation(cfg AblationConfig) (*AblationResult, error) {
 		return nil, err
 	}
 
-	run := func(variant string, coreCfg core.Config) (AblationRow, error) {
+	run := func(variant string, method sim.Method, coreCfg core.Config) (AblationRow, error) {
 		row := AblationRow{Variant: variant}
 		var vals []float64
 		for t := 0; t < cfg.Trials; t++ {
-			n, ok, err := sim.SamplesToReach(sim.MethodExSample, sim.ChunkSimConfig{
+			tr, err := sim.Run(method, sim.ChunkSimConfig{
 				Instances: instances,
 				NumFrames: cfg.NumFrames,
 				NumChunks: cfg.NumChunks,
 				Budget:    cfg.Budget,
+				Targets:   []int64{cfg.Target},
 				Core:      coreCfg,
 				Seed:      cfg.Seed + uint64(t)*31337,
-			}, cfg.Target)
+			})
 			if err != nil {
 				return row, err
 			}
-			if ok {
+			if n := tr.Reached[0]; n > 0 {
 				row.Reached++
 				vals = append(vals, float64(n))
 			}
@@ -115,43 +116,23 @@ func RunAblation(cfg AblationConfig) (*AblationResult, error) {
 		{"thompson/uniform-within", core.Config{Policy: core.Thompson, Within: core.WithinUniform}},
 	}
 	for _, v := range variants {
-		row, err := run(v.name, v.cfg)
+		row, err := run(v.name, sim.MethodExSample, v.cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: ablation %s: %w", v.name, err)
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	for _, a0 := range cfg.Alpha0Values {
-		row, err := run(fmt.Sprintf("thompson alpha0=%g", a0),
+		row, err := run(fmt.Sprintf("thompson alpha0=%g", a0), sim.MethodExSample,
 			core.Config{Policy: core.Thompson, Within: core.WithinRandomPlus, Alpha0: a0})
 		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	// Random baseline for reference.
-	var rndVals []float64
-	rndReached := 0
-	for t := 0; t < cfg.Trials; t++ {
-		n, ok, err := sim.SamplesToReach(sim.MethodRandom, sim.ChunkSimConfig{
-			Instances: instances,
-			NumFrames: cfg.NumFrames,
-			Budget:    cfg.Budget,
-			Seed:      cfg.Seed + uint64(t)*31337,
-		}, cfg.Target)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			rndReached++
-			rndVals = append(rndVals, float64(n))
-		}
-	}
-	rndRow := AblationRow{Variant: "random (reference)", Reached: rndReached}
-	if rndReached*2 > cfg.Trials {
-		if m, err := stats.Median(rndVals); err == nil {
-			rndRow.MedianSamples = m
-		}
+	rndRow, err := run("random (reference)", sim.MethodRandom, core.Config{})
+	if err != nil {
+		return nil, err
 	}
 	res.Rows = append(res.Rows, rndRow)
 	return res, nil

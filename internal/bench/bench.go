@@ -7,9 +7,11 @@
 //
 // The detector experiments — Table I and Figure 5 — run every query
 // through the public Search, the same pipeline Session and Engine drive.
-// The §III-D and §IV simulation studies (Figures 2–4 and the ablations)
-// run on internal/sim's sampling simulator, and Figure 6 reads ground truth
-// only.
+// Figure 2 runs internal/sim's §III-D estimator study. The §IV studies —
+// Figures 3 and 4 and the ablation — make one sim.Run pass per trial and
+// method, reading found-at-checkpoint and samples-to-target off the same
+// trajectory; Figure 4 draws internal/opt's Eq. IV.1 curve beside them.
+// Figure 6 reads ground truth only.
 package bench
 
 import (
@@ -19,36 +21,6 @@ import (
 
 	exsample "github.com/exsample/exsample"
 )
-
-// LogCheckpoints returns ~perDecade sample counts per decade between lo and
-// hi (inclusive), ascending and deduplicated — the x axis of Figures 3/4.
-func LogCheckpoints(lo, hi int64, perDecade int) ([]int64, error) {
-	if lo <= 0 || hi < lo {
-		return nil, fmt.Errorf("bench: bad checkpoint range [%d, %d]", lo, hi)
-	}
-	if perDecade <= 0 {
-		return nil, fmt.Errorf("bench: perDecade must be positive, got %d", perDecade)
-	}
-	var out []int64
-	step := math.Pow(10, 1/float64(perDecade))
-	x := float64(lo)
-	prev := int64(0)
-	for {
-		v := int64(math.Round(x))
-		if v > hi {
-			break
-		}
-		if v != prev {
-			out = append(out, v)
-			prev = v
-		}
-		x *= step
-	}
-	if prev != hi {
-		out = append(out, hi)
-	}
-	return out, nil
-}
 
 // writef writes formatted output, propagating the first error through a
 // shared pointer so render functions stay linear.

@@ -7,37 +7,6 @@ import (
 	"testing"
 )
 
-func TestLogCheckpoints(t *testing.T) {
-	cps, err := LogCheckpoints(10, 10000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cps[0] != 10 || cps[len(cps)-1] != 10000 {
-		t.Fatalf("endpoints = %d..%d", cps[0], cps[len(cps)-1])
-	}
-	for i := 1; i < len(cps); i++ {
-		if cps[i] <= cps[i-1] {
-			t.Fatalf("not ascending: %v", cps)
-		}
-	}
-	// ~3 per decade over 3 decades.
-	if len(cps) < 8 || len(cps) > 14 {
-		t.Fatalf("%d checkpoints: %v", len(cps), cps)
-	}
-}
-
-func TestLogCheckpointsErrors(t *testing.T) {
-	if _, err := LogCheckpoints(0, 10, 3); err == nil {
-		t.Error("lo=0 accepted")
-	}
-	if _, err := LogCheckpoints(10, 5, 3); err == nil {
-		t.Error("hi<lo accepted")
-	}
-	if _, err := LogCheckpoints(1, 10, 0); err == nil {
-		t.Error("perDecade=0 accepted")
-	}
-}
-
 func TestFmtRatio(t *testing.T) {
 	cases := map[float64]string{
 		3.912: "3.9x",
@@ -141,29 +110,6 @@ func TestFig3SkewBeatsNoSkew(t *testing.T) {
 	}
 }
 
-func TestFig3OptionalOptimalCurve(t *testing.T) {
-	cfg := tinyFig3()
-	cfg.Skews = []float64{1.0 / 32}
-	cfg.Targets = []int64{10}
-	cfg.OptCheckpoints = 4
-	cfg.NumInstances = 200
-	cfg.NumChunks = 16
-	cfg.Budget = 2000
-	res, err := RunFig3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell := res.Cells[0]
-	if len(cell.OptimalCurve) == 0 {
-		t.Fatal("no optimal curve")
-	}
-	for i := 1; i < len(cell.OptimalCurve); i++ {
-		if cell.OptimalCurve[i] < cell.OptimalCurve[i-1]-1e-6 {
-			t.Fatalf("optimal curve not monotone: %v", cell.OptimalCurve)
-		}
-	}
-}
-
 func TestFig4ChunkSweep(t *testing.T) {
 	cfg := DefaultFig4()
 	cfg.NumInstances = 400
@@ -172,7 +118,6 @@ func TestFig4ChunkSweep(t *testing.T) {
 	cfg.Budget = 4000
 	cfg.ChunkCounts = []int{1, 16, 128}
 	cfg.Checkpoints = []int64{500, 2000, 4000}
-	cfg.WithOptimal = false
 	res, err := RunFig4(cfg)
 	if err != nil {
 		t.Fatal(err)

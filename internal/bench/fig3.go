@@ -5,11 +5,9 @@ import (
 	"io"
 
 	"github.com/exsample/exsample/internal/metrics"
-	"github.com/exsample/exsample/internal/opt"
 	"github.com/exsample/exsample/internal/sim"
 	"github.com/exsample/exsample/internal/stats"
 	"github.com/exsample/exsample/internal/synth"
-	"github.com/exsample/exsample/internal/video"
 )
 
 // Fig3Config parameterizes the §IV-B simulation grid. The paper fixes
@@ -24,11 +22,8 @@ type Fig3Config struct {
 	Budget       int64
 	Skews        []float64 // 0 = none
 	MeanDurs     []float64
-	Targets      []int64 // savings labels (paper: 10, 100, 1000)
-	// OptCheckpoints computes the optimal-allocation (Eq. IV.1) expected-N
-	// curve at this many log-spaced points (0 disables, saving time).
-	OptCheckpoints int
-	Seed           uint64
+	Targets      []int64 // ascending savings labels (paper: 10, 100, 1000)
+	Seed         uint64
 }
 
 // DefaultFig3 returns the paper's grid at a scale that runs in seconds:
@@ -36,16 +31,15 @@ type Fig3Config struct {
 // are preserved.
 func DefaultFig3() Fig3Config {
 	return Fig3Config{
-		NumInstances:   2000,
-		NumFrames:      2_000_000,
-		NumChunks:      128,
-		Trials:         7,
-		Budget:         20_000,
-		Skews:          []float64{0, 0.25, 1.0 / 32, 1.0 / 256},
-		MeanDurs:       []float64{14, 100, 700, 4900},
-		Targets:        []int64{10, 100, 1000},
-		OptCheckpoints: 0,
-		Seed:           31,
+		NumInstances: 2000,
+		NumFrames:    2_000_000,
+		NumChunks:    128,
+		Trials:       7,
+		Budget:       20_000,
+		Skews:        []float64{0, 0.25, 1.0 / 32, 1.0 / 256},
+		MeanDurs:     []float64{14, 100, 700, 4900},
+		Targets:      []int64{10, 100, 1000},
+		Seed:         31,
 	}
 }
 
@@ -69,10 +63,6 @@ type Fig3Cell struct {
 	ExSampleFound, RandomFound float64
 	// ExSampleBand/RandomBand are the 25–75% bands at Budget.
 	ExSampleBand, RandomBand metrics.Band
-	// OptimalCurve holds Eq. IV.1 expected-N at OptCheckpoints sample
-	// counts (nil when disabled).
-	OptimalNs    []int64
-	OptimalCurve []float64
 }
 
 // Fig3Result is the full grid.
@@ -114,35 +104,24 @@ func runFig3Cell(cfg Fig3Config, skew, dur float64, seed uint64) (Fig3Cell, erro
 		return cell, err
 	}
 
-	type trialOut struct {
-		toTarget map[int64]int64 // samples to reach each target (0 = missed)
-		found    float64
-	}
-	runMethod := func(method sim.Method) ([]trialOut, error) {
-		outs := make([]trialOut, cfg.Trials)
-		for t := 0; t < cfg.Trials; t++ {
-			simCfg := sim.ChunkSimConfig{
-				Instances: instances,
-				NumFrames: cfg.NumFrames,
-				NumChunks: cfg.NumChunks,
-				Budget:    cfg.Budget,
-				Seed:      seed + uint64(t)*7919,
-			}
-			tr, err := sim.Run(method, simCfg)
+	// One run per trial records the distinct count at Budget and the
+	// samples to reach each target (Reached[k], 0 = missed).
+	runMethod := func(method sim.Method) ([]sim.Trajectory, error) {
+		outs := make([]sim.Trajectory, cfg.Trials)
+		for t := range outs {
+			tr, err := sim.Run(method, sim.ChunkSimConfig{
+				Instances:   instances,
+				NumFrames:   cfg.NumFrames,
+				NumChunks:   cfg.NumChunks,
+				Budget:      cfg.Budget,
+				Checkpoints: []int64{cfg.Budget},
+				Targets:     cfg.Targets,
+				Seed:        seed + uint64(t)*7919,
+			})
 			if err != nil {
 				return nil, err
 			}
-			out := trialOut{toTarget: make(map[int64]int64), found: float64(tr.FoundAtEnd)}
-			for _, target := range cfg.Targets {
-				n, ok, err := sim.SamplesToReach(method, simCfg, target)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					out.toTarget[target] = n
-				}
-			}
-			outs[t] = out
+			outs[t] = tr
 		}
 		return outs, nil
 	}
@@ -157,19 +136,17 @@ func runFig3Cell(cfg Fig3Config, skew, dur float64, seed uint64) (Fig3Cell, erro
 	}
 
 	// Medians of found-at-budget plus bands.
-	collect := func(outs []trialOut) ([]float64, error) {
+	collect := func(outs []sim.Trajectory) []float64 {
 		vals := make([]float64, len(outs))
 		for i, o := range outs {
-			vals[i] = o.found
+			vals[i] = float64(o.Found[0])
 		}
-		return vals, nil
+		return vals
 	}
-	exFound, _ := collect(exOuts)
-	rndFound, _ := collect(rndOuts)
-	if cell.ExSampleBand, err = metrics.NewBand(exFound); err != nil {
+	if cell.ExSampleBand, err = metrics.NewBand(collect(exOuts)); err != nil {
 		return cell, err
 	}
-	if cell.RandomBand, err = metrics.NewBand(rndFound); err != nil {
+	if cell.RandomBand, err = metrics.NewBand(collect(rndOuts)); err != nil {
 		return cell, err
 	}
 	cell.ExSampleFound = cell.ExSampleBand.Median
@@ -178,11 +155,11 @@ func runFig3Cell(cfg Fig3Config, skew, dur float64, seed uint64) (Fig3Cell, erro
 	// Savings per target from median samples-to-target across trials that
 	// reached it (both methods must have a majority of reaching trials).
 	cell.SavingsAt = make([]float64, len(cfg.Targets))
-	for k, target := range cfg.Targets {
-		med := func(outs []trialOut) (float64, bool) {
+	for k := range cfg.Targets {
+		med := func(outs []sim.Trajectory) (float64, bool) {
 			var vals []float64
 			for _, o := range outs {
-				if n, ok := o.toTarget[target]; ok {
+				if n := o.Reached[k]; n > 0 {
 					vals = append(vals, float64(n))
 				}
 			}
@@ -199,49 +176,7 @@ func runFig3Cell(cfg Fig3Config, skew, dur float64, seed uint64) (Fig3Cell, erro
 		}
 	}
 
-	// Optimal-allocation curve (Eq. IV.1).
-	if cfg.OptCheckpoints > 0 {
-		chunks, err := video.SplitRange(0, cfg.NumFrames, cfg.NumChunks)
-		if err != nil {
-			return cell, err
-		}
-		pr, err := opt.FromInstances(instances, chunks)
-		if err != nil {
-			return cell, err
-		}
-		ns, err := LogCheckpoints(10, cfg.Budget, maxInt(1, cfg.OptCheckpoints/4))
-		if err != nil {
-			return cell, err
-		}
-		if len(ns) > cfg.OptCheckpoints {
-			ns = thin(ns, cfg.OptCheckpoints)
-		}
-		curve, err := pr.ExpectedCurve(ns, nil, true)
-		if err != nil {
-			return cell, err
-		}
-		cell.OptimalNs = ns
-		cell.OptimalCurve = curve
-	}
 	return cell, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func thin(xs []int64, k int) []int64 {
-	if len(xs) <= k {
-		return xs
-	}
-	out := make([]int64, 0, k)
-	for i := 0; i < k; i++ {
-		out = append(out, xs[i*(len(xs)-1)/(k-1)])
-	}
-	return out
 }
 
 // Render writes the Figure 3 grid as savings tables.

@@ -24,8 +24,6 @@ type Fig4Config struct {
 	Budget       int64
 	// Checkpoints are the sample counts at which trajectories are recorded.
 	Checkpoints []int64
-	// WithOptimal also computes the Eq. IV.1 dashed curves per chunk count.
-	WithOptimal bool
 	Seed        uint64
 }
 
@@ -40,7 +38,6 @@ func DefaultFig4() Fig4Config {
 		Trials:       7,
 		Budget:       20_000,
 		Checkpoints:  []int64{100, 300, 1000, 3000, 10_000, 20_000},
-		WithOptimal:  true,
 		Seed:         47,
 	}
 }
@@ -53,7 +50,7 @@ type Fig4Series struct {
 	// Band[k] is the 25–75% band at each checkpoint.
 	Bands []metrics.Band
 	// Optimal[k] is the Eq. IV.1 expected count with per-n optimal static
-	// weights (nil unless WithOptimal).
+	// weights (nil for the random series).
 	Optimal []float64
 }
 
@@ -117,20 +114,16 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: fig4 chunks=%d: %w", m, err)
 		}
-		if cfg.WithOptimal {
-			chunks, err := video.SplitRange(0, cfg.NumFrames, m)
-			if err != nil {
-				return nil, err
-			}
-			pr, err := opt.FromInstances(instances, chunks)
-			if err != nil {
-				return nil, err
-			}
-			curve, err := pr.ExpectedCurve(cfg.Checkpoints, nil, true)
-			if err != nil {
-				return nil, err
-			}
-			series.Optimal = curve
+		chunks, err := video.SplitRange(0, cfg.NumFrames, m)
+		if err != nil {
+			return nil, err
+		}
+		pr, err := opt.FromInstances(instances, chunks)
+		if err != nil {
+			return nil, err
+		}
+		if series.Optimal, err = pr.ExpectedCurve(cfg.Checkpoints, nil, true); err != nil {
+			return nil, err
 		}
 		res.Series = append(res.Series, series)
 	}

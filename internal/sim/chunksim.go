@@ -18,27 +18,7 @@ const (
 	// MethodRandom samples uniformly without replacement over the whole
 	// repository (the paper's main baseline).
 	MethodRandom
-	// MethodRandomPlus uses the stratified random+ order globally (§III-F).
-	MethodRandomPlus
-	// MethodSequential scans frames in order (the naive baseline, §II-B).
-	MethodSequential
 )
-
-// String returns the method name.
-func (m Method) String() string {
-	switch m {
-	case MethodExSample:
-		return "exsample"
-	case MethodRandom:
-		return "random"
-	case MethodRandomPlus:
-		return "random+"
-	case MethodSequential:
-		return "sequential"
-	default:
-		return fmt.Sprintf("method(%d)", int(m))
-	}
-}
 
 // ChunkSimConfig configures one §IV simulation run.
 type ChunkSimConfig struct {
@@ -46,13 +26,16 @@ type ChunkSimConfig struct {
 	Instances []track.Instance
 	// NumFrames is the repository size.
 	NumFrames int64
-	// NumChunks is M (ExSample only; other methods ignore it).
+	// NumChunks is M (ExSample only; random ignores it).
 	NumChunks int
 	// Budget caps the number of frames sampled.
 	Budget int64
-	// Checkpoints are the sample counts at which the distinct-found count
-	// is recorded; must be ascending. Empty means record only at Budget.
+	// Checkpoints are the sample counts, ascending and at most Budget, at
+	// which the distinct-found count is recorded.
 	Checkpoints []int64
+	// Targets are the ascending distinct-found counts whose first sample
+	// count is recorded.
+	Targets []int64
 	// Core configures the ExSample sampler (policy, prior, within-chunk
 	// order); only used by MethodExSample.
 	Core core.Config
@@ -73,29 +56,45 @@ func (c ChunkSimConfig) validate() error {
 	if c.Budget > c.NumFrames {
 		return fmt.Errorf("sim: Budget %d exceeds NumFrames %d", c.Budget, c.NumFrames)
 	}
+	if len(c.Checkpoints) == 0 && len(c.Targets) == 0 {
+		return fmt.Errorf("sim: no checkpoints or targets to record")
+	}
+	if err := ascending("checkpoints", c.Checkpoints); err != nil {
+		return err
+	}
+	if n := len(c.Checkpoints); n > 0 && c.Checkpoints[n-1] > c.Budget {
+		return fmt.Errorf("sim: checkpoint %d exceeds Budget %d", c.Checkpoints[n-1], c.Budget)
+	}
+	return ascending("targets", c.Targets)
+}
+
+func ascending(name string, xs []int64) error {
 	prev := int64(0)
-	for _, cp := range c.Checkpoints {
-		if cp <= prev {
-			return fmt.Errorf("sim: checkpoints must be ascending and positive")
+	for _, x := range xs {
+		if x <= prev {
+			return fmt.Errorf("sim: %s must be ascending and positive", name)
 		}
-		prev = cp
+		prev = x
 	}
 	return nil
 }
 
-// Trajectory is the result of one run: Found[k] distinct instances had been
-// found after Checkpoints[k] samples. SamplesToFind[target] records when
-// each requested target count was first reached (0 if never).
+// Trajectory is the result of one run.
 type Trajectory struct {
-	Checkpoints []int64
-	Found       []int64
-	// FoundAtEnd is the distinct count when the budget was exhausted.
-	FoundAtEnd int64
+	// Found[k] is the distinct count after Checkpoints[k] samples.
+	Found []int64
+	// Reached[k] is the first sample count at which Targets[k] distinct
+	// instances had been found, 0 if the run never found that many.
+	Reached []int64
 	// Samples is the number of frames actually processed.
 	Samples int64
 }
 
-// Run executes one simulated search and records the discovery trajectory.
+// Run executes one simulated search in a single pass, recording the
+// distinct count at every checkpoint and the sample count at which every
+// target is reached. It stops at Budget, or as soon as every checkpoint is
+// recorded and every target reached.
+//
 // The §IV simulations use a perfect detector and discriminator: sampling a
 // frame reveals exactly the instances visible in it, and identity is known,
 // so d0/d1 reduce to first/second sightings of instance IDs.
@@ -107,44 +106,10 @@ func Run(method Method, cfg ChunkSimConfig) (Trajectory, error) {
 	if err != nil {
 		return Trajectory{}, err
 	}
-	checkpoints := cfg.Checkpoints
-	if len(checkpoints) == 0 {
-		checkpoints = []int64{cfg.Budget}
-	}
-	tr := Trajectory{
-		Checkpoints: checkpoints,
-		Found:       make([]int64, len(checkpoints)),
-	}
 
-	sightings := make(map[int]int, len(cfg.Instances))
-	var found int64
-	var buf []*track.Instance
-
-	// observe processes one frame and returns the (d0, d1) sizes.
-	observe := func(frame int64) (d0, d1 int) {
-		buf = idx.At(frame, buf[:0])
-		for _, in := range buf {
-			s := sightings[in.ID]
-			switch s {
-			case 0:
-				d0++
-				found++
-			case 1:
-				d1++
-			}
-			sightings[in.ID] = s + 1
-		}
-		return d0, d1
-	}
-
-	cpIdx := 0
-	record := func(n int64) {
-		for cpIdx < len(checkpoints) && n >= checkpoints[cpIdx] {
-			tr.Found[cpIdx] = found
-			cpIdx++
-		}
-	}
-
+	// next proposes a frame; update reports its (d0, d1) back.
+	var next func() (int64, bool)
+	var update func(d0, d1 int) error
 	switch method {
 	case MethodExSample:
 		m := cfg.NumChunks
@@ -161,72 +126,38 @@ func Run(method Method, cfg ChunkSimConfig) (Trajectory, error) {
 		if err != nil {
 			return Trajectory{}, err
 		}
-		for tr.Samples < cfg.Budget {
+		var chunk int
+		next = func() (int64, bool) {
 			p, ok := s.Next()
-			if !ok {
-				break
-			}
-			d0, d1 := observe(p.Frame)
-			if err := s.Update(p.Chunk, d0, d1); err != nil {
-				return Trajectory{}, err
-			}
-			tr.Samples++
-			record(tr.Samples)
+			chunk = p.Chunk
+			return p.Frame, ok
 		}
-
-	case MethodRandom, MethodRandomPlus, MethodSequential:
-		var order video.FrameOrder
-		var err error
-		switch method {
-		case MethodRandom:
-			order, err = video.NewUniformOrder(0, cfg.NumFrames, xrand.New(cfg.Seed))
-		case MethodRandomPlus:
-			order, err = video.NewRandomPlusOrder(0, cfg.NumFrames, 0, xrand.New(cfg.Seed))
-		default:
-			order, err = video.NewSequentialOrder(0, cfg.NumFrames, 1)
-		}
+		update = func(d0, d1 int) error { return s.Update(chunk, d0, d1) }
+	case MethodRandom:
+		order, err := video.NewUniformOrder(0, cfg.NumFrames, xrand.New(cfg.Seed))
 		if err != nil {
 			return Trajectory{}, err
 		}
-		for tr.Samples < cfg.Budget {
-			frame, ok := order.Next()
-			if !ok {
-				break
-			}
-			observe(frame)
-			tr.Samples++
-			record(tr.Samples)
-		}
-
+		next = order.Next
+		update = func(int, int) error { return nil }
 	default:
 		return Trajectory{}, fmt.Errorf("sim: unknown method %d", int(method))
 	}
 
-	record(cfg.Budget)
-	tr.FoundAtEnd = found
-	return tr, nil
-}
-
-// SamplesToReach runs a search until `target` distinct instances are found
-// and returns the number of samples needed, or (budget, false) if the target
-// was not reached within the budget.
-func SamplesToReach(method Method, cfg ChunkSimConfig, target int64) (int64, bool, error) {
-	if err := cfg.validate(); err != nil {
-		return 0, false, err
+	tr := Trajectory{
+		Found:   make([]int64, len(cfg.Checkpoints)),
+		Reached: make([]int64, len(cfg.Targets)),
 	}
-	if target <= 0 {
-		return 0, false, fmt.Errorf("sim: target must be positive, got %d", target)
-	}
-	idx, err := track.NewIndex(cfg.Instances, cfg.NumFrames, 0)
-	if err != nil {
-		return 0, false, err
-	}
-	sightings := make(map[int]int)
-	var found, samples int64
+	sightings := make(map[int]int, len(cfg.Instances))
+	var found int64
 	var buf []*track.Instance
-
-	step := func(frame int64) (d0, d1 int, done bool) {
-		samples++
+	cp, tg := 0, 0
+	for tr.Samples < cfg.Budget && (cp < len(cfg.Checkpoints) || tg < len(cfg.Targets)) {
+		frame, ok := next()
+		if !ok {
+			return Trajectory{}, fmt.Errorf("sim: sampler exhausted after %d samples", tr.Samples)
+		}
+		var d0, d1 int
 		buf = idx.At(frame, buf[:0])
 		for _, in := range buf {
 			s := sightings[in.ID]
@@ -239,63 +170,18 @@ func SamplesToReach(method Method, cfg ChunkSimConfig, target int64) (int64, boo
 			}
 			sightings[in.ID] = s + 1
 		}
-		return d0, d1, found >= target
+		if err := update(d0, d1); err != nil {
+			return Trajectory{}, err
+		}
+		tr.Samples++
+		if cp < len(cfg.Checkpoints) && tr.Samples == cfg.Checkpoints[cp] {
+			tr.Found[cp] = found
+			cp++
+		}
+		for tg < len(cfg.Targets) && found >= cfg.Targets[tg] {
+			tr.Reached[tg] = tr.Samples
+			tg++
+		}
 	}
-
-	switch method {
-	case MethodExSample:
-		m := cfg.NumChunks
-		if m <= 0 {
-			m = 1
-		}
-		chunks, err := video.SplitRange(0, cfg.NumFrames, m)
-		if err != nil {
-			return 0, false, err
-		}
-		coreCfg := cfg.Core
-		coreCfg.Seed = cfg.Seed
-		s, err := core.New(chunks, coreCfg)
-		if err != nil {
-			return 0, false, err
-		}
-		for samples < cfg.Budget {
-			p, ok := s.Next()
-			if !ok {
-				break
-			}
-			d0, d1, done := step(p.Frame)
-			if err := s.Update(p.Chunk, d0, d1); err != nil {
-				return 0, false, err
-			}
-			if done {
-				return samples, true, nil
-			}
-		}
-	case MethodRandom, MethodRandomPlus, MethodSequential:
-		var order video.FrameOrder
-		var err error
-		switch method {
-		case MethodRandom:
-			order, err = video.NewUniformOrder(0, cfg.NumFrames, xrand.New(cfg.Seed))
-		case MethodRandomPlus:
-			order, err = video.NewRandomPlusOrder(0, cfg.NumFrames, 0, xrand.New(cfg.Seed))
-		default:
-			order, err = video.NewSequentialOrder(0, cfg.NumFrames, 1)
-		}
-		if err != nil {
-			return 0, false, err
-		}
-		for samples < cfg.Budget {
-			frame, ok := order.Next()
-			if !ok {
-				break
-			}
-			if _, _, done := step(frame); done {
-				return samples, true, nil
-			}
-		}
-	default:
-		return 0, false, fmt.Errorf("sim: unknown method %d", int(method))
-	}
-	return cfg.Budget, false, nil
+	return tr, nil
 }

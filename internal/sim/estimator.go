@@ -4,10 +4,13 @@
 //     sampled frame independently with hidden probabilities p_i; the study
 //     compares the observable estimate N1(n)/n and its Gamma belief against
 //     the true expected reward R(n+1) = Σ_{unseen} p_i.
-//   - The §IV chunk-skew study (Figures 3 and 4): instances occupy fixed
-//     intervals of a 16M-frame axis with controlled skew; ExSample, random
-//     and the optimal static allocation are compared on distinct instances
-//     found per frame sampled.
+//   - The §IV chunk-skew study (Figures 3 and 4 and the ablation):
+//     instances occupy fixed intervals of a 16M-frame axis with controlled
+//     skew, and ExSample and random are compared on distinct instances found
+//     per frame sampled. One loop, Run, serves every figure: a single pass
+//     per trial records the distinct count at each checkpoint and the
+//     sample count at which each target count is first reached. The
+//     optimal static allocation they are drawn against is internal/opt's.
 package sim
 
 import (
@@ -105,17 +108,6 @@ func (a Appearances) RNext(pis []float64, n int64) float64 {
 		}
 	}
 	return r
-}
-
-// Seen returns the number of distinct instances seen within n samples.
-func (a Appearances) Seen(n int64) int64 {
-	var count int64
-	for _, t := range a.T1 {
-		if t <= n {
-			count++
-		}
-	}
-	return count
 }
 
 // BeliefSample is one simulated observation: at sample count N the run had

@@ -95,9 +95,6 @@ func TestN1AndSeenAndRNext(t *testing.T) {
 	if got := app.N1(12); got != 1 {
 		t.Errorf("N1(12) = %d", got)
 	}
-	if got := app.Seen(12); got != 2 {
-		t.Errorf("Seen(12) = %d", got)
-	}
 	// R(7): unseen = instances 1 and 2 -> 0.2 + 0.3.
 	if got := app.RNext(pis, 6); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("RNext(6) = %v", got)
