@@ -22,12 +22,15 @@
 // key. The largest of k independent Gamma(α, β) draws has CDF F(x)^k, so a
 // group can draw its maximum once, at the inverse upper tail
 // Q(α, βx) = 1 - U^(1/k), and hand the win to a uniform member: the
-// arg-max has exactly the distribution of one draw per arm. Most arms of a
-// many-chunk query sit in a few such groups (three quarters still at the
-// prior after a few hundred picks), so a decision costs a draw per small
-// group member and an inversion per large group, not a draw per chunk.
-// Which is cheaper depends on the group's size; thompsonCrossover records
-// where the measured costs of the two cross.
+// arg-max has exactly the distribution of one draw per arm. That maximum
+// exceeds a score b iff k·log P(α, βb) < log U, so Thompson compares a
+// large group with the running best by one log-CDF, and inverts the tail
+// only for a group that leads when a later group must be compared with its
+// value. Most arms of a many-chunk query sit in a few such groups (three
+// quarters still at the prior after a few hundred picks), so a decision
+// costs a draw per small group member and a log-CDF per large group, not a
+// draw per chunk. Which is cheaper depends on the group's size;
+// thompsonCrossover records where the measured costs of the two cross.
 package core
 
 import (
@@ -173,6 +176,10 @@ type Sampler struct {
 	groups []group
 	free   int32
 	index  []int32
+
+	// inversions counts the group maxima Thompson has inverted
+	// (stats.GammaQInv), the work its probability-space comparison saves.
+	inversions int64
 }
 
 // arm is one chunk's statistics and its place among the exchangeable arms.
@@ -196,6 +203,9 @@ type group struct {
 	alpha, beta float64 // its belief, as alphaBeta computes it
 	head, tail  int32   // member list ends, -1 if none
 	size        int32   // member count
+	// logU is the log of the uniform a Thompson scan draws this group's
+	// maximum at, kept from the scan's draws to its comparisons.
+	logU float64
 }
 
 // rpSlabSize is the random+ order slab block size; 64 keeps a block around
@@ -203,13 +213,19 @@ type group struct {
 // decision.
 const rpSlabSize = 64
 
-// thompsonCrossover is the group size from which Thompson draws a group's
-// maximum by one upper-tail inversion instead of one Gamma per member. On a
-// 2-core Xeon, at group sizes near this one, an inversion
-// (stats.GammaQInv) costs about 1.5 µs at the prior shape α0 = 0.1, where
-// a draw takes the boost branch and costs about 115 ns, and 0.75–1 µs at
-// shapes above 1, where a draw costs 31–36 ns: the two break even near 13
-// members below shape 1 and 24–28 above it, and 20 sits between.
+// thompsonCrossover is the group size from which Thompson scores a group
+// once, by a uniform for its maximum, instead of one Gamma per member. A
+// scan then pays one log-CDF per large group (a uniform, a log and
+// stats.LogGammaP), and an upper-tail inversion (stats.GammaQInv) only for
+// a leading group that a later group must be compared with: 0.05–0.5 per
+// pick at 64–1000 chunks, against one per large group before. On a 2-core
+// Xeon the log-CDF costs 85–115 ns at the prior shape α0 = 0.1, where a
+// draw takes the boost branch and costs about 68 ns, and 125–185 ns at
+// shapes above 1, where a draw costs 16–19 ns; an inversion costs 1.2 µs
+// and 0.55–0.8 µs. So the two now break even near 2–4 members below shape
+// 1 and near 9 above it, below the 20 set when every large group was
+// inverted. The constant stays: a different one changes which draws a scan
+// makes, and with them every report.
 const thompsonCrossover = 20
 
 // New creates a sampler over the given chunks. Chunks must be non-empty and
@@ -394,89 +410,130 @@ func (s *Sampler) Next() (Pick, bool) {
 	}
 }
 
-// lead is the running best of one Next scan: an arm scored on its own, or
-// a group scored once whose member is chosen after the scan.
-type lead struct {
-	arm, group int     // exactly one is >= 0 once anything was scored
-	score      float64 // policy score
-}
-
 // choose runs the policy over the groups and returns the chosen arm, or -1
 // when no arm is drawable.
 func (s *Sampler) choose() int {
-	c := lead{arm: -1, group: -1}
+	if s.cfg.Policy == Thompson {
+		return s.thompson()
+	}
+	best, score := -1, 0.0
 	level := 1 - 1/float64(s.total+2) // BayesUCB
 	for gi := range s.groups {
 		g := &s.groups[gi]
 		if g.size == 0 {
 			continue
 		}
-		if s.cfg.Policy == Thompson && g.size < thompsonCrossover {
-			for j := g.head; j >= 0; j = s.arms[j].next {
-				s.consider(&c, int(j), -1, s.rng.Gamma(g.alpha, g.beta))
-			}
-			continue
+		if sc := s.groupScore(g, level); best < 0 || s.beats(gi, sc, best, score) {
+			best, score = gi, sc
 		}
-		s.consider(&c, -1, gi, s.groupScore(g, level))
 	}
-	if c.group < 0 {
-		return c.arm
-	}
-	switch s.cfg.Policy {
-	case BayesUCB:
-		return s.lowest(c.group)
-	case Greedy:
-		return s.tiedMember(c.score)
+	switch {
+	case best < 0:
+		return -1
+	case s.cfg.Policy == BayesUCB:
+		return s.lowest(best)
 	default:
-		return s.member(c.group, s.rng.IntN(int(s.groups[c.group].size)))
+		return s.tiedMember(score)
 	}
 }
 
-// groupScore scores a whole group once under the policy.
-func (s *Sampler) groupScore(g *group, level float64) float64 {
-	switch s.cfg.Policy {
-	case BayesUCB:
-		// Quantile level 1 - 1/(t+1) grows with total samples t, the
-		// schedule from Kaufmann's Bayes-UCB (§III-C reference [18]).
-		q, err := stats.GammaQuantile(level, g.alpha, g.beta)
-		if err != nil {
-			// Extremely defensive: fall back to the mean.
-			return g.alpha / g.beta
+// thompson is choose under Thompson sampling. Its result and its use of
+// the RNG are those of one scan in slot order that scores each member of a
+// small group by a Gamma draw and each large group by its maximum, and
+// keeps the first strict maximum. It runs in two phases:
+//   - the draws: one Gamma per small-group member, keeping the best, and
+//     one uniform per large group, kept as its logU;
+//   - the comparisons: each large group in slot order against the lead, in
+//     probability space (above). A group that takes the lead is not
+//     inverted; the score it beat bounds its maximum from below, and a
+//     later group that does not pass that bound loses. Only one that does
+//     needs the leader's exact maximum, so a lone large group, such as a
+//     fresh query's prior group, is never inverted.
+func (s *Sampler) thompson() int {
+	best, b := -1, 0.0
+	for gi := range s.groups {
+		g := &s.groups[gi]
+		if g.size == 0 {
+			continue
 		}
-		return q
-	case Greedy:
-		return g.alpha / g.beta
-	default:
-		// The maximum of size draws: P(max <= x) = P(α, βx)^size, so the
-		// maximum sits where the upper tail Q(α, βx) = 1 - U^(1/size).
+		if g.size < thompsonCrossover {
+			for j := g.head; j >= 0; j = s.arms[j].next {
+				if x := s.rng.Gamma(g.alpha, g.beta); best < 0 || x > b {
+					best, b = int(j), x
+				}
+			}
+			continue
+		}
 		u := s.rng.Float64()
 		for u == 0 {
 			u = s.rng.Float64()
 		}
-		// GammaQInv rejects only a tail outside (0, 1) or a shape that is
-		// not positive, and u in (0, 1) with α > 0 gives neither.
-		x, _ := stats.GammaQInv(g.alpha, -math.Expm1(math.Log(u)/float64(g.size)))
-		return x / g.beta
+		g.logU = math.Log(u)
 	}
+	// lead is the leading large group, or -1 while arm best (or nothing)
+	// leads; b is the lead's score, exact or, while bound, a lower bound on
+	// the leading group's maximum.
+	lead, bound := -1, false
+	for gi := range s.groups {
+		g := &s.groups[gi]
+		if g.size < thompsonCrossover || !above(g, b) {
+			continue
+		}
+		if bound {
+			if b = s.groupMax(&s.groups[lead]); !above(g, b) {
+				bound = false
+				continue
+			}
+		}
+		lead, bound = gi, true
+	}
+	if lead < 0 {
+		return best
+	}
+	return s.member(lead, s.rng.IntN(int(s.groups[lead].size)))
 }
 
-// consider offers one candidate — arm j, or group gi scored once — with
-// score sc to the running lead.
-func (s *Sampler) consider(c *lead, j, gi int, sc float64) {
-	if c.arm < 0 && c.group < 0 || s.beats(c, j, gi, sc) {
-		*c = lead{arm: j, group: gi, score: sc}
-	}
+// above reports whether large group g's maximum exceeds score b >= 0. The
+// maximum of size draws has CDF P(α, βx)^size and is drawn at the uniform
+// e^logU, so it exceeds b exactly when P(α, βb)^size < e^logU.
+func above(g *group, b float64) bool {
+	return float64(g.size)*stats.LogGammaP(g.alpha, g.beta*b) < g.logU
 }
 
-// beats reports whether a candidate scoring sc displaces the lead: a higher
-// score wins; an equal one wins only under BayesUCB with a lower index, so
-// its pick is the per-arm scan's first strict maximum. (Thompson ties have
-// probability zero, and Greedy spreads its ties after the scan.)
-func (s *Sampler) beats(c *lead, j, gi int, sc float64) bool {
-	if sc != c.score || s.cfg.Policy != BayesUCB {
-		return sc > c.score
+// groupMax returns large group g's maximum: the point where the upper
+// tail Q(α, βx) = 1 - U^(1/size).
+func (s *Sampler) groupMax(g *group) float64 {
+	s.inversions++
+	// GammaQInv rejects only a tail outside (0, 1) or a shape that is not
+	// positive, and U in (0, 1) with α > 0 gives neither.
+	x, _ := stats.GammaQInv(g.alpha, -math.Expm1(g.logU/float64(g.size)))
+	return x / g.beta
+}
+
+// groupScore scores a whole group once under BayesUCB or Greedy.
+func (s *Sampler) groupScore(g *group, level float64) float64 {
+	if s.cfg.Policy == Greedy {
+		return g.alpha / g.beta
 	}
-	return s.first(j, gi) < s.first(c.arm, c.group)
+	// Quantile level 1 - 1/(t+1) grows with total samples t, the schedule
+	// from Kaufmann's Bayes-UCB (§III-C reference [18]).
+	q, err := stats.GammaQuantile(level, g.alpha, g.beta)
+	if err != nil {
+		// Extremely defensive: fall back to the mean.
+		return g.alpha / g.beta
+	}
+	return q
+}
+
+// beats reports whether group gi scoring sc displaces the leading group
+// lead scoring score: a higher score wins; an equal one wins only under
+// BayesUCB with a lower index, so its pick is the per-arm scan's first
+// strict maximum. (Greedy spreads its ties after the scan.)
+func (s *Sampler) beats(gi int, sc float64, lead int, score float64) bool {
+	if sc != score || s.cfg.Policy != BayesUCB {
+		return sc > score
+	}
+	return s.lowest(gi) < s.lowest(lead)
 }
 
 // tiedMember returns a uniform arm among the groups whose Greedy score (the
@@ -516,14 +573,6 @@ func (s *Sampler) member(gi, m int) int {
 		j = s.arms[j].next
 	}
 	return int(j)
-}
-
-// first returns arm j, or group gi's lowest-index member.
-func (s *Sampler) first(j, gi int) int {
-	if gi < 0 {
-		return j
-	}
-	return s.lowest(gi)
 }
 
 // lowest returns group gi's lowest-index member.

@@ -12,9 +12,10 @@ const maxFuzzArms = 64
 
 // FuzzSamplerGroups drives random operation sequences decoded from the fuzz
 // input — Update (N1 may go negative), SetEnabled (no-op toggles
-// included), Append and Next — then draws until the sampler is exhausted,
-// and after every operation checks the exchangeable-arm groups against a
-// naive recomputation from the arms (see checkGroups).
+// included), Append and Next — then draws until the sampler is exhausted.
+// After every operation it checks the exchangeable-arm groups against a
+// naive recomputation from the arms (see checkGroups), and every Next
+// against referenceNext on a twin sampler given the same operations.
 func FuzzSamplerGroups(f *testing.F) {
 	f.Add(byte(0), []byte{0, 1, 9, 1, 2, 0xfd, 4, 0, 0})
 	f.Add(byte(5), []byte{2, 3, 0, 2, 3, 0, 2, 3, 1, 2, 3, 1, 0, 3, 0x0c, 4, 0, 0})
@@ -27,9 +28,21 @@ func FuzzSamplerGroups(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(chunks, Config{Seed: uint64(setup), Policy: policy})
+		cfg := Config{Seed: uint64(setup), Policy: policy}
+		s, err := New(chunks, cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		ref, err := New(chunks, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := func() bool {
+			got, ok := s.Next()
+			if want, wantOK := referenceNext(ref); got != want || ok != wantOK {
+				t.Fatalf("Next = %+v %v, reference %+v %v", got, ok, want, wantOK)
+			}
+			return ok
 		}
 		peak := checkGroups(t, s, 0)
 		for ; len(ops) >= 3; ops = ops[3:] {
@@ -38,16 +51,20 @@ func FuzzSamplerGroups(f *testing.F) {
 			case 0:
 				// d1 > d0 drives N1 negative.
 				err = s.Update(j, int(b&3), int(b>>2&3))
+				ref.Update(j, int(b&3), int(b>>2&3))
 			case 2:
 				err = s.SetEnabled(j, b&1 == 0)
+				ref.SetEnabled(j, b&1 == 0)
 			case 3:
 				if len(s.arms) < maxFuzzArms {
 					end := s.chunks[len(s.chunks)-1].End
-					err = s.Append([]video.Chunk{{ID: len(s.chunks), Start: end, End: end + int64(b%4) + 1}})
+					c := []video.Chunk{{ID: len(s.chunks), Start: end, End: end + int64(b%4) + 1}}
+					err = s.Append(c)
+					ref.Append(c)
 				}
 			default:
 				// Ops 1, 4 and 5 draw.
-				s.Next()
+				next()
 			}
 			if err != nil {
 				t.Fatalf("op %v: %v", ops[:3], err)
@@ -55,7 +72,7 @@ func FuzzSamplerGroups(f *testing.F) {
 			peak = checkGroups(t, s, peak)
 		}
 		for {
-			_, ok := s.Next()
+			ok := next()
 			peak = checkGroups(t, s, peak)
 			if !ok {
 				break

@@ -32,6 +32,27 @@ func GammaP(a, x float64) float64 {
 	return 1 - math.Exp(-x+a*math.Log(x)-lg)*gammaContinuedFraction(a, x)
 }
 
+// LogGammaP returns log P(a, x), the log of GammaP, and -Inf at x = 0. The
+// series side works in log space, so it stays finite where P underflows;
+// the continued-fraction side returns log1p(-Q), so it keeps its precision
+// as P approaches 1.
+func LogGammaP(a, x float64) float64 {
+	if a <= 0 {
+		panic("stats: LogGammaP requires a > 0")
+	}
+	if x < 0 {
+		panic("stats: LogGammaP requires x >= 0")
+	}
+	if x == 0 {
+		return math.Inf(-1)
+	}
+	lg, _ := math.Lgamma(a)
+	if x < a+1 {
+		return math.Log(gammaSeries(a, x)) - x + a*math.Log(x) - lg
+	}
+	return math.Log1p(-math.Exp(-x+a*math.Log(x)-lg) * gammaContinuedFraction(a, x))
+}
+
 // GammaQ returns the regularized upper incomplete gamma function
 // Q(a, x) = 1 - P(a, x). Where the continued fraction applies it returns
 // that tail directly, so Q keeps its relative precision when it is far

@@ -272,3 +272,135 @@ func TestMean(t *testing.T) {
 		t.Error("Mean(nil) accepted")
 	}
 }
+
+// logGammaPShapes are the shapes the LogGammaP tests sweep: from far below
+// the sampler's prior α0 = 0.1 to a chunk with a thousand results.
+var logGammaPShapes = []float64{1e-3, 0.1, 0.5, 1, 10, 1e3}
+
+// TestLogGammaPAgrees: LogGammaP is log(GammaP) on the series side and
+// log1p(-GammaQ) on the continued-fraction side, from x = 1e-300 to a+60
+// and on both sides of the x = a+1 boundary. Where P underflows it
+// follows the series' leading terms, log P = a log x - x - log Γ(a+1)
+// + log1p(x/(a+1)) to second order in x.
+func TestLogGammaPAgrees(t *testing.T) {
+	for _, a := range logGammaPShapes {
+		var xs []float64
+		for e := -300.0; e <= 0; e += 10 {
+			xs = append(xs, math.Pow(10, e))
+		}
+		for x := 0.25; x < a+60; x *= 1.5 {
+			xs = append(xs, x)
+		}
+		xs = append(xs, math.Nextafter(a+1, 0), a+1, math.Nextafter(a+1, math.Inf(1)), a+1-1e-9, a+1+1e-9, a+60)
+		for _, x := range xs {
+			got := LogGammaP(a, x)
+			if !(got <= 0) || math.IsInf(got, 0) {
+				t.Fatalf("LogGammaP(%v, %v) = %v, want finite and <= 0", a, x, got)
+			}
+			var want float64
+			switch {
+			case x >= a+1:
+				want = math.Log1p(-GammaQ(a, x))
+			case x <= 1e-10:
+				lg1, _ := math.Lgamma(a + 1)
+				want = a*math.Log(x) - x - lg1 + math.Log1p(x/(a+1))
+			default:
+				want = math.Log(GammaP(a, x))
+			}
+			if math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
+				t.Errorf("LogGammaP(%v, %v) = %v, want %v", a, x, got, want)
+			}
+		}
+	}
+}
+
+func TestLogGammaPAtZero(t *testing.T) {
+	for _, a := range logGammaPShapes {
+		if got := LogGammaP(a, 0); !math.IsInf(got, -1) {
+			t.Errorf("LogGammaP(%v, 0) = %v, want -Inf", a, got)
+		}
+	}
+	for _, c := range []struct{ a, x float64 }{{0, 1}, {-1, 1}, {1, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("LogGammaP(%v,%v) did not panic", c.a, c.x)
+				}
+			}()
+			LogGammaP(c.a, c.x)
+		}()
+	}
+}
+
+// TestLogGammaPDecidesLikeInversion: the maximum of k Gamma(a, 1) draws
+// taken at uniform U, GammaQInv(a, 1 - U^(1/k)), exceeds b exactly when
+// k·LogGammaP(a, b) < log U. The two decisions agree wherever the maximum
+// and b differ by more than 1e-9 relative; b is put at relative distances
+// from 1e-6 to e^3 of the maximum, so many cases sit near the boundary.
+func TestLogGammaPDecidesLikeInversion(t *testing.T) {
+	g := xrand.New(17)
+	compared, above := 0, 0
+	for i := 0; i < 20000; i++ {
+		a := math.Pow(10, -3+5*g.Float64())
+		k := 1 + g.IntN(2000)
+		u := g.Float64()
+		if u == 0 {
+			continue
+		}
+		lu := math.Log(u)
+		x, err := GammaQInv(a, -math.Expm1(lu/float64(k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := x * math.Exp(g.Normal(0, math.Pow(10, -6+6*g.Float64())))
+		if math.Abs(x-b) <= 1e-9*math.Max(x, b) {
+			continue
+		}
+		compared++
+		want := x > b
+		if want {
+			above++
+		}
+		if got := float64(k)*LogGammaP(a, b) < lu; got != want {
+			t.Errorf("a=%v k=%d U=%v: maximum %v > b=%v is %v, probability space says %v", a, k, u, x, b, want, got)
+		}
+	}
+	if compared < 15000 || above < compared/4 || above > 3*compared/4 {
+		t.Fatalf("%d decisions compared, %d above: the sweep does not straddle the boundary", compared, above)
+	}
+}
+
+// FuzzLogGammaP compares LogGammaP with log(GammaP) and log1p(-GammaQ)
+// on arbitrary shapes in (0, 1e4] and arguments in [0, 1e4].
+func FuzzLogGammaP(f *testing.F) {
+	f.Add(0.1, 0.5)
+	f.Add(1e-3, 1e-300)
+	f.Add(10.0, 11.0)
+	f.Add(1e3, 1060.0)
+	f.Fuzz(func(t *testing.T, a, x float64) {
+		a, x = math.Abs(a), math.Abs(x)
+		if !(a > 0 && a <= 1e4 && x <= 1e4) {
+			return
+		}
+		got := LogGammaP(a, x)
+		if x == 0 {
+			if !math.IsInf(got, -1) {
+				t.Fatalf("LogGammaP(%v, 0) = %v, want -Inf", a, got)
+			}
+			return
+		}
+		if !(got <= 0) || math.IsInf(got, 0) {
+			t.Fatalf("LogGammaP(%v, %v) = %v, want finite and <= 0", a, x, got)
+		}
+		want := math.Log1p(-GammaQ(a, x))
+		if p := GammaP(a, x); x < a+1 {
+			if p < 1e-280 {
+				return // underflowed: only the log-space result is exact
+			}
+			want = math.Log(p)
+		}
+		if math.Abs(got-want) > 1e-10*math.Max(1, math.Abs(want)) {
+			t.Fatalf("LogGammaP(%v, %v) = %v, want %v", a, x, got, want)
+		}
+	})
+}
