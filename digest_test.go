@@ -232,6 +232,7 @@ func TestReportDigests(t *testing.T) {
 		{"baseline/random-plus", search(ds, car, Options{Seed: 13, Strategy: StrategyRandomPlus}, true), nil, []string{"39e5c1f20e190074"}},
 		{"baseline/sequential", search(ds, Query{Class: "car", Limit: 20}, Options{Seed: 14, Strategy: StrategySequential, MaxFrames: 6000}, true), nil, []string{"c40314c501b91c64"}},
 		{"proxy/plain", search(ds, car, Options{Seed: 15, Strategy: StrategyProxy}, true), nil, []string{"f0f546a414cb8c17"}},
+		{"proxy/sharded-addshard", search(digestShardedProxySource(t), car, Options{Seed: 25, Strategy: StrategyProxy}, true), nil, []string{"ae535d5550e417e1"}},
 		{"source/sharded-session-addshard", digestShardedSession, nil, []string{"896fb963d4dd8d45"}},
 		{"source/stream-standing", digestStreamStanding, nil, []string{"52cd2fa27c6f692d"}},
 		{"engine/global-budget", digestGlobalBudget, nil, []string{"622ebed7ddd20c0e", "b7868b137e759634", "45a4ddd4e53868cc"}},
@@ -263,6 +264,20 @@ func TestReportDigests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// digestShardedProxySource composes three shards, the third attached by
+// AddShard, so a proxy scan scores frames on every slot and each slot past
+// the first decorrelates its scorer's seed.
+func digestShardedProxySource(t *testing.T) *ShardedSource {
+	ss, err := NewShardedSource("digest-proxy", elasticShard(t, 4000, 331), elasticShard(t, 4000, 332))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ss.AddShard(elasticShard(t, 4000, 333)); err != nil {
+		t.Fatal(err)
+	}
+	return ss
 }
 
 // digestShardedSession steps a default ExSample Session over two elastic

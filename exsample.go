@@ -111,6 +111,7 @@ import (
 
 	"github.com/exsample/exsample/backend"
 	"github.com/exsample/exsample/internal/core"
+	"github.com/exsample/exsample/internal/lab"
 )
 
 // Box is an axis-aligned bounding box in pixel coordinates; (X1, Y1) is the
@@ -221,9 +222,20 @@ type Options struct {
 	MaxSeconds float64
 	// IoUThreshold is the discriminator match threshold (default 0.5).
 	IoUThreshold float64
-	// policy is the ExSample decision rule (zero value Thompson). Only
-	// this package's tests set it, to run the §III-C ablations.
+	// policy is the ExSample decision rule (zero value Thompson) and
+	// within the frame order inside a chunk (zero value random+). Only the
+	// ablation experiment (internal/bench, through internal/lab) and this
+	// package's tests set them.
 	policy core.Policy
+	within core.WithinChunk
+}
+
+func init() {
+	lab.WithSampler = func(opts any, s lab.Sampler) any {
+		o := opts.(Options)
+		o.policy, o.within = s.Policy, s.Within
+		return o
+	}
 }
 
 // Validate reports an error for out-of-range options.

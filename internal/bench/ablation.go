@@ -5,9 +5,10 @@ import (
 	"io"
 
 	"github.com/exsample/exsample/internal/core"
-	"github.com/exsample/exsample/internal/sim"
+	"github.com/exsample/exsample/internal/lab"
 	"github.com/exsample/exsample/internal/stats"
-	"github.com/exsample/exsample/internal/synth"
+
+	exsample "github.com/exsample/exsample"
 )
 
 // AblationConfig parameterizes the design-choice ablations: decision policy
@@ -63,36 +64,31 @@ func RunAblation(cfg AblationConfig) (*AblationResult, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("bench: ablation needs trials")
 	}
-	instances, err := synth.Generate(synth.GridSpec{
-		NumInstances: cfg.NumInstances,
+	ds, err := exsample.Synthesize(exsample.SynthSpec{
 		NumFrames:    cfg.NumFrames,
-		SkewFraction: cfg.Skew,
+		NumInstances: cfg.NumInstances,
 		MeanDuration: cfg.MeanDur,
+		SkewFraction: cfg.Skew,
 		Seed:         cfg.Seed,
-	})
+	}, exsample.WithPerfectDetector())
 	if err != nil {
 		return nil, err
 	}
 
-	run := func(variant string, method sim.Method, coreCfg core.Config) (AblationRow, error) {
+	run := func(variant string, opts exsample.Options) (AblationRow, error) {
 		row := AblationRow{Variant: variant}
+		opts.NumChunks = cfg.NumChunks
+		opts.MaxFrames = cfg.Budget
 		var vals []float64
 		for t := 0; t < cfg.Trials; t++ {
-			tr, err := sim.Run(method, sim.ChunkSimConfig{
-				Instances: instances,
-				NumFrames: cfg.NumFrames,
-				NumChunks: cfg.NumChunks,
-				Budget:    cfg.Budget,
-				Targets:   []int64{cfg.Target},
-				Core:      coreCfg,
-				Seed:      cfg.Seed + uint64(t)*31337,
-			})
+			opts.Seed = cfg.Seed + uint64(t)*31337
+			rep, err := ds.Search(exsample.Query{Class: "object", Limit: int(cfg.Target)}, opts)
 			if err != nil {
 				return row, err
 			}
-			if n := tr.Reached[0]; n > 0 {
+			if _, reached := readCurve(rep, nil, []int64{cfg.Target}); reached[0] > 0 {
 				row.Reached++
-				vals = append(vals, float64(n))
+				vals = append(vals, float64(reached[0]))
 			}
 		}
 		if row.Reached*2 > cfg.Trials {
@@ -104,37 +100,35 @@ func RunAblation(cfg AblationConfig) (*AblationResult, error) {
 		}
 		return row, nil
 	}
+	// sampler runs ExSample with a decision policy and within-chunk order
+	// that Options keeps unexported.
+	sampler := func(policy core.Policy, within core.WithinChunk, alpha0 float64) exsample.Options {
+		opts := exsample.Options{Alpha0: alpha0}
+		return lab.WithSampler(opts, lab.Sampler{Policy: policy, Within: within}).(exsample.Options)
+	}
 
 	res := &AblationResult{Config: cfg}
-	variants := []struct {
+	type variant struct {
 		name string
-		cfg  core.Config
-	}{
-		{"thompson/random+ (paper)", core.Config{Policy: core.Thompson, Within: core.WithinRandomPlus}},
-		{"bayes-ucb/random+", core.Config{Policy: core.BayesUCB, Within: core.WithinRandomPlus}},
-		{"greedy/random+", core.Config{Policy: core.Greedy, Within: core.WithinRandomPlus}},
-		{"thompson/uniform-within", core.Config{Policy: core.Thompson, Within: core.WithinUniform}},
+		opts exsample.Options
 	}
+	variants := []variant{
+		{"thompson/random+ (paper)", sampler(core.Thompson, core.WithinRandomPlus, 0)},
+		{"bayes-ucb/random+", sampler(core.BayesUCB, core.WithinRandomPlus, 0)},
+		{"greedy/random+", sampler(core.Greedy, core.WithinRandomPlus, 0)},
+		{"thompson/uniform-within", sampler(core.Thompson, core.WithinUniform, 0)},
+	}
+	for _, a0 := range cfg.Alpha0Values {
+		variants = append(variants, variant{fmt.Sprintf("thompson alpha0=%g", a0), sampler(core.Thompson, core.WithinRandomPlus, a0)})
+	}
+	variants = append(variants, variant{"random (reference)", exsample.Options{Strategy: exsample.StrategyRandom}})
 	for _, v := range variants {
-		row, err := run(v.name, sim.MethodExSample, v.cfg)
+		row, err := run(v.name, v.opts)
 		if err != nil {
 			return nil, fmt.Errorf("bench: ablation %s: %w", v.name, err)
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	for _, a0 := range cfg.Alpha0Values {
-		row, err := run(fmt.Sprintf("thompson alpha0=%g", a0), sim.MethodExSample,
-			core.Config{Policy: core.Thompson, Within: core.WithinRandomPlus, Alpha0: a0})
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	rndRow, err := run("random (reference)", sim.MethodRandom, core.Config{})
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, rndRow)
 	return res, nil
 }
 

@@ -5,19 +5,21 @@
 // benchmarks; shapes — who wins, rough factors, crossovers — are preserved
 // at reduced scale.
 //
-// The detector experiments — Table I and Figure 5 — run every query
-// through the public Search, the same pipeline Session and Engine drive.
-// Figure 2 runs internal/sim's §III-D estimator study. The §IV studies —
-// Figures 3 and 4 and the ablation — make one sim.Run pass per trial and
-// method, reading found-at-checkpoint and samples-to-target off the same
-// trajectory; Figure 4 draws internal/opt's Eq. IV.1 curve beside them.
-// Figure 6 reads ground truth only.
+// Table I, Figures 3–5 and the ablation run every trial through the public
+// Search, the same pipeline Session and Engine drive, and read their
+// numbers off its discovery record with readCurve. The §IV studies —
+// Figures 3 and 4 and the ablation — search a perfect-detector Synthesize
+// repository; the ablation reaches the sampler settings Options keeps
+// unexported through internal/lab, and Figure 4 draws internal/opt's
+// Eq. IV.1 curve beside its series. Figure 2 runs internal/sim's §III-D
+// estimator study. Figure 6 reads ground truth only.
 package bench
 
 import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 
 	exsample "github.com/exsample/exsample"
 )
@@ -56,15 +58,36 @@ func samplesToRecalls(ds *exsample.Dataset, class string, recalls []float64, opt
 	if err != nil {
 		return nil, 0, err
 	}
-	out := make([]int64, len(recalls))
+	// A level's target is the least count n with n/total at or above it.
+	targets := make([]int64, len(recalls))
 	for k, level := range recalls {
-		out[k] = -1
-		for i, found := range rep.CurveFound {
-			if float64(found)/float64(total) >= level {
-				out[k] = rep.CurveSamples[i]
+		targets[k] = int64(sort.Search(total+1, func(n int) bool { return float64(n)/float64(total) >= level }))
+	}
+	_, reached := readCurve(rep, nil, targets)
+	return reached, total, nil
+}
+
+// readCurve reads a search's discovery record, which gains a point
+// (CurveSamples[i], CurveFound[i]) at every frame that shows a true object.
+// found[k] is the distinct count after checkpoints[k] frames: the last
+// point at or before it, 0 before the first. reached[k] is the frames
+// processed when the count first reached targets[k], -1 if it never did.
+func readCurve(rep *exsample.Report, checkpoints, targets []int64) (found, reached []int64) {
+	found = make([]int64, len(checkpoints))
+	for k, cp := range checkpoints {
+		if i := sort.Search(len(rep.CurveSamples), func(i int) bool { return rep.CurveSamples[i] > cp }); i > 0 {
+			found[k] = int64(rep.CurveFound[i-1])
+		}
+	}
+	reached = make([]int64, len(targets))
+	for k, target := range targets {
+		reached[k] = -1
+		for i, f := range rep.CurveFound {
+			if int64(f) >= target {
+				reached[k] = rep.CurveSamples[i]
 				break
 			}
 		}
 	}
-	return out, total, nil
+	return found, reached
 }

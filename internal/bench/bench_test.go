@@ -3,8 +3,11 @@ package bench
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	exsample "github.com/exsample/exsample"
 )
 
 func TestFmtRatio(t *testing.T) {
@@ -17,6 +20,32 @@ func TestFmtRatio(t *testing.T) {
 	for in, want := range cases {
 		if got := fmtRatio(in); got != want {
 			t.Errorf("fmtRatio(%v) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestReadCurve checks readCurve against hand-built discovery records.
+func TestReadCurve(t *testing.T) {
+	// A first result at frame 5, two more by frame 9, a frame at 14 that
+	// saw only known objects, and a fourth result at frame 20.
+	rep := &exsample.Report{CurveSamples: []int64{5, 9, 14, 20}, CurveFound: []int{1, 3, 3, 4}}
+	cases := []struct {
+		name                 string
+		rep                  *exsample.Report
+		checkpoints, targets []int64
+		found, reached       []int64
+	}{
+		{"checkpoint before the first result", rep, []int64{4}, nil, []int64{0}, []int64{}},
+		{"checkpoints on and between points", rep, []int64{5, 8, 9, 19, 20, 100}, nil, []int64{1, 1, 3, 3, 4, 4}, []int64{}},
+		{"target hit exactly at a point", rep, nil, []int64{1, 3, 4}, []int64{}, []int64{5, 9, 20}},
+		{"target inside a jump", rep, nil, []int64{2}, []int64{}, []int64{9}},
+		{"unreached target", rep, nil, []int64{3, 5}, []int64{}, []int64{9, -1}},
+		{"empty record", &exsample.Report{}, []int64{10}, []int64{1}, []int64{0}, []int64{-1}},
+	}
+	for _, c := range cases {
+		found, reached := readCurve(c.rep, c.checkpoints, c.targets)
+		if !slices.Equal(found, c.found) || !slices.Equal(reached, c.reached) {
+			t.Errorf("%s: found %v reached %v, want %v %v", c.name, found, reached, c.found, c.reached)
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // TestPaperExperimentDigests pins the rendered output of every experiment
-// exbench prints — Table I and Figure 5 through Search, Figures 2–4 and the
-// ablation through internal/sim, Figure 6 from ground truth — at the shape
+// exbench prints — Table I, Figures 3–5 and the ablation through Search,
+// Figure 2 through internal/sim, Figure 6 from ground truth — at the shape
 // tests' small configurations, as an FNV-64a hash of Render's bytes. The
 // shape tests check who wins; this one fails on any change to a single
 // printed figure, so a refactor that claims to leave the reproduction alone

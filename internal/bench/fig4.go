@@ -6,9 +6,10 @@ import (
 
 	"github.com/exsample/exsample/internal/metrics"
 	"github.com/exsample/exsample/internal/opt"
-	"github.com/exsample/exsample/internal/sim"
 	"github.com/exsample/exsample/internal/synth"
 	"github.com/exsample/exsample/internal/video"
+
+	exsample "github.com/exsample/exsample"
 )
 
 // Fig4Config parameterizes the §IV-C chunk-count sweep: fixed workload
@@ -67,6 +68,8 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 	if cfg.Trials <= 0 || len(cfg.Checkpoints) == 0 {
 		return nil, fmt.Errorf("bench: fig4 needs trials and checkpoints")
 	}
+	// The instances feed only the Eq. IV.1 curve; the trials search ds,
+	// which Synthesize builds from the same spec.
 	instances, err := synth.Generate(synth.GridSpec{
 		NumInstances: cfg.NumInstances,
 		NumFrames:    cfg.NumFrames,
@@ -78,22 +81,32 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 		return nil, err
 	}
 
-	runSeries := func(method sim.Method, numChunks int) (Fig4Series, error) {
+	ds, err := exsample.Synthesize(exsample.SynthSpec{
+		NumFrames:    cfg.NumFrames,
+		NumInstances: cfg.NumInstances,
+		MeanDuration: cfg.MeanDur,
+		SkewFraction: cfg.Skew,
+		Seed:         cfg.Seed,
+	}, exsample.WithPerfectDetector())
+	if err != nil {
+		return nil, err
+	}
+
+	runSeries := func(strategy exsample.Strategy, numChunks int) (Fig4Series, error) {
 		s := Fig4Series{NumChunks: numChunks}
 		trialFound := make([][]float64, len(cfg.Checkpoints))
 		for t := 0; t < cfg.Trials; t++ {
-			tr, err := sim.Run(method, sim.ChunkSimConfig{
-				Instances:   instances,
-				NumFrames:   cfg.NumFrames,
-				NumChunks:   numChunks,
-				Budget:      cfg.Budget,
-				Checkpoints: cfg.Checkpoints,
-				Seed:        cfg.Seed + uint64(t)*104729 + uint64(numChunks),
+			rep, err := ds.Search(exsample.Query{Class: "object", RecallTarget: 1}, exsample.Options{
+				Strategy:  strategy,
+				NumChunks: numChunks,
+				Seed:      cfg.Seed + uint64(t)*104729 + uint64(numChunks),
+				MaxFrames: cfg.Budget,
 			})
 			if err != nil {
 				return s, err
 			}
-			for k, f := range tr.Found {
+			found, _ := readCurve(rep, cfg.Checkpoints, nil)
+			for k, f := range found {
 				trialFound[k] = append(trialFound[k], float64(f))
 			}
 		}
@@ -110,7 +123,7 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 
 	res := &Fig4Result{Config: cfg}
 	for _, m := range cfg.ChunkCounts {
-		series, err := runSeries(sim.MethodExSample, m)
+		series, err := runSeries(exsample.StrategyExSample, m)
 		if err != nil {
 			return nil, fmt.Errorf("bench: fig4 chunks=%d: %w", m, err)
 		}
@@ -127,7 +140,7 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 		}
 		res.Series = append(res.Series, series)
 	}
-	random, err := runSeries(sim.MethodRandom, 1)
+	random, err := runSeries(exsample.StrategyRandom, 1)
 	if err != nil {
 		return nil, err
 	}

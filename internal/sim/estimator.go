@@ -1,16 +1,9 @@
-// Package sim implements the paper's two simulation studies:
-//
-//   - The §III-D estimator validation (Figure 2): instances appear in a
-//     sampled frame independently with hidden probabilities p_i; the study
-//     compares the observable estimate N1(n)/n and its Gamma belief against
-//     the true expected reward R(n+1) = Σ_{unseen} p_i.
-//   - The §IV chunk-skew study (Figures 3 and 4 and the ablation):
-//     instances occupy fixed intervals of a 16M-frame axis with controlled
-//     skew, and ExSample and random are compared on distinct instances found
-//     per frame sampled. One loop, Run, serves every figure: a single pass
-//     per trial records the distinct count at each checkpoint and the
-//     sample count at which each target count is first reached. The
-//     optimal static allocation they are drawn against is internal/opt's.
+// Package sim implements the paper's §III-D estimator validation
+// (Figure 2): instances appear in a sampled frame independently with hidden
+// probabilities p_i, and the study compares the observable estimate N1(n)/n
+// and its Gamma belief against the true expected reward
+// R(n+1) = Σ_{unseen} p_i. The §IV chunk-skew study (Figures 3 and 4 and
+// the ablation) runs through the public Search instead; see internal/bench.
 package sim
 
 import (

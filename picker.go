@@ -60,7 +60,7 @@ func (r *queryRun) newPicker() (picker, error) {
 			Alpha0: opts.Alpha0,
 			Beta0:  opts.Beta0,
 			Policy: opts.policy,
-			Within: core.WithinRandomPlus,
+			Within: opts.within,
 			Seed:   opts.Seed,
 		})
 		if err != nil {

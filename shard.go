@@ -500,57 +500,23 @@ func (s *ShardedSource) newExtender() (discrim.Extender, error) {
 	return &shardedExtender{src: s}, nil
 }
 
-// newScorer builds the routed proxy scorer. Shard 0 keeps the caller's
-// seed unchanged so a 1-shard source scores byte-identically to its
-// underlying dataset; later shards decorrelate their hash noise by slot,
-// so a shard's scores do not depend on when it was attached. Per-shard
-// scorers are built lazily for the same reason as detectors.
+// newScorer builds the routed proxy scorer over the shards attached now:
+// the proxy scan scores every frame once, at construction, and its order
+// is frozen from then on. Shard 0 keeps the caller's seed unchanged so a
+// 1-shard source scores byte-identically to its underlying dataset; later
+// shards decorrelate their hash noise by slot, so a shard's scores do not
+// depend on when it was attached.
 func (s *ShardedSource) newScorer(class string, seed uint64) func(int64) float64 {
-	sc := &shardedScorer{src: s, class: class, seed: seed}
-	sc.scores.Store(new([]func(int64) float64))
-	return sc.score
-}
-
-// shardedScorer routes per-frame proxy scores to lazily built per-shard
-// scorers. score is a hot path (a proxy scan calls it once per repository
-// frame), so the built scorers live behind an atomic copy-on-write slice:
-// the fast path is one extra atomic load over the old eager design, and
-// the mutex is taken only to build a late-attached shard's scorer.
-type shardedScorer struct {
-	src   *ShardedSource
-	class string
-	seed  uint64
-
-	scores atomic.Pointer[[]func(int64) float64]
-	mu     sync.Mutex // serializes slow-path slice growth
-}
-
-func (sc *shardedScorer) score(frame int64) float64 {
-	t := sc.src.topo.Load()
-	sh, local := t.snap.Map.Locate(frame)
-	if sp := *sc.scores.Load(); sh < len(sp) {
-		return sp[sh](local)
+	t := s.topo.Load()
+	scores := make([]func(int64) float64, len(t.members))
+	for i, mem := range t.members {
+		scores[i] = mem.ds.qs.newScorer(class, seed+uint64(i)*0x9e3779b97f4a7c15)
 	}
-	return sc.scoreSlow(t, sh, local)
-}
-
-// scoreSlow grows the scorer slice to cover a late-attached shard.
-func (sc *shardedScorer) scoreSlow(t *shardedTopo, sh int, local int64) float64 {
-	sc.mu.Lock()
-	cur := *sc.scores.Load()
-	if sh < len(cur) {
-		sc.mu.Unlock()
-		return cur[sh](local)
+	m := t.snap.Map
+	return func(frame int64) float64 {
+		sh, local := m.Locate(frame)
+		return scores[sh](local)
 	}
-	next := append(make([]func(int64) float64, 0, sh+1), cur...)
-	for len(next) <= sh {
-		slot := len(next)
-		next = append(next, t.members[slot].ds.qs.newScorer(sc.class,
-			sc.seed+uint64(slot)*0x9e3779b97f4a7c15))
-	}
-	sc.scores.Store(&next)
-	sc.mu.Unlock()
-	return next[sh](local)
 }
 
 // shardedDetector routes batches of global frames to per-shard batched
