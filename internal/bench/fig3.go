@@ -28,9 +28,10 @@ type Fig3Config struct {
 
 // DefaultFig3 returns the paper's grid at reduced scale: frames and budget
 // shrink together so densities (and hence savings shapes) are preserved.
-// It runs in 70–85 s on a 2-core machine, more than half of it in the
-// dense cell (mean duration 4900, skew 1/256), where ~1 200 objects are
-// visible per frame and the discriminator's match dominates.
+// It runs in 33–38 s on a 2-core machine. In its densest cell (mean
+// duration 4900, skew 1/256) ~1 200 objects are visible per frame, and
+// each frame costs the discriminator detections × visible tracks box
+// compares.
 func DefaultFig3() Fig3Config {
 	return Fig3Config{
 		NumInstances: 2000,

@@ -16,6 +16,15 @@
 // ExSample's estimator needs d0 (detections matching nothing: new objects)
 // and d1 (detections whose object had been seen exactly once before):
 // Algorithm 1 updates N1[j] += len(d0) - len(d1).
+//
+// Matching a frame costs one walk of its bucket's object list (the objects
+// whose track overlaps the frame's 1024-frame bucket), one interpolated box
+// per track that covers the frame, and then, per detection, one scan of
+// those boxes, where an overlap test rejects most of them before any IoU.
+// Objects a detection creates join the frame's candidates for the later
+// detections. So a frame of D detections over C covering tracks makes C
+// interpolations and D·C box compares; on dense scenes the D·C term is
+// what a spatial index over the frame's boxes would bound.
 package discrim
 
 import (
@@ -36,8 +45,9 @@ type PredictedTrack struct {
 }
 
 // BoxAt returns the predicted box at a frame within the track (clamped).
-// It is the one interpolation of a track; match calls it through a pointer
-// so the track is not copied per candidate.
+// It is the one interpolation of a track; the discriminator calls it once
+// per covering track per frame (see load), through a pointer so the track
+// is not copied.
 func (p *PredictedTrack) BoxAt(frame int64) geom.Box {
 	if p.End <= p.Start {
 		return p.StartBox
@@ -93,7 +103,26 @@ type Discriminator struct {
 	// newObjs and secondObjs are ObserveObjects' result buffers, reused by
 	// every call.
 	newObjs, secondObjs []*Object
+	// spill holds the candidates of frames too dense for ObserveObjects'
+	// stack buffer (see grow).
+	spill []cand
+	// interpolated counts the candidate boxes made so far: one per
+	// covering track per frame.
+	interpolated int
 }
+
+// cand is an object whose track covers the frame being matched, with its
+// predicted box there.
+type cand struct {
+	obj *Object
+	box geom.Box
+}
+
+// inlineCands is the length of ObserveObjects' stack buffer of candidates
+// (2.5 KB). Frames of up to a few dozen covering tracks fit in it, so a
+// query over such scenes allocates no candidate buffer; only denser frames
+// spill (see grow).
+const inlineCands = 64
 
 // bucket is one frame bucket's object list: the first and last entries in
 // links.
@@ -143,8 +172,9 @@ func New(extender Extender, iouThresh float64) (*Discriminator, error) {
 // once before. Detections matching an object already seen twice or more fall
 // into neither set.
 func (d *Discriminator) GetMatches(frame int64, dets []track.Detection) (d0, d1 []track.Detection) {
+	cands := d.load(frame, nil)
 	for i := range dets {
-		obj := d.match(frame, &dets[i])
+		obj := d.match(cands, &dets[i])
 		switch {
 		case obj == nil:
 			d0 = append(d0, dets[i])
@@ -160,12 +190,15 @@ func (d *Discriminator) GetMatches(frame int64, dets []track.Detection) (d0, d1 
 // new objects via the tracker. It returns the newly created objects.
 func (d *Discriminator) Add(frame int64, dets []track.Detection) []*Object {
 	var created []*Object
+	cands := d.load(frame, nil)
 	for i := range dets {
-		if obj := d.match(frame, &dets[i]); obj != nil {
+		obj := d.match(cands, &dets[i])
+		if obj != nil {
 			obj.Sightings++
 			continue
 		}
-		created = append(created, d.newObject(dets[i]))
+		obj, cands = d.register(frame, dets[i], cands)
+		created = append(created, obj)
 	}
 	return created
 }
@@ -195,13 +228,23 @@ func (d *Discriminator) Observe(frame int64, dets []track.Detection) (d0, d1 []t
 // a frame that creates no object allocates nothing.
 func (d *Discriminator) ObserveObjects(frame int64, dets []track.Detection) (newObjs, secondObjs []*Object) {
 	d.newObjs, d.secondObjs = d.newObjs[:0], d.secondObjs[:0]
+	// A frame without detections needs no candidates, nor the buffer's
+	// zeroing.
+	if len(dets) == 0 {
+		return d.newObjs, d.secondObjs
+	}
+	// A sparse frame's candidates stay in this buffer on the stack; a denser
+	// one's move to d.spill (see grow).
+	var buf [inlineCands]cand
+	cands := d.load(frame, buf[:0])
 	// Classify and register one detection at a time so that two detections
 	// of the same new object within one frame are not both counted as new.
 	for i := range dets {
-		obj := d.match(frame, &dets[i])
+		obj := d.match(cands, &dets[i])
 		switch {
 		case obj == nil:
-			d.newObjs = append(d.newObjs, d.newObject(dets[i]))
+			obj, cands = d.register(frame, dets[i], cands)
+			d.newObjs = append(d.newObjs, obj)
 		case obj.Sightings == 1:
 			d.secondObjs = append(d.secondObjs, obj)
 			obj.Sightings++
@@ -231,36 +274,74 @@ func (d *Discriminator) newObject(det track.Detection) *Object {
 	return obj
 }
 
-// match returns the known object whose predicted position at the frame best
-// matches the detection (same class, IoU >= threshold), or nil; of equal
-// IoUs the first discovered wins.
-//
-// It computes IoU only for candidates that can match, rejecting in order of
-// cost: the track's interval, then geom.Overlap of the boxes, then the
-// class (the one test that follows a pointer to a string). The rejection
-// is exact: New keeps the threshold in (0, 1], so an IoU of 0 never
-// matches, and Overlap is false only where IoU is 0 (its contract),
-// NaN coordinates included.
-func (d *Discriminator) match(frame int64, det *track.Detection) *Object {
+// load appends the frame's candidates to cands and returns them: every
+// known object whose track covers the frame, with its box there, in its
+// bucket's order, which is discovery order. It is the frame's one bucket
+// walk and one interpolation per covering track; match then scans the
+// candidates once per detection.
+func (d *Discriminator) load(frame int64, cands []cand) []cand {
 	bk, ok := d.buckets[frame/d.bucketSize]
 	if !ok {
-		return nil
+		return cands
 	}
+	for e := bk.head; e >= 0; e = d.links[e].next {
+		if obj := d.links[e].obj; obj.Track.Covers(frame) {
+			if len(cands) == cap(cands) {
+				cands = d.grow(cands)
+			}
+			d.interpolated++
+			cands = append(cands, cand{obj: obj, box: obj.Track.BoxAt(frame)})
+		}
+	}
+	return cands
+}
+
+// register creates the object of a detection that matched nothing. If its
+// track covers the frame, it joins the frame's candidates for the later
+// detections; indexObject put it at the tail of the frame's bucket, so the
+// candidates stay in bucket order.
+func (d *Discriminator) register(frame int64, det track.Detection, cands []cand) (*Object, []cand) {
+	obj := d.newObject(det)
+	if obj.Track.Covers(frame) {
+		if len(cands) == cap(cands) {
+			cands = d.grow(cands)
+		}
+		d.interpolated++
+		cands = append(cands, cand{obj: obj, box: obj.Track.BoxAt(frame)})
+	}
+	return obj, cands
+}
+
+// grow moves full candidates to d.spill, which the discriminator keeps and
+// doubles as needed, so a query allocates only when its densest frame so
+// far outgrows it. grow never stores the buffer it is given, so
+// ObserveObjects' stack buffer stays on the stack.
+func (d *Discriminator) grow(cands []cand) []cand {
+	if cap(d.spill) <= len(cands) {
+		d.spill = make([]cand, 0, max(2*len(cands), inlineCands))
+	}
+	return append(d.spill[:0], cands...)
+}
+
+// match returns the candidate whose box best matches the detection (same
+// class, IoU >= threshold), or nil; of equal IoUs the first discovered wins.
+//
+// It computes IoU only for candidates that can match, rejecting in order of
+// cost: geom.Overlap of the boxes, then the class (the one test that
+// follows a pointer to a string). The rejection is exact: New keeps the
+// threshold in (0, 1], so an IoU of 0 never matches, and Overlap is false
+// only where IoU is 0 (its contract), NaN coordinates included.
+func (d *Discriminator) match(cands []cand, det *track.Detection) *Object {
 	var best *Object
 	bestIoU := 0.0
-	for e := bk.head; e >= 0; e = d.links[e].next {
-		obj := d.links[e].obj
-		p := &obj.Track
-		if !p.Covers(frame) {
+	for i := range cands {
+		c := &cands[i]
+		if !geom.Overlap(&c.box, &det.Box) || c.obj.Class != det.Class {
 			continue
 		}
-		box := p.BoxAt(frame)
-		if !geom.Overlap(&box, &det.Box) || obj.Class != det.Class {
-			continue
-		}
-		iou := geom.IoU(box, det.Box)
+		iou := geom.IoU(c.box, det.Box)
 		if iou >= d.iouThresh && iou > bestIoU {
-			best = obj
+			best = c.obj
 			bestIoU = iou
 		}
 	}

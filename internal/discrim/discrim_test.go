@@ -300,9 +300,9 @@ func TestN1Invariant(t *testing.T) {
 }
 
 // TestDiscriminatorObserveAllocs: a frame whose detections all match known
-// objects allocates nothing, and registering new objects costs at most one
-// allocation per eight objects amortised (object slab, object list, bucket
-// links and bucket map together).
+// objects allocates nothing, one detection or many, and registering new
+// objects costs at most one allocation per eight objects amortised (object
+// slab, object list, bucket links and bucket map together).
 func TestDiscriminatorObserveAllocs(t *testing.T) {
 	// Objects start every 25 frames and live 200, so about eight overlap
 	// at any frame; eight lanes keep overlapping objects apart, and each
@@ -373,6 +373,38 @@ func TestDiscriminatorObserveAllocs(t *testing.T) {
 	})
 	if known != 0 {
 		t.Fatalf("%d frames matching only known objects allocate %d objects, want 0", n-1, known)
+	}
+
+	// Frames of several detections, every one of a known object: all the
+	// objects visible at a frame, whose candidates fit ObserveObjects'
+	// stack buffer, and a dense frame whose candidates spill past it. A
+	// first pass sizes the buffers; after it no frame allocates.
+	var frames []int64
+	var multi [][]track.Detection
+	for f := int64(100); f < n*25; f += 997 {
+		var dets []track.Detection
+		for i, in := range instances {
+			if in.Start <= f && f <= in.End {
+				dets = append(dets, sighting(i, f)...)
+			}
+		}
+		frames, multi = append(frames, f), append(multi, dets)
+	}
+	observeAll := func() {
+		for i, f := range frames {
+			if newObjs, _ := d.ObserveObjects(f, multi[i]); len(newObjs) != 0 {
+				t.Fatalf("frame %d: %d new objects among %d known", f, len(newObjs), len(multi[i]))
+			}
+		}
+	}
+	observeAll()
+	if multiAllocs := mallocs(observeAll); multiAllocs != 0 {
+		t.Fatalf("%d frames of about 8 known objects allocate %d objects, want 0", len(frames), multiAllocs)
+	}
+	dense, frame, dets, cands := denseFrame(t, 300)
+	dense.ObserveObjects(frame, dets)
+	if denseAllocs := mallocs(func() { dense.ObserveObjects(frame, dets) }); denseAllocs != 0 {
+		t.Fatalf("a frame of %d detections over %d covering tracks allocates %d objects, want 0", len(dets), cands, denseAllocs)
 	}
 	t.Logf("%d allocations for %d new objects", created, n)
 }
