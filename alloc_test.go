@@ -9,6 +9,8 @@ import (
 	"github.com/exsample/exsample/cachestore"
 	"github.com/exsample/exsample/internal/core"
 	"github.com/exsample/exsample/internal/detect"
+	"github.com/exsample/exsample/internal/geom"
+	"github.com/exsample/exsample/internal/track"
 )
 
 // TestDetectBatchMemoHitAllocFree: once every frame of a batch is resident
@@ -261,5 +263,47 @@ func TestShardedSessionStepAllocs(t *testing.T) {
 	}
 	if perFrame > 4.5 {
 		t.Fatalf("stepping a 4-shard session allocates %.2f objects/frame, want <= 4.5", perFrame)
+	}
+}
+
+// TestTrackStepAllocFree: once the refine window has grown, a track run's
+// next and step on a refine frame that completes no interval allocate
+// nothing: the frame's detections go to the end of the window, the plan
+// flips a bit and counts. Coarse hits at frames 10000 and 30000 on a
+// 1000-frame stride make the intervals [9000, 11000] and [29000, 31000];
+// the first one grows the window and is assembled, and the measured steps
+// fall inside the second.
+func TestTrackStepAllocFree(t *testing.T) {
+	r, err := newTrackRun(trackScene(t), trackPred(), TrackOptions{Stride: 1000}, cacheConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := []track.Detection{{Class: "car", Box: geom.Rect(100, 100, 20, 20)}}
+	step := func() core.Pick {
+		p, ok := r.next()
+		if !ok {
+			t.Fatal("the track run stopped issuing frames")
+		}
+		var fr frameResult
+		if p.Frame == 10000 || p.Frame == 30000 {
+			fr.dets = hit
+		}
+		if err := r.step(p, fr); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for p := step(); p.Chunk >= 0 || p.Frame < 29000; p = step() {
+	}
+	if r.rep.Intervals != 2 || len(r.window) != 1 || cap(r.window) < 1000 {
+		t.Fatalf("%d intervals, window len %d cap %d: the first interval did not grow and release the window", r.rep.Intervals, len(r.window), cap(r.window))
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		if p := step(); p.Chunk >= 0 || p.Frame > 31000 {
+			t.Fatalf("frame %d (chunk %d) is not a refine frame of the second interval", p.Frame, p.Chunk)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a refine step allocates %v, want 0", allocs)
 	}
 }

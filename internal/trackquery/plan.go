@@ -83,6 +83,10 @@ type arm struct {
 // ascending and applies happen in issue order, intervals complete in
 // interval order, which is what makes downstream track IDs deterministic
 // across batch sizes.
+//
+// Memory: the observed set is a bitset of NumFrames bits, allocated with
+// the plan; the grid, the hit list, the intervals and the refine queue
+// grow with the work actually issued.
 type Plan struct {
 	cfg  Config
 	arms []arm
@@ -91,8 +95,8 @@ type Plan struct {
 	phase         Phase
 	pendingCoarse int
 
-	applied map[int64]bool // frames observed (coarse + refine)
-	hits    []int64        // coarse frames with ≥1 detection
+	applied []uint64 // bitset of frames observed (coarse + refine)
+	hits    []int64  // coarse frames with ≥1 detection
 
 	intervals    []Interval
 	missing      []int // per-interval unobserved frame count
@@ -122,8 +126,8 @@ func NewPlan(cfg Config) (*Plan, error) {
 	}
 	arms := make([]arm, 0, len(cfg.Chunks))
 	for _, c := range cfg.Chunks {
-		kLo := (c.Start + cfg.Stride - 1) / cfg.Stride
-		kHi := (c.End + cfg.Stride - 1) / cfg.Stride
+		kLo := CeilDiv(c.Start, cfg.Stride)
+		kHi := CeilDiv(c.End, cfg.Stride)
 		if kHi > kLo {
 			arms = append(arms, arm{chunk: c, next: kLo, end: kHi})
 		}
@@ -131,8 +135,23 @@ func NewPlan(cfg Config) (*Plan, error) {
 	return &Plan{
 		cfg:     cfg,
 		arms:    arms,
-		applied: make(map[int64]bool),
+		applied: make([]uint64, (cfg.NumFrames-1)/64+1),
 	}, nil
+}
+
+// CeilDiv returns ⌈a/b⌉ for a ≥ 0 and b ≥ 1 without overflowing, however
+// close a and b are to the int64 limit: the number of multiples of b in
+// [0, a).
+func CeilDiv(a, b int64) int64 {
+	if a == 0 {
+		return 0
+	}
+	return (a-1)/b + 1
+}
+
+// observed reports whether frame, in [0, NumFrames), has been observed.
+func (p *Plan) observed(frame int64) bool {
+	return p.applied[frame>>6]&(1<<(frame&63)) != 0
 }
 
 // Next returns the next frame to detect. chunk is the coarse arm during
@@ -198,10 +217,13 @@ func (p *Plan) Fence(active func(video.Chunk) bool) {
 // next round's Next calls. A frame the caller skips without detecting is
 // observed as a miss: its interval completes without it.
 func (p *Plan) Observe(frame int64, chunk int, hit bool) error {
-	if p.applied[frame] {
+	if frame < 0 || frame >= p.cfg.NumFrames {
+		return fmt.Errorf("trackquery: frame %d outside [0, %d)", frame, p.cfg.NumFrames)
+	}
+	if p.observed(frame) {
 		return fmt.Errorf("trackquery: frame %d observed twice", frame)
 	}
-	p.applied[frame] = true
+	p.applied[frame>>6] |= 1 << (frame & 63)
 	if chunk >= 0 {
 		if p.phase != PhaseCoarse {
 			return fmt.Errorf("trackquery: coarse observe for frame %d in phase %v", frame, p.phase)
@@ -236,20 +258,22 @@ func (p *Plan) Observe(frame int64, chunk int, hit bool) error {
 
 // transition closes phase 1: merge padded hit neighborhoods into the
 // candidate intervals and stage the refine queue. Called with zero
-// outstanding coarse observes, so the applied set is every grid point
+// outstanding coarse observes, so the observed set is every grid point
 // issued (the whole grid unless an arm stayed fenced).
 func (p *Plan) transition() {
 	hits := append([]int64(nil), p.hits...)
 	sort.Slice(hits, func(i, j int) bool { return hits[i] < hits[j] })
 
 	// Merge [h-Pad, h+Pad] neighborhoods (adjacent ranges coalesce).
+	// The clamps are written so that no sum can overflow, whatever Pad.
 	for _, h := range hits {
-		lo, hi := h-p.cfg.Pad, h+p.cfg.Pad
+		lo := h - p.cfg.Pad
 		if lo < 0 {
 			lo = 0
 		}
-		if hi > p.cfg.NumFrames-1 {
-			hi = p.cfg.NumFrames - 1
+		hi := p.cfg.NumFrames - 1
+		if h < hi-p.cfg.Pad {
+			hi = h + p.cfg.Pad
 		}
 		if n := len(p.intervals); n > 0 && lo <= p.intervals[n-1].End+1 {
 			if hi > p.intervals[n-1].End {
@@ -263,7 +287,7 @@ func (p *Plan) transition() {
 	p.missing = make([]int, len(p.intervals))
 	for i, iv := range p.intervals {
 		for f := iv.Start; f <= iv.End; f++ {
-			if !p.applied[f] {
+			if !p.observed(f) {
 				p.refineQueue = append(p.refineQueue, f)
 				p.missing[i]++
 			}

@@ -2,6 +2,7 @@ package trackquery
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/exsample/exsample/internal/geom"
@@ -496,6 +497,46 @@ func TestPlanNextCoarseAllocFree(t *testing.T) {
 	}
 }
 
+func TestPlanObserveAllocFree(t *testing.T) {
+	// Once the plan is built, an observe flips a bit of the observed set
+	// and counts: a coarse miss and a refine frame that completes no
+	// interval allocate nothing. (A coarse hit appends to the hit list.)
+	// 100 000 frames at stride 100 give 1000 grid points; one hit at
+	// 50 000 padded by 5000 gives 9990 refine frames in one interval.
+	p, err := NewPlan(planCfg(100_000, 100, 5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(wantChunk bool) {
+		f, c, ok := p.Next()
+		if !ok || (c >= 0) != wantChunk {
+			t.Fatalf("Next = (%d, %d, %v) in phase %v", f, c, ok, p.Phase())
+		}
+		if err := p.Observe(f, c, f == 50_000 || f%2 == 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(400, func() { step(true) }); allocs != 0 {
+		t.Fatalf("coarse Next+Observe allocates %v per frame, want 0", allocs)
+	}
+	for p.Phase() == PhaseCoarse {
+		if f, c, ok := p.Next(); ok {
+			if err := p.Observe(f, c, f == 50_000); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := p.Intervals(); !reflect.DeepEqual(got, []Interval{{Start: 45_000, End: 55_000}}) {
+		t.Fatalf("intervals %v, want [{45000 55000}]", got)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { step(false) }); allocs != 0 {
+		t.Fatalf("refine Next+Observe allocates %v per frame, want 0", allocs)
+	}
+	if len(p.TakeReady()) != 0 {
+		t.Fatal("the interval completed inside the measured refine frames")
+	}
+}
+
 func TestPlanSkipCompletesInterval(t *testing.T) {
 	// Object on [130, 179]: grid hits 130..170 pad into [120, 180], whose
 	// last missing frame 179 would be a hit. Skipping it — observing it
@@ -594,8 +635,13 @@ func TestPlanObserveErrors(t *testing.T) {
 	if err := p.Observe(f, c, false); err == nil {
 		t.Error("double observe accepted")
 	}
-	if err := p.Observe(999, -1, false); err == nil {
-		t.Error("refine observe in coarse phase accepted")
+	if err := p.Observe(25, -1, false); err == nil || !strings.Contains(err.Error(), "phase") {
+		t.Errorf("refine observe in coarse phase: %v", err)
+	}
+	for _, f := range []int64{-1, 40, 999} {
+		if err := p.Observe(f, 0, false); err == nil {
+			t.Errorf("frame %d outside the 40-frame repository accepted", f)
+		}
 	}
 }
 

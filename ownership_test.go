@@ -34,10 +34,25 @@ type storeSpy struct {
 
 func (s *storeSpy) step(p core.Pick, fr frameResult) error {
 	err := s.trackRun.step(p, fr)
-	if dets, ok := s.trackRun.store[p.Frame]; ok {
+	if dets, ok := s.trackRun.stored(p.Frame); ok {
 		s.kept[p.Frame] = dets
 	}
 	return err
+}
+
+// stored returns the detections the run keeps for a processed frame its
+// assemble has not released yet; ok is false for any other frame.
+func (r *trackRun) stored(frame int64) (dets []track.Detection, ok bool) {
+	for _, w := range r.window {
+		if w.frame == frame {
+			return w.dets, true
+		}
+	}
+	if frame%r.stride == 0 && frame/r.stride < int64(len(r.grid)) {
+		g := r.grid[frame/r.stride]
+		return g.dets, g.present
+	}
+	return nil, false
 }
 
 // TestDetectionsOutliveRounds: the detect scratch's output buffer and frame

@@ -199,7 +199,8 @@ type TrackOptions struct {
 	// Stride is the coarse-grid spacing in frames. 0 derives it from the
 	// predicate: MinDuration/2 (an object visible for MinDuration frames
 	// cannot fall through a gap of half that), clamped to [1, 64], or 16
-	// when the predicate has no MinDuration.
+	// when the predicate has no MinDuration. A stride past the source's
+	// frame count acts as that count: the grid is frame 0 alone.
 	Stride int64
 	// Limit stops the query after this many matching tracks (0 = none).
 	Limit int

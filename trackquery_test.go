@@ -3,10 +3,15 @@ package exsample
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"github.com/exsample/exsample/internal/core"
+	"github.com/exsample/exsample/internal/track"
+	"github.com/exsample/exsample/internal/trackquery"
 )
 
 // trackScene builds a sparse moving-object scene: 8 cars over 40k frames,
@@ -393,6 +398,92 @@ func TestTrackMaxFramesBudget(t *testing.T) {
 	}
 	if rep.FramesProcessed != 100 {
 		t.Errorf("MaxFrames 100 charged %d frames", rep.FramesProcessed)
+	}
+}
+
+// TestTrackHugeStrideClamped: a stride at or past the repository's length
+// lays out the one-point grid {0} padded over the whole repository, so a
+// stride of the length, of 1<<40 and of MaxInt64 run the same query. The
+// grid and pad arithmetic must not overflow into an empty grid.
+func TestTrackHugeStrideClamped(t *testing.T) {
+	const numFrames = 4000
+	ds, err := Synthesize(SynthSpec{
+		NumFrames:    numFrames,
+		NumInstances: 3,
+		Class:        "car",
+		MeanDuration: 300,
+		ChunkFrames:  1000,
+		Seed:         7,
+		TravelX:      300,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for _, stride := range []int64{numFrames, 1 << 40, math.MaxInt64} {
+		rep, err := ds.TrackSearch(trackPred(), TrackOptions{Stride: stride})
+		if err != nil {
+			t.Fatalf("stride %d: %v", stride, err)
+		}
+		if rep.CoarseFrames != 1 {
+			t.Fatalf("stride %d: %d coarse frames, want 1 (the grid {0})", stride, rep.CoarseFrames)
+		}
+		got := trackReportDigest(rep)
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Fatalf("stride %d: report digest %s, stride %d gave %s", stride, got, int64(numFrames), want)
+		}
+	}
+}
+
+// TestTrackStoreMergesInFrameOrder: a track run hands the tracker an
+// interval's processed frames in frame order, coarse grid points merged
+// with the refine window — a grid point refined because its arm stayed
+// fenced included, a processed frame without detections included, a frame
+// never processed left out — and releasing the interval drops exactly its
+// frames.
+func TestTrackStoreMergesInFrameOrder(t *testing.T) {
+	r, err := newTrackRun(trackScene(t), trackPred(), TrackOptions{Stride: 10}, cacheConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := func(f int64) []track.Detection { return []track.Detection{{Frame: f, Class: "car"}} }
+	for _, s := range []struct {
+		frame int64
+		chunk int
+		dets  []track.Detection
+	}{
+		{90, 0, det(90)}, {100, 0, det(100)}, {120, 0, nil}, {130, 0, det(130)},
+		{101, -1, det(101)}, {105, -1, nil}, {110, -1, det(110)}, {125, -1, det(125)}, {131, -1, det(131)},
+	} {
+		if err := r.keep(core.Pick{Frame: s.frame, Chunk: s.chunk}, s.dets); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.keep(core.Pick{Frame: 128, Chunk: -1}, nil); err == nil {
+		t.Fatal("a refine frame below the window's last was accepted")
+	}
+	iv := trackquery.Interval{Start: 100, End: 129}
+	var got []int64
+	err = r.eachStored(iv, func(f int64, dets []track.Detection) error {
+		if len(dets) > 0 && dets[0].Frame != f {
+			t.Errorf("frame %d got the detections of frame %d", f, dets[0].Frame)
+		}
+		got = append(got, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{100, 101, 105, 110, 120, 125}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("interval %+v fed frames %v, want %v", iv, got, want)
+	}
+	r.release(iv)
+	for f, want := range map[int64]bool{90: true, 100: false, 110: false, 120: false, 125: false, 130: true, 131: true} {
+		if _, ok := r.stored(f); ok != want {
+			t.Errorf("after release, frame %d stored = %v, want %v", f, ok, want)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package exsample
 
 import (
+	"fmt"
+
 	"github.com/exsample/exsample/internal/core"
 	"github.com/exsample/exsample/internal/geom"
 	"github.com/exsample/exsample/internal/kalman"
@@ -31,13 +33,32 @@ type trackRun struct {
 	opts TrackOptions
 	plan *trackquery.Plan
 
-	// store holds every processed frame's detections until the interval
-	// containing the frame is assembled (coarse frames outside every
-	// interval stay until the run ends — the grid is small by design).
-	store map[int64][]track.Detection
+	// grid and window hold every processed frame's detections until the
+	// interval containing the frame is assembled. grid has one entry per
+	// grid point of the plan, indexed by frame/stride (coarse frames
+	// outside every interval stay until the run ends — the grid is small by
+	// design); window holds the processed refine frames in ascending frame
+	// order, which is their issue order. With the plan's bitset of
+	// NumFrames bits, that is the run's whole per-frame state.
+	stride int64
+	grid   []gridFrame
+	window []refineFrame
 
 	rep            *TrackReport
 	intervalsNoted bool
+}
+
+// gridFrame is one grid point's slot in trackRun.grid; present marks a
+// processed frame, with or without detections.
+type gridFrame struct {
+	dets    []track.Detection
+	present bool
+}
+
+// refineFrame is one processed refine frame in trackRun.window.
+type refineFrame struct {
+	frame int64
+	dets  []track.Detection
 }
 
 // newTrackRun validates the predicate and options and builds the full
@@ -65,11 +86,15 @@ func newTrackRun(s Source, p TrackPredicate, o TrackOptions, cc cacheConfig) (*t
 		return nil, err
 	}
 	chunks := rc.chunksNow()
-	stride := o.strideFor(p)
+	numFrames := rc.numFramesNow()
+	// A stride past the repository's length lays out the same one-point
+	// grid {0} and pads it over the same whole repository as a stride of
+	// exactly that length; clamping keeps the grid and the pad in range.
+	stride := min(o.strideFor(p), numFrames)
 	// A pad of one stride densifies a track touching one grid point
 	// across its whole neighborhood.
 	plan, err := trackquery.NewPlan(trackquery.Config{
-		NumFrames: rc.numFramesNow(),
+		NumFrames: numFrames,
 		Chunks:    chunks,
 		Stride:    stride,
 		Pad:       stride,
@@ -89,7 +114,8 @@ func newTrackRun(s Source, p TrackPredicate, o TrackOptions, cc cacheConfig) (*t
 		eval:    eval,
 		opts:    o,
 		plan:    plan,
-		store:   make(map[int64][]track.Detection),
+		stride:  stride,
+		grid:    make([]gridFrame, trackquery.CeilDiv(numFrames, stride)),
 		rep:     &TrackReport{Predicate: p, DenseFrames: dense},
 	}
 	// Fence the shards already draining or gated at submit.
@@ -165,8 +191,25 @@ func (r *trackRun) step(p core.Pick, fr frameResult) error {
 	} else {
 		rep.RefineFrames++
 	}
-	r.store[p.Frame] = fr.dets
+	if err := r.keep(p, fr.dets); err != nil {
+		r.err = err
+		return err
+	}
 	return r.observe(p.Frame, p.Chunk, len(fr.dets) > 0)
+}
+
+// keep stores a processed frame's detections until assemble: a coarse
+// frame in its grid slot, a refine frame at the end of the window.
+func (r *trackRun) keep(p core.Pick, dets []track.Detection) error {
+	if p.Chunk >= 0 {
+		r.grid[p.Frame/r.stride] = gridFrame{dets: dets, present: true}
+		return nil
+	}
+	if n := len(r.window); n > 0 && r.window[n-1].frame >= p.Frame {
+		return fmt.Errorf("exsample: refine frame %d processed after frame %d", p.Frame, r.window[n-1].frame)
+	}
+	r.window = append(r.window, refineFrame{frame: p.Frame, dets: dets})
+	return nil
 }
 
 // observe feeds one frame's verdict to the plan and assembles any interval
@@ -220,11 +263,7 @@ func (r *trackRun) drain() error {
 // detections, smooths each track, evaluates the predicate and emits the
 // matches. Interval frames are released from the store afterwards.
 func (r *trackRun) assemble(iv trackquery.Interval) ([]TrackResult, error) {
-	defer func() {
-		for f := iv.Start; f <= iv.End; f++ {
-			delete(r.store, f)
-		}
-	}()
+	defer r.release(iv)
 	if r.opts.Limit > 0 && len(r.rep.Results) >= r.opts.Limit {
 		return nil, nil
 	}
@@ -232,18 +271,10 @@ func (r *trackRun) assemble(iv trackquery.Interval) ([]TrackResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	for f := iv.Start; f <= iv.End; f++ {
-		dets, ok := r.store[f]
-		if !ok {
-			// A fenced refine frame (its shard drained or gated) was
-			// observed as a miss and never processed.
-			continue
-		}
-		// Processed frames with no detections still age live tracks —
-		// a confirmed absence separates two objects sharing a lane.
-		if err := tr.Observe(f, dets); err != nil {
-			return nil, err
-		}
+	// Processed frames with no detections still age live tracks — a
+	// confirmed absence separates two objects sharing a lane.
+	if err := r.eachStored(iv, tr.Observe); err != nil {
+		return nil, err
 	}
 	var out []TrackResult
 	for _, t := range tr.Flush() {
@@ -282,6 +313,59 @@ func (r *trackRun) assemble(iv trackquery.Interval) ([]TrackResult, error) {
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// eachStored calls fn, in frame order, with every processed frame of iv
+// and its detections: the window's frames up to iv.End merged with the
+// interval's grid points. A grid point whose arm stayed fenced was
+// refined: it sits in the window and its grid slot is empty. A frame in
+// neither — a fenced refine frame (its shard drained or gated) observed as
+// a miss — was never processed.
+func (r *trackRun) eachStored(iv trackquery.Interval, fn func(frame int64, dets []track.Detection) error) error {
+	win := r.window[:r.prefix(iv.End)]
+	k, kEnd := r.gridSpan(iv)
+	for len(win) > 0 || k <= kEnd {
+		var err error
+		if len(win) > 0 && (k > kEnd || win[0].frame < k*r.stride) {
+			err = fn(win[0].frame, win[0].dets)
+			win = win[1:]
+		} else {
+			if g := r.grid[k]; g.present {
+				err = fn(k*r.stride, g.dets)
+			}
+			k++
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// gridSpan returns the grid indexes [k, kEnd] of the grid points inside iv
+// (k > kEnd when there is none).
+func (r *trackRun) gridSpan(iv trackquery.Interval) (k, kEnd int64) {
+	return trackquery.CeilDiv(iv.Start, r.stride), iv.End / r.stride
+}
+
+// prefix returns how many window frames are at or before frame.
+func (r *trackRun) prefix(frame int64) int {
+	n := 0
+	for n < len(r.window) && r.window[n].frame <= frame {
+		n++
+	}
+	return n
+}
+
+// release drops an assembled interval's frames: its grid slots are
+// cleared and the window's prefix up to iv.End is cut, its backing array
+// reused for the frames still to come.
+func (r *trackRun) release(iv trackquery.Interval) {
+	k, kEnd := r.gridSpan(iv)
+	clear(r.grid[k : kEnd+1])
+	m := copy(r.window, r.window[r.prefix(iv.End):])
+	clear(r.window[m:])
+	r.window = r.window[:m]
 }
 
 // done is the track query's stopping condition: the plan finished, the
